@@ -142,15 +142,23 @@ def parse_config(path) -> RunConfig:
     for cfg_key, attr in _FLOAT_KEYS.items():
         if cfg_key in raw:
             val = float(raw.pop(cfg_key))
-            if cfg_key.startswith("tol") and val <= 0:
-                raise ConfigError(f"{cfg_key} must be positive")
+            if not (np.isfinite(val) and val > 0):
+                raise ConfigError(f"{cfg_key} must be finite and positive, got {val:g}")
             setattr(controls, attr, val)
-    if "max_steps" in raw:
-        controls.max_steps = int(raw.pop("max_steps"))
-    if "max_newton" in raw:
-        controls.max_newton = int(raw.pop("max_newton"))
-
+    if not controls.tau_min < controls.tau_max:
+        raise ConfigError(f"tau_min = {controls.tau_min:g} must be below "
+                          f"tau_max = {controls.tau_max:g}")
+    if controls.tau0 is not None and controls.tau0 > controls.tau_max:
+        raise ConfigError(f"tau0 = {controls.tau0:g} exceeds "
+                          f"tau_max = {controls.tau_max:g}")
+    for key in ("max_steps", "max_newton"):
+        if key in raw:
+            setattr(controls, key, int(raw.pop(key)))
     cadence = int(raw.pop("cadence", "1"))
+    for key, val in (("max_steps", controls.max_steps),
+                     ("max_newton", controls.max_newton), ("cadence", cadence)):
+        if val < 1:
+            raise ConfigError(f"{key} must be at least 1, got {val}")
     output_dir = raw.pop("output_dir", ".")
     anchor = int(raw.pop("anchor")) if "anchor" in raw else None
     dimension = int(raw.pop("dimension", "0"))
@@ -294,6 +302,10 @@ def run_command(config_path) -> int:
         config = parse_config(config_path)
         state = initialize(config.omega, config.omega_tilde,
                            config.grid_spec, config.signature)
+        n_nodes = state.grid.n_nodes
+        if config.anchor is not None and not 0 <= config.anchor < n_nodes:
+            raise ConfigError(f"anchor = {config.anchor} is not a node index "
+                              f"in [0, {n_nodes})")
     except (ConfigError, ValueError, GaussFlowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -17,17 +17,81 @@ Two grid families cover the supported domains:
 Every grid exposes the same surface: node coordinates, interior and
 boundary index sets, sparse first/second derivative operators, and the
 ``gradient`` / ``hessian`` convenience evaluators used throughout the
-solver and the monitors.
+solver and the monitors. ``stencil_pattern`` is the fixed sparsity
+pattern the Newton Jacobian is assembled on; it is built on first use,
+so grids that never take an implicit step do not pay for it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 
-class LineGrid:
+class StencilPattern:
+    """Union CSC pattern of a list of square stencils, with their values on it.
+
+    ``assemble(coef)`` returns sum_s diag(coef[s]) @ stencils[s] on the
+    union pattern: coef has one row per stencil and one column per node.
+    Entries that cancel or are never weighted stay as explicit zeros, so
+    every assembly shares one structure and no sparse products are formed.
+    """
+
+    def __init__(self, stencils):
+        stencils = [sp.csc_matrix(s, copy=True) for s in stencils]
+        for st in stencils:
+            st.sum_duplicates()
+            st.eliminate_zeros()
+        union = abs(stencils[0])
+        for st in stencils[1:]:
+            union = union + abs(st)
+        union.sort_indices()
+        self.indices, self.indptr = union.indices, union.indptr
+        self.n_nodes = union.shape[0]
+        # values[s, e]: stencil s at pattern entry e, found by its CSC key
+        # col * n + row (the keys of a sorted CSC pattern ascend)
+        keys = self._keys(union)
+        self._values = np.zeros((len(stencils), union.nnz))
+        for s, st in enumerate(stencils):
+            self._values[s, np.searchsorted(keys, self._keys(st))] = st.data
+
+    def _keys(self, mat) -> np.ndarray:
+        cols = np.repeat(np.arange(self.n_nodes), np.diff(mat.indptr))
+        return cols * self.n_nodes + mat.indices
+
+    @property
+    def n_stencils(self) -> int:
+        return self._values.shape[0]
+
+    def assemble(self, coef: np.ndarray) -> sp.csc_matrix:
+        data = np.einsum("se,se->e", coef[:, self.indices], self._values)
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.n_nodes, self.n_nodes))
+
+
+class _StencilGrid:
+    """Surface shared by the grid families."""
+
+    @cached_property
+    def stencil_pattern(self) -> StencilPattern:
+        """Pattern of the identity, d_first[k], then d_second[k][l] (k <= l)."""
+        second = [self.d_second[k][l]
+                  for k in range(self.dim) for l in range(k, self.dim)]
+        return StencilPattern([sp.identity(self.n_nodes), *self.d_first, *second])
+
+    def monitor_tol(self, tau_max: float) -> float:
+        """Truncation-scaled audit tolerance 10 (h^2 + tau_max h)."""
+        return 10.0 * (self.h_ref**2 + tau_max * self.h_ref)
+
+
+class LineGrid(_StencilGrid):
     """Uniform 1D grid on [a, b] with N intervals (N + 1 nodes)."""
+
+    # SuperLU column ordering for the Newton Jacobian. It is banded, so
+    # the natural order gives the least fill (MMD on A^T + A adds 30 %).
+    column_ordering = "NATURAL"
 
     def __init__(self, a: float, b: float, n_cells: int):
         if n_cells < 4:
@@ -75,13 +139,13 @@ class LineGrid:
     def hessian(self, u: np.ndarray) -> np.ndarray:
         return (self.d_second[0][0] @ u)[:, None, None]
 
-    def monitor_tol(self, tau_max: float) -> float:
-        """Truncation-scaled audit tolerance 10 (h^2 + tau_max h)."""
-        return 10.0 * (self.h_ref**2 + tau_max * self.h_ref)
 
-
-class MappedDiskGrid:
+class MappedDiskGrid(_StencilGrid):
     """Polar grid on the unit disk pushed forward by x = A xhat + c."""
+
+    # Minimum degree on A^T + A: at 32 x 64 the Newton Jacobian's LU fill
+    # drops from 187k (COLAMD, the SuperLU default) to 99k.
+    column_ordering = "MMD_AT_PLUS_A"
 
     def __init__(self, a_map, center, n_rho: int, n_theta: int):
         a_map = np.atleast_2d(np.asarray(a_map, dtype=float))
@@ -291,6 +355,3 @@ class MappedDiskGrid:
         out[:, 1, 0] = out[:, 0, 1]
         out[:, 1, 1] = self.d_second[1][1] @ u
         return out
-
-    def monitor_tol(self, tau_max: float) -> float:
-        return 10.0 * (self.h_ref**2 + tau_max * self.h_ref)

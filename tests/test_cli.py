@@ -66,6 +66,39 @@ class TestConfigParsing:
             cli.parse_config(tmp_path / "nope.cfg")
 
 
+class TestStepControlValidation:
+    """Bad step controls end in exit 1 before any step is taken."""
+
+    @pytest.mark.parametrize("extra, key", [
+        ("tau0 = -0.001", "tau0"),
+        ("tau_max = -1", "tau_max"),
+        ("tol_newton = nan", "tol_newton"),
+        ("tau_min = inf", "tau_min"),
+        ("tau_min = 0.5\ntau_max = 0.1", "tau_min"),
+        ("tau0 = 2\ntau_max = 1", "tau0"),
+        ("max_steps = 0", "max_steps"),
+        ("max_newton = 0", "max_newton"),
+        ("cadence = 0", "cadence"),
+        ("anchor = 5000", "anchor"),
+        ("anchor = -3", "anchor"),
+    ])
+    def test_exits_one_with_configuration_error(self, tmp_path, capsys,
+                                                extra, key):
+        cfg = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(BASE_CONFIG.format(out=out) + extra + "\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+        assert not out.exists()
+
+    def test_last_node_is_a_valid_anchor(self, tmp_path):
+        cfg = tmp_path / "edge.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(BASE_CONFIG.format(out=out) + "anchor = 101\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+
+
 class TestRunCommand:
     def test_converged_run_writes_artifacts(self, finished_run):
         code, out = finished_run

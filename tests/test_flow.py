@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu, spsolve
 
 from gaussflow import domains as dom
 from gaussflow import flow, oracles
-from gaussflow.errors import ConvexityError, NonConvergenceError
+from gaussflow.errors import ConvexityError, NonConvergenceError, StepFailureError
 from gaussflow.flow import StepControls, step_explicit, step_implicit
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
 
@@ -26,6 +28,168 @@ def translator_state(n_cells=201, tau=0.1):
     g = flow.g_value_many(state.grid.gradient(u), state.grid.hessian(u),
                           MINKOWSKI)
     return dataclasses.replace(state, u=u, u_dot=g, tau=tau, steps=1), c
+
+
+def rotated_ellipse(center, semi_axes, angle):
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    return dom.ConvexDomain.ellipse(
+        center, rot @ np.diag(1.0 / np.asarray(semi_axes) ** 2) @ rot.T)
+
+
+def sparse_product_jacobian(state, p, r, tau):
+    """Reference Jacobian assembled from diag(weights) @ stencil products."""
+    grid = state.grid
+    n_nodes, ndim = grid.n_nodes, grid.dim
+    g_r, g_p = flow.g_derivatives_many(p, r, state.sig)
+    lin = sp.csr_matrix((n_nodes, n_nodes))
+    for k in range(ndim):
+        for l in range(ndim):
+            lin = lin + sp.diags(g_r[:, k, l]) @ grid.d_second[k][l]
+        lin = lin + sp.diags(g_p[:, k]) @ grid.d_first[k]
+    if ndim == 1:
+        bnd_rows = grid.d_first[0]
+    else:
+        beta = np.zeros((n_nodes, ndim))
+        _, beta[grid.boundary] = dom.defining_jet_many(
+            state.omega_tilde, p[grid.boundary])
+        bnd_rows = sum(sp.diags(beta[:, k]) @ grid.d_first[k]
+                       for k in range(ndim))
+    sel_i = np.zeros(n_nodes)
+    sel_i[grid.interior] = 1.0
+    sel_b = np.zeros(n_nodes)
+    sel_b[grid.boundary] = 1.0
+    return (sp.diags(sel_i) @ (sp.eye(n_nodes) - tau * lin)
+            + sp.diags(sel_b) @ bnd_rows).tocsc()
+
+
+JACOBIAN_CASES = {
+    "line-minkowski": (dom.ConvexDomain.interval(0, 1),
+                       dom.ConvexDomain.interval(-0.5, 0.5), 40, MINKOWSKI),
+    "line-euclidean": (dom.ConvexDomain.interval(-1, 2),
+                       dom.ConvexDomain.interval(-1, 1.5), 40, EUCLIDEAN),
+    "disk-ball": (dom.ConvexDomain.ball([0, 0], 1.0),
+                  dom.ConvexDomain.ball([0, 0], 0.5), (6, 12), MINKOWSKI),
+    "disk-rotated-ellipse": (rotated_ellipse([0.1, -0.2], [1.0, 0.6], 0.4),
+                             rotated_ellipse([0.05, 0.1], [0.4, 0.25], -0.7),
+                             (6, 12), MINKOWSKI),
+}
+
+
+def perturbed_state(case, tau=0.01):
+    """Initial state with a smooth convexity-preserving perturbation."""
+    om, ot, spec, sig = JACOBIAN_CASES[case]
+    state = flow.initialize(om, ot, spec, sig)
+    x = state.grid.nodes
+    u = state.u + 1e-3 * np.sin(2.0 * x[:, 0] + 1.0) * np.cos(x[:, -1])
+    return state, u, tau
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+    def test_matches_centred_difference_of_residual(self, case):
+        state, u, tau = perturbed_state(case)
+        _, p, r = flow._residual(state, u, state.u, tau)
+        jac = flow._jacobian(state, p, r, tau).toarray()
+        eps = 1e-6
+        fd = np.empty_like(jac)
+        for j in range(state.grid.n_nodes):
+            du = np.zeros_like(u)
+            du[j] = eps
+            plus, _, _ = flow._residual(state, u + du, state.u, tau)
+            minus, _, _ = flow._residual(state, u - du, state.u, tau)
+            fd[:, j] = (plus - minus) / (2.0 * eps)
+        for rows in (state.grid.interior, state.grid.boundary):
+            scale = max(1.0, np.max(np.abs(jac[rows])))
+            assert np.max(np.abs(jac[rows] - fd[rows])) < 1e-6 * scale
+
+    @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+    def test_fixed_pattern_matches_sparse_products(self, case):
+        state, u, tau = perturbed_state(case)
+        _, p, r = flow._residual(state, u, state.u, tau)
+        jac = flow._jacobian(state, p, r, tau)
+        ref = sparse_product_jacobian(state, p, r, tau)
+        ref.eliminate_zeros()
+        on_pattern = jac.copy()
+        on_pattern.data[:] = 1.0
+        # every nonzero of the product assembly is a slot of the pattern
+        assert on_pattern.multiply(ref).nnz == ref.nnz
+        assert np.max(np.abs((jac - ref).toarray())) <= (
+            1e-12 * np.max(np.abs(ref.data)))
+        # the pattern is fixed: a second state fills the same structure
+        _, p2, r2 = flow._residual(state, 1.01 * u, state.u, 2 * tau)
+        again = flow._jacobian(state, p2, r2, 2 * tau)
+        assert np.array_equal(again.indptr, jac.indptr)
+        assert np.array_equal(again.indices, jac.indices)
+
+
+    @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
+    def test_column_ordering_has_least_lu_fill(self, case):
+        state, u, tau = perturbed_state(case)
+        _, p, r = flow._residual(state, u, state.u, tau)
+        jac = flow._jacobian(state, p, r, tau)
+        fill = {}
+        for spec in ("COLAMD", "MMD_AT_PLUS_A", "NATURAL"):
+            lu = splu(jac, permc_spec=spec)
+            fill[spec] = lu.L.nnz + lu.U.nnz
+        assert fill[state.grid.column_ordering] == min(fill.values())
+
+
+def plain_newton(state, u_prev, guess, tau, controls):
+    """Newton without the stagnation exit: (u, iterations) or None."""
+    u = guess.copy()
+    for it in range(1, controls.max_newton + 1):
+        res, p, r = flow._residual(state, u, u_prev, tau)
+        if np.max(np.abs(res)) <= controls.tol_newton:
+            return u, it
+        u = u - spsolve(flow._jacobian(state, p, r, tau), res)
+    return None
+
+
+@pytest.fixture
+def counted_spsolve(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "spsolve", counting)
+    return calls
+
+
+class TestNewtonStagnation:
+    def test_roundoff_stall_ends_within_three_solves(self, counted_spsolve):
+        state, _ = translator_state()
+        u_prev, tau = state.u, state.tau
+        guess = u_prev + tau * state.u_dot
+        converged, _ = flow._newton_solve(state, u_prev, guess, tau,
+                                          StepControls())
+        counted_spsolve.clear()
+        # no iterate reaches 1e-30: the residual stalls on its roundoff
+        # floor, and the attempt must end well before max_newton solves
+        controls = StepControls(tol_newton=1e-30)
+        assert flow._newton_solve(state, u_prev, converged, tau,
+                                  controls) is None
+        assert 1 <= len(counted_spsolve) <= 3 < controls.max_newton
+
+    def test_step_failure_message_unchanged(self):
+        state, _ = translator_state(101)
+        controls = StepControls(tol_newton=1e-30, tau_min=1e-6)
+        with pytest.raises(StepFailureError,
+                           match=r"^Newton failed at every tau down to 1e-06 "
+                                 r"\(t = 0, step 1\)$"):
+            step_implicit(dataclasses.replace(state, t=0.0), controls)
+
+    @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
+    def test_fast_convergence_keeps_iteration_count(self, case):
+        state, u, tau = perturbed_state(case, tau=1e-4)
+        controls = StepControls()
+        got = flow._newton_solve(state, u, u, tau, controls)
+        ref = plain_newton(state, u, u, tau, controls)
+        assert got is not None and ref is not None
+        assert got[1] == ref[1] >= 2
+        assert np.max(np.abs(got[0] - ref[0])) < 1e-10
 
 
 class TestInitialize:
@@ -134,6 +298,18 @@ class TestStepImplicit:
         new = step_implicit(dataclasses.replace(
             state, tau=controls.initial_tau(state.grid)), controls)
         assert flow.boundary_residual(new) <= controls.tol_newton
+
+    def test_default_initial_tau_respects_tau_max(self):
+        om, ot = interval_pair()
+        state = flow.initialize(om, ot, 101, MINKOWSKI)
+        assert StepControls().initial_tau(state.grid) == pytest.approx(
+            0.1 * state.grid.h**2)
+        # 0.1 h^2 is about 100 tau_max here
+        controls = StepControls(tau_max=1e-7)
+        assert controls.initial_tau(state.grid) == 1e-7
+        first = step_implicit(dataclasses.replace(
+            state, tau=controls.initial_tau(state.grid)), controls)
+        assert first.t <= controls.tau_max
 
     def test_tau_grows_on_fast_newton(self):
         om, ot = interval_pair()

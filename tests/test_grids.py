@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gaussflow.grids import LineGrid, MappedDiskGrid
 
@@ -115,3 +116,22 @@ class TestMappedDiskGrid:
         grid = MappedDiskGrid(np.eye(2), np.zeros(2), 8, 16)
         assert grid.index(3, 16) == grid.index(3, 0)
         assert grid.index(3, -1) == grid.index(3, 15)
+
+
+class TestStencilPattern:
+    @pytest.mark.parametrize("grid", [
+        LineGrid(0.0, 1.0, 12),
+        MappedDiskGrid(np.array([[0.8, 0.3], [0.3, 0.5]]), np.zeros(2), 5, 10),
+    ], ids=["line", "disk"])
+    def test_assembles_row_weighted_stencil_sum(self, grid):
+        pattern = grid.stencil_pattern
+        assert grid.stencil_pattern is pattern  # built once per grid
+        stencils = [sp.identity(grid.n_nodes), *grid.d_first] + [
+            grid.d_second[k][l]
+            for k in range(grid.dim) for l in range(k, grid.dim)]
+        coef = np.random.default_rng(3).normal(size=(len(stencils), grid.n_nodes))
+        expect = sum(sp.diags(c) @ s for c, s in zip(coef, stencils))
+        got = pattern.assemble(coef)
+        assert got.format == "csc"
+        assert np.max(np.abs((got - expect).toarray())) < 1e-12 * np.max(
+            np.abs(expect.data))

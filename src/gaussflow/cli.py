@@ -524,6 +524,10 @@ def check_command(debug_paper_signs: bool = False) -> int:
     return 0 if all_ok else 1
 
 
+# monitors.csv columns the report summary reads
+REPORT_COLUMNS = ("t", "udot_min", "udot_max", "obliq_min", "hess_min", "hess_max")
+
+
 def report_command(csv_path) -> int:
     path = Path(csv_path)
     if not path.is_file():
@@ -534,7 +538,24 @@ def report_command(csv_path) -> int:
         print("report error: monitors csv has no data rows", file=sys.stderr)
         return 1
     header = lines[0].split(",")
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+    missing = [name for name in REPORT_COLUMNS if name not in header]
+    if missing:
+        print(f"report error: monitors csv lacks column(s) {', '.join(missing)}",
+              file=sys.stderr)
+        return 1
+    rows = []
+    for k, ln in enumerate(lines[1:], start=1):
+        tokens = ln.split(",")
+        if len(tokens) != len(header):
+            print(f"report error: data row {k} has {len(tokens)} fields, "
+                  f"the header {len(header)}", file=sys.stderr)
+            return 1
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError as exc:
+            print(f"report error: data row {k}: {exc}", file=sys.stderr)
+            return 1
+    data = np.array(rows)
     col = {name: k for k, name in enumerate(header)}
     final = data[-1]
     c_lo, c_hi = final[col["udot_min"]], final[col["udot_max"]]

@@ -30,6 +30,15 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def _csr(n: int, entries) -> sp.csr_matrix:
+    """n x n CSR matrix from (rows, cols, values) triplets that broadcast."""
+    rows, cols, vals = zip(*(
+        (a.ravel() for a in np.broadcast_arrays(r, c, v)) for r, c, v in entries))
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
 class StencilPattern:
     """Union CSC pattern of a list of square stencils, with their values on it.
 
@@ -115,23 +124,25 @@ class LineGrid(_StencilGrid):
         self._build_operators()
 
     def _build_operators(self):
-        m = self.n_nodes
-        h = self.h
-        d1 = sp.lil_matrix((m, m))
-        d2 = sp.lil_matrix((m, m))
-        idx = np.arange(1, m - 1)
-        d1[idx, idx - 1] = -0.5 / h
-        d1[idx, idx + 1] = 0.5 / h
-        d2[idx, idx - 1] = 1.0 / h**2
-        d2[idx, idx] = -2.0 / h**2
-        d2[idx, idx + 1] = 1.0 / h**2
-        # one-sided second order rows at the ends
-        d1[0, [0, 1, 2]] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-        d1[m - 1, [m - 3, m - 2, m - 1]] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-        d2[0, [0, 1, 2, 3]] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
-        d2[m - 1, [m - 4, m - 3, m - 2, m - 1]] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
-        self.d_first = [d1.tocsr()]
-        self.d_second = [[d2.tocsr()]]
+        m, h = self.n_nodes, self.h
+        i = np.arange(1, m - 1)
+        end = m - 1
+        # centered inside, one-sided second order rows at the ends
+        self.d_first = [_csr(m, [
+            (i, i - 1, -0.5 / h),
+            (i, i + 1, 0.5 / h),
+            (0, [0, 1, 2], np.array([-3.0, 4.0, -1.0]) / (2.0 * h)),
+            (end, [end - 2, end - 1, end],
+             np.array([1.0, -4.0, 3.0]) / (2.0 * h)),
+        ])]
+        self.d_second = [[_csr(m, [
+            (i, i - 1, 1.0 / h**2),
+            (i, i, -2.0 / h**2),
+            (i, i + 1, 1.0 / h**2),
+            (0, [0, 1, 2, 3], np.array([2.0, -5.0, 4.0, -1.0]) / h**2),
+            (end, [end - 3, end - 2, end - 1, end],
+             np.array([-1.0, 4.0, -5.0, 2.0]) / h**2),
+        ])]]
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return (self.d_first[0] @ u)[:, None]
@@ -200,62 +211,58 @@ class MappedDiskGrid(_StencilGrid):
 
     # -- polar stencil tables -------------------------------------------------
 
-    def _polar_entries(self):
-        """COO entry lists for u_rho, u_rhorho, u_theta, u_thetatheta, u_rhotheta."""
-        nt = self.n_theta
-        nr = self.n_rho
+    def _polar_operators(self):
+        """CSR stencils for u_rho, u_rhorho, u_theta, u_thetatheta, u_rhotheta.
+
+        Rows are rings 1..n_rho (the pole row stays empty). Index arrays
+        run over (ring, angle); ``index`` wraps the angle periodically.
+        """
+        nt, nr, n = self.n_theta, self.n_rho, self.n_nodes
         drho, dth = self.d_rho, self.d_theta
-        ent = {k: ([], [], []) for k in ("r", "rr", "t", "tt", "rt")}
+        m = np.arange(nt)
+        ring = np.arange(1, nr + 1)[:, None]
+        inner = np.arange(1, nr)[:, None]  # rings with a ring above
+        rows, rows_in, rows_b = (self.index(ring, m), self.index(inner, m),
+                                 self.index(nr, m))
+        above = self.index(inner + 1, m)
+        below = np.where(inner == 1, 0, self.index(inner - 1, m))  # pole
+        b1, b2, b3 = (self.index(nr - k, m) for k in (1, 2, 3))
 
-        def add(key, row, col, val):
-            ent[key][0].append(row)
-            ent[key][1].append(col)
-            ent[key][2].append(val)
-
-        for j in range(1, nr + 1):
-            for m in range(nt):
-                row = self.index(j, m)
-                below = 0 if j == 1 else self.index(j - 1, m)
-                # theta derivatives: centered, periodic (pole row excluded)
-                add("t", row, self.index(j, m + 1), 0.5 / dth)
-                add("t", row, self.index(j, m - 1), -0.5 / dth)
-                add("tt", row, self.index(j, m + 1), 1.0 / dth**2)
-                add("tt", row, row, -2.0 / dth**2)
-                add("tt", row, self.index(j, m - 1), 1.0 / dth**2)
-                if j < nr:
-                    above = self.index(j + 1, m)
-                    add("r", row, above, 0.5 / drho)
-                    add("r", row, below, -0.5 / drho)
-                    add("rr", row, above, 1.0 / drho**2)
-                    add("rr", row, row, -2.0 / drho**2)
-                    add("rr", row, below, 1.0 / drho**2)
-                    # centered cross term; u_theta vanishes at the pole
-                    for mm, w in ((m + 1, 0.5 / dth), (m - 1, -0.5 / dth)):
-                        add("rt", row, self.index(j + 1, mm), w * 0.5 / drho)
-                        if j > 1:
-                            add("rt", row, self.index(j - 1, mm), -w * 0.5 / drho)
-                else:
-                    # boundary ring: one-sided second order in rho
-                    j1 = self.index(j - 1, m)
-                    j2 = self.index(j - 2, m)
-                    j3 = self.index(j - 3, m)
-                    add("r", row, row, 1.5 / drho)
-                    add("r", row, j1, -2.0 / drho)
-                    add("r", row, j2, 0.5 / drho)
-                    add("rr", row, row, 2.0 / drho**2)
-                    add("rr", row, j1, -5.0 / drho**2)
-                    add("rr", row, j2, 4.0 / drho**2)
-                    add("rr", row, j3, -1.0 / drho**2)
-                    for mm, w in ((m + 1, 0.5 / dth), (m - 1, -0.5 / dth)):
-                        add("rt", row, self.index(j, mm), w * 1.5 / drho)
-                        add("rt", row, self.index(j - 1, mm), -w * 2.0 / drho)
-                        add("rt", row, self.index(j - 2, mm), w * 0.5 / drho)
-        mats = {}
-        for key, (rows, cols, vals) in ent.items():
-            mats[key] = sp.coo_matrix(
-                (vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes)
-            ).tocsr()
-        return mats
+        # theta derivatives: centered, periodic (pole row excluded)
+        ops = {
+            "t": [(rows, self.index(ring, m + 1), 0.5 / dth),
+                  (rows, self.index(ring, m - 1), -0.5 / dth)],
+            "tt": [(rows, self.index(ring, m + 1), 1.0 / dth**2),
+                   (rows, rows, -2.0 / dth**2),
+                   (rows, self.index(ring, m - 1), 1.0 / dth**2)],
+            # centered in rho inside; boundary ring one-sided second order
+            "r": [(rows_in, above, 0.5 / drho),
+                  (rows_in, below, -0.5 / drho),
+                  (rows_b, rows_b, 1.5 / drho),
+                  (rows_b, b1, -2.0 / drho),
+                  (rows_b, b2, 0.5 / drho)],
+            "rr": [(rows_in, above, 1.0 / drho**2),
+                   (rows_in, rows_in, -2.0 / drho**2),
+                   (rows_in, below, 1.0 / drho**2),
+                   (rows_b, rows_b, 2.0 / drho**2),
+                   (rows_b, b1, -5.0 / drho**2),
+                   (rows_b, b2, 4.0 / drho**2),
+                   (rows_b, b3, -1.0 / drho**2)],
+            "rt": [],
+        }
+        # centered cross term (u_theta vanishes at the pole, so ring 1
+        # has no term below); one-sided in rho on the boundary ring
+        mid = np.arange(2, nr)[:, None]
+        for shift, w in ((1, 0.5 / dth), (-1, -0.5 / dth)):
+            ops["rt"] += [
+                (rows_in, self.index(inner + 1, m + shift), w * 0.5 / drho),
+                (self.index(mid, m), self.index(mid - 1, m + shift),
+                 -w * 0.5 / drho),
+                (rows_b, self.index(nr, m + shift), w * 1.5 / drho),
+                (rows_b, self.index(nr - 1, m + shift), -w * 2.0 / drho),
+                (rows_b, self.index(nr - 2, m + shift), w * 0.5 / drho),
+            ]
+        return {key: _csr(n, entries) for key, entries in ops.items()}
 
     def _pole_fit_rows(self):
         """Least-squares quadratic fit rows for the pole derivatives.
@@ -273,11 +280,10 @@ class MappedDiskGrid(_StencilGrid):
         basis = np.stack([xh, yh, 0.5 * xh * xh, xh * yh, 0.5 * yh * yh], axis=1)
         # weights: coeffs = W (u_ring - u_pole)
         w = np.linalg.pinv(basis)
-        ring_cols = np.array([self.index(1, m) for m in range(nt)])
-        return w, ring_cols
+        return w, self.index(1, np.arange(nt))
 
     def _build_operators(self):
-        mats = self._polar_entries()
+        mats = self._polar_operators()
         n = self.n_nodes
         rho = np.linalg.norm(self.ref_nodes, axis=1)
         theta = np.arctan2(self.ref_nodes[:, 1], self.ref_nodes[:, 0])
@@ -319,12 +325,21 @@ class MappedDiskGrid(_StencilGrid):
 
         # pole rows from the quadratic fit
         w_fit, ring_cols = self._pole_fit_rows()
-        gx, gy, hxx, hxy, hyy = (m.tolil() for m in (gx, gy, hxx, hxy, hyy))
-        for mat, krow in ((gx, 0), (gy, 1), (hxx, 2), (hxy, 3), (hyy, 4)):
-            row = w_fit[krow]
-            mat.rows[0] = [0] + list(ring_cols)
-            mat.data[0] = [-float(np.sum(row))] + [float(v) for v in row]
-        gx, gy, hxx, hxy, hyy = (m.tocsr() for m in (gx, gy, hxx, hxy, hyy))
+        pole_cols = np.concatenate([[0], ring_cols])
+
+        def with_pole_row(mat, weights):
+            row = sp.csr_matrix(
+                (np.concatenate([[-np.sum(weights)], weights]), pole_cols,
+                 [0, pole_cols.size]), shape=(1, n))
+            out = sp.vstack([row, mat[1:]], format="csr")
+            # sorted rows keep the chain-rule sums and every later
+            # matrix-vector product in a fixed summation order
+            out.sort_indices()
+            return out
+
+        gx, gy, hxx, hxy, hyy = (
+            with_pole_row(mat, w_fit[k])
+            for k, mat in enumerate((gx, gy, hxx, hxy, hyy)))
 
         # affine chain rule to physical coordinates
         ai = self.a_inv

@@ -266,3 +266,18 @@ class TestReportCommand:
 
     def test_missing_csv_exits_one(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope.csv")]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,udot_min,udot_max,obliq_min,hess_min,hess_max\n"
+         "0.1,1,1,abc,1,2\n", "data row 1: could not convert string"),
+        ("t,udot_min,udot_max,obliq_min,hess_min,hess_max\n"
+         "0.1,1,1,0.5,1,2\n0.2,1,1\n", "data row 2 has 3 fields"),
+        ("t,osc\n1,2\n", "lacks column(s) udot_min, udot_max"),
+    ], ids=["non-numeric-token", "wrong-row-width", "missing-column"])
+    def test_malformed_csv_exits_one(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "monitors.csv"
+        bad.write_text(text)
+        assert cli.main(["report", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("report error: ")
+        assert message in err

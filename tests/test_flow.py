@@ -147,31 +147,41 @@ def plain_newton(state, u_prev, guess, tau, controls):
 
 
 @pytest.fixture
-def counted_spsolve(monkeypatch):
-    calls = []
+def counted_splu(monkeypatch):
+    """Count the factorizations made by ``flow.splu`` and their solves."""
+    counts = {"factor": 0, "solve": 0}
+
+    class CountedLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            counts["solve"] += 1
+            return self._lu.solve(rhs)
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return spsolve(*args, **kwargs)
+        counts["factor"] += 1
+        return CountedLU(splu(*args, **kwargs))
 
-    monkeypatch.setattr(flow, "spsolve", counting)
-    return calls
+    monkeypatch.setattr(flow, "splu", counting)
+    return counts
 
 
 class TestNewtonStagnation:
-    def test_roundoff_stall_ends_within_three_solves(self, counted_spsolve):
+    def test_roundoff_stall_ends_within_three_solves(self, counted_splu):
         state, _ = translator_state()
         u_prev, tau = state.u, state.tau
         guess = u_prev + tau * state.u_dot
         converged, _ = flow._newton_solve(state, u_prev, guess, tau,
                                           StepControls())
-        counted_spsolve.clear()
+        counted_splu.update(factor=0, solve=0)
         # no iterate reaches 1e-30: the residual stalls on its roundoff
-        # floor, and the attempt must end well before max_newton solves
+        # floor, and the attempt must end well before max_newton
+        # factorizations
         controls = StepControls(tol_newton=1e-30)
         assert flow._newton_solve(state, u_prev, converged, tau,
                                   controls) is None
-        assert 1 <= len(counted_spsolve) <= 3 < controls.max_newton
+        assert 1 <= counted_splu["factor"] <= 3 < controls.max_newton
 
     def test_step_failure_message_unchanged(self):
         state, _ = translator_state(101)
@@ -182,14 +192,36 @@ class TestNewtonStagnation:
             step_implicit(dataclasses.replace(state, t=0.0), controls)
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
-    def test_fast_convergence_keeps_iteration_count(self, case):
+    def test_fast_convergence_keeps_iteration_count(self, case, counted_splu):
+        """Chord Newton against plain Newton on an attempt that converges.
+
+        The iterate agrees, it takes fewer factorizations than plain
+        Newton takes solves, and its iteration count falls on the same
+        side of the tau growth threshold (<= 4 iterations).
+        """
         state, u, tau = perturbed_state(case, tau=1e-4)
         controls = StepControls()
         got = flow._newton_solve(state, u, u, tau, controls)
         ref = plain_newton(state, u, u, tau, controls)
         assert got is not None and ref is not None
-        assert got[1] == ref[1] >= 2
+        assert ref[1] >= 2
         assert np.max(np.abs(got[0] - ref[0])) < 1e-10
+        plain_solves = ref[1] - 1
+        assert counted_splu["factor"] < plain_solves
+        assert (got[1] <= 4) == (ref[1] <= 4)
+
+    def test_stale_factor_is_refactored(self, counted_splu):
+        # far from the solution the chord contraction is too slow: the
+        # third residual fails to halve the second, so the attempt
+        # refactors at that iterate and then converges
+        state, u, tau = perturbed_state("disk-rotated-ellipse", tau=1e-3)
+        guess = u + 0.1 * np.cos(1.3 * state.grid.nodes[:, 0] + 0.2)
+        controls = StepControls()
+        got = flow._newton_solve(state, u, guess, tau, controls)
+        assert got is not None
+        assert counted_splu["factor"] >= 2
+        res, _, _ = flow._residual(state, got[0], u, tau)
+        assert np.max(np.abs(res)) <= controls.tol_newton
 
 
 class TestInitialize:
@@ -310,6 +342,23 @@ class TestStepImplicit:
         first = step_implicit(dataclasses.replace(
             state, tau=controls.initial_tau(state.grid)), controls)
         assert first.t <= controls.tau_max
+
+    @pytest.mark.parametrize("tau0", [-1e-3, 0.0, np.inf, np.nan])
+    def test_starting_tau_must_be_finite_and_positive(self, tau0):
+        om, ot = interval_pair()
+        state = flow.initialize(om, ot, 101, MINKOWSKI)
+        with pytest.raises(ValueError, match="finite tau > 0"):
+            step_implicit(state, StepControls(tau0=tau0))
+
+    def test_tau_that_no_longer_advances_t_fails(self):
+        # Newton never converges, so tau halves until t + tau == t,
+        # long before the tau_min underflow
+        state, _ = translator_state(101, tau=1e-12)
+        state = dataclasses.replace(state, t=1e3)
+        controls = StepControls(tol_newton=1e-30, tau_min=1e-300)
+        with pytest.raises(StepFailureError,
+                           match=r"no longer advances t = 1000 \(step 1\)"):
+            step_implicit(state, controls)
 
     def test_tau_grows_on_fast_newton(self):
         om, ot = interval_pair()

@@ -7,6 +7,140 @@ import scipy.sparse as sp
 from gaussflow.grids import LineGrid, MappedDiskGrid
 
 
+def reference_line_operators(grid):
+    """Line stencils set entry by entry on LIL matrices."""
+    m, h = grid.n_nodes, grid.h
+    d1 = sp.lil_matrix((m, m))
+    d2 = sp.lil_matrix((m, m))
+    idx = np.arange(1, m - 1)
+    d1[idx, idx - 1] = -0.5 / h
+    d1[idx, idx + 1] = 0.5 / h
+    d2[idx, idx - 1] = 1.0 / h**2
+    d2[idx, idx] = -2.0 / h**2
+    d2[idx, idx + 1] = 1.0 / h**2
+    d1[0, [0, 1, 2]] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
+    d1[m - 1, [m - 3, m - 2, m - 1]] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
+    d2[0, [0, 1, 2, 3]] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
+    d2[m - 1, [m - 4, m - 3, m - 2, m - 1]] = (
+        np.array([-1.0, 4.0, -5.0, 2.0]) / h**2)
+    return [d1.tocsr()], [[d2.tocsr()]]
+
+
+def reference_disk_operators(grid):
+    """Disk stencils from a per-entry loop over (ring, angle).
+
+    Polar stencils are appended one entry at a time, mapped to reference
+    Cartesian derivatives by diagonal scalings, given their pole rows on
+    LIL matrices and pushed through the affine chain rule.
+    """
+    nt, nr, n = grid.n_theta, grid.n_rho, grid.n_nodes
+    drho, dth = grid.d_rho, grid.d_theta
+    ent = {k: ([], [], []) for k in ("r", "rr", "t", "tt", "rt")}
+
+    def add(key, row, col, val):
+        ent[key][0].append(row)
+        ent[key][1].append(col)
+        ent[key][2].append(val)
+
+    for j in range(1, nr + 1):
+        for m in range(nt):
+            row = grid.index(j, m)
+            below = 0 if j == 1 else grid.index(j - 1, m)
+            add("t", row, grid.index(j, m + 1), 0.5 / dth)
+            add("t", row, grid.index(j, m - 1), -0.5 / dth)
+            add("tt", row, grid.index(j, m + 1), 1.0 / dth**2)
+            add("tt", row, row, -2.0 / dth**2)
+            add("tt", row, grid.index(j, m - 1), 1.0 / dth**2)
+            if j < nr:
+                above = grid.index(j + 1, m)
+                add("r", row, above, 0.5 / drho)
+                add("r", row, below, -0.5 / drho)
+                add("rr", row, above, 1.0 / drho**2)
+                add("rr", row, row, -2.0 / drho**2)
+                add("rr", row, below, 1.0 / drho**2)
+                for mm, w in ((m + 1, 0.5 / dth), (m - 1, -0.5 / dth)):
+                    add("rt", row, grid.index(j + 1, mm), w * 0.5 / drho)
+                    if j > 1:
+                        add("rt", row, grid.index(j - 1, mm), -w * 0.5 / drho)
+            else:
+                j1 = grid.index(j - 1, m)
+                j2 = grid.index(j - 2, m)
+                j3 = grid.index(j - 3, m)
+                add("r", row, row, 1.5 / drho)
+                add("r", row, j1, -2.0 / drho)
+                add("r", row, j2, 0.5 / drho)
+                add("rr", row, row, 2.0 / drho**2)
+                add("rr", row, j1, -5.0 / drho**2)
+                add("rr", row, j2, 4.0 / drho**2)
+                add("rr", row, j3, -1.0 / drho**2)
+                for mm, w in ((m + 1, 0.5 / dth), (m - 1, -0.5 / dth)):
+                    add("rt", row, grid.index(j, mm), w * 1.5 / drho)
+                    add("rt", row, grid.index(j - 1, mm), -w * 2.0 / drho)
+                    add("rt", row, grid.index(j - 2, mm), w * 0.5 / drho)
+    d_r, d_rr, d_t, d_tt, d_rt = (
+        sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        for rows, cols, vals in (ent[k] for k in ("r", "rr", "t", "tt", "rt")))
+
+    rho = np.linalg.norm(grid.ref_nodes, axis=1)
+    theta = np.arctan2(grid.ref_nodes[:, 1], grid.ref_nodes[:, 0])
+    cos, sin = np.cos(theta), np.sin(theta)
+    inv_rho = np.zeros(n)
+    inv_rho[1:] = 1.0 / rho[1:]
+    dia = sp.diags
+    gx = dia(cos) @ d_r - dia(sin * inv_rho) @ d_t
+    gy = dia(sin) @ d_r + dia(cos * inv_rho) @ d_t
+    hxx = (dia(cos * cos) @ d_rr
+           - dia(2.0 * cos * sin * inv_rho) @ d_rt
+           + dia(sin * sin * inv_rho**2) @ d_tt
+           + dia(sin * sin * inv_rho) @ d_r
+           + dia(2.0 * cos * sin * inv_rho**2) @ d_t)
+    hyy = (dia(sin * sin) @ d_rr
+           + dia(2.0 * cos * sin * inv_rho) @ d_rt
+           + dia(cos * cos * inv_rho**2) @ d_tt
+           + dia(cos * cos * inv_rho) @ d_r
+           - dia(2.0 * cos * sin * inv_rho**2) @ d_t)
+    hxy = (dia(cos * sin) @ d_rr
+           + dia((cos * cos - sin * sin) * inv_rho) @ d_rt
+           - dia(cos * sin * inv_rho**2) @ d_tt
+           - dia(cos * sin * inv_rho) @ d_r
+           - dia((cos * cos - sin * sin) * inv_rho**2) @ d_t)
+
+    w_fit, _ = grid._pole_fit_rows()
+    ring_cols = [grid.index(1, m) for m in range(nt)]
+    gx, gy, hxx, hxy, hyy = (m.tolil() for m in (gx, gy, hxx, hxy, hyy))
+    for mat, krow in ((gx, 0), (gy, 1), (hxx, 2), (hxy, 3), (hyy, 4)):
+        row = w_fit[krow]
+        mat.rows[0] = [0] + ring_cols
+        mat.data[0] = [-float(np.sum(row))] + [float(v) for v in row]
+    gx, gy, hxx, hxy, hyy = (m.tocsr() for m in (gx, gy, hxx, hxy, hyy))
+
+    ai = grid.a_inv
+    ref_grad = [gx, gy]
+    ref_hess = [[hxx, hxy], [hxy, hyy]]
+    d_first = [sum(ai[k, l] * ref_grad[l] for l in range(2)).tocsr()
+               for k in range(2)]
+    d_second = [[None, None], [None, None]]
+    for k in range(2):
+        for l in range(k, 2):
+            d_second[k][l] = sum(ai[k, a] * ai[l, b] * ref_hess[a][b]
+                                 for a in range(2) for b in range(2)).tocsr()
+            d_second[l][k] = d_second[k][l]
+    return d_first, d_second
+
+
+def assert_operators_identical(grid, reference):
+    """Same CSR arrays, entry for entry and bit for bit."""
+    ref_first, ref_second = reference
+    pairs = list(zip(grid.d_first, ref_first)) + [
+        (grid.d_second[k][l], ref_second[k][l])
+        for k in range(grid.dim) for l in range(grid.dim)]
+    for got, ref in pairs:
+        assert got.format == "csr"
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+
 class TestLineGrid:
     def test_quadratic_is_differentiated_exactly(self):
         grid = LineGrid(-0.3, 1.2, 60)
@@ -36,6 +170,11 @@ class TestLineGrid:
     def test_too_coarse_rejected(self):
         with pytest.raises(ValueError):
             LineGrid(0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("n_cells", [4, 12, 401])
+    def test_operators_match_entrywise_construction(self, n_cells):
+        grid = LineGrid(-0.3, 1.2, n_cells)
+        assert_operators_identical(grid, reference_line_operators(grid))
 
 
 class TestMappedDiskGrid:
@@ -111,6 +250,16 @@ class TestMappedDiskGrid:
     def test_asymmetric_map_rejected(self):
         with pytest.raises(ValueError):
             MappedDiskGrid(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2), 8, 16)
+
+    @pytest.mark.parametrize("shape", [(8, 16), (24, 48), (32, 64)])
+    @pytest.mark.parametrize("a_map, center", [
+        (np.eye(2), np.zeros(2)),
+        (np.array([[0.8, 0.3], [0.3, 0.5]]), np.array([0.1, -0.2])),
+    ], ids=["ball", "shifted-rotated-ellipse"])
+    def test_operators_match_entrywise_construction(self, a_map, center,
+                                                    shape):
+        grid = MappedDiskGrid(a_map, center, *shape)
+        assert_operators_identical(grid, reference_disk_operators(grid))
 
     def test_periodic_wrap(self):
         grid = MappedDiskGrid(np.eye(2), np.zeros(2), 8, 16)

@@ -34,6 +34,7 @@ from .geometry import (
     EUCLIDEAN,
     MINKOWSKI,
     GraphGeometry,
+    NodalJets,
     PointJet,
     graph_geometry,
     laplace_beltrami,

@@ -31,7 +31,7 @@ from . import domains as dom
 from . import monitors as mon
 from . import oracles
 from .errors import ConfigError, GaussFlowError, NonConvergenceError
-from .flow import StepControls, initialize, run_to_translator
+from .flow import StepControls, initialize, mean_rate, run_to_translator
 from .geometry import MINKOWSKI, SIGNATURES, PointJet, graph_geometry
 from .grids import LineGrid
 from .operators import g_dual, g_value, legendre_transform
@@ -199,8 +199,8 @@ def _node_indices(grid):
 
 def write_fields_csv(path, state):
     grid = state.grid
-    p = grid.gradient(state.u)
-    lam_min = np.linalg.eigvalsh(grid.hessian(state.u))[:, 0]
+    p = state.jets.p
+    lam_min = state.jets.lam[:, 0]
     idx = _node_indices(grid)
     with open(path, "w") as f:
         if grid.dim == 1:
@@ -324,9 +324,8 @@ def run_command(config_path) -> int:
         state = result.state
     except NonConvergenceError as exc:
         message = str(exc)
-        if monitor.records:
-            state = monitor.last_state
-    c_inf = result.c_inf if result else float(np.mean(state.u_dot))
+        state = monitor.last_state
+    c_inf = result.c_inf if result else mean_rate(state)
 
     write_monitors_csv(out / "monitors.csv", monitor.records)
     write_fields_csv(out / "fields.csv", state)

@@ -158,12 +158,20 @@ def defining_jet_many(domain: ConvexDomain, pts: np.ndarray):
 def inward_normal(domain: ConvexDomain, q) -> np.ndarray:
     """Unit inward normal of the boundary at the boundary point q."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    h, dh, _ = defining_jet(domain, q)
-    if abs(h) > BOUNDARY_TOL:
+    return inward_normal_many(domain, q[None, :])[0]
+
+
+def inward_normal_many(domain: ConvexDomain, pts: np.ndarray) -> np.ndarray:
+    """Unit inward normals at the boundary points pts (N, n), shape (N, n)."""
+    pts = np.asarray(pts, dtype=float)
+    h, dh = defining_jet_many(domain, pts)
+    worst = int(np.argmax(np.abs(h)))
+    if abs(h[worst]) > BOUNDARY_TOL:
         raise BoundaryMembershipError(
-            f"point {q} is not on the boundary: h = {h:.3e} exceeds {BOUNDARY_TOL}"
+            f"point {pts[worst]} is not on the boundary: "
+            f"h = {h[worst]:.3e} exceeds {BOUNDARY_TOL}"
         )
-    return dh / np.linalg.norm(dh)
+    return dh / np.linalg.norm(dh, axis=1)[:, None]
 
 
 def boundary_points(domain: ConvexDomain, count: int = 256) -> np.ndarray:

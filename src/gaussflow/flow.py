@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 # spsolve is no longer called here; the benchmark's span tracer
@@ -57,7 +58,7 @@ from .errors import (
     SpacelikeViolationError,
     StepFailureError,
 )
-from .geometry import MINKOWSKI, SPACELIKE_MARGIN
+from .geometry import MINKOWSKI, SPACELIKE_MARGIN, NodalJets
 from .grids import LineGrid, MappedDiskGrid
 from .operators import g_derivatives_many, g_value_many
 
@@ -89,7 +90,13 @@ class StepControls:
 
 @dataclass
 class FlowState:
-    """One accepted snapshot of the discrete flow."""
+    """One accepted snapshot of the discrete flow.
+
+    ``jets`` is the state's nodal geometry (``NodalJets`` of u), built
+    on first use. It is cached on the instance, not held as a field:
+    ``dataclasses.replace`` builds a new state with fresh jets, while
+    ``copy`` keeps u and shares them.
+    """
 
     grid: object
     u: np.ndarray
@@ -104,8 +111,14 @@ class FlowState:
     tau_max: float = 1.0
     newton_iters: int = 0
 
+    @cached_property
+    def jets(self) -> NodalJets:
+        return NodalJets(self.grid, self.u, self.sig)
+
     def copy(self) -> "FlowState":
-        return replace(self, u=self.u.copy(), u_dot=self.u_dot.copy())
+        new = replace(self, u=self.u.copy(), u_dot=self.u_dot.copy())
+        new.jets = self.jets
+        return new
 
 
 @dataclass
@@ -280,15 +293,13 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     return None
 
 
-def _admissible(state: FlowState, u: np.ndarray) -> bool:
-    """Spacelike bound and strict convexity at a candidate state."""
-    grid = state.grid
-    p = grid.gradient(u)
-    if state.sig == MINKOWSKI:
+def _admissible(jets: NodalJets) -> bool:
+    """Spacelike bound and strict convexity at a candidate state's jets."""
+    p = jets.p
+    if jets.sig == MINKOWSKI:
         if np.max(np.sum(p * p, axis=1)) >= (1.0 - SPACELIKE_MARGIN) ** 2:
             return False
-    r = grid.hessian(u)
-    return bool(np.min(np.linalg.eigvalsh(r)[:, 0]) > 0.0)
+    return bool(np.min(jets.lam[:, 0]) > 0.0)
 
 
 def step_implicit(state: FlowState, controls: StepControls | None = None) -> FlowState:
@@ -301,6 +312,8 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     tau_max. Underflow below tau_min, or a tau too small to advance t,
     raises StepFailureError; a starting tau that is not finite and
     positive raises ValueError, so no step is accepted backwards in time.
+    The accepted state's jets start with the gradient, Hessian and
+    Hessian eigenvalues the admissibility check computed.
     """
     controls = controls or StepControls()
     tau = state.tau if state.tau > 0 else controls.initial_tau(state.grid)
@@ -315,9 +328,11 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
             )
         guess = u_prev + tau * state.u_dot if state.steps > 0 else u_prev
         got = _newton_solve(state, u_prev, guess, tau, controls)
-        if got is not None and _admissible(state, got[0]):
-            u_new, iters = got
-            break
+        if got is not None:
+            jets = NodalJets(state.grid, got[0], state.sig)
+            if _admissible(jets):
+                u_new, iters = got
+                break
         tau *= 0.5
         if tau < controls.tau_min:
             raise StepFailureError(
@@ -326,10 +341,12 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
             )
     u_dot = (u_new - u_prev) / tau
     tau_next = min(tau * 1.5, controls.tau_max) if iters <= 4 else tau
-    return replace(
+    new = replace(
         state, u=u_new, t=state.t + tau, u_dot=u_dot, tau=tau_next,
         steps=state.steps + 1, tau_max=controls.tau_max, newton_iters=iters,
     )
+    new.jets = jets
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +410,14 @@ def step_explicit(state: FlowState, tau: float,
 
 def boundary_residual(state: FlowState) -> float:
     """max |h(Du)| over boundary nodes."""
-    p = state.grid.gradient(state.u)
-    hb, _ = dom.defining_jet_many(state.omega_tilde, p[state.grid.boundary])
+    p = state.jets.p[state.grid.boundary]
+    hb, _ = dom.defining_jet_many(state.omega_tilde, p)
     return float(np.max(np.abs(hb)))
+
+
+def mean_rate(state: FlowState) -> float:
+    """Mean of u_dot over the interior nodes: the C_inf estimate of a state."""
+    return float(np.mean(state.u_dot[state.grid.interior]))
 
 
 def translator_residual(u: np.ndarray, c: float, sig: str, grid) -> float:
@@ -446,7 +468,7 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
             history=history,
         )
 
-    c_inf = float(np.mean(state.u_dot[state.grid.interior]))
+    c_inf = mean_rate(state)
     u_inf = state.u - state.t * c_inf
     u_inf = u_inf - u_inf[state.grid.anchor]
     residual = translator_residual(u_inf, c_inf, state.sig, state.grid)

@@ -24,6 +24,7 @@ kept behind ``paper_signs`` as a regression lock for the check suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -197,7 +198,66 @@ def curvature_matrix_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, 1, 2))
 
 
-def laplace_beltrami(f: np.ndarray, u: np.ndarray, grid, sig: str) -> np.ndarray:
+class NodalJets:
+    """Nodal geometry of one discrete field u on a grid, built on first use.
+
+    Each field is computed on first access and then cached: the gradient
+    p and Hessian r from the grid stencils, the tilt v, the metric g_lo,
+    the curvature matrix a, the mean curvature H = tr a, the Hessian
+    eigenvalues lam and the principal curvatures kappa (both ascending
+    per node). Every field comes from the vectorized formulas above, so
+    a cached value equals the one a direct call computes.
+    """
+
+    def __init__(self, grid, u, sig: str):
+        self.grid, self.u, self.sig = grid, u, sig
+
+    @classmethod
+    def of(cls, p: np.ndarray, r: np.ndarray, sig: str) -> "NodalJets":
+        """Jets of given gradient rows p (N, n) and Hessian rows r (N, n, n)."""
+        jets = cls(None, None, sig)
+        jets.p, jets.r = p, r
+        return jets
+
+    def rows(self, idx) -> "NodalJets":
+        """Jets at the nodes idx only, sharing this set's p and r rows."""
+        return NodalJets.of(self.p[idx], self.r[idx], self.sig)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return self.grid.gradient(self.u)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return self.grid.hessian(self.u)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return v_many(self.p, self.sig)
+
+    @cached_property
+    def g_lo(self) -> np.ndarray:
+        return metric_lo_many(self.p, self.sig)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return curvature_matrix_many(self.p, self.r, self.sig)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return np.einsum("nii->n", self.a)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.r)
+
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.a)
+
+
+def laplace_beltrami(f: np.ndarray, u: np.ndarray, grid, sig: str,
+                     jets: NodalJets | None = None) -> np.ndarray:
     """Intrinsic Laplacian of a discrete scalar field on the graph of u.
 
     The operator (1/sqrt(det g)) d_i (sqrt(det g) g^ij d_j f) is
@@ -212,14 +272,14 @@ def laplace_beltrami(f: np.ndarray, u: np.ndarray, grid, sig: str) -> np.ndarray
     double-difference derived quantities and lose an order near the
     boundary where stencil truncation constants jump; the analytic
     coefficient keeps the operator second-order accurate at every
-    interior node. Boundary nodes are set to nan.
+    interior node. Boundary nodes are set to nan. ``jets``, when given,
+    must be the jets of u under sig; p, r and v are then read from it.
     """
     f = np.asarray(f, dtype=float)
-    u = np.asarray(u, dtype=float)
     eps = signature_eps(sig)
-    p = grid.gradient(u)
-    r = grid.hessian(u)
-    v = v_many(p, sig)
+    if jets is None:
+        jets = NodalJets(grid, np.asarray(u, dtype=float), sig)
+    p, r, v = jets.p, jets.r, jets.v
     g_up = metric_up_many(p, sig)
     hess_f = grid.hessian(f)
     grad_f = grid.gradient(f)

@@ -19,6 +19,15 @@ computed from the initial data, never hardcoded from any proof:
 Violations are tolerated up to tol_mon = 10 (h^2 + tau_max h): the
 estimates hold for the continuum flow, so discrete defects must vanish
 under refinement rather than sit under an absolute cap.
+
+The audits read each state's nodal geometry from its cached jets
+(``FlowState.jets``): a recorded state's gradient, Hessian and
+curvature matrix are evaluated once, however many audits use them, and
+the evolution identity reuses the mean curvature of the states recorded
+before. The flow seeds an accepted state's jets with the gradient,
+Hessian and Hessian eigenvalues of its admissibility check, so the
+per-step eps0 audit at a cadence above 1 evaluates only the boundary
+rows of the curvature matrix.
 """
 
 from __future__ import annotations
@@ -29,13 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domains as dom
-from .geometry import (
-    MINKOWSKI,
-    curvature_matrix_many,
-    laplace_beltrami,
-    metric_lo_many,
-    v_many,
-)
+from .geometry import MINKOWSKI, laplace_beltrami
 from .operators import dual_hessians, g_dual, legendre_transform, structure_report
 
 OBLIQUENESS_FLOOR = 1e-3
@@ -83,69 +86,51 @@ class MonitorRecord:
 
 def obliqueness(state) -> float:
     """Min over boundary nodes of <beta, nu> / |beta|, beta = Dh(Du)."""
-    grid = state.grid
-    p = grid.gradient(state.u)
-    worst = np.inf
-    for b in grid.boundary:
-        _, beta, _ = dom.defining_jet(state.omega_tilde, p[b])
-        nu = dom.inward_normal(state.omega, grid.nodes[b])
-        worst = min(worst, float(beta @ nu) / float(np.linalg.norm(beta)))
-    return worst
+    bb = state.grid.boundary
+    _, beta = dom.defining_jet_many(state.omega_tilde, state.jets.p[bb])
+    nu = dom.inward_normal_many(state.omega, state.grid.nodes[bb])
+    pairing = np.sum(beta * nu, axis=1) / np.linalg.norm(beta, axis=1)
+    return float(np.min(pairing))
 
 
 def hessian_bounds(state) -> tuple[float, float]:
     """Extreme nodewise Hessian eigenvalues over all nodes."""
-    lam = np.linalg.eigvalsh(state.grid.hessian(state.u))
+    lam = state.jets.lam
     return float(np.min(lam)), float(np.max(lam))
 
 
 def spacelike_margin(state) -> float:
     """1 - max |Du| (Minkowski); max |Du| (Euclidean, informational)."""
-    p = state.grid.gradient(state.u)
-    gmax = float(np.max(np.linalg.norm(p, axis=1)))
+    gmax = grad_max(state)
     return 1.0 - gmax if state.sig == MINKOWSKI else gmax
 
 
 def grad_max(state) -> float:
-    p = state.grid.gradient(state.u)
-    return float(np.max(np.linalg.norm(p, axis=1)))
+    return float(np.max(np.linalg.norm(state.jets.p, axis=1)))
 
 
 def eps0_candidate(state, node_idx=None) -> float:
     """Largest eps with h_ij >= eps H g_ij at the given nodes.
 
     Per node that is the smallest generalized eigenvalue of h_ij against
-    g_ij divided by H; the candidate is the minimum over nodes.
+    g_ij divided by H; the candidate is the minimum over nodes. At a
+    subset of nodes only those rows of the curvature data are evaluated.
     """
-    grid = state.grid
-    idx = np.arange(grid.n_nodes) if node_idx is None else np.asarray(node_idx)
-    p = grid.gradient(state.u)[idx]
-    r = grid.hessian(state.u)[idx]
-    v = v_many(p, state.sig)
-    h_form = r / v[:, None, None]
-    g_lo = metric_lo_many(p, state.sig)
-    a = curvature_matrix_many(p, r, state.sig)
-    big_h = np.einsum("nii->n", a)
+    jets = state.jets if node_idx is None else state.jets.rows(node_idx)
+    h_form = jets.r / jets.v[:, None, None]
     # generalized eigenvalues of (h, g) via Cholesky whitening
-    chol = np.linalg.cholesky(g_lo)
+    chol = np.linalg.cholesky(jets.g_lo)
     w = np.linalg.solve(chol, h_form)
     w = np.linalg.solve(chol, np.swapaxes(w, 1, 2))
     gen_min = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))[:, 0]
-    return float(np.min(gen_min / big_h))
+    return float(np.min(gen_min / jets.H))
 
 
 def convexity_margin(state, eps0: float) -> float:
     """Min over interior nodes of lambda_min(h_ij - eps0 H g_ij)."""
-    grid = state.grid
-    idx = grid.interior
-    p = grid.gradient(state.u)[idx]
-    r = grid.hessian(state.u)[idx]
-    v = v_many(p, state.sig)
-    h_form = r / v[:, None, None]
-    g_lo = metric_lo_many(p, state.sig)
-    a = curvature_matrix_many(p, r, state.sig)
-    big_h = np.einsum("nii->n", a)
-    m = h_form - eps0 * big_h[:, None, None] * g_lo
+    jets, idx = state.jets, state.grid.interior
+    h_form = jets.r[idx] / jets.v[idx, None, None]
+    m = h_form - eps0 * jets.H[idx, None, None] * jets.g_lo[idx]
     return float(np.min(np.linalg.eigvalsh(m)[:, 0]))
 
 
@@ -163,24 +148,18 @@ def evolution_residual(window, sig: str | None = None) -> float:
     if len(window) < 3:
         raise ValueError("evolution residual needs >= 3 consecutive snapshots")
     s_lo, s_mid, s_hi = window[-3], window[-2], window[-1]
-    sig = sig or s_mid.sig
+    if sig is not None and any(s.sig != sig for s in (s_lo, s_mid, s_hi)):
+        raise ValueError(f"evolution residual of {s_mid.sig} states "
+                         f"requested under {sig!r}")
+    sig = s_mid.sig
     grid = s_mid.grid
+    mid = s_mid.jets
+    h_mid, p, a = mid.H, mid.p, mid.a
+    dt_h = (s_hi.jets.H - s_lo.jets.H) / (s_hi.t - s_lo.t)
 
-    def h_field(s):
-        p = grid.gradient(s.u)
-        r = grid.hessian(s.u)
-        a = curvature_matrix_many(p, r, sig)
-        return np.einsum("nii->n", a), p, r, a
-
-    h_lo, _, _, _ = h_field(s_lo)
-    h_hi, _, _, _ = h_field(s_hi)
-    h_mid, p, r, a = h_field(s_mid)
-    dt_h = (h_hi - h_lo) / (s_hi.t - s_lo.t)
-
-    v = v_many(p, sig)
     dh = grid.gradient(h_mid)
-    transport = (h_mid / v) * np.einsum("ni,ni->n", p, dh)
-    lap = laplace_beltrami(h_mid, s_mid.u, grid, sig)
+    transport = (h_mid / mid.v) * np.einsum("ni,ni->n", p, dh)
+    lap = laplace_beltrami(h_mid, s_mid.u, grid, sig, jets=mid)
     norm_a2 = np.einsum("nij,nji->n", a, a)
     res = dt_h + transport - lap + norm_a2 * h_mid
     return float(np.max(np.abs(res[grid.audit_interior])))
@@ -284,15 +263,18 @@ class RunMonitor:
         self._window = []
         self._evo_window = evo_window
         self._seen = 0
+        self._last = state0
         self._record(state0)
 
     @property
     def last_state(self):
-        """Most recent recorded state (useful after a failed run)."""
-        return self._window[-1]
+        """Most recently observed state, recorded or not (useful after a
+        failed run)."""
+        return self._last
 
     def observe(self, state):
         self._seen += 1
+        self._last = state
         self.eps0 = min(
             self.eps0, eps0_candidate(state, state.grid.boundary)
         )

@@ -185,23 +185,23 @@ def structure_report(state, sig: str | None = None) -> StructureReport:
     Checks that the sum of principal curvatures stays inside the band
     [min w * min G0, max w * max G0] where w = 1/v ranges over the
     gradient-image domain and (min G0, max G0) is the initial rate range
-    carried by the state.
+    carried by the state. The nodal geometry is read from the state's
+    jets; ``sig``, if given, must be the state's signature.
     """
     from .domains import radial_range
 
-    sig = sig or state.sig
+    if sig is not None and sig != state.sig:
+        raise ValueError(f"structure report of a {state.sig} state "
+                         f"requested under {sig!r}")
+    sig = state.sig
     eps = signature_eps(sig)
-    p = state.grid.gradient(state.u)
-    r = state.grid.hessian(state.u)
+    jets = state.jets
+    p, r, kappa, lam = jets.p, jets.r, jets.kappa, jets.lam
     n = p.shape[1]
 
-    v = v_many(p, sig)
-    tg = n - eps * np.sum(p * p, axis=1) / v**2
-    a = curvature_matrix_many(p, r, sig)
-    kappa = np.linalg.eigvalsh(a)
+    tg = n - eps * np.sum(p * p, axis=1) / jets.v**2
     f_vals = np.sum(kappa, axis=1)
     fk2_vals = np.sum(kappa * kappa, axis=1)
-    lam = np.linalg.eigvalsh(r)
     _, g_p = g_derivatives_many(p, r, sig)
     gp_max = float(np.max(np.linalg.norm(g_p, axis=1)))
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gaussflow import cli
-from gaussflow.errors import ConfigError
+from gaussflow import cli, flow
+from gaussflow.errors import ConfigError, NonConvergenceError
 
 BASE_CONFIG = """\
 # 1D reference run
@@ -160,6 +160,44 @@ class TestRunCommand:
         assert (out / "snapshot.txt").is_file()
         lines = (out / "monitors.csv").read_text().splitlines()
         assert len(lines) >= 2  # header + initial record at least
+
+    @staticmethod
+    def _nonconverged_run(tmp_path):
+        """A cadence-3 run cut after 5 steps, plus the states it accepted."""
+        cfg = tmp_path / "cut.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(BASE_CONFIG.format(out=out).replace("cadence = 2",
+                                                           "cadence = 3")
+                       + "max_steps = 5\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        config = cli.parse_config(cfg)
+        accepted = []
+        state0 = flow.initialize(config.omega, config.omega_tilde,
+                                 config.grid_spec, config.signature)
+        with pytest.raises(NonConvergenceError):
+            flow.run_to_translator(state0, config.controls,
+                                   on_accept=accepted.append)
+        assert len(accepted) == 5
+        return out, accepted[-1]
+
+    def test_nonconverged_artifacts_describe_last_accepted_state(self, tmp_path):
+        out, last = self._nonconverged_run(tmp_path)
+        header, coords, u = cli.read_snapshot(out / "snapshot.txt")
+        assert float(header["t"]) == last.t
+        assert np.array_equal(u, last.u)
+        rows = (out / "fields.csv").read_text().splitlines()[1:]
+        assert [float(ln.split(",")[2]) for ln in rows] == list(last.u)
+        # 1 + floor(5 / 3) records: the last one is step 3, not step 5
+        records = (out / "monitors.csv").read_text().splitlines()[1:]
+        assert len(records) == 2
+        assert float(records[-1].split(",")[0]) < last.t
+
+    def test_nonconverged_c_inf_is_interior_mean_rate(self, tmp_path):
+        out, last = self._nonconverged_run(tmp_path)
+        header, _, _ = cli.read_snapshot(out / "snapshot.txt")
+        interior_mean = float(np.mean(last.u_dot[last.grid.interior]))
+        assert float(header["c_inf"]) == interior_mean
+        assert interior_mean != float(np.mean(last.u_dot))
 
     def test_step_failure_exits_two(self, tmp_path, capsys):
         # an unreachable Newton tolerance exhausts the tau ladder

@@ -279,6 +279,39 @@ class TestInitialize:
         assert state.g0_range[1] == pytest.approx(4.0 / 3.0, abs=1e-5)
 
 
+class TestStateJets:
+    def test_replace_with_new_u_gets_fresh_jets(self):
+        state, _ = translator_state(41)
+        old = state.jets.p
+        other = state.u + 0.1 * state.grid.nodes[:, 0] ** 2
+        moved = dataclasses.replace(state, u=other)
+        assert moved.jets is not state.jets
+        assert moved.jets.u is other
+        assert np.array_equal(moved.jets.p, state.grid.gradient(other))
+        assert np.array_equal(moved.jets.r, state.grid.hessian(other))
+        assert np.array_equal(state.jets.p, old)
+
+    def test_copy_shares_jets(self):
+        state, _ = translator_state(41)
+        twin = state.copy()
+        assert twin.jets is state.jets
+        assert twin.u is not state.u and np.array_equal(twin.u, state.u)
+
+    @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
+    def test_accepted_step_seeds_jets_from_admissibility_check(self, case):
+        state, u, tau = perturbed_state(case)
+        new = step_implicit(dataclasses.replace(state, u=u, tau=tau),
+                            StepControls(tau_max=tau))
+        jets = new.jets
+        assert jets.u is new.u
+        # p, r and lam come seeded; the curvature matrix is left lazy
+        assert {"p", "r", "lam"} <= set(vars(jets)) and "a" not in vars(jets)
+        assert np.array_equal(jets.p, new.grid.gradient(new.u))
+        assert np.array_equal(jets.r, new.grid.hessian(new.u))
+        assert np.array_equal(jets.lam,
+                              np.linalg.eigvalsh(new.grid.hessian(new.u)))
+
+
 class TestStepImplicit:
     def test_steady_profile_advances_uniformly(self):
         state, c = translator_state(201, tau=0.1)

@@ -9,7 +9,10 @@ import pytest
 
 from gaussflow import domains as dom
 from gaussflow import flow, monitors, oracles
+from gaussflow import geometry as geo
+from gaussflow.errors import NonConvergenceError
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
+from gaussflow.operators import structure_report
 
 
 def interval_state(n_cells=201):
@@ -279,3 +282,198 @@ class TestRunMonitor:
         state = steady_state(201)
         defect = monitors.duality_rate_defect(state)
         assert defect < 50 * state.grid.h**2
+
+
+# ---------------------------------------------------------------------------
+# The audits read each state's cached jets; these pin them against the
+# per-function formulas they replaced, which recompute everything from u.
+# ---------------------------------------------------------------------------
+
+def ref_geometry(state, idx=None):
+    grid, sig = state.grid, state.sig
+    p = grid.gradient(state.u)
+    r = grid.hessian(state.u)
+    if idx is not None:
+        p, r = p[idx], r[idx]
+    v = geo.v_many(p, sig)
+    a = geo.curvature_matrix_many(p, r, sig)
+    return p, r, v, geo.metric_lo_many(p, sig), a, np.einsum("nii->n", a)
+
+
+def ref_obliqueness(state):
+    grid = state.grid
+    p = grid.gradient(state.u)
+    worst = np.inf
+    for b in grid.boundary:
+        _, beta, _ = dom.defining_jet(state.omega_tilde, p[b])
+        nu = dom.inward_normal(state.omega, grid.nodes[b])
+        worst = min(worst, float(beta @ nu) / float(np.linalg.norm(beta)))
+    return worst
+
+
+def ref_eps0(state, idx=None):
+    if idx is None:
+        idx = np.arange(state.grid.n_nodes)
+    _, r, v, g_lo, _, big_h = ref_geometry(state, idx)
+    h_form = r / v[:, None, None]
+    chol = np.linalg.cholesky(g_lo)
+    w = np.linalg.solve(chol, h_form)
+    w = np.linalg.solve(chol, np.swapaxes(w, 1, 2))
+    gen_min = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))[:, 0]
+    return float(np.min(gen_min / big_h))
+
+
+def ref_convexity_margin(state, eps0):
+    _, r, v, g_lo, _, big_h = ref_geometry(state, state.grid.interior)
+    m = r / v[:, None, None] - eps0 * big_h[:, None, None] * g_lo
+    return float(np.min(np.linalg.eigvalsh(m)[:, 0]))
+
+
+def ref_evolution_residual(window):
+    s_lo, s_mid, s_hi = window[-3:]
+    grid, sig = s_mid.grid, s_mid.sig
+    h_lo = ref_geometry(s_lo)[5]
+    h_hi = ref_geometry(s_hi)[5]
+    p, _, v, _, a, h_mid = ref_geometry(s_mid)
+    dt_h = (h_hi - h_lo) / (s_hi.t - s_lo.t)
+    transport = (h_mid / v) * np.einsum("ni,ni->n", p, grid.gradient(h_mid))
+    lap = geo.laplace_beltrami(h_mid, s_mid.u, grid, sig)
+    res = dt_h + transport - lap + np.einsum("nij,nji->n", a, a) * h_mid
+    return float(np.max(np.abs(res[grid.audit_interior])))
+
+
+def ref_record(state, eps0, window):
+    """A MonitorRecord computed the way the pre-jets monitors did."""
+    p, r, v, _, a, _ = ref_geometry(state)
+    eps = geo.signature_eps(state.sig)
+    tg = p.shape[1] - eps * np.sum(p * p, axis=1) / v**2
+    f_vals = np.sum(np.linalg.eigvalsh(a), axis=1)
+    lam = np.linalg.eigvalsh(r)
+    return monitors.MonitorRecord(
+        t=state.t, tau=state.tau,
+        udot_min=float(np.min(state.u_dot)),
+        udot_max=float(np.max(state.u_dot)),
+        obliq_min=ref_obliqueness(state),
+        hess_min=float(np.min(lam)), hess_max=float(np.max(lam)),
+        grad_max=float(np.max(np.linalg.norm(p, axis=1))),
+        TG_min=float(np.min(tg)), TG_max=float(np.max(tg)),
+        convex_margin=ref_convexity_margin(state, eps0),
+        evo_residual=(ref_evolution_residual(window) if len(window) >= 3
+                      else math.nan),
+        newton_iters=state.newton_iters,
+        f_min=float(np.min(f_vals)), f_max=float(np.max(f_vals)),
+    )
+
+
+def rotated_ellipse(center, semi_axes, angle):
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    return dom.ConvexDomain.ellipse(
+        center, rot @ np.diag(1.0 / np.asarray(semi_axes) ** 2) @ rot.T)
+
+
+AUDIT_CASES = {
+    "interval": (dom.ConvexDomain.interval(0, 1),
+                 dom.ConvexDomain.interval(-0.5, 0.5), 60, MINKOWSKI),
+    "disk-ball": (dom.ConvexDomain.ball([0, 0], 1.0),
+                  dom.ConvexDomain.ball([0, 0], 0.5), (8, 16), MINKOWSKI),
+    "rotated-shifted-ellipse": (
+        rotated_ellipse([0.1, -0.2], [1.0, 0.6], 0.4),
+        rotated_ellipse([0.05, 0.1], [0.4, 0.25], -0.7), (8, 16), MINKOWSKI),
+}
+
+
+def short_run(case, cadence=1, steps=6):
+    """RunMonitor over a run cut after ``steps`` steps; the accepted states."""
+    omega, omega_tilde, spec, sig = AUDIT_CASES[case]
+    state0 = flow.initialize(omega, omega_tilde, spec, sig)
+    mon = monitors.RunMonitor(state0, cadence=cadence)
+    accepted = []
+
+    def observe(state):
+        accepted.append(state)
+        mon.observe(state)
+
+    with pytest.raises(NonConvergenceError):
+        flow.run_to_translator(state0, flow.StepControls(max_steps=steps),
+                               on_accept=observe)
+    return state0, mon, accepted
+
+
+class TestCachedJetAudits:
+    @pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+    def test_records_match_per_function_formulas(self, case):
+        state0, mon, accepted = short_run(case)
+        eps0 = ref_eps0(state0)
+        expected, window = [], []
+        for state in [state0, *accepted]:
+            if state is not state0:
+                eps0 = min(eps0, ref_eps0(state, state.grid.boundary))
+            window = (window + [state])[-3:]
+            expected.append(ref_record(state, eps0, window))
+        assert mon.eps0 == eps0
+        assert len(mon.records) == len(expected) == 7
+        for got, want in zip(mon.records, expected):
+            for name in (f.name for f in dataclasses.fields(want)):
+                g, w = getattr(got, name), getattr(want, name)
+                if name == "obliq_min":
+                    assert g == pytest.approx(w, rel=1e-14, abs=0)
+                elif isinstance(w, float) and math.isnan(w):
+                    assert math.isnan(g), name
+                else:
+                    assert g == w, name
+
+    def test_structure_report_matches_per_function_formulas(self):
+        _, _, accepted = short_run("rotated-shifted-ellipse", steps=3)
+        state = accepted[-1]
+        rep = structure_report(state)
+        want = ref_record(state, 0.0, [])
+        assert rep.tg_range == (want.TG_min, want.TG_max)
+        assert rep.f_range == (want.f_min, want.f_max)
+        assert rep.lambda_bounds == (want.hess_min, want.hess_max)
+
+    def test_last_state_is_last_observed(self):
+        _, mon, accepted = short_run("interval", cadence=4, steps=5)
+        assert mon.last_state is accepted[-1]
+        assert mon.records[-1].t < mon.last_state.t
+
+    @staticmethod
+    def _count_full_grid_curvature(monkeypatch):
+        calls = []
+        original = geo.curvature_matrix_many
+
+        def counting(p, r, sig):
+            calls.append(p.shape[0])
+            return original(p, r, sig)
+
+        monkeypatch.setattr(geo, "curvature_matrix_many", counting)
+        return calls
+
+    @pytest.mark.parametrize("case", ["interval", "disk-ball"])
+    def test_one_full_grid_curvature_per_record(self, case, monkeypatch):
+        calls = self._count_full_grid_curvature(monkeypatch)
+        state0, mon, _ = short_run(case, cadence=1)
+        n_nodes = state0.grid.n_nodes
+        assert calls.count(n_nodes) == len(mon.records) == 7
+
+    @pytest.mark.parametrize("case", ["interval", "disk-ball"])
+    def test_no_full_grid_curvature_on_unrecorded_steps(self, case,
+                                                         monkeypatch):
+        calls = self._count_full_grid_curvature(monkeypatch)
+        state0, mon, accepted = short_run(case, cadence=3)
+        grid = state0.grid
+        assert len(accepted) == 6 and len(mon.records) == 3
+        assert calls.count(grid.n_nodes) == 3
+        # every step still audits eps0, on the boundary rows only
+        assert calls.count(len(grid.boundary)) == 6
+
+    def test_signature_override_must_match(self):
+        _, _, accepted = short_run("interval", steps=3)
+        assert monitors.evolution_residual(accepted, MINKOWSKI) == \
+            monitors.evolution_residual(accepted)
+        with pytest.raises(ValueError, match="euclidean"):
+            monitors.evolution_residual(accepted, EUCLIDEAN)
+        with pytest.raises(ValueError, match="euclidean"):
+            structure_report(accepted[-1], EUCLIDEAN)
+        assert structure_report(accepted[-1], MINKOWSKI) == \
+            structure_report(accepted[-1])

@@ -38,7 +38,6 @@ from .geometry import (
     PointJet,
     graph_geometry,
     laplace_beltrami,
-    mean_curvature_k,
 )
 from .grids import LineGrid, MappedDiskGrid
 from .monitors import MonitorRecord, RunMonitor

@@ -32,9 +32,9 @@ from . import monitors as mon
 from . import oracles
 from .errors import ConfigError, GaussFlowError, NonConvergenceError
 from .flow import StepControls, initialize, mean_rate, run_to_translator
-from .geometry import MINKOWSKI, SIGNATURES, PointJet, graph_geometry
+from .geometry import MINKOWSKI, SIGNATURES, PointJet
 from .grids import LineGrid
-from .operators import g_dual, g_value, legendre_transform
+from .operators import g_derivatives, legendre_transform
 
 FMT = "{:.17g}"
 
@@ -57,11 +57,6 @@ class RunConfig:
     cadence: int = 1
     output_dir: str = "."
     anchor: int | None = None
-    dimension: int = 0
-
-    def __post_init__(self):
-        if self.dimension == 0:
-            self.dimension = self.omega.dimension
 
 
 def parse_domain_spec(text: str) -> dom.ConvexDomain:
@@ -171,7 +166,7 @@ def parse_config(path) -> RunConfig:
     return RunConfig(
         signature=signature, omega=omega, omega_tilde=omega_tilde,
         grid_spec=grid_spec, controls=controls, cadence=cadence,
-        output_dir=output_dir, anchor=anchor, dimension=dimension,
+        output_dir=output_dir, anchor=anchor,
     )
 
 
@@ -372,121 +367,62 @@ def oracle_command(args) -> int:
 
 
 def _check_rows(debug_paper_signs: bool):
-    """Invariant suite rows: (name, ok, detail)."""
+    """Invariant suite rows: (name, ok, detail), in table order."""
     rng = np.random.default_rng(42)
-    rows = []
 
-    def random_jet(n, sig):
-        if sig == MINKOWSKI:
-            d = rng.normal(size=n)
-            d /= np.linalg.norm(d)
-            p = d * rng.uniform(0, 0.9)
-        else:
-            p = rng.normal(size=n)
-        r = rng.normal(size=(n, n))
-        return PointJet(x=np.zeros(n), u=0.0, du=p, d2u=0.5 * (r + r.T))
+    def identities(keys, count, sigs, bound):
+        """Worst ``oracles.identity_defects`` of ``keys``, count jets per signature."""
+        worst = 0.0
+        for sig in sigs:
+            jets = oracles.random_jets(rng, count, sig)
+            defects = oracles.identity_defects(jets, sig, debug_paper_signs)
+            worst = max(worst, *(defects[key] for key in keys))
+        return worst <= bound, f"max defect {worst:.3e}"
 
-    # geometry identities
-    worst = 0.0
-    for sig in SIGNATURES:
-        flip = debug_paper_signs and sig == MINKOWSKI
-        for _ in range(500):
-            n = int(rng.integers(1, 4))
-            jet = random_jet(n, sig)
-            geo = graph_geometry(jet, sig, paper_signs=flip)
-            eye = np.eye(n)
-            worst = max(
-                worst,
-                np.max(np.abs(geo.b_up @ geo.b_up - geo.g_up)),
-                np.max(np.abs(geo.g_lo @ geo.g_up - eye)),
-                np.max(np.abs(geo.b_up @ geo.b_lo - eye)),
-            )
-    rows.append(("geometry-identities", worst <= 1e-12, f"max defect {worst:.3e}"))
+    return [
+        ("geometry-identities",
+         *identities(("root", "inverse", "root-inverse"), 500, SIGNATURES, 1e-12)),
+        ("trace-identity", *identities(("trace",), 500, SIGNATURES, 1e-12)),
+        ("normal-pairing", *identities(("normal",), 300, (MINKOWSKI,), 1e-12)),
+        ("derivative-fd", *_derivative_fd_row(debug_paper_signs)),
+        ("hessian-slot-exact",
+         *identities(("hessian-slot",), 200, SIGNATURES, 1e-14)),
+        ("legendre-involution", *_legendre_involution_row()),
+        ("oracle-consistency", *_oracle_consistency_row()),
+        ("duality-sign", *identities(("duality",), 200, SIGNATURES, 1e-10)),
+    ]
 
-    # trace identity v tr(a) = g^ij r_ij
-    worst = 0.0
-    for sig in SIGNATURES:
-        for _ in range(500):
-            n = int(rng.integers(1, 4))
-            jet = random_jet(n, sig)
-            geo = graph_geometry(jet, sig)
-            worst = max(worst, abs(geo.v * geo.H - g_value(jet, sig)))
-    rows.append(("trace-identity", worst <= 1e-12, f"max defect {worst:.3e}"))
 
-    # timelike normal pairing
-    worst = 0.0
-    for _ in range(300):
-        n = int(rng.integers(1, 4))
-        jet = random_jet(n, MINKOWSKI)
-        nu = graph_geometry(jet, MINKOWSKI).nu
-        pair = nu[:-1] @ nu[:-1] - nu[-1] * nu[-1]
-        worst = max(worst, abs(pair + 1.0))
-    rows.append(("normal-pairing", worst <= 1e-12, f"max defect {worst:.3e}"))
-
-    # derivative finite differences
-    worst = 0.0
-    detail = ""
-    for sig in SIGNATURES:
-        flip = debug_paper_signs and sig == MINKOWSKI
-        err = oracles.fd_check_derivatives(300, sig, 1e-5, seed=7,
-                                           paper_form=flip)
-        worst = max(worst, err)
+def _derivative_fd_row(debug_paper_signs: bool):
+    """Exact operator derivatives against central differences."""
+    worst = max(oracles.fd_check_derivatives(
+        300, sig, 1e-5, seed=7, paper_form=debug_paper_signs and sig == MINKOWSKI)
+        for sig in SIGNATURES)
+    detail = f"max rel err {worst:.3e}"
     if debug_paper_signs:
         ref = PointJet(x=np.zeros(1), u=0.0, du=np.array([0.6]),
                        d2u=np.array([[1.0]]))
-        ratio = _paper_ratio(ref)
-        detail = f"max rel err {worst:.3e}; 1D paper/true ratio {ratio:+.3f}"
-    else:
-        detail = f"max rel err {worst:.3e}"
-    rows.append(("derivative-fd", worst <= 1e-6, detail))
+        detail += f"; 1D paper/true ratio {_paper_ratio(ref):+.3f}"
+    return worst <= 1e-6, detail
 
-    # G_r equals the inverse metric exactly
-    from .operators import g_derivatives
-    from .geometry import metric_up_many
-    worst = 0.0
-    for sig in SIGNATURES:
-        for _ in range(200):
-            n = int(rng.integers(1, 4))
-            jet = random_jet(n, sig)
-            d = g_derivatives(jet, sig)
-            worst = max(worst, np.max(np.abs(
-                d.g_r - metric_up_many(jet.du[None, :], sig)[0]
-            )))
-    rows.append(("hessian-slot-exact", worst <= 1e-14, f"max defect {worst:.3e}"))
 
-    # Legendre involution on a refining pair of 1D grids
-    errs = []
-    for n_cells in (100, 200):
-        errs.append(_legendre_involution_error(n_cells))
+def _legendre_involution_row():
+    """Legendre involution on a refining pair of 1D grids."""
+    errs = [_legendre_involution_error(n_cells) for n_cells in (100, 200)]
     ratio = errs[0] / errs[1]
-    rows.append((
-        "legendre-involution",
-        errs[1] <= 1e-4 and ratio >= 3.0,
-        f"errors {errs[0]:.3e} -> {errs[1]:.3e}, ratio {ratio:.2f}",
-    ))
+    return (errs[1] <= 1e-4 and ratio >= 3.0,
+            f"errors {errs[0]:.3e} -> {errs[1]:.3e}, ratio {ratio:.2f}")
 
-    # oracle cross-consistency: radial n=1 vs closed form
+
+def _oracle_consistency_row():
+    """Radial shooting in one dimension against the closed form."""
     prof = oracles.translator_radial_shooting(1.0, 0.5, 1, MINKOWSKI, tol=1e-10)
     closed, _ = oracles.translator_1d_closed_form(-1.0, 1.0, -0.5, 0.5, MINKOWSKI)
     diff = abs(prof.c_speed - closed)
-    rows.append(("oracle-consistency", diff <= 1e-8, f"|shoot - closed| {diff:.3e}"))
-
-    # duality sign: Gdual at the dual jet equals -G
-    worst = 0.0
-    for sig in SIGNATURES:
-        for _ in range(200):
-            n = int(rng.integers(1, 4))
-            jet = random_jet(n, sig)
-            r = jet.d2u + np.eye(n) * (abs(np.min(np.linalg.eigvalsh(jet.d2u))) + 0.5)
-            jet = PointJet(x=jet.x, u=jet.u, du=jet.du, d2u=r)
-            gd = g_dual(jet.du, np.linalg.inv(r), sig)
-            worst = max(worst, abs(gd + g_value(jet, sig)))
-    rows.append(("duality-sign", worst <= 1e-10, f"max defect {worst:.3e}"))
-    return rows
+    return diff <= 1e-8, f"|shoot - closed| {diff:.3e}"
 
 
 def _paper_ratio(jet) -> float:
-    from .operators import g_derivatives
     true = g_derivatives(jet, MINKOWSKI).g_p[0]
     paper = g_derivatives(jet, MINKOWSKI, paper_form=True).g_p[0]
     return paper / true

@@ -14,6 +14,7 @@ constant only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,11 @@ class ConvexDomain:
     # ellipse: h = (1 - (p-c)^T Q (p-c)) / scale
     shape: np.ndarray = field(default=None, repr=False)
     scale: float = 1.0
+
+    @cached_property
+    def norm_range(self) -> tuple[float, float]:
+        """``radial_range`` of the domain, evaluated once per domain."""
+        return radial_range(self)
 
     @staticmethod
     def interval(a: float, b: float) -> "ConvexDomain":
@@ -174,16 +180,22 @@ def inward_normal_many(domain: ConvexDomain, pts: np.ndarray) -> np.ndarray:
     return dh / np.linalg.norm(dh, axis=1)[:, None]
 
 
+def interval_ends(domain: ConvexDomain) -> tuple[float, float]:
+    """(lo, hi) of a 1D domain: an interval's ends or a 1D ball's centre -+ radius."""
+    if domain.kind == "interval":
+        return domain.lo, domain.hi
+    if domain.kind == "ball" and domain.dimension == 1:
+        return domain.center[0] - domain.radius, domain.center[0] + domain.radius
+    raise ValueError(f"a {domain.dimension}D {domain.kind} is not an interval")
+
+
 def boundary_points(domain: ConvexDomain, count: int = 256) -> np.ndarray:
     """Sample points exactly on the zero level set, shape (count, n)."""
-    if domain.kind == "interval":
-        return np.array([[domain.lo], [domain.hi]])
+    if domain.dimension == 1:
+        return np.array(interval_ends(domain))[:, None]
     angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     if domain.kind == "ball":
-        if domain.dimension == 1:
-            return np.array([[domain.center[0] - domain.radius],
-                             [domain.center[0] + domain.radius]])
         if domain.dimension != 2:
             raise ValueError("boundary sampling implemented for n <= 2 only")
         return domain.center + domain.radius * ring

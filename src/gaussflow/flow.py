@@ -58,7 +58,7 @@ from .errors import (
     SpacelikeViolationError,
     StepFailureError,
 )
-from .geometry import MINKOWSKI, SPACELIKE_MARGIN, NodalJets
+from .geometry import MINKOWSKI, SPACELIKE_MARGIN, NodalJets, is_spacelike
 from .grids import LineGrid, MappedDiskGrid
 from .operators import g_derivatives_many, g_value_many
 
@@ -137,12 +137,7 @@ class SolitonResult:
 def build_grid(omega: dom.ConvexDomain, grid_spec):
     """Grid over omega: int N for intervals, (n_rho, n_theta) for 2D."""
     if omega.dimension == 1:
-        if omega.kind == "interval":
-            lo, hi = omega.lo, omega.hi
-        else:  # 1D ball
-            lo = omega.center[0] - omega.radius
-            hi = omega.center[0] + omega.radius
-        return LineGrid(lo, hi, int(grid_spec))
+        return LineGrid(*dom.interval_ends(omega), int(grid_spec))
     if omega.dimension != 2:
         raise ValueError("full grids support n <= 2; use the radial oracle beyond")
     shape = dom.ellipse_shape_matrix(omega)
@@ -162,14 +157,13 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
     """
     if omega.dimension != omega_tilde.dimension:
         raise ValueError("omega and omega_tilde must share a dimension")
-    if sig == MINKOWSKI:
-        _, rad_max = dom.radial_range(omega_tilde)
-        if rad_max > 1.0 - SPACELIKE_MARGIN:
-            raise ValueError(
-                f"omega_tilde reaches |p| = {rad_max:.6g}: the spacelike "
-                f"constraint needs it strictly inside the unit ball "
-                f"(margin {SPACELIKE_MARGIN:g})"
-            )
+    _, rad_max = omega_tilde.norm_range
+    if not is_spacelike(np.array([rad_max**2]), sig):
+        raise ValueError(
+            f"omega_tilde reaches |p| = {rad_max:.6g}: the spacelike "
+            f"constraint needs it strictly inside the unit ball "
+            f"(margin {SPACELIKE_MARGIN:g})"
+        )
     grid = build_grid(omega, grid_spec)
     a_mat, shift = dom.spd_affine_map(omega, omega_tilde)
     d = grid.nodes - omega.center
@@ -188,14 +182,6 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
 # Implicit stepping
 # ---------------------------------------------------------------------------
 
-def _boundary_targets(state: FlowState):
-    """1D gradient Dirichlet values: Du(a), Du(b) forced by monotonicity."""
-    ot = state.omega_tilde
-    if ot.kind == "interval":
-        return ot.lo, ot.hi
-    return ot.center[0] - ot.radius, ot.center[0] + ot.radius
-
-
 def _residual(state: FlowState, u: np.ndarray, u_prev: np.ndarray, tau: float):
     grid = state.grid
     p = grid.gradient(u)
@@ -206,7 +192,8 @@ def _residual(state: FlowState, u: np.ndarray, u_prev: np.ndarray, tau: float):
     res[ii] = u[ii] - u_prev[ii] - tau * g[ii]
     bb = grid.boundary
     if grid.dim == 1:
-        lo, hi = _boundary_targets(state)
+        # convex monotonicity pins Du at the ends to the image's ends
+        lo, hi = dom.interval_ends(state.omega_tilde)
         res[bb[0]] = p[bb[0], 0] - lo
         res[bb[1]] = p[bb[1], 0] - hi
     else:
@@ -249,7 +236,10 @@ def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
 
 def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
                   tau: float, controls: StepControls):
-    """Return (u, iterations) or None if Newton failed for this tau.
+    """Return (u, iterations, p, r) or None if Newton failed for this tau.
+
+    p and r are the gradient and Hessian of the returned u, which its
+    last residual evaluation computed.
 
     Chord Newton: the Jacobian is factored at the first iterate and the
     factor is reused by later iterates. Every iterate must at least
@@ -273,7 +263,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
             return None
         rn = np.max(np.abs(res))
         if rn <= controls.tol_newton:
-            return u, it
+            return u, it, p, r
         if rn > STAGNATION_RATIO * prev:
             if fresh:
                 return None
@@ -295,10 +285,8 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
 
 def _admissible(jets: NodalJets) -> bool:
     """Spacelike bound and strict convexity at a candidate state's jets."""
-    p = jets.p
-    if jets.sig == MINKOWSKI:
-        if np.max(np.sum(p * p, axis=1)) >= (1.0 - SPACELIKE_MARGIN) ** 2:
-            return False
+    if not is_spacelike(np.sum(jets.p * jets.p, axis=1), jets.sig):
+        return False
     return bool(np.min(jets.lam[:, 0]) > 0.0)
 
 
@@ -312,8 +300,9 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     tau_max. Underflow below tau_min, or a tau too small to advance t,
     raises StepFailureError; a starting tau that is not finite and
     positive raises ValueError, so no step is accepted backwards in time.
-    The accepted state's jets start with the gradient, Hessian and
-    Hessian eigenvalues the admissibility check computed.
+    The accepted state's jets start with the gradient and Hessian of
+    Newton's last residual evaluation and the Hessian eigenvalues the
+    admissibility check computed.
     """
     controls = controls or StepControls()
     tau = state.tau if state.tau > 0 else controls.initial_tau(state.grid)
@@ -329,9 +318,10 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
         guess = u_prev + tau * state.u_dot if state.steps > 0 else u_prev
         got = _newton_solve(state, u_prev, guess, tau, controls)
         if got is not None:
-            jets = NodalJets(state.grid, got[0], state.sig)
+            u_new, iters, p, r = got
+            jets = NodalJets(state.grid, u_new, state.sig)
+            jets.p, jets.r = p, r
             if _admissible(jets):
-                u_new, iters = got
                 break
         tau *= 0.5
         if tau < controls.tau_min:
@@ -380,8 +370,7 @@ def step_explicit(state: FlowState, tau: float,
     u_new[ii] += tau * g[ii]
 
     if grid.dim == 1:
-        lo, hi = _boundary_targets(state)
-        targets = (lo, hi)
+        targets = dom.interval_ends(state.omega_tilde)
         for which, b in enumerate(grid.boundary):
             w = grid.d_first[0][b, b]
             pb = (grid.d_first[0].getrow(b) @ u_new)[0]

@@ -1,4 +1,4 @@
-"""Pointwise differential geometry of graphs in Minkowski and Euclidean space.
+"""Differential geometry of graphs in Minkowski and Euclidean space.
 
 For a graph x -> (x, u(x)) with gradient p and Hessian r the induced
 metric, its inverse, the symmetric square root of the inverse metric and
@@ -19,11 +19,15 @@ inverse; for the Minkowski case this forces the opposite sign on the
 rank-one parts of b^ij/b_ij relative to a common typographic variant
 that breaks both b*b = g^inv and b^ij b_jk = id (the broken variant is
 kept behind ``paper_signs`` as a regression lock for the check suite).
+
+Every formula exists once, vectorized over a leading node axis: the
+flow, the monitors and the check suite evaluate arrays of jets, and the
+pointwise API (``graph_geometry`` of a ``PointJet``) is the batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -68,7 +72,8 @@ class GraphGeometry:
     """Metric and curvature data of the graph at one point.
 
     kappa is sorted ascending; H = sum(kappa) = trace(a); nu is the
-    (n+1)-dimensional unit normal of the graph in ambient space.
+    (n+1)-dimensional unit normal of the graph in ambient space. From
+    ``graph_geometry_many`` every field carries a leading node axis.
     """
 
     v: float
@@ -82,118 +87,91 @@ class GraphGeometry:
     nu: np.ndarray
 
 
-def check_spacelike(du: np.ndarray, sig: str) -> float:
-    """Return |Du| after enforcing the causal bound in the Minkowski case."""
-    norm = float(np.linalg.norm(du))
-    if sig == MINKOWSKI and norm > 1.0 - SPACELIKE_MARGIN:
-        raise SpacelikeViolationError(
-            f"|Du| = {norm:.12g} violates the spacelike bound 1 - {SPACELIKE_MARGIN:g}"
-        )
-    return norm
-
-
 def graph_geometry(jet: PointJet, sig: str, paper_signs: bool = False) -> GraphGeometry:
-    """All pointwise graph quantities from a jet.
+    """All graph quantities at one jet: row 0 of ``graph_geometry_many``."""
+    p = np.asarray(jet.du, dtype=float)[None, :]
+    r = np.asarray(jet.d2u, dtype=float)[None, :, :]
+    many = graph_geometry_many(p, r, sig, paper_signs)
+    return GraphGeometry(*(getattr(many, f.name)[0] for f in fields(GraphGeometry)))
+
+
+def graph_geometry_many(p: np.ndarray, r: np.ndarray, sig: str,
+                        paper_signs: bool = False) -> GraphGeometry:
+    """All graph quantities at each row of p (N, n) and r (N, n, n).
 
     ``paper_signs`` flips the rank-one parts of b^ij/b_ij in the Minkowski
-    case to the variant that fails b*b = g^inv; only the check suite's
-    regression lock should set it.
+    case to the variant that fails b*b = g^inv (the curvature matrix keeps
+    the true b); only the check suite's regression lock should set it.
     """
-    eps = signature_eps(sig)
-    p = np.asarray(jet.du, dtype=float)
-    r = np.asarray(jet.d2u, dtype=float)
-    n = p.size
-    check_spacelike(p, sig)
-
-    pp = np.outer(p, p)
-    v2 = 1.0 + eps * (p @ p)
-    v = np.sqrt(v2)
-    eye = np.eye(n)
-
-    g_lo = eye + eps * pp
-    g_up = eye - eps * pp / v2
-    b_sign = -eps
-    if paper_signs and sig == MINKOWSKI:
-        b_sign = eps
-    b_up = eye + b_sign * pp / (v * (1.0 + v))
-    b_lo = eye - b_sign * pp / (1.0 + v)
-
-    a = (b_up @ r @ b_up) / v
-    a = 0.5 * (a + a.T)
-    kappa = np.linalg.eigvalsh(a)
-    big_h = float(np.trace(a))
-
-    if sig == MINKOWSKI:
-        nu = np.concatenate([p, [1.0]]) / v
-    else:
-        nu = np.concatenate([-p, [1.0]]) / v
-
+    jets = NodalJets.of(p, r, sig)
+    b_up, b_lo = root_metric_many(p, sig, paper_signs)
+    tilt = p if sig == MINKOWSKI else -p
+    nu = np.concatenate([tilt, np.ones((p.shape[0], 1))], axis=1) / jets.v[:, None]
     return GraphGeometry(
-        v=float(v), g_lo=g_lo, g_up=g_up, b_up=b_up, b_lo=b_lo,
-        a=a, kappa=kappa, H=big_h, nu=nu,
+        v=jets.v, g_lo=jets.g_lo, g_up=metric_up_many(p, sig), b_up=b_up,
+        b_lo=b_lo, a=jets.a, kappa=jets.kappa, H=jets.H, nu=nu,
     )
 
 
-def mean_curvature_k(kappa, k: int) -> float:
-    """k-th elementary symmetric function of the principal curvatures."""
-    kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-    n = kappa.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k = {k} out of range 1..{n}")
-    # Coefficient recurrence for prod_i (1 + kappa_i t); coeffs[j] = S_j.
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    for ki in kappa:
-        coeffs[1:] = coeffs[1:] + ki * coeffs[:-1]
-    return float(coeffs[k])
+def is_spacelike(sq: np.ndarray, sig: str) -> bool:
+    """Whether the squared gradient norms sq keep |p| <= 1 - SPACELIKE_MARGIN.
 
+    The causal bound binds the Minkowski signature only.
+    """
+    if sig != MINKOWSKI or sq.size == 0:
+        return True
+    return bool(np.sqrt(np.max(sq)) <= 1.0 - SPACELIKE_MARGIN)
 
-# ---------------------------------------------------------------------------
-# Vectorized geometry over node fields, used by the flow and the monitors.
-# ---------------------------------------------------------------------------
 
 def v_many(p: np.ndarray, sig: str) -> np.ndarray:
     """Tilt factor v at each row of p (N, n), with the spacelike guard."""
     eps = signature_eps(sig)
     sq = np.sum(p * p, axis=1)
-    if sig == MINKOWSKI:
-        worst = np.sqrt(np.max(sq)) if sq.size else 0.0
-        if worst > 1.0 - SPACELIKE_MARGIN:
-            raise SpacelikeViolationError(
-                f"max |Du| = {worst:.12g} violates the spacelike bound"
-            )
+    if not is_spacelike(sq, sig):
+        raise SpacelikeViolationError(
+            f"max |Du| = {np.sqrt(np.max(sq)):.12g} violates the spacelike "
+            f"bound 1 - {SPACELIKE_MARGIN:g}"
+        )
     return np.sqrt(1.0 + eps * sq)
 
 
-def metric_up_many(p: np.ndarray, sig: str) -> np.ndarray:
-    """Inverse induced metric g^ij at each row of p, shape (N, n, n)."""
-    eps = signature_eps(sig)
-    v2 = v_many(p, sig) ** 2
-    n = p.shape[1]
-    out = np.zeros((p.shape[0], n, n))
-    out[:] = np.eye(n)
-    out -= eps * p[:, :, None] * p[:, None, :] / v2[:, None, None]
-    return out
+def _rank_one(p: np.ndarray, sign: float, denom) -> np.ndarray:
+    """I + sign p p^T / denom at each row of p, shape (N, n, n).
+
+    sign is +-1 and denom a scalar or one value per row; every rank-one
+    matrix of the module comes from here.
+    """
+    pp = sign * p[:, :, None] * p[:, None, :]
+    return np.eye(p.shape[1]) + pp / np.reshape(denom, (-1, 1, 1))
 
 
 def metric_lo_many(p: np.ndarray, sig: str) -> np.ndarray:
     """Induced metric g_ij at each row of p, shape (N, n, n)."""
-    eps = signature_eps(sig)
-    n = p.shape[1]
-    out = np.zeros((p.shape[0], n, n))
-    out[:] = np.eye(n)
-    out += eps * p[:, :, None] * p[:, None, :]
-    return out
+    return _rank_one(p, signature_eps(sig), 1.0)
+
+
+def metric_up_many(p: np.ndarray, sig: str) -> np.ndarray:
+    """Inverse induced metric g^ij at each row of p, shape (N, n, n)."""
+    return _rank_one(p, -signature_eps(sig), v_many(p, sig) ** 2)
+
+
+def root_metric_many(p: np.ndarray, sig: str, paper_signs: bool = False):
+    """(b^ij, b_ij) at each row of p, each of shape (N, n, n).
+
+    b^ij is the positive square root of g^ij and b_ij its inverse;
+    ``paper_signs`` selects the broken Minkowski variant (module docstring).
+    """
+    v = v_many(p, sig)
+    sign = -signature_eps(sig)
+    if paper_signs and sig == MINKOWSKI:
+        sign = -sign
+    return _rank_one(p, sign, v * (1.0 + v)), _rank_one(p, -sign, 1.0 + v)
 
 
 def curvature_matrix_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     """Curvature matrix a = (1/v) b r b at each node, shape (N, n, n)."""
-    eps = signature_eps(sig)
     v = v_many(p, sig)
-    n = p.shape[1]
-    b = np.zeros((p.shape[0], n, n))
-    b[:] = np.eye(n)
-    b -= eps * p[:, :, None] * p[:, None, :] / (v * (1.0 + v))[:, None, None]
+    b, _ = root_metric_many(p, sig)
     a = np.einsum("nik,nkl,nlj->nij", b, r, b) / v[:, None, None]
     return 0.5 * (a + np.swapaxes(a, 1, 2))
 

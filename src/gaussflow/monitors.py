@@ -3,8 +3,7 @@
 Each continuum estimate becomes an empirical inequality with constants
 computed from the initial data, never hardcoded from any proof:
 
-* rate bounds: u_dot stays between the extremes of G(Du0, D2u0), also
-  audited through the Legendre-dual rates;
+* rate bounds: u_dot stays between the extremes of G(Du0, D2u0);
 * strict obliqueness: the normalized pairing of beta = Dh(Du) with the
   inward boundary normal stays above a fixed floor;
 * Hessian eigenvalue bounds and preservation of strict convexity;
@@ -38,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domains as dom
-from .geometry import MINKOWSKI, laplace_beltrami
-from .operators import dual_hessians, g_dual, legendre_transform, structure_report
+from .geometry import laplace_beltrami
+from .operators import legendre_transform, structure_report
 
 OBLIQUENESS_FLOOR = 1e-3
 HESSIAN_FLOOR = 1e-8
@@ -97,12 +96,6 @@ def hessian_bounds(state) -> tuple[float, float]:
     """Extreme nodewise Hessian eigenvalues over all nodes."""
     lam = state.jets.lam
     return float(np.min(lam)), float(np.max(lam))
-
-
-def spacelike_margin(state) -> float:
-    """1 - max |Du| (Minkowski); max |Du| (Euclidean, informational)."""
-    gmax = grad_max(state)
-    return 1.0 - gmax if state.sig == MINKOWSKI else gmax
 
 
 def grad_max(state) -> float:
@@ -181,29 +174,6 @@ def udot_bounds_check(records, rate_range, tol_mon: float):
         if violation > worst:
             worst, t_worst = violation, rec.t
     return worst <= tol_mon, float(worst), float(t_worst)
-
-
-def dual_rate_range(state0) -> tuple[float, float]:
-    """Range of the dual operator over the Legendre samples of u0.
-
-    The dual flow runs at rate Gdual(y, D2u_tilde); by the duality of the
-    transforms this audits -u_dot against [min Gdual, max Gdual].
-    """
-    grid = state0.grid
-    y, _ = legendre_transform(state0.u, grid)
-    r = grid.hessian(state0.u)
-    m_dual = dual_hessians(r)
-    vals = np.array([
-        g_dual(y[k], m_dual[k], state0.sig) for k in range(grid.n_nodes)
-    ])
-    return float(np.min(vals)), float(np.max(vals))
-
-
-def dual_udot_bounds_check(records, dual_range, tol_mon: float):
-    """Audit -u_dot against the dual rate range (Legendre route)."""
-    lo, hi = dual_range
-    # -u_dot in [lo, hi]  <=>  u_dot in [-hi, -lo]
-    return udot_bounds_check(records, (-hi, -lo), tol_mon)
 
 
 def duality_rate_defect(state, tau_probe: float | None = None) -> float:

@@ -38,6 +38,7 @@ from .geometry import (
     PointJet,
     curvature_matrix_many,
     metric_up_many,
+    root_metric_many,
     signature_eps,
     v_many,
 )
@@ -95,11 +96,9 @@ def g_derivatives(jet: PointJet, sig: str, paper_form: bool = False) -> Operator
     """
     p = np.asarray(jet.du, dtype=float)[None, :]
     r = np.asarray(jet.d2u, dtype=float)[None, :, :]
+    g_r, g_p = g_derivatives_many(p, r, sig)
     if paper_form:
-        g_p = _g_p_paper_many(p, r, sig)
-    else:
-        _, g_p = g_derivatives_many(p, r, sig)
-    g_r = metric_up_many(p, sig)
+        g_p = g_p_paper_many(p, r, sig)
     return OperatorDerivatives(g_r=g_r[0], g_p=g_p[0])
 
 
@@ -115,7 +114,7 @@ def g_derivatives_many(p: np.ndarray, r: np.ndarray, sig: str):
     return g_r, g_p
 
 
-def _g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
+def g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     """Gradient derivative transcribed literally from the broken display.
 
     For the trace operator it reads, per component i,
@@ -124,32 +123,34 @@ def _g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     """
     if sig != MINKOWSKI:
         raise ValueError("the printed transcription exists for the Minkowski case only")
-    eps = signature_eps(sig)
     v = v_many(p, sig)
     a = curvature_matrix_many(p, r, sig)
-    n = p.shape[1]
-    b = np.zeros_like(a)
-    b[:] = np.eye(n)
-    b -= eps * p[:, :, None] * p[:, None, :] / (v * (1.0 + v))[:, None, None]
+    b, _ = root_metric_many(p, sig)
     tr_a = np.einsum("nii->n", a)
     bap = np.einsum("nij,njk,nk->ni", b, a, p)
     return -2.0 * p * (tr_a / v)[:, None] - 2.0 * bap
 
 
 def g_dual(y, m, sig: str) -> float:
-    """Dual operator Gdual(y, M) = -g^ij(y) : (M^{-1})_ij.
-
-    M is the Hessian of the Legendre transform at y; it must be positive
-    definite, and Minkowski signature requires |y| < 1.
-    """
+    """Dual operator Gdual(y, M) at one point: the batch of one of ``g_dual_many``."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    evals = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if evals[0] <= 0:
+    return float(g_dual_many(y[None, :], m[None, :, :], sig)[0])
+
+
+def g_dual_many(y: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
+    """Dual operator Gdual(y, M) = -g^ij(y) : (M^{-1})_ij at each row.
+
+    y is (N, n) and M (N, n, n), the Hessians of the Legendre transform
+    at y; every M must be positive definite, and Minkowski signature
+    requires |y| < 1.
+    """
+    evals = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2)))
+    if np.min(evals[:, 0]) <= 0:
         raise ValueError("dual Hessian must be positive definite")
-    s = metric_up_many(y[None, :], sig)[0]
+    s = metric_up_many(y, sig)
     m_inv = np.linalg.inv(m)
-    return float(-np.sum(s * m_inv))
+    return -np.sum(s * m_inv, axis=(1, 2))
 
 
 def legendre_transform(u: np.ndarray, grid):
@@ -188,8 +189,6 @@ def structure_report(state, sig: str | None = None) -> StructureReport:
     carried by the state. The nodal geometry is read from the state's
     jets; ``sig``, if given, must be the state's signature.
     """
-    from .domains import radial_range
-
     if sig is not None and sig != state.sig:
         raise ValueError(f"structure report of a {state.sig} state "
                          f"requested under {sig!r}")
@@ -205,7 +204,7 @@ def structure_report(state, sig: str | None = None) -> StructureReport:
     _, g_p = g_derivatives_many(p, r, sig)
     gp_max = float(np.max(np.linalg.norm(g_p, axis=1)))
 
-    rad_min, rad_max = radial_range(state.omega_tilde)
+    rad_min, rad_max = state.omega_tilde.norm_range
     if sig == MINKOWSKI:
         w_min = 1.0 / np.sqrt(1.0 - rad_min**2)
         w_max = 1.0 / np.sqrt(1.0 - rad_max**2)

@@ -16,8 +16,12 @@ discretization:
   phi(R) to the prescribed boundary slope. phi(R) is monotone in C,
   which each call re-verifies on its bracket.
 
-* Central finite differences of the flow operator against the exact
-  derivative formulas, over batches of random spacelike jets.
+* The invariant suite over batches of random jets (``random_jets``):
+  the closed-form identities of the graph geometry and the operators
+  (``identity_defects``), and central finite differences of the flow
+  operator against its exact derivative formulas
+  (``fd_check_derivatives``). ``gaussflow check`` and the acceptance
+  suite both evaluate their jets here, as arrays grouped by dimension.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import OracleFailureError
-from .geometry import EUCLIDEAN, MINKOWSKI, PointJet, signature_eps
-from .operators import g_derivatives, g_value
+from .geometry import EUCLIDEAN, MINKOWSKI, graph_geometry_many, signature_eps
+from .operators import g_derivatives_many, g_dual_many, g_p_paper_many, g_value_many
 
 
 @dataclass(frozen=True)
@@ -211,51 +215,106 @@ def radial_ode_residual(profile: RadialProfile) -> float:
     return float(np.max(np.abs(lhs - quad)))
 
 
-def fd_check_derivatives(samples: int, sig: str, eps_fd: float,
-                         dims=(1, 2, 3), seed: int = 0,
-                         paper_form: bool = False) -> float:
-    """Worst relative error of the exact derivatives vs central differences.
+# Minkowski jets are drawn with |p| below this reach.
+JET_REACH = 0.95
 
-    Draws random spacelike jets; every gradient component and every
-    symmetric Hessian direction is checked. ``paper_form`` routes the
-    gradient derivative through the broken printed transcription so the
-    check suite can demonstrate its failure.
+
+def random_jets(rng: np.random.Generator, count: int, sig: str) -> dict:
+    """``count`` random jets, grouped by dimension: {n: (p (m, n), r (m, n, n))}.
+
+    Per jet, in this order of draws from ``rng``: the dimension n in
+    {1, 2, 3}; the gradient (Minkowski: a uniform direction times a
+    length uniform in [0, JET_REACH); Euclidean: standard normal); the
+    Hessian, the symmetric part of a standard normal matrix.
     """
-    if not 1e-7 <= eps_fd <= 1e-3:
-        raise ValueError("finite difference step must lie in [1e-7, 1e-3]")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
+    groups = {}
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
         if sig == MINKOWSKI:
             direction = rng.normal(size=n)
             direction /= np.linalg.norm(direction)
-            p = direction * rng.uniform(0.0, 0.9)
+            p = direction * rng.uniform(0.0, JET_REACH)
         else:
             p = rng.normal(size=n)
         r = rng.normal(size=(n, n))
-        r = 0.5 * (r + r.T)
-        x = np.zeros(n)
-        jet = PointJet(x=x, u=0.0, du=p, d2u=r)
-        deriv = g_derivatives(jet, sig, paper_form=paper_form)
+        groups.setdefault(n, []).append((p, 0.5 * (r + r.T)))
+    return {n: (np.array([p for p, _ in rows]), np.array([r for _, r in rows]))
+            for n, rows in sorted(groups.items())}
 
-        scale = max(1.0, float(np.max(np.abs(deriv.g_p))),
-                    float(np.max(np.abs(deriv.g_r))))
+
+def identity_defects(jets: dict, sig: str, paper_signs: bool = False) -> dict:
+    """Worst defect of each closed-form identity over ``random_jets`` output.
+
+    Keys: ``root`` |b^ij b^jk - g^ik|, ``inverse`` |g_ij g^jk - delta|,
+    ``root-inverse`` |b^ij b_jk - delta|, ``trace`` |v H - G|,
+    ``normal`` |<nu, nu> - eps| (the unit normal is timelike in
+    Minkowski space), ``hessian-slot`` |G_r - g^ij| and ``duality``
+    |Gdual + G| at each jet with its Hessian shifted positive definite
+    and the dual Hessian its inverse. ``paper_signs`` reaches only b^ij
+    and b_ij, so only ``root`` and ``root-inverse`` see it.
+    """
+    eps = signature_eps(sig)
+    worst = dict.fromkeys(("root", "inverse", "root-inverse", "trace", "normal",
+                           "hessian-slot", "duality"), 0.0)
+    for n, (p, r) in jets.items():
+        geo = graph_geometry_many(p, r, sig, paper_signs)
+        g_r, _ = g_derivatives_many(p, r, sig)
+        eye = np.eye(n)
+        lam_min = np.linalg.eigvalsh(r)[:, 0]
+        r_pd = r + (np.abs(lam_min) + 0.5)[:, None, None] * eye
+        nu_sq = np.sum(geo.nu[:, :-1] ** 2, axis=1) + eps * geo.nu[:, -1] ** 2
+        defects = {
+            "root": geo.b_up @ geo.b_up - geo.g_up,
+            "inverse": geo.g_lo @ geo.g_up - eye,
+            "root-inverse": geo.b_up @ geo.b_lo - eye,
+            "trace": geo.v * geo.H - g_value_many(p, r, sig),
+            "normal": nu_sq - eps,
+            "hessian-slot": g_r - geo.g_up,
+            "duality": (g_dual_many(p, np.linalg.inv(r_pd), sig)
+                        + g_value_many(p, r_pd, sig)),
+        }
+        for key, defect in defects.items():
+            worst[key] = max(worst[key], float(np.max(np.abs(defect))))
+    return worst
+
+
+def fd_check_derivatives(samples: int, sig: str, eps_fd: float,
+                         seed: int = 0, paper_form: bool = False) -> float:
+    """Worst relative error of the exact derivatives vs central differences.
+
+    Draws ``random_jets``; every gradient component and every symmetric
+    Hessian direction is checked, one batched operator evaluation per
+    direction and dimension. ``paper_form`` routes the gradient
+    derivative through the broken printed transcription so the check
+    suite can demonstrate its failure.
+    """
+    if not 1e-7 <= eps_fd <= 1e-3:
+        raise ValueError("finite difference step must lie in [1e-7, 1e-3]")
+    worst = 0.0
+    for n, (p, r) in random_jets(np.random.default_rng(seed), samples, sig).items():
+        g_r, g_p = g_derivatives_many(p, r, sig)
+        if paper_form:
+            g_p = g_p_paper_many(p, r, sig)
+        scale = np.maximum(1.0, np.maximum(np.max(np.abs(g_p), axis=1),
+                                           np.max(np.abs(g_r), axis=(1, 2))))
+        m = p.shape[0]
+
+        def central(dp, dr):
+            g = g_value_many(np.concatenate([p + dp, p - dp]),
+                             np.concatenate([r + dr, r - dr]), sig)
+            return (g[:m] - g[m:]) / (2.0 * eps_fd)
+
         for k in range(n):
             dp = np.zeros(n)
             dp[k] = eps_fd
-            plus = g_value(PointJet(x=x, u=0.0, du=p + dp, d2u=r), sig)
-            minus = g_value(PointJet(x=x, u=0.0, du=p - dp, d2u=r), sig)
-            fd = (plus - minus) / (2.0 * eps_fd)
-            worst = max(worst, abs(fd - deriv.g_p[k]) / scale)
+            err = np.abs(central(dp, 0.0) - g_p[:, k]) / scale
+            worst = max(worst, float(np.max(err)))
         for i in range(n):
             for j in range(i, n):
                 dr = np.zeros((n, n))
                 dr[i, j] = eps_fd
                 dr[j, i] = eps_fd
-                plus = g_value(PointJet(x=x, u=0.0, du=p, d2u=r + dr), sig)
-                minus = g_value(PointJet(x=x, u=0.0, du=p, d2u=r - dr), sig)
-                fd = (plus - minus) / (2.0 * eps_fd)
-                exact = deriv.g_r[i, j] + deriv.g_r[j, i] if i != j else deriv.g_r[i, i]
-                worst = max(worst, abs(fd - exact) / scale)
+                exact = g_r[:, i, j] + g_r[:, j, i] if i != j else g_r[:, i, i]
+                err = np.abs(central(0.0, dr) - exact) / scale
+                worst = max(worst, float(np.max(err)))
     return worst

@@ -277,6 +277,16 @@ class TestCheckCommand:
         assert "FAIL  derivative-fd" in out
         assert "ratio -2.000" in out
 
+    def test_row_names_in_order(self, capsys):
+        assert cli.main(["check"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[1] for row in rows] == [
+            "geometry-identities", "trace-identity", "normal-pairing",
+            "derivative-fd", "hessian-slot-exact", "legendre-involution",
+            "oracle-consistency", "duality-sign",
+        ]
+        assert all(row.startswith("PASS  ") for row in rows)
+
 
 class TestReportCommand:
     def test_summary_and_series_files(self, finished_run, capsys):

@@ -165,6 +165,19 @@ class TestRadialRange:
         assert mx == pytest.approx(0.4, abs=1e-6)
 
 
+class TestIntervalEnds:
+    def test_interval(self):
+        assert dom.interval_ends(dom.ConvexDomain.interval(-0.5, 0.25)) == (-0.5, 0.25)
+
+    def test_one_dimensional_ball(self):
+        assert dom.interval_ends(dom.ConvexDomain.ball([0.2], 0.5)) == (
+            pytest.approx(-0.3), pytest.approx(0.7))
+
+    def test_two_dimensional_ball_has_no_ends(self):
+        with pytest.raises(ValueError):
+            dom.interval_ends(dom.ConvexDomain.ball([0.0, 0.0], 1.0))
+
+
 class TestAffineMap:
     def test_interval_pair(self):
         a, s = dom.spd_affine_map(dom.ConvexDomain.interval(0, 1),

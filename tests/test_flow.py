@@ -172,8 +172,8 @@ class TestNewtonStagnation:
         state, _ = translator_state()
         u_prev, tau = state.u, state.tau
         guess = u_prev + tau * state.u_dot
-        converged, _ = flow._newton_solve(state, u_prev, guess, tau,
-                                          StepControls())
+        converged = flow._newton_solve(state, u_prev, guess, tau,
+                                       StepControls())[0]
         counted_splu.update(factor=0, solve=0)
         # no iterate reaches 1e-30: the residual stalls on its roundoff
         # floor, and the attempt must end well before max_newton
@@ -313,6 +313,29 @@ class TestStateJets:
 
 
 class TestStepImplicit:
+    def test_accepted_step_differentiates_u_once(self, monkeypatch):
+        # the accepted state's jets reuse the gradient and Hessian of
+        # Newton's last residual evaluation instead of recomputing them
+        counts = {"residual": 0, "gradient": 0}
+        residual, gradient = flow._residual, flow.LineGrid.gradient
+
+        def counted_residual(*args):
+            counts["residual"] += 1
+            return residual(*args)
+
+        def counted_gradient(self, u):
+            counts["gradient"] += 1
+            return gradient(self, u)
+
+        state, _ = translator_state(101)
+        monkeypatch.setattr(flow, "_residual", counted_residual)
+        monkeypatch.setattr(flow.LineGrid, "gradient", counted_gradient)
+        new = step_implicit(state, StepControls())
+        assert new.steps == state.steps + 1
+        assert counts["residual"] >= 1
+        assert counts["gradient"] == counts["residual"]
+        assert np.array_equal(new.jets.p, gradient(new.grid, new.u))
+
     def test_steady_profile_advances_uniformly(self):
         state, c = translator_state(201, tau=0.1)
         h2 = state.grid.h**2

@@ -122,34 +122,6 @@ class TestGraphGeometry:
                          d2u=np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
-class TestMeanCurvatureK:
-    def test_second_symmetric_function(self):
-        assert geo.mean_curvature_k([1.0, 2.0, 3.0], 2) == pytest.approx(11.0)
-
-    def test_repeated_values(self):
-        assert geo.mean_curvature_k([1.0, 1.0], 2) == pytest.approx(1.0)
-
-    def test_first_equals_sum(self):
-        assert geo.mean_curvature_k([1.0, 2.0, 3.0], 1) == pytest.approx(6.0)
-
-    @pytest.mark.parametrize("k", [0, 4])
-    def test_out_of_range(self, k):
-        with pytest.raises(ValueError):
-            geo.mean_curvature_k([1.0, 2.0, 3.0], k)
-
-    def test_against_brute_force_combinations(self):
-        from itertools import combinations
-        from math import prod
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            n = int(rng.integers(1, 6))
-            kappa = rng.normal(size=n)
-            for k in range(1, n + 1):
-                brute = sum(prod(c) for c in combinations(kappa, k))
-                assert geo.mean_curvature_k(kappa, k) == pytest.approx(
-                    brute, rel=1e-12, abs=1e-12)
-
-
 class TestLaplaceBeltrami:
     def test_linear_field_constant_gradient_1d(self):
         grid = LineGrid(0.0, 1.0, 50)

@@ -12,7 +12,12 @@ from gaussflow import flow, monitors, oracles
 from gaussflow import geometry as geo
 from gaussflow.errors import NonConvergenceError
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
-from gaussflow.operators import structure_report
+from gaussflow.operators import (
+    dual_hessians,
+    g_dual_many,
+    legendre_transform,
+    structure_report,
+)
 
 
 def interval_state(n_cells=201):
@@ -63,12 +68,15 @@ class TestRateBounds:
 
     def test_dual_rates_audited_through_legendre(self):
         state, mon, _ = run_with_monitor()
-        dual = monitors.dual_rate_range(state)
-        # the dual range is the negated primal range
-        assert dual[0] == pytest.approx(-state.g0_range[1], abs=1e-10)
-        assert dual[1] == pytest.approx(-state.g0_range[0], abs=1e-10)
-        ok, _, _ = monitors.dual_udot_bounds_check(mon.records, dual,
-                                                   mon.tol_mon)
+        # the dual operator over the Legendre samples of u0 ranges over
+        # the negated primal range, so the rate audit covers -u_dot too
+        y, _ = legendre_transform(state.u, state.grid)
+        m_dual = dual_hessians(state.grid.hessian(state.u))
+        dual = g_dual_many(y, m_dual, state.sig)
+        assert np.min(dual) == pytest.approx(-state.g0_range[1], abs=1e-10)
+        assert np.max(dual) == pytest.approx(-state.g0_range[0], abs=1e-10)
+        ok, _, _ = monitors.udot_bounds_check(
+            mon.records, (-np.max(dual), -np.min(dual)), mon.tol_mon)
         assert ok
 
     def test_empty_history_rejected(self):
@@ -253,17 +261,37 @@ class TestSpacelikeMargin:
         state = interval_state(101)
         flat = refresh_rate(dataclasses.replace(
             state, u=np.full(state.grid.n_nodes, 0.7)))
-        assert monitors.spacelike_margin(flat) == pytest.approx(1.0)
+        assert monitors.grad_max(flat) == pytest.approx(0.0)
 
     def test_euclidean_reports_gradient_magnitude(self):
         state = flow.initialize(dom.ConvexDomain.interval(0, 1),
                                 dom.ConvexDomain.interval(-1, 1),
                                 101, EUCLIDEAN)
-        val = monitors.spacelike_margin(state)
+        val = monitors.grad_max(state)
         assert val == pytest.approx(1.0, abs=1e-4)  # max |Du0| = 1, not fatal
 
 
 class TestRunMonitor:
+    def test_radial_range_once_per_domain(self, monkeypatch):
+        calls = []
+        radial_range = dom.radial_range
+
+        def counting(domain, *args):
+            calls.append(domain)
+            return radial_range(domain, *args)
+
+        monkeypatch.setattr(dom, "radial_range", counting)
+        omega = dom.ConvexDomain.ball([0.0, 0.0], 1.0)
+        omega_tilde = dom.ConvexDomain.ellipse(
+            [0.0, 0.0], np.diag([1 / 0.4**2, 1 / 0.25**2]))
+        state = flow.initialize(omega, omega_tilde, (8, 16), MINKOWSKI)
+        mon = monitors.RunMonitor(state, cadence=1)
+        for _ in range(4):
+            state = flow.step_implicit(state)
+            mon.observe(state)
+        assert len(mon.records) == 5
+        assert len(calls) == 1 and calls[0] is omega_tilde
+
     def test_record_count_matches_cadence(self):
         for cadence in (1, 2, 5):
             _, mon, result = run_with_monitor(101, cadence=cadence)

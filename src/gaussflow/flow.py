@@ -21,15 +21,21 @@ products are formed. It is factored by sparse LU in the grid's column
 ordering: natural for the banded 1D Jacobian, minimum degree on
 A^T + A in 2D, which cuts fill against the default COLAMD.
 
-Every Newton iterate must at least halve the residual max-norm (a
+Newton accepts an iterate once the residual max-norm is at most
+max(tol_newton, eps ||J||_inf ||u||_inf), from the attempt's first
+Jacobian J and iterate u. The second term is the backward-error floor
+of evaluating the residual on the stencils: interior rows of J are
+I - tau (G_p D1 + G_r : D2), so the floor grows with tau and the 1/h^2
+of the Hessian stencils, and at large tau it lies above the default
+tol_newton. A tol_newton below the floor is met at the floor. Short of
+acceptance, every iterate must at least halve the residual max-norm (a
 contraction monitor in the sense of Deuflhard). An attempt factors its
 Jacobian once, at its first iterate, and later iterates reuse the
 factor (chord Newton): at 32 x 64 one factorization costs as much as
 25-30 solves with it. When a step with the reused factor fails to
 halve the residual, the Jacobian is refactored at the current iterate;
-when a step with a fresh factor fails, the attempt is abandoned: at
-large tau the residual otherwise wanders on its roundoff floor just
-above tol_newton for max_newton iterations before tau is halved. The
+when a step with a fresh factor fails, the attempt is abandoned and
+the caller halves tau after two or three solves, not max_newton. The
 factor never outlives its attempt, since tau changes between attempts.
 
 The long-time limit is a translator: u(x, t) -> u_inf(x) + C_inf t. The
@@ -69,7 +75,13 @@ STAGNATION_RATIO = 0.5
 
 @dataclass
 class StepControls:
-    """Newton and step-size policy. All values overridable per run."""
+    """Newton and step-size policy. All values overridable per run.
+
+    ``tol_newton`` bounds the Newton residual max-norm from below by the
+    attempt's roundoff floor (``_roundoff_floor``): a value under the
+    floor, 1e-30 say, is met at the floor, so it cannot force a Newton
+    failure; ``max_newton = 1`` from a guess that misses it does.
+    """
 
     tol_newton: float = 1e-10
     max_newton: int = 30
@@ -234,6 +246,19 @@ def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
     return pattern.assemble(coef)
 
 
+def _roundoff_floor(jac, u: np.ndarray) -> float:
+    """eps ||J||_inf ||u||_inf: the residual's backward-error floor.
+
+    The residual is evaluated on the stencils that J carries, so rounding
+    u perturbs it by up to this much however well Newton converges. The
+    row sums of |J| come from one pass over the CSC data on the fixed
+    pattern.
+    """
+    rows = np.bincount(jac.indices, weights=np.abs(jac.data),
+                       minlength=jac.shape[0])
+    return float(np.finfo(float).eps * np.max(rows) * np.max(np.abs(u)))
+
+
 def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
                   tau: float, controls: StepControls):
     """Return (u, iterations, p, r) or None if Newton failed for this tau.
@@ -241,17 +266,22 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     p and r are the gradient and Hessian of the returned u, which its
     last residual evaluation computed.
 
+    An iterate is accepted when its residual max-norm is at most
+    max(tol_newton, floor), with floor = ``_roundoff_floor`` of the
+    first Jacobian and the first iterate: below the floor the residual
+    only wanders, so a tol_newton under it is met at the floor.
+
     Chord Newton: the Jacobian is factored at the first iterate and the
     factor is reused by later iterates. Every iterate must at least
     halve the residual max-norm. When a step with a reused (stale)
     factor fails that test, the Jacobian is refactored at the current
     iterate and the iteration goes on; when a step with a fresh factor
-    fails it, the attempt fails: near the roundoff floor the iteration
-    only wanders, so the caller's tau halving takes over at once instead
-    of after max_newton iterations.
+    fails it, the attempt fails, and the caller's tau halving takes over
+    at once instead of after max_newton iterations.
     """
     u = guess.copy()
     prev = np.inf
+    tol = controls.tol_newton
     lu = None
     fresh = False
     for it in range(1, controls.max_newton + 1):
@@ -262,7 +292,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
         if not np.all(np.isfinite(res)):
             return None
         rn = np.max(np.abs(res))
-        if rn <= controls.tol_newton:
+        if rn <= tol:
             return u, it, p, r
         if rn > STAGNATION_RATIO * prev:
             if fresh:
@@ -271,9 +301,11 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
         prev = rn
         fresh = lu is None
         if fresh:
+            jac = _jacobian(state, p, r, tau)
+            if it == 1:
+                tol = max(tol, _roundoff_floor(jac, u))
             try:
-                lu = splu(_jacobian(state, p, r, tau),
-                          permc_spec=state.grid.column_ordering)
+                lu = splu(jac, permc_spec=state.grid.column_ordering)
             except RuntimeError:  # exactly singular Jacobian
                 return None
         delta = lu.solve(res)

@@ -165,13 +165,18 @@ def root_metric_many(p: np.ndarray, sig: str, paper_signs: bool = False):
     sign = -signature_eps(sig)
     if paper_signs and sig == MINKOWSKI:
         sign = -sign
-    return _rank_one(p, sign, v * (1.0 + v)), _rank_one(p, -sign, 1.0 + v)
+    return _root_metric_up(p, v, sign), _rank_one(p, -sign, 1.0 + v)
+
+
+def _root_metric_up(p: np.ndarray, v: np.ndarray, sign: float) -> np.ndarray:
+    """b^ij = I + sign p p^T / (v (1 + v)) at each row of p, for its tilt v."""
+    return _rank_one(p, sign, v * (1.0 + v))
 
 
 def curvature_matrix_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     """Curvature matrix a = (1/v) b r b at each node, shape (N, n, n)."""
     v = v_many(p, sig)
-    b, _ = root_metric_many(p, sig)
+    b = _root_metric_up(p, v, -signature_eps(sig))
     a = np.einsum("nik,nkl,nlj->nij", b, r, b) / v[:, None, None]
     return 0.5 * (a + np.swapaxes(a, 1, 2))
 

@@ -200,11 +200,12 @@ class TestRunCommand:
         assert interior_mean != float(np.mean(last.u_dot))
 
     def test_step_failure_exits_two(self, tmp_path, capsys):
-        # an unreachable Newton tolerance exhausts the tau ladder
+        # one Newton iteration from u0 never meets tol_newton, so every
+        # attempt fails and tau halves below tau_min
         cfg = tmp_path / "fail.cfg"
         out = tmp_path / "out"
         cfg.write_text(BASE_CONFIG.format(out=out)
-                       + "tol_newton = 1e-30\ntau_min = 1e-6\n")
+                       + "max_newton = 1\ntau_min = 1e-6\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "non-convergence" in capsys.readouterr().err
         assert (out / "report.txt").is_file()

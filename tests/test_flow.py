@@ -176,20 +176,62 @@ class TestNewtonStagnation:
                                        StepControls())[0]
         counted_splu.update(factor=0, solve=0)
         # no iterate reaches 1e-30: the residual stalls on its roundoff
-        # floor, and the attempt must end well before max_newton
+        # floor, where the attempt is accepted well before max_newton
         # factorizations
         controls = StepControls(tol_newton=1e-30)
-        assert flow._newton_solve(state, u_prev, converged, tau,
-                                  controls) is None
+        got = flow._newton_solve(state, u_prev, converged, tau, controls)
+        assert got is not None
         assert 1 <= counted_splu["factor"] <= 3 < controls.max_newton
+        # the floor eps ||J||_inf ||u||_inf of the attempt's first
+        # Jacobian and iterate, with the row sums taken by scipy
+        _, p, r = flow._residual(state, converged, u_prev, tau)
+        jac = flow._jacobian(state, p, r, tau)
+        floor = (np.finfo(float).eps * abs(jac).sum(axis=1).max()
+                 * np.max(np.abs(converged)))
+        assert flow._roundoff_floor(jac, converged) == pytest.approx(
+            floor, rel=1e-12)
+        res, _, _ = flow._residual(state, got[0], u_prev, tau)
+        assert 0.0 < np.max(np.abs(res)) <= floor
+
+    def test_stall_above_the_floor_ends_at_the_stagnation_exit(
+            self, counted_splu, monkeypatch):
+        # a first step at tau = 1000 from u0: the residual stalls three
+        # orders above the floor of the attempt's first Jacobian and
+        # iterate, so the floor does not accept it and the attempt fails
+        # once a fresh factor no longer halves the residual
+        state, _, _ = perturbed_state("disk-ball")
+        tau = 1e3
+        norms = []
+        residual = flow._residual
+
+        def recorded(*args):
+            out = residual(*args)
+            norms.append(np.max(np.abs(out[0])))
+            return out
+
+        _, p, r = residual(state, state.u, state.u, tau)
+        floor = flow._roundoff_floor(flow._jacobian(state, p, r, tau), state.u)
+        monkeypatch.setattr(flow, "_residual", recorded)
+        controls = StepControls()
+        assert flow._newton_solve(state, state.u, state.u, tau,
+                                  controls) is None
+        assert 1 <= counted_splu["factor"] <= 3
+        assert len(norms) < controls.max_newton
+        assert np.all(np.isfinite(norms))
+        assert norms[-1] > flow.STAGNATION_RATIO * norms[-2]
+        assert min(norms) > 100 * max(floor, controls.tol_newton)
 
     def test_step_failure_message_unchanged(self):
+        # one Newton iteration from a guess that misses tol_newton: every
+        # attempt fails, and tau halves down to tau_min
         state, _ = translator_state(101)
-        controls = StepControls(tol_newton=1e-30, tau_min=1e-6)
+        state = dataclasses.replace(state, t=0.0,
+                                    u_dot=np.zeros_like(state.u))
+        controls = StepControls(max_newton=1, tau_min=1e-6)
         with pytest.raises(StepFailureError,
                            match=r"^Newton failed at every tau down to 1e-06 "
                                  r"\(t = 0, step 1\)$"):
-            step_implicit(dataclasses.replace(state, t=0.0), controls)
+            step_implicit(state, controls)
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
     def test_fast_convergence_keeps_iteration_count(self, case, counted_splu):
@@ -407,11 +449,13 @@ class TestStepImplicit:
             step_implicit(state, StepControls(tau0=tau0))
 
     def test_tau_that_no_longer_advances_t_fails(self):
-        # Newton never converges, so tau halves until t + tau == t,
-        # long before the tau_min underflow
+        # the tilted profile misses the boundary condition by 1e-3 at
+        # every tau, and one Newton iteration never meets tol_newton, so
+        # tau halves until t + tau == t, long before the tau_min underflow
         state, _ = translator_state(101, tau=1e-12)
-        state = dataclasses.replace(state, t=1e3)
-        controls = StepControls(tol_newton=1e-30, tau_min=1e-300)
+        x = state.grid.nodes[:, 0]
+        state = dataclasses.replace(state, t=1e3, u=state.u + 1e-3 * x)
+        controls = StepControls(max_newton=1, tau_min=1e-300)
         with pytest.raises(StepFailureError,
                            match=r"no longer advances t = 1000 \(step 1\)"):
             step_implicit(state, controls)
@@ -526,6 +570,35 @@ class TestRunToTranslator:
         result = flow.run_to_translator(state)
         assert c_ref == pytest.approx(2 * np.arctan(3.0), abs=1e-14)
         assert abs(result.c_inf - c_ref) < 2e-3
+
+    def test_no_newton_failure_near_the_translator(self, monkeypatch):
+        # N = 3201: the Hessian stencils' 1/h^2 lifts the residual's
+        # roundoff floor above tol_newton late in the run, where every
+        # attempt converges and none may fail
+        failed_at_osc = []
+        newton_solve = flow._newton_solve
+
+        def recorded(state, *args):
+            got = newton_solve(state, *args)
+            if got is None:
+                failed_at_osc.append(float(np.ptp(state.u_dot)))
+            return got
+
+        accepted = [0.0]  # t of the initial state
+
+        def check(s):
+            # solver invariants: t strictly increases, tau stays positive
+            assert s.t > accepted[-1]
+            assert s.tau > 0
+            accepted.append(s.t)
+
+        monkeypatch.setattr(flow, "_newton_solve", recorded)
+        om, ot = interval_pair()
+        result = flow.run_to_translator(
+            flow.initialize(om, ot, 3201, MINKOWSKI), on_accept=check)
+        assert len(accepted) == 1 + result.steps
+        assert all(osc >= 1e-4 for osc in failed_at_osc), failed_at_osc
+        assert abs(result.c_inf - np.log(3.0)) < 1e-6
 
     def test_euclidean_2d_radial_against_shooting(self):
         prof = oracles.translator_radial_shooting(1.0, 0.8, 2, EUCLIDEAN,

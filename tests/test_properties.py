@@ -1,8 +1,11 @@
 """Property tests: the vectorized graph geometry (cached nodal jets and
 the batch-of-one pointwise API) against the pointwise formulas it
-replaced, and the snapshot round trip."""
+replaced, the snapshot round trip, and run configs (valid ones parse
+back to the values written, invalid ones end in exit 1)."""
 
+import contextlib
 import dataclasses
+import io
 import tempfile
 from pathlib import Path
 
@@ -149,3 +152,103 @@ def test_snapshot_round_trip_is_exact(which, data, t, c_inf):
     assert np.array_equal(u_back, u)
     assert np.array_equal(coords, state.grid.nodes)
     assert float(header["t"]) == t and float(header["c_inf"]) == c_inf
+
+
+# -- run configs --------------------------------------------------------------
+
+positive = st.floats(1e-12, 1e3, allow_nan=False, allow_infinity=False)
+count = st.integers(1, 10**6)
+
+
+@st.composite
+def valid_settings(draw):
+    """Optional config keys with values parse_config accepts."""
+    tau_min, tau_max = sorted(draw(st.lists(positive, min_size=2, max_size=2,
+                                            unique=True)))
+    values = {
+        "tol_c": draw(positive), "tol_b": draw(positive),
+        "tol_newton": draw(positive), "tol_r": draw(positive),
+        "tau_min": tau_min, "tau_max": tau_max,
+        "tau0": draw(st.floats(tau_min, tau_max)),
+        "max_steps": draw(count), "max_newton": draw(count),
+        "cadence": draw(count), "anchor": draw(st.integers(0, 10**6)),
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(values))))
+    if {"tau_min", "tau_max", "tau0"} & keys:
+        # a bound drawn alone may contradict the other's default
+        keys |= {"tau_min", "tau_max"}
+    return {k: values[k] for k in sorted(keys)}
+
+
+def config_text(settings_: dict, out: Path, two_d: bool) -> str:
+    if two_d:
+        head = ("signature = minkowski\nomega = ball 0 0 1\n"
+                "omega_tilde = ellipse 0 0 6.25 0 16\n"
+                "n_rho = 12\nn_theta = 24\n")
+    else:
+        head = ("signature = euclidean\nomega = interval 0 1\n"
+                "omega_tilde = interval -1 1\nn = 101\n")
+    body = "".join(f"{k} = {v!r}\n" for k, v in settings_.items())
+    return head + body + f"output_dir = {out}\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_settings(), st.booleans())
+def test_valid_config_round_trips(values, two_d):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(config_text(values, Path(tmp) / "out", two_d))
+        config = cli.parse_config(cfg)
+    controls = dataclasses.asdict(config.controls)
+    for key, value in values.items():
+        if key in ("cadence", "anchor"):
+            assert getattr(config, key) == value, key
+        else:
+            attr = {"tol_r": "tol_r_scale"}.get(key, key)
+            assert controls.pop(attr) == value, key
+    # every control the config leaves out keeps its default
+    defaults = dataclasses.asdict(flow.StepControls())
+    assert controls == {k: defaults[k] for k in controls}
+    assert config.grid_spec == ((12, 24) if two_d else 101)
+    assert config.output_dir == str(Path(tmp) / "out")
+
+
+bad_float = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "1e-400"]) | (
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False).map(repr))
+
+
+@st.composite
+def invalid_settings(draw):
+    """(key named in the error, config lines) that parse_config rejects."""
+    kind = draw(st.sampled_from(["float", "bounds", "tau0", "count"]))
+    if kind == "float":
+        key = draw(st.sampled_from(["tol_c", "tol_b", "tol_newton", "tol_r",
+                                    "tau0", "tau_min", "tau_max"]))
+        return key, f"{key} = {draw(bad_float)}"
+    if kind == "bounds":
+        lo, hi = sorted(draw(st.lists(positive, min_size=2, max_size=2)))
+        return "tau_min", f"tau_min = {hi!r}\ntau_max = {lo!r}"
+    if kind == "tau0":
+        tau_max = draw(positive)
+        tau0 = draw(st.floats(tau_max, 2e3, exclude_min=True))
+        return "tau0", f"tau_max = {tau_max!r}\ntau0 = {tau0!r}"
+    key = draw(st.sampled_from(["max_steps", "max_newton", "cadence"]))
+    return key, f"{key} = {draw(st.integers(-10**6, 0))}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(invalid_settings(), st.booleans())
+def test_invalid_config_exits_one_without_traceback(bad, two_d):
+    key, lines = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        out = Path(tmp) / "out"
+        cfg.write_text(config_text({}, out, two_d) + lines + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--config", str(cfg)])
+        assert not out.exists()
+    assert code == 1
+    assert "configuration error" in err.getvalue() and key in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -81,14 +81,8 @@ def parse_domain_spec(text: str) -> dom.ConvexDomain:
 
 
 def domain_spec_string(d: dom.ConvexDomain) -> str:
-    if d.kind == "interval":
-        return f"interval {_fmt(d.lo)} {_fmt(d.hi)}"
-    if d.kind == "ball":
-        c = " ".join(_fmt(x) for x in d.center)
-        return f"ball {c} {_fmt(d.radius)}"
-    q = d.shape
-    return (f"ellipse {_fmt(d.center[0])} {_fmt(d.center[1])} "
-            f"{_fmt(q[0, 0])} {_fmt(q[0, 1])} {_fmt(q[1, 1])}")
+    name, args = d.spec
+    return " ".join([name, *(_fmt(x) for x in args)])
 
 
 _FLOAT_KEYS = {
@@ -334,36 +328,38 @@ def run_command(config_path) -> int:
     return 2
 
 
+# Numbers each oracle reads before the signature.
+_ORACLE_ARITY = {"closed1d": 4, "radial": 3}
+
+
 def oracle_command(args) -> int:
+    try:
+        arity = _ORACLE_ARITY[args.kind]
+        if len(args.params) != arity:
+            raise ValueError(f"{args.kind} needs {arity} numbers before the "
+                             f"signature, got {len(args.params)}")
+        if args.kind == "closed1d":
+            speed, _ = oracles.translator_1d_closed_form(*args.params, args.sig)
+        else:
+            radius, rho, n = args.params
+            if not (n.is_integer() and n >= 1):
+                raise ValueError(f"radial needs a positive integer n, got {n:g}")
+            profile = oracles.translator_radial_shooting(radius, rho, int(n),
+                                                         args.sig, tol=1e-10)
+    except (ValueError, GaussFlowError) as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
+        return 1
     if args.kind == "closed1d":
-        a, b, c, d = args.params[:4]
-        sig = args.sig
-        try:
-            speed, _ = oracles.translator_1d_closed_form(a, b, c, d, sig)
-        except (ValueError, GaussFlowError) as exc:
-            print(f"oracle error: {exc}", file=sys.stderr)
-            return 1
         print(f"C = {speed:.7f}")
         return 0
-    if args.kind == "radial":
-        radius, rho, n = args.params[0], args.params[1], int(args.params[2])
-        sig = args.sig
-        try:
-            profile = oracles.translator_radial_shooting(radius, rho, n, sig,
-                                                         tol=1e-10)
-        except (ValueError, GaussFlowError) as exc:
-            print(f"oracle error: {exc}", file=sys.stderr)
-            return 1
-        print(f"C = {profile.c_speed:.10f}")
-        out = Path(args.out) if args.out else Path("profile.csv")
-        with open(out, "w") as f:
-            f.write("r,phi\n")
-            for rk, pk in zip(profile.radii, profile.phi):
-                f.write(f"{_fmt(rk)},{_fmt(pk)}\n")
-        print(f"profile written to {out}")
-        return 0
-    print(f"unknown oracle kind {args.kind!r}", file=sys.stderr)
-    return 1
+    print(f"C = {profile.c_speed:.10f}")
+    out = Path(args.out) if args.out else Path("profile.csv")
+    with open(out, "w") as f:
+        f.write("r,phi\n")
+        for rk, pk in zip(profile.radii, profile.phi):
+            f.write(f"{_fmt(rk)},{_fmt(pk)}\n")
+    print(f"profile written to {out}")
+    return 0
 
 
 def _check_rows(debug_paper_signs: bool):

@@ -1,18 +1,26 @@
 """Uniformly convex domains described by concave defining functions.
 
-A domain is the set {h > 0} of a smooth concave function h that vanishes
-on the boundary and has Hessian bounded above by -theta * I for a fixed
-theta > 0. Three analytic families are supported: intervals (1D), balls,
-and ellipses (2D, positive definite shape matrix). For balls and
-intervals the gradient of h has unit length on the boundary; for a
-non-circular ellipse no single quadratic achieves that normalization, so
-the scale is chosen to make the largest boundary gradient length equal
-to one and all consumers work with the zero level set and the concavity
-constant only.
+Every domain is one quadric {p : (p - c)^T Q (p - c) < 1} with Q
+symmetric positive definite and defining function
+
+    h(p) = (1 - (p - c)^T Q (p - c)) / scale,  scale = 2 sqrt(lambda_max(Q)),
+
+so that h vanishes on the boundary, the largest boundary gradient has
+unit length, and D2h = -2 Q / scale <= -theta I with
+theta = 2 lambda_min(Q) / scale. Intervals (Q = 4 / (b - a)^2), balls
+(Q = I / rho^2) and ellipses are named constructors of that family; for
+intervals and balls every boundary gradient has unit length.
+
+The radial range (min |p|, max |p|) over a domain is exact: in 1D it is
+read from the two ends, in 2D from the stationary points of |p|^2 on the
+boundary c + Q^{-1/2} (cos t, sin t), a trigonometric polynomial of
+degree 2 whose critical angles are the arguments of the roots of a
+quartic in exp(i t).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,30 +34,52 @@ BOUNDARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ConvexDomain:
-    """A uniformly convex domain with an analytic concave defining function.
+    """The quadric {(p - c)^T Q (p - c) < 1}, with h as in the module docstring.
 
     Use the ``interval``, ``ball`` and ``ellipse`` constructors; the raw
-    initializer is not meant to be called directly.
+    initializer checks its arguments but is not meant to be called
+    directly.
 
     Attributes:
-        kind: "interval", "ball" or "ellipse".
-        dimension: ambient dimension n.
-        theta: uniform concavity constant, D2h <= -theta * I everywhere.
-        center: centroid (ball/ellipse) or midpoint (interval).
+        center: the centre c, shape (n,).
+        shape: the matrix Q, shape (n, n).
+        spec: the constructor's name and arguments, e.g.
+            ``("ball", (0.0, 0.0, 0.5))``, as a config writes them.
     """
 
-    kind: str
-    dimension: int
-    theta: float
     center: np.ndarray
-    # interval
-    lo: float = 0.0
-    hi: float = 0.0
-    # ball
-    radius: float = 0.0
-    # ellipse: h = (1 - (p-c)^T Q (p-c)) / scale
-    shape: np.ndarray = field(default=None, repr=False)
-    scale: float = 1.0
+    shape: np.ndarray = field(repr=False)
+    spec: tuple
+
+    def __post_init__(self):
+        name = self.spec[0]
+        if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.shape))):
+            raise ValueError(f"{name}: center and shape matrix must be finite, "
+                             f"got {self.spec[1]}")
+        if self.shape.shape != (self.dimension, self.dimension):
+            raise ValueError(f"{name}: shape matrix size does not match center")
+        if not np.allclose(self.shape, self.shape.T, atol=1e-14):
+            raise ValueError(f"{name}: shape matrix must be symmetric")
+        if self._eigenvalues[0] <= 0:
+            raise ValueError(f"{name}: shape matrix must be positive definite")
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.shape)
+
+    @property
+    def dimension(self) -> int:
+        return self.center.size
+
+    @cached_property
+    def scale(self) -> float:
+        """2 sqrt(lambda_max(Q)): the largest boundary gradient has unit length."""
+        return 2.0 * np.sqrt(self._eigenvalues[-1])
+
+    @cached_property
+    def theta(self) -> float:
+        """Uniform concavity constant, D2h <= -theta * I everywhere."""
+        return 2.0 * self._eigenvalues[0] / self.scale
 
     @cached_property
     def norm_range(self) -> tuple[float, float]:
@@ -57,53 +87,37 @@ class ConvexDomain:
         return radial_range(self)
 
     @staticmethod
+    def _quadric(center, shape, name: str, args) -> "ConvexDomain":
+        return ConvexDomain(
+            center=np.atleast_1d(np.asarray(center, dtype=float)),
+            shape=np.atleast_2d(np.asarray(shape, dtype=float)),
+            spec=(name, tuple(float(x) for x in args)),
+        )
+
+    @staticmethod
     def interval(a: float, b: float) -> "ConvexDomain":
         if not b > a:
             raise ValueError(f"interval needs a < b, got ({a}, {b})")
-        return ConvexDomain(
-            kind="interval",
-            dimension=1,
-            theta=2.0 / (b - a),
-            center=np.array([0.5 * (a + b)]),
-            lo=float(a),
-            hi=float(b),
-        )
+        with np.errstate(all="ignore"):  # an overflow fails the finiteness check
+            shape = [[4.0 / (np.float64(b) - a) ** 2]]
+        return ConvexDomain._quadric([0.5 * (a + b)], shape, "interval", (a, b))
 
     @staticmethod
     def ball(center, radius: float) -> "ConvexDomain":
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if not radius > 0:
             raise ValueError(f"ball needs radius > 0, got {radius}")
-        return ConvexDomain(
-            kind="ball",
-            dimension=center.size,
-            theta=1.0 / radius,
-            center=center,
-            radius=float(radius),
-        )
+        with np.errstate(all="ignore"):  # an overflow fails the finiteness check
+            shape = np.eye(center.size) / np.float64(radius) ** 2
+        return ConvexDomain._quadric(center, shape, "ball", (*center, radius))
 
     @staticmethod
     def ellipse(center, shape) -> "ConvexDomain":
         """Ellipse {p : (p-c)^T Q (p-c) < 1} for positive definite Q."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        shape = np.asarray(shape, dtype=float)
-        if shape.shape != (center.size, center.size):
-            raise ValueError("shape matrix size does not match center")
-        if not np.allclose(shape, shape.T, atol=1e-14):
-            raise ValueError("shape matrix must be symmetric")
-        evals = np.linalg.eigvalsh(shape)
-        if evals[0] <= 0:
-            raise ValueError("shape matrix must be positive definite")
-        # scale normalizes the largest boundary gradient to unit length
-        scale = 2.0 * np.sqrt(evals[-1])
-        return ConvexDomain(
-            kind="ellipse",
-            dimension=center.size,
-            theta=2.0 * evals[0] / scale,
-            center=center,
-            shape=shape,
-            scale=scale,
-        )
+        shape = np.atleast_2d(np.asarray(shape, dtype=float))
+        return ConvexDomain._quadric(center, shape, "ellipse",
+                                     (*center, *shape[np.triu_indices(len(shape))]))
 
 
 def defining_jet(domain: ConvexDomain, p) -> tuple[float, np.ndarray, np.ndarray]:
@@ -112,27 +126,8 @@ def defining_jet(domain: ConvexDomain, p) -> tuple[float, np.ndarray, np.ndarray
     Total function: p may lie inside, on, or outside the domain.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if domain.kind == "interval":
-        a, b = domain.lo, domain.hi
-        x = p[0]
-        h = (b - x) * (x - a) / (b - a)
-        dh = np.array([(a + b - 2.0 * x) / (b - a)])
-        d2h = np.array([[-2.0 / (b - a)]])
-        return h, dh, d2h
-    if domain.kind == "ball":
-        d = p - domain.center
-        rho = domain.radius
-        h = (rho * rho - d @ d) / (2.0 * rho)
-        dh = -d / rho
-        d2h = -np.eye(domain.dimension) / rho
-        return h, dh, d2h
-    # ellipse
-    d = p - domain.center
-    q = domain.shape @ d
-    h = (1.0 - d @ q) / domain.scale
-    dh = -2.0 * q / domain.scale
-    d2h = -2.0 * domain.shape / domain.scale
-    return h, dh, d2h
+    h, dh = defining_jet_many(domain, p[None, :])
+    return h[0], dh[0], -2.0 * domain.shape / domain.scale
 
 
 def defining_jet_many(domain: ConvexDomain, pts: np.ndarray):
@@ -141,24 +136,9 @@ def defining_jet_many(domain: ConvexDomain, pts: np.ndarray):
     Returns (h (N,), dh (N, n)); the Hessian is constant per domain and
     available from ``defining_jet``.
     """
-    pts = np.asarray(pts, dtype=float)
-    if domain.kind == "interval":
-        a, b = domain.lo, domain.hi
-        x = pts[:, 0]
-        h = (b - x) * (x - a) / (b - a)
-        dh = ((a + b - 2.0 * x) / (b - a))[:, None]
-        return h, dh
-    if domain.kind == "ball":
-        d = pts - domain.center
-        rho = domain.radius
-        h = (rho * rho - np.sum(d * d, axis=1)) / (2.0 * rho)
-        dh = -d / rho
-        return h, dh
-    d = pts - domain.center
+    d = np.asarray(pts, dtype=float) - domain.center
     q = d @ domain.shape
-    h = (1.0 - np.sum(d * q, axis=1)) / domain.scale
-    dh = -2.0 * q / domain.scale
-    return h, dh
+    return (1.0 - np.sum(d * q, axis=1)) / domain.scale, -2.0 * q / domain.scale
 
 
 def inward_normal(domain: ConvexDomain, q) -> np.ndarray:
@@ -181,48 +161,42 @@ def inward_normal_many(domain: ConvexDomain, pts: np.ndarray) -> np.ndarray:
 
 
 def interval_ends(domain: ConvexDomain) -> tuple[float, float]:
-    """(lo, hi) of a 1D domain: an interval's ends or a 1D ball's centre -+ radius."""
-    if domain.kind == "interval":
-        return domain.lo, domain.hi
-    if domain.kind == "ball" and domain.dimension == 1:
-        return domain.center[0] - domain.radius, domain.center[0] + domain.radius
-    raise ValueError(f"a {domain.dimension}D {domain.kind} is not an interval")
+    """(lo, hi) = c -+ Q^{-1/2} of a 1D domain."""
+    if domain.dimension != 1:
+        raise ValueError(f"a {domain.dimension}D {domain.spec[0]} is not an interval")
+    half = 1.0 / math.sqrt(domain.shape[0, 0])
+    c = float(domain.center[0])
+    return c - half, c + half
 
 
-def boundary_points(domain: ConvexDomain, count: int = 256) -> np.ndarray:
-    """Sample points exactly on the zero level set, shape (count, n)."""
-    if domain.dimension == 1:
-        return np.array(interval_ends(domain))[:, None]
-    angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    if domain.kind == "ball":
-        if domain.dimension != 2:
-            raise ValueError("boundary sampling implemented for n <= 2 only")
-        return domain.center + domain.radius * ring
-    # ellipse boundary = c + Q^{-1/2} * unit circle
-    root_inv = spd_inv_sqrt(domain.shape)
-    return domain.center + ring @ root_inv.T
+def radial_range(domain: ConvexDomain) -> tuple[float, float]:
+    """(min |p|, max |p|) over the closed domain, exact up to rounding.
 
-
-def radial_range(domain: ConvexDomain, samples: int = 4096) -> tuple[float, float]:
-    """(min |p|, max |p|) over the closed domain.
-
-    Exact for intervals and balls; the ellipse extremes are taken over a
-    dense boundary sample, which is adequate for the monitor constants
-    these feed.
+    The extremes over the boundary are taken at its ends in 1D and, in
+    2D, at t = 0 and at the argument of every root of the quartic
+    z^2 d/dt |c + A e(t)|^2 in z = exp(i t), with A = Q^{-1/2} and
+    e(t) = (cos t, sin t). A root off the unit circle still names a
+    boundary point, so no candidate overshoots the true range. The
+    minimum is 0 when the origin lies in the closed domain.
     """
-    if domain.kind == "interval":
-        lo, hi = domain.lo, domain.hi
-        mx = max(abs(lo), abs(hi))
-        mn = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-        return mn, mx
-    if domain.kind == "ball":
-        c = np.linalg.norm(domain.center)
-        return max(0.0, c - domain.radius), c + domain.radius
-    pts = boundary_points(domain, samples)
+    if domain.dimension == 1:
+        pts = np.array(interval_ends(domain))[:, None]
+    elif domain.dimension == 2:
+        a_mat = spd_inv_sqrt(domain.shape)
+        m = a_mat @ a_mat
+        # |p|^2 = const + a1 cos t + b1 sin t + a2 cos 2t + b2 sin 2t
+        a1, b1 = 2.0 * (a_mat @ domain.center)
+        a2, b2 = 0.5 * (m[0, 0] - m[1, 1]), m[0, 1]
+        roots = np.roots([b2 + 1j * a2, 0.5 * (b1 + 1j * a1), 0.0,
+                          0.5 * (b1 - 1j * a1), b2 - 1j * a2])
+        angles = np.concatenate([[0.0], np.angle(roots)])
+        ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        pts = domain.center + ring @ a_mat.T
+    else:
+        raise ValueError(f"radial range needs n <= 2, got a {domain.dimension}D domain")
     norms = np.linalg.norm(pts, axis=1)
-    h0, _, _ = defining_jet(domain, np.zeros(domain.dimension))
-    mn = 0.0 if h0 >= 0.0 else float(norms.min())
+    h0, _ = defining_jet_many(domain, np.zeros((1, domain.dimension)))
+    mn = 0.0 if h0[0] >= 0.0 else float(norms.min())
     return mn, float(norms.max())
 
 
@@ -240,30 +214,19 @@ def spd_inv_sqrt(m: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
-def ellipse_shape_matrix(domain: ConvexDomain) -> np.ndarray:
-    """Shape matrix Q with domain = {(p-c)^T Q (p-c) < 1}."""
-    if domain.kind == "interval":
-        half = 0.5 * (domain.hi - domain.lo)
-        return np.array([[1.0 / half**2]])
-    if domain.kind == "ball":
-        return np.eye(domain.dimension) / domain.radius**2
-    return domain.shape.copy()
-
-
 def spd_affine_map(src: ConvexDomain, dst: ConvexDomain):
     """The unique SPD matrix A and shift s with A*src + s = dst as sets.
 
-    Intervals, balls and ellipses are all affine images of one another in
-    matching dimension: with shape matrices P (src) and Q (dst), A solves
-    A Q A = P, i.e. A = Q^{-1/2} (Q^{1/2} P Q^{1/2})^{1/2} Q^{-1/2}.
+    Every domain is a quadric, and quadrics of matching dimension are
+    affine images of one another: with shape matrices P (src) and Q
+    (dst), A solves A Q A = P, i.e.
+    A = Q^{-1/2} (Q^{1/2} P Q^{1/2})^{1/2} Q^{-1/2}.
     """
     if src.dimension != dst.dimension:
         raise ValueError("domains have mismatched dimensions")
-    p_mat = ellipse_shape_matrix(src)
-    q_mat = ellipse_shape_matrix(dst)
-    q_root = spd_sqrt(q_mat)
-    q_root_inv = spd_inv_sqrt(q_mat)
-    a_mat = q_root_inv @ spd_sqrt(q_root @ p_mat @ q_root) @ q_root_inv
+    q_root = spd_sqrt(dst.shape)
+    q_root_inv = spd_inv_sqrt(dst.shape)
+    a_mat = q_root_inv @ spd_sqrt(q_root @ src.shape @ q_root) @ q_root_inv
     a_mat = 0.5 * (a_mat + a_mat.T)
     shift = dst.center - a_mat @ src.center
     return a_mat, shift

@@ -22,12 +22,15 @@ ordering: natural for the banded 1D Jacobian, minimum degree on
 A^T + A in 2D, which cuts fill against the default COLAMD.
 
 Newton accepts an iterate once the residual max-norm is at most
-max(tol_newton, eps ||J||_inf ||u||_inf), from the attempt's first
-Jacobian J and iterate u. The second term is the backward-error floor
-of evaluating the residual on the stencils: interior rows of J are
+max(tol_newton, eps ||J||_inf ||u||_inf), taken at every fresh
+factorization from its Jacobian J and iterate u and never lowered
+within the attempt. The second term is the backward-error floor of
+evaluating the residual on the stencils: interior rows of J are
 I - tau (G_p D1 + G_r : D2), so the floor grows with tau and the 1/h^2
 of the Hessian stencils, and at large tau it lies above the default
-tol_newton. A tol_newton below the floor is met at the floor. Short of
+tol_newton. Since ||u||_inf can grow by about tau C_inf over a step, a
+floor taken only at the first iterate would be too low at a large
+first tau. A tol_newton below the floor is met at the floor. Short of
 acceptance, every iterate must at least halve the residual max-norm (a
 contraction monitor in the sense of Deuflhard). An attempt factors its
 Jacobian once, at its first iterate, and later iterates reuse the
@@ -78,9 +81,10 @@ class StepControls:
     """Newton and step-size policy. All values overridable per run.
 
     ``tol_newton`` bounds the Newton residual max-norm from below by the
-    attempt's roundoff floor (``_roundoff_floor``): a value under the
-    floor, 1e-30 say, is met at the floor, so it cannot force a Newton
-    failure; ``max_newton = 1`` from a guess that misses it does.
+    attempt's roundoff floor (``_roundoff_floor``, the largest over its
+    fresh factorizations): a value under the floor, 1e-30 say, is met at
+    the floor, so it cannot force a Newton failure; ``max_newton = 1``
+    from a guess that misses it does.
     """
 
     tol_newton: float = 1e-10
@@ -152,19 +156,18 @@ def build_grid(omega: dom.ConvexDomain, grid_spec):
         return LineGrid(*dom.interval_ends(omega), int(grid_spec))
     if omega.dimension != 2:
         raise ValueError("full grids support n <= 2; use the radial oracle beyond")
-    shape = dom.ellipse_shape_matrix(omega)
-    a_map = dom.spd_inv_sqrt(shape)
     n_rho, n_theta = grid_spec
-    return MappedDiskGrid(a_map, omega.center, int(n_rho), int(n_theta))
+    return MappedDiskGrid(dom.spd_inv_sqrt(omega.shape), omega.center,
+                          int(n_rho), int(n_theta))
 
 
 def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
                grid_spec, sig: str) -> FlowState:
     """Initial state with the exact affine-compatible quadratic.
 
-    Every supported domain pair (intervals, balls, ellipses of matching
-    dimension) is the image of the other under a unique SPD affine map,
-    so u0(x) = 0.5 (x - c)^T A (x - c) + c_tilde . x always realizes
+    Any two quadrics of matching dimension are images of one another
+    under a unique SPD affine map, so
+    u0(x) = 0.5 (x - c)^T A (x - c) + c_tilde . x always realizes
     Du0(Omega) = Omega_tilde exactly and is uniformly convex.
     """
     if omega.dimension != omega_tilde.dimension:
@@ -267,9 +270,10 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     last residual evaluation computed.
 
     An iterate is accepted when its residual max-norm is at most
-    max(tol_newton, floor), with floor = ``_roundoff_floor`` of the
-    first Jacobian and the first iterate: below the floor the residual
-    only wanders, so a tol_newton under it is met at the floor.
+    max(tol_newton, floor), with floor the largest ``_roundoff_floor``
+    of the Jacobian and iterate at any fresh factorization so far: below
+    the floor the residual only wanders, so a tol_newton under it is met
+    at the floor.
 
     Chord Newton: the Jacobian is factored at the first iterate and the
     factor is reused by later iterates. Every iterate must at least
@@ -302,8 +306,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
         fresh = lu is None
         if fresh:
             jac = _jacobian(state, p, r, tau)
-            if it == 1:
-                tol = max(tol, _roundoff_floor(jac, u))
+            tol = max(tol, _roundoff_floor(jac, u))
             try:
                 lu = splu(jac, permc_spec=state.grid.column_ordering)
             except RuntimeError:  # exactly singular Jacobian

@@ -175,11 +175,6 @@ def legendre_transform(u: np.ndarray, grid):
     return y, u_tilde
 
 
-def dual_hessians(r: np.ndarray) -> np.ndarray:
-    """Dual Hessians at matched points: inverses of the primal Hessians."""
-    return np.linalg.inv(r)
-
-
 def structure_report(state, sig: str | None = None) -> StructureReport:
     """Evaluate the operator structure constants over a flow state.
 

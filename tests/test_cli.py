@@ -34,7 +34,8 @@ class TestConfigParsing:
                      "ellipse 0 0 6.25 0 16"):
             d = cli.parse_domain_spec(text)
             again = cli.parse_domain_spec(cli.domain_spec_string(d))
-            assert d.kind == again.kind
+            assert d.spec == again.spec
+            assert d.spec[0] == text.split()[0]
             assert np.allclose(d.center, again.center)
 
     def test_missing_key(self, tmp_path):
@@ -90,6 +91,26 @@ class TestStepControlValidation:
         assert cli.main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("omega, omega_tilde, grid", [
+        ("ball 0 0 1", "ball nan 0 0.5", "n_rho = 8\nn_theta = 16"),
+        ("ball 0 0 1", "ellipse 0 0 inf 0 1", "n_rho = 8\nn_theta = 16"),
+        ("ball 0 inf 1", "ball 0 0 0.5", "n_rho = 8\nn_theta = 16"),
+        ("interval 0 1", "interval -0.5 inf", "n = 20"),
+    ])
+    def test_non_finite_domain_exits_one(self, tmp_path, capsys, recwarn,
+                                         omega, omega_tilde, grid):
+        cfg = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"signature = minkowski\nomega = {omega}\n"
+                       f"omega_tilde = {omega_tilde}\n{grid}\n"
+                       f"output_dir = {out}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "must be finite" in err
+        assert "Traceback" not in err
+        assert not [str(w.message) for w in recwarn]
         assert not out.exists()
 
     def test_last_node_is_a_valid_anchor(self, tmp_path):
@@ -263,6 +284,25 @@ class TestOracleCommand:
         assert cli.main(["oracle", "closed1d", "0", "1", "-1.5", "0.5",
                          "minkowski"]) == 1
         assert "oracle error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, message", [
+        (["closed1d", "0", "1"], "closed1d needs 4 numbers"),
+        (["closed1d", "0", "1", "-0.5", "0.5", "0.7"], "closed1d needs 4 numbers"),
+        (["radial", "1", "0.5"], "radial needs 3 numbers"),
+        (["radial", "1", "0.5", "2", "2"], "radial needs 3 numbers"),
+        (["radial", "1", "0.5", "nan"], "radial needs a positive integer n"),
+        (["radial", "1", "0.5", "2.7"], "radial needs a positive integer n"),
+        (["radial", "1", "0.5", "0"], "radial needs a positive integer n"),
+    ])
+    def test_malformed_arguments_exit_one(self, tmp_path, capsys, params,
+                                          message):
+        out = tmp_path / "prof.csv"
+        assert cli.main(["oracle", *params, "minkowski",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"oracle error: {message}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestCheckCommand:

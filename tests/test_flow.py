@@ -195,12 +195,12 @@ class TestNewtonStagnation:
 
     def test_stall_above_the_floor_ends_at_the_stagnation_exit(
             self, counted_splu, monkeypatch):
-        # a first step at tau = 1000 from u0: the residual stalls three
-        # orders above the floor of the attempt's first Jacobian and
-        # iterate, so the floor does not accept it and the attempt fails
-        # once a fresh factor no longer halves the residual
+        # a guess far from the step's solution: the first full step with
+        # a fresh factor fails to halve a residual eight orders above the
+        # floor, so the floor does not accept it and the attempt fails
         state, _, _ = perturbed_state("disk-ball")
-        tau = 1e3
+        tau = 1e-3
+        guess = state.u + 0.1 * np.cos(3.0 * state.grid.nodes[:, 0] + 0.3)
         norms = []
         residual = flow._residual
 
@@ -209,17 +209,43 @@ class TestNewtonStagnation:
             norms.append(np.max(np.abs(out[0])))
             return out
 
-        _, p, r = residual(state, state.u, state.u, tau)
-        floor = flow._roundoff_floor(flow._jacobian(state, p, r, tau), state.u)
+        _, p, r = residual(state, guess, state.u, tau)
+        floor = flow._roundoff_floor(flow._jacobian(state, p, r, tau), guess)
         monkeypatch.setattr(flow, "_residual", recorded)
         controls = StepControls()
-        assert flow._newton_solve(state, state.u, state.u, tau,
+        assert flow._newton_solve(state, state.u, guess, tau,
                                   controls) is None
         assert 1 <= counted_splu["factor"] <= 3
         assert len(norms) < controls.max_newton
         assert np.all(np.isfinite(norms))
         assert norms[-1] > flow.STAGNATION_RATIO * norms[-2]
         assert min(norms) > 100 * max(floor, controls.tol_newton)
+
+    def test_large_first_tau_is_accepted_at_the_refreshed_floor(
+            self, counted_splu, monkeypatch):
+        # a first step at tau = 1000 from u0 moves u by about tau C, so
+        # the floor of the first iterate is three orders too low: the
+        # residual stalls near 5e-8, above it. The floor taken again at
+        # the refactorization accepts the step, with no tau halving.
+        state, _, _ = perturbed_state("disk-ball")
+        controls = StepControls(tau0=1e3, tau_max=1e3)
+        _, p, r = flow._residual(state, state.u, state.u, 1e3)
+        first_floor = flow._roundoff_floor(flow._jacobian(state, p, r, 1e3),
+                                           state.u)
+        floors = []
+        roundoff_floor = flow._roundoff_floor
+
+        def recorded(jac, u):
+            floors.append(roundoff_floor(jac, u))
+            return floors[-1]
+
+        monkeypatch.setattr(flow, "_roundoff_floor", recorded)
+        new = step_implicit(state, controls)
+        assert new.t == 1e3
+        assert counted_splu["factor"] == 2
+        assert floors[0] == first_floor
+        res, _, _ = flow._residual(state, new.u, state.u, 1e3)
+        assert 100 * first_floor < np.max(np.abs(res)) <= floors[-1]
 
     def test_step_failure_message_unchanged(self):
         # one Newton iteration from a guess that misses tol_newton: every

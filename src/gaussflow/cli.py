@@ -314,6 +314,7 @@ def run_command(config_path) -> int:
     except NonConvergenceError as exc:
         message = str(exc)
         state = monitor.last_state
+    monitor.finish()
     c_inf = result.c_inf if result else mean_rate(state)
 
     write_monitors_csv(out / "monitors.csv", monitor.records)

@@ -32,7 +32,7 @@ from .errors import BoundaryMembershipError
 BOUNDARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexDomain:
     """The quadric {(p - c)^T Q (p - c) < 1}, with h as in the module docstring.
 
@@ -45,6 +45,9 @@ class ConvexDomain:
         shape: the matrix Q, shape (n, n).
         spec: the constructor's name and arguments, e.g.
             ``("ball", (0.0, 0.0, 0.5))``, as a config writes them.
+
+    Two domains are equal when their centres and shape matrices are, so
+    the same quadric compares equal whichever constructor built it.
     """
 
     center: np.ndarray
@@ -62,6 +65,16 @@ class ConvexDomain:
             raise ValueError(f"{name}: shape matrix must be symmetric")
         if self._eigenvalues[0] <= 0:
             raise ValueError(f"{name}: shape matrix must be positive definite")
+
+    def __eq__(self, other):
+        if not isinstance(other, ConvexDomain):
+            return NotImplemented
+        return (np.array_equal(self.center, other.center)
+                and np.array_equal(self.shape, other.shape))
+
+    def __hash__(self):
+        # equal floats hash equally (0.0 and -0.0 too), as array_equal needs
+        return hash((tuple(self.center.tolist()), tuple(self.shape.ravel().tolist())))
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:

@@ -19,7 +19,11 @@ of the identity and every stencil, built on first use) by scattering
 per-row weights times stencil values into its data array; no sparse
 products are formed. It is factored by sparse LU in the grid's column
 ordering: natural for the banded 1D Jacobian, minimum degree on
-A^T + A in 2D, which cuts fill against the default COLAMD.
+A^T + A in 2D, which cuts fill against the default COLAMD. SuperLU runs
+in symmetric mode with a diagonal pivot threshold of 0.01, so the
+pivots stay on the diagonal and the row order is the column order; the
+default partial pivoting swaps rows and so adds fill beyond what the
+ordering allows.
 
 Newton accepts an iterate once the residual max-norm is at most
 max(tol_newton, eps ||J||_inf ||u||_inf), taken at every fresh
@@ -30,16 +34,26 @@ I - tau (G_p D1 + G_r : D2), so the floor grows with tau and the 1/h^2
 of the Hessian stencils, and at large tau it lies above the default
 tol_newton. Since ||u||_inf can grow by about tau C_inf over a step, a
 floor taken only at the first iterate would be too low at a large
-first tau. A tol_newton below the floor is met at the floor. Short of
-acceptance, every iterate must at least halve the residual max-norm (a
-contraction monitor in the sense of Deuflhard). An attempt factors its
-Jacobian once, at its first iterate, and later iterates reuse the
-factor (chord Newton): at 32 x 64 one factorization costs as much as
-25-30 solves with it. When a step with the reused factor fails to
-halve the residual, the Jacobian is refactored at the current iterate;
-when a step with a fresh factor fails, the attempt is abandoned and
-the caller halves tau after two or three solves, not max_newton. The
-factor never outlives its attempt, since tau changes between attempts.
+first tau; an iterate that meets the floor raised at its own Jacobian
+is accepted before that Jacobian is factored. A tol_newton below the
+floor is met at the floor. Short of acceptance, every iterate must at
+least halve the residual max-norm (a contraction monitor in the sense
+of Deuflhard). An attempt factors its Jacobian once, at its first
+iterate, and later iterates reuse the factor (chord Newton): at
+32 x 64 one factorization costs as much as about 25 solves with it.
+When a step with the reused factor fails to halve the residual, the
+Jacobian is refactored at the current iterate; when a step with a
+fresh factor fails, the attempt is abandoned and the caller halves
+tau after two or three solves, not max_newton. The factor never
+outlives its attempt, since tau changes between attempts.
+
+Step control is pseudo-transient continuation (Kelley and Keyes, 1998)
+from tau0 = 0.1 h^2: tau triples (TAU_GROWTH) after an attempt that
+converged in at most 4 Newton iterations, up to tau_max, and halves
+after a failed one. The flow is wanted only for its long-time limit,
+so the ramp up from tau0 is pure cost: on the benchmark problems
+tripling takes 45 % fewer steps than growing by 1.5, with no failed
+attempt either way.
 
 The long-time limit is a translator: u(x, t) -> u_inf(x) + C_inf t. The
 run loop declares convergence when the nodewise rate field u_dot has
@@ -74,6 +88,10 @@ from .operators import g_derivatives_many, g_value_many
 # A Newton attempt is abandoned once the residual max-norm fails to drop
 # below this fraction of the previous iterate's (contraction monitor).
 STAGNATION_RATIO = 0.5
+
+# Factor by which tau grows after an attempt that converged in <= 4
+# Newton iterations.
+TAU_GROWTH = 3.0
 
 
 @dataclass
@@ -262,6 +280,18 @@ def _roundoff_floor(jac, u: np.ndarray) -> float:
     return float(np.finfo(float).eps * np.max(rows) * np.max(np.abs(u)))
 
 
+def _factor(jac, grid):
+    """Sparse LU of a Newton Jacobian in the grid's column ordering.
+
+    SuperLU's symmetric mode with a diagonal pivot threshold of 0.01
+    keeps the pivots on the diagonal wherever they are not tiny, so the
+    row order follows the symmetric fill-reducing column order (MMD on
+    A^T + A in 2D) instead of breaking it with partial pivoting.
+    """
+    return splu(jac, permc_spec=grid.column_ordering, diag_pivot_thresh=0.01,
+                options=dict(SymmetricMode=True))
+
+
 def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
                   tau: float, controls: StepControls):
     """Return (u, iterations, p, r) or None if Newton failed for this tau.
@@ -273,7 +303,8 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     max(tol_newton, floor), with floor the largest ``_roundoff_floor``
     of the Jacobian and iterate at any fresh factorization so far: below
     the floor the residual only wanders, so a tol_newton under it is met
-    at the floor.
+    at the floor. The floor is raised before the Jacobian is factored,
+    and an iterate that meets the raised floor is returned unfactored.
 
     Chord Newton: the Jacobian is factored at the first iterate and the
     factor is reused by later iterates. Every iterate must at least
@@ -307,8 +338,10 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
         if fresh:
             jac = _jacobian(state, p, r, tau)
             tol = max(tol, _roundoff_floor(jac, u))
+            if rn <= tol:
+                return u, it, p, r
             try:
-                lu = splu(jac, permc_spec=state.grid.column_ordering)
+                lu = _factor(jac, state.grid)
             except RuntimeError:  # exactly singular Jacobian
                 return None
         delta = lu.solve(res)
@@ -331,8 +364,8 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     Newton failure (divergence, a non-finite or spacelike-violating
     iterate, or a residual that stops halving per iteration) or an
     inadmissible candidate halves tau and retries; quick Newton
-    convergence (<= 4 iterations) grows the next tau by 1.5 up to
-    tau_max. Underflow below tau_min, or a tau too small to advance t,
+    convergence (<= 4 iterations) grows the next tau by TAU_GROWTH up
+    to tau_max. Underflow below tau_min, or a tau too small to advance t,
     raises StepFailureError; a starting tau that is not finite and
     positive raises ValueError, so no step is accepted backwards in time.
     The accepted state's jets start with the gradient and Hessian of
@@ -365,7 +398,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
                 f"(t = {state.t:.6g}, step {state.steps})"
             )
     u_dot = (u_new - u_prev) / tau
-    tau_next = min(tau * 1.5, controls.tau_max) if iters <= 4 else tau
+    tau_next = min(tau * TAU_GROWTH, controls.tau_max) if iters <= 4 else tau
     new = replace(
         state, u=u_new, t=state.t + tau, u_dot=u_dot, tau=tau_next,
         steps=state.steps + 1, tau_max=controls.tau_max, newton_iters=iters,

@@ -177,7 +177,7 @@ def curvature_matrix_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     """Curvature matrix a = (1/v) b r b at each node, shape (N, n, n)."""
     v = v_many(p, sig)
     b = _root_metric_up(p, v, -signature_eps(sig))
-    a = np.einsum("nik,nkl,nlj->nij", b, r, b) / v[:, None, None]
+    a = b @ r @ b / v[:, None, None]
     return 0.5 * (a + np.swapaxes(a, 1, 2))
 
 

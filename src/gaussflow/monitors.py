@@ -216,10 +216,13 @@ class RunMonitor:
     """Collects audited records along a run.
 
     Call ``observe(state)`` after each accepted step (it is shaped as the
-    run loop's on_accept hook). A full record is appended every
-    ``cadence`` steps; eps0 tracks the parabolic boundary at every step
-    regardless. The initial state is recorded at construction, so a run
-    of S steps at cadence c yields 1 + floor(S / c) rows.
+    run loop's on_accept hook) and ``finish()`` once the run has ended,
+    converged or not. A full record is appended every ``cadence`` steps;
+    eps0 tracks the parabolic boundary at every step regardless. The
+    initial state is recorded at construction and ``finish`` records the
+    last observed state unless it is already the last row, so a run of S
+    steps at cadence c yields 1 + ceil(S / c) rows, the last of them the
+    final state.
     """
 
     def __init__(self, state0, cadence: int = 1, tau_max: float = 1.0,
@@ -250,6 +253,11 @@ class RunMonitor:
         )
         if self._seen % self.cadence == 0:
             self._record(state)
+
+    def finish(self):
+        """Record the last observed state unless it is the last row."""
+        if self._seen % self.cadence:
+            self._record(self._last)
 
     def _record(self, state):
         self._window.append(state.copy())

@@ -38,6 +38,14 @@ class TestConfigParsing:
             assert d.spec[0] == text.split()[0]
             assert np.allclose(d.center, again.center)
 
+    def test_parsed_domains_compare_by_value(self):
+        d = cli.parse_domain_spec("ball 0 0 0.5")
+        assert d == cli.parse_domain_spec("ball 0 0 0.5")
+        assert hash(d) == hash(cli.parse_domain_spec("ball 0 0 0.5"))
+        assert d != cli.parse_domain_spec("ball 0 0 0.4")
+        assert len({d, cli.parse_domain_spec("ball 0 0 0.5"),
+                    cli.parse_domain_spec("ball 0 0 0.4")}) == 2
+
     def test_missing_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("signature = minkowski\nomega = interval 0 1\n")
@@ -133,11 +141,12 @@ class TestRunCommand:
         lines = (out / "monitors.csv").read_text().splitlines()
         header = lines[0].split(",")
         assert header == list(cli.mon.CSV_COLUMNS)
-        # cadence 2: rows = 1 + floor(steps / 2); steps recoverable from report
+        # cadence 2: rows = 1 + ceil(steps / 2), the last one the final
+        # state; steps recoverable from report
         report = (out / "report.txt").read_text()
         steps = int(next(ln for ln in report.splitlines()
                          if ln.startswith("steps")).split(":")[1])
-        assert len(lines) - 1 == 1 + steps // 2
+        assert len(lines) - 1 == 1 + -(-steps // 2)
 
     def test_snapshot_roundtrip_bit_exact(self, finished_run):
         _, out = finished_run
@@ -208,10 +217,11 @@ class TestRunCommand:
         assert np.array_equal(u, last.u)
         rows = (out / "fields.csv").read_text().splitlines()[1:]
         assert [float(ln.split(",")[2]) for ln in rows] == list(last.u)
-        # 1 + floor(5 / 3) records: the last one is step 3, not step 5
+        # 1 + ceil(5 / 3) records: steps 0 and 3 at the cadence, then the
+        # final state, step 5
         records = (out / "monitors.csv").read_text().splitlines()[1:]
-        assert len(records) == 2
-        assert float(records[-1].split(",")[0]) < last.t
+        assert len(records) == 3
+        assert float(records[-1].split(",")[0]) == last.t
 
     def test_nonconverged_c_inf_is_interior_mean_rate(self, tmp_path):
         out, last = self._nonconverged_run(tmp_path)

@@ -134,6 +134,24 @@ class TestJacobian:
             fill[spec] = lu.L.nnz + lu.U.nnz
         assert fill[state.grid.column_ordering] == min(fill.values())
 
+    def test_factor_pivots_on_the_diagonal(self):
+        # ball onto ellipse at 24 x 48, tau = 1: partial pivoting swaps
+        # rows of this Jacobian (perm_r != perm_c) and adds fill beyond
+        # the MMD order; the threshold keeps every pivot on the diagonal
+        state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
+                                dom.ConvexDomain.ellipse([0, 0], np.diag([6.25, 16.0])),
+                                (24, 48), MINKOWSKI)
+        _, p, r = flow._residual(state, state.u, state.u, 1.0)
+        jac = flow._jacobian(state, p, r, 1.0)
+        lu = flow._factor(jac, state.grid)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        partial = splu(jac, permc_spec=state.grid.column_ordering)
+        assert not np.array_equal(partial.perm_r, partial.perm_c)
+        assert lu.L.nnz + lu.U.nnz < partial.L.nnz + partial.U.nnz
+        rhs = np.sin(np.arange(jac.shape[0]))
+        x = lu.solve(rhs)
+        assert np.linalg.norm(jac @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
 
 def plain_newton(state, u_prev, guess, tau, controls):
     """Newton without the stagnation exit: (u, iterations) or None."""
@@ -226,7 +244,8 @@ class TestNewtonStagnation:
         # a first step at tau = 1000 from u0 moves u by about tau C, so
         # the floor of the first iterate is three orders too low: the
         # residual stalls near 5e-8, above it. The floor taken again at
-        # the refactorization accepts the step, with no tau halving.
+        # the stalled iterate's Jacobian accepts the step before that
+        # Jacobian is factored, with no tau halving.
         state, _, _ = perturbed_state("disk-ball")
         controls = StepControls(tau0=1e3, tau_max=1e3)
         _, p, r = flow._residual(state, state.u, state.u, 1e3)
@@ -242,10 +261,31 @@ class TestNewtonStagnation:
         monkeypatch.setattr(flow, "_roundoff_floor", recorded)
         new = step_implicit(state, controls)
         assert new.t == 1e3
-        assert counted_splu["factor"] == 2
+        assert counted_splu["factor"] == 1
         assert floors[0] == first_floor
         res, _, _ = flow._residual(state, new.u, state.u, 1e3)
         assert 100 * first_floor < np.max(np.abs(res)) <= floors[-1]
+
+    def test_iterate_within_the_raised_floor_is_not_factored(
+            self, counted_splu, monkeypatch):
+        # the same tau = 1000 first step: the second Jacobian, assembled
+        # at the stalled iterate, raises the floor above that iterate's
+        # residual, so the iterate is returned as it is; factoring that
+        # Jacobian and solving once more would only cost a factorization
+        state, _, _ = perturbed_state("disk-ball")
+        iterates = []
+        roundoff_floor = flow._roundoff_floor
+
+        def recorded(jac, u):
+            iterates.append(u.copy())
+            return roundoff_floor(jac, u)
+
+        monkeypatch.setattr(flow, "_roundoff_floor", recorded)
+        got = flow._newton_solve(state, state.u, state.u, 1e3, StepControls())
+        assert got is not None
+        assert len(iterates) == 2
+        assert counted_splu["factor"] == len(iterates) - 1
+        assert np.array_equal(got[0], iterates[-1])
 
     def test_step_failure_message_unchanged(self):
         # one Newton iteration from a guess that misses tol_newton: every
@@ -491,7 +531,7 @@ class TestStepImplicit:
         state = flow.initialize(om, ot, 101, MINKOWSKI)
         state = dataclasses.replace(state, tau=1e-6)
         new = step_implicit(state, StepControls())
-        assert new.tau == pytest.approx(1.5e-6)
+        assert new.tau == pytest.approx(1e-6 * flow.TAU_GROWTH)
 
 
 class TestStepExplicit:

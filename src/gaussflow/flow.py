@@ -44,8 +44,19 @@ iterate, and later iterates reuse the factor (chord Newton): at
 When a step with the reused factor fails to halve the residual, the
 Jacobian is refactored at the current iterate; when a step with a
 fresh factor fails, the attempt is abandoned and the caller halves
-tau after two or three solves, not max_newton. The factor never
-outlives its attempt, since tau changes between attempts.
+tau after two or three solves, not max_newton.
+
+A factor outlives its attempt only at the ceiling tau = tau_max, where
+the run spends its last steps while u settles onto u_inf + C t and the
+Jacobian barely changes: an accepted step at tau_max hands its last
+factor to the next step, which starts from it as a stale factor, so a
+step at the ceiling factors only when the carried factor stops halving
+the residual (lagged Jacobians in pseudo-transient continuation, Kelley
+and Keyes, 1998). Below the ceiling tau still changes between attempts
+and every attempt factors afresh; stale iterations there would count
+against the growth test below and hold tau back. run_to_translator
+drops the carried factor when the run ends, and FlowState.copy does not
+carry it.
 
 Step control is pseudo-transient continuation (Kelley and Keyes, 1998)
 from tau0 = 0.1 h^2: tau triples (TAU_GROWTH) after an attempt that
@@ -68,6 +79,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 # spsolve is no longer called here; the benchmark's span tracer
@@ -122,6 +134,16 @@ class StepControls:
         return min(0.1 * grid.h_ref**2, self.tau_max)
 
 
+class ChordFactor(NamedTuple):
+    """Sparse LU of a Newton Jacobian, the tau it was built at and the
+    Jacobian's ||J||_inf (for the roundoff floor of the iterates it
+    serves)."""
+
+    lu: object
+    tau: float
+    jac_norm: float
+
+
 @dataclass
 class FlowState:
     """One accepted snapshot of the discrete flow.
@@ -130,6 +152,9 @@ class FlowState:
     on first use. It is cached on the instance, not held as a field:
     ``dataclasses.replace`` builds a new state with fresh jets, while
     ``copy`` keeps u and shares them.
+
+    ``factor`` is the chord factor an accepted step at tau_max hands to
+    the next step (None otherwise); ``copy`` leaves it behind.
     """
 
     grid: object
@@ -144,13 +169,15 @@ class FlowState:
     g0_range: tuple[float, float]
     tau_max: float = 1.0
     newton_iters: int = 0
+    factor: ChordFactor | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def jets(self) -> NodalJets:
         return NodalJets(self.grid, self.u, self.sig)
 
     def copy(self) -> "FlowState":
-        new = replace(self, u=self.u.copy(), u_dot=self.u_dot.copy())
+        new = replace(self, u=self.u.copy(), u_dot=self.u_dot.copy(),
+                      factor=None)
         new.jets = self.jets
         return new
 
@@ -267,17 +294,25 @@ def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
     return pattern.assemble(coef)
 
 
+def _inf_norm(jac) -> float:
+    """||J||_inf: the row sums of |J|, one pass over the CSC data."""
+    rows = np.bincount(jac.indices, weights=np.abs(jac.data),
+                       minlength=jac.shape[0])
+    return float(np.max(rows))
+
+
+def _floor_at(jac_norm: float, u: np.ndarray) -> float:
+    """The roundoff floor from ||J||_inf, for a factor carried without J."""
+    return float(np.finfo(float).eps * jac_norm * np.max(np.abs(u)))
+
+
 def _roundoff_floor(jac, u: np.ndarray) -> float:
     """eps ||J||_inf ||u||_inf: the residual's backward-error floor.
 
     The residual is evaluated on the stencils that J carries, so rounding
-    u perturbs it by up to this much however well Newton converges. The
-    row sums of |J| come from one pass over the CSC data on the fixed
-    pattern.
+    u perturbs it by up to this much however well Newton converges.
     """
-    rows = np.bincount(jac.indices, weights=np.abs(jac.data),
-                       minlength=jac.shape[0])
-    return float(np.finfo(float).eps * np.max(rows) * np.max(np.abs(u)))
+    return _floor_at(_inf_norm(jac), u)
 
 
 def _factor(jac, grid):
@@ -293,11 +328,14 @@ def _factor(jac, grid):
 
 
 def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
-                  tau: float, controls: StepControls):
-    """Return (u, iterations, p, r) or None if Newton failed for this tau.
+                  tau: float, controls: StepControls,
+                  carried: ChordFactor | None = None):
+    """Return (u, iterations, p, r, factor) or None if Newton failed for
+    this tau.
 
     p and r are the gradient and Hessian of the returned u, which its
-    last residual evaluation computed.
+    last residual evaluation computed; factor is the ChordFactor in use
+    when u was accepted (None if its last Jacobian was left unfactored).
 
     An iterate is accepted when its residual max-norm is at most
     max(tol_newton, floor), with floor the largest ``_roundoff_floor``
@@ -313,11 +351,18 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     iterate and the iteration goes on; when a step with a fresh factor
     fails it, the attempt fails, and the caller's tau halving takes over
     at once instead of after max_newton iterations.
+
+    A ``carried`` factor (built at this tau by an earlier step) serves
+    the first iterate as a stale one, so the attempt factors only once
+    it stops halving the residual; the floor then starts at
+    eps ||J||_inf ||guess||_inf with the carried factor's ||J||_inf.
     """
     u = guess.copy()
     prev = np.inf
     tol = controls.tol_newton
-    lu = None
+    factor = carried
+    if factor is not None:
+        tol = max(tol, _floor_at(factor.jac_norm, u))
     fresh = False
     for it in range(1, controls.max_newton + 1):
         try:
@@ -328,23 +373,24 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
             return None
         rn = np.max(np.abs(res))
         if rn <= tol:
-            return u, it, p, r
+            return u, it, p, r, factor
         if rn > STAGNATION_RATIO * prev:
             if fresh:
                 return None
-            lu = None
+            factor = None
         prev = rn
-        fresh = lu is None
+        fresh = factor is None
         if fresh:
             jac = _jacobian(state, p, r, tau)
             tol = max(tol, _roundoff_floor(jac, u))
             if rn <= tol:
-                return u, it, p, r
+                return u, it, p, r, None
             try:
-                lu = _factor(jac, state.grid)
+                factor = ChordFactor(_factor(jac, state.grid), tau,
+                                     _inf_norm(jac))
             except RuntimeError:  # exactly singular Jacobian
                 return None
-        delta = lu.solve(res)
+        delta = factor.lu.solve(res)
         if not np.all(np.isfinite(delta)):
             return None
         u = u - delta
@@ -371,6 +417,12 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     The accepted state's jets start with the gradient and Hessian of
     Newton's last residual evaluation and the Hessian eigenvalues the
     admissibility check computed.
+
+    At the ceiling tau = tau_max the step starts Newton from the
+    state's carried factor when it was built at that tau, and the
+    accepted state carries the attempt's last factor on; below the
+    ceiling every attempt factors afresh and no factor is carried, so
+    the tau trajectory is the one fresh factors give.
     """
     controls = controls or StepControls()
     tau = state.tau if state.tau > 0 else controls.initial_tau(state.grid)
@@ -384,9 +436,13 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
                 f"(step {state.steps})"
             )
         guess = u_prev + tau * state.u_dot if state.steps > 0 else u_prev
-        got = _newton_solve(state, u_prev, guess, tau, controls)
+        carried = state.factor
+        if not (tau == controls.tau_max and carried is not None
+                and carried.tau == tau):
+            carried = None
+        got = _newton_solve(state, u_prev, guess, tau, controls, carried)
         if got is not None:
-            u_new, iters, p, r = got
+            u_new, iters, p, r, factor = got
             jets = NodalJets(state.grid, u_new, state.sig)
             jets.p, jets.r = p, r
             if _admissible(jets):
@@ -402,6 +458,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     new = replace(
         state, u=u_new, t=state.t + tau, u_dot=u_dot, tau=tau_next,
         steps=state.steps + 1, tau_max=controls.tau_max, newton_iters=iters,
+        factor=factor if tau == controls.tau_max else None,
     )
     new.jets = jets
     return new
@@ -497,7 +554,8 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
 
     ``on_accept(state)`` fires after every accepted step (monitor hook).
     Raises NonConvergenceError carrying the light per-step history if
-    max_steps is exhausted.
+    max_steps is exhausted. However the loop ends, the last state drops
+    its carried chord factor, so no factor outlives the run.
     """
     controls = controls or StepControls()
     t_start = time.perf_counter()
@@ -518,6 +576,8 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
                 break
     except StepFailureError as exc:
         raise NonConvergenceError(str(exc), history=history) from exc
+    finally:
+        state.factor = None
     if not converged:
         raise NonConvergenceError(
             f"no translator after {controls.max_steps} steps "

@@ -125,14 +125,20 @@ class TestJacobian:
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
     def test_column_ordering_has_least_lu_fill(self, case):
+        # each ordering factored as the solver factors (flow._factor):
+        # disk-ball MMD 1482, COLAMD 1878, NATURAL 2053; line-minkowski
+        # NATURAL 164, COLAMD 167, MMD 218
         state, u, tau = perturbed_state(case)
         _, p, r = flow._residual(state, u, state.u, tau)
         jac = flow._jacobian(state, p, r, tau)
+        grid = state.grid
+        chosen = grid.column_ordering
         fill = {}
         for spec in ("COLAMD", "MMD_AT_PLUS_A", "NATURAL"):
-            lu = splu(jac, permc_spec=spec)
+            grid.column_ordering = spec  # shadows the class's ordering
+            lu = flow._factor(jac, grid)
             fill[spec] = lu.L.nnz + lu.U.nnz
-        assert fill[state.grid.column_ordering] == min(fill.values())
+        assert fill[chosen] == min(fill.values())
 
     def test_factor_pivots_on_the_diagonal(self):
         # ball onto ellipse at 24 x 48, tau = 1: partial pivoting swaps
@@ -330,6 +336,89 @@ class TestNewtonStagnation:
         assert counted_splu["factor"] >= 2
         res, _, _ = flow._residual(state, got[0], u, tau)
         assert np.max(np.abs(res)) <= controls.tol_newton
+
+
+def disk_ball_run(on_accept=None, controls=None):
+    """The disk-ball case run to its translator."""
+    om, ot, spec, sig = JACOBIAN_CASES["disk-ball"]
+    return flow.run_to_translator(flow.initialize(om, ot, spec, sig),
+                                  controls, on_accept=on_accept)
+
+
+class TestCarriedFactor:
+    def test_step_at_the_ceiling_reuses_a_converged_factor(self, counted_splu):
+        controls = StepControls()
+        converged = disk_ball_run().state
+        # a step at tau_max from the translator factors afresh and hands
+        # its factor on; the next step then factors nothing
+        carrying = step_implicit(converged, controls)
+        assert carrying.factor is not None
+        assert carrying.factor.tau == controls.tau_max == carrying.tau
+        counted_splu.update(factor=0, solve=0)
+        new = step_implicit(carrying, controls)
+        assert counted_splu["factor"] == 0 < counted_splu["solve"]
+        assert new.factor is carrying.factor
+        assert new.t == carrying.t + controls.tau_max
+        res, p, r = flow._residual(carrying, new.u, carrying.u, controls.tau_max)
+        floor = flow._roundoff_floor(
+            flow._jacobian(carrying, p, r, controls.tau_max), new.u)
+        assert np.max(np.abs(res)) <= max(controls.tol_newton, floor)
+
+    def test_same_steps_with_fewer_factorizations(self, counted_splu):
+        carried_steps = []
+        carried = disk_ball_run(
+            on_accept=lambda s: carried_steps.append((s.t, s.tau)))
+        carried_factors = counted_splu["factor"]
+        counted_splu.update(factor=0, solve=0)
+        fresh_steps = []
+
+        def drop_factor(s):
+            s.factor = None
+            fresh_steps.append((s.t, s.tau))
+
+        fresh = disk_ball_run(on_accept=drop_factor)
+        assert carried.steps == fresh.steps
+        assert carried_steps == fresh_steps
+        assert carried_factors < counted_splu["factor"]
+        assert abs(carried.c_inf - fresh.c_inf) < 1e-9
+
+    def test_factor_from_a_far_state_is_refactored(self, counted_splu):
+        # the factor of the initial quadratic flattened tenfold, carried
+        # to the translator of the rotated-ellipse case at tau_max: its
+        # first chord step fails to halve the residual, so the attempt
+        # refactors at that iterate and then converges
+        controls = StepControls()
+        tau = controls.tau_max
+        om, ot, spec, sig = JACOBIAN_CASES["disk-rotated-ellipse"]
+        init = flow.initialize(om, ot, spec, sig)
+        _, p, r = flow._residual(init, 0.1 * init.u, init.u, tau)
+        jac = flow._jacobian(init, p, r, tau)
+        far = flow.ChordFactor(flow._factor(jac, init.grid), tau,
+                               flow._inf_norm(jac))
+        converged = flow.run_to_translator(init, controls).state
+        counted_splu.update(factor=0, solve=0)
+        new = step_implicit(dataclasses.replace(converged, factor=far),
+                            controls)
+        assert counted_splu["factor"] >= 1
+        assert new.factor is not None and new.factor is not far
+        assert new.t == converged.t + tau
+        res, _, _ = flow._residual(converged, new.u, converged.u, tau)
+        assert np.max(np.abs(res)) <= controls.tol_newton
+
+    def test_no_factor_outlives_the_run(self):
+        result = disk_ball_run()
+        assert result.state.factor is None
+        assert result.state.tau == StepControls().tau_max
+        carrying = step_implicit(result.state)
+        assert carrying.factor is not None
+        assert carrying.copy().factor is None
+        # a run that stops at max_steps past the ceiling drops it too
+        last = []
+        with pytest.raises(NonConvergenceError):
+            disk_ball_run(on_accept=last.append,
+                          controls=StepControls(max_steps=result.steps - 1))
+        assert last[-1].tau == StepControls().tau_max
+        assert last[-1].factor is None
 
 
 class TestInitialize:

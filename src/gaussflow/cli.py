@@ -494,7 +494,8 @@ def report_command(csv_path) -> int:
     osc = c_hi - c_lo
     print(f"rows      = {data.shape[0]}")
     print(f"final t   = {final[col['t']]:.10g}")
-    print(f"C_inf={0.5 * (c_lo + c_hi):.10g}")
+    print(f"C_inf={0.5 * (c_lo + c_hi):.10g} "
+          "(midpoint of final udot_min/udot_max)")
     print(f"osc(u_dot) final = {osc:.3e}")
     print(f"obliq_min over run = {np.min(data[:, col['obliq_min']]):.10g}")
     print(f"hessian range over run = [{np.min(data[:, col['hess_min']]):.10g}, "

@@ -12,9 +12,11 @@ discretization:
 
 * Radially symmetric translators by shooting. With slope phi(r) = u'(r)
   the profile solves phi' = (C - (n-1) phi / r) (1 -+ phi^2), phi(0) = 0,
-  regularized near the axis by phi ~ (C/n) r; bisection on C matches
-  phi(R) to the prescribed boundary slope. phi(R) is monotone in C,
-  which each call re-verifies on its bracket.
+  regularized near the axis by phi ~ (C/n) r. Each shot also integrates
+  the variational equation for s = dphi/dC, and Newton on C, safeguarded
+  by bisection on a bracket, matches phi(R) to the prescribed boundary
+  slope. phi(R) is increasing in C: each shot proves it locally (s > 0)
+  and consecutive iterates re-verify it.
 
 * The invariant suite over batches of random jets (``random_jets``):
   the closed-form identities of the graph geometry and the operators
@@ -106,17 +108,26 @@ _START_RADIUS = 1e-8
 
 
 def _slope_ode(c_speed: float, n: int, sig: str):
+    """Right-hand side of the pair (phi, s = dphi/dC) as ``rhs(r, (phi, s))``.
+
+    phi' = (C - (n-1) phi / r)(1 + eps phi^2); s' is its derivative in C
+    along s, (1 - (n-1) s / r)(1 + eps phi^2) + 2 eps phi s (C - (n-1) phi / r).
+    Both rows broadcast over arrays of nodes.
+    """
     eps = signature_eps(sig)
 
     def rhs(r, y):
-        phi = y[0]
-        return [(c_speed - (n - 1) * phi / r) * (1.0 + eps * phi * phi)]
+        phi, s = y[0], y[1]
+        drift = c_speed - (n - 1) * phi / r
+        metric = 1.0 + eps * phi * phi
+        return [drift * metric,
+                (1.0 - (n - 1) * s / r) * metric + 2.0 * eps * phi * s * drift]
 
     return rhs
 
 
 def _shoot(c_speed: float, radius: float, n: int, sig: str, dense: bool = False):
-    """Integrate the slope ODE out to ``radius``; None on blowup."""
+    """Integrate (phi, dphi/dC) out to ``radius``; None on blowup."""
     rhs = _slope_ode(c_speed, n, sig)
     blow = 1e6
 
@@ -125,8 +136,9 @@ def _shoot(c_speed: float, radius: float, n: int, sig: str, dense: bool = False)
 
     explode.terminal = True
     t_eval = np.linspace(_START_RADIUS, radius, 4097) if dense else None
+    y0 = [c_speed * _START_RADIUS / n, _START_RADIUS / n]
     sol = solve_ivp(
-        rhs, (_START_RADIUS, radius), [c_speed * _START_RADIUS / n],
+        rhs, (_START_RADIUS, radius), y0,
         method="RK45", rtol=1e-12, atol=1e-14, t_eval=t_eval, events=explode,
     )
     if not sol.success or sol.t[-1] < radius * (1.0 - 1e-12):
@@ -139,7 +151,17 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
     """Radial translator over the ball of the given radius.
 
     ``rho`` is the prescribed boundary slope (the gradient image is the
-    rho-ball). Bisection runs on the speed until phi(R) = rho to ``tol``.
+    rho-ball). The speed C solves phi(R; C) = rho, found by Newton on C
+    with s = dphi(R)/dC integrated alongside phi, safeguarded by the
+    bracket [0, c_max]: the bracket shrinks by the sign of phi(R) - rho,
+    a Newton step is taken when it lands in the closed bracket and is at
+    most half the step before the last (so the steps shrink even where
+    Newton would cycle), and a bisection otherwise. A shot that
+    blows up counts as phi(R) > rho. ``tol`` bounds the error in C: the
+    search stops once a Newton step is at most tol / 2 or the bracket at
+    most tol wide. Every shot must have s > 0 (phi(R) increasing in C
+    there), and consecutive iterates must order phi(R) as they order C;
+    otherwise ``OracleFailureError``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -156,37 +178,51 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
     else:
         raise ValueError(f"unknown signature {sig!r}")
 
-    def end_slope(c_speed):
+    def miss(c_speed):
+        """(phi(R) - rho, dphi(R)/dC) at this speed; (inf, None) on blowup."""
         sol = _shoot(c_speed, radius, n, sig)
-        return None if sol is None else float(sol.y[0, -1])
+        if sol is None:
+            return np.inf, None
+        phi_end, s_end = sol.y[:, -1]
+        if not s_end > 0.0:
+            raise OracleFailureError(
+                f"dphi(R)/dC = {s_end:.3e} at C = {c_speed:.10g}; phi(R) is "
+                "not increasing in C"
+            )
+        return float(phi_end) - rho, float(s_end)
 
-    lo, hi = 0.0, float(c_max)
-    f_lo = 0.0 - rho  # C = 0 gives phi identically 0
-    f_hi_slope = end_slope(hi)
-    f_hi = np.inf if f_hi_slope is None else f_hi_slope - rho
-    if not (f_lo < 0.0 < f_hi):
+    lo, hi = 0.0, float(c_max)  # C = 0 gives phi identically 0 < rho
+    if not miss(hi)[0] > 0.0:
         raise OracleFailureError(
             f"no bracket for the shooting speed in (0, {c_max:.6g})"
         )
-    prev_mid_slope = None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        slope = end_slope(mid)
-        val = np.inf if slope is None else slope - rho
-        # empirical monotonicity check of phi(R) in C on this bracket
-        if slope is not None and prev_mid_slope is not None:
-            pm_c, pm_s = prev_mid_slope
-            if (mid - pm_c) * (slope - pm_s) < -1e-13:
-                raise OracleFailureError(
-                    "phi(R) failed to be monotone in C; bisection invalid"
-                )
-        if slope is not None:
-            prev_mid_slope = (mid, slope)
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
     c_speed = 0.5 * (lo + hi)
+    step_before, last_step = hi - lo, hi - lo
+    prev = None
+    while True:
+        val, sens = miss(c_speed)
+        if np.isfinite(val):
+            if prev is not None and (c_speed - prev[0]) * (val - prev[1]) < -1e-13:
+                raise OracleFailureError(
+                    "phi(R) failed to be monotone in C; the shooting search is invalid"
+                )
+            prev = (c_speed, val)
+        if val < 0.0:
+            lo = c_speed
+        else:
+            hi = c_speed
+        if hi - lo <= tol:
+            c_speed = 0.5 * (lo + hi)
+            break
+        step = np.inf if sens is None else val / sens
+        if lo <= c_speed - step <= hi and abs(step) <= 0.5 * step_before:
+            c_speed -= step
+            step_before, last_step = last_step, abs(step)
+            if last_step <= 0.5 * tol:
+                break
+        else:
+            step_before, last_step = last_step, 0.5 * (hi - lo)
+            c_speed = lo + last_step
     sol = _shoot(c_speed, radius, n, sig, dense=True)
     if sol is None:
         raise OracleFailureError("converged speed failed to integrate densely")
@@ -208,7 +244,7 @@ def radial_ode_residual(profile: RadialProfile) -> float:
     rhs = _slope_ode(profile.c_speed, profile.dimension, profile.sig)
     r = profile.radii[1:]  # skip the synthetic r = 0 node
     phi = profile.phi[1:]
-    f = np.array([rhs(rk, [pk])[0] for rk, pk in zip(r, phi)])
+    f = rhs(r, (phi, 0.0))[0]
     dr = r[2] - r[1]
     lhs = phi[2::2] - phi[:-2:2]
     quad = (dr / 3.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
@@ -222,24 +258,26 @@ JET_REACH = 0.95
 def random_jets(rng: np.random.Generator, count: int, sig: str) -> dict:
     """``count`` random jets, grouped by dimension: {n: (p (m, n), r (m, n, n))}.
 
-    Per jet, in this order of draws from ``rng``: the dimension n in
-    {1, 2, 3}; the gradient (Minkowski: a uniform direction times a
-    length uniform in [0, JET_REACH); Euclidean: standard normal); the
-    Hessian, the symmetric part of a standard normal matrix.
+    In this order of draws from ``rng``: the dimensions of all ``count``
+    jets, uniform in {1, 2, 3}; then, for each dimension n present, in
+    increasing order and for its m jets at once, the gradients
+    (Minkowski: m uniform directions, then m lengths uniform in
+    [0, JET_REACH); Euclidean: standard normal) and the Hessians, the
+    symmetric parts of m standard normal matrices.
     """
-    groups = {}
-    for _ in range(count):
-        n = int(rng.integers(1, 4))
+    dims = rng.integers(1, 4, size=count)
+    jets = {}
+    for n in np.unique(dims).tolist():
+        m = int(np.count_nonzero(dims == n))
         if sig == MINKOWSKI:
-            direction = rng.normal(size=n)
-            direction /= np.linalg.norm(direction)
-            p = direction * rng.uniform(0.0, JET_REACH)
+            direction = rng.normal(size=(m, n))
+            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            p = direction * rng.uniform(0.0, JET_REACH, size=(m, 1))
         else:
-            p = rng.normal(size=n)
-        r = rng.normal(size=(n, n))
-        groups.setdefault(n, []).append((p, 0.5 * (r + r.T)))
-    return {n: (np.array([p for p, _ in rows]), np.array([r for _, r in rows]))
-            for n, rows in sorted(groups.items())}
+            p = rng.normal(size=(m, n))
+        r = rng.normal(size=(m, n, n))
+        jets[n] = (p, 0.5 * (r + np.swapaxes(r, 1, 2)))
+    return jets
 
 
 def identity_defects(jets: dict, sig: str, paper_signs: bool = False) -> dict:

@@ -348,6 +348,22 @@ class TestReportCommand:
         assert (out / "monitor_obliq_min.dat").is_file()
         assert (out / "monitor_udot_min.dat").is_file()
 
+    def test_speed_line_names_its_estimate(self, finished_run, capsys):
+        # run reports the interior mean rate; report only sees the final
+        # udot range, so its C_inf says which estimate it is
+        _, out = finished_run
+        assert cli.main(["report", str(out / "monitors.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        speed = [ln for ln in lines if ln.startswith("C_inf=")]
+        assert len(speed) == 1
+        assert speed[0].endswith(" (midpoint of final udot_min/udot_max)")
+        value = float(speed[0].split("=")[1].split()[0])
+        last = (out / "monitors.csv").read_text().splitlines()
+        header, final = last[0].split(","), [float(t) for t in last[-1].split(",")]
+        mid = 0.5 * (final[header.index("udot_min")]
+                     + final[header.index("udot_max")])
+        assert value == pytest.approx(mid, rel=1e-9)
+
     def test_final_oscillation_below_tolerance(self, finished_run):
         _, out = finished_run
         lines = (out / "monitors.csv").read_text().splitlines()

@@ -1,9 +1,12 @@
 """Ground-truth oracles: closed forms, shooting, derivative checks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from gaussflow import oracles
+from gaussflow.errors import OracleFailureError
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
 
 # Shooting speed for the unit ball with boundary slope 0.5 in two
@@ -110,6 +113,106 @@ class TestRadialShooting:
                                                   tol=1e-9)
         assert prof.c_speed > 0
         assert prof.phi[-1] == pytest.approx(1.0, abs=1e-8)
+
+    def test_frozen_constant_to_the_requested_tolerance(self):
+        prof = oracles.translator_radial_shooting(1.0, 0.5, 2, MINKOWSKI,
+                                                  tol=1e-10)
+        assert abs(prof.c_speed - FROZEN_RADIAL_C) <= 1e-10
+
+    def test_newton_needs_few_shots(self, monkeypatch):
+        calls = []
+        real = oracles.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("t_eval") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "solve_ivp", counted)
+        oracles.translator_radial_shooting(1.0, 0.5, 2, MINKOWSKI, tol=1e-10)
+        assert len(calls) <= 10  # bisection to 1e-10 took 37
+        assert calls.count(True) == 1  # the dense shot of the profile
+
+    @pytest.mark.parametrize("sig, c_speed", [(MINKOWSKI, 1.07), (EUCLIDEAN, 1.4)])
+    def test_sensitivity_matches_central_difference(self, sig, c_speed):
+        h = 1e-4
+        ends = [oracles._shoot(c, 1.0, 2, sig).y[0, -1]
+                for c in (c_speed + h, c_speed - h)]
+        s_end = oracles._shoot(c_speed, 1.0, 2, sig).y[1, -1]
+        assert s_end == pytest.approx((ends[0] - ends[1]) / (2 * h), rel=1e-6)
+
+    @pytest.mark.parametrize("s_end, message", [
+        (-1.0, "not increasing in C"), (1.0, "failed to be monotone in C"),
+    ])
+    def test_phi_falling_in_speed_raises(self, monkeypatch, s_end, message):
+        # phi(R) = rho - (C - 0.4 c_max) below c_max, bracketed at c_max;
+        # s = -1 trips the sign check, s = +1 (a wrong derivative) sends
+        # Newton up the bracket, where the iterate check sees phi fall
+        rho, c_max = 0.5, 4.0 * np.arctanh(0.5) + 1.0
+
+        def falling(c_speed, radius, n, sig, dense=False):
+            phi = rho + 1.0 if c_speed >= c_max else rho - (c_speed - 0.4 * c_max)
+            return SimpleNamespace(t=np.array([0.0, radius]),
+                                   y=np.array([[0.0, phi], [0.0, s_end]]))
+
+        monkeypatch.setattr(oracles, "_shoot", falling)
+        with pytest.raises(OracleFailureError, match=message):
+            oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI, tol=1e-10)
+
+    def test_exact_hit_on_the_bracket_end_is_returned(self, monkeypatch):
+        # linear phi(R) with exact arithmetic: the first Newton step lands
+        # on the root, where phi(R) == rho makes it the bracket's upper end
+        rho, mid = 0.5, 2.0 * np.arctanh(0.5) + 0.5
+        c_star = mid - 0.25
+        shots = []
+
+        def linear(c_speed, radius, n, sig, dense=False):
+            shots.append(c_speed)
+            phi = rho + (c_speed - c_star) * 0.5
+            return SimpleNamespace(t=np.array([0.5 * radius, radius]),
+                                   y=np.array([[0.5 * phi, phi], [0.25, 0.5]]))
+
+        monkeypatch.setattr(oracles, "_shoot", linear)
+        prof = oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI, tol=1e-10)
+        assert prof.c_speed == c_star
+        # the bracket end, the midpoint, one Newton step, the dense shot
+        assert shots == [2.0 * mid, mid, c_star, c_star]
+
+    def test_slow_newton_falls_back_to_bisection(self, monkeypatch):
+        # phi(R) = rho + 0.1 sign(d) |d|^a, d = C - c_star, a = 1 / 1.99:
+        # increasing, and each Newton step maps d to -0.99 d inside the
+        # bracket, so Newton alone would take about 2,000 shots
+        rho, mid = 0.5, 2.0 * np.arctanh(0.5) + 0.5
+        c_star, power = mid - 0.25, 1.0 / 1.99
+        shots = []
+
+        def slow(c_speed, radius, n, sig, dense=False):
+            shots.append(c_speed)
+            assert len(shots) <= 100, "Newton was never cut short"
+            d = c_speed - c_star
+            phi = rho + 0.1 * np.sign(d) * abs(d) ** power
+            sens = 0.1 * power * abs(d) ** (power - 1.0) if d else np.inf
+            return SimpleNamespace(t=np.array([0.5 * radius, radius]),
+                                   y=np.array([[0.5 * phi, phi], [1.0, sens]]))
+
+        monkeypatch.setattr(oracles, "_shoot", slow)
+        prof = oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI, tol=1e-10)
+        assert abs(prof.c_speed - c_star) <= 1e-10
+
+    def test_blowups_fall_back_to_bisection(self, monkeypatch):
+        real = oracles._shoot
+        blown = []
+
+        def blows_up_fast(c_speed, *args, **kwargs):
+            if c_speed > 1.2:
+                blown.append(c_speed)
+                return None
+            return real(c_speed, *args, **kwargs)
+
+        monkeypatch.setattr(oracles, "_shoot", blows_up_fast)
+        prof = oracles.translator_radial_shooting(1.0, 0.5, 2, MINKOWSKI,
+                                                  tol=1e-10)
+        assert len(blown) >= 2  # the bracket end and the first midpoint
+        assert abs(prof.c_speed - FROZEN_RADIAL_C) <= 1e-10
 
     @pytest.mark.parametrize("kwargs", [
         dict(radius=-1.0, rho=0.5, n=2, sig=MINKOWSKI),

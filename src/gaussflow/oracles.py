@@ -92,9 +92,6 @@ class RadialProfile:
     dimension: int
     sig: str
 
-    def slope_at(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.radii, self.phi)
-
     def height_at(self, r):
         """u(r) with u(0) = 0, by cumulative trapezoid on the dense profile."""
         cum = np.concatenate([

@@ -193,12 +193,18 @@ class TestRunCommand:
 
     @staticmethod
     def _nonconverged_run(tmp_path):
-        """A cadence-3 run cut after 5 steps, plus the states it accepted."""
+        """A cadence-3 run cut after 5 steps, plus the states it accepted.
+
+        Started at the default tau_max the run would converge within 5
+        steps, so it starts at tau0 = 0.1 h^2 and ramps up, still far
+        from converged after 5 steps.
+        """
         cfg = tmp_path / "cut.cfg"
         out = tmp_path / "out"
+        h = flow.build_grid(cli.parse_domain_spec("interval 0 1"), 101).h_ref
         cfg.write_text(BASE_CONFIG.format(out=out).replace("cadence = 2",
                                                            "cadence = 3")
-                       + "max_steps = 5\n")
+                       + f"max_steps = 5\ntau0 = {0.1 * h**2!r}\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2
         config = cli.parse_config(cfg)
         accepted = []

@@ -310,8 +310,9 @@ class TestNewtonStagnation:
         """Chord Newton against plain Newton on an attempt that converges.
 
         The iterate agrees, it takes fewer factorizations than plain
-        Newton takes solves, and its iteration count falls on the same
-        side of the tau growth threshold (<= 4 iterations).
+        Newton takes solves, it reports the one factorization it made
+        (so the step grows tau), and its iteration count falls on the
+        same side of 4 iterations as plain Newton's.
         """
         state, u, tau = perturbed_state(case, tau=1e-4)
         controls = StepControls()
@@ -322,6 +323,7 @@ class TestNewtonStagnation:
         assert np.max(np.abs(got[0] - ref[0])) < 1e-10
         plain_solves = ref[1] - 1
         assert counted_splu["factor"] < plain_solves
+        assert got[2] == counted_splu["factor"] == 1
         assert (got[1] <= 4) == (ref[1] <= 4)
 
     def test_stale_factor_is_refactored(self, counted_splu):
@@ -336,6 +338,74 @@ class TestNewtonStagnation:
         assert counted_splu["factor"] >= 2
         res, _, _ = flow._residual(state, got[0], u, tau)
         assert np.max(np.abs(res)) <= controls.tol_newton
+
+
+class TestTauGrowth:
+    """tau grows after an attempt that converged on at most one fresh
+    factorization, however many chord iterations that factor served."""
+
+    @staticmethod
+    def far_guess_step(case, monkeypatch):
+        """A step at tau = 1e-3 whose guess u_prev + tau u_dot is offset
+        by 0.1 cos(1.3 x + 0.2), far from the step's solution; the step
+        and the (iterations, factorizations) of each Newton attempt."""
+        state, u, tau = perturbed_state(case, tau=1e-3)
+        offset = 0.1 * np.cos(1.3 * state.grid.nodes[:, 0] + 0.2)
+        state = dataclasses.replace(state, u=u, u_dot=offset / tau, tau=tau,
+                                    steps=1)
+        attempts = []
+        newton_solve = flow._newton_solve
+
+        def recorded(*args):
+            got = newton_solve(*args)
+            attempts.append(None if got is None else got[1:3])
+            return got
+
+        monkeypatch.setattr(flow, "_newton_solve", recorded)
+        return state, step_implicit(state, StepControls()), attempts
+
+    def test_many_chord_iterations_on_one_factor_grow_tau(self, monkeypatch):
+        # one factor carries a slow linear contraction through more than
+        # 4 chord iterations, each at least halving the residual
+        state, new, attempts = self.far_guess_step("disk-ball", monkeypatch)
+        assert len(attempts) == 1
+        iters, factors = attempts[0]
+        assert iters > 4 and factors == 1
+        assert new.newton_iters == iters
+        assert new.t == state.t + state.tau
+        assert new.tau == flow.TAU_GROWTH * state.tau
+
+    def test_refactored_attempt_keeps_tau(self, monkeypatch):
+        # the stale factor stops halving the residual, so the attempt
+        # refactors before it converges: tau stays where it is
+        state, new, attempts = self.far_guess_step("disk-rotated-ellipse",
+                                                   monkeypatch)
+        assert len(attempts) == 1
+        assert attempts[0][1] >= 2
+        assert new.t == state.t + state.tau
+        assert new.tau == state.tau
+
+    def test_light_cone_run_factorizations(self, monkeypatch):
+        # unit ball onto B_0.99, close to the light cone: the first step
+        # from tau_max halves many times, and the later steps take 5-7
+        # chord iterations on one factor. Grown by factorizations, tau
+        # regains the ceiling and the run takes 25 factorizations; grown
+        # only after <= 4 iterations, it took 37 (and 28 from the old
+        # ramp start at 0.1 h^2).
+        calls = []
+        factor = flow._factor
+
+        def counted(*args):
+            calls.append(1)
+            return factor(*args)
+
+        monkeypatch.setattr(flow, "_factor", counted)
+        state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
+                                dom.ConvexDomain.ball([0, 0], 0.99),
+                                (16, 32), MINKOWSKI)
+        result = flow.run_to_translator(state)
+        assert len(calls) <= 28
+        assert result.residual <= StepControls().tol_r_scale * result.c_inf
 
 
 def disk_ball_run(on_accept=None, controls=None):
@@ -581,20 +651,23 @@ class TestStepImplicit:
         state = flow.initialize(om, ot, 101, MINKOWSKI)
         controls = StepControls()
         new = step_implicit(dataclasses.replace(
-            state, tau=controls.initial_tau(state.grid)), controls)
+            state, tau=controls.initial_tau()), controls)
         assert flow.boundary_residual(new) <= controls.tol_newton
 
     def test_default_initial_tau_respects_tau_max(self):
         om, ot = interval_pair()
         state = flow.initialize(om, ot, 101, MINKOWSKI)
-        assert StepControls().initial_tau(state.grid) == pytest.approx(
-            0.1 * state.grid.h**2)
-        # 0.1 h^2 is about 100 tau_max here
+        assert StepControls().initial_tau() == StepControls().tau_max
+        # a user-set tau0 wins
+        assert StepControls(tau0=1e-3).initial_tau() == 1e-3
+        # the old ramp start 0.1 h^2 is about 100 tau_max here
         controls = StepControls(tau_max=1e-7)
-        assert controls.initial_tau(state.grid) == 1e-7
+        assert controls.initial_tau() == 1e-7
         first = step_implicit(dataclasses.replace(
-            state, tau=controls.initial_tau(state.grid)), controls)
+            state, tau=controls.initial_tau()), controls)
         assert first.t <= controls.tau_max
+        # a state without a tau starts at the ceiling
+        assert step_implicit(state, controls).t == controls.tau_max
 
     @pytest.mark.parametrize("tau0", [-1e-3, 0.0, np.inf, np.nan])
     def test_starting_tau_must_be_finite_and_positive(self, tau0):

@@ -411,7 +411,11 @@ AUDIT_CASES = {
 
 
 def short_run(case, cadence=1, steps=6):
-    """RunMonitor over a run cut after ``steps`` steps; the accepted states."""
+    """RunMonitor over a run cut after ``steps`` steps; the accepted states.
+
+    The run ramps tau up from 0.1 h^2, not from the default tau_max, so
+    that it is still far from converged when it is cut.
+    """
     omega, omega_tilde, spec, sig = AUDIT_CASES[case]
     state0 = flow.initialize(omega, omega_tilde, spec, sig)
     mon = monitors.RunMonitor(state0, cadence=cadence)
@@ -421,9 +425,10 @@ def short_run(case, cadence=1, steps=6):
         accepted.append(state)
         mon.observe(state)
 
+    controls = flow.StepControls(max_steps=steps,
+                                 tau0=0.1 * state0.grid.h_ref**2)
     with pytest.raises(NonConvergenceError):
-        flow.run_to_translator(state0, flow.StepControls(max_steps=steps),
-                               on_accept=observe)
+        flow.run_to_translator(state0, controls, on_accept=observe)
     return state0, mon, accepted
 
 

@@ -23,6 +23,9 @@ kept behind ``paper_signs`` as a regression lock for the check suite).
 Every formula exists once, vectorized over a leading node axis: the
 flow, the monitors and the check suite evaluate arrays of jets, and the
 pointwise API (``graph_geometry`` of a ``PointJet``) is the batch of one.
+``min_eigenvalue_many`` gives the smallest Hessian eigenvalue in closed
+form for n <= 2, for the solver's convexity tests; the monitors'
+eigenvalue fields (``NodalJets.lam`` and ``kappa``) stay with LAPACK.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def is_spacelike(sq: np.ndarray, sig: str) -> bool:
 def v_many(p: np.ndarray, sig: str) -> np.ndarray:
     """Tilt factor v at each row of p (N, n), with the spacelike guard."""
     eps = signature_eps(sig)
-    sq = np.sum(p * p, axis=1)
+    sq = np.einsum("ni,ni->n", p, p)
     if not is_spacelike(sq, sig):
         raise SpacelikeViolationError(
             f"max |Du| = {np.sqrt(np.max(sq)):.12g} violates the spacelike "
@@ -179,6 +182,23 @@ def curvature_matrix_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     b = _root_metric_up(p, v, -signature_eps(sig))
     a = b @ r @ b / v[:, None, None]
     return 0.5 * (a + np.swapaxes(a, 1, 2))
+
+
+def min_eigenvalue_many(r: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric matrix r (N, n, n), shape (N,).
+
+    In closed form for n <= 2: for n = 2 the eigenvalues of [[a, b], [b, c]]
+    are (a + c) / 2 -+ hypot((a - c) / 2, b), within a few eps ||r|| of
+    LAPACK. ``eigvalsh`` for n >= 3. Like ``eigvalsh``, only the lower
+    triangle is read.
+    """
+    n = r.shape[1]
+    if n == 1:
+        return r[:, 0, 0].copy()
+    if n == 2:
+        a, b, c = r[:, 0, 0], r[:, 1, 0], r[:, 1, 1]
+        return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    return np.linalg.eigvalsh(r)[:, 0]
 
 
 class NodalJets:

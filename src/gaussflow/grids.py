@@ -16,10 +16,14 @@ Two grid families cover the supported domains:
 
 Every grid exposes the same surface: node coordinates, interior and
 boundary index sets, sparse first/second derivative operators, and the
-``gradient`` / ``hessian`` convenience evaluators used throughout the
-solver and the monitors. ``stencil_pattern`` is the fixed sparsity
-pattern the Newton Jacobian is assembled on; it is built on first use,
-so grids that never take an implicit step do not pay for it.
+``gradient`` / ``hessian`` evaluators that initialization, the explicit
+step and the monitors use. The Newton residual and the translator
+residual call ``derivatives`` instead, which returns both from one
+product with the gradient and distinct Hessian stencils stacked into one
+CSR operator, bit for bit equal to the two evaluators. The stacked
+operator and ``stencil_pattern``, the fixed sparsity pattern the Newton
+Jacobian is assembled on, are built on first use, so grids that never
+take an implicit step do not pay for them.
 """
 
 from __future__ import annotations
@@ -83,12 +87,41 @@ class StencilPattern:
 class _StencilGrid:
     """Surface shared by the grid families."""
 
+    def _second_slots(self) -> list:
+        """(k, l) with k <= l, row-major: the distinct Hessian entries."""
+        return [(k, l) for k in range(self.dim) for l in range(k, self.dim)]
+
     @cached_property
     def stencil_pattern(self) -> StencilPattern:
         """Pattern of the identity, d_first[k], then d_second[k][l] (k <= l)."""
-        second = [self.d_second[k][l]
-                  for k in range(self.dim) for l in range(k, self.dim)]
-        return StencilPattern([sp.identity(self.n_nodes), *self.d_first, *second])
+        second = [self.d_second[k][l] for k, l in self._second_slots()]
+        return StencilPattern([sp.identity(self.n_nodes), *self.d_first,
+                               *second])
+
+    @cached_property
+    def _stacked(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """The d_first[k] and d_second[k][l] (k <= l) stacked row-wise into
+        one CSR operator, and for each Hessian entry (k, l) its block."""
+        slot = np.empty((self.dim, self.dim), dtype=int)
+        second = []
+        for k, l in self._second_slots():
+            slot[k, l] = slot[l, k] = self.dim + len(second)
+            second.append(self.d_second[k][l])
+        return sp.vstack([*self.d_first, *second], format="csr"), slot
+
+    def derivatives(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient, Hessian) of u, shapes (N, n) and (N, n, n), from one
+        product with the stacked stencils.
+
+        Every row of the stacked operator is the row of its stencil with
+        its entries in the same order, so both results equal ``gradient``
+        and ``hessian`` bit for bit.
+        """
+        stacked, slot = self._stacked
+        blocks = (stacked @ u).reshape(-1, self.n_nodes)
+        p = np.ascontiguousarray(blocks[:self.dim].T)
+        r = np.ascontiguousarray(blocks[slot].transpose(2, 0, 1))
+        return p, r
 
     def monitor_tol(self, tau_max: float) -> float:
         """Truncation-scaled audit tolerance 10 (h^2 + tau_max h)."""
@@ -291,36 +324,41 @@ class MappedDiskGrid(_StencilGrid):
         inv_rho = np.zeros(n)
         inv_rho[1:] = 1.0 / rho[1:]
 
-        def dia(vec):
-            return sp.diags(vec)
+        def scaled(w, mat):
+            """diag(w) @ mat as a row scaling of mat's entries; zero
+            products are dropped, as the sparse product drops them."""
+            out = mat.copy()
+            out.data *= np.repeat(w, np.diff(mat.indptr))
+            out.eliminate_zeros()
+            return out
 
         d_r, d_rr = mats["r"], mats["rr"]
         d_t, d_tt = mats["t"], mats["tt"]
         d_rt = mats["rt"]
 
         # reference Cartesian derivatives from polar ones
-        gx = dia(cos) @ d_r - dia(sin * inv_rho) @ d_t
-        gy = dia(sin) @ d_r + dia(cos * inv_rho) @ d_t
+        gx = scaled(cos, d_r) - scaled(sin * inv_rho, d_t)
+        gy = scaled(sin, d_r) + scaled(cos * inv_rho, d_t)
         hxx = (
-            dia(cos * cos) @ d_rr
-            - dia(2.0 * cos * sin * inv_rho) @ d_rt
-            + dia(sin * sin * inv_rho**2) @ d_tt
-            + dia(sin * sin * inv_rho) @ d_r
-            + dia(2.0 * cos * sin * inv_rho**2) @ d_t
+            scaled(cos * cos, d_rr)
+            - scaled(2.0 * cos * sin * inv_rho, d_rt)
+            + scaled(sin * sin * inv_rho**2, d_tt)
+            + scaled(sin * sin * inv_rho, d_r)
+            + scaled(2.0 * cos * sin * inv_rho**2, d_t)
         )
         hyy = (
-            dia(sin * sin) @ d_rr
-            + dia(2.0 * cos * sin * inv_rho) @ d_rt
-            + dia(cos * cos * inv_rho**2) @ d_tt
-            + dia(cos * cos * inv_rho) @ d_r
-            - dia(2.0 * cos * sin * inv_rho**2) @ d_t
+            scaled(sin * sin, d_rr)
+            + scaled(2.0 * cos * sin * inv_rho, d_rt)
+            + scaled(cos * cos * inv_rho**2, d_tt)
+            + scaled(cos * cos * inv_rho, d_r)
+            - scaled(2.0 * cos * sin * inv_rho**2, d_t)
         )
         hxy = (
-            dia(cos * sin) @ d_rr
-            + dia((cos * cos - sin * sin) * inv_rho) @ d_rt
-            - dia(cos * sin * inv_rho**2) @ d_tt
-            - dia(cos * sin * inv_rho) @ d_r
-            - dia((cos * cos - sin * sin) * inv_rho**2) @ d_t
+            scaled(cos * sin, d_rr)
+            + scaled((cos * cos - sin * sin) * inv_rho, d_rt)
+            - scaled(cos * sin * inv_rho**2, d_tt)
+            - scaled(cos * sin * inv_rho, d_r)
+            - scaled((cos * cos - sin * sin) * inv_rho**2, d_t)
         )
 
         # pole rows from the quadratic fit

@@ -6,8 +6,9 @@ The interior evolution is u_t = G(Du, D2u) with
 
 the nondivergence trace form; the two expressions agree identically
 because trace((1/v) b r b) = (1/v) trace(r b b) = (1/v) trace(r g^inv)
-and an extra factor v. Everything downstream differentiates the closed
-trace form directly:
+and an extra factor v. With g^ij = delta_ij - eps p_i p_j / v^2 it is
+evaluated as G = tr r - eps p^T r p / v^2, so no metric array is built.
+Everything downstream differentiates the closed trace form directly:
 
     dG/dr_ij = g^ij(p)
     dG/dp_k  = -2 eps (r p)_k / v^2 + 2 p_k (p^T r p) / v^4
@@ -82,10 +83,22 @@ def g_value(jet: PointJet, sig: str) -> float:
     return float(g_value_many(p, r, sig)[0])
 
 
+def _contractions(p: np.ndarray, r: np.ndarray, sig: str):
+    """(v^2, r p, p^T r p) at each node: what G and G_p need of the jet."""
+    v2 = v_many(p, sig) ** 2
+    rp = np.einsum("nij,nj->ni", r, p)
+    prp = np.einsum("ni,ni->n", p, rp)
+    return v2, rp, prp
+
+
 def g_value_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
-    """G at each node; p is (N, n), r is (N, n, n)."""
-    g_up = metric_up_many(p, sig)
-    return np.einsum("nij,nij->n", g_up, r)
+    """G = tr r - eps p^T r p / v^2 at each node; p is (N, n), r is (N, n, n).
+
+    This is g^ij r_ij with the rank-one part of g^ij contracted in closed
+    form, so no (N, n, n) metric is built.
+    """
+    v2, _, prp = _contractions(p, r, sig)
+    return np.einsum("nii->n", r) - signature_eps(sig) * prp / v2
 
 
 def g_derivatives(jet: PointJet, sig: str, paper_form: bool = False) -> OperatorDerivatives:
@@ -105,10 +118,8 @@ def g_derivatives(jet: PointJet, sig: str, paper_form: bool = False) -> Operator
 def g_derivatives_many(p: np.ndarray, r: np.ndarray, sig: str):
     """(G_r, G_p) at each node: G_r is (N, n, n), G_p is (N, n)."""
     eps = signature_eps(sig)
-    v2 = v_many(p, sig) ** 2
+    v2, rp, prp = _contractions(p, r, sig)
     g_r = metric_up_many(p, sig)
-    rp = np.einsum("nij,nj->ni", r, p)
-    prp = np.einsum("ni,ni->n", p, rp)
     # eps^2 = 1 collapses the sign on the second term
     g_p = (-2.0 * eps) * rp / v2[:, None] + 2.0 * p * (prp / v2**2)[:, None]
     return g_r, g_p

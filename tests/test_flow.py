@@ -571,8 +571,11 @@ class TestStateJets:
                             StepControls(tau_max=tau))
         jets = new.jets
         assert jets.u is new.u
-        # p, r and lam come seeded; the curvature matrix is left lazy
-        assert {"p", "r", "lam"} <= set(vars(jets)) and "a" not in vars(jets)
+        # p and r come seeded from Newton's last residual evaluation; the
+        # admissibility check reads r without caching eigenvalues, so lam
+        # and the curvature matrix stay lazy
+        assert {"p", "r"} <= set(vars(jets))
+        assert "lam" not in vars(jets) and "a" not in vars(jets)
         assert np.array_equal(jets.p, new.grid.gradient(new.u))
         assert np.array_equal(jets.r, new.grid.hessian(new.u))
         assert np.array_equal(jets.lam,
@@ -583,25 +586,25 @@ class TestStepImplicit:
     def test_accepted_step_differentiates_u_once(self, monkeypatch):
         # the accepted state's jets reuse the gradient and Hessian of
         # Newton's last residual evaluation instead of recomputing them
-        counts = {"residual": 0, "gradient": 0}
-        residual, gradient = flow._residual, flow.LineGrid.gradient
+        counts = {"residual": 0, "derivatives": 0}
+        residual, derivatives = flow._residual, flow.LineGrid.derivatives
 
         def counted_residual(*args):
             counts["residual"] += 1
             return residual(*args)
 
-        def counted_gradient(self, u):
-            counts["gradient"] += 1
-            return gradient(self, u)
+        def counted_derivatives(self, u):
+            counts["derivatives"] += 1
+            return derivatives(self, u)
 
         state, _ = translator_state(101)
         monkeypatch.setattr(flow, "_residual", counted_residual)
-        monkeypatch.setattr(flow.LineGrid, "gradient", counted_gradient)
+        monkeypatch.setattr(flow.LineGrid, "derivatives", counted_derivatives)
         new = step_implicit(state, StepControls())
         assert new.steps == state.steps + 1
         assert counts["residual"] >= 1
-        assert counts["gradient"] == counts["residual"]
-        assert np.array_equal(new.jets.p, gradient(new.grid, new.u))
+        assert counts["derivatives"] == counts["residual"]
+        assert np.array_equal(new.jets.p, new.grid.gradient(new.u))
 
     def test_steady_profile_advances_uniformly(self):
         state, c = translator_state(201, tau=0.1)
@@ -836,3 +839,73 @@ class TestRunToTranslator:
                                 (16, 32), EUCLIDEAN)
         result = flow.run_to_translator(state)
         assert abs(result.c_inf - prof.c_speed) < 1e-2
+
+
+class TestHotPath:
+    def test_run_differentiates_once_per_residual_without_lapack(self,
+                                                                  monkeypatch):
+        # every residual takes p and r from one stacked product, and the
+        # convexity checks use the closed-form 2x2 eigenvalue, not LAPACK
+        om, ot, spec, sig = JACOBIAN_CASES["disk-ball"]
+        state = flow.initialize(om, ot, spec, sig)
+        counts = {"eigvalsh": 0, "derivatives": 0, "residual": 0}
+        eigvalsh, residual = np.linalg.eigvalsh, flow._residual
+        derivatives = type(state.grid).derivatives
+
+        def counted_eigvalsh(*args, **kwargs):
+            counts["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        def counted_derivatives(self, u):
+            counts["derivatives"] += 1
+            return derivatives(self, u)
+
+        def counted_residual(*args):
+            before = counts["derivatives"]
+            got = residual(*args)
+            assert counts["derivatives"] == before + 1
+            counts["residual"] += 1
+            return got
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(type(state.grid), "derivatives",
+                            counted_derivatives)
+        monkeypatch.setattr(flow, "_residual", counted_residual)
+        flow.run_to_translator(state)
+        assert counts["eigvalsh"] == 0
+        assert counts["residual"] > 0
+        # the one call outside the residuals is translator_residual's
+        assert counts["derivatives"] == counts["residual"] + 1
+
+
+class TestExtrapolatedRate:
+    def test_geometric_rates_extrapolate_to_their_limit(self):
+        rates = [2.0 - 0.3 * 0.25**k for k in range(5)]
+        assert flow._extrapolated_rate(rates) == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("rates", [
+        [1.0, 1.5, 1.75],          # q = 0.5: too slow to trust the tail
+        [1.0, 1.5, 1.25],          # q < 0: oscillating
+        [1.0, 1.0, 1.0 + 1e-15],   # first difference 0
+        [1.0, 1.2],                # fewer than three rates
+        [1.3],
+    ])
+    def test_falls_back_to_the_last_mean_rate(self, rates):
+        assert flow._extrapolated_rate(rates) == rates[-1]
+
+    def test_run_reports_the_extrapolated_rate(self, monkeypatch):
+        rates = []
+        mean_rate = flow.mean_rate
+
+        def recorded(state):
+            rates.append(mean_rate(state))
+            return rates[-1]
+
+        monkeypatch.setattr(flow, "mean_rate", recorded)
+        om, ot = interval_pair()
+        result = flow.run_to_translator(flow.initialize(om, ot, 101, MINKOWSKI))
+        assert len(rates) == result.steps
+        assert result.c_inf == flow._extrapolated_rate(rates) != rates[-1]
+        state = result.state
+        u_inf = state.u - state.t * result.c_inf
+        assert np.array_equal(result.u_inf, u_inf - u_inf[state.grid.anchor])

@@ -122,6 +122,36 @@ class TestGraphGeometry:
                          d2u=np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+def _rotated(angle, diag):
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    return rot @ np.diag(diag) @ rot.T
+
+
+class TestMinEigenvalue:
+    CASES = {
+        "diagonal": [np.diag([3.0, -2.0]), np.diag([1e-300, 7.0]),
+                     np.diag([5.0, 5.0 * (1 + 2**-52)])],
+        "repeated": [2.5 * np.eye(2), -np.eye(2), np.zeros((2, 2)),
+                     _rotated(0.3, [4.0, 4.0])],
+        "indefinite": [np.array([[1.0, 2.0], [2.0, 1.0]]),
+                       _rotated(1.1, [-3.0, 0.5]),
+                       np.array([[0.0, 1e8], [1e8, 0.0]])],
+        "nearly-singular": [_rotated(0.7, [1e-15, 1.0]),
+                            _rotated(-0.2, [-1e-17, 1e3]),
+                            np.array([[1e8, 1e4], [1e4, 1.0 + 1e-8]]),
+                            np.array([[1.0, 1.0], [1.0, 1.0]])],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_within_four_eps_of_lapack(self, kind):
+        r = np.array(self.CASES[kind])
+        lam = np.linalg.eigvalsh(r)
+        err = np.abs(geo.min_eigenvalue_many(r) - lam[:, 0])
+        assert np.all(err <= 4 * np.finfo(float).eps
+                      * np.max(np.abs(lam), axis=1))
+
+
 class TestLaplaceBeltrami:
     def test_linear_field_constant_gradient_1d(self):
         grid = LineGrid(0.0, 1.0, 50)

@@ -1,7 +1,9 @@
 """Property tests: the vectorized graph geometry (cached nodal jets and
 the batch-of-one pointwise API) against the pointwise formulas it
-replaced, the snapshot round trip, and run configs (valid ones parse
-back to the values written, invalid ones end in exit 1)."""
+replaced, the closed-form operator and smallest-eigenvalue kernels
+against the metric contraction and LAPACK, the snapshot round trip,
+and run configs (valid ones parse back to the values written, invalid
+ones end in exit 1)."""
 
 import contextlib
 import dataclasses
@@ -26,8 +28,11 @@ from gaussflow.geometry import (
     PointJet,
     graph_geometry,
     graph_geometry_many,
+    metric_up_many,
+    min_eigenvalue_many,
     signature_eps,
 )
+from gaussflow.operators import g_value_many
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -252,3 +257,25 @@ def test_invalid_config_exits_one_without_traceback(bad, two_d):
     assert code == 1
     assert "configuration error" in err.getvalue() and key in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(jet_batches())
+def test_closed_form_g_matches_metric_contraction(batch):
+    """G = tr r - eps p^T r p / v^2 against g^ij r_ij, relative to the
+    contraction's magnitude sum |g^ij| |r_ij|."""
+    p, r, sig = batch
+    g_up = metric_up_many(p, sig)
+    want = np.einsum("nij,nij->n", g_up, r)
+    scale = np.einsum("nij,nij->n", np.abs(g_up), np.abs(r))
+    err = np.abs(g_value_many(p, r, sig) - want)
+    assert np.all(err <= 1e-13 * np.maximum(scale, np.finfo(float).tiny))
+
+
+@settings(max_examples=300, deadline=None)
+@given(jet_batches())
+def test_min_eigenvalue_matches_lapack(batch):
+    _, r, _ = batch
+    lam = np.linalg.eigvalsh(r)
+    err = np.abs(min_eigenvalue_many(r) - lam[:, 0])
+    assert np.all(err <= 4 * np.finfo(float).eps * np.max(np.abs(lam), axis=1))

@@ -126,16 +126,20 @@ def is_spacelike(sq: np.ndarray, sig: str) -> bool:
     return bool(np.sqrt(np.max(sq)) <= 1.0 - SPACELIKE_MARGIN)
 
 
-def v_many(p: np.ndarray, sig: str) -> np.ndarray:
-    """Tilt factor v at each row of p (N, n), with the spacelike guard."""
-    eps = signature_eps(sig)
-    sq = np.einsum("ni,ni->n", p, p)
+def v_squared(sq: np.ndarray, sig: str) -> np.ndarray:
+    """v^2 = 1 + eps |p|^2 from the squared gradient norms sq, with the
+    spacelike guard."""
     if not is_spacelike(sq, sig):
         raise SpacelikeViolationError(
             f"max |Du| = {np.sqrt(np.max(sq)):.12g} violates the spacelike "
             f"bound 1 - {SPACELIKE_MARGIN:g}"
         )
-    return np.sqrt(1.0 + eps * sq)
+    return 1.0 + signature_eps(sig) * sq
+
+
+def v_many(p: np.ndarray, sig: str) -> np.ndarray:
+    """Tilt factor v at each row of p (N, n), with the spacelike guard."""
+    return np.sqrt(v_squared(np.einsum("ni,ni->n", p, p), sig))
 
 
 def _rank_one(p: np.ndarray, sign: float, denom) -> np.ndarray:

@@ -8,6 +8,11 @@ the nondivergence trace form; the two expressions agree identically
 because trace((1/v) b r b) = (1/v) trace(r b b) = (1/v) trace(r g^inv)
 and an extra factor v. With g^ij = delta_ij - eps p_i p_j / v^2 it is
 evaluated as G = tr r - eps p^T r p / v^2, so no metric array is built.
+Its contractions run on component-major rows, one contiguous array of
+node values per component (the layout grid.derivative_rows returns and
+the Newton residual evaluates G on, through g_value_rows); the
+node-major g_value_many and g_derivatives_many hand the same helper
+transposed views of their (N, n) and (N, n, n) arguments.
 Everything downstream differentiates the closed trace form directly:
 
     dG/dr_ij = g^ij(p)
@@ -42,6 +47,7 @@ from .geometry import (
     root_metric_many,
     signature_eps,
     v_many,
+    v_squared,
 )
 
 
@@ -84,21 +90,31 @@ def g_value(jet: PointJet, sig: str) -> float:
 
 
 def _contractions(p: np.ndarray, r: np.ndarray, sig: str):
-    """(v^2, r p, p^T r p) at each node: what G and G_p need of the jet."""
-    v2 = v_many(p, sig) ** 2
-    rp = np.einsum("nij,nj->ni", r, p)
-    prp = np.einsum("ni,ni->n", p, rp)
+    """(v^2, r p, p^T r p) at each node, what G and G_p need of the jet,
+    from component-major rows: p is (n, N) and r is (n, n, N), and r p
+    comes back as (n, N). Contracting along the node axis keeps every
+    einsum on long rows, with no (N, n, n) array."""
+    v2 = v_squared(np.einsum("in,in->n", p, p), sig)
+    rp = np.einsum("ijn,jn->in", r, p)
+    prp = np.einsum("in,in->n", p, rp)
     return v2, rp, prp
 
 
-def g_value_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
-    """G = tr r - eps p^T r p / v^2 at each node; p is (N, n), r is (N, n, n).
+def g_value_rows(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
+    """G = tr r - eps p^T r p / v^2 at each node from component-major rows,
+    p (n, N) and r (n, n, N), as ``grid.derivative_rows`` returns them.
 
     This is g^ij r_ij with the rank-one part of g^ij contracted in closed
-    form, so no (N, n, n) metric is built.
+    form, so no metric is built.
     """
     v2, _, prp = _contractions(p, r, sig)
-    return np.einsum("nii->n", r) - signature_eps(sig) * prp / v2
+    return np.einsum("iin->n", r) - signature_eps(sig) * prp / v2
+
+
+def g_value_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
+    """G at each node; p is (N, n), r is (N, n, n): ``g_value_rows`` of
+    their transposes."""
+    return g_value_rows(p.T, r.transpose(1, 2, 0), sig)
 
 
 def g_derivatives(jet: PointJet, sig: str, paper_form: bool = False) -> OperatorDerivatives:
@@ -116,13 +132,15 @@ def g_derivatives(jet: PointJet, sig: str, paper_form: bool = False) -> Operator
 
 
 def g_derivatives_many(p: np.ndarray, r: np.ndarray, sig: str):
-    """(G_r, G_p) at each node: G_r is (N, n, n), G_p is (N, n)."""
+    """(G_r, G_p) at each node of p (N, n) and r (N, n, n): G_r is
+    (N, n, n), G_p is (N, n)."""
     eps = signature_eps(sig)
-    v2, rp, prp = _contractions(p, r, sig)
+    p_rows = p.T
+    v2, rp, prp = _contractions(p_rows, r.transpose(1, 2, 0), sig)
     g_r = metric_up_many(p, sig)
     # eps^2 = 1 collapses the sign on the second term
-    g_p = (-2.0 * eps) * rp / v2[:, None] + 2.0 * p * (prp / v2**2)[:, None]
-    return g_r, g_p
+    g_p = (-2.0 * eps) * rp / v2 + 2.0 * p_rows * (prp / v2**2)
+    return g_r, g_p.T
 
 
 def g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:

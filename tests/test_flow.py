@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from gaussflow import domains as dom
-from gaussflow import flow, oracles
+from gaussflow import flow, operators, oracles
 from gaussflow.errors import ConvexityError, NonConvergenceError, StepFailureError
 from gaussflow.flow import StepControls, step_explicit, step_implicit
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
@@ -76,6 +76,38 @@ JACOBIAN_CASES = {
 }
 
 
+class TablePattern:
+    """The per-stencil lookup table the Jacobian pattern was first built
+    with, kept as the reference its assembly must reproduce bit for bit:
+    every stencil's values placed on the union pattern by a sorted-key
+    search at build, and assembly as one weighted sum over that table."""
+
+    def __init__(self, stencils):
+        stencils = [sp.csc_matrix(s, copy=True) for s in stencils]
+        for st in stencils:
+            st.sum_duplicates()
+            st.eliminate_zeros()
+        union = abs(stencils[0])
+        for st in stencils[1:]:
+            union = union + abs(st)
+        union.sort_indices()
+        self.indices, self.indptr = union.indices, union.indptr
+        self.n_nodes = union.shape[0]
+        keys = self._keys(union)
+        self._values = np.zeros((len(stencils), union.nnz))
+        for s, st in enumerate(stencils):
+            self._values[s, np.searchsorted(keys, self._keys(st))] = st.data
+
+    def _keys(self, mat):
+        cols = np.repeat(np.arange(self.n_nodes), np.diff(mat.indptr))
+        return cols * self.n_nodes + mat.indices
+
+    def assemble(self, coef):
+        data = np.einsum("se,se->e", coef[:, self.indices], self._values)
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.n_nodes, self.n_nodes))
+
+
 def perturbed_state(case, tau=0.01):
     """Initial state with a smooth convexity-preserving perturbation."""
     om, ot, spec, sig = JACOBIAN_CASES[case]
@@ -122,6 +154,38 @@ class TestJacobian:
         assert np.array_equal(again.indptr, jac.indptr)
         assert np.array_equal(again.indices, jac.indices)
 
+
+    @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball",
+                                      "disk-rotated-ellipse"])
+    def test_pattern_assembles_what_the_lookup_table_did(self, case,
+                                                         monkeypatch):
+        # data, indices and indptr bit for bit, on the Jacobian's own
+        # weights and on random ones with unweighted rows
+        state, u, tau = perturbed_state(case)
+        grid = state.grid
+        pattern = grid.stencil_pattern
+        second = [grid.d_second[k][l]
+                  for k in range(grid.dim) for l in range(k, grid.dim)]
+        table = TablePattern([sp.identity(grid.n_nodes), *grid.d_first,
+                              *second])
+        weights = []
+        assemble = pattern.assemble
+
+        def recorded(coef):
+            weights.append(coef)
+            return assemble(coef)
+
+        monkeypatch.setattr(pattern, "assemble", recorded)
+        _, p, r = flow._residual(state, u, state.u, tau)
+        flow._jacobian(state, p, r, tau)
+        rand = np.random.default_rng(6).normal(size=weights[0].shape)
+        rand[:, grid.boundary[:1]] = 0.0
+        for coef in (weights[0], rand):
+            got, want = assemble(coef), table.assemble(coef)
+            assert got.format == "csc"
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
     def test_column_ordering_has_least_lu_fill(self, case):
@@ -346,18 +410,18 @@ class TestTauGrowth:
 
     @staticmethod
     def far_guess_step(case, monkeypatch):
-        """A step at tau = 1e-3 whose guess u_prev + tau u_dot is offset
-        by 0.1 cos(1.3 x + 0.2), far from the step's solution; the step
-        and the (iterations, factorizations) of each Newton attempt."""
+        """A step at tau = 1e-3 whose Newton guess is offset by
+        0.1 cos(1.3 x + 0.2), far from the step's solution; the step and
+        the (iterations, factorizations) of each Newton attempt."""
         state, u, tau = perturbed_state(case, tau=1e-3)
         offset = 0.1 * np.cos(1.3 * state.grid.nodes[:, 0] + 0.2)
-        state = dataclasses.replace(state, u=u, u_dot=offset / tau, tau=tau,
-                                    steps=1)
+        state = dataclasses.replace(state, u=u, u_dot=np.zeros_like(u),
+                                    tau=tau, steps=1)
         attempts = []
         newton_solve = flow._newton_solve
 
-        def recorded(*args):
-            got = newton_solve(*args)
+        def recorded(state, u_prev, guess, *rest):
+            got = newton_solve(state, u_prev, guess + offset, *rest)
             attempts.append(None if got is None else got[1:3])
             return got
 
@@ -475,6 +539,35 @@ class TestCarriedFactor:
         res, _, _ = flow._residual(converged, new.u, converged.u, tau)
         assert np.max(np.abs(res)) <= controls.tol_newton
 
+    def test_stale_factor_outlives_an_unfactored_jacobian(self, counted_splu,
+                                                          monkeypatch):
+        # 1D Minkowski at N = 401: in the first step the factor stops
+        # halving the residual, and the iterate meets the floor raised at
+        # the fresh Jacobian before that Jacobian is factored. The step
+        # hands on the stale factor, which serves every later step: one
+        # factorization in the run, where handing on none took two.
+        attempts, jacobians = [], []
+        newton_solve, jacobian = flow._newton_solve, flow._jacobian
+
+        def recorded(*args):
+            attempts.append(newton_solve(*args))
+            return attempts[-1]
+
+        def counted(*args):
+            jacobians.append(1)
+            return jacobian(*args)
+
+        monkeypatch.setattr(flow, "_newton_solve", recorded)
+        monkeypatch.setattr(flow, "_jacobian", counted)
+        om, ot = interval_pair()
+        result = flow.run_to_translator(flow.initialize(om, ot, 401, MINKOWSKI))
+        assert result.steps == 5
+        assert len(jacobians) == 2 and counted_splu["factor"] == 1
+        stale = attempts[0][5]
+        assert attempts[0][2] == 1 and stale is not None
+        assert stale.tau == StepControls().tau_max
+        assert all(got[5] is stale for got in attempts)
+
     def test_no_factor_outlives_the_run(self):
         result = disk_ball_run()
         assert result.state.factor is None
@@ -587,7 +680,8 @@ class TestStepImplicit:
         # the accepted state's jets reuse the gradient and Hessian of
         # Newton's last residual evaluation instead of recomputing them
         counts = {"residual": 0, "derivatives": 0}
-        residual, derivatives = flow._residual, flow.LineGrid.derivatives
+        residual, derivative_rows = (flow._residual,
+                                     flow.LineGrid.derivative_rows)
 
         def counted_residual(*args):
             counts["residual"] += 1
@@ -595,11 +689,12 @@ class TestStepImplicit:
 
         def counted_derivatives(self, u):
             counts["derivatives"] += 1
-            return derivatives(self, u)
+            return derivative_rows(self, u)
 
         state, _ = translator_state(101)
         monkeypatch.setattr(flow, "_residual", counted_residual)
-        monkeypatch.setattr(flow.LineGrid, "derivatives", counted_derivatives)
+        monkeypatch.setattr(flow.LineGrid, "derivative_rows",
+                            counted_derivatives)
         new = step_implicit(state, StepControls())
         assert new.steps == state.steps + 1
         assert counts["residual"] >= 1
@@ -850,7 +945,7 @@ class TestHotPath:
         state = flow.initialize(om, ot, spec, sig)
         counts = {"eigvalsh": 0, "derivatives": 0, "residual": 0}
         eigvalsh, residual = np.linalg.eigvalsh, flow._residual
-        derivatives = type(state.grid).derivatives
+        derivative_rows = type(state.grid).derivative_rows
 
         def counted_eigvalsh(*args, **kwargs):
             counts["eigvalsh"] += 1
@@ -858,7 +953,7 @@ class TestHotPath:
 
         def counted_derivatives(self, u):
             counts["derivatives"] += 1
-            return derivatives(self, u)
+            return derivative_rows(self, u)
 
         def counted_residual(*args):
             before = counts["derivatives"]
@@ -868,14 +963,79 @@ class TestHotPath:
             return got
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(type(state.grid), "derivatives",
+        monkeypatch.setattr(type(state.grid), "derivative_rows",
                             counted_derivatives)
         monkeypatch.setattr(flow, "_residual", counted_residual)
         flow.run_to_translator(state)
         assert counts["eigvalsh"] == 0
         assert counts["residual"] > 0
         # the one call outside the residuals is translator_residual's
+        # (through grid.derivatives)
         assert counts["derivatives"] == counts["residual"] + 1
+
+
+    @pytest.mark.parametrize("case, steps, most_residuals", [
+        ("disk-ball", 6, 26),        # 29 with the nodewise u_dot guess
+        ("line-minkowski", 5, 24),   # 28 with the nodewise u_dot guess
+    ])
+    def test_mean_rate_predictor_saves_residuals(self, case, steps,
+                                                 most_residuals,
+                                                 counted_splu, monkeypatch):
+        # the step's guess u_prev + tau C lands closer to its solution
+        # than u_prev + tau u_dot once the transient decays, with the
+        # same steps on one factorization
+        counts = {"residual": 0}
+        residual = flow._residual
+
+        def counted(*args):
+            counts["residual"] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(flow, "_residual", counted)
+        om, ot, spec, sig = JACOBIAN_CASES[case]
+        result = flow.run_to_translator(flow.initialize(om, ot, spec, sig))
+        assert result.steps == steps
+        assert counted_splu["factor"] == 1
+        assert counts["residual"] <= most_residuals
+
+    def test_residual_evaluates_g_on_component_rows(self, monkeypatch):
+        # the Newton residual takes G from the component-major rows and
+        # never calls g_value_many, which takes node-major (N, n, n) input
+        for case in JACOBIAN_CASES:
+            state, u, tau = perturbed_state(case)
+            res, p, r = flow._residual(state, u, state.u, tau)
+            ii = state.grid.interior
+            g = operators.g_value_many(state.grid.gradient(u),
+                                       state.grid.hessian(u), state.sig)
+            assert np.allclose(res[ii], (u - state.u - tau * g)[ii],
+                               rtol=0.0, atol=1e-13)
+            assert np.array_equal(p, state.grid.gradient(u))
+            assert np.array_equal(r, state.grid.hessian(u))
+
+        counts = {"residual": 0, "g_value_many": 0}
+        inside = []
+        residual, g_value_many = flow._residual, operators.g_value_many
+
+        def counted_residual(*args):
+            counts["residual"] += 1
+            inside.append(True)
+            try:
+                return residual(*args)
+            finally:
+                inside.pop()
+
+        def counted_g(*args):
+            counts["g_value_many"] += bool(inside)
+            return g_value_many(*args)
+
+        monkeypatch.setattr(flow, "_residual", counted_residual)
+        monkeypatch.setattr(flow, "g_value_many", counted_g)
+        monkeypatch.setattr(operators, "g_value_many", counted_g)
+        for case in ("line-minkowski", "disk-ball"):
+            om, ot, spec, sig = JACOBIAN_CASES[case]
+            flow.run_to_translator(flow.initialize(om, ot, spec, sig))
+        assert counts["residual"] > 0
+        assert counts["g_value_many"] == 0
 
 
 class TestExtrapolatedRate:
@@ -893,17 +1053,14 @@ class TestExtrapolatedRate:
     def test_falls_back_to_the_last_mean_rate(self, rates):
         assert flow._extrapolated_rate(rates) == rates[-1]
 
-    def test_run_reports_the_extrapolated_rate(self, monkeypatch):
+    def test_run_reports_the_extrapolated_rate(self):
+        # the mean rate of every accepted state, read at the monitor hook
+        # (step_implicit's predictor calls mean_rate too)
         rates = []
-        mean_rate = flow.mean_rate
-
-        def recorded(state):
-            rates.append(mean_rate(state))
-            return rates[-1]
-
-        monkeypatch.setattr(flow, "mean_rate", recorded)
         om, ot = interval_pair()
-        result = flow.run_to_translator(flow.initialize(om, ot, 101, MINKOWSKI))
+        result = flow.run_to_translator(
+            flow.initialize(om, ot, 101, MINKOWSKI),
+            on_accept=lambda state: rates.append(flow.mean_rate(state)))
         assert len(rates) == result.steps
         assert result.c_inf == flow._extrapolated_rate(rates) != rates[-1]
         state = result.state

@@ -301,3 +301,21 @@ class TestDerivatives:
             p, r = grid.derivatives(u)
             assert np.array_equal(p, grid.gradient(u))
             assert np.array_equal(r, grid.hessian(u))
+
+    @pytest.mark.parametrize("grid", [
+        LineGrid(-0.3, 1.2, 40),
+        MappedDiskGrid(np.eye(2), np.zeros(2), 8, 16),
+        MappedDiskGrid(np.array([[0.38, -0.07], [-0.07, 0.27]]),
+                       np.array([0.3, -0.2]), 9, 18),
+    ], ids=["line", "disk-ball", "shifted-rotated-ellipse"])
+    def test_component_rows_match_gradient_and_hessian_bit_for_bit(self,
+                                                                   grid):
+        x = grid.nodes
+        smooth = np.exp(0.5 * x[:, 0]) * np.cos(x[:, -1]) + x[:, 0] ** 2
+        noise = np.random.default_rng(5).normal(size=grid.n_nodes)
+        for u in (smooth, noise):
+            p_rows, r_rows = grid.derivative_rows(u)
+            assert p_rows.shape == (grid.dim, grid.n_nodes)
+            assert r_rows.shape == (grid.dim, grid.dim, grid.n_nodes)
+            assert np.array_equal(p_rows, grid.gradient(u).T)
+            assert np.array_equal(r_rows, grid.hessian(u).transpose(1, 2, 0))

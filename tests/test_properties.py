@@ -1,7 +1,8 @@
 """Property tests: the vectorized graph geometry (cached nodal jets and
 the batch-of-one pointwise API) against the pointwise formulas it
 replaced, the closed-form operator and smallest-eigenvalue kernels
-against the metric contraction and LAPACK, the snapshot round trip,
+against the metric contraction and LAPACK, the component-major operator
+kernel against the node-major formula, the snapshot round trip,
 and run configs (valid ones parse back to the values written, invalid
 ones end in exit 1)."""
 
@@ -31,8 +32,9 @@ from gaussflow.geometry import (
     metric_up_many,
     min_eigenvalue_many,
     signature_eps,
+    v_many,
 )
-from gaussflow.operators import g_value_many
+from gaussflow.operators import g_value_many, g_value_rows
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -270,6 +272,34 @@ def test_closed_form_g_matches_metric_contraction(batch):
     scale = np.einsum("nij,nij->n", np.abs(g_up), np.abs(r))
     err = np.abs(g_value_many(p, r, sig) - want)
     assert np.all(err <= 1e-13 * np.maximum(scale, np.finfo(float).tiny))
+
+
+def node_major_g(p, r, sig):
+    """G = tr r - eps p^T r p / v^2 contracted over (N, n) and (N, n, n)
+    arrays, the layout the component-major kernel replaced; kept as its
+    reference."""
+    v2 = v_many(p, sig) ** 2
+    rp = np.einsum("nij,nj->ni", r, p)
+    prp = np.einsum("ni,ni->n", p, rp)
+    return np.einsum("nii->n", r) - signature_eps(sig) * prp / v2
+
+
+@settings(max_examples=300, deadline=None)
+@given(jet_batches())
+def test_component_major_g_matches_node_major_formula(batch):
+    """g_value_rows on component-major rows, and g_value_many on (N, n)
+    and (N, n, n) arrays through it, within 1e-13 of the node-major
+    contraction, relative to its magnitude sum |tr r| + |p^T r p| / v^2."""
+    p, r, sig = batch
+    want = node_major_g(p, r, sig)
+    v2 = v_many(p, sig) ** 2
+    scale = (np.abs(np.einsum("nii->n", r))
+             + np.einsum("ni,nij,nj->n", np.abs(p), np.abs(r), np.abs(p)) / v2)
+    bound = 1e-13 * np.maximum(scale, np.finfo(float).tiny)
+    rows = g_value_rows(np.ascontiguousarray(p.T),
+                        np.ascontiguousarray(r.transpose(1, 2, 0)), sig)
+    assert np.all(np.abs(rows - want) <= bound)
+    assert np.all(np.abs(g_value_many(p, r, sig) - want) <= bound)
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,13 +14,16 @@ Subcommands:
 * ``report monitors.csv``: convergence summary plus per-monitor
   two-column (t, value) files for plotting.
 
-Config format: UTF-8 lines ``key = value``, ``#`` comments. Domains are
-written ``interval a b``, ``ball cx [cy] r``, ``ellipse cx cy q11 q12 q22``.
+Config format: UTF-8 lines ``key = value``; a ``#`` at the start of a line
+or after whitespace starts a comment, so a value such as ``run#1`` keeps
+its ``#``. Domains are written ``interval a b``, ``ball cx [cy] r``,
+``ellipse cx cy q11 q12 q22``.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,13 +95,17 @@ _FLOAT_KEYS = {
 }
 
 
+# a comment starts at a "#" that opens the line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} not found")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -175,34 +182,30 @@ def write_monitors_csv(path, records):
             f.write(rec.csv_row() + "\n")
 
 
-def _node_indices(grid):
-    """Per-node structured indices for the fields table."""
+def _node_table(state, extra=()) -> tuple[list, list]:
+    """(column names, rows) of the per-node table both node artifacts
+    write: the node's index (i, or ring i and angle j in 2D with the pole
+    at 0 0), its coordinates, u, then the ``extra`` (name, values)
+    columns. Each row is a tuple of strings, the numbers in ``_fmt``."""
+    grid = state.grid
     if grid.dim == 1:
-        return [(i,) for i in range(grid.n_nodes)]
-    out = [(0, 0)]
-    for j in range(1, grid.n_rho + 1):
-        for m in range(grid.n_theta):
-            out.append((j, m))
-    return out
+        index = [("i", np.arange(grid.n_nodes))]
+    else:
+        k = np.arange(grid.n_nodes - 1)  # the nodes after the pole
+        index = [("i", np.r_[0, k // grid.n_theta + 1]),
+                 ("j", np.r_[0, k % grid.n_theta])]
+    numbers = [*zip("xy", grid.nodes.T), ("u", state.u), *extra]
+    cols = [list(map(str, vals.tolist())) for _, vals in index]
+    cols += [list(map(_fmt, vals.tolist())) for _, vals in numbers]
+    return [name for name, _ in index + numbers], list(zip(*cols))
 
 
 def write_fields_csv(path, state):
-    grid = state.grid
-    p = state.jets.p
-    lam_min = state.jets.lam[:, 0]
-    idx = _node_indices(grid)
+    jets = state.jets
+    names, rows = _node_table(state, [*zip(("du_x", "du_y"), jets.p.T),
+                                      ("hess_min", jets.lam[:, 0])])
     with open(path, "w") as f:
-        if grid.dim == 1:
-            f.write("i,x,u,du_x,hess_min\n")
-            for k in range(grid.n_nodes):
-                f.write(f"{idx[k][0]},{_fmt(grid.nodes[k, 0])},{_fmt(state.u[k])},"
-                        f"{_fmt(p[k, 0])},{_fmt(lam_min[k])}\n")
-        else:
-            f.write("i,j,x,y,u,du_x,du_y,hess_min\n")
-            for k in range(grid.n_nodes):
-                f.write(f"{idx[k][0]},{idx[k][1]},{_fmt(grid.nodes[k, 0])},"
-                        f"{_fmt(grid.nodes[k, 1])},{_fmt(state.u[k])},"
-                        f"{_fmt(p[k, 0])},{_fmt(p[k, 1])},{_fmt(lam_min[k])}\n")
+        f.write("\n".join([",".join(names), *map(",".join, rows)]) + "\n")
 
 
 def write_snapshot(path, state, c_inf):
@@ -211,23 +214,21 @@ def write_snapshot(path, state, c_inf):
         grid_line = f"grid = {grid.n_nodes - 1}"
     else:
         grid_line = f"grid = {grid.n_rho} {grid.n_theta}"
-    idx = _node_indices(grid)
+    names, rows = _node_table(state)
+    header = [
+        "# gaussflow snapshot",
+        f"signature = {state.sig}",
+        f"dimension = {grid.dim}",
+        f"omega = {domain_spec_string(state.omega)}",
+        f"omega_tilde = {domain_spec_string(state.omega_tilde)}",
+        grid_line,
+        f"t = {_fmt(state.t)}",
+        f"c_inf = {_fmt(c_inf)}",
+        f"nodes = {grid.n_nodes}",
+        f"columns = {' '.join(names)}",
+    ]
     with open(path, "w") as f:
-        f.write("# gaussflow snapshot\n")
-        f.write(f"signature = {state.sig}\n")
-        f.write(f"dimension = {grid.dim}\n")
-        f.write(f"omega = {domain_spec_string(state.omega)}\n")
-        f.write(f"omega_tilde = {domain_spec_string(state.omega_tilde)}\n")
-        f.write(grid_line + "\n")
-        f.write(f"t = {_fmt(state.t)}\n")
-        f.write(f"c_inf = {_fmt(c_inf)}\n")
-        f.write(f"nodes = {grid.n_nodes}\n")
-        cols = "i x u" if grid.dim == 1 else "i j x y u"
-        f.write(f"columns = {cols}\n")
-        for k in range(grid.n_nodes):
-            coords = " ".join(_fmt(c) for c in grid.nodes[k])
-            tags = " ".join(str(i) for i in idx[k])
-            f.write(f"{tags} {coords} {_fmt(state.u[k])}\n")
+        f.write("\n".join([*header, *map(" ".join, rows)]) + "\n")
 
 
 def read_snapshot(path):

@@ -69,22 +69,17 @@ step at the ceiling factors only when the carried factor stops halving
 the residual (lagged Jacobians in pseudo-transient continuation, Kelley
 and Keyes, 1998). A step that stops halving with the stale factor and
 then meets the floor raised at its fresh Jacobian, before that Jacobian
-is factored, hands on the stale factor, which served it: over the 112
-benchmark runs of seeds 0-7 this takes the factorizations from 168 to
-112 (every 1D run factors once). Below the ceiling tau changes between
-attempts, so a factor would be carried to a tau it was not built at;
-every attempt there factors afresh. run_to_translator drops the carried
+is factored, hands on the stale factor, which served it, so the next
+step at the ceiling starts from it without factoring. Below the ceiling tau changes between attempts, so a
+factor would be carried to a tau it was not built at; every attempt
+there factors afresh. run_to_translator drops the carried
 factor when the run ends, and FlowState.copy does not carry it.
 
 Each step starts Newton from u_prev + tau C, C the mean interior rate of
 the state (mean_rate), not from u_prev + tau u_dot: the nodewise rate
 carries the decaying transient, which at the ceiling shrinks about 17x
-per step, so extrapolating it linearly overshoots. On the 32 x 64 ball
-onto half ball and onto ellipse runs the uniform rate's guess has a
-first residual 9-22x smaller, and its error modulo a constant is
-10-16x smaller. The first step starts from u_prev. Over the same 112
-runs the steps stay at 672 and the residual evaluations fall from 3368
-to 2964.
+per step, so extrapolating it linearly overshoots and starts Newton
+farther from the step's solution. The first step starts from u_prev.
 
 Step control is pseudo-transient continuation (Kelley and Keyes, 1998).
 The flow is wanted only for its long-time limit, and tau is only a
@@ -94,10 +89,7 @@ halves after a failed attempt and triples (TAU_GROWTH), up to tau_max,
 after an attempt that converged on at most one fresh factorization.
 The growth test counts factorizations, not chord iterations: a chord
 iteration is one pair of triangular solves, and one factor may carry a
-slow linear contraction through many of them. Against a ramp up from
-0.1 h^2 grown after at most 4 iterations, the 112 benchmark runs of
-seeds 0-7 take 672 steps instead of 1820 and 168 factorizations
-instead of 1536, with no failed attempt either way.
+slow linear contraction through many of them.
 
 The long-time limit is a translator: u(x, t) -> u_inf(x) + C_inf t. The
 run loop declares convergence when the nodewise rate field u_dot has
@@ -105,11 +97,10 @@ oscillation (max - min) below tol_c and the boundary residual is below
 tol_b, then reports C_inf, the profile normalized to vanish at the
 anchor node, and the steady residual max |G - C_inf|. At the ceiling
 the mean interior rate converges linearly, and the first step under
-tol_c can leave it about 1e-9 from its limit, so C_inf is the Aitken
+tol_c can leave it well short of its limit, so C_inf is the Aitken
 delta-squared extrapolation of the last three per-step mean rates when
 they contract geometrically (ratio in (0, 0.5)), and the last mean rate
-otherwise. Against tol_c = 1e-12 runs at 32 x 64 this takes the error
-from 1.2e-9 to 1e-11 without an extra step.
+otherwise; the extrapolation costs no extra step.
 """
 
 from __future__ import annotations
@@ -174,7 +165,6 @@ class StepControls:
     tau_min: float = 1e-14
     tau_max: float = 1.0
     max_steps: int = 100000
-    explicit_cfl: float = 0.2
 
     def initial_tau(self) -> float:
         return self.tau_max if self.tau0 is None else self.tau0
@@ -213,7 +203,6 @@ class FlowState:
     omega: dom.ConvexDomain
     omega_tilde: dom.ConvexDomain
     g0_range: tuple[float, float]
-    tau_max: float = 1.0
     newton_iters: int = 0
     factor: ChordFactor | None = field(default=None, repr=False, compare=False)
 
@@ -521,7 +510,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     tau_next = min(tau * TAU_GROWTH, controls.tau_max) if n_factors <= 1 else tau
     new = replace(
         state, u=u_new, t=state.t + tau, u_dot=u_dot, tau=tau_next,
-        steps=state.steps + 1, tau_max=controls.tau_max, newton_iters=iters,
+        steps=state.steps + 1, newton_iters=iters,
         factor=factor if tau == controls.tau_max else None,
     )
     new.jets = NodalJets(state.grid, u_new, state.sig)
@@ -534,22 +523,25 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
 # Explicit stepping (validation path)
 # ---------------------------------------------------------------------------
 
-def step_explicit(state: FlowState, tau: float,
-                  controls: StepControls | None = None) -> FlowState:
+# Forward Euler is stable for tau up to this multiple of h^2 (times the
+# spacelike limiter 1 - max |Du|^2 in the Minkowski case).
+EXPLICIT_CFL = 0.2
+
+
+def step_explicit(state: FlowState, tau: float) -> FlowState:
     """Forward Euler on the interior plus boundary gradient projection.
 
     Each boundary value is corrected by a scalar Newton solve moving the
     one-sided gradient onto {h = 0}; the derivative of that solve is the
     obliqueness pairing of Dh(Du) with the stencil direction.
     """
-    controls = controls or StepControls()
     grid = state.grid
     p = grid.gradient(state.u)
     if state.sig == MINKOWSKI:
         limiter = 1.0 - np.max(np.sum(p * p, axis=1))
     else:
         limiter = 1.0
-    bound = controls.explicit_cfl * grid.h_ref**2 * limiter
+    bound = EXPLICIT_CFL * grid.h_ref**2 * limiter
     if tau > bound:
         raise ValueError(
             f"explicit step tau = {tau:g} exceeds the stability bound {bound:g}"
@@ -619,14 +611,14 @@ def _extrapolated_rate(rates) -> float:
 
 def translator_residual(u: np.ndarray, c: float, sig: str, grid) -> float:
     """max over interior nodes of |G(Du, D2u) - c| for a convex field."""
-    p, r = grid.derivatives(u)
-    lam_min = float(np.min(min_eigenvalue_many(r)))
+    p, r = grid.derivative_rows(u)
+    lam_min = float(np.min(min_eigenvalue_many(r.transpose(2, 0, 1))))
     if lam_min <= 0.0:
         raise ConvexityError(
             f"translator residual needs a strictly convex field "
             f"(min Hessian eigenvalue {lam_min:.3e})"
         )
-    g = g_value_many(p, r, sig)
+    g = g_value_rows(p, r, sig)
     return float(np.max(np.abs(g[grid.interior] - c)))
 
 
@@ -644,8 +636,7 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
     """
     controls = controls or StepControls()
     t_start = time.perf_counter()
-    state = replace(state, tau=controls.initial_tau(),
-                    tau_max=controls.tau_max)
+    state = replace(state, tau=controls.initial_tau())
     history = []
     rates = []
     converged = False

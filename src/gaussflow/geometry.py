@@ -24,8 +24,9 @@ Every formula exists once, vectorized over a leading node axis: the
 flow, the monitors and the check suite evaluate arrays of jets, and the
 pointwise API (``graph_geometry`` of a ``PointJet``) is the batch of one.
 ``min_eigenvalue_many`` gives the smallest Hessian eigenvalue in closed
-form for n <= 2, for the solver's convexity tests; the monitors'
-eigenvalue fields (``NodalJets.lam`` and ``kappa``) stay with LAPACK.
+form for n <= 2, for the solver's convexity tests; the eigenvalue
+fields of ``NodalJets`` (``lam``, which the monitors read, and
+``kappa``) stay with LAPACK.
 """
 
 from __future__ import annotations

@@ -17,14 +17,13 @@ Two grid families cover the supported domains:
 Every grid exposes the same surface: node coordinates, interior and
 boundary index sets, sparse first/second derivative operators, and the
 ``gradient`` / ``hessian`` evaluators that initialization, the explicit
-step and the monitors use. The Newton residual calls
-``derivative_rows`` instead, which returns both from one product with
-the gradient and distinct Hessian stencils stacked into one CSR
-operator, component-major: the gradient as n rows of N node values and
-the Hessian as n x n such rows, so each component is one contiguous
-array and no (N, n, n) copy is made. ``derivatives`` (the translator
-residual's) transposes them to the node-major (N, n) and (N, n, n)
-layout; both are bit for bit equal to the two evaluators.
+step and the monitors use. The Newton residual and the translator
+residual call ``derivative_rows`` instead, which returns both from one
+product with the gradient and distinct Hessian stencils stacked into one
+CSR operator, component-major: the gradient as n rows of N node values
+and the Hessian as n x n such rows, so each component is one contiguous
+array and no (N, n, n) copy is made. Their transposes are bit for bit
+equal to the two evaluators.
 
 The stacked operator and ``stencil_pattern``, the fixed sparsity
 pattern the Newton Jacobian is assembled on, are built on first use, so
@@ -140,14 +139,6 @@ class _StencilGrid:
         stacked, slot = self._stacked
         blocks = (stacked @ u).reshape(-1, self.n_nodes)
         return blocks[:self.dim], blocks[slot]
-
-    def derivatives(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gradient, Hessian) of u, shapes (N, n) and (N, n, n): the
-        transposes of ``derivative_rows``, equal to ``gradient`` and
-        ``hessian`` bit for bit."""
-        p, r = self.derivative_rows(u)
-        return (np.ascontiguousarray(p.T),
-                np.ascontiguousarray(r.transpose(2, 0, 1)))
 
     def monitor_tol(self, tau_max: float) -> float:
         """Truncation-scaled audit tolerance 10 (h^2 + tau_max h)."""

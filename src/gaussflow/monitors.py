@@ -23,10 +23,12 @@ The audits read each state's nodal geometry from its cached jets
 (``FlowState.jets``): a recorded state's gradient, Hessian and
 curvature matrix are evaluated once, however many audits use them, and
 the evolution identity reuses the mean curvature of the states recorded
-before. The flow seeds an accepted state's jets with the gradient,
-Hessian and Hessian eigenvalues of its admissibility check, so the
-per-step eps0 audit at a cadence above 1 evaluates only the boundary
-rows of the curvature matrix.
+before. The flow seeds an accepted state's jets with the gradient and
+Hessian of Newton's last residual evaluation; their Hessian eigenvalues
+stay lazy, so the per-step eps0 audit at a cadence above 1 evaluates
+only the boundary rows of the curvature matrix. The structure report
+takes the curvature sum from the mean curvature H = tr a, so a record
+computes no principal curvatures.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ CSV_COLUMNS = (
 @dataclass(frozen=True)
 class MonitorRecord:
     """One audited snapshot. Fields t .. newton_iters are the CSV schema;
-    f_min/f_max (curvature sums for the structure sandwich) ride along
-    in memory only."""
+    f_min/f_max (the mean curvature range, for the structure sandwich)
+    ride along in memory only."""
 
     t: float
     tau: float
@@ -127,7 +129,7 @@ def convexity_margin(state, eps0: float) -> float:
     return float(np.min(np.linalg.eigvalsh(m)[:, 0]))
 
 
-def evolution_residual(window, sig: str | None = None) -> float:
+def evolution_residual(window) -> float:
     """Max audited defect of the mean curvature evolution identity.
 
     ``window`` holds at least three consecutive states; the time
@@ -141,10 +143,6 @@ def evolution_residual(window, sig: str | None = None) -> float:
     if len(window) < 3:
         raise ValueError("evolution residual needs >= 3 consecutive snapshots")
     s_lo, s_mid, s_hi = window[-3], window[-2], window[-1]
-    if sig is not None and any(s.sig != sig for s in (s_lo, s_mid, s_hi)):
-        raise ValueError(f"evolution residual of {s_mid.sig} states "
-                         f"requested under {sig!r}")
-    sig = s_mid.sig
     grid = s_mid.grid
     mid = s_mid.jets
     h_mid, p, a = mid.H, mid.p, mid.a
@@ -152,7 +150,7 @@ def evolution_residual(window, sig: str | None = None) -> float:
 
     dh = grid.gradient(h_mid)
     transport = (h_mid / mid.v) * np.einsum("ni,ni->n", p, dh)
-    lap = laplace_beltrami(h_mid, s_mid.u, grid, sig, jets=mid)
+    lap = laplace_beltrami(h_mid, s_mid.u, grid, s_mid.sig, jets=mid)
     norm_a2 = np.einsum("nij,nji->n", a, a)
     res = dt_h + transport - lap + norm_a2 * h_mid
     return float(np.max(np.abs(res[grid.audit_interior])))
@@ -176,12 +174,12 @@ def udot_bounds_check(records, rate_range, tol_mon: float):
     return worst <= tol_mon, float(worst), float(t_worst)
 
 
-def duality_rate_defect(state, tau_probe: float | None = None) -> float:
+def duality_rate_defect(state) -> float:
     """Probe-step audit of the rate duality (1D grids).
 
     The Legendre transform's time derivative at a fixed dual point is the
     negative of the primal rate at the matched node. A single small
-    implicit probe step (tau = h^2 by default, discarded afterwards)
+    implicit probe step (tau = h^2, discarded afterwards)
     supplies both one-sided rates over the same interval; the dual cloud
     of the probed state is cubic-interpolated at the dual points of the
     base state, which keeps the audit O(h^2) even where the gradients
@@ -196,7 +194,7 @@ def duality_rate_defect(state, tau_probe: float | None = None) -> float:
     grid = state.grid
     if grid.dim != 1:
         raise ValueError("the duality rate audit is implemented on 1D grids")
-    tau = tau_probe if tau_probe is not None else grid.h_ref**2
+    tau = grid.h_ref**2
     probe = step_implicit(
         dataclasses.replace(state, tau=tau), StepControls(tau_max=tau)
     )
@@ -222,19 +220,17 @@ class RunMonitor:
     initial state is recorded at construction and ``finish`` records the
     last observed state unless it is already the last row, so a run of S
     steps at cadence c yields 1 + ceil(S / c) rows, the last of them the
-    final state.
+    final state. ``tau_max``, the run's tau ceiling, sets the one audit
+    tolerance tol_mon (``grid.monitor_tol``).
     """
 
-    def __init__(self, state0, cadence: int = 1, tau_max: float = 1.0,
-                 evo_window: int = 3):
+    def __init__(self, state0, cadence: int = 1, tau_max: float = 1.0):
         self.cadence = max(1, int(cadence))
-        self.tau_max = tau_max
         self.tol_mon = state0.grid.monitor_tol(tau_max)
         self.g0_range = state0.g0_range
         self.eps0 = eps0_candidate(state0)  # t = 0 slice, all nodes
         self.records: list[MonitorRecord] = []
-        self._window = []
-        self._evo_window = evo_window
+        self._window = []  # the last three recorded states
         self._seen = 0
         self._last = state0
         self._record(state0)
@@ -260,12 +256,10 @@ class RunMonitor:
             self._record(self._last)
 
     def _record(self, state):
-        self._window.append(state.copy())
-        if len(self._window) > self._evo_window:
-            self._window.pop(0)
+        self._window = [*self._window[-2:], state.copy()]
         evo = math.nan
-        if len(self._window) >= 3:
-            evo = evolution_residual(self._window, state.sig)
+        if len(self._window) == 3:
+            evo = evolution_residual(self._window)
         lam_min, lam_max = hessian_bounds(state)
         rep = structure_report(state)
         self.records.append(MonitorRecord(
@@ -303,9 +297,9 @@ class RunMonitor:
         return all(rec.convex_margin >= -self.tol_mon for rec in self.records)
 
     def sandwich_ok(self, state0) -> bool:
-        """Curvature sums stay inside the structure sandwich of u0."""
-        rep = structure_report(state0)
-        lo, hi = rep.sandwich
+        """Curvature sums stay inside the structure sandwich of u0, up to
+        tol_mon."""
+        lo, hi = structure_report(state0).sandwich
         return all(
             rec.f_min >= lo - self.tol_mon and rec.f_max <= hi + self.tol_mon
             for rec in self.records

@@ -63,23 +63,15 @@ class OperatorDerivatives:
 class StructureReport:
     """Structure constants of the operator evaluated over one flow state.
 
-    T is the curvature-slot derivative sum (identically n for the trace
-    operator). tg/f/fk2 carry (min, max) over nodes; lambda_bounds is the
-    Hessian eigenvalue range; sandwich is the admissible band for sum of
-    principal curvatures derived from the initial rate range and the
-    gradient-image domain, with sandwich_ok its verdict.
+    tg_range is the (min, max) over nodes of the curvature-slot trace
+    g^ij delta_ij and f_range that of the mean curvature H, the sum of
+    principal curvatures; sandwich is the admissible band for H derived
+    from the initial rate range and the gradient-image domain.
     """
 
-    n: int
-    T: float
     tg_range: tuple[float, float]
     f_range: tuple[float, float]
-    fk2_range: tuple[float, float]
-    lambda_bounds: tuple[float, float]
-    gp_max: float
     sandwich: tuple[float, float]
-    sandwich_ok: bool
-    tol: float
 
 
 def g_value(jet: PointJet, sig: str) -> float:
@@ -204,52 +196,25 @@ def legendre_transform(u: np.ndarray, grid):
     return y, u_tilde
 
 
-def structure_report(state, sig: str | None = None) -> StructureReport:
+def structure_report(state) -> StructureReport:
     """Evaluate the operator structure constants over a flow state.
 
-    Checks that the sum of principal curvatures stays inside the band
+    The sum of principal curvatures should stay inside the band
     [min w * min G0, max w * max G0] where w = 1/v ranges over the
     gradient-image domain and (min G0, max G0) is the initial rate range
-    carried by the state. The nodal geometry is read from the state's
-    jets; ``sig``, if given, must be the state's signature.
+    carried by the state. The nodal geometry (p, v and H) is read from
+    the state's jets.
     """
-    if sig is not None and sig != state.sig:
-        raise ValueError(f"structure report of a {state.sig} state "
-                         f"requested under {sig!r}")
-    sig = state.sig
-    eps = signature_eps(sig)
     jets = state.jets
-    p, r, kappa, lam = jets.p, jets.r, jets.kappa, jets.lam
-    n = p.shape[1]
-
-    tg = n - eps * np.sum(p * p, axis=1) / jets.v**2
-    f_vals = np.sum(kappa, axis=1)
-    fk2_vals = np.sum(kappa * kappa, axis=1)
-    _, g_p = g_derivatives_many(p, r, sig)
-    gp_max = float(np.max(np.linalg.norm(g_p, axis=1)))
-
-    rad_min, rad_max = state.omega_tilde.norm_range
-    if sig == MINKOWSKI:
-        w_min = 1.0 / np.sqrt(1.0 - rad_min**2)
-        w_max = 1.0 / np.sqrt(1.0 - rad_max**2)
-    else:
-        w_min = 1.0 / np.sqrt(1.0 + rad_max**2)
-        w_max = 1.0 / np.sqrt(1.0 + rad_min**2)
+    p, big_h = jets.p, jets.H
+    eps = signature_eps(state.sig)
+    tg = p.shape[1] - eps * np.sum(p * p, axis=1) / jets.v**2
+    # w = 1/v at the smallest and largest |p| of the gradient-image domain
+    w = 1.0 / np.sqrt(v_squared(np.square(state.omega_tilde.norm_range),
+                                state.sig))
     g0_min, g0_max = state.g0_range
-    lo = w_min * g0_min
-    hi = w_max * g0_max
-    tol = state.grid.monitor_tol(state.tau_max)
-    ok = bool(np.min(f_vals) >= lo - tol and np.max(f_vals) <= hi + tol)
-
     return StructureReport(
-        n=n,
-        T=float(n),
         tg_range=(float(np.min(tg)), float(np.max(tg))),
-        f_range=(float(np.min(f_vals)), float(np.max(f_vals))),
-        fk2_range=(float(np.min(fk2_vals)), float(np.max(fk2_vals))),
-        lambda_bounds=(float(np.min(lam)), float(np.max(lam))),
-        gp_max=gp_max,
-        sandwich=(float(lo), float(hi)),
-        sandwich_ok=ok,
-        tol=float(tol),
+        f_range=(float(np.min(big_h)), float(np.max(big_h))),
+        sandwich=(float(np.min(w) * g0_min), float(np.max(w) * g0_max)),
     )

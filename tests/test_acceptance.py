@@ -265,7 +265,7 @@ class TestCriterion7_EvolutionIdentity:
             frozen = dataclasses.replace(state, u=u, u_dot=g)
             window = [frozen, dataclasses.replace(frozen, t=0.1),
                       dataclasses.replace(frozen, t=0.2)]
-            return monitors.evolution_residual(window, MINKOWSKI)
+            return monitors.evolution_residual(window)
 
         res = [sampled(n) for n in (51, 101, 201)]
         orders = [float(np.log2(a / b)) for a, b in zip(res, res[1:])]

@@ -74,6 +74,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.parse_config(tmp_path / "nope.cfg")
 
+    def test_comment_after_whitespace(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path).replace(
+            "n = 101", "n = 40  # cells\n  # indented comment"))
+        assert cli.parse_config(cfg).grid_spec == 40
+
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(BASE_CONFIG.format(out=out).replace("n = 101",
+                                                           "n = 40#x"))
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStepControlValidation:
     """Bad step controls end in exit 1 before any step is taken."""
@@ -266,6 +281,16 @@ class TestRunCommand:
         assert coords.shape == (1 + 12 * 24, 2)
         assert cli.main(["report", str(out / "monitors.csv")]) == 0
 
+    def test_output_dir_with_hash(self, tmp_path):
+        cfg = tmp_path / "hash.cfg"
+        out = tmp_path / "x" / "run#1"
+        cfg.write_text(BASE_CONFIG.format(out=out))
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        for name in ("monitors.csv", "fields.csv", "snapshot.txt",
+                     "report.txt"):
+            assert (out / name).is_file()
+        assert not (tmp_path / "x" / "run").exists()
+
     def test_anchor_override(self, tmp_path):
         cfg = tmp_path / "anchor.cfg"
         out = tmp_path / "outa"
@@ -273,6 +298,95 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(cfg)]) == 0
         config = cli.parse_config(cfg)
         assert config.anchor == 7
+
+
+# ---------------------------------------------------------------------------
+# The node artifacts share one table; these writers are the per-row
+# f-string ones it replaced, kept as the byte-for-byte reference (they
+# take p and the Hessian eigenvalues from the grid, not the jets).
+# ---------------------------------------------------------------------------
+
+def ref_node_indices(grid):
+    if grid.dim == 1:
+        return [(i,) for i in range(grid.n_nodes)]
+    out = [(0, 0)]
+    for j in range(1, grid.n_rho + 1):
+        for m in range(grid.n_theta):
+            out.append((j, m))
+    return out
+
+
+def ref_write_fields_csv(path, state):
+    grid = state.grid
+    p = state.grid.gradient(state.u)
+    lam_min = np.linalg.eigvalsh(state.grid.hessian(state.u))[:, 0]
+    idx = ref_node_indices(grid)
+    fmt = cli._fmt
+    with open(path, "w") as f:
+        if grid.dim == 1:
+            f.write("i,x,u,du_x,hess_min\n")
+            for k in range(grid.n_nodes):
+                f.write(f"{idx[k][0]},{fmt(grid.nodes[k, 0])},{fmt(state.u[k])},"
+                        f"{fmt(p[k, 0])},{fmt(lam_min[k])}\n")
+        else:
+            f.write("i,j,x,y,u,du_x,du_y,hess_min\n")
+            for k in range(grid.n_nodes):
+                f.write(f"{idx[k][0]},{idx[k][1]},{fmt(grid.nodes[k, 0])},"
+                        f"{fmt(grid.nodes[k, 1])},{fmt(state.u[k])},"
+                        f"{fmt(p[k, 0])},{fmt(p[k, 1])},{fmt(lam_min[k])}\n")
+
+
+def ref_write_snapshot(path, state, c_inf):
+    grid = state.grid
+    if grid.dim == 1:
+        grid_line = f"grid = {grid.n_nodes - 1}"
+    else:
+        grid_line = f"grid = {grid.n_rho} {grid.n_theta}"
+    idx = ref_node_indices(grid)
+    fmt, spec = cli._fmt, cli.domain_spec_string
+    with open(path, "w") as f:
+        f.write("# gaussflow snapshot\n")
+        f.write(f"signature = {state.sig}\n")
+        f.write(f"dimension = {grid.dim}\n")
+        f.write(f"omega = {spec(state.omega)}\n")
+        f.write(f"omega_tilde = {spec(state.omega_tilde)}\n")
+        f.write(grid_line + "\n")
+        f.write(f"t = {fmt(state.t)}\n")
+        f.write(f"c_inf = {fmt(c_inf)}\n")
+        f.write(f"nodes = {grid.n_nodes}\n")
+        cols = "i x u" if grid.dim == 1 else "i j x y u"
+        f.write(f"columns = {cols}\n")
+        for k in range(grid.n_nodes):
+            coords = " ".join(fmt(c) for c in grid.nodes[k])
+            tags = " ".join(str(i) for i in idx[k])
+            f.write(f"{tags} {coords} {fmt(state.u[k])}\n")
+
+
+NODE_TABLE_CASES = {
+    "line": ("interval -0.3 1.2", "interval -0.5 0.7", 60),
+    # shifted ellipses whose axes are turned off the coordinate axes
+    "rotated-ellipse": ("ellipse 0.1 -0.2 1.2 0.3 2.1",
+                        "ellipse 0.05 0.1 8 2 14", (8, 16)),
+}
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("case", sorted(NODE_TABLE_CASES))
+    def test_writers_match_per_row_reference(self, case, tmp_path):
+        omega, omega_tilde, spec = NODE_TABLE_CASES[case]
+        state = flow.initialize(cli.parse_domain_spec(omega),
+                                cli.parse_domain_spec(omega_tilde), spec,
+                                "minkowski")
+        for _ in range(2):  # leave the initial quadratic
+            state = flow.step_implicit(state)
+        c_inf = flow.mean_rate(state)
+        for write, ref, args in (
+                (cli.write_fields_csv, ref_write_fields_csv, ()),
+                (cli.write_snapshot, ref_write_snapshot, (c_inf,))):
+            write(tmp_path / "got", state, *args)
+            ref(tmp_path / "want", state, *args)
+            got = (tmp_path / "got").read_bytes()
+            assert got == (tmp_path / "want").read_bytes(), write.__name__
 
 
 class TestOracleCommand:

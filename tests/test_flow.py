@@ -970,7 +970,6 @@ class TestHotPath:
         assert counts["eigvalsh"] == 0
         assert counts["residual"] > 0
         # the one call outside the residuals is translator_residual's
-        # (through grid.derivatives)
         assert counts["derivatives"] == counts["residual"] + 1
 
 

@@ -293,21 +293,6 @@ class TestDerivatives:
         MappedDiskGrid(np.array([[0.38, -0.07], [-0.07, 0.27]]),
                        np.array([0.3, -0.2]), 9, 18),
     ], ids=["line", "disk-ball", "shifted-rotated-ellipse"])
-    def test_matches_gradient_and_hessian_bit_for_bit(self, grid):
-        x = grid.nodes
-        smooth = np.exp(0.5 * x[:, 0]) * np.cos(x[:, -1]) + x[:, 0] ** 2
-        noise = np.random.default_rng(4).normal(size=grid.n_nodes)
-        for u in (smooth, noise):
-            p, r = grid.derivatives(u)
-            assert np.array_equal(p, grid.gradient(u))
-            assert np.array_equal(r, grid.hessian(u))
-
-    @pytest.mark.parametrize("grid", [
-        LineGrid(-0.3, 1.2, 40),
-        MappedDiskGrid(np.eye(2), np.zeros(2), 8, 16),
-        MappedDiskGrid(np.array([[0.38, -0.07], [-0.07, 0.27]]),
-                       np.array([0.3, -0.2]), 9, 18),
-    ], ids=["line", "disk-ball", "shifted-rotated-ellipse"])
     def test_component_rows_match_gradient_and_hessian_bit_for_bit(self,
                                                                    grid):
         x = grid.nodes

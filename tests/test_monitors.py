@@ -202,7 +202,7 @@ class TestEvolutionResidual:
         window = [flat,
                   dataclasses.replace(flat, t=0.1),
                   dataclasses.replace(flat, t=0.2)]
-        assert monitors.evolution_residual(window, MINKOWSKI) < 1e-6
+        assert monitors.evolution_residual(window) < 1e-6
 
     def test_needs_three_snapshots(self):
         state = interval_state(101)
@@ -219,7 +219,7 @@ class TestEvolutionResidual:
             window = [frozen,
                       dataclasses.replace(frozen, t=0.1),
                       dataclasses.replace(frozen, t=0.2)]
-            return monitors.evolution_residual(window, MINKOWSKI)
+            return monitors.evolution_residual(window)
 
         res = {n: sampled_residual(n) for n in (51, 101, 201)}
         assert res[201] < 1e-3
@@ -245,7 +245,7 @@ class TestEvolutionResidual:
             frozen = refresh_rate(dataclasses.replace(state, u=u))
             window = [frozen, dataclasses.replace(frozen, t=0.1),
                       dataclasses.replace(frozen, t=0.2)]
-            res.append(monitors.evolution_residual(window, MINKOWSKI))
+            res.append(monitors.evolution_residual(window))
         assert res[1] < 5e-5
         assert res[0] / res[1] > 2.0 ** 1.5
 
@@ -371,10 +371,9 @@ def ref_evolution_residual(window):
 
 def ref_record(state, eps0, window):
     """A MonitorRecord computed the way the pre-jets monitors did."""
-    p, r, v, _, a, _ = ref_geometry(state)
+    p, r, v, _, _, big_h = ref_geometry(state)
     eps = geo.signature_eps(state.sig)
     tg = p.shape[1] - eps * np.sum(p * p, axis=1) / v**2
-    f_vals = np.sum(np.linalg.eigvalsh(a), axis=1)
     lam = np.linalg.eigvalsh(r)
     return monitors.MonitorRecord(
         t=state.t, tau=state.tau,
@@ -388,7 +387,7 @@ def ref_record(state, eps0, window):
         evo_residual=(ref_evolution_residual(window) if len(window) >= 3
                       else math.nan),
         newton_iters=state.newton_iters,
-        f_min=float(np.min(f_vals)), f_max=float(np.max(f_vals)),
+        f_min=float(np.min(big_h)), f_max=float(np.max(big_h)),
     )
 
 
@@ -462,7 +461,6 @@ class TestCachedJetAudits:
         want = ref_record(state, 0.0, [])
         assert rep.tg_range == (want.TG_min, want.TG_max)
         assert rep.f_range == (want.f_min, want.f_max)
-        assert rep.lambda_bounds == (want.hess_min, want.hess_max)
 
     def test_last_state_is_last_observed(self):
         _, mon, accepted = short_run("interval", cadence=4, steps=5)
@@ -499,13 +497,26 @@ class TestCachedJetAudits:
         # every step still audits eps0, on the boundary rows only
         assert calls.count(len(grid.boundary)) == 6
 
-    def test_signature_override_must_match(self):
-        _, _, accepted = short_run("interval", steps=3)
-        assert monitors.evolution_residual(accepted, MINKOWSKI) == \
-            monitors.evolution_residual(accepted)
-        with pytest.raises(ValueError, match="euclidean"):
-            monitors.evolution_residual(accepted, EUCLIDEAN)
-        with pytest.raises(ValueError, match="euclidean"):
-            structure_report(accepted[-1], EUCLIDEAN)
-        assert structure_report(accepted[-1], MINKOWSKI) == \
-            structure_report(accepted[-1])
+    def test_records_evaluate_no_operator_derivative_or_kappa(self,
+                                                              monkeypatch):
+        # the structure report reads p, v and H = tr a from the jets, so a
+        # record calls no G_p kernel and takes no eigenvalues of a
+        from gaussflow import operators
+        counts = {"g_derivatives_many": 0, "kappa": 0}
+        g_derivatives_many = operators.g_derivatives_many
+
+        def counted_derivatives(*args):
+            counts["g_derivatives_many"] += 1
+            return g_derivatives_many(*args)
+
+        def counted_kappa(jets):
+            counts["kappa"] += 1
+            return np.linalg.eigvalsh(jets.a)
+
+        monkeypatch.setattr(operators, "g_derivatives_many",
+                            counted_derivatives)
+        monkeypatch.setattr(geo.NodalJets, "kappa", property(counted_kappa))
+        state0, mon, _ = short_run("disk-ball", cadence=1)
+        assert len(mon.records) == 7
+        assert mon.sandwich_ok(state0)
+        assert counts == {"g_derivatives_many": 0, "kappa": 0}

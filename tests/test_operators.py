@@ -192,11 +192,6 @@ class TestStructureReport:
                           ConvexDomain.interval(-0.5, 0.5),
                           n_cells, MINKOWSKI)
 
-    def test_trace_sum_is_dimension(self):
-        rep = ops.structure_report(self._state())
-        assert rep.T == 1.0
-        assert rep.n == 1
-
     def test_tg_range_matches_formula(self):
         # TG = n + |p|^2 / (1 - |p|^2); at |p| = 0.6 that is 1.5625
         state = self._state()
@@ -216,7 +211,11 @@ class TestStructureReport:
         assert np.sum(kappa**2) == pytest.approx(5.377197265625)
 
     def test_sandwich_holds_at_start(self):
-        rep = ops.structure_report(self._state())
-        assert rep.sandwich_ok
+        from gaussflow.monitors import RunMonitor
+        state0 = self._state()
+        mon = RunMonitor(state0)
+        assert mon.sandwich_ok(state0)
+        rep = ops.structure_report(state0)
         lo, hi = rep.sandwich
-        assert lo <= rep.f_range[0] and rep.f_range[1] <= hi + rep.tol
+        assert lo - mon.tol_mon <= rep.f_range[0]
+        assert rep.f_range[1] <= hi + mon.tol_mon

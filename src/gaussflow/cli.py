@@ -182,11 +182,11 @@ def write_monitors_csv(path, records):
             f.write(rec.csv_row() + "\n")
 
 
-def _node_table(state, extra=()) -> tuple[list, list]:
-    """(column names, rows) of the per-node table both node artifacts
+def _node_table(state) -> tuple[list, list]:
+    """(column names, columns) of the per-node table both node artifacts
     write: the node's index (i, or ring i and angle j in 2D with the pole
-    at 0 0), its coordinates, u, then the ``extra`` (name, values)
-    columns. Each row is a tuple of strings, the numbers in ``_fmt``."""
+    at 0 0), its coordinates and u. Each column is a list of strings, the
+    numbers in ``_fmt``."""
     grid = state.grid
     if grid.dim == 1:
         index = [("i", np.arange(grid.n_nodes))]
@@ -194,27 +194,29 @@ def _node_table(state, extra=()) -> tuple[list, list]:
         k = np.arange(grid.n_nodes - 1)  # the nodes after the pole
         index = [("i", np.r_[0, k // grid.n_theta + 1]),
                  ("j", np.r_[0, k % grid.n_theta])]
-    numbers = [*zip("xy", grid.nodes.T), ("u", state.u), *extra]
+    numbers = [*zip("xy", grid.nodes.T), ("u", state.u)]
     cols = [list(map(str, vals.tolist())) for _, vals in index]
     cols += [list(map(_fmt, vals.tolist())) for _, vals in numbers]
-    return [name for name, _ in index + numbers], list(zip(*cols))
+    return [name for name, _ in index + numbers], cols
 
 
-def write_fields_csv(path, state):
+def write_fields_csv(path, state, table=None):
+    names, cols = table or _node_table(state)
     jets = state.jets
-    names, rows = _node_table(state, [*zip(("du_x", "du_y"), jets.p.T),
-                                      ("hess_min", jets.lam[:, 0])])
+    extra = [*zip(("du_x", "du_y"), jets.p.T), ("hess_min", jets.lam[:, 0])]
+    names = names + [name for name, _ in extra]
+    cols = cols + [list(map(_fmt, vals.tolist())) for _, vals in extra]
     with open(path, "w") as f:
-        f.write("\n".join([",".join(names), *map(",".join, rows)]) + "\n")
+        f.write("\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n")
 
 
-def write_snapshot(path, state, c_inf):
+def write_snapshot(path, state, c_inf, table=None):
     grid = state.grid
     if grid.dim == 1:
         grid_line = f"grid = {grid.n_nodes - 1}"
     else:
         grid_line = f"grid = {grid.n_rho} {grid.n_theta}"
-    names, rows = _node_table(state)
+    names, cols = table or _node_table(state)
     header = [
         "# gaussflow snapshot",
         f"signature = {state.sig}",
@@ -228,7 +230,7 @@ def write_snapshot(path, state, c_inf):
         f"columns = {' '.join(names)}",
     ]
     with open(path, "w") as f:
-        f.write("\n".join([*header, *map(" ".join, rows)]) + "\n")
+        f.write("\n".join([*header, *map(" ".join, zip(*cols))]) + "\n")
 
 
 def read_snapshot(path):
@@ -319,8 +321,9 @@ def run_command(config_path) -> int:
     c_inf = result.c_inf if result else mean_rate(state)
 
     write_monitors_csv(out / "monitors.csv", monitor.records)
-    write_fields_csv(out / "fields.csv", state)
-    write_snapshot(out / "snapshot.txt", state, c_inf)
+    table = _node_table(state)
+    write_fields_csv(out / "fields.csv", state, table)
+    write_snapshot(out / "snapshot.txt", state, c_inf, table)
     write_report(out / "report.txt", config, converged, result, monitor, message)
     if converged:
         print(f"converged: C_inf = {result.c_inf:.10g} after {result.steps} steps "

@@ -27,13 +27,13 @@ positive definite, tested on the smallest eigenvalue in closed form
 enforced by the residual evaluation at the same gradients.
 
 The Jacobian is filled on a sparsity pattern fixed per grid (the union
-of the identity and every stencil, built on first use) as the sum of
-the row-weighted stencils, looked up into the union by sorted keys; no
-sparse products are formed, and entries that are zero in one Jacobian
-stay in the pattern as explicit zeros. A run builds the pattern once and
-mostly assembles one or two Jacobians on it, so the build is kept to
-the union alone. The Jacobian is factored by sparse LU in the grid's
-column ordering: natural for the banded 1D Jacobian, minimum
+of the identity and every stencil, built from the grid's stencil table
+on first use) as the sum of the row-weighted stencils: the pattern holds
+each stencil's values in its CSC order, so an assembly is one gather of
+row weights and one multiply-add per stencil, with no sparse products,
+sums or lookups. Entries that are zero in one Jacobian stay in the
+pattern as explicit zeros. The Jacobian is factored by sparse LU in the
+grid's column ordering: natural for the banded 1D Jacobian, minimum
 degree on A^T + A in 2D, which cuts fill against the default COLAMD.
 SuperLU runs in symmetric mode with a diagonal pivot threshold of 0.01,
 so the pivots stay on the diagonal and the row order is the column
@@ -248,7 +248,8 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
     Any two quadrics of matching dimension are images of one another
     under a unique SPD affine map, so
     u0(x) = 0.5 (x - c)^T A (x - c) + c_tilde . x always realizes
-    Du0(Omega) = Omega_tilde exactly and is uniformly convex.
+    Du0(Omega) = Omega_tilde exactly and is uniformly convex. The state's
+    jets start with the Du0 and D2u0 that G0 was evaluated on.
     """
     if omega.dimension != omega_tilde.dimension:
         raise ValueError("omega and omega_tilde must share a dimension")
@@ -265,12 +266,16 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
     u0 = 0.5 * np.einsum("ni,ij,nj->n", d, a_mat, d) + grid.nodes @ (
         a_mat @ omega.center + shift
     )
-    g0 = g_value_many(grid.gradient(u0), grid.hessian(u0), sig)
-    return FlowState(
-        grid=grid, u=u0, t=0.0, u_dot=g0.copy(), tau=0.0, steps=0, sig=sig,
+    p, r = grid.derivative_rows(u0)
+    g0 = g_value_rows(p, r, sig)
+    state = FlowState(
+        grid=grid, u=u0, t=0.0, u_dot=g0, tau=0.0, steps=0, sig=sig,
         omega=omega, omega_tilde=omega_tilde,
         g0_range=(float(np.min(g0)), float(np.max(g0))),
     )
+    state.jets.p = np.ascontiguousarray(p.T)
+    state.jets.r = np.ascontiguousarray(r.transpose(2, 0, 1))
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,14 @@ and the Hessian as n x n such rows, so each component is one contiguous
 array and no (N, n, n) copy is made. Their transposes are bit for bit
 equal to the two evaluators.
 
-The stacked operator and ``stencil_pattern``, the fixed sparsity
-pattern the Newton Jacobian is assembled on, are built on first use, so
-grids that never take an implicit step do not pay for them. A run
-builds the pattern once and assembles one or two Jacobians on it, so the
-build is kept cheap: the union pattern is a sum of the |stencils|, and
-each assembly forms the row-weighted stencil sum on the stencils' own
-patterns and looks its entries up in the union by their sorted CSC
-keys, with no per-stencil lookup table built in advance.
+Each grid builds its stencils as one slot table: an int32 CSR skeleton
+holding every stencil entry and the diagonal, and one row of values on
+it per stencil, d_first[k] then d_second[k][l] (k <= l); the disk's
+polar to Cartesian maps and affine chain rule are array arithmetic on
+table rows, their terms summed left to right. The stacked operator keeps
+the table's nonzero entries, and its blocks are the d_first and d_second
+matrices. ``stencil_pattern``, the pattern the Newton Jacobian is
+assembled on, is built from the table on first use.
 """
 
 from __future__ import annotations
@@ -43,61 +43,53 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def _csr(n: int, entries) -> sp.csr_matrix:
-    """n x n CSR matrix from (rows, cols, values) triplets that broadcast."""
+def _entries(triplets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) arrays of a list of broadcasting triplets."""
     rows, cols, vals = zip(*(
-        (a.ravel() for a in np.broadcast_arrays(r, c, v)) for r, c, v in entries))
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+        (a.ravel() for a in np.broadcast_arrays(r, c, v)) for r, c, v in triplets))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _skeleton(n: int, stencils):
+    """int32 CSR indptr and indices of the sorted union of the diagonal
+    and the entries of n x n stencils given as (rows, cols, ...), found by
+    one sort; the diagonal's slots; and per stencil its entries' slots."""
+    diag = np.arange(n) * (n + 1)
+    keys = np.concatenate([diag, *(r * n + c for r, c, *_ in stencils)])
+    keys.sort()
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    slots = [np.searchsorted(keys, r * n + c) for r, c, *_ in stencils]
+    return (indptr, (keys % n).astype(np.int32), np.searchsorted(keys, diag),
+            slots)
 
 
 class StencilPattern:
-    """Union CSC pattern of a list of square stencils.
+    """CSC pattern of diag(coef[0]) + sum_s diag(coef[s]) @ stencils[s - 1].
 
-    ``assemble(coef)`` returns sum_s diag(coef[s]) @ stencils[s] on the
-    union pattern: coef has one row per stencil and one column per node.
-    The union is the sum of the |stencils|, so it holds every stencil
-    entry. The weighted sum is formed on the stencils' own patterns (a
-    row scaling of each and sparse sums, no products) and embedded into
-    the union by a sorted-key lookup. Entries that cancel or are never
-    weighted stay as explicit zeros, so every assembly shares one
-    structure; dropping them would let minimum degree order a sparser
-    matrix into 1-9 % more LU fill.
+    The pattern is the union of the diagonal and the stencils' nonzero
+    entries, on which each stencil is held as values in CSC order.
+    ``assemble(coef)`` puts coef[0] on the diagonal and adds the stencils
+    in order, weighting each entry by coef of its row. Entries that
+    cancel or are never weighted stay as explicit zeros, so every
+    assembly shares one structure; dropping them would let minimum degree
+    order a sparser matrix into 1-9 % more LU fill.
     """
 
-    def __init__(self, stencils):
-        self._stencils = [sp.csc_matrix(s, copy=True) for s in stencils]
-        for st in self._stencils:
-            # a stored zero may be missing from the union, and assemble looks
-            # up every entry of the weighted sum there
-            st.sum_duplicates()
-            st.eliminate_zeros()
-        union = abs(self._stencils[0])
-        for st in self._stencils[1:]:
-            union = union + abs(st)
-        union.sort_indices()
-        self.indices, self.indptr = union.indices, union.indptr
-        self.n_nodes = union.shape[0]
-        self._keys = self._keys_of(union)
-
-    def _keys_of(self, mat) -> np.ndarray:
-        """CSC keys col * n + row of mat's entries (ascending when sorted)."""
-        cols = np.repeat(np.arange(self.n_nodes), np.diff(mat.indptr))
-        return cols * self.n_nodes + mat.indices
-
-    @property
-    def n_stencils(self) -> int:
-        return len(self._stencils)
+    def __init__(self, indptr, indices, diagonal, values):
+        self.indptr, self.indices = indptr, indices
+        self._diagonal, self._values = diagonal, values
+        self.n_nodes = indptr.size - 1
+        self.n_stencils = 1 + len(values)
 
     def assemble(self, coef: np.ndarray) -> sp.csc_matrix:
-        total = None
-        for c, st in zip(coef, self._stencils):
-            scaled = sp.csc_matrix((st.data * c[st.indices], st.indices,
-                                    st.indptr), shape=st.shape)
-            total = scaled if total is None else total + scaled
         data = np.zeros(self.indices.size)
-        data[np.searchsorted(self._keys, self._keys_of(total))] = total.data
+        data[self._diagonal] = coef[0]
+        term = np.empty_like(data)
+        for c, vals in zip(coef[1:], self._values):
+            np.take(c, self.indices, out=term)
+            term *= vals
+            data += term
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=(self.n_nodes, self.n_nodes))
 
@@ -109,23 +101,52 @@ class _StencilGrid:
         """(k, l) with k <= l, row-major: the distinct Hessian entries."""
         return [(k, l) for k in range(self.dim) for l in range(k, self.dim)]
 
-    @cached_property
-    def stencil_pattern(self) -> StencilPattern:
-        """Pattern of the identity, d_first[k], then d_second[k][l] (k <= l)."""
-        second = [self.d_second[k][l] for k, l in self._second_slots()]
-        return StencilPattern([sp.identity(self.n_nodes), *self.d_first,
-                               *second])
+    def _install(self, indptr, indices, diag, table):
+        """Operators and stacked operator of a slot table (rows d_first[k],
+        then d_second[k][l], k <= l, on the skeleton indptr, indices with
+        the diagonal at ``diag``), kept for ``stencil_pattern``."""
+        n, dim = self.n_nodes, self.dim
+        nonzero = table != 0
+        ptr = np.zeros(table.shape[0] * n + 1, dtype=np.int32)
+        np.cumsum(np.add.reduceat(nonzero, indptr[:-1], axis=1, dtype=np.int32),
+                  out=ptr[1:])
+        stacked = sp.csr_matrix(
+            (table[nonzero], np.broadcast_to(indices, table.shape)[nonzero], ptr),
+            shape=(table.shape[0] * n, n))
+        blocks = [sp.csr_matrix((n, n)) for _ in table]
+        for block, lo, hi in zip(blocks, range(0, ptr.size, n),
+                                 range(n, ptr.size, n)):
+            # views set after construction: the constructor would copy a
+            # view much smaller than its base
+            block.data = stacked.data[ptr[lo]:ptr[hi]]
+            block.indices = stacked.indices[ptr[lo]:ptr[hi]]
+            block.indptr = ptr[lo:hi + 1] - ptr[lo]
+        slot = np.empty((dim, dim), dtype=int)
+        for s, (k, l) in enumerate(self._second_slots(), start=dim):
+            slot[k, l] = slot[l, k] = s
+        self.d_first = blocks[:dim]
+        self.d_second = [[blocks[s] for s in row] for row in slot]
+        self._stacked = stacked, slot
+        self._table = indptr, indices, diag, table
 
     @cached_property
-    def _stacked(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """The d_first[k] and d_second[k][l] (k <= l) stacked row-wise into
-        one CSR operator, and for each Hessian entry (k, l) its block."""
-        slot = np.empty((self.dim, self.dim), dtype=int)
-        second = []
-        for k, l in self._second_slots():
-            slot[k, l] = slot[l, k] = self.dim + len(second)
-            second.append(self.d_second[k][l])
-        return sp.vstack([*self.d_first, *second], format="csr"), slot
+    def stencil_pattern(self) -> StencilPattern:
+        """The skeleton slots where some stencil is nonzero, in CSC order
+        (a transpose of the skeleton that carries slot numbers)."""
+        indptr, indices, diag, table = self.__dict__.pop("_table")
+        keep = (table != 0).any(axis=0)
+        keep[diag] = True
+        csc = sp.csr_matrix((np.arange(indices.size), indices, indptr),
+                            shape=(self.n_nodes,) * 2).tocsc()
+        keep = keep[csc.data]
+        kept = np.zeros(keep.size + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        csc_ptr, rows, perm = kept[csc.indptr], csc.indices[keep], csc.data[keep]
+        del csc, keep, kept  # before the gather below, which sets the peak
+        on_diag = np.zeros(indices.size, dtype=bool)
+        on_diag[diag] = True
+        return StencilPattern(csc_ptr, rows, np.flatnonzero(on_diag[perm]),
+                              table[:, perm])
 
     def derivative_rows(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gradient, Hessian) of u component-major, shapes (n, N) and
@@ -175,24 +196,26 @@ class LineGrid(_StencilGrid):
 
     def _build_operators(self):
         m, h = self.n_nodes, self.h
-        i = np.arange(1, m - 1)
-        end = m - 1
-        # centered inside, one-sided second order rows at the ends
-        self.d_first = [_csr(m, [
-            (i, i - 1, -0.5 / h),
-            (i, i + 1, 0.5 / h),
-            (0, [0, 1, 2], np.array([-3.0, 4.0, -1.0]) / (2.0 * h)),
-            (end, [end - 2, end - 1, end],
-             np.array([1.0, -4.0, 3.0]) / (2.0 * h)),
-        ])]
-        self.d_second = [[_csr(m, [
-            (i, i - 1, 1.0 / h**2),
-            (i, i, -2.0 / h**2),
-            (i, i + 1, 1.0 / h**2),
-            (0, [0, 1, 2, 3], np.array([2.0, -5.0, 4.0, -1.0]) / h**2),
-            (end, [end - 3, end - 2, end - 1, end],
-             np.array([-1.0, 4.0, -5.0, 2.0]) / h**2),
-        ])]]
+        inner = m - 2
+        # the skeleton is banded: columns 0..3 in the first row, i - 1..i + 1
+        # in row i inside and m - 4..m - 1 in the last row; the stencils are
+        # centered inside and one-sided second order at the ends
+        indptr = np.r_[0, 4 + 3 * np.arange(inner + 1), 3 * inner + 8].astype(np.int32)
+        indices = np.concatenate([
+            [0, 1, 2, 3],
+            (np.arange(1, m - 1)[:, None] + [-1, 0, 1]).ravel(),
+            m - 4 + np.arange(4)]).astype(np.int32)
+        diag = np.r_[0, indptr[1:m - 1] + 1, indptr[m - 1] + 3]
+        table = np.array([np.concatenate([
+            np.array([-3.0, 4.0, -1.0, 0.0]) / (2.0 * h),
+            np.tile([-0.5 / h, 0.0, 0.5 / h], inner),
+            np.array([0.0, 1.0, -4.0, 3.0]) / (2.0 * h),
+        ]), np.concatenate([
+            np.array([2.0, -5.0, 4.0, -1.0]) / h**2,
+            np.tile([1.0 / h**2, -2.0 / h**2, 1.0 / h**2], inner),
+            np.array([-1.0, 4.0, -5.0, 2.0]) / h**2,
+        ])])
+        self._install(indptr, indices, diag, table)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return (self.d_first[0] @ u)[:, None]
@@ -236,14 +259,12 @@ class MappedDiskGrid(_StencilGrid):
         theta = np.arange(n_theta) * self.d_theta
         rr, tt = np.meshgrid(rho, theta, indexing="ij")
         ref = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=1)
-        ref = np.vstack([np.zeros((1, 2)), ref])
-        self.ref_nodes = ref
+        self.ref_nodes = ref = np.vstack([np.zeros((1, 2)), ref])
         self.nodes = ref @ a_map.T + center
 
-        self.boundary = np.arange(self.index(n_rho, 0), self.index(n_rho, 0) + n_theta)
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.boundary] = False
-        self.interior = np.nonzero(mask)[0]
+        # the boundary ring is numbered last
+        self.interior = np.arange(self.index(n_rho, 0))
+        self.boundary = np.arange(self.index(n_rho, 0), self.n_nodes)
         # rings 2 .. n_rho - 2: stencil-clean for audits of derived fields
         # (ring 1 sees the pole's fitted values, ring n_rho - 1 sees the
         # boundary's one-sided values)
@@ -262,12 +283,13 @@ class MappedDiskGrid(_StencilGrid):
     # -- polar stencil tables -------------------------------------------------
 
     def _polar_operators(self):
-        """CSR stencils for u_rho, u_rhorho, u_theta, u_thetatheta, u_rhotheta.
+        """(rows, cols, values) of the stencils for u_rho, u_rhorho,
+        u_theta, u_thetatheta and u_rhotheta, keyed r, rr, t, tt, rt.
 
         Rows are rings 1..n_rho (the pole row stays empty). Index arrays
         run over (ring, angle); ``index`` wraps the angle periodically.
         """
-        nt, nr, n = self.n_theta, self.n_rho, self.n_nodes
+        nt, nr = self.n_theta, self.n_rho
         drho, dth = self.d_rho, self.d_theta
         m = np.arange(nt)
         ring = np.arange(1, nr + 1)[:, None]
@@ -312,7 +334,7 @@ class MappedDiskGrid(_StencilGrid):
                 (rows_b, self.index(nr - 1, m + shift), -w * 2.0 / drho),
                 (rows_b, self.index(nr - 2, m + shift), w * 0.5 / drho),
             ]
-        return {key: _csr(n, entries) for key, entries in ops.items()}
+        return {key: _entries(entries) for key, entries in ops.items()}
 
     def _pole_fit_rows(self):
         """Least-squares quadratic fit rows for the pole derivatives.
@@ -332,88 +354,57 @@ class MappedDiskGrid(_StencilGrid):
         w = np.linalg.pinv(basis)
         return w, self.index(1, np.arange(nt))
 
-    def _build_operators(self):
-        mats = self._polar_operators()
+    def _reference_rows(self):
+        """Skeleton, diagonal slots and the reference Cartesian stencils
+        d/dxhat, d/dyhat, then xx, xy, yy as rows on the skeleton: polar
+        stencils weighted per row, summed left to right, with the
+        quadratic fit as the pole row."""
         n = self.n_nodes
-        rho = np.linalg.norm(self.ref_nodes, axis=1)
-        theta = np.arctan2(self.ref_nodes[:, 1], self.ref_nodes[:, 0])
-        cos, sin = np.cos(theta), np.sin(theta)
-        inv_rho = np.zeros(n)
-        inv_rho[1:] = 1.0 / rho[1:]
-
-        def scaled(w, mat):
-            """diag(w) @ mat as a row scaling of mat's entries; zero
-            products are dropped, as the sparse product drops them."""
-            out = mat.copy()
-            out.data *= np.repeat(w, np.diff(mat.indptr))
-            out.eliminate_zeros()
-            return out
-
-        d_r, d_rr = mats["r"], mats["rr"]
-        d_t, d_tt = mats["t"], mats["tt"]
-        d_rt = mats["rt"]
-
-        # reference Cartesian derivatives from polar ones
-        gx = scaled(cos, d_r) - scaled(sin * inv_rho, d_t)
-        gy = scaled(sin, d_r) + scaled(cos * inv_rho, d_t)
-        hxx = (
-            scaled(cos * cos, d_rr)
-            - scaled(2.0 * cos * sin * inv_rho, d_rt)
-            + scaled(sin * sin * inv_rho**2, d_tt)
-            + scaled(sin * sin * inv_rho, d_r)
-            + scaled(2.0 * cos * sin * inv_rho**2, d_t)
-        )
-        hyy = (
-            scaled(sin * sin, d_rr)
-            + scaled(2.0 * cos * sin * inv_rho, d_rt)
-            + scaled(cos * cos * inv_rho**2, d_tt)
-            + scaled(cos * cos * inv_rho, d_r)
-            - scaled(2.0 * cos * sin * inv_rho**2, d_t)
-        )
-        hxy = (
-            scaled(cos * sin, d_rr)
-            + scaled((cos * cos - sin * sin) * inv_rho, d_rt)
-            - scaled(cos * sin * inv_rho**2, d_tt)
-            - scaled(cos * sin * inv_rho, d_r)
-            - scaled((cos * cos - sin * sin) * inv_rho**2, d_t)
-        )
-
-        # pole rows from the quadratic fit
+        polar = self._polar_operators()
         w_fit, ring_cols = self._pole_fit_rows()
         pole_cols = np.concatenate([[0], ring_cols])
+        indptr, indices, diag, slots = _skeleton(
+            n, [*polar.values(), (0 * pole_cols, pole_cols)])
+        rho = np.linalg.norm(self.ref_nodes, axis=1)
+        theta = np.arctan2(self.ref_nodes[:, 1], self.ref_nodes[:, 0])
+        c, s = np.cos(theta), np.sin(theta)
+        ir = np.zeros(n)
+        ir[1:] = 1.0 / rho[1:]
+        terms = (
+            [(c, "r"), (-(s * ir), "t")],
+            [(s, "r"), (c * ir, "t")],
+            [(c * c, "rr"), (-(2.0 * c * s * ir), "rt"), (s * s * ir**2, "tt"),
+             (s * s * ir, "r"), (2.0 * c * s * ir**2, "t")],
+            [(c * s, "rr"), ((c * c - s * s) * ir, "rt"),
+             (-(c * s * ir**2), "tt"), (-(c * s * ir), "r"),
+             (-((c * c - s * s) * ir**2), "t")],
+            [(s * s, "rr"), (2.0 * c * s * ir, "rt"), (c * c * ir**2, "tt"),
+             (c * c * ir, "r"), (-(2.0 * c * s * ir**2), "t")],
+        )
+        at = dict(zip(polar, slots))
+        ref = np.zeros((len(terms), indices.size))
+        for row, sum_terms, fit in zip(ref, terms, w_fit):
+            for w, key in sum_terms:
+                rows, _, vals = polar[key]
+                row[at[key]] += w[rows] * vals
+            row[slots[-1]] = np.concatenate([[-np.sum(fit)], fit])
+        return indptr, indices, diag, ref
 
-        def with_pole_row(mat, weights):
-            row = sp.csr_matrix(
-                (np.concatenate([[-np.sum(weights)], weights]), pole_cols,
-                 [0, pole_cols.size]), shape=(1, n))
-            out = sp.vstack([row, mat[1:]], format="csr")
-            # sorted rows keep the chain-rule sums and every later
-            # matrix-vector product in a fixed summation order
-            out.sort_indices()
-            return out
-
-        gx, gy, hxx, hxy, hyy = (
-            with_pole_row(mat, w_fit[k])
-            for k, mat in enumerate((gx, gy, hxx, hxy, hyy)))
-
-        # affine chain rule to physical coordinates
+    def _build_operators(self):
+        indptr, indices, diag, ref = self._reference_rows()
+        # affine chain rule to physical coordinates, summed in (a, b) order
         ai = self.a_inv
-        ref_grad = [gx, gy]
-        ref_hess = [[hxx, hxy], [hxy, hyy]]
-        self.d_first = [
-            sum(ai[k, l] * ref_grad[l] for l in range(2)) for k in range(2)
-        ]
-        self.d_second = [[None, None], [None, None]]
+        ref_hess = [[ref[2], ref[3]], [ref[3], ref[4]]]
+        table = np.zeros((5, indices.size))
         for k in range(2):
-            for l in range(k, 2):
-                acc = sum(
-                    ai[k, a] * ai[l, b] * ref_hess[a][b]
-                    for a in range(2)
-                    for b in range(2)
-                )
-                self.d_second[k][l] = acc.tocsr()
-                self.d_second[l][k] = self.d_second[k][l]
-        self.d_first = [m.tocsr() for m in self.d_first]
+            for l in range(2):
+                table[k] += ai[k, l] * ref[l]
+        for s, (k, l) in enumerate(self._second_slots(), start=2):
+            for a in range(2):
+                for b in range(2):
+                    table[s] += ai[k, a] * ai[l, b] * ref_hess[a][b]
+        del ref, ref_hess
+        self._install(indptr, indices, diag, table)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return np.stack([self.d_first[k] @ u for k in range(2)], axis=1)

@@ -108,10 +108,11 @@ class TablePattern:
                              shape=(self.n_nodes, self.n_nodes))
 
 
-def perturbed_state(case, tau=0.01):
-    """Initial state with a smooth convexity-preserving perturbation."""
-    om, ot, spec, sig = JACOBIAN_CASES[case]
-    state = flow.initialize(om, ot, spec, sig)
+def perturbed_state(case, tau=0.01, spec=None):
+    """Initial state with a smooth convexity-preserving perturbation, on
+    the case's grid unless ``spec`` is given."""
+    om, ot, case_spec, sig = JACOBIAN_CASES[case]
+    state = flow.initialize(om, ot, spec or case_spec, sig)
     x = state.grid.nodes
     u = state.u + 1e-3 * np.sin(2.0 * x[:, 0] + 1.0) * np.cos(x[:, -1])
     return state, u, tau
@@ -155,19 +156,30 @@ class TestJacobian:
         assert np.array_equal(again.indices, jac.indices)
 
 
-    @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball",
-                                      "disk-rotated-ellipse"])
-    def test_pattern_assembles_what_the_lookup_table_did(self, case,
+    @pytest.mark.parametrize("case, spec", [
+        pytest.param(case, None, id=case)
+        for case in ("line-minkowski", "disk-ball", "disk-rotated-ellipse")
+    ] + [
+        # the smallest grids: in 2D the boundary ring's third ring below
+        # is ring 1, and the angle stencils wrap around eight nodes
+        pytest.param("line-minkowski", 4, id="line-minkowski-4"),
+        pytest.param("disk-ball", (4, 8), id="disk-ball-4x8"),
+        pytest.param("disk-rotated-ellipse", (4, 8),
+                     id="disk-rotated-ellipse-4x8"),
+    ])
+    def test_pattern_assembles_what_the_lookup_table_did(self, case, spec,
                                                          monkeypatch):
         # data, indices and indptr bit for bit, on the Jacobian's own
         # weights and on random ones with unweighted rows
-        state, u, tau = perturbed_state(case)
+        state, u, tau = perturbed_state(case, spec=spec)
         grid = state.grid
         pattern = grid.stencil_pattern
         second = [grid.d_second[k][l]
                   for k in range(grid.dim) for l in range(k, grid.dim)]
         table = TablePattern([sp.identity(grid.n_nodes), *grid.d_first,
                               *second])
+        assert np.array_equal(pattern.indptr, table.indptr)
+        assert np.array_equal(pattern.indices, table.indices)
         weights = []
         assemble = pattern.assemble
 
@@ -640,6 +652,18 @@ class TestInitialize:
 
 
 class TestStateJets:
+    @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
+    def test_initial_jets_are_those_g0_was_evaluated_on(self, case):
+        om, ot, spec, sig = JACOBIAN_CASES[case]
+        state = flow.initialize(om, ot, spec, sig)
+        assert {"p", "r"} <= set(vars(state.jets))
+        p, r = state.grid.gradient(state.u), state.grid.hessian(state.u)
+        assert np.array_equal(state.jets.p, p)
+        assert np.array_equal(state.jets.r, r)
+        assert state.jets.p.flags.c_contiguous
+        assert state.jets.r.flags.c_contiguous
+        assert np.array_equal(state.u_dot, flow.g_value_many(p, r, sig))
+
     def test_replace_with_new_u_gets_fresh_jets(self):
         state, _ = translator_state(41)
         old = state.jets.p

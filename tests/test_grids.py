@@ -251,7 +251,9 @@ class TestMappedDiskGrid:
         with pytest.raises(ValueError):
             MappedDiskGrid(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2), 8, 16)
 
-    @pytest.mark.parametrize("shape", [(8, 16), (24, 48), (32, 64)])
+    # (4, 8): the boundary ring's third ring below is ring 1, and the
+    # angle stencils wrap around eight nodes
+    @pytest.mark.parametrize("shape", [(8, 16), (24, 48), (32, 64), (4, 8)])
     @pytest.mark.parametrize("a_map, center", [
         (np.eye(2), np.zeros(2)),
         (np.array([[0.8, 0.3], [0.3, 0.5]]), np.array([0.1, -0.2])),

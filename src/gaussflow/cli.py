@@ -281,6 +281,7 @@ def write_report(path, config, converged, result, monitor, message=""):
         lines.append(f"hessian range : [{_fmt(lo)}, {_fmt(hi)}]")
         lines.append(f"eps0          : {_fmt(monitor.eps0)}")
         lines.append(f"cone margin ok: {'yes' if monitor.convex_margin_ok() else 'NO'}")
+        lines.append(f"sandwich ok   : {'yes' if monitor.sandwich_ok() else 'NO'}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -23,7 +23,7 @@ node-major (N, n, n) array is built per iterate: the residual hands out
 transposed views, and copies are made only at the accepted iterate, for
 the state's jets. A candidate step is admissible when its Hessian is
 positive definite, tested on the smallest eigenvalue in closed form
-(geometry.min_eigenvalue_many); the spacelike bound was already
+(geometry.eigenvalues_many); the spacelike bound was already
 enforced by the residual evaluation at the same gradients.
 
 The Jacobian is filled on a sparsity pattern fixed per grid (the union
@@ -126,8 +126,8 @@ from .geometry import (
     MINKOWSKI,
     SPACELIKE_MARGIN,
     NodalJets,
+    eigenvalues_many,
     is_spacelike,
-    min_eigenvalue_many,
 )
 from .grids import LineGrid, MappedDiskGrid
 from .operators import g_derivatives_many, g_value_many, g_value_rows
@@ -146,8 +146,8 @@ class StepControls:
     """Newton and step-size policy. All values overridable per run.
 
     ``tol_newton`` bounds the Newton residual max-norm from below by the
-    attempt's roundoff floor (``_roundoff_floor``, the largest over its
-    fresh factorizations): a value under the floor, 1e-30 say, is met at
+    attempt's roundoff floor (``_floor_at``, the largest over its fresh
+    factorizations): a value under the floor, 1e-30 say, is met at
     the floor, so it cannot force a Newton failure; ``max_newton = 1``
     from a guess that misses it does.
 
@@ -282,9 +282,19 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
 # Implicit stepping
 # ---------------------------------------------------------------------------
 
+def _boundary_rows(state: FlowState, pb: np.ndarray):
+    """(values, p-gradients) of the boundary rows at their gradients pb
+    (N_b, n): h and Dh in 2D. In 1D convex monotonicity pins Du at the
+    ends to the image's ends, so they are p - (lo, hi) and 1; |h(p)|
+    would read 0 at either end."""
+    if state.grid.dim == 1:
+        return pb[:, 0] - dom.interval_ends(state.omega_tilde), np.ones(pb.shape)
+    return dom.defining_jet_many(state.omega_tilde, pb)
+
+
 def _residual(state: FlowState, u: np.ndarray, u_prev: np.ndarray, tau: float):
     """(residual, p, r) at the iterate u: u - u_prev - tau G(p, r) on the
-    interior rows, h(p) on the boundary rows.
+    interior rows, the ``_boundary_rows`` values on the boundary rows.
 
     G is evaluated on the component-major derivative rows; p and r are
     returned as (N, n) and (N, n, n) transposed views of them, not
@@ -294,14 +304,7 @@ def _residual(state: FlowState, u: np.ndarray, u_prev: np.ndarray, tau: float):
     p, r = grid.derivative_rows(u)
     res = u - u_prev - tau * g_value_rows(p, r, state.sig)
     bb = grid.boundary
-    if grid.dim == 1:
-        # convex monotonicity pins Du at the ends to the image's ends
-        lo, hi = dom.interval_ends(state.omega_tilde)
-        res[bb[0]] = p[0, bb[0]] - lo
-        res[bb[1]] = p[0, bb[1]] - hi
-    else:
-        hb, _ = dom.defining_jet_many(state.omega_tilde, p[:, bb].T)
-        res[bb] = hb
+    res[bb], _ = _boundary_rows(state, p[:, bb].T)
     return res, p.T, r.transpose(2, 0, 1)
 
 
@@ -310,8 +313,8 @@ def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
 
     Per-row stencil weights: interior rows take 1 on the identity,
     -tau G_p on the gradient stencils and -tau G_r on the Hessian
-    stencils; boundary rows take Dh(Du) (1 in 1D) on the gradient
-    stencils.
+    stencils; boundary rows take the p-gradient of ``_boundary_rows``
+    on the gradient stencils.
     """
     grid = state.grid
     pattern = grid.stencil_pattern
@@ -329,11 +332,8 @@ def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
             g_kl = g_r[ii, k, l] if k == l else g_r[ii, k, l] + g_r[ii, l, k]
             coef[s, ii] = -tau * g_kl
             s += 1
-    if ndim == 1:
-        coef[1, bb] = 1.0
-    else:
-        _, dh = dom.defining_jet_many(state.omega_tilde, p[bb])
-        coef[1:1 + ndim, bb] = dh.T
+    _, dh = _boundary_rows(state, p[bb])
+    coef[1:1 + ndim, bb] = dh.T
     return pattern.assemble(coef)
 
 
@@ -345,17 +345,14 @@ def _inf_norm(jac) -> float:
 
 
 def _floor_at(jac_norm: float, u: np.ndarray) -> float:
-    """The roundoff floor from ||J||_inf, for a factor carried without J."""
-    return float(np.finfo(float).eps * jac_norm * np.max(np.abs(u)))
-
-
-def _roundoff_floor(jac, u: np.ndarray) -> float:
     """eps ||J||_inf ||u||_inf: the residual's backward-error floor.
 
     The residual is evaluated on the stencils that J carries, so rounding
     u perturbs it by up to this much however well Newton converges.
+    ``jac_norm`` is ||J||_inf, taken once per fresh Jacobian and kept in
+    its ChordFactor, so a carried factor gives the floor without J.
     """
-    return _floor_at(_inf_norm(jac), u)
+    return float(np.finfo(float).eps * jac_norm * np.max(np.abs(u)))
 
 
 def _factor(jac, grid):
@@ -384,7 +381,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     stale factor that Jacobian was to replace (None if there was none).
 
     An iterate is accepted when its residual max-norm is at most
-    max(tol_newton, floor), with floor the largest ``_roundoff_floor``
+    max(tol_newton, floor), with floor the largest ``_floor_at``
     of the Jacobian and iterate at any fresh factorization so far: below
     the floor the residual only wanders, so a tol_newton under it is met
     at the floor. The floor is raised before the Jacobian is factored,
@@ -432,12 +429,12 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
         fresh = factor is None
         if fresh:
             jac = _jacobian(state, p, r, tau)
-            tol = max(tol, _roundoff_floor(jac, u))
+            jac_norm = _inf_norm(jac)
+            tol = max(tol, _floor_at(jac_norm, u))
             if rn <= tol:
                 return u, it, n_factors, p, r, stale
             try:
-                factor = ChordFactor(_factor(jac, state.grid), tau,
-                                     _inf_norm(jac))
+                factor = ChordFactor(_factor(jac, state.grid), tau, jac_norm)
             except RuntimeError:  # exactly singular Jacobian
                 return None
             n_factors += 1
@@ -455,7 +452,7 @@ def _admissible(r: np.ndarray) -> bool:
     evaluation took G at these same gradients, and that raises
     SpacelikeViolationError past the bound.
     """
-    return bool(np.min(min_eigenvalue_many(r)) > 0.0)
+    return bool(np.min(eigenvalues_many(r)[:, 0]) > 0.0)
 
 
 def step_implicit(state: FlowState, controls: StepControls | None = None) -> FlowState:
@@ -586,9 +583,8 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
 # ---------------------------------------------------------------------------
 
 def boundary_residual(state: FlowState) -> float:
-    """max |h(Du)| over boundary nodes."""
-    p = state.jets.p[state.grid.boundary]
-    hb, _ = dom.defining_jet_many(state.omega_tilde, p)
+    """Max over boundary nodes of |boundary condition| (``_boundary_rows``)."""
+    hb, _ = _boundary_rows(state, state.jets.p[state.grid.boundary])
     return float(np.max(np.abs(hb)))
 
 
@@ -617,7 +613,7 @@ def _extrapolated_rate(rates) -> float:
 def translator_residual(u: np.ndarray, c: float, sig: str, grid) -> float:
     """max over interior nodes of |G(Du, D2u) - c| for a convex field."""
     p, r = grid.derivative_rows(u)
-    lam_min = float(np.min(min_eigenvalue_many(r.transpose(2, 0, 1))))
+    lam_min = float(np.min(eigenvalues_many(r.transpose(2, 0, 1))[:, 0]))
     if lam_min <= 0.0:
         raise ConvexityError(
             f"translator residual needs a strictly convex field "

@@ -23,10 +23,9 @@ kept behind ``paper_signs`` as a regression lock for the check suite).
 Every formula exists once, vectorized over a leading node axis: the
 flow, the monitors and the check suite evaluate arrays of jets, and the
 pointwise API (``graph_geometry`` of a ``PointJet``) is the batch of one.
-``min_eigenvalue_many`` gives the smallest Hessian eigenvalue in closed
-form for n <= 2, for the solver's convexity tests; the eigenvalue
-fields of ``NodalJets`` (``lam``, which the monitors read, and
-``kappa``) stay with LAPACK.
+Every per-node spectrum (the Hessian eigenvalues, the principal
+curvatures and the solver's and audits' convexity tests) comes from
+``eigenvalues_many``, in closed form for n <= 2.
 """
 
 from __future__ import annotations
@@ -189,21 +188,22 @@ def curvature_matrix_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, 1, 2))
 
 
-def min_eigenvalue_many(r: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric matrix r (N, n, n), shape (N,).
+def eigenvalues_many(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric matrix m (N, n, n), shape (N, n).
 
     In closed form for n <= 2: for n = 2 the eigenvalues of [[a, b], [b, c]]
-    are (a + c) / 2 -+ hypot((a - c) / 2, b), within a few eps ||r|| of
+    are (a + c) / 2 -+ hypot((a - c) / 2, b), within a few eps ||m|| of
     LAPACK. ``eigvalsh`` for n >= 3. Like ``eigvalsh``, only the lower
     triangle is read.
     """
-    n = r.shape[1]
+    n = m.shape[1]
     if n == 1:
-        return r[:, 0, 0].copy()
+        return m[:, 0, :].copy()
     if n == 2:
-        a, b, c = r[:, 0, 0], r[:, 1, 0], r[:, 1, 1]
-        return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-    return np.linalg.eigvalsh(r)[:, 0]
+        a, b, c = m[:, 0, 0], m[:, 1, 0], m[:, 1, 1]
+        mid, half = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+        return np.stack([mid - half, mid + half], axis=1)
+    return np.linalg.eigvalsh(m)
 
 
 class NodalJets:
@@ -257,11 +257,19 @@ class NodalJets:
 
     @cached_property
     def lam(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.r)
+        return eigenvalues_many(self.r)
 
     @cached_property
     def kappa(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.a)
+        return eigenvalues_many(self.a)
+
+    def laplacian(self, df: np.ndarray, d2f: np.ndarray) -> np.ndarray:
+        """Intrinsic Laplacian on this graph of a field with gradient rows
+        df (n, N) and Hessian rows d2f (n, n, N), as
+        ``grid.derivative_rows`` returns them (``laplace_beltrami``)."""
+        main = np.einsum("nij,ijn->n", metric_up_many(self.p, self.sig), d2f)
+        p_df = np.einsum("ni,in->n", self.p, df)
+        return main - signature_eps(self.sig) * self.H * p_df / self.v
 
 
 def laplace_beltrami(f: np.ndarray, u: np.ndarray, grid, sig: str,
@@ -271,30 +279,20 @@ def laplace_beltrami(f: np.ndarray, u: np.ndarray, grid, sig: str,
     The operator (1/sqrt(det g)) d_i (sqrt(det g) g^ij d_j f) is
     discretized in nondivergence form
 
-        lap_M f = g^ij f_ij + (1/v) c_j f_j,
-        c_j = p_j (-eps tr(r) / v + p^T r p / v^3),
+        lap_M f = g^ij f_ij - eps H (p . Df) / v,
 
-    where the metric-divergence coefficient c comes from differentiating
-    v g^ij analytically (det g = v^2 for either signature, so the area
-    weight is v). Differencing the flux field numerically instead would
-    double-difference derived quantities and lose an order near the
-    boundary where stencil truncation constants jump; the analytic
-    coefficient keeps the operator second-order accurate at every
-    interior node. Boundary nodes are set to nan. ``jets``, when given,
-    must be the jets of u under sig; p, r and v are then read from it.
+    where the drift comes from differentiating v g^ij analytically
+    (det g = v^2 for either signature, so the area weight is v, and the
+    coefficient -eps tr(r) / v + p^T r p / v^3 is -eps H). Differencing
+    the flux field numerically instead would double-difference derived
+    quantities and lose an order near the boundary where stencil
+    truncation constants jump; the analytic coefficient keeps the operator
+    second-order accurate at every interior node. Boundary nodes are set
+    to nan. ``jets``, when given, must be the jets of u under sig; p, v
+    and H are then read from it.
     """
-    f = np.asarray(f, dtype=float)
-    eps = signature_eps(sig)
     if jets is None:
         jets = NodalJets(grid, np.asarray(u, dtype=float), sig)
-    p, r, v = jets.p, jets.r, jets.v
-    g_up = metric_up_many(p, sig)
-    hess_f = grid.hessian(f)
-    grad_f = grid.gradient(f)
-    main = np.einsum("nij,nij->n", g_up, hess_f)
-    tr_r = np.einsum("nii->n", r)
-    prp = np.einsum("ni,nij,nj->n", p, r, p)
-    coeff = -eps * tr_r / v + prp / v**3
-    out = main + coeff * np.einsum("ni,ni->n", p, grad_f) / v
+    out = jets.laplacian(*grid.derivative_rows(np.asarray(f, dtype=float)))
     out[grid.boundary] = np.nan
     return out

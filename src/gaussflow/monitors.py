@@ -23,12 +23,13 @@ The audits read each state's nodal geometry from its cached jets
 (``FlowState.jets``): a recorded state's gradient, Hessian and
 curvature matrix are evaluated once, however many audits use them, and
 the evolution identity reuses the mean curvature of the states recorded
-before. The flow seeds an accepted state's jets with the gradient and
-Hessian of Newton's last residual evaluation; their Hessian eigenvalues
-stay lazy, so the per-step eps0 audit at a cadence above 1 evaluates
-only the boundary rows of the curvature matrix. The structure report
-takes the curvature sum from the mean curvature H = tr a, so a record
-computes no principal curvatures.
+before and differentiates H once. The flow seeds an accepted state's
+jets with the gradient and Hessian of Newton's last residual
+evaluation; their eigenvalues stay lazy. The eps0 audit takes principal
+curvatures on all nodes of the initial state and on each step's
+boundary rows only, so an unrecorded step (cadence above 1) evaluates
+only those rows of the curvature matrix. The structure report takes the
+curvature sum from the mean curvature H = tr a.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domains as dom
-from .geometry import laplace_beltrami
+from .geometry import eigenvalues_many
 from .operators import legendre_transform, structure_report
 
 OBLIQUENESS_FLOOR = 1e-3
@@ -107,18 +108,14 @@ def grad_max(state) -> float:
 def eps0_candidate(state, node_idx=None) -> float:
     """Largest eps with h_ij >= eps H g_ij at the given nodes.
 
-    Per node that is the smallest generalized eigenvalue of h_ij against
-    g_ij divided by H; the candidate is the minimum over nodes. At a
-    subset of nodes only those rows of the curvature data are evaluated.
+    Per node that is the smallest generalized eigenvalue of h_ij = r / v
+    against g_ij, divided by H. With g = b^-2 those eigenvalues are the
+    ones of a = b r b / v, the principal curvatures, so the candidate is
+    the minimum over nodes of kappa_min / H. At a subset of nodes only
+    those rows of the curvature data are evaluated.
     """
     jets = state.jets if node_idx is None else state.jets.rows(node_idx)
-    h_form = jets.r / jets.v[:, None, None]
-    # generalized eigenvalues of (h, g) via Cholesky whitening
-    chol = np.linalg.cholesky(jets.g_lo)
-    w = np.linalg.solve(chol, h_form)
-    w = np.linalg.solve(chol, np.swapaxes(w, 1, 2))
-    gen_min = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))[:, 0]
-    return float(np.min(gen_min / jets.H))
+    return float(np.min(jets.kappa[:, 0] / jets.H))
 
 
 def convexity_margin(state, eps0: float) -> float:
@@ -126,7 +123,7 @@ def convexity_margin(state, eps0: float) -> float:
     jets, idx = state.jets, state.grid.interior
     h_form = jets.r[idx] / jets.v[idx, None, None]
     m = h_form - eps0 * jets.H[idx, None, None] * jets.g_lo[idx]
-    return float(np.min(np.linalg.eigvalsh(m)[:, 0]))
+    return float(np.min(eigenvalues_many(m)[:, 0]))
 
 
 def evolution_residual(window) -> float:
@@ -148,9 +145,9 @@ def evolution_residual(window) -> float:
     h_mid, p, a = mid.H, mid.p, mid.a
     dt_h = (s_hi.jets.H - s_lo.jets.H) / (s_hi.t - s_lo.t)
 
-    dh = grid.gradient(h_mid)
-    transport = (h_mid / mid.v) * np.einsum("ni,ni->n", p, dh)
-    lap = laplace_beltrami(h_mid, s_mid.u, grid, s_mid.sig, jets=mid)
+    dh, d2h = grid.derivative_rows(h_mid)
+    transport = (h_mid / mid.v) * np.einsum("ni,in->n", p, dh)
+    lap = mid.laplacian(dh, d2h)
     norm_a2 = np.einsum("nij,nji->n", a, a)
     res = dt_h + transport - lap + norm_a2 * h_mid
     return float(np.max(np.abs(res[grid.audit_interior])))
@@ -221,13 +218,15 @@ class RunMonitor:
     last observed state unless it is already the last row, so a run of S
     steps at cadence c yields 1 + ceil(S / c) rows, the last of them the
     final state. ``tau_max``, the run's tau ceiling, sets the one audit
-    tolerance tol_mon (``grid.monitor_tol``).
+    tolerance tol_mon (``grid.monitor_tol``). The curvature sandwich
+    band is taken once, from ``state0`` (``structure_report``).
     """
 
     def __init__(self, state0, cadence: int = 1, tau_max: float = 1.0):
         self.cadence = max(1, int(cadence))
         self.tol_mon = state0.grid.monitor_tol(tau_max)
         self.g0_range = state0.g0_range
+        self.sandwich = structure_report(state0).sandwich
         self.eps0 = eps0_candidate(state0)  # t = 0 slice, all nodes
         self.records: list[MonitorRecord] = []
         self._window = []  # the last three recorded states
@@ -296,10 +295,10 @@ class RunMonitor:
         """Discrete cone preservation: margin never below -tol_mon."""
         return all(rec.convex_margin >= -self.tol_mon for rec in self.records)
 
-    def sandwich_ok(self, state0) -> bool:
+    def sandwich_ok(self) -> bool:
         """Curvature sums stay inside the structure sandwich of u0, up to
         tol_mon."""
-        lo, hi = structure_report(state0).sandwich
+        lo, hi = self.sandwich
         return all(
             rec.f_min >= lo - self.tol_mon and rec.f_max <= hi + self.tol_mon
             for rec in self.records

@@ -43,6 +43,7 @@ from .geometry import (
     MINKOWSKI,
     PointJet,
     curvature_matrix_many,
+    eigenvalues_many,
     metric_up_many,
     root_metric_many,
     signature_eps,
@@ -166,8 +167,7 @@ def g_dual_many(y: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
     at y; every M must be positive definite, and Minkowski signature
     requires |y| < 1.
     """
-    evals = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2)))
-    if np.min(evals[:, 0]) <= 0:
+    if np.min(eigenvalues_many(0.5 * (m + np.swapaxes(m, 1, 2)))[:, 0]) <= 0:
         raise ValueError("dual Hessian must be positive definite")
     s = metric_up_many(y, sig)
     m_inv = np.linalg.inv(m)
@@ -184,12 +184,12 @@ def legendre_transform(u: np.ndarray, grid):
     u = np.asarray(u, dtype=float)
     p = grid.gradient(u)
     r = grid.hessian(u)
-    evals = np.linalg.eigvalsh(r)
-    if np.min(evals[:, 0]) <= 0.0:
-        worst = int(np.argmin(evals[:, 0]))
+    lam_min = eigenvalues_many(r)[:, 0]
+    worst = int(np.argmin(lam_min))
+    if lam_min[worst] <= 0.0:
         raise ConvexityError(
             f"field is not strictly convex: min Hessian eigenvalue "
-            f"{evals[worst, 0]:.3e} at node {worst}"
+            f"{lam_min[worst]:.3e} at node {worst}"
         )
     y = p
     u_tilde = np.sum(grid.nodes * y, axis=1) - u

@@ -34,7 +34,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import OracleFailureError
-from .geometry import EUCLIDEAN, MINKOWSKI, graph_geometry_many, signature_eps
+from .geometry import (EUCLIDEAN, MINKOWSKI, eigenvalues_many,
+                       graph_geometry_many, signature_eps)
 from .operators import g_derivatives_many, g_dual_many, g_p_paper_many, g_value_many
 
 
@@ -295,7 +296,7 @@ def identity_defects(jets: dict, sig: str, paper_signs: bool = False) -> dict:
         geo = graph_geometry_many(p, r, sig, paper_signs)
         g_r, _ = g_derivatives_many(p, r, sig)
         eye = np.eye(n)
-        lam_min = np.linalg.eigvalsh(r)[:, 0]
+        lam_min = eigenvalues_many(r)[:, 0]
         r_pd = r + (np.abs(lam_min) + 0.5)[:, None, None] * eye
         nu_sq = np.sum(geo.nu[:, :-1] ** 2, axis=1) + eps * geo.nu[:, -1] ** 2
         defects = {

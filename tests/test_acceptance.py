@@ -203,7 +203,7 @@ class TestCriterion5_EstimateAudits:
                 f"boundary minimum")
 
     def test_curvature_sandwich(self, bundles):
-        ok = all(b.monitor.sandwich_ok(b.state0) for b in bundles.values())
+        ok = all(b.monitor.sandwich_ok() for b in bundles.values())
         _report("criterion-5 curvature-sandwich", ok,
                 "sum of principal curvatures inside the initial-data band "
                 "on all four runs")

@@ -5,6 +5,7 @@ import pytest
 
 from gaussflow import cli, flow
 from gaussflow.errors import ConfigError, NonConvergenceError
+from gaussflow.geometry import eigenvalues_many
 
 BASE_CONFIG = """\
 # 1D reference run
@@ -163,6 +164,13 @@ class TestRunCommand:
                          if ln.startswith("steps")).split(":")[1])
         assert len(lines) - 1 == 1 + -(-steps // 2)
 
+    def test_report_prints_every_estimate_verdict(self, finished_run):
+        _, out = finished_run
+        report = (out / "report.txt").read_text().splitlines()
+        assert "converged     : yes" in report
+        assert "cone margin ok: yes" in report
+        assert "sandwich ok   : yes" in report
+
     def test_snapshot_roundtrip_bit_exact(self, finished_run):
         _, out = finished_run
         header, coords, u = cli.read_snapshot(out / "snapshot.txt")
@@ -303,7 +311,8 @@ class TestRunCommand:
 # ---------------------------------------------------------------------------
 # The node artifacts share one table; these writers are the per-row
 # f-string ones it replaced, kept as the byte-for-byte reference (they
-# take p and the Hessian eigenvalues from the grid, not the jets).
+# take p and the Hessian eigenvalues from the grid, not the jets; the
+# eigenvalues from the solver's kernel, geometry.eigenvalues_many).
 # ---------------------------------------------------------------------------
 
 def ref_node_indices(grid):
@@ -319,7 +328,7 @@ def ref_node_indices(grid):
 def ref_write_fields_csv(path, state):
     grid = state.grid
     p = state.grid.gradient(state.u)
-    lam_min = np.linalg.eigvalsh(state.grid.hessian(state.u))[:, 0]
+    lam_min = eigenvalues_many(state.grid.hessian(state.u))[:, 0]
     idx = ref_node_indices(grid)
     fmt = cli._fmt
     with open(path, "w") as f:

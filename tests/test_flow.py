@@ -11,7 +11,7 @@ from gaussflow import domains as dom
 from gaussflow import flow, operators, oracles
 from gaussflow.errors import ConvexityError, NonConvergenceError, StepFailureError
 from gaussflow.flow import StepControls, step_explicit, step_implicit
-from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
+from gaussflow.geometry import EUCLIDEAN, MINKOWSKI, eigenvalues_many
 
 
 def interval_pair():
@@ -288,7 +288,7 @@ class TestNewtonStagnation:
         jac = flow._jacobian(state, p, r, tau)
         floor = (np.finfo(float).eps * abs(jac).sum(axis=1).max()
                  * np.max(np.abs(converged)))
-        assert flow._roundoff_floor(jac, converged) == pytest.approx(
+        assert flow._floor_at(flow._inf_norm(jac), converged) == pytest.approx(
             floor, rel=1e-12)
         res, _, _ = flow._residual(state, got[0], u_prev, tau)
         assert 0.0 < np.max(np.abs(res)) <= floor
@@ -310,7 +310,8 @@ class TestNewtonStagnation:
             return out
 
         _, p, r = residual(state, guess, state.u, tau)
-        floor = flow._roundoff_floor(flow._jacobian(state, p, r, tau), guess)
+        floor = flow._floor_at(
+            flow._inf_norm(flow._jacobian(state, p, r, tau)), guess)
         monkeypatch.setattr(flow, "_residual", recorded)
         controls = StepControls()
         assert flow._newton_solve(state, state.u, guess, tau,
@@ -331,16 +332,16 @@ class TestNewtonStagnation:
         state, _, _ = perturbed_state("disk-ball")
         controls = StepControls(tau0=1e3, tau_max=1e3)
         _, p, r = flow._residual(state, state.u, state.u, 1e3)
-        first_floor = flow._roundoff_floor(flow._jacobian(state, p, r, 1e3),
-                                           state.u)
+        first_floor = flow._floor_at(
+            flow._inf_norm(flow._jacobian(state, p, r, 1e3)), state.u)
         floors = []
-        roundoff_floor = flow._roundoff_floor
+        floor_at = flow._floor_at
 
-        def recorded(jac, u):
-            floors.append(roundoff_floor(jac, u))
+        def recorded(jac_norm, u):
+            floors.append(floor_at(jac_norm, u))
             return floors[-1]
 
-        monkeypatch.setattr(flow, "_roundoff_floor", recorded)
+        monkeypatch.setattr(flow, "_floor_at", recorded)
         new = step_implicit(state, controls)
         assert new.t == 1e3
         assert counted_splu["factor"] == 1
@@ -356,18 +357,36 @@ class TestNewtonStagnation:
         # Jacobian and solving once more would only cost a factorization
         state, _, _ = perturbed_state("disk-ball")
         iterates = []
-        roundoff_floor = flow._roundoff_floor
+        floor_at = flow._floor_at
 
-        def recorded(jac, u):
+        def recorded(jac_norm, u):
             iterates.append(u.copy())
-            return roundoff_floor(jac, u)
+            return floor_at(jac_norm, u)
 
-        monkeypatch.setattr(flow, "_roundoff_floor", recorded)
+        monkeypatch.setattr(flow, "_floor_at", recorded)
         got = flow._newton_solve(state, state.u, state.u, 1e3, StepControls())
         assert got is not None
         assert len(iterates) == 2
         assert counted_splu["factor"] == len(iterates) - 1
         assert np.array_equal(got[0], iterates[-1])
+
+    def test_one_inf_norm_per_fresh_jacobian(self, counted_splu,
+                                             monkeypatch):
+        # ||J||_inf raises the floor and rides in the ChordFactor: one
+        # row-sum pass serves both
+        counts = {"jacobian": 0, "inf_norm": 0}
+        for name in counts:
+            original = getattr(flow, f"_{name}")
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(flow, f"_{name}", counted)
+        state, _, _ = perturbed_state("disk-ball")
+        step_implicit(state, StepControls(tau0=1e3, tau_max=1e3))
+        assert counts["jacobian"] == 2 == counts["inf_norm"]
+        assert counted_splu["factor"] == 1
 
     def test_step_failure_message_unchanged(self):
         # one Newton iteration from a guess that misses tol_newton: every
@@ -506,8 +525,8 @@ class TestCarriedFactor:
         assert new.factor is carrying.factor
         assert new.t == carrying.t + controls.tau_max
         res, p, r = flow._residual(carrying, new.u, carrying.u, controls.tau_max)
-        floor = flow._roundoff_floor(
-            flow._jacobian(carrying, p, r, controls.tau_max), new.u)
+        floor = flow._floor_at(flow._inf_norm(
+            flow._jacobian(carrying, p, r, controls.tau_max)), new.u)
         assert np.max(np.abs(res)) <= max(controls.tol_newton, floor)
 
     def test_same_steps_with_fewer_factorizations(self, counted_splu):
@@ -696,7 +715,7 @@ class TestStateJets:
         assert np.array_equal(jets.p, new.grid.gradient(new.u))
         assert np.array_equal(jets.r, new.grid.hessian(new.u))
         assert np.array_equal(jets.lam,
-                              np.linalg.eigvalsh(new.grid.hessian(new.u)))
+                              eigenvalues_many(new.grid.hessian(new.u)))
 
 
 class TestStepImplicit:
@@ -775,6 +794,13 @@ class TestStepImplicit:
         new = step_implicit(dataclasses.replace(
             state, tau=controls.initial_tau()), controls)
         assert flow.boundary_residual(new) <= controls.tol_newton
+
+    def test_1d_boundary_residual_tells_the_image_ends_apart(self):
+        # u = x / 2 has Du = 1/2 at both ends of (0, 1): its left end sits
+        # on the right end of the image (-1/2, 1/2), where |h(Du)| is 0
+        state = flow.initialize(*interval_pair(), 101, MINKOWSKI)
+        tilted = dataclasses.replace(state, u=0.5 * state.grid.nodes[:, 0])
+        assert flow.boundary_residual(tilted) == pytest.approx(1.0, abs=1e-12)
 
     def test_default_initial_tau_respects_tau_max(self):
         om, ot = interval_pair()

@@ -2,6 +2,7 @@
 cone, evolution identity."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from gaussflow import flow, monitors, oracles
 from gaussflow import geometry as geo
 from gaussflow.errors import NonConvergenceError
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
+from gaussflow.grids import LineGrid, MappedDiskGrid
 from gaussflow.operators import (
     g_dual_many,
     legendre_transform,
@@ -173,8 +175,10 @@ class TestConvexityCone:
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_eps0_in_1d_is_one(self):
+        # kappa = H = r / v^3 at every node, so the ratio is exactly 1
         state = steady_state(201)
-        assert monitors.eps0_candidate(state) == pytest.approx(1.0, abs=1e-10)
+        assert monitors.eps0_candidate(state) == 1.0
+        assert run_with_monitor(101)[1].eps0 == 1.0
 
     def test_margin_preserved_along_run(self):
         _, mon, _ = run_with_monitor()
@@ -339,6 +343,14 @@ def ref_obliqueness(state):
 
 
 def ref_eps0(state, idx=None):
+    """min kappa_min / H, the principal curvatures from the solver's kernel."""
+    *_, a, big_h = ref_geometry(state, idx)
+    return float(np.min(geo.eigenvalues_many(a)[:, 0] / big_h))
+
+
+def ref_eps0_whitened(state, idx=None):
+    """The generalized eigenvalues of (h, g) by Cholesky whitening, the
+    formula eps0_candidate had before it read the principal curvatures."""
     if idx is None:
         idx = np.arange(state.grid.n_nodes)
     _, r, v, g_lo, _, big_h = ref_geometry(state, idx)
@@ -353,7 +365,7 @@ def ref_eps0(state, idx=None):
 def ref_convexity_margin(state, eps0):
     _, r, v, g_lo, _, big_h = ref_geometry(state, state.grid.interior)
     m = r / v[:, None, None] - eps0 * big_h[:, None, None] * g_lo
-    return float(np.min(np.linalg.eigvalsh(m)[:, 0]))
+    return float(np.min(geo.eigenvalues_many(m)[:, 0]))
 
 
 def ref_evolution_residual(window):
@@ -374,7 +386,7 @@ def ref_record(state, eps0, window):
     p, r, v, _, _, big_h = ref_geometry(state)
     eps = geo.signature_eps(state.sig)
     tg = p.shape[1] - eps * np.sum(p * p, axis=1) / v**2
-    lam = np.linalg.eigvalsh(r)
+    lam = geo.eigenvalues_many(r)
     return monitors.MonitorRecord(
         t=state.t, tau=state.tau,
         udot_min=float(np.min(state.u_dot)),
@@ -454,6 +466,45 @@ class TestCachedJetAudits:
                 else:
                     assert g == w, name
 
+    @pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+    def test_eps0_matches_cholesky_whitening(self, case):
+        state0, _, accepted = short_run(case)
+        for state in [state0, *accepted]:
+            for idx in (None, state.grid.boundary):
+                got = monitors.eps0_candidate(state, idx)
+                want = ref_eps0_whitened(state, idx)
+                assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+    def test_one_derivative_product_of_h_per_record(self, case,
+                                                    monkeypatch):
+        # the evolution identity takes DH and D2H from one stacked product
+        # and shares them with the Laplacian
+        calls = []
+        for cls, name in itertools.product(
+                (LineGrid, MappedDiskGrid),
+                ("derivative_rows", "gradient", "hessian")):
+            method = getattr(cls, name)
+
+            def counted(grid, f, name=name, method=method):
+                calls.append(name)
+                return method(grid, f)
+
+            monkeypatch.setattr(cls, name, counted)
+        evolution_residual = monitors.evolution_residual
+        per_record = []
+
+        def counted_residual(window):
+            calls.clear()
+            out = evolution_residual(window)
+            per_record.append(list(calls))
+            return out
+
+        monkeypatch.setattr(monitors, "evolution_residual", counted_residual)
+        _, mon, _ = short_run(case)
+        assert len(mon.records) == 7
+        assert per_record == [["derivative_rows"]] * 5
+
     def test_structure_report_matches_per_function_formulas(self):
         _, _, accepted = short_run("rotated-shifted-ellipse", steps=3)
         state = accepted[-1]
@@ -500,9 +551,12 @@ class TestCachedJetAudits:
     def test_records_evaluate_no_operator_derivative_or_kappa(self,
                                                               monkeypatch):
         # the structure report reads p, v and H = tr a from the jets, so a
-        # record calls no G_p kernel and takes no eigenvalues of a
+        # record calls no G_p kernel; principal curvatures are taken by
+        # the eps0 audit only, on all nodes of state0 and on each step's
+        # boundary rows
         from gaussflow import operators
-        counts = {"g_derivatives_many": 0, "kappa": 0}
+        counts = {"g_derivatives_many": 0}
+        kappa_rows = []
         g_derivatives_many = operators.g_derivatives_many
 
         def counted_derivatives(*args):
@@ -510,13 +564,15 @@ class TestCachedJetAudits:
             return g_derivatives_many(*args)
 
         def counted_kappa(jets):
-            counts["kappa"] += 1
-            return np.linalg.eigvalsh(jets.a)
+            kappa_rows.append(len(jets.p))
+            return geo.eigenvalues_many(jets.a)
 
         monkeypatch.setattr(operators, "g_derivatives_many",
                             counted_derivatives)
         monkeypatch.setattr(geo.NodalJets, "kappa", property(counted_kappa))
         state0, mon, _ = short_run("disk-ball", cadence=1)
+        grid = state0.grid
         assert len(mon.records) == 7
-        assert mon.sandwich_ok(state0)
-        assert counts == {"g_derivatives_many": 0, "kappa": 0}
+        assert mon.sandwich_ok()
+        assert counts == {"g_derivatives_many": 0}
+        assert kappa_rows == [grid.n_nodes] + [len(grid.boundary)] * 6

@@ -214,7 +214,7 @@ class TestStructureReport:
         from gaussflow.monitors import RunMonitor
         state0 = self._state()
         mon = RunMonitor(state0)
-        assert mon.sandwich_ok(state0)
+        assert mon.sandwich_ok()
         rep = ops.structure_report(state0)
         lo, hi = rep.sandwich
         assert lo - mon.tol_mon <= rep.f_range[0]

@@ -29,8 +29,8 @@ from gaussflow.geometry import (
     PointJet,
     graph_geometry,
     graph_geometry_many,
+    eigenvalues_many,
     metric_up_many,
-    min_eigenvalue_many,
     signature_eps,
     v_many,
 )
@@ -305,7 +305,13 @@ def test_component_major_g_matches_node_major_formula(batch):
 @settings(max_examples=300, deadline=None)
 @given(jet_batches())
 def test_min_eigenvalue_matches_lapack(batch):
+    """eigenvalues_many: the whole ascending spectrum within 4 eps max |lam|
+    of LAPACK in closed form for n <= 2, and LAPACK's own for n = 3."""
     _, r, _ = batch
     lam = np.linalg.eigvalsh(r)
-    err = np.abs(min_eigenvalue_many(r) - lam[:, 0])
-    assert np.all(err <= 4 * np.finfo(float).eps * np.max(np.abs(lam), axis=1))
+    got = eigenvalues_many(r)
+    if r.shape[1] == 3:
+        assert np.array_equal(got, lam)
+    err = np.abs(got - lam)
+    assert np.all(err <= 4 * np.finfo(float).eps
+                  * np.max(np.abs(lam), axis=1, keepdims=True))

@@ -362,8 +362,9 @@ def oracle_command(args) -> int:
     out = Path(args.out) if args.out else Path("profile.csv")
     with open(out, "w") as f:
         f.write("r,phi\n")
-        for rk, pk in zip(profile.radii, profile.phi):
-            f.write(f"{_fmt(rk)},{_fmt(pk)}\n")
+        row = f"{FMT},{FMT}\n".format
+        f.writelines(row(rk, pk) for rk, pk in zip(profile.radii.tolist(),
+                                                   profile.phi.tolist()))
     print(f"profile written to {out}")
     return 0
 
@@ -377,8 +378,8 @@ def _check_rows(debug_paper_signs: bool):
         worst = 0.0
         for sig in sigs:
             jets = oracles.random_jets(rng, count, sig)
-            defects = oracles.identity_defects(jets, sig, debug_paper_signs)
-            worst = max(worst, *(defects[key] for key in keys))
+            defects = oracles.identity_defects(jets, sig, debug_paper_signs, keys)
+            worst = max(worst, *defects.values())
         return worst <= bound, f"max defect {worst:.3e}"
 
     return [

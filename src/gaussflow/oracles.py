@@ -12,15 +12,23 @@ discretization:
 
 * Radially symmetric translators by shooting. With slope phi(r) = u'(r)
   the profile solves phi' = (C - (n-1) phi / r) (1 -+ phi^2), phi(0) = 0,
-  regularized near the axis by phi ~ (C/n) r. Each shot also integrates
-  the variational equation for s = dphi/dC, and Newton on C, safeguarded
-  by bisection on a bracket, matches phi(R) to the prescribed boundary
-  slope. phi(R) is increasing in C: each shot proves it locally (s > 0)
-  and consecutive iterates re-verify it.
+  regularized near the axis by phi ~ (C/n) r. Each shot integrates it
+  together with the variational equation for s = dphi/dC by DOP853, the
+  8th-order Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs
+  I, II.10), and Newton on C, safeguarded by bisection on a bracket,
+  matches phi(R) to the prescribed boundary slope. Newton starts at
+  c0 = n inv(rho) / R, inv = artanh resp. arctan: exact for n = 1, an
+  upper bound on C in Minkowski space and a lower bound in Euclidean
+  space. The bracket ends are upper bounds by comparison: 2 c0 + 1
+  (Minkowski) and n rho / R + 1 (Euclidean, from phi(R) >= C R / n).
+  Only Euclidean shots watch for blowup; a Minkowski slope stays in
+  (-1, 1). phi(R) is increasing in C: each shot proves it locally
+  (s > 0) and consecutive iterates re-verify it.
 
 * The invariant suite over batches of random jets (``random_jets``):
   the closed-form identities of the graph geometry and the operators
-  (``identity_defects``), and central finite differences of the flow
+  (``identity_defects``, which evaluates only the identities asked
+  for), and central finite differences of the flow
   operator against its exact derivative formulas
   (``fd_check_derivatives``). ``gaussflow check`` and the acceptance
   suite both evaluate their jets here, as arrays grouped by dimension.
@@ -124,20 +132,28 @@ def _slope_ode(c_speed: float, n: int, sig: str):
     return rhs
 
 
+def _explode(r, y):
+    """Terminal event of a shot: the slope reaches 1e6 (a Euclidean blowup)."""
+    return y[0] - 1e6
+
+
+_explode.terminal = True
+
+
 def _shoot(c_speed: float, radius: float, n: int, sig: str, dense: bool = False):
-    """Integrate (phi, dphi/dC) out to ``radius``; None on blowup."""
+    """Integrate (phi, dphi/dC) out to ``radius`` by DOP853; None on blowup.
+
+    Only a Euclidean slope can blow up: in Minkowski space
+    phi' = drift (1 - phi^2) keeps |phi| < 1, so the blowup event is
+    attached to Euclidean shots alone.
+    """
     rhs = _slope_ode(c_speed, n, sig)
-    blow = 1e6
-
-    def explode(r, y):
-        return y[0] - blow
-
-    explode.terminal = True
     t_eval = np.linspace(_START_RADIUS, radius, 4097) if dense else None
     y0 = [c_speed * _START_RADIUS / n, _START_RADIUS / n]
     sol = solve_ivp(
         rhs, (_START_RADIUS, radius), y0,
-        method="RK45", rtol=1e-12, atol=1e-14, t_eval=t_eval, events=explode,
+        method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_eval,
+        events=_explode if sig == EUCLIDEAN else None,
     )
     if not sol.success or sol.t[-1] < radius * (1.0 - 1e-12):
         return None
@@ -160,6 +176,20 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
     most tol wide. Every shot must have s > 0 (phi(R) increasing in C
     there), and consecutive iterates must order phi(R) as they order C;
     otherwise ``OracleFailureError``.
+
+    The search starts at c0 = n inv(rho) / R, inv = artanh (Minkowski)
+    or arctan (Euclidean), the exact speed for n = 1. The drift
+    C - (n-1) phi / r is positive (it is C / n at the axis and rises
+    where it would vanish), so phi increases from 0, and comparison
+    bounds C on both sides:
+
+    * Minkowski: artanh(phi) >= phi gives
+      (r^{n-1} artanh phi)' >= C r^{n-1}, so artanh phi(R) >= C R / n and
+      C <= c0: the start is an upper bound, and c_max = 2 c0 + 1 above it.
+    * Euclidean: 1 + phi^2 >= 1 gives (r^{n-1} phi)' >= C r^{n-1}, so
+      phi(R) >= C R / n and C <= n rho / R; c_max = n rho / R + 1.
+      arctan(phi) <= phi turns the Minkowski argument round, so here the
+      start is a lower bound.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -168,11 +198,13 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
     if sig == MINKOWSKI:
         if not 0.0 < rho < 1.0:
             raise ValueError("Minkowski boundary slope must lie in (0, 1)")
-        c_max = 2.0 * (n / radius) * np.arctanh(rho) + 1.0
+        c_start = n * np.arctanh(rho) / radius
+        c_max = 2.0 * c_start + 1.0
     elif sig == EUCLIDEAN:
         if rho <= 0:
             raise ValueError("boundary slope must be positive")
-        c_max = 2.0 * (n / radius) * np.arctan(rho) + 1.0
+        c_start = n * np.arctan(rho) / radius
+        c_max = n * rho / radius + 1.0
     else:
         raise ValueError(f"unknown signature {sig!r}")
 
@@ -194,7 +226,7 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
         raise OracleFailureError(
             f"no bracket for the shooting speed in (0, {c_max:.6g})"
         )
-    c_speed = 0.5 * (lo + hi)
+    c_speed = float(c_start)
     step_before, last_step = hi - lo, hi - lo
     prev = None
     while True:
@@ -278,8 +310,14 @@ def random_jets(rng: np.random.Generator, count: int, sig: str) -> dict:
     return jets
 
 
-def identity_defects(jets: dict, sig: str, paper_signs: bool = False) -> dict:
-    """Worst defect of each closed-form identity over ``random_jets`` output.
+IDENTITY_KEYS = ("root", "inverse", "root-inverse", "trace", "normal",
+                 "hessian-slot", "duality")
+
+
+def identity_defects(jets: dict, sig: str, paper_signs: bool = False,
+                     keys=IDENTITY_KEYS) -> dict:
+    """Worst defect of each closed-form identity in ``keys`` over
+    ``random_jets`` output; only the identities asked for are evaluated.
 
     Keys: ``root`` |b^ij b^jk - g^ik|, ``inverse`` |g_ij g^jk - delta|,
     ``root-inverse`` |b^ij b_jk - delta|, ``trace`` |v H - G|,
@@ -290,27 +328,30 @@ def identity_defects(jets: dict, sig: str, paper_signs: bool = False) -> dict:
     and b_ij, so only ``root`` and ``root-inverse`` see it.
     """
     eps = signature_eps(sig)
-    worst = dict.fromkeys(("root", "inverse", "root-inverse", "trace", "normal",
-                           "hessian-slot", "duality"), 0.0)
+    worst = dict.fromkeys(keys, 0.0)
     for n, (p, r) in jets.items():
-        geo = graph_geometry_many(p, r, sig, paper_signs)
-        g_r, _ = g_derivatives_many(p, r, sig)
         eye = np.eye(n)
-        lam_min = eigenvalues_many(r)[:, 0]
-        r_pd = r + (np.abs(lam_min) + 0.5)[:, None, None] * eye
-        nu_sq = np.sum(geo.nu[:, :-1] ** 2, axis=1) + eps * geo.nu[:, -1] ** 2
-        defects = {
-            "root": geo.b_up @ geo.b_up - geo.g_up,
-            "inverse": geo.g_lo @ geo.g_up - eye,
-            "root-inverse": geo.b_up @ geo.b_lo - eye,
-            "trace": geo.v * geo.H - g_value_many(p, r, sig),
-            "normal": nu_sq - eps,
-            "hessian-slot": g_r - geo.g_up,
-            "duality": (g_dual_many(p, np.linalg.inv(r_pd), sig)
-                        + g_value_many(p, r_pd, sig)),
+
+        def duality():
+            lam_min = eigenvalues_many(r)[:, 0]
+            r_pd = r + (np.abs(lam_min) + 0.5)[:, None, None] * eye
+            return (g_dual_many(p, np.linalg.inv(r_pd), sig)
+                    + g_value_many(p, r_pd, sig))
+
+        geo = (graph_geometry_many(p, r, sig, paper_signs)
+               if set(keys) - {"duality"} else None)
+        defect = {
+            "root": lambda: geo.b_up @ geo.b_up - geo.g_up,
+            "inverse": lambda: geo.g_lo @ geo.g_up - eye,
+            "root-inverse": lambda: geo.b_up @ geo.b_lo - eye,
+            "trace": lambda: geo.v * geo.H - g_value_many(p, r, sig),
+            "normal": lambda: (np.sum(geo.nu[:, :-1] ** 2, axis=1)
+                               + eps * geo.nu[:, -1] ** 2 - eps),
+            "hessian-slot": lambda: g_derivatives_many(p, r, sig)[0] - geo.g_up,
+            "duality": duality,
         }
-        for key, defect in defects.items():
-            worst[key] = max(worst[key], float(np.max(np.abs(defect))))
+        for key in keys:
+            worst[key] = max(worst[key], float(np.max(np.abs(defect[key]()))))
     return worst
 
 

@@ -120,17 +120,24 @@ class TestRadialShooting:
         assert abs(prof.c_speed - FROZEN_RADIAL_C) <= 1e-10
 
     def test_newton_needs_few_shots(self, monkeypatch):
-        calls = []
-        real = oracles.solve_ivp
+        real = oracles._shoot
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("t_eval") is not None)
-            return real(*args, **kwargs)
+        def shots(n):
+            calls = []
 
-        monkeypatch.setattr(oracles, "solve_ivp", counted)
-        oracles.translator_radial_shooting(1.0, 0.5, 2, MINKOWSKI, tol=1e-10)
-        assert len(calls) <= 10  # bisection to 1e-10 took 37
-        assert calls.count(True) == 1  # the dense shot of the profile
+            def counted(*args, **kwargs):
+                calls.append(kwargs.get("dense", False))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(oracles, "_shoot", counted)
+            oracles.translator_radial_shooting(1.0, 0.5, n, MINKOWSKI, tol=1e-10)
+            assert calls.count(True) == 1  # the dense shot of the profile
+            return len(calls)
+
+        # n = 1 starts on the exact speed: the bracket end, the start and
+        # the dense shot
+        assert shots(1) == 3
+        assert shots(2) <= 6  # run 3; bisection to 1e-10 took 37
 
     @pytest.mark.parametrize("sig, c_speed", [(MINKOWSKI, 1.07), (EUCLIDEAN, 1.4)])
     def test_sensitivity_matches_central_difference(self, sig, c_speed):
@@ -161,8 +168,8 @@ class TestRadialShooting:
     def test_exact_hit_on_the_bracket_end_is_returned(self, monkeypatch):
         # linear phi(R) with exact arithmetic: the first Newton step lands
         # on the root, where phi(R) == rho makes it the bracket's upper end
-        rho, mid = 0.5, 2.0 * np.arctanh(0.5) + 0.5
-        c_star = mid - 0.25
+        rho, start = 0.5, 2.0 * np.arctanh(0.5)
+        c_star = start - 0.25
         shots = []
 
         def linear(c_speed, radius, n, sig, dense=False):
@@ -174,8 +181,9 @@ class TestRadialShooting:
         monkeypatch.setattr(oracles, "_shoot", linear)
         prof = oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI, tol=1e-10)
         assert prof.c_speed == c_star
-        # the bracket end, the midpoint, one Newton step, the dense shot
-        assert shots == [2.0 * mid, mid, c_star, c_star]
+        # the bracket end, the start n artanh(rho) / R, one Newton step,
+        # the dense shot
+        assert shots == [2.0 * start + 1.0, start, c_star, c_star]
 
     def test_slow_newton_falls_back_to_bisection(self, monkeypatch):
         # phi(R) = rho + 0.1 sign(d) |d|^a, d = C - c_star, a = 1 / 1.99:
@@ -203,7 +211,7 @@ class TestRadialShooting:
         blown = []
 
         def blows_up_fast(c_speed, *args, **kwargs):
-            if c_speed > 1.2:
+            if c_speed > 1.09:  # between the speed 1.0736 and the start 1.0986
                 blown.append(c_speed)
                 return None
             return real(c_speed, *args, **kwargs)
@@ -211,8 +219,31 @@ class TestRadialShooting:
         monkeypatch.setattr(oracles, "_shoot", blows_up_fast)
         prof = oracles.translator_radial_shooting(1.0, 0.5, 2, MINKOWSKI,
                                                   tol=1e-10)
-        assert len(blown) >= 2  # the bracket end and the first midpoint
+        assert len(blown) >= 2  # the bracket end and the start
         assert abs(prof.c_speed - FROZEN_RADIAL_C) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("sig, rho", [
+        (MINKOWSKI, 0.1), (MINKOWSKI, 0.5), (MINKOWSKI, 0.99),
+        (EUCLIDEAN, 0.1), (EUCLIDEAN, 1.0), (EUCLIDEAN, 5.0),
+    ])
+    def test_sweep(self, n, sig, rho):
+        tol = 1e-10
+        prof = oracles.translator_radial_shooting(1.0, rho, n, sig, tol=tol)
+        assert prof.phi[-1] == pytest.approx(rho, abs=1e-9)
+        assert np.all(np.diff(prof.phi) > 0)
+        assert oracles.radial_ode_residual(prof) <= 10 * tol
+        # r -> r / 2 maps the profile over R = 1 to the one over R = 1/2
+        half = oracles.translator_radial_shooting(0.5, rho, n, sig, tol=tol)
+        assert half.c_speed == pytest.approx(2.0 * prof.c_speed, abs=1e-9)
+        if n == 1:
+            c_closed, _ = oracles.translator_1d_closed_form(-1, 1, -rho, rho, sig)
+            assert prof.c_speed == pytest.approx(c_closed, abs=1e-9)
+
+    def test_steep_euclidean_image_is_bracketed(self):
+        # C = 10.2 lies above the old bracket end 2 n arctan(rho) / R + 1
+        prof = oracles.translator_radial_shooting(1.0, 5.0, 3, EUCLIDEAN, tol=1e-10)
+        assert prof.c_speed == pytest.approx(10.2001799192, abs=1e-9)
 
     @pytest.mark.parametrize("kwargs", [
         dict(radius=-1.0, rho=0.5, n=2, sig=MINKOWSKI),
@@ -223,6 +254,33 @@ class TestRadialShooting:
     def test_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             oracles.translator_radial_shooting(**kwargs)
+
+
+class TestIdentityDefects:
+    @pytest.mark.parametrize("sig", [MINKOWSKI, EUCLIDEAN])
+    def test_key_subsets_match_the_full_call(self, sig):
+        jets = oracles.random_jets(np.random.default_rng(3), 60, sig)
+        full = oracles.identity_defects(jets, sig)
+        assert set(full) == set(oracles.IDENTITY_KEYS)
+        for keys in (("root", "root-inverse"), ("trace",), ("hessian-slot",),
+                     ("normal", "duality")):
+            part = oracles.identity_defects(jets, sig, keys=keys)
+            assert part == {key: full[key] for key in keys}
+
+    def test_duality_alone_builds_no_graph_geometry(self, monkeypatch):
+        calls = []
+        real = oracles.graph_geometry_many
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "graph_geometry_many", counted)
+        jets = oracles.random_jets(np.random.default_rng(3), 30, MINKOWSKI)
+        oracles.identity_defects(jets, MINKOWSKI, keys=("duality",))
+        assert calls == []
+        oracles.identity_defects(jets, MINKOWSKI, keys=("trace",))
+        assert len(calls) == len(jets)
 
 
 class TestFdCheck:

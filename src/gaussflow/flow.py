@@ -17,14 +17,15 @@ plain gradient conditions and no root selection arises.
 A residual evaluation takes the iterate's gradient and Hessian from one
 product with the grid's stacked stencils, component-major (one row of N
 node values per component, grid.derivative_rows), and G from its closed
-trace form on those rows (operators.g_value_rows); these are the Newton
+trace form on those rows (geometry.metric_trace); these are the Newton
 loop's per-iterate costs once a run factors only a few times. No
 node-major (N, n, n) array is built per iterate: the residual hands out
 transposed views, and copies are made only at the accepted iterate, for
 the state's jets. A candidate step is admissible when its Hessian is
-positive definite, tested on the smallest eigenvalue in closed form
-(geometry.eigenvalues_many); the spacelike bound was already
-enforced by the residual evaluation at the same gradients.
+positive definite, tested on its spectrum (geometry.eigenvalues_many,
+in closed form for n <= 2), which the accepted state's jets keep; the
+spacelike bound was already enforced by the residual evaluation at the
+same gradients.
 
 The Jacobian is filled on a sparsity pattern fixed per grid (the union
 of the identity and every stencil, built from the grid's stencil table
@@ -51,8 +52,10 @@ tol_newton. Since ||u||_inf can grow by about tau C_inf over a step, a
 floor taken only at the first iterate would be too low at a large
 first tau; an iterate that meets the floor raised at its own Jacobian
 is accepted before that Jacobian is factored. A tol_newton below the
-floor is met at the floor. Short of acceptance, every iterate must at
-least halve the residual max-norm (a contraction monitor in the sense
+floor is met at the floor. No guess is accepted unchanged (it would
+give u_dot = C and stop a run on a step that did no work), so an attempt
+makes at least one chord correction. Short of acceptance, every iterate
+must at least halve the residual max-norm (a contraction monitor in the sense
 of Deuflhard). An attempt factors its Jacobian once, at its first
 iterate, and later iterates reuse the factor (chord Newton): at
 32 x 64 one factorization costs as much as about 25 solves with it.
@@ -128,9 +131,10 @@ from .geometry import (
     NodalJets,
     eigenvalues_many,
     is_spacelike,
+    metric_trace,
 )
 from .grids import LineGrid, MappedDiskGrid
-from .operators import g_derivatives_many, g_value_many, g_value_rows
+from .operators import g_derivatives_many, g_value_many
 
 # A Newton attempt is abandoned once the residual max-norm fails to drop
 # below this fraction of the previous iterate's (contraction monitor).
@@ -148,8 +152,8 @@ class StepControls:
     ``tol_newton`` bounds the Newton residual max-norm from below by the
     attempt's roundoff floor (``_floor_at``, the largest over its fresh
     factorizations): a value under the floor, 1e-30 say, is met at
-    the floor, so it cannot force a Newton failure; ``max_newton = 1``
-    from a guess that misses it does.
+    the floor, so it cannot force a Newton failure; ``max_newton = 1``,
+    which leaves no room for the one chord correction, does.
 
     ``tau0`` is the first step's tau. Unset, the run starts at the
     ceiling ``tau_max`` and halves only where Newton fails; a set
@@ -267,7 +271,7 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
         a_mat @ omega.center + shift
     )
     p, r = grid.derivative_rows(u0)
-    g0 = g_value_rows(p, r, sig)
+    g0 = metric_trace(p, r, sig)
     state = FlowState(
         grid=grid, u=u0, t=0.0, u_dot=g0, tau=0.0, steps=0, sig=sig,
         omega=omega, omega_tilde=omega_tilde,
@@ -302,7 +306,7 @@ def _residual(state: FlowState, u: np.ndarray, u_prev: np.ndarray, tau: float):
     """
     grid = state.grid
     p, r = grid.derivative_rows(u)
-    res = u - u_prev - tau * g_value_rows(p, r, state.sig)
+    res = u - u_prev - tau * metric_trace(p, r, state.sig)
     bb = grid.boundary
     res[bb], _ = _boundary_rows(state, p[:, bb].T)
     return res, p.T, r.transpose(2, 0, 1)
@@ -388,6 +392,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     and an iterate that meets the raised floor is returned unfactored,
     with the stale factor: it served the iterates up to u, and at the
     ceiling the next step starts from it instead of factoring afresh.
+    Neither test accepts the guess itself, before a chord correction.
 
     Chord Newton: the Jacobian is factored at the first iterate and the
     factor is reused by later iterates. Every iterate must at least
@@ -419,7 +424,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
         if not np.all(np.isfinite(res)):
             return None
         rn = np.max(np.abs(res))
-        if rn <= tol:
+        if rn <= tol and it > 1:
             return u, it, n_factors, p, r, factor
         if rn > STAGNATION_RATIO * prev:
             if fresh:
@@ -431,7 +436,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
             jac = _jacobian(state, p, r, tau)
             jac_norm = _inf_norm(jac)
             tol = max(tol, _floor_at(jac_norm, u))
-            if rn <= tol:
+            if rn <= tol and it > 1:
                 return u, it, n_factors, p, r, stale
             try:
                 factor = ChordFactor(_factor(jac, state.grid), tau, jac_norm)
@@ -443,16 +448,6 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
             return None
         u = u - delta
     return None
-
-
-def _admissible(r: np.ndarray) -> bool:
-    """Strict convexity of a candidate state, from its Hessian rows r.
-
-    The spacelike bound needs no test here: the candidate's last residual
-    evaluation took G at these same gradients, and that raises
-    SpacelikeViolationError past the bound.
-    """
-    return bool(np.min(eigenvalues_many(r)[:, 0]) > 0.0)
 
 
 def step_implicit(state: FlowState, controls: StepControls | None = None) -> FlowState:
@@ -470,9 +465,8 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     StepFailureError; a starting tau that is not finite and positive
     raises ValueError, so no step is accepted backwards in time.
     The accepted state's jets start with the gradient and Hessian of
-    Newton's last residual evaluation, copied to node-major arrays;
-    their Hessian eigenvalues stay lazy, since the admissibility check
-    takes only the smallest, in closed form.
+    Newton's last residual evaluation, copied to node-major arrays, and
+    with the Hessian spectrum that the admissibility check computed.
 
     At the ceiling tau = tau_max the step starts Newton from the
     state's carried factor when it was built at that tau, and the
@@ -500,7 +494,10 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
         got = _newton_solve(state, u_prev, guess, tau, controls, carried)
         if got is not None:
             u_new, iters, n_factors, p, r, factor = got
-            if _admissible(r):
+            # strict convexity; the last residual evaluation, at these
+            # gradients, already raised SpacelikeViolationError past the bound
+            lam = eigenvalues_many(r)
+            if np.min(lam[:, 0]) > 0.0:
                 break
         tau *= 0.5
         if tau < controls.tau_min:
@@ -518,6 +515,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     new.jets = NodalJets(state.grid, u_new, state.sig)
     new.jets.p = np.ascontiguousarray(p)
     new.jets.r = np.ascontiguousarray(r)
+    new.jets.lam = lam
     return new
 
 
@@ -619,7 +617,7 @@ def translator_residual(u: np.ndarray, c: float, sig: str, grid) -> float:
             f"translator residual needs a strictly convex field "
             f"(min Hessian eigenvalue {lam_min:.3e})"
         )
-    g = g_value_rows(p, r, sig)
+    g = metric_trace(p, r, sig)
     return float(np.max(np.abs(g[grid.interior] - c)))
 
 

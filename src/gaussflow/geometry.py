@@ -25,7 +25,10 @@ flow, the monitors and the check suite evaluate arrays of jets, and the
 pointwise API (``graph_geometry`` of a ``PointJet``) is the batch of one.
 Every per-node spectrum (the Hessian eigenvalues, the principal
 curvatures and the solver's and audits' convexity tests) comes from
-``eigenvalues_many``, in closed form for n <= 2.
+``eigenvalues_many``, in closed form for n <= 2. Every contraction
+g^ij m_ij (the flow speed, the Laplacian's main term, the dual operator)
+comes from ``metric_trace``, which builds no g^ij; ``metric_up_many``
+builds it only where a caller needs the matrix itself.
 """
 
 from __future__ import annotations
@@ -162,6 +165,17 @@ def metric_up_many(p: np.ndarray, sig: str) -> np.ndarray:
     return _rank_one(p, -signature_eps(sig), v_many(p, sig) ** 2)
 
 
+def metric_trace(p: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
+    """g^ij m_ij = tr m - eps p^T m p / v^2 at each node, with the spacelike
+    guard, from component-major rows: p is (n, N) and m is (n, n, N), the
+    layout ``grid.derivative_rows`` returns. Contracting along the node
+    axis keeps every einsum on long rows, with no (N, n, n) array."""
+    v2 = v_squared(np.einsum("in,in->n", p, p), sig)
+    mp = np.einsum("ijn,jn->in", m, p)
+    pmp = np.einsum("in,in->n", p, mp)
+    return np.einsum("iin->n", m) - signature_eps(sig) * pmp / v2
+
+
 def root_metric_many(p: np.ndarray, sig: str, paper_signs: bool = False):
     """(b^ij, b_ij) at each row of p, each of shape (N, n, n).
 
@@ -267,13 +281,12 @@ class NodalJets:
         """Intrinsic Laplacian on this graph of a field with gradient rows
         df (n, N) and Hessian rows d2f (n, n, N), as
         ``grid.derivative_rows`` returns them (``laplace_beltrami``)."""
-        main = np.einsum("nij,ijn->n", metric_up_many(self.p, self.sig), d2f)
+        main = metric_trace(self.p.T, d2f, self.sig)
         p_df = np.einsum("ni,in->n", self.p, df)
         return main - signature_eps(self.sig) * self.H * p_df / self.v
 
 
-def laplace_beltrami(f: np.ndarray, u: np.ndarray, grid, sig: str,
-                     jets: NodalJets | None = None) -> np.ndarray:
+def laplace_beltrami(f: np.ndarray, u: np.ndarray, grid, sig: str) -> np.ndarray:
     """Intrinsic Laplacian of a discrete scalar field on the graph of u.
 
     The operator (1/sqrt(det g)) d_i (sqrt(det g) g^ij d_j f) is
@@ -287,12 +300,11 @@ def laplace_beltrami(f: np.ndarray, u: np.ndarray, grid, sig: str,
     the flux field numerically instead would double-difference derived
     quantities and lose an order near the boundary where stencil
     truncation constants jump; the analytic coefficient keeps the operator
-    second-order accurate at every interior node. Boundary nodes are set
-    to nan. ``jets``, when given, must be the jets of u under sig; p, v
-    and H are then read from it.
+    second-order accurate at every interior node; the main term is
+    ``metric_trace`` of the Hessian rows of f. Boundary nodes are set to
+    nan.
     """
-    if jets is None:
-        jets = NodalJets(grid, np.asarray(u, dtype=float), sig)
+    jets = NodalJets(grid, np.asarray(u, dtype=float), sig)
     out = jets.laplacian(*grid.derivative_rows(np.asarray(f, dtype=float)))
     out[grid.boundary] = np.nan
     return out

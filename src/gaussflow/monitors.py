@@ -25,11 +25,12 @@ curvature matrix are evaluated once, however many audits use them, and
 the evolution identity reuses the mean curvature of the states recorded
 before and differentiates H once. The flow seeds an accepted state's
 jets with the gradient and Hessian of Newton's last residual
-evaluation; their eigenvalues stay lazy. The eps0 audit takes principal
-curvatures on all nodes of the initial state and on each step's
-boundary rows only, so an unrecorded step (cadence above 1) evaluates
-only those rows of the curvature matrix. The structure report takes the
-curvature sum from the mean curvature H = tr a.
+evaluation and with the Hessian eigenvalues of its convexity test, so
+the Hessian bounds take no spectrum of their own. The eps0 audit takes
+principal curvatures on all nodes of the initial state and on each
+step's boundary rows only, so an unrecorded step (cadence above 1)
+evaluates only those rows of the curvature matrix. The structure report
+takes the curvature sum from the mean curvature H = tr a.
 """
 
 from __future__ import annotations

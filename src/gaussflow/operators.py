@@ -6,13 +6,13 @@ The interior evolution is u_t = G(Du, D2u) with
 
 the nondivergence trace form; the two expressions agree identically
 because trace((1/v) b r b) = (1/v) trace(r b b) = (1/v) trace(r g^inv)
-and an extra factor v. With g^ij = delta_ij - eps p_i p_j / v^2 it is
-evaluated as G = tr r - eps p^T r p / v^2, so no metric array is built.
-Its contractions run on component-major rows, one contiguous array of
-node values per component (the layout grid.derivative_rows returns and
-the Newton residual evaluates G on, through g_value_rows); the
-node-major g_value_many and g_derivatives_many hand the same helper
-transposed views of their (N, n) and (N, n, n) arguments.
+and an extra factor v. G is geometry.metric_trace of the Hessian,
+G = tr r - eps p^T r p / v^2, so no metric array is built. That kernel
+runs on component-major rows, one contiguous array of node values per
+component (the layout grid.derivative_rows returns and the Newton
+residual evaluates G on); the node-major g_value_many and
+g_derivatives_many hand it, and their own contractions, transposed
+views of their (N, n) and (N, n, n) arguments.
 Everything downstream differentiates the closed trace form directly:
 
     dG/dr_ij = g^ij(p)
@@ -27,9 +27,9 @@ behind ``paper_form`` purely as a check-suite regression lock.
 The Legendre transform ytilde(y) = x . Du(x) - u(x), y = Du(x) swaps the
 domain and its gradient image; the dual operator on the dual Hessian M is
 
-    Gdual(y, M) = -g^ij(y) : (M^{-1})_ij
+    Gdual(y, M) = -g^ij(y) : (M^{-1})_ij,
 
-and equals -G at the matched primal jet.
+metric_trace of M^{-1} at y, and equals -G at the matched primal jet.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .geometry import (
     PointJet,
     curvature_matrix_many,
     eigenvalues_many,
+    metric_trace,
     metric_up_many,
     root_metric_many,
     signature_eps,
@@ -82,32 +83,10 @@ def g_value(jet: PointJet, sig: str) -> float:
     return float(g_value_many(p, r, sig)[0])
 
 
-def _contractions(p: np.ndarray, r: np.ndarray, sig: str):
-    """(v^2, r p, p^T r p) at each node, what G and G_p need of the jet,
-    from component-major rows: p is (n, N) and r is (n, n, N), and r p
-    comes back as (n, N). Contracting along the node axis keeps every
-    einsum on long rows, with no (N, n, n) array."""
-    v2 = v_squared(np.einsum("in,in->n", p, p), sig)
-    rp = np.einsum("ijn,jn->in", r, p)
-    prp = np.einsum("in,in->n", p, rp)
-    return v2, rp, prp
-
-
-def g_value_rows(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
-    """G = tr r - eps p^T r p / v^2 at each node from component-major rows,
-    p (n, N) and r (n, n, N), as ``grid.derivative_rows`` returns them.
-
-    This is g^ij r_ij with the rank-one part of g^ij contracted in closed
-    form, so no metric is built.
-    """
-    v2, _, prp = _contractions(p, r, sig)
-    return np.einsum("iin->n", r) - signature_eps(sig) * prp / v2
-
-
 def g_value_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
-    """G at each node; p is (N, n), r is (N, n, n): ``g_value_rows`` of
+    """G at each node; p is (N, n), r is (N, n, n): ``metric_trace`` of
     their transposes."""
-    return g_value_rows(p.T, r.transpose(1, 2, 0), sig)
+    return metric_trace(p.T, r.transpose(1, 2, 0), sig)
 
 
 def g_derivatives(jet: PointJet, sig: str, paper_form: bool = False) -> OperatorDerivatives:
@@ -129,7 +108,9 @@ def g_derivatives_many(p: np.ndarray, r: np.ndarray, sig: str):
     (N, n, n), G_p is (N, n)."""
     eps = signature_eps(sig)
     p_rows = p.T
-    v2, rp, prp = _contractions(p_rows, r.transpose(1, 2, 0), sig)
+    v2 = v_squared(np.einsum("in,in->n", p_rows, p_rows), sig)
+    rp = np.einsum("ijn,jn->in", r.transpose(1, 2, 0), p_rows)
+    prp = np.einsum("in,in->n", p_rows, rp)
     g_r = metric_up_many(p, sig)
     # eps^2 = 1 collapses the sign on the second term
     g_p = (-2.0 * eps) * rp / v2 + 2.0 * p_rows * (prp / v2**2)
@@ -169,9 +150,7 @@ def g_dual_many(y: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
     """
     if np.min(eigenvalues_many(0.5 * (m + np.swapaxes(m, 1, 2)))[:, 0]) <= 0:
         raise ValueError("dual Hessian must be positive definite")
-    s = metric_up_many(y, sig)
-    m_inv = np.linalg.inv(m)
-    return -np.sum(s * m_inv, axis=(1, 2))
+    return -metric_trace(y.T, np.linalg.inv(m).transpose(1, 2, 0), sig)
 
 
 def legendre_transform(u: np.ndarray, grid):

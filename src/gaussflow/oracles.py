@@ -19,7 +19,7 @@ discretization:
   matches phi(R) to the prescribed boundary slope. Newton starts at
   c0 = n inv(rho) / R, inv = artanh resp. arctan: exact for n = 1, an
   upper bound on C in Minkowski space and a lower bound in Euclidean
-  space. The bracket ends are upper bounds by comparison: 2 c0 + 1
+  space. The bracket end is an upper bound by comparison: c0 itself
   (Minkowski) and n rho / R + 1 (Euclidean, from phi(R) >= C R / n).
   Only Euclidean shots watch for blowup; a Minkowski slope stays in
   (-1, 1). phi(R) is increasing in C: each shot proves it locally
@@ -185,7 +185,8 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
 
     * Minkowski: artanh(phi) >= phi gives
       (r^{n-1} artanh phi)' >= C r^{n-1}, so artanh phi(R) >= C R / n and
-      C <= c0: the start is an upper bound, and c_max = 2 c0 + 1 above it.
+      C <= c0: c_max = c0, and the first shot checks it (one below rho by
+      more than tol times s means no bracket; below by less returns c0).
     * Euclidean: 1 + phi^2 >= 1 gives (r^{n-1} phi)' >= C r^{n-1}, so
       phi(R) >= C R / n and C <= n rho / R; c_max = n rho / R + 1.
       arctan(phi) <= phi turns the Minkowski argument round, so here the
@@ -199,7 +200,7 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
         if not 0.0 < rho < 1.0:
             raise ValueError("Minkowski boundary slope must lie in (0, 1)")
         c_start = n * np.arctanh(rho) / radius
-        c_max = 2.0 * c_start + 1.0
+        c_max = c_start
     elif sig == EUCLIDEAN:
         if rho <= 0:
             raise ValueError("boundary slope must be positive")
@@ -222,15 +223,16 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
         return float(phi_end) - rho, float(s_end)
 
     lo, hi = 0.0, float(c_max)  # C = 0 gives phi identically 0 < rho
-    if not miss(hi)[0] > 0.0:
-        raise OracleFailureError(
-            f"no bracket for the shooting speed in (0, {c_max:.6g})"
-        )
+    no_bracket = f"no bracket for the shooting speed in (0, {c_max:.6g})"
+    if sig == EUCLIDEAN and not miss(hi)[0] > 0.0:
+        raise OracleFailureError(no_bracket)
     c_speed = float(c_start)
     step_before, last_step = hi - lo, hi - lo
     prev = None
     while True:
         val, sens = miss(c_speed)
+        if c_speed == c_max and val < 0.0 and -val > tol * sens:
+            raise OracleFailureError(no_bracket)  # the first Minkowski shot
         if np.isfinite(val):
             if prev is not None and (c_speed - prev[0]) * (val - prev[1]) < -1e-13:
                 raise OracleFailureError(

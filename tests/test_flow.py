@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from gaussflow import domains as dom
-from gaussflow import flow, operators, oracles
+from gaussflow import flow, geometry, monitors, operators, oracles
 from gaussflow.errors import ConvexityError, NonConvergenceError, StepFailureError
 from gaussflow.flow import StepControls, step_explicit, step_implicit
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI, eigenvalues_many
@@ -701,21 +701,35 @@ class TestStateJets:
         assert twin.u is not state.u and np.array_equal(twin.u, state.u)
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
-    def test_accepted_step_seeds_jets_from_admissibility_check(self, case):
+    def test_accepted_step_seeds_jets_from_admissibility_check(self, case,
+                                                               monkeypatch):
         state, u, tau = perturbed_state(case)
-        new = step_implicit(dataclasses.replace(state, u=u, tau=tau),
-                            StepControls(tau_max=tau))
+        start = dataclasses.replace(state, u=u, tau=tau)
+        monitor = monitors.RunMonitor(start, cadence=1)
+        spectra = []
+
+        def recorded(m):
+            spectra.append(np.array(m))
+            return eigenvalues_many(m)
+
+        for module in (flow, geometry, monitors):
+            monkeypatch.setattr(module, "eigenvalues_many", recorded)
+        new = step_implicit(start, StepControls(tau_max=tau))
         jets = new.jets
         assert jets.u is new.u
-        # p and r come seeded from Newton's last residual evaluation; the
-        # admissibility check reads r without caching eigenvalues, so lam
-        # and the curvature matrix stay lazy
-        assert {"p", "r"} <= set(vars(jets))
-        assert "lam" not in vars(jets) and "a" not in vars(jets)
+        # p and r come seeded from Newton's last residual evaluation and
+        # lam from the admissibility check's spectrum of r; the curvature
+        # matrix stays lazy
+        assert {"p", "r", "lam"} <= set(vars(jets))
+        assert "a" not in vars(jets)
+        hessian = new.grid.hessian(new.u)
         assert np.array_equal(jets.p, new.grid.gradient(new.u))
-        assert np.array_equal(jets.r, new.grid.hessian(new.u))
-        assert np.array_equal(jets.lam,
-                              eigenvalues_many(new.grid.hessian(new.u)))
+        assert np.array_equal(jets.r, hessian)
+        assert np.array_equal(jets.lam, eigenvalues_many(hessian))
+        # recording the step takes no second spectrum of its Hessian
+        monitor.observe(new)
+        assert len(monitor.records) == 2
+        assert sum(np.array_equal(m, hessian) for m in spectra) == 1
 
 
 class TestStepImplicit:
@@ -984,6 +998,44 @@ class TestRunToTranslator:
                                 (16, 32), EUCLIDEAN)
         result = flow.run_to_translator(state)
         assert abs(result.c_inf - prof.c_speed) < 1e-2
+
+
+class TestNoStepAcceptsItsGuess:
+    """Every Newton attempt makes at least one chord correction, so a run
+    cannot stop on a step that accepted its guess u_prev + tau C as it
+    was (u_dot = C at every node up to rounding)."""
+
+    def test_guess_at_the_floor_is_corrected_once(self, counted_splu):
+        # the solution of a step at the ceiling, handed back as the guess,
+        # already meets the floor; the attempt still solves once
+        controls = StepControls()
+        converged = disk_ball_run().state
+        new = step_implicit(converged, controls)
+        counted_splu.update(factor=0, solve=0)
+        got = flow._newton_solve(converged, converged.u, new.u,
+                                 controls.tau_max, controls)
+        assert got is not None
+        assert got[1] == 2 and counted_splu["solve"] == 1
+
+    def test_fine_radial_run_reaches_its_speed(self):
+        # run 3's problem at 128x256, where the last step used to accept
+        # its guess and report C 1.7e-8 low (1.0735689212)
+        state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
+                                dom.ConvexDomain.ball([0, 0], 0.5),
+                                (128, 256), MINKOWSKI)
+        result = flow.run_to_translator(state)
+        assert abs(result.c_inf - 1.07356893833) <= 1e-9
+
+    def test_speed_does_not_depend_on_the_height_of_u0(self):
+        # a constant added to u0 raises the roundoff floor with ||u||_inf;
+        # at 1e4 the last step used to accept its guess, 1.7e-8 off
+        state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
+                                dom.ConvexDomain.ball([0, 0], 0.5),
+                                (32, 64), MINKOWSKI)
+        base = flow.run_to_translator(state)
+        lifted = flow.run_to_translator(
+            dataclasses.replace(state, u=state.u + 1e4))
+        assert abs(lifted.c_inf - base.c_inf) <= 1e-9
 
 
 class TestHotPath:

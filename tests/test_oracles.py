@@ -134,10 +134,10 @@ class TestRadialShooting:
             assert calls.count(True) == 1  # the dense shot of the profile
             return len(calls)
 
-        # n = 1 starts on the exact speed: the bracket end, the start and
-        # the dense shot
-        assert shots(1) == 3
-        assert shots(2) <= 6  # run 3; bisection to 1e-10 took 37
+        # n = 1 starts on the exact speed: the start, which is the
+        # bracket end, and the dense shot
+        assert shots(1) == 2
+        assert shots(2) <= 5  # run 3; bisection to 1e-10 took 37
 
     @pytest.mark.parametrize("sig, c_speed", [(MINKOWSKI, 1.07), (EUCLIDEAN, 1.4)])
     def test_sensitivity_matches_central_difference(self, sig, c_speed):
@@ -151,13 +151,14 @@ class TestRadialShooting:
         (-1.0, "not increasing in C"), (1.0, "failed to be monotone in C"),
     ])
     def test_phi_falling_in_speed_raises(self, monkeypatch, s_end, message):
-        # phi(R) = rho - (C - 0.4 c_max) below c_max, bracketed at c_max;
-        # s = -1 trips the sign check, s = +1 (a wrong derivative) sends
-        # Newton up the bracket, where the iterate check sees phi fall
-        rho, c_max = 0.5, 4.0 * np.arctanh(0.5) + 1.0
+        # phi(R) = rho - (C - 1.2 c0), above rho at the bracket end, the
+        # start c0 = n artanh(rho) / R; s = -1 trips the sign check, s = +1
+        # (a wrong derivative) sends Newton down the bracket, where the
+        # iterate check sees phi rise
+        rho, start = 0.5, 2.0 * np.arctanh(0.5)
 
         def falling(c_speed, radius, n, sig, dense=False):
-            phi = rho + 1.0 if c_speed >= c_max else rho - (c_speed - 0.4 * c_max)
+            phi = rho - (c_speed - 1.2 * start)
             return SimpleNamespace(t=np.array([0.0, radius]),
                                    y=np.array([[0.0, phi], [0.0, s_end]]))
 
@@ -166,8 +167,9 @@ class TestRadialShooting:
             oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI, tol=1e-10)
 
     def test_exact_hit_on_the_bracket_end_is_returned(self, monkeypatch):
-        # linear phi(R) with exact arithmetic: the first Newton step lands
-        # on the root, where phi(R) == rho makes it the bracket's upper end
+        # linear phi(R) with exact arithmetic: the first Newton step from
+        # the start, the bracket's upper end, lands on the root, where
+        # phi(R) == rho makes it the new upper end
         rho, start = 0.5, 2.0 * np.arctanh(0.5)
         c_star = start - 0.25
         shots = []
@@ -181,16 +183,45 @@ class TestRadialShooting:
         monkeypatch.setattr(oracles, "_shoot", linear)
         prof = oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI, tol=1e-10)
         assert prof.c_speed == c_star
-        # the bracket end, the start n artanh(rho) / R, one Newton step,
-        # the dense shot
-        assert shots == [2.0 * start + 1.0, start, c_star, c_star]
+        # the start n artanh(rho) / R, one Newton step, the dense shot
+        assert shots == [start, c_star, c_star]
+
+    @pytest.mark.parametrize("below, raises", [(0.25, True), (0.25e-10, False)])
+    def test_first_shot_checks_the_minkowski_bracket(self, monkeypatch, below,
+                                                     raises):
+        # linear phi(R) whose root lies above the start c0 = n artanh(rho)
+        # / R, which no Minkowski speed does: the first shot lands below
+        # rho, and the search raises unless c0 is within tol of the root
+        rho, start, tol = 0.5, 2.0 * np.arctanh(0.5), 1e-10
+        c_star = start + below
+        shots = []
+
+        def linear(c_speed, radius, n, sig, dense=False):
+            shots.append(c_speed)
+            phi = rho + (c_speed - c_star) * 0.5
+            return SimpleNamespace(t=np.array([0.5 * radius, radius]),
+                                   y=np.array([[0.5 * phi, phi], [0.25, 0.5]]))
+
+        monkeypatch.setattr(oracles, "_shoot", linear)
+        if raises:
+            with pytest.raises(OracleFailureError, match="no bracket"):
+                oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI,
+                                                   tol=tol)
+            assert shots == [start]
+        else:
+            prof = oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI,
+                                                      tol=tol)
+            assert prof.c_speed == start
+            assert shots == [start, start]
 
     def test_slow_newton_falls_back_to_bisection(self, monkeypatch):
         # phi(R) = rho + 0.1 sign(d) |d|^a, d = C - c_star, a = 1 / 1.99:
         # increasing, and each Newton step maps d to -0.99 d inside the
-        # bracket, so Newton alone would take about 2,000 shots
-        rho, mid = 0.5, 2.0 * np.arctanh(0.5) + 0.5
-        c_star, power = mid - 0.25, 1.0 / 1.99
+        # bracket, so Newton alone would take about 2,000 shots; c_star
+        # lies below the start c0 = n artanh(rho) / R, as every Minkowski
+        # speed does
+        rho, start = 0.5, 2.0 * np.arctanh(0.5)
+        c_star, power = start - 0.25, 1.0 / 1.99
         shots = []
 
         def slow(c_speed, radius, n, sig, dense=False):
@@ -207,20 +238,25 @@ class TestRadialShooting:
         assert abs(prof.c_speed - c_star) <= 1e-10
 
     def test_blowups_fall_back_to_bisection(self, monkeypatch):
+        # only a Euclidean slope can blow up; for rho = 1, n = 2 the start
+        # 1.5708 lies below the speed 1.67519 and the first Newton step
+        # overshoots it to 1.6779
         real = oracles._shoot
+        want = oracles.translator_radial_shooting(1.0, 1.0, 2, EUCLIDEAN,
+                                                  tol=1e-10).c_speed
         blown = []
 
         def blows_up_fast(c_speed, *args, **kwargs):
-            if c_speed > 1.09:  # between the speed 1.0736 and the start 1.0986
+            if c_speed > 1.677:  # between the speed and the first Newton step
                 blown.append(c_speed)
                 return None
             return real(c_speed, *args, **kwargs)
 
         monkeypatch.setattr(oracles, "_shoot", blows_up_fast)
-        prof = oracles.translator_radial_shooting(1.0, 0.5, 2, MINKOWSKI,
+        prof = oracles.translator_radial_shooting(1.0, 1.0, 2, EUCLIDEAN,
                                                   tol=1e-10)
-        assert len(blown) >= 2  # the bracket end and the start
-        assert abs(prof.c_speed - FROZEN_RADIAL_C) <= 1e-10
+        assert len(blown) >= 2  # the bracket end and the first Newton step
+        assert abs(prof.c_speed - want) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("sig, rho", [

@@ -1,8 +1,9 @@
 """Property tests: the vectorized graph geometry (cached nodal jets and
 the batch-of-one pointwise API) against the pointwise formulas it
 replaced, the closed-form operator and smallest-eigenvalue kernels
-against the metric contraction and LAPACK, the component-major operator
-kernel against the node-major formula, the snapshot round trip,
+against the metric contraction and LAPACK, the component-major trace
+kernel against the node-major formula and the built metric (with the
+Laplacian and the dual operator it serves), the snapshot round trip,
 and run configs (valid ones parse back to the values written, invalid
 ones end in exit 1)."""
 
@@ -30,11 +31,12 @@ from gaussflow.geometry import (
     graph_geometry,
     graph_geometry_many,
     eigenvalues_many,
+    metric_trace,
     metric_up_many,
     signature_eps,
     v_many,
 )
-from gaussflow.operators import g_value_many, g_value_rows
+from gaussflow.operators import g_dual_many, g_value_many
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -284,22 +286,78 @@ def node_major_g(p, r, sig):
     return np.einsum("nii->n", r) - signature_eps(sig) * prp / v2
 
 
+def metric_laplacian(p, r, sig, df, d2f):
+    """The intrinsic Laplacian with its main term contracted on the built
+    (N, n, n) inverse metric, as it was before ``metric_trace``; kept as
+    its reference."""
+    jets = NodalJets.of(p, r, sig)
+    main = np.einsum("nij,ijn->n", metric_up_many(p, sig), d2f)
+    p_df = np.einsum("ni,in->n", p, df)
+    return main - signature_eps(sig) * jets.H * p_df / jets.v
+
+
+def metric_dual(y, m, sig):
+    """Gdual = -g^ij(y) : (M^{-1})_ij on the built inverse metric, as it
+    was before ``metric_trace``; kept as its reference."""
+    return -np.sum(metric_up_many(y, sig) * np.linalg.inv(m), axis=(1, 2))
+
+
+@st.composite
+def field_rows(draw, batch):
+    """A field's component-major gradient rows (n, N) and symmetric
+    Hessian rows (n, n, N) at the nodes of a ``jet_batches`` batch."""
+    p = batch[0]
+    n, count = p.shape[1], p.shape[0]
+    df = 3.0 * draw(hnp.arrays(float, (n, count), elements=unit))
+    d2f = 3.0 * draw(hnp.arrays(float, (n, n, count), elements=unit))
+    return df, 0.5 * (d2f + np.swapaxes(d2f, 0, 1))
+
+
 @settings(max_examples=300, deadline=None)
-@given(jet_batches())
-def test_component_major_g_matches_node_major_formula(batch):
-    """g_value_rows on component-major rows, and g_value_many on (N, n)
+@given(st.data())
+def test_component_major_g_matches_node_major_formula(data):
+    """metric_trace on component-major rows, and g_value_many on (N, n)
     and (N, n, n) arrays through it, within 1e-13 of the node-major
-    contraction, relative to its magnitude sum |tr r| + |p^T r p| / v^2."""
+    contraction, relative to its magnitude sum |tr r| + |p^T r p| / v^2;
+    the kernel within 1e-13 of g^ij m_ij on the built metric, and the
+    intrinsic Laplacian and the dual operator, which contract through it,
+    within 1e-13 of their built-metric forms, each relative to the sum of
+    the magnitudes of its terms."""
+    batch = data.draw(jet_batches())
     p, r, sig = batch
     want = node_major_g(p, r, sig)
     v2 = v_many(p, sig) ** 2
     scale = (np.abs(np.einsum("nii->n", r))
              + np.einsum("ni,nij,nj->n", np.abs(p), np.abs(r), np.abs(p)) / v2)
     bound = 1e-13 * np.maximum(scale, np.finfo(float).tiny)
-    rows = g_value_rows(np.ascontiguousarray(p.T),
+    rows = metric_trace(np.ascontiguousarray(p.T),
                         np.ascontiguousarray(r.transpose(1, 2, 0)), sig)
     assert np.all(np.abs(rows - want) <= bound)
     assert np.all(np.abs(g_value_many(p, r, sig) - want) <= bound)
+
+    def within(got, ref, scale):
+        return np.all(np.abs(got - ref)
+                      <= 1e-13 * np.maximum(scale, np.finfo(float).tiny))
+
+    g_up = metric_up_many(p, sig)
+    contraction = np.einsum("nij,nij->n", g_up, r)
+    assert within(rows, contraction,
+                  np.einsum("nij,nij->n", np.abs(g_up), np.abs(r)))
+
+    df, d2f = data.draw(field_rows(batch))
+    jets = NodalJets.of(p, r, sig)
+    lap_scale = (np.einsum("nij,ijn->n", np.abs(g_up), np.abs(d2f))
+                 + np.abs(jets.H) / jets.v
+                 * np.einsum("ni,in->n", np.abs(p), np.abs(df)))
+    assert within(jets.laplacian(df, d2f),
+                  metric_laplacian(p, r, sig, df, d2f), lap_scale)
+
+    # the Hessian shifted positive definite, as the check suite shifts it
+    lam_min = eigenvalues_many(r)[:, 0]
+    m = r + (np.abs(lam_min) + 0.5)[:, None, None] * np.eye(p.shape[1])
+    m_inv = np.linalg.inv(m)
+    assert within(g_dual_many(p, m, sig), metric_dual(p, m, sig),
+                  np.einsum("nij,nij->n", np.abs(g_up), np.abs(m_inv)))
 
 
 @settings(max_examples=300, deadline=None)

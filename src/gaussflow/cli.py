@@ -203,7 +203,7 @@ def _node_table(state) -> tuple[list, list]:
 def write_fields_csv(path, state, table=None):
     names, cols = table or _node_table(state)
     jets = state.jets
-    extra = [*zip(("du_x", "du_y"), jets.p.T), ("hess_min", jets.lam[:, 0])]
+    extra = [*zip(("du_x", "du_y"), jets.p), ("hess_min", jets.lam[0])]
     names = names + [name for name, _ in extra]
     cols = cols + [list(map(_fmt, vals.tolist())) for _, vals in extra]
     with open(path, "w") as f:

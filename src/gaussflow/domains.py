@@ -99,6 +99,11 @@ class ConvexDomain:
         """``radial_range`` of the domain, evaluated once per domain."""
         return radial_range(self)
 
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """``interval_ends`` of a 1D domain as an array, evaluated once."""
+        return np.array(interval_ends(self))
+
     @staticmethod
     def _quadric(center, shape, name: str, args) -> "ConvexDomain":
         return ConvexDomain(
@@ -139,38 +144,39 @@ def defining_jet(domain: ConvexDomain, p) -> tuple[float, np.ndarray, np.ndarray
     Total function: p may lie inside, on, or outside the domain.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    h, dh = defining_jet_many(domain, p[None, :])
-    return h[0], dh[0], -2.0 * domain.shape / domain.scale
+    h, dh = defining_jet_many(domain, p[:, None])
+    return h[0], dh[:, 0], -2.0 * domain.shape / domain.scale
 
 
 def defining_jet_many(domain: ConvexDomain, pts: np.ndarray):
-    """Vectorized ``defining_jet`` over rows of pts, shape (N, n).
+    """Vectorized ``defining_jet`` at N points given as component-major
+    rows pts (n, N), the layout of the solver's gradient rows.
 
-    Returns (h (N,), dh (N, n)); the Hessian is constant per domain and
+    Returns (h (N,), dh (n, N)); the Hessian is constant per domain and
     available from ``defining_jet``.
     """
-    d = np.asarray(pts, dtype=float) - domain.center
-    q = d @ domain.shape
-    return (1.0 - np.sum(d * q, axis=1)) / domain.scale, -2.0 * q / domain.scale
+    d = np.asarray(pts, dtype=float) - domain.center[:, None]
+    q = domain.shape @ d
+    return (1.0 - np.sum(d * q, axis=0)) / domain.scale, -2.0 * q / domain.scale
 
 
 def inward_normal(domain: ConvexDomain, q) -> np.ndarray:
     """Unit inward normal of the boundary at the boundary point q."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return inward_normal_many(domain, q[None, :])[0]
+    return inward_normal_many(domain, q[:, None])[:, 0]
 
 
 def inward_normal_many(domain: ConvexDomain, pts: np.ndarray) -> np.ndarray:
-    """Unit inward normals at the boundary points pts (N, n), shape (N, n)."""
+    """Unit inward normals (n, N) at the boundary points, rows pts (n, N)."""
     pts = np.asarray(pts, dtype=float)
     h, dh = defining_jet_many(domain, pts)
     worst = int(np.argmax(np.abs(h)))
     if abs(h[worst]) > BOUNDARY_TOL:
         raise BoundaryMembershipError(
-            f"point {pts[worst]} is not on the boundary: "
+            f"point {pts[:, worst]} is not on the boundary: "
             f"h = {h[worst]:.3e} exceeds {BOUNDARY_TOL}"
         )
-    return dh / np.linalg.norm(dh, axis=1)[:, None]
+    return dh / np.linalg.norm(dh, axis=0)
 
 
 def interval_ends(domain: ConvexDomain) -> tuple[float, float]:
@@ -208,7 +214,7 @@ def radial_range(domain: ConvexDomain) -> tuple[float, float]:
     else:
         raise ValueError(f"radial range needs n <= 2, got a {domain.dimension}D domain")
     norms = np.linalg.norm(pts, axis=1)
-    h0, _ = defining_jet_many(domain, np.zeros((1, domain.dimension)))
+    h0, _ = defining_jet_many(domain, np.zeros((domain.dimension, 1)))
     mn = 0.0 if h0[0] >= 0.0 else float(norms.min())
     return mn, float(norms.max())
 

@@ -18,14 +18,14 @@ A residual evaluation takes the iterate's gradient and Hessian from one
 product with the grid's stacked stencils, component-major (one row of N
 node values per component, grid.derivative_rows), and G from its closed
 trace form on those rows (geometry.metric_trace); these are the Newton
-loop's per-iterate costs once a run factors only a few times. No
-node-major (N, n, n) array is built per iterate: the residual hands out
-transposed views, and copies are made only at the accepted iterate, for
-the state's jets. A candidate step is admissible when its Hessian is
-positive definite, tested on its spectrum (geometry.eigenvalues_many,
-in closed form for n <= 2), which the accepted state's jets keep; the
-spacelike bound was already enforced by the residual evaluation at the
-same gradients.
+loop's per-iterate costs once a run factors only a few times. The
+Jacobian's weights G_r and G_p, the boundary rows and the accepted
+state's jets take the same rows, the one layout of the package, so no
+array is transposed or copied between them. A candidate step is
+admissible when its Hessian is positive definite, tested on its spectrum
+(geometry.eigenvalues_many, in closed form for n <= 2), which the
+accepted state's jets keep; the spacelike bound was already enforced by
+the residual evaluation at the same gradients.
 
 The Jacobian is filled on a sparsity pattern fixed per grid (the union
 of the identity and every stencil, built from the grid's stencil table
@@ -134,7 +134,7 @@ from .geometry import (
     metric_trace,
 )
 from .grids import LineGrid, MappedDiskGrid
-from .operators import g_derivatives_many, g_value_many
+from .operators import g_derivatives_many
 
 # A Newton attempt is abandoned once the residual max-norm fails to drop
 # below this fraction of the previous iterate's (contraction monitor).
@@ -277,8 +277,7 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
         omega=omega, omega_tilde=omega_tilde,
         g0_range=(float(np.min(g0)), float(np.max(g0))),
     )
-    state.jets.p = np.ascontiguousarray(p.T)
-    state.jets.r = np.ascontiguousarray(r.transpose(2, 0, 1))
+    state.jets.p, state.jets.r = p, r
     return state
 
 
@@ -287,29 +286,25 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
 # ---------------------------------------------------------------------------
 
 def _boundary_rows(state: FlowState, pb: np.ndarray):
-    """(values, p-gradients) of the boundary rows at their gradients pb
-    (N_b, n): h and Dh in 2D. In 1D convex monotonicity pins Du at the
-    ends to the image's ends, so they are p - (lo, hi) and 1; |h(p)|
-    would read 0 at either end."""
+    """(values, p-gradients) of the boundary rows at their gradient rows
+    pb (n, N_b): h and the rows of Dh in 2D. In 1D convex monotonicity
+    pins Du at the ends to the image's ends, so they are p - (lo, hi) and
+    the unit slope 1.0; |h(p)| would read 0 at either end."""
     if state.grid.dim == 1:
-        return pb[:, 0] - dom.interval_ends(state.omega_tilde), np.ones(pb.shape)
+        return pb[0] - state.omega_tilde.ends, 1.0
     return dom.defining_jet_many(state.omega_tilde, pb)
 
 
 def _residual(state: FlowState, u: np.ndarray, u_prev: np.ndarray, tau: float):
     """(residual, p, r) at the iterate u: u - u_prev - tau G(p, r) on the
-    interior rows, the ``_boundary_rows`` values on the boundary rows.
-
-    G is evaluated on the component-major derivative rows; p and r are
-    returned as (N, n) and (N, n, n) transposed views of them, not
-    copies.
-    """
+    interior rows, the ``_boundary_rows`` values on the boundary rows,
+    and the derivative rows p (n, N) and r (n, n, N) of u."""
     grid = state.grid
     p, r = grid.derivative_rows(u)
     res = u - u_prev - tau * metric_trace(p, r, state.sig)
     bb = grid.boundary
-    res[bb], _ = _boundary_rows(state, p[:, bb].T)
-    return res, p.T, r.transpose(2, 0, 1)
+    res[bb], _ = _boundary_rows(state, p[:, bb])
+    return res, p, r
 
 
 def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
@@ -328,16 +323,16 @@ def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
 
     coef = np.zeros((pattern.n_stencils, grid.n_nodes))
     coef[0, ii] = 1.0
-    coef[1:1 + ndim, ii] = -tau * g_p[ii].T
+    coef[1:1 + ndim, ii] = -tau * g_p[:, ii]
     s = 1 + ndim
     for k in range(ndim):
         for l in range(k, ndim):
             # d_second[k][l] is d_second[l][k]: weight it by both entries
-            g_kl = g_r[ii, k, l] if k == l else g_r[ii, k, l] + g_r[ii, l, k]
+            g_kl = g_r[k, l, ii] if k == l else g_r[k, l, ii] + g_r[l, k, ii]
             coef[s, ii] = -tau * g_kl
             s += 1
-    _, dh = _boundary_rows(state, p[bb])
-    coef[1:1 + ndim, bb] = dh.T
+    _, dh = _boundary_rows(state, p[:, bb])
+    coef[1:1 + ndim, bb] = dh
     return pattern.assemble(coef)
 
 
@@ -464,9 +459,9 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     below tau_min, or a tau too small to advance t, raises
     StepFailureError; a starting tau that is not finite and positive
     raises ValueError, so no step is accepted backwards in time.
-    The accepted state's jets start with the gradient and Hessian of
-    Newton's last residual evaluation, copied to node-major arrays, and
-    with the Hessian spectrum that the admissibility check computed.
+    The accepted state's jets start with the gradient and Hessian rows of
+    Newton's last residual evaluation and with the Hessian spectrum that
+    the admissibility check computed.
 
     At the ceiling tau = tau_max the step starts Newton from the
     state's carried factor when it was built at that tau, and the
@@ -497,7 +492,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
             # strict convexity; the last residual evaluation, at these
             # gradients, already raised SpacelikeViolationError past the bound
             lam = eigenvalues_many(r)
-            if np.min(lam[:, 0]) > 0.0:
+            if np.min(lam[0]) > 0.0:
                 break
         tau *= 0.5
         if tau < controls.tau_min:
@@ -513,9 +508,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
         factor=factor if tau == controls.tau_max else None,
     )
     new.jets = NodalJets(state.grid, u_new, state.sig)
-    new.jets.p = np.ascontiguousarray(p)
-    new.jets.r = np.ascontiguousarray(r)
-    new.jets.lam = lam
+    new.jets.p, new.jets.r, new.jets.lam = p, r, lam
     return new
 
 
@@ -536,9 +529,9 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
     obliqueness pairing of Dh(Du) with the stencil direction.
     """
     grid = state.grid
-    p = grid.gradient(state.u)
+    p, r = grid.derivative_rows(state.u)
     if state.sig == MINKOWSKI:
-        limiter = 1.0 - np.max(np.sum(p * p, axis=1))
+        limiter = 1.0 - np.max(np.sum(p * p, axis=0))
     else:
         limiter = 1.0
     bound = EXPLICIT_CFL * grid.h_ref**2 * limiter
@@ -546,8 +539,7 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
         raise ValueError(
             f"explicit step tau = {tau:g} exceeds the stability bound {bound:g}"
         )
-    r = grid.hessian(state.u)
-    g = g_value_many(p, r, state.sig)
+    g = metric_trace(p, r, state.sig)
     u_new = state.u.copy()
     ii = grid.interior
     u_new[ii] += tau * g[ii]
@@ -582,7 +574,7 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
 
 def boundary_residual(state: FlowState) -> float:
     """Max over boundary nodes of |boundary condition| (``_boundary_rows``)."""
-    hb, _ = _boundary_rows(state, state.jets.p[state.grid.boundary])
+    hb, _ = _boundary_rows(state, state.jets.p[:, state.grid.boundary])
     return float(np.max(np.abs(hb)))
 
 
@@ -611,7 +603,7 @@ def _extrapolated_rate(rates) -> float:
 def translator_residual(u: np.ndarray, c: float, sig: str, grid) -> float:
     """max over interior nodes of |G(Du, D2u) - c| for a convex field."""
     p, r = grid.derivative_rows(u)
-    lam_min = float(np.min(eigenvalues_many(r.transpose(2, 0, 1))[:, 0]))
+    lam_min = float(np.min(eigenvalues_many(r)[0]))
     if lam_min <= 0.0:
         raise ConvexityError(
             f"translator residual needs a strictly convex field "

@@ -20,10 +20,12 @@ rank-one parts of b^ij/b_ij relative to a common typographic variant
 that breaks both b*b = g^inv and b^ij b_jk = id (the broken variant is
 kept behind ``paper_signs`` as a regression lock for the check suite).
 
-Every formula exists once, vectorized over a leading node axis: the
-flow, the monitors and the check suite evaluate arrays of jets, and the
-pointwise API (``graph_geometry`` of a ``PointJet``) is the batch of one.
-Every per-node spectrum (the Hessian eigenvalues, the principal
+Every formula exists once, on one layout: component-major rows with the
+node axis last, gradients (n, N) and per-node matrices (n, n, N), as
+``grid.derivative_rows`` returns them. ``graph_geometry_many`` takes the
+check suite's node-major jets and converts once on entry and on exit;
+the pointwise API (``graph_geometry`` of a ``PointJet``) is its batch of
+one. Every per-node spectrum (the Hessian eigenvalues, the principal
 curvatures and the solver's and audits' convexity tests) comes from
 ``eigenvalues_many``, in closed form for n <= 2. Every contraction
 g^ij m_ij (the flow speed, the Laplacian's main term, the dual operator)
@@ -105,18 +107,21 @@ def graph_geometry_many(p: np.ndarray, r: np.ndarray, sig: str,
                         paper_signs: bool = False) -> GraphGeometry:
     """All graph quantities at each row of p (N, n) and r (N, n, n).
 
-    ``paper_signs`` flips the rank-one parts of b^ij/b_ij in the Minkowski
-    case to the variant that fails b*b = g^inv (the curvature matrix keeps
-    the true b); only the check suite's regression lock should set it.
+    The node-major jets are read as component-major rows, and every field
+    is returned with a leading node axis. ``paper_signs`` flips the
+    rank-one parts of b^ij/b_ij in the Minkowski case to the variant that
+    fails b*b = g^inv (the curvature matrix keeps the true b); only the
+    check suite's regression lock should set it.
     """
+    p, r = p.T, r.transpose(1, 2, 0)
     jets = NodalJets.of(p, r, sig)
     b_up, b_lo = root_metric_many(p, sig, paper_signs)
     tilt = p if sig == MINKOWSKI else -p
-    nu = np.concatenate([tilt, np.ones((p.shape[0], 1))], axis=1) / jets.v[:, None]
-    return GraphGeometry(
-        v=jets.v, g_lo=jets.g_lo, g_up=metric_up_many(p, sig), b_up=b_up,
-        b_lo=b_lo, a=jets.a, kappa=jets.kappa, H=jets.H, nu=nu,
-    )
+    nu = np.concatenate([tilt, np.ones((1, p.shape[1]))]) / jets.v
+    rows = dict(v=jets.v, g_lo=jets.g_lo, g_up=metric_up_many(p, sig),
+                b_up=b_up, b_lo=b_lo, a=jets.a, kappa=jets.kappa, H=jets.H,
+                nu=nu)
+    return GraphGeometry(**{k: np.moveaxis(x, -1, 0) for k, x in rows.items()})
 
 
 def is_spacelike(sq: np.ndarray, sig: str) -> bool:
@@ -141,35 +146,31 @@ def v_squared(sq: np.ndarray, sig: str) -> np.ndarray:
 
 
 def v_many(p: np.ndarray, sig: str) -> np.ndarray:
-    """Tilt factor v at each row of p (N, n), with the spacelike guard."""
-    return np.sqrt(v_squared(np.einsum("ni,ni->n", p, p), sig))
+    """Tilt factor v at each node of the rows p (n, N), spacelike-guarded."""
+    return np.sqrt(v_squared(np.einsum("in,in->n", p, p), sig))
 
 
 def _rank_one(p: np.ndarray, sign: float, denom) -> np.ndarray:
-    """I + sign p p^T / denom at each row of p, shape (N, n, n).
-
-    sign is +-1 and denom a scalar or one value per row; every rank-one
-    matrix of the module comes from here.
-    """
-    pp = sign * p[:, :, None] * p[:, None, :]
-    return np.eye(p.shape[1]) + pp / np.reshape(denom, (-1, 1, 1))
+    """I + sign p p^T / denom at each node of the rows p (n, N), shape
+    (n, n, N); sign is +-1 and denom a scalar or one value per node.
+    Every rank-one matrix of the module comes from here."""
+    pp = sign * p[:, None, :] * p[None, :, :]
+    return np.eye(p.shape[0])[:, :, None] + pp / denom
 
 
 def metric_lo_many(p: np.ndarray, sig: str) -> np.ndarray:
-    """Induced metric g_ij at each row of p, shape (N, n, n)."""
+    """Induced metric g_ij at each node of p (n, N), shape (n, n, N)."""
     return _rank_one(p, signature_eps(sig), 1.0)
 
 
 def metric_up_many(p: np.ndarray, sig: str) -> np.ndarray:
-    """Inverse induced metric g^ij at each row of p, shape (N, n, n)."""
+    """Inverse induced metric g^ij at each node of p (n, N), shape (n, n, N)."""
     return _rank_one(p, -signature_eps(sig), v_many(p, sig) ** 2)
 
 
 def metric_trace(p: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
-    """g^ij m_ij = tr m - eps p^T m p / v^2 at each node, with the spacelike
-    guard, from component-major rows: p is (n, N) and m is (n, n, N), the
-    layout ``grid.derivative_rows`` returns. Contracting along the node
-    axis keeps every einsum on long rows, with no (N, n, n) array."""
+    """g^ij m_ij = tr m - eps p^T m p / v^2 at each node of the rows p
+    (n, N) and m (n, n, N), with the spacelike guard."""
     v2 = v_squared(np.einsum("in,in->n", p, p), sig)
     mp = np.einsum("ijn,jn->in", m, p)
     pmp = np.einsum("in,in->n", p, mp)
@@ -177,7 +178,7 @@ def metric_trace(p: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
 
 
 def root_metric_many(p: np.ndarray, sig: str, paper_signs: bool = False):
-    """(b^ij, b_ij) at each row of p, each of shape (N, n, n).
+    """(b^ij, b_ij) at each node of p (n, N), each of shape (n, n, N).
 
     b^ij is the positive square root of g^ij and b_ij its inverse;
     ``paper_signs`` selects the broken Minkowski variant (module docstring).
@@ -186,49 +187,50 @@ def root_metric_many(p: np.ndarray, sig: str, paper_signs: bool = False):
     sign = -signature_eps(sig)
     if paper_signs and sig == MINKOWSKI:
         sign = -sign
-    return _root_metric_up(p, v, sign), _rank_one(p, -sign, 1.0 + v)
-
-
-def _root_metric_up(p: np.ndarray, v: np.ndarray, sign: float) -> np.ndarray:
-    """b^ij = I + sign p p^T / (v (1 + v)) at each row of p, for its tilt v."""
-    return _rank_one(p, sign, v * (1.0 + v))
+    return _rank_one(p, sign, v * (1.0 + v)), _rank_one(p, -sign, 1.0 + v)
 
 
 def curvature_matrix_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
-    """Curvature matrix a = (1/v) b r b at each node, shape (N, n, n)."""
+    """Curvature matrix a = (1/v) b r b at each node of the rows p (n, N)
+    and symmetric r (n, n, N), shape (n, n, N). With b = I + c p p^T,
+    b r b = r + q p^T + p q^T, q = c r p + (c^2 / 2) (p^T r p) p."""
     v = v_many(p, sig)
-    b = _root_metric_up(p, v, -signature_eps(sig))
-    a = b @ r @ b / v[:, None, None]
-    return 0.5 * (a + np.swapaxes(a, 1, 2))
+    c = -signature_eps(sig) / (v * (1.0 + v))
+    rp = np.einsum("ijn,jn->in", r, p)
+    q = c * rp + (0.5 * c * c * np.einsum("in,in->n", p, rp)) * p
+    return (r + q[:, None] * p[None] + p[:, None] * q[None]) / v
 
 
 def eigenvalues_many(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each symmetric matrix m (N, n, n), shape (N, n).
+    """Ascending eigenvalues of each symmetric matrix of the rows m
+    (n, n, N), shape (n, N), ascending along axis 0.
 
     In closed form for n <= 2: for n = 2 the eigenvalues of [[a, b], [b, c]]
     are (a + c) / 2 -+ hypot((a - c) / 2, b), within a few eps ||m|| of
     LAPACK. ``eigvalsh`` for n >= 3. Like ``eigvalsh``, only the lower
     triangle is read.
     """
-    n = m.shape[1]
+    n = m.shape[0]
     if n == 1:
-        return m[:, 0, :].copy()
+        return m[0].copy()
     if n == 2:
-        a, b, c = m[:, 0, 0], m[:, 1, 0], m[:, 1, 1]
+        a, b, c = m[0, 0], m[1, 0], m[1, 1]
         mid, half = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-        return np.stack([mid - half, mid + half], axis=1)
-    return np.linalg.eigvalsh(m)
+        return np.stack([mid - half, mid + half])
+    return np.linalg.eigvalsh(np.moveaxis(m, -1, 0)).T
 
 
 class NodalJets:
     """Nodal geometry of one discrete field u on a grid, built on first use.
 
-    Each field is computed on first access and then cached: the gradient
-    p and Hessian r from the grid stencils, the tilt v, the metric g_lo,
-    the curvature matrix a, the mean curvature H = tr a, the Hessian
-    eigenvalues lam and the principal curvatures kappa (both ascending
-    per node). Every field comes from the vectorized formulas above, so
-    a cached value equals the one a direct call computes.
+    Each field is computed on first access and then cached, as
+    component-major rows: the gradient p (n, N) and Hessian r (n, n, N)
+    from one ``grid.derivative_rows`` call, the tilt v (N,), the metric
+    g_lo and the curvature matrix a (n, n, N), the mean curvature
+    H = tr a (N,), and the Hessian eigenvalues lam and principal
+    curvatures kappa (n, N), ascending along axis 0. Every field comes
+    from the formulas above, so a cached value equals the one a direct
+    call computes.
     """
 
     def __init__(self, grid, u, sig: str):
@@ -236,22 +238,21 @@ class NodalJets:
 
     @classmethod
     def of(cls, p: np.ndarray, r: np.ndarray, sig: str) -> "NodalJets":
-        """Jets of given gradient rows p (N, n) and Hessian rows r (N, n, n)."""
+        """Jets of given gradient rows p (n, N) and Hessian rows r (n, n, N)."""
         jets = cls(None, None, sig)
         jets.p, jets.r = p, r
         return jets
 
     def rows(self, idx) -> "NodalJets":
-        """Jets at the nodes idx only, sharing this set's p and r rows."""
-        return NodalJets.of(self.p[idx], self.r[idx], self.sig)
+        """Jets at the nodes idx only: these columns of p and r."""
+        return NodalJets.of(self.p[:, idx], self.r[..., idx], self.sig)
 
     @cached_property
-    def p(self) -> np.ndarray:
-        return self.grid.gradient(self.u)
+    def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.grid.derivative_rows(self.u)
 
-    @cached_property
-    def r(self) -> np.ndarray:
-        return self.grid.hessian(self.u)
+    p = cached_property(lambda self: self._derivatives[0])
+    r = cached_property(lambda self: self._derivatives[1])
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -267,7 +268,7 @@ class NodalJets:
 
     @cached_property
     def H(self) -> np.ndarray:
-        return np.einsum("nii->n", self.a)
+        return np.einsum("iin->n", self.a)
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -279,10 +280,9 @@ class NodalJets:
 
     def laplacian(self, df: np.ndarray, d2f: np.ndarray) -> np.ndarray:
         """Intrinsic Laplacian on this graph of a field with gradient rows
-        df (n, N) and Hessian rows d2f (n, n, N), as
-        ``grid.derivative_rows`` returns them (``laplace_beltrami``)."""
-        main = metric_trace(self.p.T, d2f, self.sig)
-        p_df = np.einsum("ni,in->n", self.p, df)
+        df (n, N) and Hessian rows d2f (n, n, N) (``laplace_beltrami``)."""
+        main = metric_trace(self.p, d2f, self.sig)
+        p_df = np.einsum("in,in->n", self.p, df)
         return main - signature_eps(self.sig) * self.H * p_df / self.v
 
 

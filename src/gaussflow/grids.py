@@ -14,16 +14,16 @@ Two grid families cover the supported domains:
   quadratics and second-order accurate in general. Theta is periodic and
   the node count there must be even so antipodal stencils exist.
 
-Every grid exposes the same surface: node coordinates, interior and
-boundary index sets, sparse first/second derivative operators, and the
-``gradient`` / ``hessian`` evaluators that initialization, the explicit
-step and the monitors use. The Newton residual and the translator
-residual call ``derivative_rows`` instead, which returns both from one
+Every grid exposes the same surface: node coordinates (N, n), those of
+the boundary nodes as rows (n, N_b) for the audits, interior and
+boundary index sets, sparse first/second derivative operators, and
+``derivative_rows``, which returns the gradient and the Hessian from one
 product with the gradient and distinct Hessian stencils stacked into one
 CSR operator, component-major: the gradient as n rows of N node values
-and the Hessian as n x n such rows, so each component is one contiguous
-array and no (N, n, n) copy is made. Their transposes are bit for bit
-equal to the two evaluators.
+and the Hessian as n x n such rows, the one layout the solver, the jets
+and the audits work on. ``gradient`` and ``hessian`` are their
+node-major (N, n) and (N, n, n) transposes, for callers holding
+node-major jets.
 
 Each grid builds its stencils as one slot table: an int32 CSR skeleton
 holding every stencil entry and the diagonal, and one row of values on
@@ -150,20 +150,24 @@ class _StencilGrid:
 
     def derivative_rows(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gradient, Hessian) of u component-major, shapes (n, N) and
-        (n, n, N), from one product with the stacked stencils.
-
-        Every row of the stacked operator is the row of its stencil with
-        its entries in the same order, so entry [k, i] of the gradient
-        rows equals ``gradient(u)[i, k]`` bit for bit, and likewise for
-        the Hessian.
-        """
+        (n, n, N), copied out of one product with the stacked stencils:
+        row k is ``d_first[k] @ u`` bit for bit, and likewise for r."""
         stacked, slot = self._stacked
         blocks = (stacked @ u).reshape(-1, self.n_nodes)
-        return blocks[:self.dim], blocks[slot]
+        return blocks[:self.dim].copy(), blocks[slot]
 
-    def monitor_tol(self, tau_max: float) -> float:
-        """Truncation-scaled audit tolerance 10 (h^2 + tau_max h)."""
-        return 10.0 * (self.h_ref**2 + tau_max * self.h_ref)
+    @cached_property
+    def boundary_points(self) -> np.ndarray:
+        """Coordinates of the boundary nodes as rows (n, N_b)."""
+        return np.ascontiguousarray(self.nodes[self.boundary].T)
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """The gradient rows of ``derivative_rows`` as an (N, n) view."""
+        return self.derivative_rows(u)[0].T
+
+    def hessian(self, u: np.ndarray) -> np.ndarray:
+        """The Hessian rows of ``derivative_rows`` as an (N, n, n) view."""
+        return self.derivative_rows(u)[1].transpose(2, 0, 1)
 
 
 class LineGrid(_StencilGrid):
@@ -217,11 +221,9 @@ class LineGrid(_StencilGrid):
         ])])
         self._install(indptr, indices, diag, table)
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        return (self.d_first[0] @ u)[:, None]
-
-    def hessian(self, u: np.ndarray) -> np.ndarray:
-        return (self.d_second[0][0] @ u)[:, None, None]
+    # bound on each grid class, which perfbench/tracer.py wraps them on
+    gradient = _StencilGrid.gradient
+    hessian = _StencilGrid.hessian
 
 
 class MappedDiskGrid(_StencilGrid):
@@ -406,13 +408,5 @@ class MappedDiskGrid(_StencilGrid):
         del ref, ref_hess
         self._install(indptr, indices, diag, table)
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        return np.stack([self.d_first[k] @ u for k in range(2)], axis=1)
-
-    def hessian(self, u: np.ndarray) -> np.ndarray:
-        out = np.empty((self.n_nodes, 2, 2))
-        out[:, 0, 0] = self.d_second[0][0] @ u
-        out[:, 0, 1] = self.d_second[0][1] @ u
-        out[:, 1, 0] = out[:, 0, 1]
-        out[:, 1, 1] = self.d_second[1][1] @ u
-        return out
+    gradient = _StencilGrid.gradient
+    hessian = _StencilGrid.hessian

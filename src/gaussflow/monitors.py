@@ -15,9 +15,10 @@ computed from the initial data, never hardcoded from any proof:
   the time derivative observed at fixed x needs the tangential transport
   correction + (H/v) Du . DH before the identity applies.
 
-Violations are tolerated up to tol_mon = 10 (h^2 + tau_max h): the
-estimates hold for the continuum flow, so discrete defects must vanish
-under refinement rather than sit under an absolute cap.
+Violations are tolerated up to tol_mon = 10 (h^2 + tau_max h), with h
+the grid's reference spacing (``RunMonitor``): the estimates hold
+for the continuum flow, so discrete defects must vanish under refinement
+rather than sit under an absolute cap.
 
 The audits read each state's nodal geometry from its cached jets
 (``FlowState.jets``): a recorded state's gradient, Hessian and
@@ -30,7 +31,8 @@ the Hessian bounds take no spectrum of their own. The eps0 audit takes
 principal curvatures on all nodes of the initial state and on each
 step's boundary rows only, so an unrecorded step (cadence above 1)
 evaluates only those rows of the curvature matrix. The structure report
-takes the curvature sum from the mean curvature H = tr a.
+takes the curvature sum from the mean curvature H = tr a. Jets and the
+boundary nodes' coordinates are read as component-major rows.
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ class MonitorRecord:
 def obliqueness(state) -> float:
     """Min over boundary nodes of <beta, nu> / |beta|, beta = Dh(Du)."""
     bb = state.grid.boundary
-    _, beta = dom.defining_jet_many(state.omega_tilde, state.jets.p[bb])
-    nu = dom.inward_normal_many(state.omega, state.grid.nodes[bb])
-    pairing = np.sum(beta * nu, axis=1) / np.linalg.norm(beta, axis=1)
+    _, beta = dom.defining_jet_many(state.omega_tilde, state.jets.p[:, bb])
+    nu = dom.inward_normal_many(state.omega, state.grid.boundary_points)
+    pairing = np.sum(beta * nu, axis=0) / np.linalg.norm(beta, axis=0)
     return float(np.min(pairing))
 
 
@@ -103,7 +105,7 @@ def hessian_bounds(state) -> tuple[float, float]:
 
 
 def grad_max(state) -> float:
-    return float(np.max(np.linalg.norm(state.jets.p, axis=1)))
+    return float(np.max(np.linalg.norm(state.jets.p, axis=0)))
 
 
 def eps0_candidate(state, node_idx=None) -> float:
@@ -116,15 +118,15 @@ def eps0_candidate(state, node_idx=None) -> float:
     those rows of the curvature data are evaluated.
     """
     jets = state.jets if node_idx is None else state.jets.rows(node_idx)
-    return float(np.min(jets.kappa[:, 0] / jets.H))
+    return float(np.min(jets.kappa[0] / jets.H))
 
 
 def convexity_margin(state, eps0: float) -> float:
     """Min over interior nodes of lambda_min(h_ij - eps0 H g_ij)."""
     jets, idx = state.jets, state.grid.interior
-    h_form = jets.r[idx] / jets.v[idx, None, None]
-    m = h_form - eps0 * jets.H[idx, None, None] * jets.g_lo[idx]
-    return float(np.min(eigenvalues_many(m)[:, 0]))
+    h_form = jets.r[..., idx] / jets.v[idx]
+    m = h_form - eps0 * jets.H[idx] * jets.g_lo[..., idx]
+    return float(np.min(eigenvalues_many(m)[0]))
 
 
 def evolution_residual(window) -> float:
@@ -147,9 +149,9 @@ def evolution_residual(window) -> float:
     dt_h = (s_hi.jets.H - s_lo.jets.H) / (s_hi.t - s_lo.t)
 
     dh, d2h = grid.derivative_rows(h_mid)
-    transport = (h_mid / mid.v) * np.einsum("ni,in->n", p, dh)
+    transport = (h_mid / mid.v) * np.einsum("in,in->n", p, dh)
     lap = mid.laplacian(dh, d2h)
-    norm_a2 = np.einsum("nij,nji->n", a, a)
+    norm_a2 = np.einsum("ijn,jin->n", a, a)
     res = dt_h + transport - lap + norm_a2 * h_mid
     return float(np.max(np.abs(res[grid.audit_interior])))
 
@@ -218,14 +220,15 @@ class RunMonitor:
     initial state is recorded at construction and ``finish`` records the
     last observed state unless it is already the last row, so a run of S
     steps at cadence c yields 1 + ceil(S / c) rows, the last of them the
-    final state. ``tau_max``, the run's tau ceiling, sets the one audit
-    tolerance tol_mon (``grid.monitor_tol``). The curvature sandwich
-    band is taken once, from ``state0`` (``structure_report``).
+    final state. ``tau_max``, the run's tau ceiling, and ``grid.h_ref``
+    set the one audit tolerance tol_mon (module docstring). The curvature
+    sandwich band is taken once, from ``state0`` (``structure_report``).
     """
 
     def __init__(self, state0, cadence: int = 1, tau_max: float = 1.0):
         self.cadence = max(1, int(cadence))
-        self.tol_mon = state0.grid.monitor_tol(tau_max)
+        h = state0.grid.h_ref
+        self.tol_mon = 10.0 * (h**2 + tau_max * h)
         self.g0_range = state0.g0_range
         self.sandwich = structure_report(state0).sandwich
         self.eps0 = eps0_candidate(state0)  # t = 0 slice, all nodes

@@ -7,12 +7,11 @@ The interior evolution is u_t = G(Du, D2u) with
 the nondivergence trace form; the two expressions agree identically
 because trace((1/v) b r b) = (1/v) trace(r b b) = (1/v) trace(r g^inv)
 and an extra factor v. G is geometry.metric_trace of the Hessian,
-G = tr r - eps p^T r p / v^2, so no metric array is built. That kernel
-runs on component-major rows, one contiguous array of node values per
-component (the layout grid.derivative_rows returns and the Newton
-residual evaluates G on); the node-major g_value_many and
-g_derivatives_many hand it, and their own contractions, transposed
-views of their (N, n) and (N, n, n) arguments.
+G = tr r - eps p^T r p / v^2, so no metric array is built.
+g_derivatives_many and g_p_paper_many take and return component-major
+rows (grid.derivative_rows); the check suite's entry points
+g_value(_many), g_derivatives and g_dual(_many) read its node-major
+jets as rows once on entry.
 Everything downstream differentiates the closed trace form directly:
 
     dG/dr_ij = g^ij(p)
@@ -95,30 +94,29 @@ def g_derivatives(jet: PointJet, sig: str, paper_form: bool = False) -> Operator
     ``paper_form`` swaps the gradient derivative for the broken printed
     transcription (see module docstring); check-suite use only.
     """
-    p = np.asarray(jet.du, dtype=float)[None, :]
-    r = np.asarray(jet.d2u, dtype=float)[None, :, :]
+    p = np.asarray(jet.du, dtype=float)[:, None]
+    r = np.asarray(jet.d2u, dtype=float)[:, :, None]
     g_r, g_p = g_derivatives_many(p, r, sig)
     if paper_form:
         g_p = g_p_paper_many(p, r, sig)
-    return OperatorDerivatives(g_r=g_r[0], g_p=g_p[0])
+    return OperatorDerivatives(g_r=g_r[:, :, 0], g_p=g_p[:, 0])
 
 
 def g_derivatives_many(p: np.ndarray, r: np.ndarray, sig: str):
-    """(G_r, G_p) at each node of p (N, n) and r (N, n, n): G_r is
-    (N, n, n), G_p is (N, n)."""
+    """(G_r, G_p) at each node of the rows p (n, N) and r (n, n, N): G_r
+    = g^ij is (n, n, N), G_p is (n, N)."""
     eps = signature_eps(sig)
-    p_rows = p.T
-    v2 = v_squared(np.einsum("in,in->n", p_rows, p_rows), sig)
-    rp = np.einsum("ijn,jn->in", r.transpose(1, 2, 0), p_rows)
-    prp = np.einsum("in,in->n", p_rows, rp)
-    g_r = metric_up_many(p, sig)
+    v2 = v_squared(np.einsum("in,in->n", p, p), sig)
+    rp = np.einsum("ijn,jn->in", r, p)
+    prp = np.einsum("in,in->n", p, rp)
     # eps^2 = 1 collapses the sign on the second term
-    g_p = (-2.0 * eps) * rp / v2 + 2.0 * p_rows * (prp / v2**2)
-    return g_r, g_p.T
+    g_p = (-2.0 * eps) * rp / v2 + 2.0 * p * (prp / v2**2)
+    return metric_up_many(p, sig), g_p
 
 
 def g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
-    """Gradient derivative transcribed literally from the broken display.
+    """Gradient derivative transcribed literally from the broken display,
+    at each node of the rows p (n, N) and r (n, n, N), shape (n, N).
 
     For the trace operator it reads, per component i,
         -2 (p_i / v) tr(a) - 2 (b a p)_i
@@ -129,9 +127,9 @@ def g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     v = v_many(p, sig)
     a = curvature_matrix_many(p, r, sig)
     b, _ = root_metric_many(p, sig)
-    tr_a = np.einsum("nii->n", a)
-    bap = np.einsum("nij,njk,nk->ni", b, a, p)
-    return -2.0 * p * (tr_a / v)[:, None] - 2.0 * bap
+    tr_a = np.einsum("iin->n", a)
+    bap = np.einsum("ijn,jkn,kn->in", b, a, p)
+    return -2.0 * p * (tr_a / v) - 2.0 * bap
 
 
 def g_dual(y, m, sig: str) -> float:
@@ -145,10 +143,11 @@ def g_dual_many(y: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
     """Dual operator Gdual(y, M) = -g^ij(y) : (M^{-1})_ij at each row.
 
     y is (N, n) and M (N, n, n), the Hessians of the Legendre transform
-    at y; every M must be positive definite, and Minkowski signature
-    requires |y| < 1.
+    at y, node-major like the Legendre cloud; every M must be positive
+    definite, and Minkowski signature requires |y| < 1.
     """
-    if np.min(eigenvalues_many(0.5 * (m + np.swapaxes(m, 1, 2)))[:, 0]) <= 0:
+    rows = m.transpose(1, 2, 0)
+    if np.min(eigenvalues_many(0.5 * (rows + rows.transpose(1, 0, 2)))[0]) <= 0:
         raise ValueError("dual Hessian must be positive definite")
     return -metric_trace(y.T, np.linalg.inv(m).transpose(1, 2, 0), sig)
 
@@ -158,19 +157,19 @@ def legendre_transform(u: np.ndarray, grid):
 
     Returns (y, u_tilde): y[k] = Du(x_k) from the grid stencils and
     u_tilde[k] = x_k . y[k] - u[k]. The emitted cloud lies in the
-    gradient-image domain up to discretization error.
+    gradient-image domain up to discretization error; y is (N, n), a
+    node table like ``grid.nodes``.
     """
     u = np.asarray(u, dtype=float)
-    p = grid.gradient(u)
-    r = grid.hessian(u)
-    lam_min = eigenvalues_many(r)[:, 0]
+    p, r = grid.derivative_rows(u)
+    lam_min = eigenvalues_many(r)[0]
     worst = int(np.argmin(lam_min))
     if lam_min[worst] <= 0.0:
         raise ConvexityError(
             f"field is not strictly convex: min Hessian eigenvalue "
             f"{lam_min[worst]:.3e} at node {worst}"
         )
-    y = p
+    y = p.T
     u_tilde = np.sum(grid.nodes * y, axis=1) - u
     return y, u_tilde
 
@@ -187,7 +186,7 @@ def structure_report(state) -> StructureReport:
     jets = state.jets
     p, big_h = jets.p, jets.H
     eps = signature_eps(state.sig)
-    tg = p.shape[1] - eps * np.sum(p * p, axis=1) / jets.v**2
+    tg = p.shape[0] - eps * np.sum(p * p, axis=0) / jets.v**2
     # w = 1/v at the smallest and largest |p| of the gradient-image domain
     w = 1.0 / np.sqrt(v_squared(np.square(state.omega_tilde.norm_range),
                                 state.sig))

@@ -43,7 +43,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import OracleFailureError
 from .geometry import (EUCLIDEAN, MINKOWSKI, eigenvalues_many,
-                       graph_geometry_many, signature_eps)
+                       graph_geometry_many, metric_trace, metric_up_many,
+                       signature_eps)
 from .operators import g_derivatives_many, g_dual_many, g_p_paper_many, g_value_many
 
 
@@ -328,20 +329,22 @@ def identity_defects(jets: dict, sig: str, paper_signs: bool = False,
     |Gdual + G| at each jet with its Hessian shifted positive definite
     and the dual Hessian its inverse. ``paper_signs`` reaches only b^ij
     and b_ij, so only ``root`` and ``root-inverse`` see it.
+    ``hessian-slot`` and the Hessian shift read the jets as rows.
     """
     eps = signature_eps(sig)
     worst = dict.fromkeys(keys, 0.0)
     for n, (p, r) in jets.items():
         eye = np.eye(n)
+        p_rows, r_rows = p.T, r.transpose(1, 2, 0)
 
         def duality():
-            lam_min = eigenvalues_many(r)[:, 0]
+            lam_min = eigenvalues_many(r_rows)[0]
             r_pd = r + (np.abs(lam_min) + 0.5)[:, None, None] * eye
             return (g_dual_many(p, np.linalg.inv(r_pd), sig)
                     + g_value_many(p, r_pd, sig))
 
         geo = (graph_geometry_many(p, r, sig, paper_signs)
-               if set(keys) - {"duality"} else None)
+               if set(keys) - {"duality", "hessian-slot"} else None)
         defect = {
             "root": lambda: geo.b_up @ geo.b_up - geo.g_up,
             "inverse": lambda: geo.g_lo @ geo.g_up - eye,
@@ -349,7 +352,8 @@ def identity_defects(jets: dict, sig: str, paper_signs: bool = False,
             "trace": lambda: geo.v * geo.H - g_value_many(p, r, sig),
             "normal": lambda: (np.sum(geo.nu[:, :-1] ** 2, axis=1)
                                + eps * geo.nu[:, -1] ** 2 - eps),
-            "hessian-slot": lambda: g_derivatives_many(p, r, sig)[0] - geo.g_up,
+            "hessian-slot": lambda: (g_derivatives_many(p_rows, r_rows, sig)[0]
+                                     - metric_up_many(p_rows, sig)),
             "duality": duality,
         }
         for key in keys:
@@ -361,39 +365,40 @@ def fd_check_derivatives(samples: int, sig: str, eps_fd: float,
                          seed: int = 0, paper_form: bool = False) -> float:
     """Worst relative error of the exact derivatives vs central differences.
 
-    Draws ``random_jets``; every gradient component and every symmetric
-    Hessian direction is checked, one batched operator evaluation per
-    direction and dimension. ``paper_form`` routes the gradient
-    derivative through the broken printed transcription so the check
-    suite can demonstrate its failure.
+    Draws ``random_jets``, read as component-major rows; every gradient
+    component and every symmetric Hessian direction is checked, one
+    batched operator evaluation per direction and dimension.
+    ``paper_form`` routes the gradient derivative through the broken
+    printed transcription so the check suite can demonstrate its failure.
     """
     if not 1e-7 <= eps_fd <= 1e-3:
         raise ValueError("finite difference step must lie in [1e-7, 1e-3]")
     worst = 0.0
     for n, (p, r) in random_jets(np.random.default_rng(seed), samples, sig).items():
+        p, r = p.T, r.transpose(1, 2, 0)
         g_r, g_p = g_derivatives_many(p, r, sig)
         if paper_form:
             g_p = g_p_paper_many(p, r, sig)
-        scale = np.maximum(1.0, np.maximum(np.max(np.abs(g_p), axis=1),
-                                           np.max(np.abs(g_r), axis=(1, 2))))
-        m = p.shape[0]
+        scale = np.maximum(1.0, np.maximum(np.max(np.abs(g_p), axis=0),
+                                           np.max(np.abs(g_r), axis=(0, 1))))
+        m = p.shape[1]
 
         def central(dp, dr):
-            g = g_value_many(np.concatenate([p + dp, p - dp]),
-                             np.concatenate([r + dr, r - dr]), sig)
+            g = metric_trace(np.concatenate([p + dp, p - dp], axis=1),
+                             np.concatenate([r + dr, r - dr], axis=2), sig)
             return (g[:m] - g[m:]) / (2.0 * eps_fd)
 
         for k in range(n):
-            dp = np.zeros(n)
+            dp = np.zeros((n, 1))
             dp[k] = eps_fd
-            err = np.abs(central(dp, 0.0) - g_p[:, k]) / scale
+            err = np.abs(central(dp, 0.0) - g_p[k]) / scale
             worst = max(worst, float(np.max(err)))
         for i in range(n):
             for j in range(i, n):
-                dr = np.zeros((n, n))
+                dr = np.zeros((n, n, 1))
                 dr[i, j] = eps_fd
                 dr[j, i] = eps_fd
-                exact = g_r[:, i, j] + g_r[:, j, i] if i != j else g_r[:, i, i]
+                exact = g_r[i, j] + g_r[j, i] if i != j else g_r[i, i]
                 err = np.abs(central(0.0, dr) - exact) / scale
                 worst = max(worst, float(np.max(err)))
     return worst

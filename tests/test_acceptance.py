@@ -27,7 +27,7 @@ import pytest
 
 from gaussflow import cli
 from gaussflow import domains as dom
-from gaussflow import flow, monitors, oracles
+from gaussflow import flow, monitors, operators, oracles
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
 from gaussflow.monitors import OBLIQUENESS_FLOOR, HESSIAN_FLOOR
 from gaussflow.operators import g_dual, legendre_transform
@@ -260,7 +260,7 @@ class TestCriterion7_EvolutionIdentity:
                                     dom.ConvexDomain.interval(-0.5, 0.5),
                                     n_cells, MINKOWSKI)
             u = prof.height(state.grid.nodes[:, 0])
-            g = flow.g_value_many(state.grid.gradient(u),
+            g = operators.g_value_many(state.grid.gradient(u),
                                   state.grid.hessian(u), MINKOWSKI)
             frozen = dataclasses.replace(state, u=u, u_dot=g)
             window = [frozen, dataclasses.replace(frozen, t=0.1),

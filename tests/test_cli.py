@@ -328,7 +328,7 @@ def ref_node_indices(grid):
 def ref_write_fields_csv(path, state):
     grid = state.grid
     p = state.grid.gradient(state.u)
-    lam_min = eigenvalues_many(state.grid.hessian(state.u))[:, 0]
+    lam_min = eigenvalues_many(state.grid.derivative_rows(state.u)[1])[0]
     idx = ref_node_indices(grid)
     fmt = cli._fmt
     with open(path, "w") as f:

@@ -252,9 +252,9 @@ class TestReferenceClosedForms:
             b = a + rng.uniform(0.1, 2.0)
             d = dom.ConvexDomain.interval(a, b)
             x = rng.uniform(a - 0.5, b + 0.5, size=40)
-            h, dh = dom.defining_jet_many(d, x[:, None])
+            h, dh = dom.defining_jet_many(d, x[None, :])
             assert close(h, (b - x) * (x - a) / (b - a))
-            assert close(dh[:, 0], (a + b - 2.0 * x) / (b - a))
+            assert close(dh[0], (a + b - 2.0 * x) / (b - a))
             _, _, d2h = dom.defining_jet(d, x[:1])
             assert close(d2h, [[-2.0 / (b - a)]])
             assert close(d.scale, 4.0 / (b - a))
@@ -268,10 +268,10 @@ class TestReferenceClosedForms:
                 rho = rng.uniform(0.05, 2.0)
                 d = dom.ConvexDomain.ball(c, rho)
                 pts = c + rng.uniform(-1.5 * rho, 1.5 * rho, size=(40, n))
-                h, dh = dom.defining_jet_many(d, pts)
+                h, dh = dom.defining_jet_many(d, pts.T)
                 diff = pts - c
                 assert close(h, (rho**2 - np.sum(diff * diff, axis=1)) / (2.0 * rho))
-                assert close(dh, -diff / rho)
+                assert close(dh.T, -diff / rho)
                 _, _, d2h = dom.defining_jet(d, pts[0])
                 assert close(d2h, -np.eye(n) / rho)
                 assert close(d.scale, 2.0 / rho)

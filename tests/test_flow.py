@@ -25,7 +25,7 @@ def translator_state(n_cells=201, tau=0.1):
     c, prof = oracles.translator_1d_closed_form(0, 1, -0.5, 0.5, MINKOWSKI)
     state = flow.initialize(om, ot, n_cells, MINKOWSKI)
     u = prof.height(state.grid.nodes[:, 0])
-    g = flow.g_value_many(state.grid.gradient(u), state.grid.hessian(u),
+    g = operators.g_value_many(state.grid.gradient(u), state.grid.hessian(u),
                           MINKOWSKI)
     return dataclasses.replace(state, u=u, u_dot=g, tau=tau, steps=1), c
 
@@ -38,22 +38,23 @@ def rotated_ellipse(center, semi_axes, angle):
 
 
 def sparse_product_jacobian(state, p, r, tau):
-    """Reference Jacobian assembled from diag(weights) @ stencil products."""
+    """Reference Jacobian assembled from diag(weights) @ stencil products,
+    from the derivative rows p (n, N) and r (n, n, N)."""
     grid = state.grid
     n_nodes, ndim = grid.n_nodes, grid.dim
-    g_r, g_p = flow.g_derivatives_many(p, r, state.sig)
+    g_r, g_p = operators.g_derivatives_many(p, r, state.sig)
     lin = sp.csr_matrix((n_nodes, n_nodes))
     for k in range(ndim):
         for l in range(ndim):
-            lin = lin + sp.diags(g_r[:, k, l]) @ grid.d_second[k][l]
-        lin = lin + sp.diags(g_p[:, k]) @ grid.d_first[k]
+            lin = lin + sp.diags(g_r[k, l]) @ grid.d_second[k][l]
+        lin = lin + sp.diags(g_p[k]) @ grid.d_first[k]
     if ndim == 1:
         bnd_rows = grid.d_first[0]
     else:
-        beta = np.zeros((n_nodes, ndim))
-        _, beta[grid.boundary] = dom.defining_jet_many(
-            state.omega_tilde, p[grid.boundary])
-        bnd_rows = sum(sp.diags(beta[:, k]) @ grid.d_first[k]
+        beta = np.zeros((ndim, n_nodes))
+        _, beta[:, grid.boundary] = dom.defining_jet_many(
+            state.omega_tilde, p[:, grid.boundary])
+        bnd_rows = sum(sp.diags(beta[k]) @ grid.d_first[k]
                        for k in range(ndim))
     sel_i = np.zeros(n_nodes)
     sel_i[grid.interior] = 1.0
@@ -645,7 +646,7 @@ class TestInitialize:
         # gradient image fills the ellipse exactly at the boundary
         p = nodes @ a  # analytic Du0
         hb, _ = dom.defining_jet_many(state.omega_tilde,
-                                      p[state.grid.boundary])
+                                      p[state.grid.boundary].T)
         assert np.max(np.abs(hb)) < 1e-13
 
     def test_spacelike_precondition(self):
@@ -676,12 +677,40 @@ class TestStateJets:
         om, ot, spec, sig = JACOBIAN_CASES[case]
         state = flow.initialize(om, ot, spec, sig)
         assert {"p", "r"} <= set(vars(state.jets))
-        p, r = state.grid.gradient(state.u), state.grid.hessian(state.u)
-        assert np.array_equal(state.jets.p, p)
-        assert np.array_equal(state.jets.r, r)
+        p, r = state.grid.derivative_rows(state.u)
+        fresh = geometry.NodalJets(state.grid, state.u, sig)
+        for got in (p, fresh.p):
+            assert np.array_equal(state.jets.p, got)
+        for got in (r, fresh.r):
+            assert np.array_equal(state.jets.r, got)
         assert state.jets.p.flags.c_contiguous
         assert state.jets.r.flags.c_contiguous
-        assert np.array_equal(state.u_dot, flow.g_value_many(p, r, sig))
+        assert np.array_equal(state.u_dot, geometry.metric_trace(p, r, sig))
+
+    @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
+    def test_unseeded_jets_differentiate_once(self, case, monkeypatch):
+        # every field of unseeded jets comes from one derivative_rows call;
+        # the node-major gradient and hessian are never evaluated
+        state, u, _ = perturbed_state(case)
+        grid_type = type(state.grid)
+        derivative_rows = grid_type.derivative_rows
+        calls = []
+
+        def recorded(name, method):
+            def call(self, field):
+                calls.append(name)
+                return method(self, field)
+            return call
+
+        for name in ("derivative_rows", "gradient", "hessian"):
+            monkeypatch.setattr(grid_type, name,
+                                recorded(name, getattr(grid_type, name)))
+        jets = geometry.NodalJets(state.grid, u, state.sig)
+        for name in ("p", "r", "v", "g_lo", "a", "H", "lam", "kappa"):
+            getattr(jets, name)
+        assert calls == ["derivative_rows"]
+        assert all(np.array_equal(got, want) for got, want
+                   in zip((jets.p, jets.r), derivative_rows(state.grid, u)))
 
     def test_replace_with_new_u_gets_fresh_jets(self):
         state, _ = translator_state(41)
@@ -690,8 +719,9 @@ class TestStateJets:
         moved = dataclasses.replace(state, u=other)
         assert moved.jets is not state.jets
         assert moved.jets.u is other
-        assert np.array_equal(moved.jets.p, state.grid.gradient(other))
-        assert np.array_equal(moved.jets.r, state.grid.hessian(other))
+        p, r = state.grid.derivative_rows(other)
+        assert np.array_equal(moved.jets.p, p)
+        assert np.array_equal(moved.jets.r, r)
         assert np.array_equal(state.jets.p, old)
 
     def test_copy_shares_jets(self):
@@ -722,14 +752,18 @@ class TestStateJets:
         # matrix stays lazy
         assert {"p", "r", "lam"} <= set(vars(jets))
         assert "a" not in vars(jets)
-        hessian = new.grid.hessian(new.u)
-        assert np.array_equal(jets.p, new.grid.gradient(new.u))
-        assert np.array_equal(jets.r, hessian)
+        gradient, hessian = new.grid.derivative_rows(new.u)
+        fresh = geometry.NodalJets(new.grid, new.u, new.sig)
+        for got in (gradient, fresh.p):
+            assert np.array_equal(jets.p, got)
+        for got in (hessian, fresh.r):
+            assert np.array_equal(jets.r, got)
         assert np.array_equal(jets.lam, eigenvalues_many(hessian))
         # recording the step takes no second spectrum of its Hessian
         monitor.observe(new)
         assert len(monitor.records) == 2
         assert sum(np.array_equal(m, hessian) for m in spectra) == 1
+        assert np.array_equal(jets.lam, fresh.lam)
 
 
 class TestStepImplicit:
@@ -756,7 +790,7 @@ class TestStepImplicit:
         assert new.steps == state.steps + 1
         assert counts["residual"] >= 1
         assert counts["derivatives"] == counts["residual"]
-        assert np.array_equal(new.jets.p, new.grid.gradient(new.u))
+        assert np.array_equal(new.jets.p, new.grid.derivative_rows(new.u)[0])
 
     def test_steady_profile_advances_uniformly(self):
         state, c = translator_state(201, tau=0.1)
@@ -777,7 +811,7 @@ class TestStepImplicit:
                                     spec, MINKOWSKI)
             rr = np.linalg.norm(state.grid.nodes, axis=1)
             u = prof.height_at(rr)
-            g = flow.g_value_many(state.grid.gradient(u),
+            g = operators.g_value_many(state.grid.gradient(u),
                                   state.grid.hessian(u), MINKOWSKI)
             st = dataclasses.replace(state, u=u, u_dot=g, tau=0.1, steps=1)
             new = step_implicit(st, StepControls(tau_max=0.1))
@@ -891,7 +925,7 @@ class TestTranslatorResidual:
         mid = grid.anchor
         p = grid.gradient(state.u)
         r = grid.hessian(state.u)
-        c_mid = flow.g_value_many(p, r, MINKOWSKI)[mid]
+        c_mid = operators.g_value_many(p, r, MINKOWSKI)[mid]
         res = flow.translator_residual(state.u, float(c_mid), MINKOWSKI, grid)
         assert res > 0.1
 
@@ -920,7 +954,7 @@ class TestRunToTranslator:
 
         def check(s):
             p = s.grid.gradient(s.u)
-            h, _ = dom.defining_jet_many(s.omega_tilde, p[s.grid.interior])
+            h, _ = dom.defining_jet_many(s.omega_tilde, p[s.grid.interior].T)
             inside.append(np.min(h))
             lam = np.linalg.eigvalsh(s.grid.hessian(s.u))
             assert np.min(lam[:, 0]) > 0  # strict convexity preserved
@@ -1110,8 +1144,9 @@ class TestHotPath:
                                        state.grid.hessian(u), state.sig)
             assert np.allclose(res[ii], (u - state.u - tau * g)[ii],
                                rtol=0.0, atol=1e-13)
-            assert np.array_equal(p, state.grid.gradient(u))
-            assert np.array_equal(r, state.grid.hessian(u))
+            p_rows, r_rows = state.grid.derivative_rows(u)
+            assert np.array_equal(p, p_rows)
+            assert np.array_equal(r, r_rows)
 
         counts = {"residual": 0, "g_value_many": 0}
         inside = []
@@ -1130,7 +1165,6 @@ class TestHotPath:
             return g_value_many(*args)
 
         monkeypatch.setattr(flow, "_residual", counted_residual)
-        monkeypatch.setattr(flow, "g_value_many", counted_g)
         monkeypatch.setattr(operators, "g_value_many", counted_g)
         for case in ("line-minkowski", "disk-ball"):
             om, ot, spec, sig = JACOBIAN_CASES[case]

@@ -147,15 +147,16 @@ class TestMinEigenvalue:
     def test_within_four_eps_of_lapack(self, kind):
         # both eigenvalues of each 2x2 case and of its 1x1 corner; the
         # case bordered to 3x3 takes the LAPACK fallback
+        # (the kernel takes and returns component-major rows)
         r = np.array(self.CASES[kind])
         for m in (r, r[:, :1, :1]):
             lam = np.linalg.eigvalsh(m)
-            err = np.abs(geo.eigenvalues_many(m) - lam)
+            err = np.abs(geo.eigenvalues_many(m.transpose(1, 2, 0)).T - lam)
             assert np.all(err <= 4 * np.finfo(float).eps
                           * np.max(np.abs(lam), axis=1, keepdims=True))
         bordered = np.zeros((len(r), 3, 3))
         bordered[:, :2, :2], bordered[:, 2, 2] = r, 2.0
-        assert np.array_equal(geo.eigenvalues_many(bordered),
+        assert np.array_equal(geo.eigenvalues_many(bordered.transpose(1, 2, 0)).T,
                               np.linalg.eigvalsh(bordered))
 
 

@@ -301,8 +301,14 @@ class TestDerivatives:
         smooth = np.exp(0.5 * x[:, 0]) * np.cos(x[:, -1]) + x[:, 0] ** 2
         noise = np.random.default_rng(5).normal(size=grid.n_nodes)
         for u in (smooth, noise):
+            # the stacked product against each stencil's own product, and
+            # the node-major evaluators against the rows
             p_rows, r_rows = grid.derivative_rows(u)
             assert p_rows.shape == (grid.dim, grid.n_nodes)
             assert r_rows.shape == (grid.dim, grid.dim, grid.n_nodes)
+            for k in range(grid.dim):
+                assert np.array_equal(p_rows[k], grid.d_first[k] @ u)
+                for l in range(grid.dim):
+                    assert np.array_equal(r_rows[k, l], grid.d_second[k][l] @ u)
             assert np.array_equal(p_rows, grid.gradient(u).T)
             assert np.array_equal(r_rows, grid.hessian(u).transpose(1, 2, 0))

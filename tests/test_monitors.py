@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gaussflow import domains as dom
-from gaussflow import flow, monitors, oracles
+from gaussflow import flow, monitors, operators, oracles
 from gaussflow import geometry as geo
 from gaussflow.errors import NonConvergenceError
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
@@ -28,7 +28,7 @@ def interval_state(n_cells=201):
 
 
 def refresh_rate(state):
-    g = flow.g_value_many(state.grid.gradient(state.u),
+    g = operators.g_value_many(state.grid.gradient(state.u),
                           state.grid.hessian(state.u), state.sig)
     return dataclasses.replace(state, u_dot=g)
 
@@ -321,14 +321,14 @@ class TestRunMonitor:
 # ---------------------------------------------------------------------------
 
 def ref_geometry(state, idx=None):
+    """p, r, v, g_lo, a and H as component-major rows, from u."""
     grid, sig = state.grid, state.sig
-    p = grid.gradient(state.u)
-    r = grid.hessian(state.u)
+    p, r = grid.derivative_rows(state.u)
     if idx is not None:
-        p, r = p[idx], r[idx]
+        p, r = p[:, idx], r[..., idx]
     v = geo.v_many(p, sig)
     a = geo.curvature_matrix_many(p, r, sig)
-    return p, r, v, geo.metric_lo_many(p, sig), a, np.einsum("nii->n", a)
+    return p, r, v, geo.metric_lo_many(p, sig), a, np.einsum("iin->n", a)
 
 
 def ref_obliqueness(state):
@@ -345,7 +345,7 @@ def ref_obliqueness(state):
 def ref_eps0(state, idx=None):
     """min kappa_min / H, the principal curvatures from the solver's kernel."""
     *_, a, big_h = ref_geometry(state, idx)
-    return float(np.min(geo.eigenvalues_many(a)[:, 0] / big_h))
+    return float(np.min(geo.eigenvalues_many(a)[0] / big_h))
 
 
 def ref_eps0_whitened(state, idx=None):
@@ -354,8 +354,8 @@ def ref_eps0_whitened(state, idx=None):
     if idx is None:
         idx = np.arange(state.grid.n_nodes)
     _, r, v, g_lo, _, big_h = ref_geometry(state, idx)
-    h_form = r / v[:, None, None]
-    chol = np.linalg.cholesky(g_lo)
+    h_form = np.moveaxis(r / v, -1, 0)
+    chol = np.linalg.cholesky(np.moveaxis(g_lo, -1, 0))
     w = np.linalg.solve(chol, h_form)
     w = np.linalg.solve(chol, np.swapaxes(w, 1, 2))
     gen_min = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))[:, 0]
@@ -364,8 +364,8 @@ def ref_eps0_whitened(state, idx=None):
 
 def ref_convexity_margin(state, eps0):
     _, r, v, g_lo, _, big_h = ref_geometry(state, state.grid.interior)
-    m = r / v[:, None, None] - eps0 * big_h[:, None, None] * g_lo
-    return float(np.min(geo.eigenvalues_many(m)[:, 0]))
+    m = r / v - eps0 * big_h * g_lo
+    return float(np.min(geo.eigenvalues_many(m)[0]))
 
 
 def ref_evolution_residual(window):
@@ -375,9 +375,10 @@ def ref_evolution_residual(window):
     h_hi = ref_geometry(s_hi)[5]
     p, _, v, _, a, h_mid = ref_geometry(s_mid)
     dt_h = (h_hi - h_lo) / (s_hi.t - s_lo.t)
-    transport = (h_mid / v) * np.einsum("ni,ni->n", p, grid.gradient(h_mid))
+    dh = grid.derivative_rows(h_mid)[0]
+    transport = (h_mid / v) * np.einsum("in,in->n", p, dh)
     lap = geo.laplace_beltrami(h_mid, s_mid.u, grid, sig)
-    res = dt_h + transport - lap + np.einsum("nij,nji->n", a, a) * h_mid
+    res = dt_h + transport - lap + np.einsum("ijn,jin->n", a, a) * h_mid
     return float(np.max(np.abs(res[grid.audit_interior])))
 
 
@@ -385,7 +386,7 @@ def ref_record(state, eps0, window):
     """A MonitorRecord computed the way the pre-jets monitors did."""
     p, r, v, _, _, big_h = ref_geometry(state)
     eps = geo.signature_eps(state.sig)
-    tg = p.shape[1] - eps * np.sum(p * p, axis=1) / v**2
+    tg = p.shape[0] - eps * np.sum(p * p, axis=0) / v**2
     lam = geo.eigenvalues_many(r)
     return monitors.MonitorRecord(
         t=state.t, tau=state.tau,
@@ -393,7 +394,7 @@ def ref_record(state, eps0, window):
         udot_max=float(np.max(state.u_dot)),
         obliq_min=ref_obliqueness(state),
         hess_min=float(np.min(lam)), hess_max=float(np.max(lam)),
-        grad_max=float(np.max(np.linalg.norm(p, axis=1))),
+        grad_max=float(np.max(np.linalg.norm(p, axis=0))),
         TG_min=float(np.min(tg)), TG_max=float(np.max(tg)),
         convex_margin=ref_convexity_margin(state, eps0),
         evo_residual=(ref_evolution_residual(window) if len(window) >= 3
@@ -524,7 +525,7 @@ class TestCachedJetAudits:
         original = geo.curvature_matrix_many
 
         def counting(p, r, sig):
-            calls.append(p.shape[0])
+            calls.append(p.shape[1])
             return original(p, r, sig)
 
         monkeypatch.setattr(geo, "curvature_matrix_many", counting)
@@ -564,7 +565,7 @@ class TestCachedJetAudits:
             return g_derivatives_many(*args)
 
         def counted_kappa(jets):
-            kappa_rows.append(len(jets.p))
+            kappa_rows.append(jets.p.shape[1])
             return geo.eigenvalues_many(jets.a)
 
         monkeypatch.setattr(operators, "g_derivatives_many",

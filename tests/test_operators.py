@@ -69,7 +69,7 @@ class TestGDerivatives:
                 jet = PointJet(x=np.zeros(n), u=0.0, du=p, d2u=0.5 * (r + r.T))
                 d = ops.g_derivatives(jet, sig)
                 assert np.max(np.abs(
-                    d.g_r - metric_up_many(p[None, :], sig)[0])) <= 1e-14
+                    d.g_r - metric_up_many(p[:, None], sig)[:, :, 0])) <= 1e-14
                 assert np.min(np.linalg.eigvalsh(d.g_r)) > 0  # parabolicity
 
     @pytest.mark.parametrize("sig", [MINKOWSKI, EUCLIDEAN])
@@ -179,7 +179,7 @@ class TestLegendreTransform:
                                                         MINKOWSKI))
         state = result.state
         y, _ = ops.legendre_transform(state.u, state.grid)
-        h, _ = defining_jet_many(ot, y)
+        h, _ = defining_jet_many(ot, y.T)
         assert np.min(h) >= -10 * state.grid.h_ref**2
 
 
@@ -205,9 +205,9 @@ class TestStructureReport:
 
     def test_curvature_square_sum_2d_example(self):
         from gaussflow.geometry import curvature_matrix_many
-        p = np.array([[0.6, 0.0]])
-        r = np.eye(2)[None, :, :]
-        kappa = np.linalg.eigvalsh(curvature_matrix_many(p, r, MINKOWSKI))
+        p = np.array([[0.6], [0.0]])  # component-major rows of one node
+        r = np.eye(2)[:, :, None]
+        kappa = np.linalg.eigvalsh(curvature_matrix_many(p, r, MINKOWSKI)[..., 0])
         assert np.sum(kappa**2) == pytest.approx(5.377197265625)
 
     def test_sandwich_holds_at_start(self):

@@ -1,11 +1,12 @@
 """Property tests: the vectorized graph geometry (cached nodal jets and
 the batch-of-one pointwise API) against the pointwise formulas it
-replaced, the closed-form operator and smallest-eigenvalue kernels
-against the metric contraction and LAPACK, the component-major trace
-kernel against the node-major formula and the built metric (with the
-Laplacian and the dual operator it serves), the snapshot round trip,
-and run configs (valid ones parse back to the values written, invalid
-ones end in exit 1)."""
+replaced, the closed-form operator and eigenvalue kernels against the
+metric contraction and LAPACK, the component-major kernels against
+node-major reference formulas kept here (the curvature matrix, the
+metric, the operator derivatives, the trace kernel and the Laplacian
+and dual operator it serves), the snapshot round trip, and run configs
+(valid ones parse back to the values written, invalid ones end in
+exit 1)."""
 
 import contextlib
 import dataclasses
@@ -14,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,15 +29,15 @@ from gaussflow.geometry import (
     GraphGeometry,
     NodalJets,
     PointJet,
+    curvature_matrix_many,
     graph_geometry,
     graph_geometry_many,
     eigenvalues_many,
+    metric_lo_many,
     metric_trace,
-    metric_up_many,
     signature_eps,
-    v_many,
 )
-from gaussflow.operators import g_dual_many, g_value_many
+from gaussflow.operators import g_derivatives_many, g_dual_many, g_value_many
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -101,18 +102,23 @@ def jet_batches(draw):
     return p, 0.5 * (m + np.swapaxes(m, 1, 2)), sig
 
 
+def rows_of(p, r):
+    """Node-major jets p (N, n), r (N, n, n) as component-major rows."""
+    return p.T, r.transpose(1, 2, 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(jet_batches())
 def test_nodal_jets_match_pointwise_geometry(batch):
     p, r, sig = batch
-    jets = NodalJets.of(p, r, sig)
+    jets = NodalJets.of(*rows_of(p, r), sig)
     for k in range(p.shape[0]):
         geo = ref_graph_geometry(PointJet(x=np.zeros(p.shape[1]), u=0.0,
                                           du=p[k], d2u=r[k]), sig)
-        assert np.max(np.abs(jets.a[k] - geo.a)) <= 1e-12
+        assert np.max(np.abs(jets.a[..., k] - geo.a)) <= 1e-12
         assert abs(jets.H[k] - geo.H) <= 1e-12
-        assert np.max(np.abs(jets.kappa[k] - geo.kappa)) <= 1e-12
-        assert np.max(np.abs(jets.g_lo[k] - geo.g_lo)) <= 1e-12
+        assert np.max(np.abs(jets.kappa[:, k] - geo.kappa)) <= 1e-12
+        assert np.max(np.abs(jets.g_lo[..., k] - geo.g_lo)) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,13 +269,79 @@ def test_invalid_config_exits_one_without_traceback(bad, two_d):
     assert "Traceback" not in err.getvalue()
 
 
+# -- node-major reference formulas of the component-major kernels --------------
+
+def node_major_v2(p, sig):
+    return 1.0 + signature_eps(sig) * np.einsum("ni,ni->n", p, p)
+
+
+def node_major_rank_one(p, coef):
+    """I + coef p p^T over (N, n) gradients, coef one value per node."""
+    pp = p[:, :, None] * p[:, None, :]
+    return np.eye(p.shape[1]) + coef[:, None, None] * pp
+
+
+def node_major_metric_up(p, sig):
+    return node_major_rank_one(p, -signature_eps(sig) / node_major_v2(p, sig))
+
+
+def node_major_curvature(p, r, sig):
+    """(a, magnitude): a = sym(b r b) / v by matrix products, and the
+    magnitude sum |b| |r| |b| / v of its terms."""
+    v = np.sqrt(node_major_v2(p, sig))
+    b = node_major_rank_one(p, -signature_eps(sig) / (v * (1.0 + v)))
+    a = b @ r @ b / v[:, None, None]
+    scale = np.abs(b) @ np.abs(r) @ np.abs(b) / v[:, None, None]
+    return 0.5 * (a + np.swapaxes(a, 1, 2)), scale
+
+
+def node_major_derivatives(p, r, sig):
+    """(G_r, G_p) and the magnitude sums of their terms."""
+    eps, v2 = signature_eps(sig), node_major_v2(p, sig)
+    rp = np.einsum("nij,nj->ni", r, p)
+    prp = np.einsum("ni,ni->n", p, rp)
+    g_p = -2.0 * eps * rp / v2[:, None] + 2.0 * p * (prp / v2**2)[:, None]
+    abs_rp = np.einsum("nij,nj->ni", np.abs(r), np.abs(p))
+    p_scale = (2.0 * abs_rp / v2[:, None] + 2.0 * np.abs(p)
+               * (np.einsum("ni,ni->n", np.abs(p), abs_rp) / v2**2)[:, None])
+    pp = np.abs(p[:, :, None] * p[:, None, :])
+    return (node_major_metric_up(p, sig), g_p,
+            np.eye(p.shape[1]) + pp / v2[:, None, None], p_scale)
+
+
+def within(got, ref, scale, rel=1e-13):
+    return np.all(np.abs(got - ref)
+                  <= rel * np.maximum(scale, np.finfo(float).tiny))
+
+
+@settings(max_examples=300, deadline=None)
+@given(jet_batches())
+def test_rows_kernels_match_node_major_formulas(batch):
+    """The curvature matrix, the metric g_lo and the operator derivatives
+    G_r, G_p on component-major rows within 1e-13 of their node-major
+    reference formulas, relative to the magnitude sum of their terms."""
+    p, r, sig = batch
+    p_rows, r_rows = rows_of(p, r)
+    a, a_scale = node_major_curvature(p, r, sig)
+    assert within(np.moveaxis(curvature_matrix_many(p_rows, r_rows, sig), -1, 0),
+                  a, a_scale)
+    pp = p[:, :, None] * p[:, None, :]
+    assert within(np.moveaxis(metric_lo_many(p_rows, sig), -1, 0),
+                  np.eye(p.shape[1]) + signature_eps(sig) * pp,
+                  1.0 + np.abs(pp))
+    g_r, g_p, r_scale, p_scale = node_major_derivatives(p, r, sig)
+    got_r, got_p = g_derivatives_many(p_rows, r_rows, sig)
+    assert within(np.moveaxis(got_r, -1, 0), g_r, r_scale)
+    assert within(got_p.T, g_p, p_scale)
+
+
 @settings(max_examples=300, deadline=None)
 @given(jet_batches())
 def test_closed_form_g_matches_metric_contraction(batch):
     """G = tr r - eps p^T r p / v^2 against g^ij r_ij, relative to the
     contraction's magnitude sum |g^ij| |r_ij|."""
     p, r, sig = batch
-    g_up = metric_up_many(p, sig)
+    g_up = node_major_metric_up(p, sig)
     want = np.einsum("nij,nij->n", g_up, r)
     scale = np.einsum("nij,nij->n", np.abs(g_up), np.abs(r))
     err = np.abs(g_value_many(p, r, sig) - want)
@@ -280,26 +352,26 @@ def node_major_g(p, r, sig):
     """G = tr r - eps p^T r p / v^2 contracted over (N, n) and (N, n, n)
     arrays, the layout the component-major kernel replaced; kept as its
     reference."""
-    v2 = v_many(p, sig) ** 2
     rp = np.einsum("nij,nj->ni", r, p)
     prp = np.einsum("ni,ni->n", p, rp)
-    return np.einsum("nii->n", r) - signature_eps(sig) * prp / v2
+    return np.einsum("nii->n", r) - signature_eps(sig) * prp / node_major_v2(p, sig)
 
 
-def metric_laplacian(p, r, sig, df, d2f):
-    """The intrinsic Laplacian with its main term contracted on the built
-    (N, n, n) inverse metric, as it was before ``metric_trace``; kept as
-    its reference."""
-    jets = NodalJets.of(p, r, sig)
-    main = np.einsum("nij,ijn->n", metric_up_many(p, sig), d2f)
-    p_df = np.einsum("ni,in->n", p, df)
-    return main - signature_eps(sig) * jets.H * p_df / jets.v
+def metric_laplacian(p, big_h, sig, df, d2f):
+    """The intrinsic Laplacian over node-major jets with its main term
+    contracted on the built (N, n, n) inverse metric, as it was before
+    ``metric_trace``; kept as its reference. big_h is the jets' H, which
+    the curvature kernel's own check covers; df and d2f are node-major."""
+    v = np.sqrt(node_major_v2(p, sig))
+    main = np.einsum("nij,nij->n", node_major_metric_up(p, sig), d2f)
+    p_df = np.einsum("ni,ni->n", p, df)
+    return main - signature_eps(sig) * big_h * p_df / v
 
 
 def metric_dual(y, m, sig):
     """Gdual = -g^ij(y) : (M^{-1})_ij on the built inverse metric, as it
     was before ``metric_trace``; kept as its reference."""
-    return -np.sum(metric_up_many(y, sig) * np.linalg.inv(m), axis=(1, 2))
+    return -np.sum(node_major_metric_up(y, sig) * np.linalg.inv(m), axis=(1, 2))
 
 
 @st.composite
@@ -320,56 +392,63 @@ def test_component_major_g_matches_node_major_formula(data):
     and (N, n, n) arrays through it, within 1e-13 of the node-major
     contraction, relative to its magnitude sum |tr r| + |p^T r p| / v^2;
     the kernel within 1e-13 of g^ij m_ij on the built metric, and the
-    intrinsic Laplacian and the dual operator, which contract through it,
-    within 1e-13 of their built-metric forms, each relative to the sum of
-    the magnitudes of its terms."""
+    intrinsic Laplacian (``NodalJets.laplacian``) and the dual operator,
+    which contract through it, within 1e-13 of their node-major
+    built-metric forms, each relative to the sum of the magnitudes of
+    its terms."""
     batch = data.draw(jet_batches())
     p, r, sig = batch
     want = node_major_g(p, r, sig)
-    v2 = v_many(p, sig) ** 2
+    v2 = node_major_v2(p, sig)
     scale = (np.abs(np.einsum("nii->n", r))
              + np.einsum("ni,nij,nj->n", np.abs(p), np.abs(r), np.abs(p)) / v2)
     bound = 1e-13 * np.maximum(scale, np.finfo(float).tiny)
-    rows = metric_trace(np.ascontiguousarray(p.T),
-                        np.ascontiguousarray(r.transpose(1, 2, 0)), sig)
+    rows = metric_trace(*(np.ascontiguousarray(x) for x in rows_of(p, r)), sig)
     assert np.all(np.abs(rows - want) <= bound)
     assert np.all(np.abs(g_value_many(p, r, sig) - want) <= bound)
 
-    def within(got, ref, scale):
-        return np.all(np.abs(got - ref)
-                      <= 1e-13 * np.maximum(scale, np.finfo(float).tiny))
-
-    g_up = metric_up_many(p, sig)
+    g_up = node_major_metric_up(p, sig)
     contraction = np.einsum("nij,nij->n", g_up, r)
     assert within(rows, contraction,
                   np.einsum("nij,nij->n", np.abs(g_up), np.abs(r)))
 
     df, d2f = data.draw(field_rows(batch))
-    jets = NodalJets.of(p, r, sig)
+    jets = NodalJets.of(*rows_of(p, r), sig)
     lap_scale = (np.einsum("nij,ijn->n", np.abs(g_up), np.abs(d2f))
                  + np.abs(jets.H) / jets.v
                  * np.einsum("ni,in->n", np.abs(p), np.abs(df)))
     assert within(jets.laplacian(df, d2f),
-                  metric_laplacian(p, r, sig, df, d2f), lap_scale)
+                  metric_laplacian(p, jets.H, sig, df.T,
+                                   d2f.transpose(2, 0, 1)),
+                  lap_scale)
 
     # the Hessian shifted positive definite, as the check suite shifts it
-    lam_min = eigenvalues_many(r)[:, 0]
+    lam_min = np.linalg.eigvalsh(r)[:, 0]
     m = r + (np.abs(lam_min) + 0.5)[:, None, None] * np.eye(p.shape[1])
     m_inv = np.linalg.inv(m)
     assert within(g_dual_many(p, m, sig), metric_dual(p, m, sig),
                   np.einsum("nij,nij->n", np.abs(g_up), np.abs(m_inv)))
 
 
+# A subnormal Hessian: the closed form returns [0, 2e-323] and LAPACK
+# [0, 1.5e-323], one subnormal step apart and below any relative bound.
+SUBNORMAL = (np.zeros((1, 2)), np.array([[[1.5e-323, 0.0], [0.0, 0.0]]]),
+             EUCLIDEAN)
+
+
 @settings(max_examples=300, deadline=None)
 @given(jet_batches())
+@example(SUBNORMAL)
 def test_min_eigenvalue_matches_lapack(batch):
-    """eigenvalues_many: the whole ascending spectrum within 4 eps max |lam|
-    of LAPACK in closed form for n <= 2, and LAPACK's own for n = 3."""
+    """eigenvalues_many on component-major rows: the whole ascending
+    spectrum within 4 eps max |lam| of LAPACK, plus four subnormal steps,
+    in closed form for n <= 2, and LAPACK's own for n = 3."""
     _, r, _ = batch
     lam = np.linalg.eigvalsh(r)
-    got = eigenvalues_many(r)
+    got = eigenvalues_many(r.transpose(1, 2, 0)).T
     if r.shape[1] == 3:
         assert np.array_equal(got, lam)
     err = np.abs(got - lam)
     assert np.all(err <= 4 * np.finfo(float).eps
-                  * np.max(np.abs(lam), axis=1, keepdims=True))
+                  * np.max(np.abs(lam), axis=1, keepdims=True)
+                  + 4 * np.finfo(float).smallest_subnormal)

@@ -16,23 +16,23 @@ Two grid families cover the supported domains:
 
 Every grid exposes the same surface: node coordinates (N, n), those of
 the boundary nodes as rows (n, N_b) for the audits, interior and
-boundary index sets, sparse first/second derivative operators, and
-``derivative_rows``, which returns the gradient and the Hessian from one
+boundary index sets, and the stencils through two members only.
+``derivative_rows`` returns the gradient and the Hessian from one
 product with the gradient and distinct Hessian stencils stacked into one
 CSR operator, component-major: the gradient as n rows of N node values
 and the Hessian as n x n such rows, the one layout the solver, the jets
-and the audits work on. ``gradient`` and ``hessian`` are their
-node-major (N, n) and (N, n, n) transposes, for callers holding
-node-major jets.
+and the audits work on. ``stencil_pattern`` holds the same stencils on
+the pattern the Newton Jacobian is assembled on. No per-stencil matrix
+is kept. ``gradient`` and ``hessian`` are the rows' node-major (N, n)
+and (N, n, n) transposes, for callers holding node-major jets.
 
 Each grid builds its stencils as one slot table: an int32 CSR skeleton
 holding every stencil entry and the diagonal, and one row of values on
-it per stencil, d_first[k] then d_second[k][l] (k <= l); the disk's
-polar to Cartesian maps and affine chain rule are array arithmetic on
-table rows, their terms summed left to right. The stacked operator keeps
-the table's nonzero entries, and its blocks are the d_first and d_second
-matrices. ``stencil_pattern``, the pattern the Newton Jacobian is
-assembled on, is built from the table on first use.
+it per stencil, the gradient's n, then the Hessian's (k, l) with k <= l;
+the disk's polar to Cartesian maps and affine chain rule are array
+arithmetic on table rows, their terms summed left to right. The stacked
+operator keeps the table's nonzero entries, one row block per stencil.
+``stencil_pattern`` is built from the table on first use.
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ class _StencilGrid:
         return [(k, l) for k in range(self.dim) for l in range(k, self.dim)]
 
     def _install(self, indptr, indices, diag, table):
-        """Operators and stacked operator of a slot table (rows d_first[k],
-        then d_second[k][l], k <= l, on the skeleton indptr, indices with
-        the diagonal at ``diag``), kept for ``stencil_pattern``."""
+        """The stacked operator of a slot table (gradient stencils, then
+        the Hessian's (k, l), k <= l, on the skeleton indptr, indices with
+        the diagonal at ``diag``); the table waits for ``stencil_pattern``.
+        No per-stencil matrix is built."""
         n, dim = self.n_nodes, self.dim
         nonzero = table != 0
         ptr = np.zeros(table.shape[0] * n + 1, dtype=np.int32)
@@ -113,19 +114,9 @@ class _StencilGrid:
         stacked = sp.csr_matrix(
             (table[nonzero], np.broadcast_to(indices, table.shape)[nonzero], ptr),
             shape=(table.shape[0] * n, n))
-        blocks = [sp.csr_matrix((n, n)) for _ in table]
-        for block, lo, hi in zip(blocks, range(0, ptr.size, n),
-                                 range(n, ptr.size, n)):
-            # views set after construction: the constructor would copy a
-            # view much smaller than its base
-            block.data = stacked.data[ptr[lo]:ptr[hi]]
-            block.indices = stacked.indices[ptr[lo]:ptr[hi]]
-            block.indptr = ptr[lo:hi + 1] - ptr[lo]
         slot = np.empty((dim, dim), dtype=int)
         for s, (k, l) in enumerate(self._second_slots(), start=dim):
             slot[k, l] = slot[l, k] = s
-        self.d_first = blocks[:dim]
-        self.d_second = [[blocks[s] for s in row] for row in slot]
         self._stacked = stacked, slot
         self._table = indptr, indices, diag, table
 
@@ -150,8 +141,8 @@ class _StencilGrid:
 
     def derivative_rows(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gradient, Hessian) of u component-major, shapes (n, N) and
-        (n, n, N), copied out of one product with the stacked stencils:
-        row k is ``d_first[k] @ u`` bit for bit, and likewise for r."""
+        (n, n, N), copied out of one product with the stacked stencils,
+        one row block per gradient and distinct Hessian component."""
         stacked, slot = self._stacked
         blocks = (stacked @ u).reshape(-1, self.n_nodes)
         return blocks[:self.dim].copy(), blocks[slot]

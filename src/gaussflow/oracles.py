@@ -43,8 +43,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import OracleFailureError
 from .geometry import (EUCLIDEAN, MINKOWSKI, eigenvalues_many,
-                       graph_geometry_many, metric_trace, metric_up_many,
-                       signature_eps)
+                       graph_geometry_many, metric_trace, signature_eps,
+                       v_squared)
 from .operators import g_derivatives_many, g_dual_many, g_p_paper_many, g_value_many
 
 
@@ -325,10 +325,11 @@ def identity_defects(jets: dict, sig: str, paper_signs: bool = False,
     Keys: ``root`` |b^ij b^jk - g^ik|, ``inverse`` |g_ij g^jk - delta|,
     ``root-inverse`` |b^ij b_jk - delta|, ``trace`` |v H - G|,
     ``normal`` |<nu, nu> - eps| (the unit normal is timelike in
-    Minkowski space), ``hessian-slot`` |G_r - g^ij| and ``duality``
-    |Gdual + G| at each jet with its Hessian shifted positive definite
-    and the dual Hessian its inverse. ``paper_signs`` reaches only b^ij
-    and b_ij, so only ``root`` and ``root-inverse`` see it.
+    Minkowski space), ``hessian-slot`` |G_r - (I - eps p p^T / v^2)| with
+    v^2 from ``v_squared`` (G_r divides by the squared tilt), and
+    ``duality`` |Gdual + G| at each jet with its Hessian shifted positive
+    definite and the dual Hessian its inverse. ``paper_signs`` reaches
+    only b^ij and b_ij, so only ``root`` and ``root-inverse`` see it.
     ``hessian-slot`` and the Hessian shift read the jets as rows.
     """
     eps = signature_eps(sig)
@@ -352,8 +353,10 @@ def identity_defects(jets: dict, sig: str, paper_signs: bool = False,
             "trace": lambda: geo.v * geo.H - g_value_many(p, r, sig),
             "normal": lambda: (np.sum(geo.nu[:, :-1] ** 2, axis=1)
                                + eps * geo.nu[:, -1] ** 2 - eps),
-            "hessian-slot": lambda: (g_derivatives_many(p_rows, r_rows, sig)[0]
-                                     - metric_up_many(p_rows, sig)),
+            "hessian-slot": lambda: (
+                g_derivatives_many(p_rows, r_rows, sig)[0] - eye[:, :, None]
+                + eps * (p_rows[:, None] * p_rows)
+                / v_squared(np.einsum("in,in->n", p_rows, p_rows), sig)),
             "duality": duality,
         }
         for key in keys:

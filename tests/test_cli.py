@@ -106,6 +106,22 @@ class TestStepControlValidation:
         ("cadence = 0", "cadence"),
         ("anchor = 5000", "anchor"),
         ("anchor = -3", "anchor"),
+        # a later line overrides an earlier one with the same key
+        pytest.param("no equals sign", "expected 'key = value'",
+                     id="line-without-equals"),
+        pytest.param("signature = lorentz", "signature must be one of",
+                     id="unknown-signature"),
+        pytest.param("omega =", "empty domain spec", id="empty-domain"),
+        pytest.param("omega = interval 0 1 2", "interval needs 2 numbers",
+                     id="interval-count"),
+        pytest.param("omega_tilde = ball 0.5", "ball needs center and radius",
+                     id="ball-count"),
+        pytest.param("omega = ellipse 0 0 1 0",
+                     "ellipse needs cx cy q11 q12 q22", id="ellipse-count"),
+        pytest.param("omega = disk 0 0 1", "unknown domain kind 'disk'",
+                     id="unknown-domain-kind"),
+        pytest.param("omega = ball 0 0 1\nomega_tilde = ball 0 0 0.5",
+                     "2D runs need keys: n_rho, n_theta", id="2d-without-grid"),
     ])
     def test_exits_one_with_configuration_error(self, tmp_path, capsys,
                                                 extra, key):
@@ -115,6 +131,24 @@ class TestStepControlValidation:
         assert cli.main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("drop, message", [
+        ("signature", "missing key: signature"),
+        ("n", "1D runs need key: n"),
+    ])
+    def test_missing_required_key_exits_one(self, tmp_path, capsys, drop,
+                                            message):
+        cfg = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        lines = BASE_CONFIG.format(out=out).splitlines(keepends=True)
+        cfg.write_text("".join(ln for ln in lines
+                               if not ln.startswith(f"{drop} =")))
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("omega, omega_tilde, grid", [
@@ -186,6 +220,12 @@ class TestRunCommand:
             assert float(toks[1]) == coords[k, 0]
             # 17 significant digits round-trip: formatting again is identical
             assert cli._fmt(u[k]) == toks[-1]
+
+    def test_snapshot_with_wrong_column_count(self, tmp_path):
+        path = tmp_path / "snapshot.txt"
+        path.write_text("dimension = 1\ncolumns = index x u\n0 0.0 1.0 2.0\n")
+        with pytest.raises(ConfigError, match="has 4 columns, expected 3"):
+            cli.read_snapshot(path)
 
     def test_fields_csv_schema(self, finished_run):
         _, out = finished_run

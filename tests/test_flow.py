@@ -12,6 +12,7 @@ from gaussflow import flow, geometry, monitors, operators, oracles
 from gaussflow.errors import ConvexityError, NonConvergenceError, StepFailureError
 from gaussflow.flow import StepControls, step_explicit, step_implicit
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI, eigenvalues_many
+from helpers import stencil_blocks
 
 
 def interval_pair():
@@ -42,19 +43,20 @@ def sparse_product_jacobian(state, p, r, tau):
     from the derivative rows p (n, N) and r (n, n, N)."""
     grid = state.grid
     n_nodes, ndim = grid.n_nodes, grid.dim
+    first, second = stencil_blocks(grid)
     g_r, g_p = operators.g_derivatives_many(p, r, state.sig)
     lin = sp.csr_matrix((n_nodes, n_nodes))
     for k in range(ndim):
         for l in range(ndim):
-            lin = lin + sp.diags(g_r[k, l]) @ grid.d_second[k][l]
-        lin = lin + sp.diags(g_p[k]) @ grid.d_first[k]
+            lin = lin + sp.diags(g_r[k, l]) @ second[k][l]
+        lin = lin + sp.diags(g_p[k]) @ first[k]
     if ndim == 1:
-        bnd_rows = grid.d_first[0]
+        bnd_rows = first[0]
     else:
         beta = np.zeros((ndim, n_nodes))
         _, beta[:, grid.boundary] = dom.defining_jet_many(
             state.omega_tilde, p[:, grid.boundary])
-        bnd_rows = sum(sp.diags(beta[k]) @ grid.d_first[k]
+        bnd_rows = sum(sp.diags(beta[k]) @ first[k]
                        for k in range(ndim))
     sel_i = np.zeros(n_nodes)
     sel_i[grid.interior] = 1.0
@@ -175,10 +177,10 @@ class TestJacobian:
         state, u, tau = perturbed_state(case, spec=spec)
         grid = state.grid
         pattern = grid.stencil_pattern
-        second = [grid.d_second[k][l]
-                  for k in range(grid.dim) for l in range(k, grid.dim)]
-        table = TablePattern([sp.identity(grid.n_nodes), *grid.d_first,
-                              *second])
+        first, second = stencil_blocks(grid)
+        table = TablePattern([sp.identity(grid.n_nodes), *first,
+                              *(second[k][l] for k in range(grid.dim)
+                                for l in range(k, grid.dim))])
         assert np.array_equal(pattern.indptr, table.indptr)
         assert np.array_equal(pattern.indices, table.indices)
         weights = []
@@ -907,6 +909,26 @@ class TestStepExplicit:
         # fixed profile: every node advances by ~tau C; the boundary
         # projection contributes the O(h^3) part
         assert np.max(np.abs((new.u - state.u) - tau * c)) < tau * h**2 + h**3
+
+    def test_2d_boundary_solved_and_agrees_with_implicit_to_tau_squared(self):
+        # unit ball onto an off-centre, turned ellipse: the boundary values
+        # solve every boundary row together, so the explicit state meets
+        # the boundary condition and differs from the implicit step by
+        # O(tau^2), not by a boundary defect of O(tau)
+        state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
+                                rotated_ellipse([0.05, -0.02], [0.4, 0.25], 0.3),
+                                (8, 16), MINKOWSKI)
+        state = step_implicit(dataclasses.replace(state, tau=0.05),
+                              StepControls(tau_max=0.05))
+        h2 = state.grid.h_ref**2
+        diffs = []
+        for tau in (0.02 * h2, 0.01 * h2):
+            imp = step_implicit(dataclasses.replace(state, tau=tau),
+                                StepControls(tau_max=tau))
+            exp = step_explicit(state, tau)
+            assert flow.boundary_residual(exp) < 1e-12
+            diffs.append(np.max(np.abs(imp.u - exp.u)))
+        assert 3.0 <= diffs[0] / diffs[1] <= 5.0
 
 
 class TestTranslatorResidual:

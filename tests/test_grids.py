@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from gaussflow.grids import LineGrid, MappedDiskGrid
+from helpers import stencil_blocks
 
 
 def reference_line_operators(grid):
@@ -131,8 +132,9 @@ def reference_disk_operators(grid):
 def assert_operators_identical(grid, reference):
     """Same CSR arrays, entry for entry and bit for bit."""
     ref_first, ref_second = reference
-    pairs = list(zip(grid.d_first, ref_first)) + [
-        (grid.d_second[k][l], ref_second[k][l])
+    first, second = stencil_blocks(grid)
+    pairs = list(zip(first, ref_first)) + [
+        (second[k][l], ref_second[k][l])
         for k in range(grid.dim) for l in range(grid.dim)]
     for got, ref in pairs:
         assert got.format == "csr"
@@ -277,8 +279,9 @@ class TestStencilPattern:
     def test_assembles_row_weighted_stencil_sum(self, grid):
         pattern = grid.stencil_pattern
         assert grid.stencil_pattern is pattern  # built once per grid
-        stencils = [sp.identity(grid.n_nodes), *grid.d_first] + [
-            grid.d_second[k][l]
+        first, second = stencil_blocks(grid)
+        stencils = [sp.identity(grid.n_nodes), *first] + [
+            second[k][l]
             for k in range(grid.dim) for l in range(k, grid.dim)]
         coef = np.random.default_rng(3).normal(size=(len(stencils), grid.n_nodes))
         expect = sum(sp.diags(c) @ s for c, s in zip(coef, stencils))
@@ -304,11 +307,12 @@ class TestDerivatives:
             # the stacked product against each stencil's own product, and
             # the node-major evaluators against the rows
             p_rows, r_rows = grid.derivative_rows(u)
+            first, second = stencil_blocks(grid)
             assert p_rows.shape == (grid.dim, grid.n_nodes)
             assert r_rows.shape == (grid.dim, grid.dim, grid.n_nodes)
             for k in range(grid.dim):
-                assert np.array_equal(p_rows[k], grid.d_first[k] @ u)
+                assert np.array_equal(p_rows[k], first[k] @ u)
                 for l in range(grid.dim):
-                    assert np.array_equal(r_rows[k, l], grid.d_second[k][l] @ u)
+                    assert np.array_equal(r_rows[k, l], second[k][l] @ u)
             assert np.array_equal(p_rows, grid.gradient(u).T)
             assert np.array_equal(r_rows, grid.hessian(u).transpose(1, 2, 0))

@@ -65,24 +65,28 @@ fresh factor fails, the attempt is abandoned and the caller halves
 tau after two or three solves, not max_newton.
 
 A factor outlives its attempt only at the ceiling tau = tau_max, where
-the run spends its last steps while u settles onto u_inf + C t and the
-Jacobian barely changes: an accepted step at tau_max hands its last
-factor to the next step, which starts from it as a stale factor, so a
-step at the ceiling factors only when the carried factor stops halving
-the residual (lagged Jacobians in pseudo-transient continuation, Kelley
-and Keyes, 1998). A step that stops halving with the stale factor and
-then meets the floor raised at its fresh Jacobian, before that Jacobian
-is factored, hands on the stale factor, which served it, so the next
-step at the ceiling starts from it without factoring. Below the ceiling tau changes between attempts, so a
-factor would be carried to a tau it was not built at; every attempt
-there factors afresh. run_to_translator drops the carried
-factor when the run ends, and FlowState.copy does not carry it.
+the run spends its last steps while u settles onto u_inf up to a
+constant and the Jacobian barely changes: an accepted step at tau_max
+hands its last factor to the next step, which starts from it as a stale
+factor, so a step at the ceiling factors only when the carried factor
+stops halving the residual (lagged Jacobians in pseudo-transient
+continuation, Kelley and Keyes, 1998). A step that stops halving with
+the stale factor and then meets the floor raised at its fresh Jacobian,
+before that Jacobian is factored, hands on the stale factor, which
+served it, so the next step at the ceiling starts from it without
+factoring. Below the ceiling tau changes between attempts, so a factor
+would be carried to a tau it was not built at; every attempt there
+factors afresh. run_to_translator drops the carried factor when the run
+ends, and FlowState.copy does not carry it.
 
-Each step starts Newton from u_prev + tau C, C the mean interior rate of
-the state (mean_rate), not from u_prev + tau u_dot: the nodewise rate
-carries the decaying transient, which at the ceiling shrinks about 17x
-per step, so extrapolating it linearly overshoots and starts Newton
-farther from the step's solution. The first step starts from u_prev.
+Each step solves from u_prev = u - u[anchor] with u_dot = (u_new -
+u_prev) / tau, so a state carries u up to a constant and the floor does
+not grow with ||u||_inf drifting as t C. Newton starts from u_prev +
+tau C, C the mean interior rate of the state (mean_rate), not from
+u_prev + tau u_dot: the nodewise rate carries the decaying transient,
+which at the ceiling shrinks about 17x per step, so extrapolating it
+linearly overshoots and starts Newton farther from the step's solution.
+The first step starts from u_prev.
 
 Step control is pseudo-transient continuation (Kelley and Keyes, 1998).
 The flow is wanted only for its long-time limit, and tau is only a
@@ -97,13 +101,14 @@ slow linear contraction through many of them.
 The long-time limit is a translator: u(x, t) -> u_inf(x) + C_inf t. The
 run loop declares convergence when the nodewise rate field u_dot has
 oscillation (max - min) below tol_c and the boundary residual is below
-tol_b, then reports C_inf, the profile normalized to vanish at the
-anchor node, and the steady residual max |G - C_inf|. At the ceiling
-the mean interior rate converges linearly, and the first step under
-tol_c can leave it well short of its limit, so C_inf is the Aitken
-delta-squared extrapolation of the last three per-step mean rates when
-they contract geometrically (ratio in (0, 0.5)), and the last mean rate
-otherwise; the extrapolation costs no extra step.
+tol_b, then reports C_inf, the profile u_inf = u - u[anchor] (never
+u - t C, whose rounding the stencils amplify) and the steady residual
+max |G - C_inf|. At the ceiling the mean interior rate converges
+linearly, and the first step under tol_c can leave it well short of its
+limit, so C_inf is the Aitken delta-squared extrapolation of the last
+three per-step mean rates when they contract geometrically (ratio in
+(0, 0.5)), and the last mean rate otherwise; the extrapolation costs no
+extra step.
 """
 
 from __future__ import annotations
@@ -454,9 +459,9 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     converged on at most one fresh factorization grows the next tau by
     TAU_GROWTH up to tau_max, however many chord iterations it took.
     A state without a tau (0, as initialize leaves it) starts at
-    controls.initial_tau(). Newton starts from u_prev + tau C with C
-    the state's mean_rate (from u_prev at the first step). Underflow
-    below tau_min, or a tau too small to advance t, raises
+    controls.initial_tau(). Newton starts from u_prev + tau C, u_prev
+    = u - u[anchor] and C the state's mean_rate (0 at the first step).
+    Underflow below tau_min, or a tau too small to advance t, raises
     StepFailureError; a starting tau that is not finite and positive
     raises ValueError, so no step is accepted backwards in time.
     The accepted state's jets start with the gradient and Hessian rows of
@@ -473,7 +478,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     tau = state.tau if state.tau > 0 else controls.initial_tau()
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"implicit step needs a finite tau > 0, got {tau!r}")
-    u_prev = state.u
+    u_prev = state.u - state.u[state.grid.anchor]
     rate = mean_rate(state) if state.steps > 0 else 0.0
     while True:
         if state.t + tau <= state.t:
@@ -522,14 +527,16 @@ EXPLICIT_CFL = 0.2
 
 
 def step_explicit(state: FlowState, tau: float) -> FlowState:
-    """Forward Euler on the interior; the boundary values then solve the
-    implicit system's boundary rows at tau = 0, where every interior row
-    of ``_jacobian`` is the identity: Newton until the boundary residual
+    """Forward Euler on the interior from u - u[anchor], as in
+    ``step_implicit``; the boundary values then solve the implicit
+    system's boundary rows at tau = 0, where every interior row of
+    ``_jacobian`` is the identity: Newton until the boundary residual
     max-norm is below 1e-13, at most 40 passes (one in 1D, where the two
     end rows are linear and decoupled).
     """
     grid = state.grid
-    p, r = grid.derivative_rows(state.u)
+    u_prev = state.u - state.u[grid.anchor]
+    p, r = grid.derivative_rows(u_prev)
     if state.sig == MINKOWSKI:
         limiter = 1.0 - np.max(np.sum(p * p, axis=0))
     else:
@@ -540,7 +547,7 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
             f"explicit step tau = {tau:g} exceeds the stability bound {bound:g}"
         )
     g = metric_trace(p, r, state.sig)
-    u_new = state.u.copy()
+    u_new = u_prev.copy()
     ii, bb = grid.interior, grid.boundary
     u_new[ii] += tau * g[ii]
     res = np.zeros(grid.n_nodes)
@@ -550,7 +557,7 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
         if np.max(np.abs(res)) < 1e-13:
             break
         u_new -= _factor(_jacobian(state, p, r, 0.0), grid).solve(res)
-    u_dot = (u_new - state.u) / tau
+    u_dot = (u_new - u_prev) / tau
     return replace(
         state, u=u_new, t=state.t + tau, u_dot=u_dot, steps=state.steps + 1,
         newton_iters=0,
@@ -612,7 +619,7 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
     its carried chord factor, so no factor outlives the run.
 
     The reported C_inf is ``_extrapolated_rate`` of the per-step mean
-    rates; u_inf and the steady residual are taken at it.
+    rates; the steady residual is taken at it and at u - u[anchor].
     """
     controls = controls or StepControls()
     t_start = time.perf_counter()
@@ -637,15 +644,17 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
     finally:
         state.factor = None
     if not converged:
+        last = zip(("osc", "bres"), history[-1][2:4] if history else (np.nan,) * 2,
+                   ("tol_c", "tol_b"), (controls.tol_c, controls.tol_b))
         raise NonConvergenceError(
-            f"no translator after {controls.max_steps} steps "
-            f"(osc = {history[-1][2] if history else float('nan'):.3e})",
+            f"no translator after {controls.max_steps} steps: " + ", ".join(
+                f"{name} = {val:.3e} {'below' if val < tol else 'above'} "
+                f"{tol_name} = {tol:.3e}" for name, val, tol_name, tol in last),
             history=history,
         )
 
     c_inf = _extrapolated_rate(rates)
-    u_inf = state.u - state.t * c_inf
-    u_inf = u_inf - u_inf[state.grid.anchor]
+    u_inf = state.u - state.u[state.grid.anchor]
     residual = translator_residual(u_inf, c_inf, state.sig, state.grid)
     tol_r = controls.tol_r_scale * max(1.0, abs(c_inf))
     if residual > tol_r:

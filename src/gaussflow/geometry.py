@@ -17,20 +17,18 @@ The principal curvatures are the eigenvalues of a and the mean curvature
 is its trace. b^ij is the positive square root of g^ij and b_ij its
 inverse; for the Minkowski case this forces the opposite sign on the
 rank-one parts of b^ij/b_ij relative to a common typographic variant
-that breaks both b*b = g^inv and b^ij b_jk = id (the broken variant is
-kept behind ``paper_signs`` as a regression lock for the check suite).
+that breaks both b*b = g^inv and b^ij b_jk = id.
 
 Every formula exists once, on one layout: component-major rows with the
 node axis last, gradients (n, N) and per-node matrices (n, n, N), as
-``grid.derivative_rows`` returns them. ``graph_geometry_many`` takes the
-check suite's node-major jets and converts once on entry and on exit;
-the pointwise API (``graph_geometry`` of a ``PointJet``) is its batch of
-one. Every per-node spectrum (the Hessian eigenvalues, the principal
-curvatures and the solver's and audits' convexity tests) comes from
-``eigenvalues_many``, in closed form for n <= 2. Every contraction
-g^ij m_ij (the flow speed, the Laplacian's main term, the dual operator)
-comes from ``metric_trace``, which builds no g^ij; ``metric_up_many``
-builds it only where a caller needs the matrix itself.
+``grid.derivative_rows`` returns them; the pointwise API
+(``graph_geometry`` of a ``PointJet``) is the batch of one of
+``graph_geometry_many``. Every per-node spectrum (the Hessian eigenvalues,
+the principal curvatures and the solver's and audits' convexity tests)
+comes from ``eigenvalues_many``, in closed form for n <= 2. Every
+contraction g^ij m_ij (the flow speed, the Laplacian's main term, the dual
+operator) comes from ``metric_trace``, which builds no g^ij;
+``metric_up_many`` builds it only where a caller needs the matrix itself.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ class GraphGeometry:
 
     kappa is sorted ascending; H = sum(kappa) = trace(a); nu is the
     (n+1)-dimensional unit normal of the graph in ambient space. From
-    ``graph_geometry_many`` every field carries a leading node axis.
+    ``graph_geometry_many`` every field carries a trailing node axis.
     """
 
     v: float
@@ -95,33 +93,24 @@ class GraphGeometry:
     nu: np.ndarray
 
 
-def graph_geometry(jet: PointJet, sig: str, paper_signs: bool = False) -> GraphGeometry:
-    """All graph quantities at one jet: row 0 of ``graph_geometry_many``."""
-    p = np.asarray(jet.du, dtype=float)[None, :]
-    r = np.asarray(jet.d2u, dtype=float)[None, :, :]
-    many = graph_geometry_many(p, r, sig, paper_signs)
-    return GraphGeometry(*(getattr(many, f.name)[0] for f in fields(GraphGeometry)))
+def graph_geometry(jet: PointJet, sig: str) -> GraphGeometry:
+    """All graph quantities at one jet: node 0 of ``graph_geometry_many``."""
+    p = np.asarray(jet.du, dtype=float)[:, None]
+    r = np.asarray(jet.d2u, dtype=float)[:, :, None]
+    many = graph_geometry_many(p, r, sig)
+    return GraphGeometry(*(getattr(many, f.name)[..., 0] for f in fields(many)))
 
 
-def graph_geometry_many(p: np.ndarray, r: np.ndarray, sig: str,
-                        paper_signs: bool = False) -> GraphGeometry:
-    """All graph quantities at each row of p (N, n) and r (N, n, n).
-
-    The node-major jets are read as component-major rows, and every field
-    is returned with a leading node axis. ``paper_signs`` flips the
-    rank-one parts of b^ij/b_ij in the Minkowski case to the variant that
-    fails b*b = g^inv (the curvature matrix keeps the true b); only the
-    check suite's regression lock should set it.
-    """
-    p, r = p.T, r.transpose(1, 2, 0)
+def graph_geometry_many(p: np.ndarray, r: np.ndarray, sig: str) -> GraphGeometry:
+    """All graph quantities at each node of the rows p (n, N) and r
+    (n, n, N), every field with the node axis last, as in ``NodalJets``."""
     jets = NodalJets.of(p, r, sig)
-    b_up, b_lo = root_metric_many(p, sig, paper_signs)
+    b_up, b_lo = root_metric_many(p, sig)
     tilt = p if sig == MINKOWSKI else -p
     nu = np.concatenate([tilt, np.ones((1, p.shape[1]))]) / jets.v
-    rows = dict(v=jets.v, g_lo=jets.g_lo, g_up=metric_up_many(p, sig),
-                b_up=b_up, b_lo=b_lo, a=jets.a, kappa=jets.kappa, H=jets.H,
-                nu=nu)
-    return GraphGeometry(**{k: np.moveaxis(x, -1, 0) for k, x in rows.items()})
+    return GraphGeometry(v=jets.v, g_lo=jets.g_lo, g_up=metric_up_many(p, sig),
+                         b_up=b_up, b_lo=b_lo, a=jets.a, kappa=jets.kappa,
+                         H=jets.H, nu=nu)
 
 
 def is_spacelike(sq: np.ndarray, sig: str) -> bool:
@@ -177,16 +166,11 @@ def metric_trace(p: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
     return np.einsum("iin->n", m) - signature_eps(sig) * pmp / v2
 
 
-def root_metric_many(p: np.ndarray, sig: str, paper_signs: bool = False):
-    """(b^ij, b_ij) at each node of p (n, N), each of shape (n, n, N).
-
-    b^ij is the positive square root of g^ij and b_ij its inverse;
-    ``paper_signs`` selects the broken Minkowski variant (module docstring).
-    """
+def root_metric_many(p: np.ndarray, sig: str):
+    """(b^ij, b_ij) at each node of p (n, N), each of shape (n, n, N):
+    b^ij is the positive square root of g^ij and b_ij its inverse."""
     v = v_many(p, sig)
     sign = -signature_eps(sig)
-    if paper_signs and sig == MINKOWSKI:
-        sign = -sign
     return _rank_one(p, sign, v * (1.0 + v)), _rank_one(p, -sign, 1.0 + v)
 
 

@@ -195,11 +195,11 @@ def duality_rate_defect(state) -> float:
     if grid.dim != 1:
         raise ValueError("the duality rate audit is implemented on 1D grids")
     tau = grid.h_ref**2
-    probe = step_implicit(
-        dataclasses.replace(state, tau=tau), StepControls(tau_max=tau)
-    )
-    u_t = (probe.u - state.u) / (probe.t - state.t)
-    y1, ut1 = legendre_transform(state.u, grid)
+    # every step solves from u - u[anchor]: so does the probe's base
+    base = dataclasses.replace(state, u=state.u - state.u[grid.anchor], tau=tau)
+    probe = step_implicit(base, StepControls(tau_max=tau))
+    u_t = (probe.u - base.u) / (probe.t - state.t)
+    y1, ut1 = legendre_transform(base.u, grid)
     y2, ut2 = legendre_transform(probe.u, grid)
     order = np.argsort(y2[:, 0])
     spline = CubicSpline(y2[order, 0], ut2[order])

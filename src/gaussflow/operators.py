@@ -8,20 +8,14 @@ the nondivergence trace form; the two expressions agree identically
 because trace((1/v) b r b) = (1/v) trace(r b b) = (1/v) trace(r g^inv)
 and an extra factor v. G is geometry.metric_trace of the Hessian,
 G = tr r - eps p^T r p / v^2, so no metric array is built.
-g_derivatives_many and g_p_paper_many take and return component-major
-rows (grid.derivative_rows); the check suite's entry points
-g_value(_many), g_derivatives and g_dual(_many) read its node-major
-jets as rows once on entry.
+g_derivatives_many and g_dual_many take and return component-major
+rows (grid.derivative_rows).
 Everything downstream differentiates the closed trace form directly:
 
     dG/dr_ij = g^ij(p)
     dG/dp_k  = -2 eps (r p)_k / v^2 + 2 p_k (p^T r p) / v^4
 
 with eps = -1 (Minkowski) or +1 (Euclidean) and v^2 = 1 + eps |p|^2.
-A transcription of the gradient derivative found elsewhere evaluates to
--4 p r / v^4 in one dimension instead of +2 p r / v^4; the finite
-difference oracle arbitrates, and the broken transcription is available
-behind ``paper_form`` purely as a check-suite regression lock.
 
 The Legendre transform ytilde(y) = x . Du(x) - u(x), y = Du(x) swaps the
 domain and its gradient image; the dual operator on the dual Hessian M is
@@ -39,15 +33,11 @@ import numpy as np
 
 from .errors import ConvexityError
 from .geometry import (
-    MINKOWSKI,
     PointJet,
-    curvature_matrix_many,
     eigenvalues_many,
     metric_trace,
     metric_up_many,
-    root_metric_many,
     signature_eps,
-    v_many,
     v_squared,
 )
 
@@ -88,17 +78,11 @@ def g_value_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     return metric_trace(p.T, r.transpose(1, 2, 0), sig)
 
 
-def g_derivatives(jet: PointJet, sig: str, paper_form: bool = False) -> OperatorDerivatives:
-    """Exact derivatives of G at a single jet.
-
-    ``paper_form`` swaps the gradient derivative for the broken printed
-    transcription (see module docstring); check-suite use only.
-    """
+def g_derivatives(jet: PointJet, sig: str) -> OperatorDerivatives:
+    """Exact derivatives of G at a single jet."""
     p = np.asarray(jet.du, dtype=float)[:, None]
     r = np.asarray(jet.d2u, dtype=float)[:, :, None]
     g_r, g_p = g_derivatives_many(p, r, sig)
-    if paper_form:
-        g_p = g_p_paper_many(p, r, sig)
     return OperatorDerivatives(g_r=g_r[:, :, 0], g_p=g_p[:, 0])
 
 
@@ -114,42 +98,25 @@ def g_derivatives_many(p: np.ndarray, r: np.ndarray, sig: str):
     return metric_up_many(p, sig), g_p
 
 
-def g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
-    """Gradient derivative transcribed literally from the broken display,
-    at each node of the rows p (n, N) and r (n, n, N), shape (n, N).
-
-    For the trace operator it reads, per component i,
-        -2 (p_i / v) tr(a) - 2 (b a p)_i
-    and disagrees with the true derivative (ratio -2 in one dimension).
-    """
-    if sig != MINKOWSKI:
-        raise ValueError("the printed transcription exists for the Minkowski case only")
-    v = v_many(p, sig)
-    a = curvature_matrix_many(p, r, sig)
-    b, _ = root_metric_many(p, sig)
-    tr_a = np.einsum("iin->n", a)
-    bap = np.einsum("ijn,jkn,kn->in", b, a, p)
-    return -2.0 * p * (tr_a / v) - 2.0 * bap
-
-
 def g_dual(y, m, sig: str) -> float:
     """Dual operator Gdual(y, M) at one point: the batch of one of ``g_dual_many``."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    return float(g_dual_many(y[None, :], m[None, :, :], sig)[0])
+    return float(g_dual_many(y[:, None], m[:, :, None], sig)[0])
+
+
+def inverse_many(m: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of the rows m (n, n, N), as rows."""
+    return np.moveaxis(np.linalg.inv(np.moveaxis(m, -1, 0)), 0, -1)
 
 
 def g_dual_many(y: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
-    """Dual operator Gdual(y, M) = -g^ij(y) : (M^{-1})_ij at each row.
-
-    y is (N, n) and M (N, n, n), the Hessians of the Legendre transform
-    at y, node-major like the Legendre cloud; every M must be positive
-    definite, and Minkowski signature requires |y| < 1.
-    """
-    rows = m.transpose(1, 2, 0)
-    if np.min(eigenvalues_many(0.5 * (rows + rows.transpose(1, 0, 2)))[0]) <= 0:
+    """Dual operator Gdual(y, M) = -g^ij(y) : (M^{-1})_ij at each node of
+    the rows y (n, N) and M (n, n, N), the Hessians of the Legendre
+    transform at y: each M positive definite, |y| < 1 in Minkowski space."""
+    if np.min(eigenvalues_many(0.5 * (m + m.transpose(1, 0, 2)))[0]) <= 0:
         raise ValueError("dual Hessian must be positive definite")
-    return -metric_trace(y.T, np.linalg.inv(m).transpose(1, 2, 0), sig)
+    return -metric_trace(y, inverse_many(m), sig)
 
 
 def legendre_transform(u: np.ndarray, grid):

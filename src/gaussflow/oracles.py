@@ -31,21 +31,28 @@ discretization:
   for), and central finite differences of the flow
   operator against its exact derivative formulas
   (``fd_check_derivatives``). ``gaussflow check`` and the acceptance
-  suite both evaluate their jets here, as arrays grouped by dimension.
+  suite both evaluate their jets here, grouped by dimension and drawn
+  as the component-major rows the solver uses, so no kernel converts
+  them.
+
+Only this module knows the paper's two Minkowski misprints that
+``gaussflow check --debug-paper-signs`` must catch: the rank-one sign of
+b^ij and b_ij (``identity_defects``) and the gradient derivative of G,
+-4 p r / v^4 in 1D instead of +2 p r / v^4 (``g_p_paper_many``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import OracleFailureError
-from .geometry import (EUCLIDEAN, MINKOWSKI, eigenvalues_many,
-                       graph_geometry_many, metric_trace, signature_eps,
-                       v_squared)
-from .operators import g_derivatives_many, g_dual_many, g_p_paper_many, g_value_many
+from .geometry import (EUCLIDEAN, MINKOWSKI, curvature_matrix_many,
+                       eigenvalues_many, graph_geometry_many, metric_trace,
+                       root_metric_many, signature_eps, v_many, v_squared)
+from .operators import g_derivatives_many, g_dual_many, inverse_many
 
 
 @dataclass(frozen=True)
@@ -289,14 +296,16 @@ JET_REACH = 0.95
 
 
 def random_jets(rng: np.random.Generator, count: int, sig: str) -> dict:
-    """``count`` random jets, grouped by dimension: {n: (p (m, n), r (m, n, n))}.
+    """``count`` random jets, grouped by dimension, as component-major
+    rows: {n: (p (n, m), r (n, n, m))}.
 
     In this order of draws from ``rng``: the dimensions of all ``count``
     jets, uniform in {1, 2, 3}; then, for each dimension n present, in
     increasing order and for its m jets at once, the gradients
     (Minkowski: m uniform directions, then m lengths uniform in
     [0, JET_REACH); Euclidean: standard normal) and the Hessians, the
-    symmetric parts of m standard normal matrices.
+    symmetric parts of m standard normal matrices. Each jet is drawn as
+    one row of a node-major table, and each table is transposed once.
     """
     dims = rng.integers(1, 4, size=count)
     jets = {}
@@ -309,8 +318,26 @@ def random_jets(rng: np.random.Generator, count: int, sig: str) -> dict:
         else:
             p = rng.normal(size=(m, n))
         r = rng.normal(size=(m, n, n))
-        jets[n] = (p, 0.5 * (r + np.swapaxes(r, 1, 2)))
+        jets[n] = (p.T, (0.5 * (r + np.swapaxes(r, 1, 2))).transpose(1, 2, 0))
     return jets
+
+
+def g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
+    """The gradient derivative of G as misprinted, at each node of the
+    rows p (n, N) and r (n, n, N), shape (n, N).
+
+    For the trace operator it reads, per component i,
+        -2 (p_i / v) tr(a) - 2 (b a p)_i
+    and disagrees with the true derivative (ratio -2 in one dimension).
+    """
+    if sig != MINKOWSKI:
+        raise ValueError("the printed transcription exists for the Minkowski case only")
+    v = v_many(p, sig)
+    a = curvature_matrix_many(p, r, sig)
+    b, _ = root_metric_many(p, sig)
+    tr_a = np.einsum("iin->n", a)
+    bap = np.einsum("ijn,jkn,kn->in", b, a, p)
+    return -2.0 * p * (tr_a / v) - 2.0 * bap
 
 
 IDENTITY_KEYS = ("root", "inverse", "root-inverse", "trace", "normal",
@@ -328,35 +355,36 @@ def identity_defects(jets: dict, sig: str, paper_signs: bool = False,
     Minkowski space), ``hessian-slot`` |G_r - (I - eps p p^T / v^2)| with
     v^2 from ``v_squared`` (G_r divides by the squared tilt), and
     ``duality`` |Gdual + G| at each jet with its Hessian shifted positive
-    definite and the dual Hessian its inverse. ``paper_signs`` reaches
-    only b^ij and b_ij, so only ``root`` and ``root-inverse`` see it.
-    ``hessian-slot`` and the Hessian shift read the jets as rows.
+    definite and the dual Hessian its inverse. In the Minkowski case
+    ``paper_signs`` replaces b^ij and b_ij by 2 I - b, which flips
+    exactly their rank-one parts, the misprint; only ``root`` and
+    ``root-inverse`` see it.
     """
     eps = signature_eps(sig)
     worst = dict.fromkeys(keys, 0.0)
     for n, (p, r) in jets.items():
-        eye = np.eye(n)
-        p_rows, r_rows = p.T, r.transpose(1, 2, 0)
+        eye = np.eye(n)[:, :, None]
 
         def duality():
-            lam_min = eigenvalues_many(r_rows)[0]
-            r_pd = r + (np.abs(lam_min) + 0.5)[:, None, None] * eye
-            return (g_dual_many(p, np.linalg.inv(r_pd), sig)
-                    + g_value_many(p, r_pd, sig))
+            r_pd = r + (np.abs(eigenvalues_many(r)[0]) + 0.5) * eye
+            return (g_dual_many(p, inverse_many(r_pd), sig)
+                    + metric_trace(p, r_pd, sig))
 
-        geo = (graph_geometry_many(p, r, sig, paper_signs)
+        geo = (graph_geometry_many(p, r, sig)
                if set(keys) - {"duality", "hessian-slot"} else None)
+        if geo is not None and paper_signs and sig == MINKOWSKI:
+            geo = replace(geo, b_up=2.0 * eye - geo.b_up, b_lo=2.0 * eye - geo.b_lo)
         defect = {
-            "root": lambda: geo.b_up @ geo.b_up - geo.g_up,
-            "inverse": lambda: geo.g_lo @ geo.g_up - eye,
-            "root-inverse": lambda: geo.b_up @ geo.b_lo - eye,
-            "trace": lambda: geo.v * geo.H - g_value_many(p, r, sig),
-            "normal": lambda: (np.sum(geo.nu[:, :-1] ** 2, axis=1)
-                               + eps * geo.nu[:, -1] ** 2 - eps),
+            "root": lambda: np.einsum("ijn,jkn->ikn", geo.b_up, geo.b_up) - geo.g_up,
+            "inverse": lambda: np.einsum("ijn,jkn->ikn", geo.g_lo, geo.g_up) - eye,
+            "root-inverse": lambda: np.einsum("ijn,jkn->ikn", geo.b_up, geo.b_lo) - eye,
+            "trace": lambda: geo.v * geo.H - metric_trace(p, r, sig),
+            "normal": lambda: (np.sum(geo.nu[:-1] ** 2, axis=0)
+                               + eps * geo.nu[-1] ** 2 - eps),
             "hessian-slot": lambda: (
-                g_derivatives_many(p_rows, r_rows, sig)[0] - eye[:, :, None]
-                + eps * (p_rows[:, None] * p_rows)
-                / v_squared(np.einsum("in,in->n", p_rows, p_rows), sig)),
+                g_derivatives_many(p, r, sig)[0] - eye
+                + eps * (p[:, None] * p)
+                / v_squared(np.einsum("in,in->n", p, p), sig)),
             "duality": duality,
         }
         for key in keys:
@@ -368,17 +396,16 @@ def fd_check_derivatives(samples: int, sig: str, eps_fd: float,
                          seed: int = 0, paper_form: bool = False) -> float:
     """Worst relative error of the exact derivatives vs central differences.
 
-    Draws ``random_jets``, read as component-major rows; every gradient
-    component and every symmetric Hessian direction is checked, one
-    batched operator evaluation per direction and dimension.
-    ``paper_form`` routes the gradient derivative through the broken
-    printed transcription so the check suite can demonstrate its failure.
+    Draws ``random_jets``; every gradient component and every symmetric
+    Hessian direction is checked, one batched operator evaluation per
+    direction and dimension. ``paper_form`` routes the gradient
+    derivative through the misprint ``g_p_paper_many`` so the check
+    suite can demonstrate its failure.
     """
     if not 1e-7 <= eps_fd <= 1e-3:
         raise ValueError("finite difference step must lie in [1e-7, 1e-3]")
     worst = 0.0
     for n, (p, r) in random_jets(np.random.default_rng(seed), samples, sig).items():
-        p, r = p.T, r.transpose(1, 2, 0)
         g_r, g_p = g_derivatives_many(p, r, sig)
         if paper_form:
             g_p = g_p_paper_many(p, r, sig)

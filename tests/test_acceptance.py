@@ -1,6 +1,6 @@
 """Acceptance suite for the solver.
 
-Eight criteria, each printed as one pass/fail line (run with -s to see
+Nine criteria, each printed as one pass/fail line (run with -s to see
 them live). The four reference runs are computed once per session and
 shared:
 
@@ -11,6 +11,9 @@ shared:
          polar grid; reference speed frozen from the shooting oracle.
   run 4  2D Minkowski, unit ball onto the ellipse with semi-axes
          (0.4, 0.25).
+
+Criterion 9, the 2D convergence order, also runs the problems of runs 3
+and 4 on the 16 x 32 and 32 x 64 grids.
 
 Tolerance provenance: speed errors and runtimes are fixed by the
 criteria; monitor tolerances are tol_mon = 10 (h^2 + tau_max h) from the
@@ -219,7 +222,7 @@ class TestCriterion6_KernelIdentities:
             defects = oracles.identity_defects(jets, sig)
             worst_sq = max(worst_sq, defects["root"])
             worst_tr = max(worst_tr, defects["trace"])
-            count += sum(len(p) for p, _ in jets.values())
+            count += sum(p.shape[1] for p, _ in jets.values())
         ok = worst_sq <= 1e-12 and worst_tr <= 1e-12
         _report("criterion-6 identities", ok,
                 f"{count} jets: max |b*b - g^inv| = {worst_sq:.2e}, "
@@ -285,3 +288,30 @@ class TestCriterion8_RateDuality:
         _report("criterion-8 rate duality", worst <= 50 * h2,
                 f"max |d(u_tilde)/dt + du/dt| = {worst:.3e} over 10 sampled "
                 f"times (<= 50 h^2 = {50 * h2:.3e})")
+
+
+def coarse_speeds(bundle, specs=((16, 32), (32, 64))):
+    """C_inf of a reference run's problem on coarser polar grids, then of
+    the run itself: one speed per grid doubling, coarsest first."""
+    state0 = bundle.state0
+    speeds = [flow.run_to_translator(flow.initialize(
+        state0.omega, state0.omega_tilde, spec, state0.sig)).c_inf
+        for spec in specs]
+    return speeds + [bundle.result.c_inf]
+
+
+class TestCriterion9_Convergence2D:
+    def test_radial_error_ratios(self, run3):
+        errs = [abs(c - FROZEN_RADIAL_C) for c in coarse_speeds(run3)]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        _report("criterion-9 radial order", min(ratios) >= 3.5,
+                f"|C - C_shoot| {errs[0]:.3e} -> {errs[1]:.3e} -> "
+                f"{errs[2]:.3e} over 16x32 to 64x128, ratios "
+                f"{ratios[0]:.3f}, {ratios[1]:.3f} (>= 3.5)")
+
+    def test_ellipse_observed_order(self, run4):
+        c16, c32, c64 = coarse_speeds(run4)
+        order = float(np.log2((c32 - c16) / (c64 - c32)))
+        _report("criterion-9 ellipse order", 1.8 <= order <= 2.2,
+                f"C {c16:.10f}, {c32:.10f}, {c64:.10f} over 16x32 to "
+                f"64x128, observed order {order:.3f} (in [1.8, 2.2])")

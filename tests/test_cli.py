@@ -221,11 +221,21 @@ class TestRunCommand:
             # 17 significant digits round-trip: formatting again is identical
             assert cli._fmt(u[k]) == toks[-1]
 
-    def test_snapshot_with_wrong_column_count(self, tmp_path):
+    @pytest.mark.parametrize("text,match", [
+        ("dimension = 1\ncolumns = index x u\n0 0.0 1.0 2.0\n",
+         "has 4 columns, expected 3"),
+        ("dimension = 1\ncolumns = index x u\n0 0.0 1.0\n1 0.5\n",
+         "row 2 has 2 columns, expected 3"),
+        ("dimension = 1\n0 0.0 1.0\n", "no header key 'columns'"),
+        ("dimension = 1\ncolumns = index x u\n0 0.0 one\n",
+         "could not convert string to float: 'one'"),
+    ], ids=["wide-row", "ragged", "no-columns", "non-numeric"])
+    def test_snapshot_with_wrong_column_count(self, tmp_path, text, match):
         path = tmp_path / "snapshot.txt"
-        path.write_text("dimension = 1\ncolumns = index x u\n0 0.0 1.0 2.0\n")
-        with pytest.raises(ConfigError, match="has 4 columns, expected 3"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match) as err:
             cli.read_snapshot(path)
+        assert str(err.value).startswith(f"snapshot {path}: ")
 
     def test_fields_csv_schema(self, finished_run):
         _, out = finished_run

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gaussflow import geometry as geo
+from gaussflow import oracles
 from gaussflow.errors import SpacelikeViolationError
 from gaussflow.grids import LineGrid, MappedDiskGrid
 
@@ -111,10 +112,11 @@ class TestGraphGeometry:
         geo.graph_geometry(jet, geo.EUCLIDEAN)
 
     def test_paper_signs_break_square_root_identity(self):
-        jet = geo.PointJet(x=np.zeros(2), u=0.0,
-                           du=np.array([0.6, 0.0]), d2u=np.eye(2))
-        g = geo.graph_geometry(jet, geo.MINKOWSKI, paper_signs=True)
-        assert np.max(np.abs(g.b_up @ g.b_up - g.g_up)) > 0.5
+        # the misprint lives in the check suite: b^ij flipped to 2 I - b^ij
+        jets = {2: (np.array([[0.6], [0.0]]), np.eye(2)[:, :, None])}
+        defects = oracles.identity_defects(jets, geo.MINKOWSKI, paper_signs=True,
+                                           keys=("root",))
+        assert defects["root"] > 0.5
 
     def test_asymmetric_hessian_rejected(self):
         with pytest.raises(ValueError):

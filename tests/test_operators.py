@@ -84,9 +84,9 @@ class TestGDerivatives:
         assert 3.0 < errs[1] / errs[2] < 5.0
 
     def test_paper_transcription_ratio_minus_two(self):
-        true = ops.g_derivatives(jet1d(0.6, 1.0), MINKOWSKI).g_p[0]
-        paper = ops.g_derivatives(jet1d(0.6, 1.0), MINKOWSKI,
-                                  paper_form=True).g_p[0]
+        p, r = np.array([[0.6]]), np.array([[[1.0]]])
+        true = ops.g_derivatives_many(p, r, MINKOWSKI)[1][0, 0]
+        paper = oracles.g_p_paper_many(p, r, MINKOWSKI)[0, 0]
         assert paper / true == pytest.approx(-2.0, abs=1e-12)
         assert paper == pytest.approx(-4 * 0.6 / 0.8**4, abs=1e-12)
 

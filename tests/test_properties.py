@@ -125,21 +125,26 @@ def test_nodal_jets_match_pointwise_geometry(batch):
 @given(jet_batches(), st.booleans())
 def test_graph_geometry_matches_pointwise_reference(batch, paper_signs):
     """Every field of the batch of one and of each batch row; paper_signs
-    flips b^ij and b_ij only."""
+    flips b^ij and b_ij only, as ``oracles.identity_defects`` flips them
+    (2 I - b in the Minkowski case)."""
     p, r, sig = batch
-    many = graph_geometry_many(p, r, sig, paper_signs)
+    many = graph_geometry_many(*rows_of(p, r), sig)
+    eye = np.eye(p.shape[1])
     for k in range(p.shape[0]):
         jet = PointJet(x=np.zeros(p.shape[1]), u=0.0, du=p[k], d2u=r[k])
         ref = ref_graph_geometry(jet, sig)
         flipped = ref_graph_geometry(jet, sig, paper_signs)
-        one = graph_geometry(jet, sig, paper_signs)
+        one = graph_geometry(jet, sig)
         for name, want in (("v", ref.v), ("g_lo", ref.g_lo), ("g_up", ref.g_up),
                            ("b_up", flipped.b_up), ("b_lo", flipped.b_lo),
                            ("a", ref.a), ("kappa", ref.kappa), ("H", ref.H),
                            ("nu", ref.nu)):
-            assert np.shape(getattr(one, name)) == np.shape(want), name
-            assert np.max(np.abs(getattr(one, name) - want)) <= 1e-12, name
-            assert np.max(np.abs(getattr(many, name)[k] - want)) <= 1e-12, name
+            got_one, got_k = getattr(one, name), getattr(many, name)[..., k]
+            if paper_signs and sig == MINKOWSKI and name in ("b_up", "b_lo"):
+                got_one, got_k = 2.0 * eye - got_one, 2.0 * eye - got_k
+            assert np.shape(got_one) == np.shape(want), name
+            assert np.max(np.abs(got_one - want)) <= 1e-12, name
+            assert np.max(np.abs(got_k - want)) <= 1e-12, name
 
 
 SNAPSHOT_STATES = [
@@ -426,7 +431,7 @@ def test_component_major_g_matches_node_major_formula(data):
     lam_min = np.linalg.eigvalsh(r)[:, 0]
     m = r + (np.abs(lam_min) + 0.5)[:, None, None] * np.eye(p.shape[1])
     m_inv = np.linalg.inv(m)
-    assert within(g_dual_many(p, m, sig), metric_dual(p, m, sig),
+    assert within(g_dual_many(*rows_of(p, m), sig), metric_dual(p, m, sig),
                   np.einsum("nij,nij->n", np.abs(g_up), np.abs(m_inv)))
 
 

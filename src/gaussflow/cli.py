@@ -306,14 +306,18 @@ def run_command(config_path) -> int:
         if config.anchor is not None and not 0 <= config.anchor < n_nodes:
             raise ConfigError(f"anchor = {config.anchor} is not a node index "
                               f"in [0, {n_nodes})")
+        out = Path(config.output_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"output_dir {str(out)!r}: {exc.strerror or exc}") from None
     except (ConfigError, ValueError, GaussFlowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     if config.anchor is not None:
         state.grid.anchor = config.anchor
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     monitor = mon.RunMonitor(state, cadence=config.cadence,
                              tau_max=config.controls.tau_max)
     converged, result, message = False, None, ""
@@ -367,11 +371,16 @@ def oracle_command(args) -> int:
         return 0
     print(f"C = {profile.c_speed:.10f}")
     out = Path(args.out) if args.out else Path("profile.csv")
-    with open(out, "w") as f:
-        f.write("r,phi\n")
-        row = f"{FMT},{FMT}\n".format
-        f.writelines(row(rk, pk) for rk, pk in zip(profile.radii.tolist(),
-                                                   profile.phi.tolist()))
+    try:
+        with open(out, "w") as f:
+            f.write("r,phi\n")
+            row = f"{FMT},{FMT}\n".format
+            f.writelines(row(rk, pk) for rk, pk in zip(profile.radii.tolist(),
+                                                       profile.phi.tolist()))
+    except OSError as exc:
+        print(f"oracle error: cannot write {out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     print(f"profile written to {out}")
     return 0
 

@@ -33,7 +33,7 @@ class NonConvergenceError(GaussFlowError):
 
 
 class OracleFailureError(GaussFlowError):
-    """A ground-truth oracle could not bracket or converge."""
+    """A ground-truth oracle missed its target or built an inadmissible profile."""
 
 
 class ConfigError(GaussFlowError):

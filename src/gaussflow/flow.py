@@ -529,10 +529,9 @@ EXPLICIT_CFL = 0.2
 def step_explicit(state: FlowState, tau: float) -> FlowState:
     """Forward Euler on the interior from u - u[anchor], as in
     ``step_implicit``; the boundary values then solve the implicit
-    system's boundary rows at tau = 0, where every interior row of
-    ``_jacobian`` is the identity: Newton until the boundary residual
-    max-norm is below 1e-13, at most 40 passes (one in 1D, where the two
-    end rows are linear and decoupled).
+    system's boundary rows at tau = 0, where every interior row is the
+    identity: ``_newton_solve`` to 1e-13 (or its roundoff floor) in at
+    most 40 iterations, and ``StepFailureError`` if it fails.
     """
     grid = state.grid
     u_prev = state.u - state.u[grid.anchor]
@@ -546,17 +545,15 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
         raise ValueError(
             f"explicit step tau = {tau:g} exceeds the stability bound {bound:g}"
         )
-    g = metric_trace(p, r, state.sig)
-    u_new = u_prev.copy()
-    ii, bb = grid.interior, grid.boundary
-    u_new[ii] += tau * g[ii]
-    res = np.zeros(grid.n_nodes)
-    for _ in range(40):
-        p, r = grid.derivative_rows(u_new)
-        res[bb], _ = _boundary_rows(state, p[:, bb])
-        if np.max(np.abs(res)) < 1e-13:
-            break
-        u_new -= _factor(_jacobian(state, p, r, 0.0), grid).solve(res)
+    u_fe = u_prev.copy()
+    u_fe[grid.interior] += tau * metric_trace(p, r, state.sig)[grid.interior]
+    got = _newton_solve(state, u_fe, u_fe, 0.0,
+                        StepControls(tol_newton=1e-13, max_newton=40))
+    if got is None:
+        raise StepFailureError(
+            f"the explicit step's boundary projection failed (t = {state.t:.6g})"
+        )
+    u_new = got[0]
     u_dot = (u_new - u_prev) / tau
     return replace(
         state, u=u_new, t=state.t + tau, u_dot=u_dot, steps=state.steps + 1,

@@ -10,20 +10,15 @@ discretization:
 
       C = (artanh d - artanh c) / (b - a)   resp. arctan.
 
-* Radially symmetric translators by shooting. With slope phi(r) = u'(r)
-  the profile solves phi' = (C - (n-1) phi / r) (1 -+ phi^2), phi(0) = 0,
-  regularized near the axis by phi ~ (C/n) r. Each shot integrates it
-  together with the variational equation for s = dphi/dC by DOP853, the
-  8th-order Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs
-  I, II.10), and Newton on C, safeguarded by bisection on a bracket,
-  matches phi(R) to the prescribed boundary slope. Newton starts at
-  c0 = n inv(rho) / R, inv = artanh resp. arctan: exact for n = 1, an
-  upper bound on C in Minkowski space and a lower bound in Euclidean
-  space. The bracket end is an upper bound by comparison: c0 itself
-  (Minkowski) and n rho / R + 1 (Euclidean, from phi(R) >= C R / n).
-  Only Euclidean shots watch for blowup; a Minkowski slope stays in
-  (-1, 1). phi(R) is increasing in C: each shot proves it locally
-  (s > 0) and consecutive iterates re-verify it.
+* Radially symmetric translators. With slope phi(r) = u'(r) the
+  profile solves phi' = (C - (n-1) phi / r) (1 -+ phi^2), phi(0) = 0,
+  phi ~ (C/n) r near the axis. The equation is invariant under
+  r -> C r, so phi(r; C) = Phi(C r), Phi its solution at C = 1, and the
+  speed is C = S / R with S the point where Phi reaches the boundary
+  slope. One integration by DOP853, the 8th-order Dormand-Prince pair
+  (Hairer, Norsett & Wanner, Solving ODEs I, II.10), of the angle
+  w = inv(Phi), inv = artanh resp. arctan, finds S as a terminal event
+  and samples the profile from its dense output; no search over C.
 
 * The invariant suite over batches of random jets (``random_jets``):
   the closed-form identities of the graph geometry and the operators
@@ -118,54 +113,15 @@ class RadialProfile:
         return np.interp(np.asarray(r, dtype=float), self.radii, cum)
 
 
-_START_RADIUS = 1e-8
-
-
 def _slope_ode(c_speed: float, n: int, sig: str):
-    """Right-hand side of the pair (phi, s = dphi/dC) as ``rhs(r, (phi, s))``.
-
-    phi' = (C - (n-1) phi / r)(1 + eps phi^2); s' is its derivative in C
-    along s, (1 - (n-1) s / r)(1 + eps phi^2) + 2 eps phi s (C - (n-1) phi / r).
-    Both rows broadcast over arrays of nodes.
-    """
+    """Right-hand side phi' = (C - (n-1) phi / r)(1 + eps phi^2) as
+    ``rhs(r, phi)``, broadcast over arrays of nodes."""
     eps = signature_eps(sig)
 
-    def rhs(r, y):
-        phi, s = y[0], y[1]
-        drift = c_speed - (n - 1) * phi / r
-        metric = 1.0 + eps * phi * phi
-        return [drift * metric,
-                (1.0 - (n - 1) * s / r) * metric + 2.0 * eps * phi * s * drift]
+    def rhs(r, phi):
+        return (c_speed - (n - 1) * phi / r) * (1.0 + eps * phi * phi)
 
     return rhs
-
-
-def _explode(r, y):
-    """Terminal event of a shot: the slope reaches 1e6 (a Euclidean blowup)."""
-    return y[0] - 1e6
-
-
-_explode.terminal = True
-
-
-def _shoot(c_speed: float, radius: float, n: int, sig: str, dense: bool = False):
-    """Integrate (phi, dphi/dC) out to ``radius`` by DOP853; None on blowup.
-
-    Only a Euclidean slope can blow up: in Minkowski space
-    phi' = drift (1 - phi^2) keeps |phi| < 1, so the blowup event is
-    attached to Euclidean shots alone.
-    """
-    rhs = _slope_ode(c_speed, n, sig)
-    t_eval = np.linspace(_START_RADIUS, radius, 4097) if dense else None
-    y0 = [c_speed * _START_RADIUS / n, _START_RADIUS / n]
-    sol = solve_ivp(
-        rhs, (_START_RADIUS, radius), y0,
-        method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_eval,
-        events=_explode if sig == EUCLIDEAN else None,
-    )
-    if not sol.success or sol.t[-1] < radius * (1.0 - 1e-12):
-        return None
-    return sol
 
 
 def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
@@ -173,104 +129,70 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
     """Radial translator over the ball of the given radius.
 
     ``rho`` is the prescribed boundary slope (the gradient image is the
-    rho-ball). The speed C solves phi(R; C) = rho, found by Newton on C
-    with s = dphi(R)/dC integrated alongside phi, safeguarded by the
-    bracket [0, c_max]: the bracket shrinks by the sign of phi(R) - rho,
-    a Newton step is taken when it lands in the closed bracket and is at
-    most half the step before the last (so the steps shrink even where
-    Newton would cycle), and a bisection otherwise. A shot that
-    blows up counts as phi(R) > rho. ``tol`` bounds the error in C: the
-    search stops once a Newton step is at most tol / 2 or the bracket at
-    most tol wide. Every shot must have s > 0 (phi(R) increasing in C
-    there), and consecutive iterates must order phi(R) as they order C;
-    otherwise ``OracleFailureError``.
+    rho-ball). The slope equation is invariant under r -> C r, so
+    phi(r; C) = Phi(C r) with Phi its solution at C = 1, and the speed is
+    C = S / R, S the point where Phi reaches rho. One DOP853 integration
+    of the angle w = inv(Phi), inv = artanh (Minkowski) or arctan
+    (Euclidean), finds S as a terminal event and samples the profile
+    from its dense output; ``tol`` in (0, 1) sets its tolerances,
+    rtol = max(tol / 100, 1e-13) and atol = rtol / 100.
 
-    The search starts at c0 = n inv(rho) / R, inv = artanh (Minkowski)
-    or arctan (Euclidean), the exact speed for n = 1. The drift
-    C - (n-1) phi / r is positive (it is C / n at the axis and rises
-    where it would vanish), so phi increases from 0, and comparison
-    bounds C on both sides:
+    The drift C - (n-1) phi / r is positive (it is C / n at the axis and
+    rises where it would vanish), so phi increases from 0, and
+    w' = 1 - (n-1) fwd(w) / s <= 1, fwd = tanh resp. tan, gives
+    S >= inv(rho): the integration starts at s0 = 1e-8 inv(rho) on the
+    axis asymptote w = s / n, so the first sampled radius is at most
+    1e-8 R up to rounding. Comparison bounds S from above, and the span
+    ends 1 past the bound:
 
-    * Minkowski: artanh(phi) >= phi gives
-      (r^{n-1} artanh phi)' >= C r^{n-1}, so artanh phi(R) >= C R / n and
-      C <= c0: c_max = c0, and the first shot checks it (one below rho by
-      more than tol times s means no bracket; below by less returns c0).
+    * Minkowski: artanh(phi) >= phi gives (r^{n-1} artanh phi)' >=
+      C r^{n-1}, so S <= n artanh(rho).
     * Euclidean: 1 + phi^2 >= 1 gives (r^{n-1} phi)' >= C r^{n-1}, so
-      phi(R) >= C R / n and C <= n rho / R; c_max = n rho / R + 1.
-      arctan(phi) <= phi turns the Minkowski argument round, so here the
-      start is a lower bound.
+      S <= n rho.
+
+    An integration that ends without the event, or a sampled profile
+    that is not strictly increasing, raises ``OracleFailureError``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if sig == MINKOWSKI:
         if not 0.0 < rho < 1.0:
             raise ValueError("Minkowski boundary slope must lie in (0, 1)")
-        c_start = n * np.arctanh(rho) / radius
-        c_max = c_start
+        fwd, w_end = np.tanh, float(np.arctanh(rho))
+        s_max = n * w_end + 1.0
     elif sig == EUCLIDEAN:
         if rho <= 0:
             raise ValueError("boundary slope must be positive")
-        c_start = n * np.arctan(rho) / radius
-        c_max = n * rho / radius + 1.0
+        fwd, w_end = np.tan, float(np.arctan(rho))
+        s_max = n * rho + 1.0
     else:
         raise ValueError(f"unknown signature {sig!r}")
 
-    def miss(c_speed):
-        """(phi(R) - rho, dphi(R)/dC) at this speed; (inf, None) on blowup."""
-        sol = _shoot(c_speed, radius, n, sig)
-        if sol is None:
-            return np.inf, None
-        phi_end, s_end = sol.y[:, -1]
-        if not s_end > 0.0:
-            raise OracleFailureError(
-                f"dphi(R)/dC = {s_end:.3e} at C = {c_speed:.10g}; phi(R) is "
-                "not increasing in C"
-            )
-        return float(phi_end) - rho, float(s_end)
+    def crossing(s, w):
+        return w[0] - w_end
 
-    lo, hi = 0.0, float(c_max)  # C = 0 gives phi identically 0 < rho
-    no_bracket = f"no bracket for the shooting speed in (0, {c_max:.6g})"
-    if sig == EUCLIDEAN and not miss(hi)[0] > 0.0:
-        raise OracleFailureError(no_bracket)
-    c_speed = float(c_start)
-    step_before, last_step = hi - lo, hi - lo
-    prev = None
-    while True:
-        val, sens = miss(c_speed)
-        if c_speed == c_max and val < 0.0 and -val > tol * sens:
-            raise OracleFailureError(no_bracket)  # the first Minkowski shot
-        if np.isfinite(val):
-            if prev is not None and (c_speed - prev[0]) * (val - prev[1]) < -1e-13:
-                raise OracleFailureError(
-                    "phi(R) failed to be monotone in C; the shooting search is invalid"
-                )
-            prev = (c_speed, val)
-        if val < 0.0:
-            lo = c_speed
-        else:
-            hi = c_speed
-        if hi - lo <= tol:
-            c_speed = 0.5 * (lo + hi)
-            break
-        step = np.inf if sens is None else val / sens
-        if lo <= c_speed - step <= hi and abs(step) <= 0.5 * step_before:
-            c_speed -= step
-            step_before, last_step = last_step, abs(step)
-            if last_step <= 0.5 * tol:
-                break
-        else:
-            step_before, last_step = last_step, 0.5 * (hi - lo)
-            c_speed = lo + last_step
-    sol = _shoot(c_speed, radius, n, sig, dense=True)
-    if sol is None:
-        raise OracleFailureError("converged speed failed to integrate densely")
-    radii = np.concatenate([[0.0], sol.t])
-    phi = np.concatenate([[0.0], sol.y[0]])
+    crossing.terminal = True
+    s0 = 1e-8 * w_end
+    rtol = max(tol / 100.0, 1e-13)
+    sol = solve_ivp(lambda s, w: 1.0 - (n - 1) * fwd(w) / s, (s0, s_max),
+                    [s0 / n], method="DOP853", rtol=rtol, atol=rtol / 100.0,
+                    events=crossing, dense_output=True)
+    if sol.status != 1:
+        raise OracleFailureError(
+            f"the slope did not reach {rho:g} by s = {s_max:.6g}: {sol.message}"
+        )
+    s_end = float(sol.t_events[0][0])
+    c_speed = s_end / radius
+    radii = np.linspace(s0 / c_speed, radius, 4097)
+    phi = np.concatenate([[0.0], fwd(sol.sol(c_speed * radii)[0])])
+    radii = np.concatenate([[0.0], radii])
     if np.any(np.diff(phi) <= 0.0):
-        raise OracleFailureError("shooting profile is not strictly increasing")
-    return RadialProfile(radii=radii, phi=phi, c_speed=float(c_speed),
+        raise OracleFailureError("radial profile is not strictly increasing")
+    return RadialProfile(radii=radii, phi=phi, c_speed=c_speed,
                          dimension=n, sig=sig)
 
 
@@ -284,7 +206,7 @@ def radial_ode_residual(profile: RadialProfile) -> float:
     rhs = _slope_ode(profile.c_speed, profile.dimension, profile.sig)
     r = profile.radii[1:]  # skip the synthetic r = 0 node
     phi = profile.phi[1:]
-    f = rhs(r, (phi, 0.0))[0]
+    f = rhs(r, phi)
     dr = r[2] - r[1]
     lhs = phi[2::2] - phi[:-2:2]
     quad = (dr / 3.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])

@@ -122,12 +122,15 @@ class TestStepControlValidation:
                      id="unknown-domain-kind"),
         pytest.param("omega = ball 0 0 1\nomega_tilde = ball 0 0 0.5",
                      "2D runs need keys: n_rho, n_theta", id="2d-without-grid"),
+        # a directory under the configuration file, a regular file
+        pytest.param("output_dir = {cfg}/out", "output_dir",
+                     id="output-dir-under-a-file"),
     ])
     def test_exits_one_with_configuration_error(self, tmp_path, capsys,
                                                 extra, key):
         cfg = tmp_path / "bad.cfg"
         out = tmp_path / "out"
-        cfg.write_text(BASE_CONFIG.format(out=out) + extra + "\n")
+        cfg.write_text(BASE_CONFIG.format(out=out) + extra.format(cfg=cfg) + "\n")
         assert cli.main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
@@ -468,6 +471,17 @@ class TestOracleCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "r,phi"
         assert len(lines) > 1000
+
+    def test_unwritable_profile_exits_one(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "p.csv"
+        assert cli.main(["oracle", "radial", "1", "0.5", "2", "minkowski",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "C = 1.0735826836" in captured.out
+        assert f"oracle error: cannot write {out}: " in captured.err
+        assert "Traceback" not in captured.err
 
     def test_bad_parameters_exit_one(self, capsys):
         assert cli.main(["oracle", "closed1d", "0", "1", "-1.5", "0.5",

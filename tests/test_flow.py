@@ -904,6 +904,12 @@ class TestStepExplicit:
         with pytest.raises(ValueError, match="stability"):
             step_explicit(state, 1.0)
 
+    def test_failed_boundary_projection_raises(self, monkeypatch):
+        state, _ = translator_state(101)
+        monkeypatch.setattr(flow, "_newton_solve", lambda *args: None)
+        with pytest.raises(StepFailureError, match="boundary projection"):
+            step_explicit(state, 0.1 * state.grid.h**2)
+
     def test_constant_rate_field(self):
         state, c = translator_state(101)
         h = state.grid.h

@@ -1,4 +1,4 @@
-"""Ground-truth oracles: closed forms, shooting, derivative checks."""
+"""Ground-truth oracles: closed forms, the radial translator, derivative checks."""
 
 from types import SimpleNamespace
 
@@ -119,144 +119,55 @@ class TestRadialShooting:
                                                   tol=1e-10)
         assert abs(prof.c_speed - FROZEN_RADIAL_C) <= 1e-10
 
-    def test_newton_needs_few_shots(self, monkeypatch):
-        real = oracles._shoot
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("sig, rho", [(MINKOWSKI, 0.5), (EUCLIDEAN, 5.0)])
+    def test_one_integration_per_call(self, monkeypatch, n, sig, rho):
+        calls = []
+        real = oracles.solve_ivp
 
-        def shots(n):
-            calls = []
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
 
-            def counted(*args, **kwargs):
-                calls.append(kwargs.get("dense", False))
-                return real(*args, **kwargs)
+        monkeypatch.setattr(oracles, "solve_ivp", counted)
+        oracles.translator_radial_shooting(1.0, rho, n, sig, tol=1e-10)
+        assert len(calls) == 1
+        assert calls[0]["method"] == "DOP853"
 
-            monkeypatch.setattr(oracles, "_shoot", counted)
-            oracles.translator_radial_shooting(1.0, 0.5, n, MINKOWSKI, tol=1e-10)
-            assert calls.count(True) == 1  # the dense shot of the profile
-            return len(calls)
+    def test_no_crossing_raises(self, monkeypatch):
+        # an integration that reaches the end of its span without the event
+        def no_event(fun, t_span, y0, **kwargs):
+            return SimpleNamespace(status=0, message="reached the end",
+                                   t_events=[np.array([])])
 
-        # n = 1 starts on the exact speed: the start, which is the
-        # bracket end, and the dense shot
-        assert shots(1) == 2
-        assert shots(2) <= 5  # run 3; bisection to 1e-10 took 37
+        monkeypatch.setattr(oracles, "solve_ivp", no_event)
+        with pytest.raises(OracleFailureError, match="did not reach"):
+            oracles.translator_radial_shooting(1.0, 0.5, 2, MINKOWSKI, tol=1e-10)
 
-    @pytest.mark.parametrize("sig, c_speed", [(MINKOWSKI, 1.07), (EUCLIDEAN, 1.4)])
-    def test_sensitivity_matches_central_difference(self, sig, c_speed):
-        h = 1e-4
-        ends = [oracles._shoot(c, 1.0, 2, sig).y[0, -1]
-                for c in (c_speed + h, c_speed - h)]
-        s_end = oracles._shoot(c_speed, 1.0, 2, sig).y[1, -1]
-        assert s_end == pytest.approx((ends[0] - ends[1]) / (2 * h), rel=1e-6)
+    def test_non_increasing_profile_raises(self, monkeypatch):
+        # the event at the true crossing, but an angle that stalls on a
+        # plateau halfway there
+        real = oracles.solve_ivp
 
-    @pytest.mark.parametrize("s_end, message", [
-        (-1.0, "not increasing in C"), (1.0, "failed to be monotone in C"),
+        def stalling(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            smooth = sol.sol
+            sol.sol = lambda s: np.minimum(smooth(s), 0.5 * np.arctanh(0.5))
+            return sol
+
+        monkeypatch.setattr(oracles, "solve_ivp", stalling)
+        with pytest.raises(OracleFailureError, match="not strictly increasing"):
+            oracles.translator_radial_shooting(1.0, 0.5, 2, MINKOWSKI, tol=1e-10)
+
+    @pytest.mark.parametrize("sig, rho", [
+        (MINKOWSKI, 1e-6), (MINKOWSKI, 0.5), (MINKOWSKI, 0.9), (MINKOWSKI, 0.999),
+        (EUCLIDEAN, 0.1), (EUCLIDEAN, 1.0), (EUCLIDEAN, 5.0), (EUCLIDEAN, 20.0),
     ])
-    def test_phi_falling_in_speed_raises(self, monkeypatch, s_end, message):
-        # phi(R) = rho - (C - 1.2 c0), above rho at the bracket end, the
-        # start c0 = n artanh(rho) / R; s = -1 trips the sign check, s = +1
-        # (a wrong derivative) sends Newton down the bracket, where the
-        # iterate check sees phi rise
-        rho, start = 0.5, 2.0 * np.arctanh(0.5)
-
-        def falling(c_speed, radius, n, sig, dense=False):
-            phi = rho - (c_speed - 1.2 * start)
-            return SimpleNamespace(t=np.array([0.0, radius]),
-                                   y=np.array([[0.0, phi], [0.0, s_end]]))
-
-        monkeypatch.setattr(oracles, "_shoot", falling)
-        with pytest.raises(OracleFailureError, match=message):
-            oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI, tol=1e-10)
-
-    def test_exact_hit_on_the_bracket_end_is_returned(self, monkeypatch):
-        # linear phi(R) with exact arithmetic: the first Newton step from
-        # the start, the bracket's upper end, lands on the root, where
-        # phi(R) == rho makes it the new upper end
-        rho, start = 0.5, 2.0 * np.arctanh(0.5)
-        c_star = start - 0.25
-        shots = []
-
-        def linear(c_speed, radius, n, sig, dense=False):
-            shots.append(c_speed)
-            phi = rho + (c_speed - c_star) * 0.5
-            return SimpleNamespace(t=np.array([0.5 * radius, radius]),
-                                   y=np.array([[0.5 * phi, phi], [0.25, 0.5]]))
-
-        monkeypatch.setattr(oracles, "_shoot", linear)
-        prof = oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI, tol=1e-10)
-        assert prof.c_speed == c_star
-        # the start n artanh(rho) / R, one Newton step, the dense shot
-        assert shots == [start, c_star, c_star]
-
-    @pytest.mark.parametrize("below, raises", [(0.25, True), (0.25e-10, False)])
-    def test_first_shot_checks_the_minkowski_bracket(self, monkeypatch, below,
-                                                     raises):
-        # linear phi(R) whose root lies above the start c0 = n artanh(rho)
-        # / R, which no Minkowski speed does: the first shot lands below
-        # rho, and the search raises unless c0 is within tol of the root
-        rho, start, tol = 0.5, 2.0 * np.arctanh(0.5), 1e-10
-        c_star = start + below
-        shots = []
-
-        def linear(c_speed, radius, n, sig, dense=False):
-            shots.append(c_speed)
-            phi = rho + (c_speed - c_star) * 0.5
-            return SimpleNamespace(t=np.array([0.5 * radius, radius]),
-                                   y=np.array([[0.5 * phi, phi], [0.25, 0.5]]))
-
-        monkeypatch.setattr(oracles, "_shoot", linear)
-        if raises:
-            with pytest.raises(OracleFailureError, match="no bracket"):
-                oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI,
-                                                   tol=tol)
-            assert shots == [start]
-        else:
-            prof = oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI,
-                                                      tol=tol)
-            assert prof.c_speed == start
-            assert shots == [start, start]
-
-    def test_slow_newton_falls_back_to_bisection(self, monkeypatch):
-        # phi(R) = rho + 0.1 sign(d) |d|^a, d = C - c_star, a = 1 / 1.99:
-        # increasing, and each Newton step maps d to -0.99 d inside the
-        # bracket, so Newton alone would take about 2,000 shots; c_star
-        # lies below the start c0 = n artanh(rho) / R, as every Minkowski
-        # speed does
-        rho, start = 0.5, 2.0 * np.arctanh(0.5)
-        c_star, power = start - 0.25, 1.0 / 1.99
-        shots = []
-
-        def slow(c_speed, radius, n, sig, dense=False):
-            shots.append(c_speed)
-            assert len(shots) <= 100, "Newton was never cut short"
-            d = c_speed - c_star
-            phi = rho + 0.1 * np.sign(d) * abs(d) ** power
-            sens = 0.1 * power * abs(d) ** (power - 1.0) if d else np.inf
-            return SimpleNamespace(t=np.array([0.5 * radius, radius]),
-                                   y=np.array([[0.5 * phi, phi], [1.0, sens]]))
-
-        monkeypatch.setattr(oracles, "_shoot", slow)
-        prof = oracles.translator_radial_shooting(1.0, rho, 2, MINKOWSKI, tol=1e-10)
-        assert abs(prof.c_speed - c_star) <= 1e-10
-
-    def test_blowups_fall_back_to_bisection(self, monkeypatch):
-        # only a Euclidean slope can blow up; for rho = 1, n = 2 the start
-        # 1.5708 lies below the speed 1.67519 and the first Newton step
-        # overshoots it to 1.6779
-        real = oracles._shoot
-        want = oracles.translator_radial_shooting(1.0, 1.0, 2, EUCLIDEAN,
-                                                  tol=1e-10).c_speed
-        blown = []
-
-        def blows_up_fast(c_speed, *args, **kwargs):
-            if c_speed > 1.677:  # between the speed and the first Newton step
-                blown.append(c_speed)
-                return None
-            return real(c_speed, *args, **kwargs)
-
-        monkeypatch.setattr(oracles, "_shoot", blows_up_fast)
-        prof = oracles.translator_radial_shooting(1.0, 1.0, 2, EUCLIDEAN,
-                                                  tol=1e-10)
-        assert len(blown) >= 2  # the bracket end and the first Newton step
-        assert abs(prof.c_speed - want) <= 1e-10
+    def test_one_dimension_is_the_closed_form(self, sig, rho):
+        # w' = 1 for n = 1, so the integration is exact up to rounding
+        prof = oracles.translator_radial_shooting(1.0, rho, 1, sig, tol=1e-10)
+        c_closed, _ = oracles.translator_1d_closed_form(-1, 1, -rho, rho, sig)
+        assert abs(prof.c_speed - c_closed) <= 1e-14 * max(1.0, c_closed)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("sig, rho", [
@@ -271,13 +182,13 @@ class TestRadialShooting:
         assert oracles.radial_ode_residual(prof) <= 10 * tol
         # r -> r / 2 maps the profile over R = 1 to the one over R = 1/2
         half = oracles.translator_radial_shooting(0.5, rho, n, sig, tol=tol)
-        assert half.c_speed == pytest.approx(2.0 * prof.c_speed, abs=1e-9)
+        assert half.c_speed == 2.0 * prof.c_speed
         if n == 1:
             c_closed, _ = oracles.translator_1d_closed_form(-1, 1, -rho, rho, sig)
             assert prof.c_speed == pytest.approx(c_closed, abs=1e-9)
 
     def test_steep_euclidean_image_is_bracketed(self):
-        # C = 10.2 lies above the old bracket end 2 n arctan(rho) / R + 1
+        # C = 10.2 lies far above the lower bound n arctan(rho) / R = 4.12
         prof = oracles.translator_radial_shooting(1.0, 5.0, 3, EUCLIDEAN, tol=1e-10)
         assert prof.c_speed == pytest.approx(10.2001799192, abs=1e-9)
 
@@ -286,6 +197,9 @@ class TestRadialShooting:
         dict(radius=1.0, rho=1.2, n=2, sig=MINKOWSKI),
         dict(radius=1.0, rho=0.5, n=0, sig=MINKOWSKI),
         dict(radius=1.0, rho=-0.5, n=2, sig=EUCLIDEAN),
+        dict(radius=1.0, rho=0.5, n=2, sig=MINKOWSKI, tol=0.0),
+        dict(radius=1.0, rho=0.5, n=2, sig=MINKOWSKI, tol=1.0),
+        dict(radius=1.0, rho=0.5, n=2, sig=MINKOWSKI, tol=np.nan),
     ])
     def test_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):

@@ -14,18 +14,13 @@ gradient stencils. In one dimension convexity pins the boundary
 gradients to the interval ends of the image domain, so those rows are
 plain gradient conditions and no root selection arises.
 
-A residual evaluation takes the iterate's gradient and Hessian from one
-product with the grid's stacked stencils, component-major (one row of N
-node values per component, grid.derivative_rows), and G from its closed
-trace form on those rows (geometry.metric_trace); these are the Newton
-loop's per-iterate costs once a run factors only a few times. The
-Jacobian's weights G_r and G_p, the boundary rows and the accepted
-state's jets take the same rows, the one layout of the package, so no
-array is transposed or copied between them. A candidate step is
-admissible when its Hessian is positive definite, tested on its spectrum
-(geometry.eigenvalues_many, in closed form for n <= 2), which the
-accepted state's jets keep; the spacelike bound was already enforced by
-the residual evaluation at the same gradients.
+The equation is the state's operator state.op (operators.FlowOperator):
+G, its weights G_r and G_p, the boundary rows and the admissible set,
+each on the component-major rows of one product with the grid's stacked
+stencils (grid.derivative_rows), so no array is transposed or copied
+between them. A step is admissible when its Hessian is positive definite;
+the accepted state's jets keep the spectrum, and op.value already
+enforced the spacelike bound at the same gradients.
 
 The Jacobian is filled on a sparsity pattern fixed per grid (the union
 of the identity and every stencil, built from the grid's stencil table
@@ -130,16 +125,9 @@ from .errors import (
     SpacelikeViolationError,
     StepFailureError,
 )
-from .geometry import (
-    MINKOWSKI,
-    SPACELIKE_MARGIN,
-    NodalJets,
-    eigenvalues_many,
-    is_spacelike,
-    metric_trace,
-)
+from .geometry import NodalJets
 from .grids import LineGrid, MappedDiskGrid
-from .operators import g_derivatives_many
+from .operators import FlowOperator
 
 # A Newton attempt is abandoned once the residual max-norm fails to drop
 # below this fraction of the previous iterate's (contraction monitor).
@@ -200,6 +188,9 @@ class FlowState:
 
     ``factor`` is the chord factor an accepted step at tau_max hands to
     the next step (None otherwise); ``copy`` leaves it behind.
+
+    ``op`` is the flow's equation, built by ``initialize`` and carried
+    from step to step; ``sig`` and ``omega_tilde`` read it.
     """
 
     grid: object
@@ -208,12 +199,14 @@ class FlowState:
     u_dot: np.ndarray
     tau: float
     steps: int
-    sig: str
+    op: FlowOperator
     omega: dom.ConvexDomain
-    omega_tilde: dom.ConvexDomain
     g0_range: tuple[float, float]
     newton_iters: int = 0
     factor: ChordFactor | None = field(default=None, repr=False, compare=False)
+
+    sig = property(lambda self: self.op.sig)
+    omega_tilde = property(lambda self: self.op.omega_tilde)
 
     @cached_property
     def jets(self) -> NodalJets:
@@ -262,13 +255,7 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
     """
     if omega.dimension != omega_tilde.dimension:
         raise ValueError("omega and omega_tilde must share a dimension")
-    _, rad_max = omega_tilde.norm_range
-    if not is_spacelike(np.array([rad_max**2]), sig):
-        raise ValueError(
-            f"omega_tilde reaches |p| = {rad_max:.6g}: the spacelike "
-            f"constraint needs it strictly inside the unit ball "
-            f"(margin {SPACELIKE_MARGIN:g})"
-        )
+    op = FlowOperator(sig, omega_tilde)
     grid = build_grid(omega, grid_spec)
     a_mat, shift = dom.spd_affine_map(omega, omega_tilde)
     d = grid.nodes - omega.center
@@ -276,10 +263,9 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
         a_mat @ omega.center + shift
     )
     p, r = grid.derivative_rows(u0)
-    g0 = metric_trace(p, r, sig)
+    g0 = op.value(p, r)
     state = FlowState(
-        grid=grid, u=u0, t=0.0, u_dot=g0, tau=0.0, steps=0, sig=sig,
-        omega=omega, omega_tilde=omega_tilde,
+        grid=grid, u=u0, t=0.0, u_dot=g0, tau=0.0, steps=0, op=op, omega=omega,
         g0_range=(float(np.min(g0)), float(np.max(g0))),
     )
     state.jets.p, state.jets.r = p, r
@@ -290,25 +276,15 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
 # Implicit stepping
 # ---------------------------------------------------------------------------
 
-def _boundary_rows(state: FlowState, pb: np.ndarray):
-    """(values, p-gradients) of the boundary rows at their gradient rows
-    pb (n, N_b): h and the rows of Dh in 2D. In 1D convex monotonicity
-    pins Du at the ends to the image's ends, so they are p - (lo, hi) and
-    the unit slope 1.0; |h(p)| would read 0 at either end."""
-    if state.grid.dim == 1:
-        return pb[0] - state.omega_tilde.ends, 1.0
-    return dom.defining_jet_many(state.omega_tilde, pb)
-
-
 def _residual(state: FlowState, u: np.ndarray, u_prev: np.ndarray, tau: float):
     """(residual, p, r) at the iterate u: u - u_prev - tau G(p, r) on the
-    interior rows, the ``_boundary_rows`` values on the boundary rows,
+    interior rows, the ``op.boundary`` values on the boundary rows,
     and the derivative rows p (n, N) and r (n, n, N) of u."""
     grid = state.grid
     p, r = grid.derivative_rows(u)
-    res = u - u_prev - tau * metric_trace(p, r, state.sig)
+    res = u - u_prev - tau * state.op.value(p, r)
     bb = grid.boundary
-    res[bb], _ = _boundary_rows(state, p[:, bb])
+    res[bb], _ = state.op.boundary(p[:, bb])
     return res, p, r
 
 
@@ -317,26 +293,23 @@ def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
 
     Per-row stencil weights: interior rows take 1 on the identity,
     -tau G_p on the gradient stencils and -tau G_r on the Hessian
-    stencils; boundary rows take the p-gradient of ``_boundary_rows``
-    on the gradient stencils.
+    stencils; boundary rows take the p-gradient of ``op.boundary`` on
+    the gradient stencils.
     """
     grid = state.grid
     pattern = grid.stencil_pattern
     ndim = grid.dim
     ii, bb = grid.interior, grid.boundary
-    g_r, g_p = g_derivatives_many(p, r, state.sig)
+    g_r, g_p = state.op.weights(p, r)
 
     coef = np.zeros((pattern.n_stencils, grid.n_nodes))
     coef[0, ii] = 1.0
     coef[1:1 + ndim, ii] = -tau * g_p[:, ii]
-    s = 1 + ndim
-    for k in range(ndim):
-        for l in range(k, ndim):
-            # the (k, l) stencil serves (l, k) too: weight it by both entries
-            g_kl = g_r[k, l, ii] if k == l else g_r[k, l, ii] + g_r[l, k, ii]
-            coef[s, ii] = -tau * g_kl
-            s += 1
-    _, dh = _boundary_rows(state, p[:, bb])
+    for s, (k, l) in enumerate(grid.second_slots(), start=1 + ndim):
+        # the (k, l) stencil serves (l, k) too: weight it by both entries
+        g_kl = g_r[k, l, ii] if k == l else g_r[k, l, ii] + g_r[l, k, ii]
+        coef[s, ii] = -tau * g_kl
+    _, dh = state.op.boundary(p[:, bb])
     coef[1:1 + ndim, bb] = dh
     return pattern.assemble(coef)
 
@@ -496,8 +469,8 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
             u_new, iters, n_factors, p, r, factor = got
             # strict convexity; the last residual evaluation, at these
             # gradients, already raised SpacelikeViolationError past the bound
-            lam = eigenvalues_many(r)
-            if np.min(lam[0]) > 0.0:
+            ok, lam = state.op.admissible(r)
+            if ok:
                 break
         tau *= 0.5
         if tau < controls.tau_min:
@@ -522,7 +495,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
 # ---------------------------------------------------------------------------
 
 # Forward Euler is stable for tau up to this multiple of h^2 (times the
-# spacelike limiter 1 - max |Du|^2 in the Minkowski case).
+# operator's limiter, 1 - max |Du|^2 in the Minkowski case).
 EXPLICIT_CFL = 0.2
 
 
@@ -536,17 +509,13 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
     grid = state.grid
     u_prev = state.u - state.u[grid.anchor]
     p, r = grid.derivative_rows(u_prev)
-    if state.sig == MINKOWSKI:
-        limiter = 1.0 - np.max(np.sum(p * p, axis=0))
-    else:
-        limiter = 1.0
-    bound = EXPLICIT_CFL * grid.h_ref**2 * limiter
+    bound = EXPLICIT_CFL * grid.h_ref**2 * state.op.limiter(p)
     if tau > bound:
         raise ValueError(
             f"explicit step tau = {tau:g} exceeds the stability bound {bound:g}"
         )
     u_fe = u_prev.copy()
-    u_fe[grid.interior] += tau * metric_trace(p, r, state.sig)[grid.interior]
+    u_fe[grid.interior] += tau * state.op.value(p, r)[grid.interior]
     got = _newton_solve(state, u_fe, u_fe, 0.0,
                         StepControls(tol_newton=1e-13, max_newton=40))
     if got is None:
@@ -566,8 +535,8 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
 # ---------------------------------------------------------------------------
 
 def boundary_residual(state: FlowState) -> float:
-    """Max over boundary nodes of |boundary condition| (``_boundary_rows``)."""
-    hb, _ = _boundary_rows(state, state.jets.p[:, state.grid.boundary])
+    """Max over boundary nodes of |boundary condition| (``op.boundary``)."""
+    hb, _ = state.op.boundary(state.jets.p[:, state.grid.boundary])
     return float(np.max(np.abs(hb)))
 
 
@@ -593,17 +562,16 @@ def _extrapolated_rate(rates) -> float:
     return rates[-1]
 
 
-def translator_residual(u: np.ndarray, c: float, sig: str, grid) -> float:
-    """max over interior nodes of |G(Du, D2u) - c| for a convex field."""
+def translator_residual(u: np.ndarray, c: float, op: FlowOperator, grid) -> float:
+    """max over interior nodes of |G(Du, D2u) - c| for a field ``op`` admits."""
     p, r = grid.derivative_rows(u)
-    lam_min = float(np.min(eigenvalues_many(r)[0]))
-    if lam_min <= 0.0:
+    ok, lam = op.admissible(r)
+    if not ok:
         raise ConvexityError(
             f"translator residual needs a strictly convex field "
-            f"(min Hessian eigenvalue {lam_min:.3e})"
+            f"(min Hessian eigenvalue {np.min(lam[0]):.3e})"
         )
-    g = metric_trace(p, r, sig)
-    return float(np.max(np.abs(g[grid.interior] - c)))
+    return float(np.max(np.abs(op.value(p, r)[grid.interior] - c)))
 
 
 def run_to_translator(state: FlowState, controls: StepControls | None = None,
@@ -652,7 +620,7 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
 
     c_inf = _extrapolated_rate(rates)
     u_inf = state.u - state.u[state.grid.anchor]
-    residual = translator_residual(u_inf, c_inf, state.sig, state.grid)
+    residual = translator_residual(u_inf, c_inf, state.op, state.grid)
     tol_r = controls.tol_r_scale * max(1.0, abs(c_inf))
     if residual > tol_r:
         raise NonConvergenceError(

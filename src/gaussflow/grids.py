@@ -97,7 +97,7 @@ class StencilPattern:
 class _StencilGrid:
     """Surface shared by the grid families."""
 
-    def _second_slots(self) -> list:
+    def second_slots(self) -> list:
         """(k, l) with k <= l, row-major: the distinct Hessian entries."""
         return [(k, l) for k in range(self.dim) for l in range(k, self.dim)]
 
@@ -115,7 +115,7 @@ class _StencilGrid:
             (table[nonzero], np.broadcast_to(indices, table.shape)[nonzero], ptr),
             shape=(table.shape[0] * n, n))
         slot = np.empty((dim, dim), dtype=int)
-        for s, (k, l) in enumerate(self._second_slots(), start=dim):
+        for s, (k, l) in enumerate(self.second_slots(), start=dim):
             slot[k, l] = slot[l, k] = s
         self._stacked = stacked, slot
         self._table = indptr, indices, diag, table
@@ -392,7 +392,7 @@ class MappedDiskGrid(_StencilGrid):
         for k in range(2):
             for l in range(2):
                 table[k] += ai[k, l] * ref[l]
-        for s, (k, l) in enumerate(self._second_slots(), start=2):
+        for s, (k, l) in enumerate(self.second_slots(), start=2):
             for a in range(2):
                 for b in range(2):
                     table[s] += ai[k, a] * ai[l, b] * ref_hess[a][b]

@@ -23,6 +23,8 @@ domain and its gradient image; the dual operator on the dual Hessian M is
     Gdual(y, M) = -g^ij(y) : (M^{-1})_ij,
 
 metric_trace of M^{-1} at y, and equals -G at the matched primal jet.
+FlowOperator is the flow's one view of its equation: G, its weights, the
+image's boundary rows, the admissible set and the spacelike limiter.
 """
 
 from __future__ import annotations
@@ -31,10 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import domains as dom
 from .errors import ConvexityError
 from .geometry import (
+    MINKOWSKI,
+    SPACELIKE_MARGIN,
     PointJet,
     eigenvalues_many,
+    is_spacelike,
     metric_trace,
     metric_up_many,
     signature_eps,
@@ -96,6 +102,51 @@ def g_derivatives_many(p: np.ndarray, r: np.ndarray, sig: str):
     # eps^2 = 1 collapses the sign on the second term
     g_p = (-2.0 * eps) * rp / v2 + 2.0 * p * (prp / v2**2)
     return metric_up_many(p, sig), g_p
+
+
+@dataclass(frozen=True)
+class FlowOperator:
+    """The flow's equation u_t = G(Du, D2u), h(Du) = 0 for the signature
+    sig and the image omega_tilde, on component-major rows. The flow
+    calls only these methods, so another operator runs another equation."""
+
+    sig: str
+    omega_tilde: dom.ConvexDomain
+
+    def __post_init__(self):
+        _, rad_max = self.omega_tilde.norm_range
+        if not is_spacelike(np.array([rad_max**2]), self.sig):
+            raise ValueError(
+                f"omega_tilde reaches |p| = {rad_max:.6g}: the spacelike "
+                f"constraint needs it strictly inside the unit ball "
+                f"(margin {SPACELIKE_MARGIN:g})"
+            )
+
+    def value(self, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """G at each node, spacelike-guarded (``metric_trace``)."""
+        return metric_trace(p, r, self.sig)
+
+    def weights(self, p: np.ndarray, r: np.ndarray):
+        """(G_r, G_p), the Jacobian's stencil weights (``g_derivatives_many``)."""
+        return g_derivatives_many(p, r, self.sig)
+
+    def boundary(self, pb: np.ndarray):
+        """(values, p-gradients) of the boundary rows at their gradient rows
+        pb (n, N_b): h and the rows of Dh in 2D. In 1D convex monotonicity
+        pins Du at the ends to the image's ends, so they are p - (lo, hi) and
+        the unit slope 1.0; |h(p)| would read 0 at either end."""
+        if pb.shape[0] == 1:
+            return pb[0] - self.omega_tilde.ends, 1.0
+        return dom.defining_jet_many(self.omega_tilde, pb)
+
+    def admissible(self, r: np.ndarray):
+        """(ok, lam): whether each Hessian of r is positive definite; spectra."""
+        lam = eigenvalues_many(r)
+        return bool(np.min(lam[0]) > 0.0), lam
+
+    def limiter(self, p: np.ndarray) -> float:
+        """The explicit step's spacelike factor: 1 - max |p|^2, Euclidean 1."""
+        return 1.0 - np.max(np.sum(p * p, axis=0)) if self.sig == MINKOWSKI else 1.0
 
 
 def g_dual(y, m, sig: str) -> float:

@@ -200,15 +200,16 @@ def radial_ode_residual(profile: RadialProfile) -> float:
     """Max Simpson-rule defect of the profile against its ODE.
 
     Independent consistency check of the returned nodes: over each pair
-    of intervals, phi(r_{k+1}) - phi(r_{k-1}) must match the Simpson
-    quadrature of the right-hand side through the three node values.
+    of intervals, w = artanh resp. arctan of phi must change by the Simpson
+    quadrature of w' = phi' / (1 + eps phi^2), smooth where phi is steep.
     """
     rhs = _slope_ode(profile.c_speed, profile.dimension, profile.sig)
     r = profile.radii[1:]  # skip the synthetic r = 0 node
     phi = profile.phi[1:]
-    f = rhs(r, phi)
+    f = rhs(r, phi) / (1.0 + signature_eps(profile.sig) * phi * phi)
+    w = np.arctanh(phi) if profile.sig == MINKOWSKI else np.arctan(phi)
     dr = r[2] - r[1]
-    lhs = phi[2::2] - phi[:-2:2]
+    lhs = w[2::2] - w[:-2:2]
     quad = (dr / 3.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
     return float(np.max(np.abs(lhs - quad)))
 

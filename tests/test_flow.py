@@ -1,6 +1,8 @@
 """Time stepping, boundary handling, translator extraction."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -747,7 +749,7 @@ class TestStateJets:
             spectra.append(np.array(m))
             return eigenvalues_many(m)
 
-        for module in (flow, geometry, monitors):
+        for module in (operators, geometry, monitors):
             monkeypatch.setattr(module, "eigenvalues_many", recorded)
         new = step_implicit(start, StepControls(tau_max=tau))
         jets = new.jets
@@ -947,7 +949,7 @@ class TestTranslatorResidual:
         c, prof = oracles.translator_1d_closed_form(0, 1, -0.5, 0.5, MINKOWSKI)
         state = flow.initialize(om, ot, 401, MINKOWSKI)
         u = prof.height(state.grid.nodes[:, 0])
-        res = flow.translator_residual(u, c, MINKOWSKI, state.grid)
+        res = flow.translator_residual(u, c, state.op, state.grid)
         assert res <= 5e-5
 
     def test_quadratic_is_not_a_translator(self):
@@ -958,15 +960,71 @@ class TestTranslatorResidual:
         p = grid.gradient(state.u)
         r = grid.hessian(state.u)
         c_mid = operators.g_value_many(p, r, MINKOWSKI)[mid]
-        res = flow.translator_residual(state.u, float(c_mid), MINKOWSKI, grid)
+        res = flow.translator_residual(state.u, float(c_mid), state.op, grid)
         assert res > 0.1
 
     def test_constant_field_flagged_nonconvex(self):
         om, ot = interval_pair()
         state = flow.initialize(om, ot, 101, MINKOWSKI)
         with pytest.raises(ConvexityError):
-            flow.translator_residual(np.zeros_like(state.u), 0.0, MINKOWSKI,
+            flow.translator_residual(np.zeros_like(state.u), 0.0, state.op,
                                      state.grid)
+
+
+def heat_operator(sig, omega_tilde):
+    """The linear heat equation u_t = tr D2u, with the image's boundary rows."""
+
+    class HeatOperator(operators.FlowOperator):
+        def value(self, p, r):
+            return np.einsum("iin->n", r)
+
+        def weights(self, p, r):
+            return (np.broadcast_to(np.eye(len(p))[:, :, None], r.shape),
+                    np.zeros_like(p))
+
+    return HeatOperator(sig, omega_tilde)
+
+
+class TestFlowOperator:
+    @pytest.mark.parametrize("heat", [True, False])
+    def test_flow_runs_the_state_operator(self, heat):
+        # interval (0, 1) onto (-1/2, 1/2): the heat translator u'' = C has
+        # C = (d - c) / (b - a) = 1, the Minkowski one C = 2 artanh(1/2)
+        om, ot = interval_pair()
+        state = flow.initialize(om, ot, 101, MINKOWSKI)
+        x = state.grid.nodes[:, 0]
+        state = dataclasses.replace(state, u=state.u + 0.01 * x**4)
+        if heat:
+            state = dataclasses.replace(state, op=heat_operator(MINKOWSKI, ot))
+        result = flow.run_to_translator(state)
+        assert result.state.op is state.op
+        if heat:
+            assert abs(result.c_inf - 1.0) < 1e-12
+        else:
+            assert abs(result.c_inf - 2.0 * np.arctanh(0.5)) < 4e-4
+
+    def test_image_on_the_light_cone_is_refused(self):
+        with pytest.raises(ValueError, match="spacelike constraint"):
+            operators.FlowOperator(MINKOWSKI, dom.ConvexDomain.interval(-1.0, 1.0))
+
+    def test_flow_names_no_equation_kernel(self):
+        # the equation lives on FlowOperator: flow.py names none of its
+        # kernels and decides nothing on the signature or the dimension
+        tree = ast.parse(Path(flow.__file__).read_text())
+        kernels = {"metric_trace", "g_derivatives_many", "eigenvalues_many",
+                   "is_spacelike", "MINKOWSKI", "SPACELIKE_MARGIN"}
+        named = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        assert not named & kernels
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.If, ast.IfExp)):
+                read = {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}
+                read |= {n.attr for n in ast.walk(node.test)
+                         if isinstance(n, ast.Attribute)}
+                assert not read & {"sig", "MINKOWSKI", "dim"}, ast.unparse(node.test)
 
 
 class TestRunToTranslator:

@@ -554,15 +554,25 @@ class TestCachedJetAudits:
         # the structure report reads p, v and H = tr a from the jets, so a
         # record calls no G_p kernel; principal curvatures are taken by
         # the eps0 audit only, on all nodes of state0 and on each step's
-        # boundary rows
+        # boundary rows. The solver's Jacobians call the kernel too, so
+        # only the calls made inside a record are counted.
         from gaussflow import operators
-        counts = {"g_derivatives_many": 0}
+        counts = {"g_derivatives_many": 0, "solver": 0}
         kappa_rows = []
         g_derivatives_many = operators.g_derivatives_many
+        record = monitors.RunMonitor._record
+        in_record = []
 
         def counted_derivatives(*args):
-            counts["g_derivatives_many"] += 1
+            counts["g_derivatives_many" if in_record else "solver"] += 1
             return g_derivatives_many(*args)
+
+        def flagged_record(self, state):
+            in_record.append(True)
+            try:
+                return record(self, state)
+            finally:
+                in_record.pop()
 
         def counted_kappa(jets):
             kappa_rows.append(jets.p.shape[1])
@@ -570,10 +580,12 @@ class TestCachedJetAudits:
 
         monkeypatch.setattr(operators, "g_derivatives_many",
                             counted_derivatives)
+        monkeypatch.setattr(monitors.RunMonitor, "_record", flagged_record)
         monkeypatch.setattr(geo.NodalJets, "kappa", property(counted_kappa))
         state0, mon, _ = short_run("disk-ball", cadence=1)
         grid = state0.grid
         assert len(mon.records) == 7
         assert mon.sandwich_ok()
-        assert counts == {"g_derivatives_many": 0}
+        assert counts["g_derivatives_many"] == 0
+        assert counts["solver"] > 0  # the patched binding is the one in use
         assert kappa_rows == [grid.n_nodes] + [len(grid.boundary)] * 6

@@ -169,10 +169,12 @@ class TestRadialShooting:
         c_closed, _ = oracles.translator_1d_closed_form(-1, 1, -rho, rho, sig)
         assert abs(prof.c_speed - c_closed) <= 1e-14 * max(1.0, c_closed)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("sig, rho", [
         (MINKOWSKI, 0.1), (MINKOWSKI, 0.5), (MINKOWSKI, 0.99),
         (EUCLIDEAN, 0.1), (EUCLIDEAN, 1.0), (EUCLIDEAN, 5.0),
+        # steep slopes: the ODE residual integrates the angle arctan(phi)
+        (EUCLIDEAN, 30.0), (EUCLIDEAN, 50.0),
     ])
     def test_sweep(self, n, sig, rho):
         tol = 1e-10

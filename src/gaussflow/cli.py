@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -316,7 +316,7 @@ def run_command(config_path) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     if config.anchor is not None:
-        state.grid.anchor = config.anchor
+        state = replace(state, anchor=config.anchor)
 
     monitor = mon.RunMonitor(state, cadence=config.cadence,
                              tau_max=config.controls.tau_max)

@@ -109,8 +109,9 @@ extra step.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -191,6 +192,11 @@ class FlowState:
 
     ``op`` is the flow's equation, built by ``initialize`` and carried
     from step to step; ``sig`` and ``omega_tilde`` read it.
+
+    ``anchor`` is the node the steps solve from (u - u[anchor]) and the
+    translator profile vanishes at. ``initialize`` takes the grid's
+    default; an override is set with ``replace``, never on the grid,
+    which the live states on its domain share.
     """
 
     grid: object
@@ -202,6 +208,7 @@ class FlowState:
     op: FlowOperator
     omega: dom.ConvexDomain
     g0_range: tuple[float, float]
+    anchor: int
     newton_iters: int = 0
     factor: ChordFactor | None = field(default=None, repr=False, compare=False)
 
@@ -232,15 +239,35 @@ class SolitonResult:
     history: list = field(default_factory=list, repr=False)
 
 
+# The grids held by live states, by domain and resolution (build_grid).
+_GRIDS = weakref.WeakValueDictionary()
+
+
 def build_grid(omega: dom.ConvexDomain, grid_spec):
-    """Grid over omega: int N for intervals, (n_rho, n_theta) for 2D."""
+    """Grid over omega: int N for intervals, (n_rho, n_theta) for 2D.
+
+    A grid is immutable once built, so the live states on one key share
+    it: the key is the dimension, the bytes of the interval ends or of
+    the affine map and centre, and the resolution. A grid is built when
+    no live object holds one on its key, and it is dropped with the last
+    state built on it; nothing is kept beyond that.
+    """
     if omega.dimension == 1:
-        return LineGrid(*dom.interval_ends(omega), int(grid_spec))
-    if omega.dimension != 2:
+        ends, n_cells = dom.interval_ends(omega), int(grid_spec)
+        key = (1, np.array(ends).tobytes(), n_cells)
+        build = partial(LineGrid, *ends, n_cells)
+    elif omega.dimension == 2:
+        a_map = dom.spd_inv_sqrt(omega.shape)
+        center = np.asarray(omega.center, dtype=float)
+        n_rho, n_theta = map(int, grid_spec)
+        key = (2, a_map.tobytes(), center.tobytes(), n_rho, n_theta)
+        build = partial(MappedDiskGrid, a_map, center, n_rho, n_theta)
+    else:
         raise ValueError("full grids support n <= 2; use the radial oracle beyond")
-    n_rho, n_theta = grid_spec
-    return MappedDiskGrid(dom.spd_inv_sqrt(omega.shape), omega.center,
-                          int(n_rho), int(n_theta))
+    grid = _GRIDS.get(key)
+    if grid is None:
+        grid = _GRIDS[key] = build()
+    return grid
 
 
 def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
@@ -266,7 +293,7 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
     g0 = op.value(p, r)
     state = FlowState(
         grid=grid, u=u0, t=0.0, u_dot=g0, tau=0.0, steps=0, op=op, omega=omega,
-        g0_range=(float(np.min(g0)), float(np.max(g0))),
+        g0_range=(float(np.min(g0)), float(np.max(g0))), anchor=grid.anchor,
     )
     state.jets.p, state.jets.r = p, r
     return state
@@ -451,7 +478,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
     tau = state.tau if state.tau > 0 else controls.initial_tau()
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"implicit step needs a finite tau > 0, got {tau!r}")
-    u_prev = state.u - state.u[state.grid.anchor]
+    u_prev = state.u - state.u[state.anchor]
     rate = mean_rate(state) if state.steps > 0 else 0.0
     while True:
         if state.t + tau <= state.t:
@@ -507,7 +534,7 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
     most 40 iterations, and ``StepFailureError`` if it fails.
     """
     grid = state.grid
-    u_prev = state.u - state.u[grid.anchor]
+    u_prev = state.u - state.u[state.anchor]
     p, r = grid.derivative_rows(u_prev)
     bound = EXPLICIT_CFL * grid.h_ref**2 * state.op.limiter(p)
     if tau > bound:
@@ -619,7 +646,7 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
         )
 
     c_inf = _extrapolated_rate(rates)
-    u_inf = state.u - state.u[state.grid.anchor]
+    u_inf = state.u - state.u[state.anchor]
     residual = translator_residual(u_inf, c_inf, state.op, state.grid)
     tol_r = controls.tol_r_scale * max(1.0, abs(c_inf))
     if residual > tol_r:

@@ -33,6 +33,11 @@ the disk's polar to Cartesian maps and affine chain rule are array
 arithmetic on table rows, their terms summed left to right. The stacked
 operator keeps the table's nonzero entries, one row block per stencil.
 ``stencil_pattern`` is built from the table on first use.
+
+A grid is immutable once built: every array it holds (nodes, index
+sets, the map, the stacked operator's and the pattern's arrays) is
+read-only, so ``flow.build_grid`` can share one grid among all the live
+states built on the same domain and resolution.
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+
+
+def _read_only(*arrays):
+    """Mark arrays read-only, so that no holder of a shared grid can
+    change what the others compute on."""
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _entries(triplets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,6 +91,7 @@ class StencilPattern:
     def __init__(self, indptr, indices, diagonal, values):
         self.indptr, self.indices = indptr, indices
         self._diagonal, self._values = diagonal, values
+        _read_only(indptr, indices, diagonal, values)
         self.n_nodes = indptr.size - 1
         self.n_stencils = 1 + len(values)
 
@@ -105,7 +118,8 @@ class _StencilGrid:
         """The stacked operator of a slot table (gradient stencils, then
         the Hessian's (k, l), k <= l, on the skeleton indptr, indices with
         the diagonal at ``diag``); the table waits for ``stencil_pattern``.
-        No per-stencil matrix is built."""
+        No per-stencil matrix is built. Called last in the constructor, it
+        marks every array of the grid read-only."""
         n, dim = self.n_nodes, self.dim
         nonzero = table != 0
         ptr = np.zeros(table.shape[0] * n + 1, dtype=np.int32)
@@ -119,6 +133,9 @@ class _StencilGrid:
             slot[k, l] = slot[l, k] = s
         self._stacked = stacked, slot
         self._table = indptr, indices, diag, table
+        _read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)),
+                   stacked.data, stacked.indices, stacked.indptr, slot,
+                   *self._table)
 
     @cached_property
     def stencil_pattern(self) -> StencilPattern:
@@ -150,7 +167,9 @@ class _StencilGrid:
     @cached_property
     def boundary_points(self) -> np.ndarray:
         """Coordinates of the boundary nodes as rows (n, N_b)."""
-        return np.ascontiguousarray(self.nodes[self.boundary].T)
+        points = np.ascontiguousarray(self.nodes[self.boundary].T)
+        _read_only(points)
+        return points
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """The gradient rows of ``derivative_rows`` as an (N, n) view."""
@@ -225,8 +244,9 @@ class MappedDiskGrid(_StencilGrid):
     column_ordering = "MMD_AT_PLUS_A"
 
     def __init__(self, a_map, center, n_rho: int, n_theta: int):
-        a_map = np.atleast_2d(np.asarray(a_map, dtype=float))
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        # copies: the grid marks its own arrays read-only, not the caller's
+        a_map = np.array(a_map, dtype=float, ndmin=2)
+        center = np.array(center, dtype=float, ndmin=1)
         if a_map.shape != (2, 2):
             raise ValueError("mapped disk grids are two-dimensional")
         if not np.allclose(a_map, a_map.T, atol=1e-13):

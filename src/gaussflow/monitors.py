@@ -196,7 +196,7 @@ def duality_rate_defect(state) -> float:
         raise ValueError("the duality rate audit is implemented on 1D grids")
     tau = grid.h_ref**2
     # every step solves from u - u[anchor]: so does the probe's base
-    base = dataclasses.replace(state, u=state.u - state.u[grid.anchor], tau=tau)
+    base = dataclasses.replace(state, u=state.u - state.u[state.anchor], tau=tau)
     probe = step_implicit(base, StepControls(tau_max=tau))
     u_t = (probe.u - base.u) / (probe.t - state.t)
     y1, ut1 = legendre_transform(base.u, grid)

@@ -360,6 +360,34 @@ class TestRunCommand:
         config = cli.parse_config(cfg)
         assert config.anchor == 7
 
+    def test_anchor_override_leaves_a_shared_grid_alone(self, tmp_path,
+                                                        monkeypatch):
+        # a state held beside the run shares its grid; the run's anchor
+        # must not move that state's anchor
+        omega = cli.parse_domain_spec("interval 0 1")
+        omega_tilde = cli.parse_domain_spec("interval -0.5 0.5")
+        alone = flow.run_to_translator(
+            flow.initialize(omega, omega_tilde, 101, "minkowski"))
+        want = repr(alone.c_inf), alone.u_inf.tobytes()
+        del alone
+        held = flow.initialize(omega, omega_tilde, 101, "minkowski")
+        default = held.grid.anchor
+        built = []
+        initialize = cli.initialize
+
+        def recorded(*args):
+            built.append(initialize(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "initialize", recorded)
+        cfg = tmp_path / "anchor.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out") + "anchor = 7\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert built[0].grid is held.grid
+        assert held.grid.anchor == default != 7
+        result = flow.run_to_translator(held)
+        assert (repr(result.c_inf), result.u_inf.tobytes()) == want
+
 
 # ---------------------------------------------------------------------------
 # The node artifacts share one table; these writers are the per-row

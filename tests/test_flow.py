@@ -2,6 +2,8 @@
 
 import ast
 import dataclasses
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +207,7 @@ class TestJacobian:
             assert np.array_equal(got.data, want.data)
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
-    def test_column_ordering_has_least_lu_fill(self, case):
+    def test_column_ordering_has_least_lu_fill(self, case, monkeypatch):
         # each ordering factored as the solver factors (flow._factor):
         # disk-ball MMD 1482, COLAMD 1878, NATURAL 2053; line-minkowski
         # NATURAL 164, COLAMD 167, MMD 218
@@ -216,7 +218,9 @@ class TestJacobian:
         chosen = grid.column_ordering
         fill = {}
         for spec in ("COLAMD", "MMD_AT_PLUS_A", "NATURAL"):
-            grid.column_ordering = spec  # shadows the class's ordering
+            # shadows the class's ordering until the test ends: the grid
+            # is shared by every live state on its domain
+            monkeypatch.setattr(grid, "column_ordering", spec)
             lu = flow._factor(jac, grid)
             fill[spec] = lu.L.nnz + lu.U.nnz
         assert fill[chosen] == min(fill.values())
@@ -530,7 +534,7 @@ class TestCarriedFactor:
         assert new.factor is carrying.factor
         assert new.t == carrying.t + controls.tau_max
         # the step solves from u anchored at the anchor node
-        u_prev = carrying.u - carrying.u[carrying.grid.anchor]
+        u_prev = carrying.u - carrying.u[carrying.anchor]
         res, p, r = flow._residual(carrying, new.u, u_prev, controls.tau_max)
         floor = flow._floor_at(flow._inf_norm(
             flow._jacobian(carrying, p, r, controls.tau_max)), new.u)
@@ -574,7 +578,7 @@ class TestCarriedFactor:
         assert counted_splu["factor"] >= 1
         assert new.factor is not None and new.factor is not far
         assert new.t == converged.t + tau
-        u_prev = converged.u - converged.u[converged.grid.anchor]
+        u_prev = converged.u - converged.u[converged.anchor]
         res, _, _ = flow._residual(converged, new.u, u_prev, tau)
         assert np.max(np.abs(res)) <= controls.tol_newton
 
@@ -676,6 +680,66 @@ class TestInitialize:
         # G0 = 1 / (1 - (x - 1/2)^2) ranges over [1, 4/3]
         assert state.g0_range[0] == pytest.approx(1.0, abs=1e-5)
         assert state.g0_range[1] == pytest.approx(4.0 / 3.0, abs=1e-5)
+
+
+class TestGridSharing:
+    """build_grid shares one read-only grid among the live states on a
+    domain and resolution, and keeps none once they are gone."""
+
+    @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
+    def test_same_domain_and_resolution_share_a_grid(self, case):
+        om, ot, spec, sig = JACOBIAN_CASES[case]
+        first = flow.initialize(om, ot, spec, sig)
+        again = dom.ConvexDomain(om.center.copy(), om.shape.copy(), om.spec)
+        assert flow.initialize(again, ot, spec, sig).grid is first.grid
+        assert flow.build_grid(om, spec) is first.grid
+
+    def test_another_resolution_map_centre_or_interval_builds_anew(self):
+        ball = dom.ConvexDomain.ball([0, 0], 1.0)
+        held = flow.build_grid(ball, (6, 12))
+        for omega, spec in ((ball, (6, 14)), (ball, (8, 12)),
+                            (dom.ConvexDomain.ball([0, 0], 0.9), (6, 12)),
+                            (dom.ConvexDomain.ball([0.1, 0], 1.0), (6, 12))):
+            assert flow.build_grid(omega, spec) is not held
+        line = dom.ConvexDomain.interval(0, 1)
+        held = flow.build_grid(line, 40)
+        for omega, n in ((line, 41), (dom.ConvexDomain.interval(0, 1.5), 40),
+                         (dom.ConvexDomain.interval(-0.5, 1), 40)):
+            assert flow.build_grid(omega, n) is not held
+
+    def test_grid_dies_with_its_last_state(self):
+        state = flow.initialize(dom.ConvexDomain.ball([0.3, 0], 1.0),
+                                dom.ConvexDomain.ball([0, 0], 0.5), (5, 10),
+                                MINKOWSKI)
+        ref = weakref.ref(state.grid)
+        del state
+        gc.collect()
+        assert ref() is None
+
+    def test_shared_grid_is_read_only(self):
+        om, ot, spec, sig = JACOBIAN_CASES["disk-ball"]
+        state = flow.initialize(om, ot, spec, sig)
+        with pytest.raises(ValueError, match="read-only"):
+            state.grid.nodes[0, 0] += 1.0
+
+    def test_runs_on_a_shared_grid_match_runs_on_their_own(self, monkeypatch):
+        # the unit ball onto the half ball and onto a rotated ellipse on
+        # one grid, against each run on a grid built by the constructor
+        ball, spec = dom.ConvexDomain.ball([0, 0], 1.0), (6, 12)
+        images = [dom.ConvexDomain.ball([0, 0], 0.5),
+                  rotated_ellipse([0.05, 0.1], [0.4, 0.25], -0.7)]
+        shared = [flow.run_to_translator(flow.initialize(ball, ot, spec, MINKOWSKI))
+                  for ot in images]
+        assert shared[0].state.grid is shared[1].state.grid
+        monkeypatch.setattr(flow, "build_grid", lambda omega, grid_spec: (
+            flow.MappedDiskGrid(dom.spd_inv_sqrt(omega.shape), omega.center,
+                                *grid_spec)))
+        for got, ot in zip(shared, images):
+            alone = flow.run_to_translator(flow.initialize(ball, ot, spec, MINKOWSKI))
+            assert alone.state.grid is not got.state.grid
+            assert repr(got.c_inf) == repr(alone.c_inf)
+            assert got.u_inf.tobytes() == alone.u_inf.tobytes()
+            assert got.steps == alone.steps
 
 
 class TestStateJets:
@@ -1034,7 +1098,7 @@ class TestRunToTranslator:
         assert abs(result.c_inf - np.log(3.0)) < 4e-4
         assert result.residual <= 1e-6 * max(1.0, result.c_inf)
         # profile is anchored at the grid center
-        assert result.u_inf[result.state.grid.anchor] == 0.0
+        assert result.u_inf[result.state.anchor] == 0.0
 
     def test_gradient_image_confined(self):
         om, ot = interval_pair()
@@ -1312,5 +1376,5 @@ class TestExtrapolatedRate:
         assert len(rates) == result.steps
         assert result.c_inf == flow._extrapolated_rate(rates) != rates[-1]
         state = result.state
-        u_inf = state.u - state.u[state.grid.anchor]
+        u_inf = state.u - state.u[state.anchor]
         assert np.array_equal(result.u_inf, u_inf)

@@ -291,6 +291,29 @@ class TestStencilPattern:
             np.abs(expect.data))
 
 
+class TestReadOnly:
+    @pytest.mark.parametrize("grid", [
+        LineGrid(0.0, 1.0, 12),
+        MappedDiskGrid(np.array([[0.8, 0.3], [0.3, 0.5]]), np.ones(2), 5, 10),
+    ], ids=["line", "disk"])
+    def test_every_array_of_a_grid_is_read_only(self, grid):
+        names = ["nodes", "interior", "boundary", "audit_interior",
+                 "boundary_points"]
+        if grid.dim == 2:
+            names += ["ref_nodes", "a_map", "a_inv", "center"]
+        stacked, slot = grid._stacked
+        pattern = grid.stencil_pattern
+        arrays = [getattr(grid, name) for name in names] + [
+            stacked.data, stacked.indices, stacked.indptr, slot,
+            pattern.indptr, pattern.indices, pattern._diagonal, pattern._values]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_disk_grid_leaves_its_arguments_writable(self):
+        a_map, center = np.eye(2), np.zeros(2)
+        MappedDiskGrid(a_map, center, 5, 10)
+        assert a_map.flags.writeable and center.flags.writeable
+
+
 class TestDerivatives:
     @pytest.mark.parametrize("grid", [
         LineGrid(-0.3, 1.2, 40),

@@ -39,11 +39,43 @@ from .geometry import MINKOWSKI, SIGNATURES
 from .grids import LineGrid
 from .operators import g_derivatives_many, legendre_transform
 
-FMT = "{:.17g}"
+
+# the artifacts' one number format: 17 digits read back exactly
+_fmt = "{:.17g}".format
 
 
-def _fmt(x) -> str:
-    return FMT.format(float(x))
+def _cells(values) -> list[str]:
+    """One table column as text: integers through ``str``, every other
+    number through ``_fmt``."""
+    values = np.asarray(values)
+    return list(map(str if values.dtype.kind in "iu" else _fmt,
+                    values.tolist()))
+
+
+def _write_table(path, names, cells, sep=",", header=()):
+    """Write the ``header`` lines, the column ``names`` joined by ``sep``
+    (if any), then one line per row of the ``_cells`` columns ``cells``."""
+    lines = [*header, sep.join(names)] if names else list(header)
+    lines += map(sep.join, zip(*cells))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _parse_rows(lines, width, sep=None):
+    """(rows, width) floats of the table ``lines`` split at ``sep``; a row
+    of another width or with a token that is no number raises ValueError
+    naming its data row, counted from 1."""
+    rows = []
+    for k, line in enumerate(lines, 1):
+        tokens = line.split(sep)
+        if len(tokens) != width:
+            raise ValueError(f"data row {k} has {len(tokens)} fields, "
+                             f"expected {width}")
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError as exc:
+            raise ValueError(f"data row {k}: {exc}") from None
+    return np.array(rows).reshape(len(rows), width)
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +208,16 @@ def parse_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def write_monitors_csv(path, records):
-    with open(path, "w") as f:
-        f.write(",".join(mon.CSV_COLUMNS) + "\n")
-        for rec in records:
-            f.write(rec.csv_row() + "\n")
+    cells = [_cells([getattr(rec, name) for rec in records])
+             for name in mon.CSV_COLUMNS]
+    _write_table(path, mon.CSV_COLUMNS, cells)
 
 
 def _node_table(state) -> tuple[list, list]:
     """(column names, columns) of the per-node table both node artifacts
     write: the node's index (i, or ring i and angle j in 2D with the pole
-    at 0 0), its coordinates and u. Each column is a list of strings, the
-    numbers in ``_fmt``."""
+    at 0 0), its coordinates and u, each column a list of ``_cells``
+    that both artifacts share."""
     grid = state.grid
     if grid.dim == 1:
         index = [("i", np.arange(grid.n_nodes))]
@@ -194,20 +225,17 @@ def _node_table(state) -> tuple[list, list]:
         k = np.arange(grid.n_nodes - 1)  # the nodes after the pole
         index = [("i", np.r_[0, k // grid.n_theta + 1]),
                  ("j", np.r_[0, k % grid.n_theta])]
-    numbers = [*zip("xy", grid.nodes.T), ("u", state.u)]
-    cols = [list(map(str, vals.tolist())) for _, vals in index]
-    cols += [list(map(_fmt, vals.tolist())) for _, vals in numbers]
-    return [name for name, _ in index + numbers], cols
+    columns = [*index, *zip("xy", grid.nodes.T), ("u", state.u)]
+    return ([name for name, _ in columns],
+            [_cells(vals) for _, vals in columns])
 
 
 def write_fields_csv(path, state, table=None):
     names, cols = table or _node_table(state)
     jets = state.jets
     extra = [*zip(("du_x", "du_y"), jets.p), ("hess_min", jets.lam[0])]
-    names = names + [name for name, _ in extra]
-    cols = cols + [list(map(_fmt, vals.tolist())) for _, vals in extra]
-    with open(path, "w") as f:
-        f.write("\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n")
+    _write_table(path, [*names, *(name for name, _ in extra)],
+                 [*cols, *(_cells(vals) for _, vals in extra)])
 
 
 def write_snapshot(path, state, c_inf, table=None):
@@ -229,15 +257,13 @@ def write_snapshot(path, state, c_inf, table=None):
         f"nodes = {grid.n_nodes}",
         f"columns = {' '.join(names)}",
     ]
-    with open(path, "w") as f:
-        f.write("\n".join([*header, *map(" ".join, zip(*cols))]) + "\n")
+    _write_table(path, (), cols, sep=" ", header=header)
 
 
 def read_snapshot(path):
     """Parse a snapshot file back into header dict + coordinate/u arrays;
     a bad header or table raises ConfigError naming the file."""
-    header = {}
-    rows = []
+    header, rows = {}, []
     with open(path) as f:
         for line in f:
             line = line.strip()
@@ -247,21 +273,15 @@ def read_snapshot(path):
                 key, val = (part.strip() for part in line.split("=", 1))
                 header[key] = val
                 continue
-            rows.append(line.split())
+            rows.append(line)
     try:
         ncols = len(header["columns"].split())
         dim = int(header["dimension"])
-        for k, row in enumerate(rows, 1):
-            if len(row) != ncols:
-                raise ValueError(f"table row {k} has {len(row)} columns, "
-                                 f"expected {ncols}")
-        data = np.array([[float(tok) for tok in row] for row in rows])
+        data = _parse_rows(rows, ncols)
     except (KeyError, ValueError) as exc:
         why = f"no header key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"snapshot {path}: {why}") from None
-    data = data.reshape(len(rows), ncols)
-    coords = data[:, dim:-1] if dim == 1 else data[:, 2:-1]
-    return header, coords, data[:, -1]
+    return header, data[:, dim:-1], data[:, -1]
 
 
 def write_report(path, config, converged, result, monitor, message=""):
@@ -372,11 +392,8 @@ def oracle_command(args) -> int:
     print(f"C = {profile.c_speed:.10f}")
     out = Path(args.out) if args.out else Path("profile.csv")
     try:
-        with open(out, "w") as f:
-            f.write("r,phi\n")
-            row = f"{FMT},{FMT}\n".format
-            f.writelines(row(rk, pk) for rk, pk in zip(profile.radii.tolist(),
-                                                       profile.phi.tolist()))
+        _write_table(out, ("r", "phi"),
+                     [_cells(profile.radii), _cells(profile.phi)])
     except OSError as exc:
         print(f"oracle error: cannot write {out}: {exc.strerror or exc}",
               file=sys.stderr)
@@ -492,19 +509,11 @@ def report_command(csv_path) -> int:
         print(f"report error: monitors csv lacks column(s) {', '.join(missing)}",
               file=sys.stderr)
         return 1
-    rows = []
-    for k, ln in enumerate(lines[1:], start=1):
-        tokens = ln.split(",")
-        if len(tokens) != len(header):
-            print(f"report error: data row {k} has {len(tokens)} fields, "
-                  f"the header {len(header)}", file=sys.stderr)
-            return 1
-        try:
-            rows.append([float(tok) for tok in tokens])
-        except ValueError as exc:
-            print(f"report error: data row {k}: {exc}", file=sys.stderr)
-            return 1
-    data = np.array(rows)
+    try:
+        data = _parse_rows(lines[1:], len(header), ",")
+    except ValueError as exc:
+        print(f"report error: {exc}", file=sys.stderr)
+        return 1
     col = {name: k for k, name in enumerate(header)}
     final = data[-1]
     c_lo, c_hi = final[col["udot_min"]], final[col["udot_max"]]
@@ -517,16 +526,12 @@ def report_command(csv_path) -> int:
     print(f"obliq_min over run = {np.min(data[:, col['obliq_min']]):.10g}")
     print(f"hessian range over run = [{np.min(data[:, col['hess_min']]):.10g}, "
           f"{np.max(data[:, col['hess_max']]):.10g}]")
-    out_dir = path.parent
-    t = data[:, col["t"]]
+    t = _cells(data[:, col["t"]])
     for name, k in col.items():
-        if name == "t":
-            continue
-        target = out_dir / f"monitor_{name}.dat"
-        with open(target, "w") as f:
-            for ti, vi in zip(t, data[:, k]):
-                f.write(f"{_fmt(ti)} {_fmt(vi)}\n")
-    print(f"per-monitor series written to {out_dir}/monitor_*.dat")
+        if name != "t":
+            _write_table(path.parent / f"monitor_{name}.dat", (),
+                         [t, _cells(data[:, k])], sep=" ")
+    print(f"per-monitor series written to {path.parent}/monitor_*.dat")
     return 0
 
 

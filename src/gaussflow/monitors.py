@@ -78,16 +78,6 @@ class MonitorRecord:
     f_min: float = math.nan
     f_max: float = math.nan
 
-    def csv_row(self) -> str:
-        vals = []
-        for name in CSV_COLUMNS:
-            v = getattr(self, name)
-            if name == "newton_iters":
-                vals.append(str(int(v)))
-            else:
-                vals.append(f"{float(v):.17g}")
-        return ",".join(vals)
-
 
 def obliqueness(state) -> float:
     """Min over boundary nodes of <beta, nu> / |beta|, beta = Dh(Du)."""
@@ -226,7 +216,9 @@ class RunMonitor:
     """
 
     def __init__(self, state0, cadence: int = 1, tau_max: float = 1.0):
-        self.cadence = max(1, int(cadence))
+        if cadence < 1:
+            raise ValueError(f"cadence must be at least 1, got {cadence}")
+        self.cadence = int(cadence)
         h = state0.grid.h_ref
         self.tol_mon = 10.0 * (h**2 + tau_max * h)
         self.g0_range = state0.g0_range

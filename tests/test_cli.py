@@ -120,6 +120,13 @@ class TestStepControlValidation:
                      "ellipse needs cx cy q11 q12 q22", id="ellipse-count"),
         pytest.param("omega = disk 0 0 1", "unknown domain kind 'disk'",
                      id="unknown-domain-kind"),
+        pytest.param("omega = interval 1 0", "interval needs a < b",
+                     id="reversed-interval"),
+        pytest.param("omega_tilde = ellipse 0 0 1 2 1",
+                     "shape matrix must be positive definite",
+                     id="indefinite-ellipse"),
+        pytest.param("omega = ball 0 0 -1", "ball needs radius > 0",
+                     id="negative-radius"),
         pytest.param("omega = ball 0 0 1\nomega_tilde = ball 0 0 0.5",
                      "2D runs need keys: n_rho, n_theta", id="2d-without-grid"),
         # a directory under the configuration file, a regular file
@@ -226,9 +233,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("text,match", [
         ("dimension = 1\ncolumns = index x u\n0 0.0 1.0 2.0\n",
-         "has 4 columns, expected 3"),
+         "has 4 fields, expected 3"),
         ("dimension = 1\ncolumns = index x u\n0 0.0 1.0\n1 0.5\n",
-         "row 2 has 2 columns, expected 3"),
+         "row 2 has 2 fields, expected 3"),
         ("dimension = 1\n0 0.0 1.0\n", "no header key 'columns'"),
         ("dimension = 1\ncolumns = index x u\n0 0.0 one\n",
          "could not convert string to float: 'one'"),

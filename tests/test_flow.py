@@ -13,7 +13,12 @@ from scipy.sparse.linalg import splu, spsolve
 
 from gaussflow import domains as dom
 from gaussflow import flow, geometry, monitors, operators, oracles
-from gaussflow.errors import ConvexityError, NonConvergenceError, StepFailureError
+from gaussflow.errors import (
+    ConvexityError,
+    NonConvergenceError,
+    SpacelikeViolationError,
+    StepFailureError,
+)
 from gaussflow.flow import StepControls, step_explicit, step_implicit
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI, eigenvalues_many
 from helpers import stencil_blocks
@@ -1200,6 +1205,35 @@ class TestRunToTranslator:
         assert len(accepted) == 1 + result.steps
         assert all(osc >= 1e-4 for osc in failed_at_osc), failed_at_osc
         assert abs(result.c_inf - np.log(3.0)) < 1e-6
+
+    def test_spacelike_iterate_rejects_its_attempt(self, monkeypatch):
+        # the image B_0.98 lies close to the light cone: some Newton
+        # iterates leave it, their attempts fail and tau halving recovers
+        rejected_taus = []
+        residual = flow._residual
+
+        def recorded(*args):
+            try:
+                return residual(*args)
+            except SpacelikeViolationError:
+                rejected_taus.append(args[3])
+                raise
+
+        monkeypatch.setattr(flow, "_residual", recorded)
+        state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
+                                dom.ConvexDomain.ball([0, 0], 0.98),
+                                (16, 32), MINKOWSKI)
+        result = flow.run_to_translator(state)  # raises unless converged
+        assert rejected_taus
+        assert monitors.grad_max(result.state) < 1
+
+    def test_translator_residual_gate(self):
+        # osc and bres meet their tolerances; no residual meets 1e-30
+        om, ot = interval_pair()
+        state = flow.initialize(om, ot, 100, MINKOWSKI)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^translator residual \S+ exceeds "):
+            flow.run_to_translator(state, StepControls(tol_r_scale=1e-30))
 
     def test_euclidean_2d_radial_against_shooting(self):
         prof = oracles.translator_radial_shooting(1.0, 0.8, 2, EUCLIDEAN,

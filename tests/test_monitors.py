@@ -300,6 +300,11 @@ class TestRunMonitor:
             _, mon, result = run_with_monitor(101, cadence=cadence)
             assert len(mon.records) == 1 + result.steps // cadence
 
+    @pytest.mark.parametrize("cadence", [0, -1])
+    def test_cadence_below_one_is_rejected(self, cadence):
+        with pytest.raises(ValueError, match="cadence must be at least 1"):
+            monitors.RunMonitor(interval_state(21), cadence=cadence)
+
     def test_records_are_finite(self):
         _, mon, _ = run_with_monitor(101)
         for rec in mon.records:

@@ -43,7 +43,6 @@ from .grids import LineGrid, MappedDiskGrid
 from .monitors import MonitorRecord, RunMonitor
 from .operators import (
     OperatorDerivatives,
-    StructureReport,
     g_derivatives,
     g_dual,
     g_value,

@@ -5,7 +5,8 @@ Subcommands:
 * ``run --config path``: parse a flat key = value config, advance the
   flow to its translator, write monitors.csv / snapshot.txt / fields.csv
   and a human-readable report. Exit 0 on convergence, 2 on
-  non-convergence (artifacts still written), 1 on configuration errors.
+  non-convergence (artifacts still written), 1 on configuration errors
+  and on an artifact that cannot be written.
 * ``oracle closed1d a b c d sig`` / ``oracle radial R rho n sig``:
   print the reference speed; the radial oracle also writes profile.csv.
 * ``check [--debug-paper-signs]``: the full invariant suite as a
@@ -318,23 +319,19 @@ def write_report(path, config, converged, result, monitor, message=""):
 # ---------------------------------------------------------------------------
 
 def run_command(config_path) -> int:
+    config = parse_config(config_path)
+    state = initialize(config.omega, config.omega_tilde,
+                       config.grid_spec, config.signature)
+    n_nodes = state.grid.n_nodes
+    if config.anchor is not None and not 0 <= config.anchor < n_nodes:
+        raise ConfigError(f"anchor = {config.anchor} is not a node index "
+                          f"in [0, {n_nodes})")
+    out = Path(config.output_dir)
     try:
-        config = parse_config(config_path)
-        state = initialize(config.omega, config.omega_tilde,
-                           config.grid_spec, config.signature)
-        n_nodes = state.grid.n_nodes
-        if config.anchor is not None and not 0 <= config.anchor < n_nodes:
-            raise ConfigError(f"anchor = {config.anchor} is not a node index "
-                              f"in [0, {n_nodes})")
-        out = Path(config.output_dir)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"output_dir {str(out)!r}: {exc.strerror or exc}") from None
-    except (ConfigError, ValueError, GaussFlowError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"output_dir {str(out)!r}: {exc.strerror or exc}") from None
     if config.anchor is not None:
         state = replace(state, anchor=config.anchor)
 
@@ -370,34 +367,22 @@ _ORACLE_ARITY = {"closed1d": 4, "radial": 3}
 
 
 def oracle_command(args) -> int:
-    try:
-        arity = _ORACLE_ARITY[args.kind]
-        if len(args.params) != arity:
-            raise ValueError(f"{args.kind} needs {arity} numbers before the "
-                             f"signature, got {len(args.params)}")
-        if args.kind == "closed1d":
-            speed, _ = oracles.translator_1d_closed_form(*args.params, args.sig)
-        else:
-            radius, rho, n = args.params
-            if not (n.is_integer() and n >= 1):
-                raise ValueError(f"radial needs a positive integer n, got {n:g}")
-            profile = oracles.translator_radial_shooting(radius, rho, int(n),
-                                                         args.sig, tol=1e-10)
-    except (ValueError, GaussFlowError) as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return 1
+    arity = _ORACLE_ARITY[args.kind]
+    if len(args.params) != arity:
+        raise ValueError(f"{args.kind} needs {arity} numbers before the "
+                         f"signature, got {len(args.params)}")
     if args.kind == "closed1d":
+        speed, _ = oracles.translator_1d_closed_form(*args.params, args.sig)
         print(f"C = {speed:.7f}")
         return 0
+    radius, rho, n = args.params
+    if not (n.is_integer() and n >= 1):
+        raise ValueError(f"radial needs a positive integer n, got {n:g}")
+    profile = oracles.translator_radial_shooting(radius, rho, int(n),
+                                                 args.sig, tol=1e-10)
     print(f"C = {profile.c_speed:.10f}")
     out = Path(args.out) if args.out else Path("profile.csv")
-    try:
-        _write_table(out, ("r", "phi"),
-                     [_cells(profile.radii), _cells(profile.phi)])
-    except OSError as exc:
-        print(f"oracle error: cannot write {out}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return 1
+    _write_table(out, ("r", "phi"), [_cells(profile.radii), _cells(profile.phi)])
     print(f"profile written to {out}")
     return 0
 
@@ -497,23 +482,15 @@ REPORT_COLUMNS = ("t", "udot_min", "udot_max", "obliq_min", "hess_min", "hess_ma
 def report_command(csv_path) -> int:
     path = Path(csv_path)
     if not path.is_file():
-        print(f"report error: {path} not found", file=sys.stderr)
-        return 1
+        raise ValueError(f"{path} not found")
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if len(lines) < 2:
-        print("report error: monitors csv has no data rows", file=sys.stderr)
-        return 1
+        raise ValueError("monitors csv has no data rows")
     header = lines[0].split(",")
     missing = [name for name in REPORT_COLUMNS if name not in header]
     if missing:
-        print(f"report error: monitors csv lacks column(s) {', '.join(missing)}",
-              file=sys.stderr)
-        return 1
-    try:
-        data = _parse_rows(lines[1:], len(header), ",")
-    except ValueError as exc:
-        print(f"report error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"monitors csv lacks column(s) {', '.join(missing)}")
+    data = _parse_rows(lines[1:], len(header), ",")
     col = {name: k for k, name in enumerate(header)}
     final = data[-1]
     c_lo, c_hi = final[col["udot_min"]], final[col["udot_max"]]
@@ -536,6 +513,9 @@ def report_command(csv_path) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A library error, a ValueError or an OSError in
+    it is one line on stderr and exit 1; inputs are checked to be files
+    before they are read, so an OSError naming a file is a write."""
     parser = argparse.ArgumentParser(
         prog="gaussflow",
         description="Translating solitons of graphical mean curvature flow "
@@ -559,13 +539,21 @@ def main(argv=None) -> int:
     p_report.add_argument("csv")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_command(args.config)
-    if args.command == "oracle":
-        return oracle_command(args)
-    if args.command == "check":
-        return check_command(args.debug_paper_signs)
-    return report_command(args.csv)
+    try:
+        if args.command == "run":
+            return run_command(args.config)
+        if args.command == "oracle":
+            return oracle_command(args)
+        if args.command == "check":
+            return check_command(args.debug_paper_signs)
+        return report_command(args.csv)
+    except (GaussFlowError, ValueError, OSError) as exc:
+        why = exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            why = f"cannot write {exc.filename}: {exc.strerror or exc}"
+        label = "configuration" if args.command == "run" else args.command
+        print(f"{label} error: {why}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

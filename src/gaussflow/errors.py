@@ -22,14 +22,7 @@ class StepFailureError(GaussFlowError):
 
 
 class NonConvergenceError(GaussFlowError):
-    """The flow did not reach the translator tolerance within max_steps.
-
-    Carries the monitor history collected so far in ``history``.
-    """
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history if history is not None else []
+    """The flow did not reach the translator tolerance within max_steps."""
 
 
 class OracleFailureError(GaussFlowError):

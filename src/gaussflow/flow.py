@@ -18,9 +18,11 @@ The equation is the state's operator state.op (operators.FlowOperator):
 G, its weights G_r and G_p, the boundary rows and the admissible set,
 each on the component-major rows of one product with the grid's stacked
 stencils (grid.derivative_rows), so no array is transposed or copied
-between them. A step is admissible when its Hessian is positive definite;
-the accepted state's jets keep the spectrum, and op.value already
-enforced the spacelike bound at the same gradients.
+between them. A step is admissible when its Hessian is positive definite
+on the interior rows, the rows whose equation holds it; the boundary
+rows' one-sided Hessians enter no equation and are not tested. The
+accepted state's jets keep the spectrum of every node, and op.value
+already enforced the spacelike bound at the same gradients.
 
 The Jacobian is filled on a sparsity pattern fixed per grid (the union
 of the identity and every stencil, built from the grid's stencil table
@@ -207,7 +209,6 @@ class FlowState:
     steps: int
     op: FlowOperator
     omega: dom.ConvexDomain
-    g0_range: tuple[float, float]
     anchor: int
     newton_iters: int = 0
     factor: ChordFactor | None = field(default=None, repr=False, compare=False)
@@ -236,7 +237,6 @@ class SolitonResult:
     steps: int
     wall_seconds: float
     state: FlowState
-    history: list = field(default_factory=list, repr=False)
 
 
 # The grids held by live states, by domain and resolution (build_grid).
@@ -278,7 +278,8 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
     under a unique SPD affine map, so
     u0(x) = 0.5 (x - c)^T A (x - c) + c_tilde . x always realizes
     Du0(Omega) = Omega_tilde exactly and is uniformly convex. The state's
-    jets start with the Du0 and D2u0 that G0 was evaluated on.
+    rate u_dot is G0 = G(Du0, D2u0), and its jets start with the Du0 and
+    D2u0 that G0 was evaluated on.
     """
     if omega.dimension != omega_tilde.dimension:
         raise ValueError("omega and omega_tilde must share a dimension")
@@ -290,10 +291,9 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
         a_mat @ omega.center + shift
     )
     p, r = grid.derivative_rows(u0)
-    g0 = op.value(p, r)
     state = FlowState(
-        grid=grid, u=u0, t=0.0, u_dot=g0, tau=0.0, steps=0, op=op, omega=omega,
-        g0_range=(float(np.min(g0)), float(np.max(g0))), anchor=grid.anchor,
+        grid=grid, u=u0, t=0.0, u_dot=op.value(p, r), tau=0.0, steps=0, op=op,
+        omega=omega, anchor=grid.anchor,
     )
     state.jets.p, state.jets.r = p, r
     return state
@@ -494,9 +494,10 @@ def step_implicit(state: FlowState, controls: StepControls | None = None) -> Flo
         got = _newton_solve(state, u_prev, guess, tau, controls, carried)
         if got is not None:
             u_new, iters, n_factors, p, r, factor = got
-            # strict convexity; the last residual evaluation, at these
-            # gradients, already raised SpacelikeViolationError past the bound
-            ok, lam = state.op.admissible(r)
+            # strict convexity on the interior rows; the last residual
+            # evaluation, at these gradients, already raised
+            # SpacelikeViolationError past the bound
+            ok, lam = state.op.admissible(r, state.grid.interior)
             if ok:
                 break
         tau *= 0.5
@@ -531,8 +532,11 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
     ``step_implicit``; the boundary values then solve the implicit
     system's boundary rows at tau = 0, where every interior row is the
     identity: ``_newton_solve`` to 1e-13 (or its roundoff floor) in at
-    most 40 iterations, and ``StepFailureError`` if it fails.
+    most 40 iterations, and ``StepFailureError`` if it fails. A tau that
+    is not finite and positive raises ValueError, as in ``step_implicit``.
     """
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"explicit step needs a finite tau > 0, got {tau!r}")
     grid = state.grid
     u_prev = state.u - state.u[state.anchor]
     p, r = grid.derivative_rows(u_prev)
@@ -590,13 +594,14 @@ def _extrapolated_rate(rates) -> float:
 
 
 def translator_residual(u: np.ndarray, c: float, op: FlowOperator, grid) -> float:
-    """max over interior nodes of |G(Du, D2u) - c| for a field ``op`` admits."""
+    """max over interior nodes of |G(Du, D2u) - c| for a field ``op`` admits
+    on the interior nodes."""
     p, r = grid.derivative_rows(u)
-    ok, lam = op.admissible(r)
+    ok, lam = op.admissible(r, grid.interior)
     if not ok:
         raise ConvexityError(
             f"translator residual needs a strictly convex field "
-            f"(min Hessian eigenvalue {np.min(lam[0]):.3e})"
+            f"(min interior Hessian eigenvalue {np.min(lam[0, grid.interior]):.3e})"
         )
     return float(np.max(np.abs(op.value(p, r)[grid.interior] - c)))
 
@@ -606,9 +611,10 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
     """Advance implicit steps until the rate field is uniform.
 
     ``on_accept(state)`` fires after every accepted step (monitor hook).
-    Raises NonConvergenceError carrying the light per-step history if
-    max_steps is exhausted. However the loop ends, the last state drops
-    its carried chord factor, so no factor outlives the run.
+    Raises NonConvergenceError if max_steps is exhausted, naming the last
+    step's oscillation and boundary residual against their tolerances.
+    However the loop ends, the last state drops its carried chord factor,
+    so no factor outlives the run.
 
     The reported C_inf is ``_extrapolated_rate`` of the per-step mean
     rates; the steady residual is taken at it and at u - u[anchor].
@@ -616,8 +622,8 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
     controls = controls or StepControls()
     t_start = time.perf_counter()
     state = replace(state, tau=controls.initial_tau())
-    history = []
     rates = []
+    osc = bres = np.nan
     converged = False
     try:
         for _ in range(controls.max_steps):
@@ -627,23 +633,20 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
                 on_accept(state)
             osc = float(np.max(state.u_dot) - np.min(state.u_dot))
             bres = boundary_residual(state)
-            history.append((state.t, state.tau, osc, bres, state.newton_iters))
             if osc < controls.tol_c and bres < controls.tol_b:
                 converged = True
                 break
     except StepFailureError as exc:
-        raise NonConvergenceError(str(exc), history=history) from exc
+        raise NonConvergenceError(str(exc)) from exc
     finally:
         state.factor = None
     if not converged:
-        last = zip(("osc", "bres"), history[-1][2:4] if history else (np.nan,) * 2,
-                   ("tol_c", "tol_b"), (controls.tol_c, controls.tol_b))
+        last = (("osc", osc, "tol_c", controls.tol_c),
+                ("bres", bres, "tol_b", controls.tol_b))
         raise NonConvergenceError(
             f"no translator after {controls.max_steps} steps: " + ", ".join(
                 f"{name} = {val:.3e} {'below' if val < tol else 'above'} "
-                f"{tol_name} = {tol:.3e}" for name, val, tol_name, tol in last),
-            history=history,
-        )
+                f"{tol_name} = {tol:.3e}" for name, val, tol_name, tol in last))
 
     c_inf = _extrapolated_rate(rates)
     u_inf = state.u - state.u[state.anchor]
@@ -651,11 +654,8 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
     tol_r = controls.tol_r_scale * max(1.0, abs(c_inf))
     if residual > tol_r:
         raise NonConvergenceError(
-            f"translator residual {residual:.3e} exceeds {tol_r:.3e}",
-            history=history,
-        )
+            f"translator residual {residual:.3e} exceeds {tol_r:.3e}")
     return SolitonResult(
         c_inf=c_inf, u_inf=u_inf, residual=residual, steps=state.steps,
         wall_seconds=time.perf_counter() - t_start, state=state,
-        history=history,
     )

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domains as dom
-from .geometry import eigenvalues_many
+from .geometry import eigenvalues_many, v_squared
 from .operators import legendre_transform, structure_report
 
 OBLIQUENESS_FLOOR = 1e-3
@@ -211,8 +211,10 @@ class RunMonitor:
     last observed state unless it is already the last row, so a run of S
     steps at cadence c yields 1 + ceil(S / c) rows, the last of them the
     final state. ``tau_max``, the run's tau ceiling, and ``grid.h_ref``
-    set the one audit tolerance tol_mon (module docstring). The curvature
-    sandwich band is taken once, from ``state0`` (``structure_report``).
+    set the one audit tolerance tol_mon (module docstring). ``g0_range``
+    is the (min, max) of the rate of ``state0``, G0 (``flow.initialize``),
+    and ``sandwich`` the band [min w * min G0, max w * max G0] for H, w =
+    1/v at the smallest and largest |p| of the gradient-image domain.
     """
 
     def __init__(self, state0, cadence: int = 1, tau_max: float = 1.0):
@@ -221,8 +223,11 @@ class RunMonitor:
         self.cadence = int(cadence)
         h = state0.grid.h_ref
         self.tol_mon = 10.0 * (h**2 + tau_max * h)
-        self.g0_range = state0.g0_range
-        self.sandwich = structure_report(state0).sandwich
+        g0_min, g0_max = float(np.min(state0.u_dot)), float(np.max(state0.u_dot))
+        self.g0_range = (g0_min, g0_max)
+        w = 1.0 / np.sqrt(v_squared(np.square(state0.omega_tilde.norm_range),
+                                    state0.sig))
+        self.sandwich = (float(np.min(w) * g0_min), float(np.max(w) * g0_max))
         self.eps0 = eps0_candidate(state0)  # t = 0 slice, all nodes
         self.records: list[MonitorRecord] = []
         self._window = []  # the last three recorded states
@@ -256,7 +261,7 @@ class RunMonitor:
         if len(self._window) == 3:
             evo = evolution_residual(self._window)
         lam_min, lam_max = hessian_bounds(state)
-        rep = structure_report(state)
+        tg_range, f_range = structure_report(state)
         self.records.append(MonitorRecord(
             t=state.t,
             tau=state.tau,
@@ -266,13 +271,13 @@ class RunMonitor:
             hess_min=lam_min,
             hess_max=lam_max,
             grad_max=grad_max(state),
-            TG_min=rep.tg_range[0],
-            TG_max=rep.tg_range[1],
+            TG_min=tg_range[0],
+            TG_max=tg_range[1],
             convex_margin=convexity_margin(state, self.eps0),
             evo_residual=evo,
             newton_iters=state.newton_iters,
-            f_min=rep.f_range[0],
-            f_max=rep.f_range[1],
+            f_min=f_range[0],
+            f_max=f_range[1],
         ))
 
     # -- run level verdicts --------------------------------------------------

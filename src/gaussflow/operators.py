@@ -56,21 +56,6 @@ class OperatorDerivatives:
     g_p: np.ndarray  # (n,)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Structure constants of the operator evaluated over one flow state.
-
-    tg_range is the (min, max) over nodes of the curvature-slot trace
-    g^ij delta_ij and f_range that of the mean curvature H, the sum of
-    principal curvatures; sandwich is the admissible band for H derived
-    from the initial rate range and the gradient-image domain.
-    """
-
-    tg_range: tuple[float, float]
-    f_range: tuple[float, float]
-    sandwich: tuple[float, float]
-
-
 def g_value(jet: PointJet, sig: str) -> float:
     """G(Du, D2u) at a single jet."""
     p = np.asarray(jet.du, dtype=float)[None, :]
@@ -139,10 +124,13 @@ class FlowOperator:
             return pb[0] - self.omega_tilde.ends, 1.0
         return dom.defining_jet_many(self.omega_tilde, pb)
 
-    def admissible(self, r: np.ndarray):
-        """(ok, lam): whether each Hessian of r is positive definite; spectra."""
+    def admissible(self, r: np.ndarray, rows):
+        """(ok, lam): whether the Hessians of r on ``rows`` are positive
+        definite, and the spectra of every node. The flow tests the interior
+        rows, the equations that hold the Hessian; a boundary row solves
+        h(Du) = 0, and its one-sided second differences enter no equation."""
         lam = eigenvalues_many(r)
-        return bool(np.min(lam[0]) > 0.0), lam
+        return bool(np.min(lam[0, rows]) > 0.0), lam
 
     def limiter(self, p: np.ndarray) -> float:
         """The explicit step's spacelike factor: 1 - max |p|^2, Euclidean 1."""
@@ -192,25 +180,12 @@ def legendre_transform(u: np.ndarray, grid):
     return y, u_tilde
 
 
-def structure_report(state) -> StructureReport:
-    """Evaluate the operator structure constants over a flow state.
-
-    The sum of principal curvatures should stay inside the band
-    [min w * min G0, max w * max G0] where w = 1/v ranges over the
-    gradient-image domain and (min G0, max G0) is the initial rate range
-    carried by the state. The nodal geometry (p, v and H) is read from
-    the state's jets.
-    """
+def structure_report(state):
+    """(tg_range, f_range) of a flow state: the (min, max) over nodes of the
+    curvature-slot trace g^ij delta_ij and of the mean curvature H, the sum
+    of principal curvatures, read from the state's jets (p, v and H)."""
     jets = state.jets
-    p, big_h = jets.p, jets.H
     eps = signature_eps(state.sig)
-    tg = p.shape[0] - eps * np.sum(p * p, axis=0) / jets.v**2
-    # w = 1/v at the smallest and largest |p| of the gradient-image domain
-    w = 1.0 / np.sqrt(v_squared(np.square(state.omega_tilde.norm_range),
-                                state.sig))
-    g0_min, g0_max = state.g0_range
-    return StructureReport(
-        tg_range=(float(np.min(tg)), float(np.max(tg))),
-        f_range=(float(np.min(big_h)), float(np.max(big_h))),
-        sandwich=(float(np.min(w) * g0_min), float(np.max(w) * g0_max)),
-    )
+    tg = jets.p.shape[0] - eps * np.sum(jets.p * jets.p, axis=0) / jets.v**2
+    return ((float(np.min(tg)), float(np.max(tg))),
+            (float(np.min(jets.H)), float(np.max(jets.H))))

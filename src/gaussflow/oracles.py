@@ -153,8 +153,8 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
     An integration that ends without the event, or a sampled profile
     that is not strictly increasing, raises ``OracleFailureError``.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if not 0.0 < tol < 1.0:
@@ -165,8 +165,8 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
         fwd, w_end = np.tanh, float(np.arctanh(rho))
         s_max = n * w_end + 1.0
     elif sig == EUCLIDEAN:
-        if rho <= 0:
-            raise ValueError("boundary slope must be positive")
+        if not 0.0 < rho < np.inf:
+            raise ValueError(f"boundary slope must be finite and positive, got {rho!r}")
         fwd, w_end = np.tan, float(np.arctan(rho))
         s_max = n * rho + 1.0
     else:

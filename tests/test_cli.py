@@ -330,6 +330,18 @@ class TestRunCommand:
         assert "non-convergence" in capsys.readouterr().err
         assert (out / "report.txt").is_file()
 
+    def test_unwritable_artifact_exits_one(self, tmp_path, capsys):
+        # the run converges; fields.csv, a directory, cannot be written
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        (out / "fields.csv").mkdir(parents=True)
+        cfg.write_text(BASE_CONFIG.format(out=out))
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"configuration error: cannot write {out / 'fields.csv'}: ")
+        assert "Traceback" not in err
+
     def test_two_dimensional_run_artifacts(self, tmp_path):
         cfg = tmp_path / "disk.cfg"
         out = tmp_path / "out2d"
@@ -531,6 +543,8 @@ class TestOracleCommand:
         (["radial", "1", "0.5", "nan"], "radial needs a positive integer n"),
         (["radial", "1", "0.5", "2.7"], "radial needs a positive integer n"),
         (["radial", "1", "0.5", "0"], "radial needs a positive integer n"),
+        (["radial", "nan", "0.5", "2"], "radius must be finite and positive"),
+        (["radial", "inf", "0.5", "2"], "radius must be finite and positive"),
     ])
     def test_malformed_arguments_exit_one(self, tmp_path, capsys, params,
                                           message):
@@ -606,6 +620,24 @@ class TestReportCommand:
         empty.write_text("")
         assert cli.main(["report", str(empty)]) == 1
         assert "no data" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "monitors.csv"
+        bad.write_bytes(b"t,udot_min\n\xff\xfe,1\n")
+        assert cli.main(["report", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("report error: ") and "utf-8" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_series_exits_one(self, finished_run, tmp_path, capsys):
+        csv = tmp_path / "monitors.csv"
+        csv.write_text((finished_run[1] / "monitors.csv").read_text())
+        (tmp_path / "monitor_udot_min.dat").mkdir()
+        assert cli.main(["report", str(csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"report error: cannot write {tmp_path / 'monitor_udot_min.dat'}: ")
+        assert "Traceback" not in err
 
     def test_missing_csv_exits_one(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope.csv")]) == 1

@@ -682,9 +682,11 @@ class TestInitialize:
     def test_initial_rate_range_matches_hand_values(self):
         om, ot = interval_pair()
         state = flow.initialize(om, ot, 400, MINKOWSKI)
-        # G0 = 1 / (1 - (x - 1/2)^2) ranges over [1, 4/3]
-        assert state.g0_range[0] == pytest.approx(1.0, abs=1e-5)
-        assert state.g0_range[1] == pytest.approx(4.0 / 3.0, abs=1e-5)
+        # G0 = 1 / (1 - (x - 1/2)^2) ranges over [1, 4/3]; the monitor
+        # reads the range off the initial rate u_dot = G0
+        g0_range = monitors.RunMonitor(state).g0_range
+        assert g0_range[0] == pytest.approx(1.0, abs=1e-5)
+        assert g0_range[1] == pytest.approx(4.0 / 3.0, abs=1e-5)
 
 
 class TestGridSharing:
@@ -975,6 +977,13 @@ class TestStepExplicit:
         with pytest.raises(ValueError, match="stability"):
             step_explicit(state, 1.0)
 
+    @pytest.mark.parametrize("tau", [-1e-5, 0.0, np.nan])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        om, ot = interval_pair()
+        state = flow.initialize(om, ot, 101, MINKOWSKI)
+        with pytest.raises(ValueError, match="finite tau > 0"):
+            step_explicit(state, tau)
+
     def test_failed_boundary_projection_raises(self, monkeypatch):
         state, _ = translator_state(101)
         monkeypatch.setattr(flow, "_newton_solve", lambda *args: None)
@@ -1072,6 +1081,20 @@ class TestFlowOperator:
         else:
             assert abs(result.c_inf - 2.0 * np.arctanh(0.5)) < 4e-4
 
+    def test_admissible_tests_only_the_given_rows(self):
+        # a concave boundary node fails the all-node test, not the
+        # interior one; the spectra cover every node either way
+        om, ot = interval_pair()
+        state = flow.initialize(om, ot, 20, MINKOWSKI)
+        grid = state.grid
+        _, r = grid.derivative_rows(state.u)
+        r[..., grid.boundary[0]] = -1.0
+        ok_all, lam = state.op.admissible(r, slice(None))
+        ok_inner, lam_inner = state.op.admissible(r, grid.interior)
+        assert not ok_all and ok_inner
+        assert np.array_equal(lam, lam_inner)
+        assert lam[0, grid.boundary[0]] == -1.0
+
     def test_image_on_the_light_cone_is_refused(self):
         with pytest.raises(ValueError, match="spacelike constraint"):
             operators.FlowOperator(MINKOWSKI, dom.ConvexDomain.interval(-1.0, 1.0))
@@ -1094,6 +1117,35 @@ class TestFlowOperator:
                 read |= {n.attr for n in ast.walk(node.test)
                          if isinstance(n, ast.Attribute)}
                 assert not read & {"sig", "MINKOWSKI", "dim"}, ast.unparse(node.test)
+
+
+class TestNearTheLightCone:
+    """Images at rho = 0.999: the one-sided second differences at the
+    boundary nodes read negative while the interior converges, and the
+    convexity test looks at the interior rows only, so the runs converge
+    below the exact speed by the grid's O(h^2) error."""
+
+    def test_interval_image_converges(self):
+        ot = dom.ConvexDomain.interval(-0.999, 0.999)
+        state = flow.initialize(dom.ConvexDomain.interval(0, 1), ot, 100,
+                                MINKOWSKI)
+        result = flow.run_to_translator(state)
+        c_exact, _ = oracles.translator_1d_closed_form(0, 1, -0.999, 0.999,
+                                                       MINKOWSKI)
+        assert result.c_inf == pytest.approx(7.579106838564889, rel=1e-9)
+        assert 0.0 < c_exact - result.c_inf < 0.03
+        assert result.steps == 21
+
+    def test_ball_image_converges(self):
+        state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
+                                dom.ConvexDomain.ball([0, 0], 0.999), (16, 32),
+                                MINKOWSKI)
+        result = flow.run_to_translator(state)
+        c_exact = oracles.translator_radial_shooting(1.0, 0.999, 2, MINKOWSKI,
+                                                     tol=1e-10).c_speed
+        assert result.c_inf == pytest.approx(5.515795717675581, rel=1e-9)
+        assert 0.0 < c_exact - result.c_inf < 0.25
+        assert result.steps == 16
 
 
 class TestRunToTranslator:
@@ -1122,12 +1174,20 @@ class TestRunToTranslator:
         flow.run_to_translator(state, controls, on_accept=check)
         assert min(inside) > 0
 
-    def test_max_steps_exceeded_carries_history(self):
+    def test_max_steps_exceeded_names_the_last_step(self):
         om, ot = interval_pair()
         state = flow.initialize(om, ot, 101, MINKOWSKI)
+        accepted = []
         with pytest.raises(NonConvergenceError) as err:
-            flow.run_to_translator(state, StepControls(max_steps=3))
-        assert len(err.value.history) == 3
+            flow.run_to_translator(state, StepControls(max_steps=3),
+                                   on_accept=accepted.append)
+        assert len(accepted) == 3
+        last = accepted[-1]
+        osc = float(np.max(last.u_dot) - np.min(last.u_dot))
+        message = str(err.value)
+        assert message.startswith("no translator after 3 steps: ")
+        assert f"osc = {osc:.3e} above tol_c" in message
+        assert f"bres = {flow.boundary_residual(last):.3e}" in message
 
     def test_stall_names_the_test_still_failing(self):
         # osc falls below tol_c within eight steps; no bres meets 1e-30

@@ -49,11 +49,11 @@ def run_with_monitor(n_cells=201, cadence=1):
 
 class TestRateBounds:
     def test_initial_rate_range_and_final_speed(self):
-        state, mon, result = run_with_monitor()
+        _, mon, result = run_with_monitor()
         # G0 = 1/(1 - (x - 1/2)^2) over (0,1) ranges over [1, 4/3]
-        assert state.g0_range[0] == pytest.approx(1.0, abs=1e-4)
-        assert state.g0_range[1] == pytest.approx(4.0 / 3.0, abs=1e-4)
-        assert state.g0_range[0] < result.c_inf < state.g0_range[1]
+        assert mon.g0_range[0] == pytest.approx(1.0, abs=1e-4)
+        assert mon.g0_range[1] == pytest.approx(4.0 / 3.0, abs=1e-4)
+        assert mon.g0_range[0] < result.c_inf < mon.g0_range[1]
         assert result.c_inf == pytest.approx(math.log(3.0), abs=1e-4)
         ok, worst, _ = mon.udot_ok()
         assert ok
@@ -74,8 +74,8 @@ class TestRateBounds:
         y, _ = legendre_transform(state.u, state.grid)
         m_dual = np.linalg.inv(state.grid.hessian(state.u))
         dual = g_dual_many(y.T, m_dual.transpose(1, 2, 0), state.sig)
-        assert np.min(dual) == pytest.approx(-state.g0_range[1], abs=1e-10)
-        assert np.max(dual) == pytest.approx(-state.g0_range[0], abs=1e-10)
+        assert np.min(dual) == pytest.approx(-mon.g0_range[1], abs=1e-10)
+        assert np.max(dual) == pytest.approx(-mon.g0_range[0], abs=1e-10)
         ok, _, _ = monitors.udot_bounds_check(
             mon.records, (-np.max(dual), -np.min(dual)), mon.tol_mon)
         assert ok
@@ -514,10 +514,10 @@ class TestCachedJetAudits:
     def test_structure_report_matches_per_function_formulas(self):
         _, _, accepted = short_run("rotated-shifted-ellipse", steps=3)
         state = accepted[-1]
-        rep = structure_report(state)
+        tg_range, f_range = structure_report(state)
         want = ref_record(state, 0.0, [])
-        assert rep.tg_range == (want.TG_min, want.TG_max)
-        assert rep.f_range == (want.f_min, want.f_max)
+        assert tg_range == (want.TG_min, want.TG_max)
+        assert f_range == (want.f_min, want.f_max)
 
     def test_last_state_is_last_observed(self):
         _, mon, accepted = short_run("interval", cadence=4, steps=5)

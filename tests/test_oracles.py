@@ -196,6 +196,11 @@ class TestRadialShooting:
 
     @pytest.mark.parametrize("kwargs", [
         dict(radius=-1.0, rho=0.5, n=2, sig=MINKOWSKI),
+        dict(radius=np.nan, rho=0.5, n=2, sig=MINKOWSKI),
+        dict(radius=np.inf, rho=0.5, n=2, sig=MINKOWSKI),
+        dict(radius=1.0, rho=np.nan, n=2, sig=MINKOWSKI),
+        dict(radius=1.0, rho=np.inf, n=2, sig=EUCLIDEAN),
+        dict(radius=1.0, rho=np.nan, n=2, sig=EUCLIDEAN),
         dict(radius=1.0, rho=1.2, n=2, sig=MINKOWSKI),
         dict(radius=1.0, rho=0.5, n=0, sig=MINKOWSKI),
         dict(radius=1.0, rho=-0.5, n=2, sig=EUCLIDEAN),

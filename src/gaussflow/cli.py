@@ -6,7 +6,10 @@ Subcommands:
   flow to its translator, write monitors.csv / snapshot.txt / fields.csv
   and a human-readable report. Exit 0 on convergence, 2 on
   non-convergence (artifacts still written), 1 on configuration errors
-  and on an artifact that cannot be written.
+  and on an artifact that cannot be written. The result line is printed
+  before the artifacts are written, and each artifact is attempted: one
+  that cannot be written is named (``cannot write <file>: ...``) and the
+  others are still written.
 * ``oracle closed1d a b c d sig`` / ``oracle radial R rho n sig``:
   print the reference speed; the radial oracle also writes profile.csv.
 * ``check [--debug-paper-signs]``: the full invariant suite as a
@@ -349,17 +352,31 @@ def run_command(config_path) -> int:
     monitor.finish()
     c_inf = result.c_inf if result else mean_rate(state)
 
-    write_monitors_csv(out / "monitors.csv", monitor.records)
-    table = _node_table(state)
-    write_fields_csv(out / "fields.csv", state, table)
-    write_snapshot(out / "snapshot.txt", state, c_inf, table)
-    write_report(out / "report.txt", config, converged, result, monitor, message)
     if converged:
         print(f"converged: C_inf = {result.c_inf:.10g} after {result.steps} steps "
               f"({result.wall_seconds:.2f} s)")
-        return 0
-    print(f"non-convergence: {message}", file=sys.stderr)
-    return 2
+    else:
+        print(f"non-convergence: {message}", file=sys.stderr)
+
+    # a write failure must not lose the result: it is printed first, and
+    # an artifact that cannot be written leaves the others to be written
+    table = _node_table(state)
+    unwritten = False
+    for write, name, args in (
+            (write_monitors_csv, "monitors.csv", (monitor.records,)),
+            (write_fields_csv, "fields.csv", (state, table)),
+            (write_snapshot, "snapshot.txt", (state, c_inf, table)),
+            (write_report, "report.txt",
+             (config, converged, result, monitor, message))):
+        try:
+            write(out / name, *args)
+        except OSError as exc:
+            print(f"cannot write {out / name}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            unwritten = True
+    if unwritten:
+        return 1
+    return 0 if converged else 2
 
 
 # Numbers each oracle reads before the signature.

@@ -315,3 +315,22 @@ class TestCriterion9_Convergence2D:
         _report("criterion-9 ellipse order", 1.8 <= order <= 2.2,
                 f"C {c16:.10f}, {c32:.10f}, {c64:.10f} over 16x32 to "
                 f"64x128, observed order {order:.3f} (in [1.8, 2.2])")
+
+
+class TestReferenceRunsKeepTheirSteps:
+    """Not a criterion: the four reference runs take the steps and reach
+    the speeds they had when every step was solved to tol_newton, before
+    run_to_translator solved its early steps only to its forcing term."""
+
+    PINNED = {
+        "run1": (5, 1.0986057923592785),
+        "run2": (6, 1.5708194687228099),
+        "run3": (6, 1.0735278531638637),
+        "run4": (7, 0.6727546499692619),
+    }
+
+    def test_steps_and_speeds(self, run1, run2, run3, run4):
+        for name, bundle in zip(self.PINNED, (run1, run2, run3, run4)):
+            steps, c_inf = self.PINNED[name]
+            assert bundle.result.steps == steps, name
+            assert abs(bundle.result.c_inf - c_inf) <= 1e-10, name

@@ -337,10 +337,34 @@ class TestRunCommand:
         (out / "fields.csv").mkdir(parents=True)
         cfg.write_text(BASE_CONFIG.format(out=out))
         assert cli.main(["run", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(
-            f"configuration error: cannot write {out / 'fields.csv'}: ")
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith(f"cannot write {out / 'fields.csv'}: ")
         assert "Traceback" not in err
+        # the converged result is still printed and the other artifacts
+        # are still written
+        assert captured.out.startswith("converged: C_inf = ")
+        for name in ("monitors.csv", "snapshot.txt", "report.txt"):
+            assert (out / name).is_file()
+        assert "converged     : yes" in (out / "report.txt").read_text()
+
+    def test_every_unwritable_artifact_is_named(self, tmp_path, capsys):
+        # a run cut at max_steps = 1 with two artifacts that cannot be
+        # written: the stall is reported, both files are named, the two
+        # others are written, and the write failure sets the exit code
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        for name in ("monitors.csv", "report.txt"):
+            (out / name).mkdir(parents=True)
+        cfg.write_text(BASE_CONFIG.format(out=out) + "max_steps = 1\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("non-convergence: no translator after 1 steps")
+        assert [line.split(": ")[0] for line in err[1:]] == [
+            f"cannot write {out / 'monitors.csv'}",
+            f"cannot write {out / 'report.txt'}"]
+        assert (out / "fields.csv").is_file()
+        assert (out / "snapshot.txt").is_file()
 
     def test_two_dimensional_run_artifacts(self, tmp_path):
         cfg = tmp_path / "disk.cfg"

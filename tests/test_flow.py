@@ -589,11 +589,14 @@ class TestCarriedFactor:
 
     def test_stale_factor_outlives_an_unfactored_jacobian(self, counted_splu,
                                                           monkeypatch):
-        # 1D Minkowski at N = 401: in the first step the factor stops
-        # halving the residual, and the iterate meets the floor raised at
-        # the fresh Jacobian before that Jacobian is factored. The step
-        # hands on the stale factor, which serves every later step: one
-        # factorization in the run, where handing on none took two.
+        # 1D Minkowski at N = 401, five steps from tau_max each solved to
+        # tol_newton (the default rate_tol; run_to_translator's forcing
+        # term accepts its first step before the factor stalls): in the
+        # first step the factor stops halving the residual, and the
+        # iterate meets the floor raised at the fresh Jacobian before
+        # that Jacobian is factored. The step hands on the stale factor,
+        # which serves every later step: one factorization in the five
+        # steps, where handing on none took two.
         attempts, jacobians = [], []
         newton_solve, jacobian = flow._newton_solve, flow._jacobian
 
@@ -608,8 +611,11 @@ class TestCarriedFactor:
         monkeypatch.setattr(flow, "_newton_solve", recorded)
         monkeypatch.setattr(flow, "_jacobian", counted)
         om, ot = interval_pair()
-        result = flow.run_to_translator(flow.initialize(om, ot, 401, MINKOWSKI))
-        assert result.steps == 5
+        controls = StepControls()
+        state = dataclasses.replace(flow.initialize(om, ot, 401, MINKOWSKI),
+                                    tau=controls.tau_max)
+        for _ in range(5):
+            state = step_implicit(state, controls)
         assert len(jacobians) == 2 and counted_splu["factor"] == 1
         stale = attempts[0][5]
         assert attempts[0][2] == 1 and stale is not None
@@ -1145,7 +1151,8 @@ class TestNearTheLightCone:
                                                      tol=1e-10).c_speed
         assert result.c_inf == pytest.approx(5.515795717675581, rel=1e-9)
         assert 0.0 < c_exact - result.c_inf < 0.25
-        assert result.steps == 16
+        # 16 steps when every step was solved to tol_newton
+        assert result.steps == 15
 
 
 class TestRunToTranslator:
@@ -1341,6 +1348,113 @@ class TestNoStepAcceptsItsGuess:
         lifted = flow.run_to_translator(
             dataclasses.replace(state, u=state.u + 1e4))
         assert abs(lifted.c_inf - base.c_inf) <= 1e-9
+
+
+def at_tol_newton(monkeypatch):
+    """Solve every Newton attempt to controls.tol_newton, the tolerance
+    each attempt had before step_implicit took a rate_tol."""
+    newton_solve = flow._newton_solve
+
+    def solve(state, u_prev, guess, tau, controls, carried=None, tol=None):
+        return newton_solve(state, u_prev, guess, tau, controls, carried)
+
+    monkeypatch.setattr(flow, "_newton_solve", solve)
+
+
+class TestForcing:
+    """run_to_translator solves each step to max(tol_newton, tau FORCING
+    osc), osc the oscillation of the rate field it steps from; called
+    without a rate_tol, step_implicit solves to tol_newton."""
+
+    # (steps, C_inf) of each case, taken when every step was solved to
+    # tol_newton
+    PINNED = {
+        "line-minkowski": (5, 1.0979655968892337),
+        "line-euclidean": (26, 0.5904543926203426),
+        "disk-ball": (6, 1.0677857357520102),
+        "disk-rotated-ellipse": (9, 0.9315596982513149),
+    }
+
+    @pytest.mark.parametrize("case, spec, most_residuals", [
+        ("disk-ball", (32, 64), 20),   # 26 with every step to tol_newton
+        ("line-euclidean", None, 160),  # 283 with every step to tol_newton
+    ])
+    def test_forcing_saves_residuals(self, case, spec, most_residuals,
+                                     monkeypatch):
+        counts = {"residual": 0}
+        residual = flow._residual
+
+        def counted(*args):
+            counts["residual"] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(flow, "_residual", counted)
+        om, ot, case_spec, sig = JACOBIAN_CASES[case]
+        flow.run_to_translator(flow.initialize(om, ot, spec or case_spec, sig))
+        assert counts["residual"] <= most_residuals
+
+    def test_run_solves_each_step_to_its_forcing_term(self, monkeypatch):
+        tols = []
+        newton_solve = flow._newton_solve
+
+        def recorded(state, u_prev, guess, tau, controls, carried=None,
+                     tol=None):
+            tols.append((state.steps, tau, tol))
+            return newton_solve(state, u_prev, guess, tau, controls, carried,
+                                tol)
+
+        monkeypatch.setattr(flow, "_newton_solve", recorded)
+        om, ot, spec, sig = JACOBIAN_CASES["line-euclidean"]
+        state = flow.initialize(om, ot, spec, sig)
+        oscs = [np.max(state.u_dot) - np.min(state.u_dot)]
+        flow.run_to_translator(state, on_accept=lambda s: oscs.append(
+            np.max(s.u_dot) - np.min(s.u_dot)))
+        tol_newton = StepControls().tol_newton
+        for steps, tau, tol in tols:
+            assert tol == max(tol_newton, tau * flow.FORCING * oscs[steps])
+        # loose on the first step, tol_newton on the last
+        assert tols[0][2] > tol_newton == tols[-1][2]
+
+    @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+    def test_steps_and_speed_unchanged(self, case):
+        om, ot, spec, sig = JACOBIAN_CASES[case]
+        result = flow.run_to_translator(flow.initialize(om, ot, spec, sig))
+        steps, c_inf = self.PINNED[case]
+        assert result.steps == steps
+        assert abs(result.c_inf - c_inf) <= 1e-10
+
+    @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+    def test_default_rate_tol_steps_as_at_tol_newton(self, case, monkeypatch):
+        # four steps from tau_max, the last ones from a carried factor
+        om, ot, spec, sig = JACOBIAN_CASES[case]
+
+        def four_steps():
+            state = flow.initialize(om, ot, spec, sig)
+            state = dataclasses.replace(state, tau=StepControls().tau_max)
+            states = []
+            for _ in range(4):
+                state = step_implicit(state)
+                states.append(state)
+            return states
+
+        forced = four_steps()
+        at_tol_newton(monkeypatch)
+        for new, ref in zip(forced, four_steps(), strict=True):
+            assert np.array_equal(new.u, ref.u)
+            assert np.array_equal(new.u_dot, ref.u_dot)
+            assert (new.t, new.tau, new.newton_iters) == (
+                ref.t, ref.tau, ref.newton_iters)
+
+    def test_duality_probe_steps_as_at_tol_newton(self, monkeypatch):
+        # on this grid the probe step takes a third Newton iteration to
+        # reach tol_newton from these states, which one solved to the
+        # forcing term would not take
+        om, ot, spec, sig = JACOBIAN_CASES["line-euclidean"]
+        state = flow.initialize(om, ot, spec, sig)
+        states = [state, step_implicit(state)]
+        forced = [monitors.duality_rate_defect(s) for s in states]
+        at_tol_newton(monkeypatch)
+        assert forced == [monitors.duality_rate_defect(s) for s in states]
 
 
 class TestHotPath:

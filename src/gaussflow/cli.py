@@ -98,11 +98,20 @@ class RunConfig:
     anchor: int | None = None
 
 
-def parse_domain_spec(text: str) -> dom.ConvexDomain:
+def _number(key: str, text: str, kind=float):
+    """``kind(text)`` for config key ``key``, or ConfigError naming both."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: {text!r} is not {noun}") from None
+
+
+def parse_domain_spec(text: str, key: str = "domain") -> dom.ConvexDomain:
     toks = text.split()
     if not toks:
         raise ConfigError("empty domain spec")
-    kind, vals = toks[0], [float(t) for t in toks[1:]]
+    kind, vals = toks[0], [_number(key, t) for t in toks[1:]]
     if kind == "interval":
         if len(vals) != 2:
             raise ConfigError(f"interval needs 2 numbers, got {text!r}")
@@ -147,33 +156,33 @@ def parse_config(path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key}")
         raw[key] = val
 
-    try:
-        signature = raw.pop("signature")
-    except KeyError:
-        raise ConfigError("missing key: signature") from None
-    if signature not in SIGNATURES:
-        raise ConfigError(f"signature must be one of {SIGNATURES}")
-    for key in ("omega", "omega_tilde"):
+    for key in ("signature", "omega", "omega_tilde"):
         if key not in raw:
             raise ConfigError(f"missing key: {key}")
-    omega = parse_domain_spec(raw.pop("omega"))
-    omega_tilde = parse_domain_spec(raw.pop("omega_tilde"))
+    signature = raw.pop("signature")
+    if signature not in SIGNATURES:
+        raise ConfigError(f"signature must be one of {SIGNATURES}")
+    omega = parse_domain_spec(raw.pop("omega"), "omega")
+    omega_tilde = parse_domain_spec(raw.pop("omega_tilde"), "omega_tilde")
 
     if omega.dimension == 1:
         if "n" not in raw:
             raise ConfigError("1D runs need key: n")
-        grid_spec: object = int(raw.pop("n"))
+        grid_spec: object = _number("n", raw.pop("n"), int)
     else:
         if "n_rho" not in raw or "n_theta" not in raw:
             raise ConfigError("2D runs need keys: n_rho, n_theta")
-        grid_spec = (int(raw.pop("n_rho")), int(raw.pop("n_theta")))
+        grid_spec = tuple(_number(key, raw.pop(key), int)
+                          for key in ("n_rho", "n_theta"))
 
     controls = StepControls()
     for cfg_key, attr in _FLOAT_KEYS.items():
         if cfg_key in raw:
-            val = float(raw.pop(cfg_key))
+            val = _number(cfg_key, raw.pop(cfg_key))
             if not (np.isfinite(val) and val > 0):
                 raise ConfigError(f"{cfg_key} must be finite and positive, got {val:g}")
             setattr(controls, attr, val)
@@ -185,15 +194,16 @@ def parse_config(path) -> RunConfig:
                           f"tau_max = {controls.tau_max:g}")
     for key in ("max_steps", "max_newton"):
         if key in raw:
-            setattr(controls, key, int(raw.pop(key)))
-    cadence = int(raw.pop("cadence", "1"))
+            setattr(controls, key, _number(key, raw.pop(key), int))
+    cadence = _number("cadence", raw.pop("cadence", "1"), int)
     for key, val in (("max_steps", controls.max_steps),
                      ("max_newton", controls.max_newton), ("cadence", cadence)):
         if val < 1:
             raise ConfigError(f"{key} must be at least 1, got {val}")
     output_dir = raw.pop("output_dir", ".")
-    anchor = int(raw.pop("anchor")) if "anchor" in raw else None
-    dimension = int(raw.pop("dimension", "0"))
+    anchor = raw.pop("anchor", None)
+    anchor = None if anchor is None else _number("anchor", anchor, int)
+    dimension = _number("dimension", raw.pop("dimension", "0"), int)
     if dimension and dimension != omega.dimension:
         raise ConfigError(
             f"dimension = {dimension} conflicts with omega (n = {omega.dimension})"

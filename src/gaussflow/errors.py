@@ -17,12 +17,12 @@ class BoundaryMembershipError(GaussFlowError):
     """A point claimed to lie on a domain boundary does not."""
 
 
-class StepFailureError(GaussFlowError):
-    """Newton failed to produce an admissible state before tau underflowed."""
-
-
 class NonConvergenceError(GaussFlowError):
-    """The flow did not reach the translator tolerance within max_steps."""
+    """The flow did not reach the translator tolerance, or a step failed."""
+
+
+class StepFailureError(NonConvergenceError):
+    """Newton failed to produce an admissible state before tau underflowed."""
 
 
 class OracleFailureError(GaussFlowError):

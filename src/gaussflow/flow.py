@@ -68,17 +68,14 @@ tau after two or three solves, not max_newton.
 A factor outlives its attempt only at the ceiling tau = tau_max, where
 the run spends its last steps while u settles onto u_inf up to a
 constant and the Jacobian barely changes: an accepted step at tau_max
-hands its last factor to the next step, which starts from it as a stale
-factor, so a step at the ceiling factors only when the carried factor
-stops halving the residual (lagged Jacobians in pseudo-transient
-continuation, Kelley and Keyes, 1998). A step that stops halving with
-the stale factor and then meets the floor raised at its fresh Jacobian,
-before that Jacobian is factored, hands on the stale factor, which
-served it, so the next step at the ceiling starts from it without
-factoring. Below the ceiling tau changes between attempts, so a factor
-would be carried to a tau it was not built at; every attempt there
-factors afresh. run_to_translator drops the carried factor when the run
-ends, and FlowState.copy does not carry it.
+hands its last factor (the stale one, if it was accepted before its
+fresh Jacobian was factored) to the next step, which starts from it, so
+a step at the ceiling factors only when the carried factor stops
+halving the residual (lagged Jacobians in pseudo-transient
+continuation, Kelley and Keyes, 1998). Below the ceiling tau changes
+between attempts, and every attempt factors afresh. The factor is run
+state: run_to_translator keeps it in a carry list for the run and hands
+the list to each step_implicit call, never to a FlowState.
 
 Each step solves from u_prev = u - u[anchor] with u_dot = (u_new -
 u_prev) / tau, so a state carries u up to a constant and the floor does
@@ -138,7 +135,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -207,26 +204,22 @@ class StepControls:
 
 
 class ChordFactor(NamedTuple):
-    """Sparse LU of a Newton Jacobian, the tau it was built at and the
-    Jacobian's ||J||_inf (for the roundoff floor of the iterates it
-    serves)."""
+    """Sparse LU of a Newton Jacobian and the Jacobian's ||J||_inf (for
+    the roundoff floor of the iterates it serves)."""
 
     lu: object
-    tau: float
     jac_norm: float
 
 
 @dataclass
 class FlowState:
-    """One accepted snapshot of the discrete flow.
+    """One accepted snapshot of the discrete flow, a value: no code
+    changes a state's arrays in place and no solver cache rides on it,
+    so its holders keep the state itself.
 
     ``jets`` is the state's nodal geometry (``NodalJets`` of u), built
     on first use. It is cached on the instance, not held as a field:
-    ``dataclasses.replace`` builds a new state with fresh jets, while
-    ``copy`` keeps u and shares them.
-
-    ``factor`` is the chord factor an accepted step at tau_max hands to
-    the next step (None otherwise); ``copy`` leaves it behind.
+    ``dataclasses.replace`` builds a new state with fresh jets.
 
     ``op`` is the flow's equation, built by ``initialize`` and carried
     from step to step; ``sig`` and ``omega_tilde`` read it.
@@ -247,7 +240,6 @@ class FlowState:
     omega: dom.ConvexDomain
     anchor: int
     newton_iters: int = 0
-    factor: ChordFactor | None = field(default=None, repr=False, compare=False)
 
     sig = property(lambda self: self.op.sig)
     omega_tilde = property(lambda self: self.op.omega_tilde)
@@ -255,12 +247,6 @@ class FlowState:
     @cached_property
     def jets(self) -> NodalJets:
         return NodalJets(self.grid, self.u, self.sig)
-
-    def copy(self) -> "FlowState":
-        new = replace(self, u=self.u.copy(), u_dot=self.u_dot.copy(),
-                      factor=None)
-        new.jets = self.jets
-        return new
 
 
 @dataclass
@@ -430,14 +416,9 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     up to u, and at the ceiling the next step starts from it instead of
     factoring afresh.
     Neither test accepts the guess itself, before a chord correction.
-
-    Chord Newton: the Jacobian is factored at the first iterate and the
-    factor is reused by later iterates. Every iterate must at least
-    halve the residual max-norm. When a step with a reused (stale)
-    factor fails that test, the Jacobian is refactored at the current
-    iterate and the iteration goes on; when a step with a fresh factor
-    fails it, the attempt fails, and the caller's tau halving takes over
-    at once instead of after max_newton iterations.
+    Every iterate must at least halve the residual max-norm: a stale
+    factor that fails to is replaced by a fresh one, and a fresh factor
+    that fails to ends the attempt (chord Newton, module docstring).
 
     A ``carried`` factor (built at this tau by an earlier step) serves
     the first iterate as a stale one, so the attempt factors only once
@@ -477,7 +458,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
             if rn <= tol and it > 1:
                 return u, it, n_factors, p, r, stale
             try:
-                factor = ChordFactor(_factor(jac, state.grid), tau, jac_norm)
+                factor = ChordFactor(_factor(jac, state.grid), jac_norm)
             except RuntimeError:  # exactly singular Jacobian
                 return None
             n_factors += 1
@@ -489,7 +470,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
 
 
 def step_implicit(state: FlowState, controls: StepControls | None = None,
-                  rate_tol: float = 0.0) -> FlowState:
+                  rate_tol: float = 0.0, carry: list | None = None) -> FlowState:
     """One accepted implicit Euler step with tau adaptation.
 
     Newton failure (divergence, a non-finite or spacelike-violating
@@ -511,11 +492,12 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
     Newton's last residual evaluation and with the Hessian spectrum that
     the admissibility check computed.
 
-    At the ceiling tau = tau_max the step starts Newton from the
-    state's carried factor when it was built at that tau, and the
-    accepted state carries the attempt's last factor on; below the
-    ceiling every attempt factors afresh and no factor is carried, so
-    the tau trajectory is the one fresh factors give.
+    ``carry`` is a list kept by one run with one ``controls``: it holds
+    the factor the last accepted step at tau_max handed on, or nothing.
+    An attempt at tau = tau_max starts Newton from ``carry[0]``; an
+    accepted step leaves ``[factor]`` at the ceiling and ``[]`` below
+    it. Without ``carry`` every attempt factors afresh, as every attempt
+    below the ceiling does.
     """
     controls = controls or StepControls()
     tau = state.tau if state.tau > 0 else controls.initial_tau()
@@ -530,10 +512,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
                 f"(step {state.steps})"
             )
         guess = u_prev + tau * rate
-        carried = state.factor
-        if not (tau == controls.tau_max and carried is not None
-                and carried.tau == tau):
-            carried = None
+        carried = carry[0] if carry and tau == controls.tau_max else None
         got = _newton_solve(state, u_prev, guess, tau, controls, carried,
                             max(controls.tol_newton, tau * rate_tol))
         if got is not None:
@@ -552,10 +531,11 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
             )
     u_dot = (u_new - u_prev) / tau
     tau_next = min(tau * TAU_GROWTH, controls.tau_max) if n_factors <= 1 else tau
+    if carry is not None:
+        carry[:] = [factor] if tau == controls.tau_max else []
     new = replace(
         state, u=u_new, t=state.t + tau, u_dot=u_dot, tau=tau_next,
         steps=state.steps + 1, newton_iters=iters,
-        factor=factor if tau == controls.tau_max else None,
     )
     new.jets = NodalJets(state.grid, u_new, state.sig)
     new.jets.p, new.jets.r, new.jets.lam = p, r, lam
@@ -656,9 +636,9 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
 
     ``on_accept(state)`` fires after every accepted step (monitor hook).
     Raises NonConvergenceError if max_steps is exhausted, naming the last
-    step's oscillation and boundary residual against their tolerances.
-    However the loop ends, the last state drops its carried chord factor,
-    so no factor outlives the run.
+    step's oscillation and boundary residual against their tolerances,
+    or the StepFailureError (a NonConvergenceError) of a failed step.
+    The run's ``carry`` list (``step_implicit``) holds its chord factor.
 
     Each step is solved to tau FORCING osc, osc the oscillation of the
     rate field of the state it starts from, or to tol_newton where that
@@ -670,26 +650,19 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
     controls = controls or StepControls()
     t_start = time.perf_counter()
     state = replace(state, tau=controls.initial_tau())
-    rates = []
+    rates, carry = [], []
     osc = float(np.max(state.u_dot) - np.min(state.u_dot))
     bres = np.nan
-    converged = False
-    try:
-        for _ in range(controls.max_steps):
-            state = step_implicit(state, controls, FORCING * osc)
-            rates.append(mean_rate(state))
-            if on_accept is not None:
-                on_accept(state)
-            osc = float(np.max(state.u_dot) - np.min(state.u_dot))
-            bres = boundary_residual(state)
-            if osc < controls.tol_c and bres < controls.tol_b:
-                converged = True
-                break
-    except StepFailureError as exc:
-        raise NonConvergenceError(str(exc)) from exc
-    finally:
-        state.factor = None
-    if not converged:
+    for _ in range(controls.max_steps):
+        state = step_implicit(state, controls, FORCING * osc, carry)
+        rates.append(mean_rate(state))
+        if on_accept is not None:
+            on_accept(state)
+        osc = float(np.max(state.u_dot) - np.min(state.u_dot))
+        bres = boundary_residual(state)
+        if osc < controls.tol_c and bres < controls.tol_b:
+            break
+    else:
         last = (("osc", osc, "tol_c", controls.tol_c),
                 ("bres", bres, "tol_b", controls.tol_b))
         raise NonConvergenceError(

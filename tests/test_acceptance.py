@@ -60,7 +60,7 @@ class RunBundle:
         def observe(state):
             self.monitor.observe(state)
             if self.states is not None:
-                self.states.append(state.copy())
+                self.states.append(state)
 
         self.result = flow.run_to_translator(self.state0, on_accept=observe)
 

@@ -106,7 +106,7 @@ class TestStepControlValidation:
         ("cadence = 0", "cadence"),
         ("anchor = 5000", "anchor"),
         ("anchor = -3", "anchor"),
-        # a later line overrides an earlier one with the same key
+        # a line whose key the base config sets replaces that line
         pytest.param("no equals sign", "expected 'key = value'",
                      id="line-without-equals"),
         pytest.param("signature = lorentz", "signature must be one of",
@@ -127,6 +127,10 @@ class TestStepControlValidation:
                      id="indefinite-ellipse"),
         pytest.param("omega = ball 0 0 -1", "ball needs radius > 0",
                      id="negative-radius"),
+        pytest.param("n = 1e3", "n: '1e3' is not an integer",
+                     id="malformed-grid-size"),
+        pytest.param("omega = ball 0 0 abc", "omega: 'abc' is not a number",
+                     id="malformed-domain-number"),
         pytest.param("omega = ball 0 0 1\nomega_tilde = ball 0 0 0.5",
                      "2D runs need keys: n_rho, n_theta", id="2d-without-grid"),
         # a directory under the configuration file, a regular file
@@ -137,11 +141,26 @@ class TestStepControlValidation:
                                                 extra, key):
         cfg = tmp_path / "bad.cfg"
         out = tmp_path / "out"
-        cfg.write_text(BASE_CONFIG.format(out=out) + extra.format(cfg=cfg) + "\n")
+        extra = extra.format(cfg=cfg)
+        keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+        base = [line for line in BASE_CONFIG.format(out=out).splitlines()
+                if line.split("=")[0].strip() not in keys]
+        cfg.write_text("\n".join([*base, extra]) + "\n")
         assert cli.main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_repeated_key_exits_one(self, tmp_path, capsys):
+        # a key set twice is an error, not the later value
+        cfg = tmp_path / "twice.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(BASE_CONFIG.format(out=out).replace(
+            "n = 101", "n = 100\nn = 4"))
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {cfg}:6: duplicate key n\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("drop, message", [

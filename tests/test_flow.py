@@ -414,6 +414,20 @@ class TestNewtonStagnation:
                                  r"\(t = 0, step 1\)$"):
             step_implicit(state, controls)
 
+    def test_run_step_failure_is_a_non_convergence(self):
+        # a run whose every attempt fails raises the step's own error,
+        # which a caller of run_to_translator catches as a stall
+        om, ot = interval_pair()
+        state = flow.initialize(om, ot, 101, MINKOWSKI)
+        controls = StepControls(max_newton=1, tau_min=1e-6)
+        try:
+            flow.run_to_translator(state, controls)
+        except NonConvergenceError as exc:
+            caught = exc
+        assert isinstance(caught, StepFailureError)
+        assert str(caught) == ("Newton failed at every tau down to 1e-06 "
+                               "(t = 0, step 0)")
+
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
     def test_fast_convergence_keeps_iteration_count(self, case, counted_splu):
         """Chord Newton against plain Newton on an attempt that converges.
@@ -529,14 +543,17 @@ class TestCarriedFactor:
         controls = StepControls()
         converged = disk_ball_run().state
         # a step at tau_max from the translator factors afresh and hands
-        # its factor on; the next step then factors nothing
-        carrying = step_implicit(converged, controls)
-        assert carrying.factor is not None
-        assert carrying.factor.tau == controls.tau_max == carrying.tau
+        # its factor on; the next step with the same carry factors nothing
+        carry = []
+        carrying = step_implicit(converged, controls, carry=carry)
+        assert len(carry) == 1 and carry[0] is not None
+        assert carrying.t == converged.t + controls.tau_max == (
+            converged.t + carrying.tau)
+        factor = carry[0]
         counted_splu.update(factor=0, solve=0)
-        new = step_implicit(carrying, controls)
+        new = step_implicit(carrying, controls, carry=carry)
         assert counted_splu["factor"] == 0 < counted_splu["solve"]
-        assert new.factor is carrying.factor
+        assert len(carry) == 1 and carry[0] is factor
         assert new.t == carrying.t + controls.tau_max
         # the step solves from u anchored at the anchor node
         u_prev = carrying.u - carrying.u[carrying.anchor]
@@ -545,19 +562,22 @@ class TestCarriedFactor:
             flow._jacobian(carrying, p, r, controls.tau_max)), new.u)
         assert np.max(np.abs(res)) <= max(controls.tol_newton, floor)
 
-    def test_same_steps_with_fewer_factorizations(self, counted_splu):
+    def test_same_steps_with_fewer_factorizations(self, counted_splu,
+                                                  monkeypatch):
         carried_steps = []
         carried = disk_ball_run(
             on_accept=lambda s: carried_steps.append((s.t, s.tau)))
         carried_factors = counted_splu["factor"]
         counted_splu.update(factor=0, solve=0)
         fresh_steps = []
+        step = flow.step_implicit
 
-        def drop_factor(s):
-            s.factor = None
-            fresh_steps.append((s.t, s.tau))
+        def without_carry(state, controls, rate_tol, carry):
+            return step(state, controls, rate_tol)
 
-        fresh = disk_ball_run(on_accept=drop_factor)
+        monkeypatch.setattr(flow, "step_implicit", without_carry)
+        fresh = disk_ball_run(
+            on_accept=lambda s: fresh_steps.append((s.t, s.tau)))
         assert carried.steps == fresh.steps
         assert carried_steps == fresh_steps
         assert carried_factors < counted_splu["factor"]
@@ -574,14 +594,15 @@ class TestCarriedFactor:
         init = flow.initialize(om, ot, spec, sig)
         _, p, r = flow._residual(init, 0.1 * init.u, init.u, tau)
         jac = flow._jacobian(init, p, r, tau)
-        far = flow.ChordFactor(flow._factor(jac, init.grid), tau,
+        far = flow.ChordFactor(flow._factor(jac, init.grid),
                                flow._inf_norm(jac))
         converged = flow.run_to_translator(init, controls).state
         counted_splu.update(factor=0, solve=0)
-        new = step_implicit(dataclasses.replace(converged, factor=far),
-                            controls)
+        carry = [far]
+        new = step_implicit(converged, controls, carry=carry)
         assert counted_splu["factor"] >= 1
-        assert new.factor is not None and new.factor is not far
+        assert len(carry) == 1 and carry[0] is not None
+        assert carry[0] is not far
         assert new.t == converged.t + tau
         u_prev = converged.u - converged.u[converged.anchor]
         res, _, _ = flow._residual(converged, new.u, u_prev, tau)
@@ -589,14 +610,14 @@ class TestCarriedFactor:
 
     def test_stale_factor_outlives_an_unfactored_jacobian(self, counted_splu,
                                                           monkeypatch):
-        # 1D Minkowski at N = 401, five steps from tau_max each solved to
-        # tol_newton (the default rate_tol; run_to_translator's forcing
-        # term accepts its first step before the factor stalls): in the
-        # first step the factor stops halving the residual, and the
-        # iterate meets the floor raised at the fresh Jacobian before
-        # that Jacobian is factored. The step hands on the stale factor,
-        # which serves every later step: one factorization in the five
-        # steps, where handing on none took two.
+        # 1D Minkowski at N = 401, five steps from tau_max sharing one
+        # carry, each solved to tol_newton (the default rate_tol;
+        # run_to_translator's forcing term accepts its first step before
+        # the factor stalls): in the first step the factor stops halving
+        # the residual, and the iterate meets the floor raised at the
+        # fresh Jacobian before that Jacobian is factored. The step hands
+        # on the stale factor, which serves every later step: one
+        # factorization in the five steps, where handing on none took two.
         attempts, jacobians = [], []
         newton_solve, jacobian = flow._newton_solve, flow._jacobian
 
@@ -614,28 +635,55 @@ class TestCarriedFactor:
         controls = StepControls()
         state = dataclasses.replace(flow.initialize(om, ot, 401, MINKOWSKI),
                                     tau=controls.tau_max)
+        carry = []
         for _ in range(5):
-            state = step_implicit(state, controls)
+            state = step_implicit(state, controls, carry=carry)
         assert len(jacobians) == 2 and counted_splu["factor"] == 1
         stale = attempts[0][5]
         assert attempts[0][2] == 1 and stale is not None
-        assert stale.tau == StepControls().tau_max
+        # five attempts for five steps: each ran at tau_max
+        assert len(attempts) == 5 and state.t == 5 * controls.tau_max
         assert all(got[5] is stale for got in attempts)
+        assert len(carry) == 1 and carry[0] is stale
 
     def test_no_factor_outlives_the_run(self):
         result = disk_ball_run()
-        assert result.state.factor is None
         assert result.state.tau == StepControls().tau_max
-        carrying = step_implicit(result.state)
-        assert carrying.factor is not None
-        assert carrying.copy().factor is None
-        # a run that stops at max_steps past the ceiling drops it too
+        # a run that stops at max_steps past the ceiling
         last = []
         with pytest.raises(NonConvergenceError):
             disk_ball_run(on_accept=last.append,
                           controls=StepControls(max_steps=result.steps - 1))
         assert last[-1].tau == StepControls().tau_max
-        assert last[-1].factor is None
+        # no state holds a chord factor: the carry is the run's
+        for state in (result.state, last[-1]):
+            assert not any(isinstance(getattr(state, f.name), flow.ChordFactor)
+                           for f in dataclasses.fields(state))
+
+
+class TestStatesAreValues:
+    def test_run_changes_no_accepted_state(self):
+        # every state on_accept receives keeps its bytes through the rest
+        # of the run, so the monitor keeps the states themselves
+        om, ot, spec, sig = JACOBIAN_CASES["disk-ball"]
+        monitor = monitors.RunMonitor(flow.initialize(om, ot, spec, sig))
+        seen = []
+
+        def observe(state):
+            seen.append((state, state.u.tobytes(), state.u_dot.tobytes()))
+            monitor.observe(state)
+
+        result = flow.run_to_translator(monitor.last_state,
+                                        on_accept=observe)
+        monitor.finish()
+        assert len(seen) == result.steps >= 3
+        for state, u, u_dot in seen:
+            assert state.u.tobytes() == u
+            assert state.u_dot.tobytes() == u_dot
+        window = monitor._window
+        assert len(window) == 3
+        assert all(kept is state for kept, (state, _, _)
+                   in zip(window, seen[-3:]))
 
 
 class TestInitialize:
@@ -807,12 +855,6 @@ class TestStateJets:
         assert np.array_equal(moved.jets.p, p)
         assert np.array_equal(moved.jets.r, r)
         assert np.array_equal(state.jets.p, old)
-
-    def test_copy_shares_jets(self):
-        state, _ = translator_state(41)
-        twin = state.copy()
-        assert twin.jets is state.jets
-        assert twin.u is not state.u and np.array_equal(twin.u, state.u)
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
     def test_accepted_step_seeds_jets_from_admissibility_check(self, case,

@@ -240,7 +240,19 @@ bad_float = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "1e-400"]) | (
 @st.composite
 def invalid_settings(draw):
     """(key named in the error, config lines) that parse_config rejects."""
-    kind = draw(st.sampled_from(["float", "bounds", "tau0", "count"]))
+    kind = draw(st.sampled_from(["float", "bounds", "tau0", "count",
+                                 "token"]))
+    if kind == "token":
+        # a value that is no number of its key's kind
+        key = draw(st.sampled_from(["tol_c", "tol_b", "tol_newton", "tol_r",
+                                    "tau0", "tau_min", "tau_max", "max_steps",
+                                    "max_newton", "cadence", "anchor",
+                                    "dimension"]))
+        tokens = ["abc", "ten", "1,5", "0x10", "1e", "--1", "1 2"]
+        if key in ("max_steps", "max_newton", "cadence", "anchor",
+                   "dimension"):
+            tokens += ["1.5", "1e3", "2.0", "nan", "inf"]
+        return key, f"{key} = {draw(st.sampled_from(tokens))}"
     if kind == "float":
         key = draw(st.sampled_from(["tol_c", "tol_b", "tol_newton", "tol_r",
                                     "tau0", "tau_min", "tau_max"]))

@@ -33,16 +33,13 @@ from .flow import (
 from .geometry import (
     EUCLIDEAN,
     MINKOWSKI,
-    GraphGeometry,
     NodalJets,
-    PointJet,
     graph_geometry,
     laplace_beltrami,
 )
 from .grids import LineGrid, MappedDiskGrid
 from .monitors import MonitorRecord, RunMonitor
 from .operators import (
-    OperatorDerivatives,
     g_derivatives,
     g_dual,
     g_value,

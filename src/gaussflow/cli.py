@@ -40,7 +40,7 @@ from . import oracles
 from .errors import ConfigError, GaussFlowError, NonConvergenceError
 from .flow import StepControls, initialize, mean_rate, run_to_translator
 from .geometry import MINKOWSKI, SIGNATURES
-from .grids import LineGrid
+from .grids import LineGrid, check_resolution
 from .operators import g_derivatives_many, legendre_transform
 
 
@@ -108,24 +108,28 @@ def _number(key: str, text: str, kind=float):
 
 
 def parse_domain_spec(text: str, key: str = "domain") -> dom.ConvexDomain:
+    """The domain of config key ``key``; every error names the key."""
     toks = text.split()
     if not toks:
-        raise ConfigError("empty domain spec")
+        raise ConfigError(f"{key}: empty domain spec")
     kind, vals = toks[0], [_number(key, t) for t in toks[1:]]
-    if kind == "interval":
-        if len(vals) != 2:
-            raise ConfigError(f"interval needs 2 numbers, got {text!r}")
-        return dom.ConvexDomain.interval(*vals)
-    if kind == "ball":
-        if len(vals) < 2:
-            raise ConfigError(f"ball needs center and radius, got {text!r}")
-        return dom.ConvexDomain.ball(vals[:-1], vals[-1])
-    if kind == "ellipse":
-        if len(vals) != 5:
-            raise ConfigError(f"ellipse needs cx cy q11 q12 q22, got {text!r}")
-        cx, cy, q11, q12, q22 = vals
-        return dom.ConvexDomain.ellipse([cx, cy], [[q11, q12], [q12, q22]])
-    raise ConfigError(f"unknown domain kind {kind!r}")
+    try:
+        if kind == "interval":
+            if len(vals) != 2:
+                raise ValueError(f"interval needs 2 numbers, got {text!r}")
+            return dom.ConvexDomain.interval(*vals)
+        if kind == "ball":
+            if len(vals) < 2:
+                raise ValueError(f"ball needs center and radius, got {text!r}")
+            return dom.ConvexDomain.ball(vals[:-1], vals[-1])
+        if kind == "ellipse":
+            if len(vals) != 5:
+                raise ValueError(f"ellipse needs cx cy q11 q12 q22, got {text!r}")
+            cx, cy, q11, q12, q22 = vals
+            return dom.ConvexDomain.ellipse([cx, cy], [[q11, q12], [q12, q22]])
+        raise ValueError(f"unknown domain kind {kind!r}")
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def domain_spec_string(d: dom.ConvexDomain) -> str:
@@ -178,6 +182,11 @@ def parse_config(path) -> RunConfig:
             raise ConfigError("2D runs need keys: n_rho, n_theta")
         grid_spec = tuple(_number(key, raw.pop(key), int)
                           for key in ("n_rho", "n_theta"))
+    try:
+        check_resolution(grid_spec)
+    except ValueError as exc:
+        keys = "n" if omega.dimension == 1 else "n_rho, n_theta"
+        raise ConfigError(f"{keys}: {exc}") from None
 
     controls = StepControls()
     for cfg_key, attr in _FLOAT_KEYS.items():
@@ -476,14 +485,14 @@ def _legendre_involution_error(n_cells: int) -> float:
     grid = LineGrid(-0.6, 0.6, n_cells)
     x = grid.nodes[:, 0]
     u = 0.5 * x**2 + x**4 / 12.0
-    y, u_t = legendre_transform(u, grid)
-    order = np.argsort(y[:, 0])
-    ys, uts = y[order, 0], u_t[order]
+    (y,), u_t = legendre_transform(u, grid)
+    order = np.argsort(y)
+    ys, uts = y[order], u_t[order]
     dual_grid = LineGrid(float(ys[0]), float(ys[-1]), n_cells)
     ut_grid = np.interp(dual_grid.nodes[:, 0], ys, uts)
-    yy, uu = legendre_transform(ut_grid, dual_grid)
-    order2 = np.argsort(yy[:, 0])
-    back = np.interp(x, yy[order2, 0], uu[order2])
+    (yy,), uu = legendre_transform(ut_grid, dual_grid)
+    order2 = np.argsort(yy)
+    back = np.interp(x, yy[order2], uu[order2])
     inner = slice(5, -5)  # avoid extrapolation at the cloud edges
     return float(np.max(np.abs(back - u)[inner]))
 

@@ -21,19 +21,19 @@ that breaks both b*b = g^inv and b^ij b_jk = id.
 
 Every formula exists once, on one layout: component-major rows with the
 node axis last, gradients (n, N) and per-node matrices (n, n, N), as
-``grid.derivative_rows`` returns them; the pointwise API
-(``graph_geometry`` of a ``PointJet``) is the batch of one of
-``graph_geometry_many``. Every per-node spectrum (the Hessian eigenvalues,
-the principal curvatures and the solver's and audits' convexity tests)
-comes from ``eigenvalues_many``, in closed form for n <= 2. Every
-contraction g^ij m_ij (the flow speed, the Laplacian's main term, the dual
-operator) comes from ``metric_trace``, which builds no g^ij;
-``metric_up_many`` builds it only where a caller needs the matrix itself.
+``grid.derivative_rows`` returns them. ``NodalJets`` is the one nodal
+geometry record of the solver, the monitors and the check suite, and
+``graph_geometry(du, d2u, sig)`` that of one point. Every per-node
+spectrum (the Hessian eigenvalues, the principal curvatures and the
+solver's and audits' convexity tests) comes from ``eigenvalues_many``,
+in closed form for n <= 2. Every contraction g^ij m_ij (the flow speed,
+the Laplacian's main term, the dual operator) comes from
+``metric_trace``, which builds no g^ij; ``metric_up_many`` builds it
+only where a caller needs the matrix itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -58,59 +58,20 @@ def signature_eps(sig: str) -> float:
     raise ValueError(f"unknown signature {sig!r}; expected one of {SIGNATURES}")
 
 
-@dataclass(frozen=True)
-class PointJet:
-    """Position, value, gradient and Hessian of u at one point."""
-
-    x: np.ndarray
-    u: float
-    du: np.ndarray
-    d2u: np.ndarray
-
-    def __post_init__(self):
-        d2u = np.asarray(self.d2u, dtype=float)
-        if np.max(np.abs(d2u - d2u.T)) > HESSIAN_SYMMETRY_TOL:
-            raise ValueError("jet Hessian is not symmetric to 1e-14")
+def point_rows(du, d2u) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient du (n,) and Hessian d2u (n, n) of one point as rows of
+    one node, p (n, 1) and r (n, n, 1); a Hessian that is not symmetric to
+    HESSIAN_SYMMETRY_TOL raises ValueError."""
+    p = np.atleast_1d(np.asarray(du, dtype=float))
+    r = np.atleast_2d(np.asarray(d2u, dtype=float))
+    if np.max(np.abs(r - r.T)) > HESSIAN_SYMMETRY_TOL:
+        raise ValueError("jet Hessian is not symmetric to 1e-14")
+    return p[:, None], r[:, :, None]
 
 
-@dataclass(frozen=True)
-class GraphGeometry:
-    """Metric and curvature data of the graph at one point.
-
-    kappa is sorted ascending; H = sum(kappa) = trace(a); nu is the
-    (n+1)-dimensional unit normal of the graph in ambient space. From
-    ``graph_geometry_many`` every field carries a trailing node axis.
-    """
-
-    v: float
-    g_lo: np.ndarray
-    g_up: np.ndarray
-    b_up: np.ndarray
-    b_lo: np.ndarray
-    a: np.ndarray
-    kappa: np.ndarray
-    H: float
-    nu: np.ndarray
-
-
-def graph_geometry(jet: PointJet, sig: str) -> GraphGeometry:
-    """All graph quantities at one jet: node 0 of ``graph_geometry_many``."""
-    p = np.asarray(jet.du, dtype=float)[:, None]
-    r = np.asarray(jet.d2u, dtype=float)[:, :, None]
-    many = graph_geometry_many(p, r, sig)
-    return GraphGeometry(*(getattr(many, f.name)[..., 0] for f in fields(many)))
-
-
-def graph_geometry_many(p: np.ndarray, r: np.ndarray, sig: str) -> GraphGeometry:
-    """All graph quantities at each node of the rows p (n, N) and r
-    (n, n, N), every field with the node axis last, as in ``NodalJets``."""
-    jets = NodalJets.of(p, r, sig)
-    b_up, b_lo = root_metric_many(p, sig)
-    tilt = p if sig == MINKOWSKI else -p
-    nu = np.concatenate([tilt, np.ones((1, p.shape[1]))]) / jets.v
-    return GraphGeometry(v=jets.v, g_lo=jets.g_lo, g_up=metric_up_many(p, sig),
-                         b_up=b_up, b_lo=b_lo, a=jets.a, kappa=jets.kappa,
-                         H=jets.H, nu=nu)
+def graph_geometry(du, d2u, sig: str) -> NodalJets:
+    """The ``NodalJets`` of one point, each field with a node axis of length 1."""
+    return NodalJets.of(*point_rows(du, d2u), sig)
 
 
 def is_spacelike(sq: np.ndarray, sig: str) -> bool:
@@ -210,11 +171,13 @@ class NodalJets:
     Each field is computed on first access and then cached, as
     component-major rows: the gradient p (n, N) and Hessian r (n, n, N)
     from one ``grid.derivative_rows`` call, the tilt v (N,), the metric
-    g_lo and the curvature matrix a (n, n, N), the mean curvature
-    H = tr a (N,), and the Hessian eigenvalues lam and principal
-    curvatures kappa (n, N), ascending along axis 0. Every field comes
-    from the formulas above, so a cached value equals the one a direct
-    call computes.
+    g_lo, its inverse g_up, its square-root factors b_up and b_lo (from
+    one ``root_metric_many`` call) and the curvature matrix a
+    (n, n, N), the mean curvature H = tr a (N,), the unit normal nu
+    (n + 1, N) of the graph in ambient space, and the Hessian eigenvalues
+    lam and principal curvatures kappa (n, N), ascending along axis 0.
+    Every field comes from the formulas above, so a cached value equals
+    the one a direct call computes.
     """
 
     def __init__(self, grid, u, sig: str):
@@ -245,6 +208,22 @@ class NodalJets:
     @cached_property
     def g_lo(self) -> np.ndarray:
         return metric_lo_many(self.p, self.sig)
+
+    @cached_property
+    def g_up(self) -> np.ndarray:
+        return metric_up_many(self.p, self.sig)
+
+    @cached_property
+    def _roots(self) -> tuple[np.ndarray, np.ndarray]:
+        return root_metric_many(self.p, self.sig)
+
+    b_up = cached_property(lambda self: self._roots[0])
+    b_lo = cached_property(lambda self: self._roots[1])
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        tilt = self.p if self.sig == MINKOWSKI else -self.p
+        return np.concatenate([tilt, np.ones((1, self.p.shape[1]))]) / self.v
 
     @cached_property
     def a(self) -> np.ndarray:

@@ -48,6 +48,18 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def check_resolution(spec) -> None:
+    """Raise ValueError unless ``spec`` sizes a grid: N >= 4 cells in 1D,
+    or (n_rho, n_theta) with n_rho >= 4 and n_theta >= 8 even in 2D."""
+    if np.ndim(spec) == 0:
+        if spec < 4:
+            raise ValueError("line grid needs at least 4 cells")
+    elif spec[1] % 2 != 0:
+        raise ValueError("n_theta must be even (antipodal stencils at the pole)")
+    elif spec[0] < 4 or spec[1] < 8:
+        raise ValueError("disk grid needs n_rho >= 4 and n_theta >= 8")
+
+
 def _read_only(*arrays):
     """Mark arrays read-only, so that no holder of a shared grid can
     change what the others compute on."""
@@ -188,8 +200,7 @@ class LineGrid(_StencilGrid):
     column_ordering = "NATURAL"
 
     def __init__(self, a: float, b: float, n_cells: int):
-        if n_cells < 4:
-            raise ValueError("line grid needs at least 4 cells")
+        check_resolution(n_cells)
         if not b > a:
             raise ValueError("line grid needs a < b")
         self.dim = 1
@@ -253,10 +264,7 @@ class MappedDiskGrid(_StencilGrid):
             raise ValueError("affine matrix must be symmetric")
         if np.linalg.eigvalsh(a_map)[0] <= 0:
             raise ValueError("affine matrix must be positive definite")
-        if n_theta % 2 != 0:
-            raise ValueError("n_theta must be even (antipodal stencils at the pole)")
-        if n_rho < 4 or n_theta < 8:
-            raise ValueError("disk grid needs n_rho >= 4 and n_theta >= 8")
+        check_resolution((n_rho, n_theta))
 
         self.dim = 2
         self.a_map = a_map

@@ -197,14 +197,12 @@ def duality_rate_defect(state) -> float:
     base = dataclasses.replace(state, u=state.u - state.u[state.anchor], tau=tau)
     probe = step_implicit(base, StepControls(tau_max=tau))
     u_t = (probe.u - base.u) / (probe.t - state.t)
-    y1, ut1 = legendre_transform(base.u, grid)
-    y2, ut2 = legendre_transform(probe.u, grid)
-    order = np.argsort(y2[:, 0])
-    spline = CubicSpline(y2[order, 0], ut2[order])
-    y_lo = max(y1[:, 0].min(), y2[:, 0].min())
-    y_hi = min(y1[:, 0].max(), y2[:, 0].max())
-    valid = (y1[:, 0] > y_lo) & (y1[:, 0] < y_hi)
-    dual_rate = (spline(y1[valid, 0]) - ut1[valid]) / (probe.t - state.t)
+    (y1,), ut1 = legendre_transform(base.u, grid)
+    (y2,), ut2 = legendre_transform(probe.u, grid)
+    order = np.argsort(y2)
+    spline = CubicSpline(y2[order], ut2[order])
+    valid = (y1 > max(y1.min(), y2.min())) & (y1 < min(y1.max(), y2.max()))
+    dual_rate = (spline(y1[valid]) - ut1[valid]) / (probe.t - state.t)
     return float(np.max(np.abs(dual_rate + u_t[valid])))
 
 

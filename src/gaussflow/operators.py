@@ -8,8 +8,10 @@ the nondivergence trace form; the two expressions agree identically
 because trace((1/v) b r b) = (1/v) trace(r b b) = (1/v) trace(r g^inv)
 and an extra factor v. G is geometry.metric_trace of the Hessian,
 G = tr r - eps p^T r p / v^2, so no metric array is built.
-g_derivatives_many and g_dual_many take and return component-major
-rows (grid.derivative_rows).
+g_derivatives_many, g_dual_many and legendre_transform take and return
+component-major rows (grid.derivative_rows); the pointwise forms
+g_value(du, d2u, sig), g_derivatives(du, d2u, sig) and g_dual(y, m, sig)
+evaluate one point as rows of one (geometry.point_rows).
 Everything downstream differentiates the closed trace form directly:
 
     dG/dr_ij = g^ij(p)
@@ -38,29 +40,19 @@ from .errors import ConvexityError
 from .geometry import (
     MINKOWSKI,
     SPACELIKE_MARGIN,
-    PointJet,
     eigenvalues_many,
     is_spacelike,
     metric_trace,
     metric_up_many,
+    point_rows,
     signature_eps,
     v_squared,
 )
 
 
-@dataclass(frozen=True)
-class OperatorDerivatives:
-    """Exact first derivatives of G in the Hessian and gradient slots."""
-
-    g_r: np.ndarray  # symmetric (n, n); equals g^ij(p)
-    g_p: np.ndarray  # (n,)
-
-
-def g_value(jet: PointJet, sig: str) -> float:
-    """G(Du, D2u) at a single jet."""
-    p = np.asarray(jet.du, dtype=float)[None, :]
-    r = np.asarray(jet.d2u, dtype=float)[None, :, :]
-    return float(g_value_many(p, r, sig)[0])
+def g_value(du, d2u, sig: str) -> float:
+    """G at one point of gradient du (n,) and Hessian d2u (n, n)."""
+    return float(metric_trace(*point_rows(du, d2u), sig)[0])
 
 
 def g_value_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
@@ -69,12 +61,11 @@ def g_value_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     return metric_trace(p.T, r.transpose(1, 2, 0), sig)
 
 
-def g_derivatives(jet: PointJet, sig: str) -> OperatorDerivatives:
-    """Exact derivatives of G at a single jet."""
-    p = np.asarray(jet.du, dtype=float)[:, None]
-    r = np.asarray(jet.d2u, dtype=float)[:, :, None]
-    g_r, g_p = g_derivatives_many(p, r, sig)
-    return OperatorDerivatives(g_r=g_r[:, :, 0], g_p=g_p[:, 0])
+def g_derivatives(du, d2u, sig: str):
+    """(G_r (n, n), G_p (n,)) at one point of gradient du (n,) and Hessian
+    d2u (n, n): node 0 of ``g_derivatives_many``."""
+    g_r, g_p = g_derivatives_many(*point_rows(du, d2u), sig)
+    return g_r[:, :, 0], g_p[:, 0]
 
 
 def g_derivatives_many(p: np.ndarray, r: np.ndarray, sig: str):
@@ -138,10 +129,9 @@ class FlowOperator:
 
 
 def g_dual(y, m, sig: str) -> float:
-    """Dual operator Gdual(y, M) at one point: the batch of one of ``g_dual_many``."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    return float(g_dual_many(y[:, None], m[:, :, None], sig)[0])
+    """Dual operator Gdual(y, M) at one point of y (n,) and symmetric M
+    (n, n): the batch of one of ``g_dual_many``."""
+    return float(g_dual_many(*point_rows(y, m), sig)[0])
 
 
 def inverse_many(m: np.ndarray) -> np.ndarray:
@@ -161,10 +151,9 @@ def g_dual_many(y: np.ndarray, m: np.ndarray, sig: str) -> np.ndarray:
 def legendre_transform(u: np.ndarray, grid):
     """Nodewise Legendre transform of a strictly convex discrete field.
 
-    Returns (y, u_tilde): y[k] = Du(x_k) from the grid stencils and
-    u_tilde[k] = x_k . y[k] - u[k]. The emitted cloud lies in the
-    gradient-image domain up to discretization error; y is (N, n), a
-    node table like ``grid.nodes``.
+    Returns (y, u_tilde): the rows y (n, N), y[:, k] = Du(x_k) from the
+    grid stencils, and u_tilde[k] = x_k . y[:, k] - u[k]. The emitted
+    cloud lies in the gradient-image domain up to discretization error.
     """
     u = np.asarray(u, dtype=float)
     p, r = grid.derivative_rows(u)
@@ -175,9 +164,8 @@ def legendre_transform(u: np.ndarray, grid):
             f"field is not strictly convex: min Hessian eigenvalue "
             f"{lam_min[worst]:.3e} at node {worst}"
         )
-    y = p.T
-    u_tilde = np.sum(grid.nodes * y, axis=1) - u
-    return y, u_tilde
+    u_tilde = np.sum(grid.nodes.T * p, axis=0) - u
+    return p, u_tilde
 
 
 def structure_report(state):

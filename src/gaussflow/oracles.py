@@ -38,16 +38,26 @@ b^ij and b_ij (``identity_defects``) and the gradient derivative of G,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import OracleFailureError
-from .geometry import (EUCLIDEAN, MINKOWSKI, curvature_matrix_many,
-                       eigenvalues_many, graph_geometry_many, metric_trace,
-                       root_metric_many, signature_eps, v_many, v_squared)
+from .geometry import (EUCLIDEAN, MINKOWSKI, NodalJets, eigenvalues_many,
+                       metric_trace, signature_eps, v_squared)
 from .operators import g_derivatives_many, g_dual_many, inverse_many
+
+
+def _slope_angle(sig: str):
+    """(fwd, inv) of the signature: the slope phi = fwd(w) of the angle
+    w = inv(phi), (tanh, artanh) in Minkowski space, (tan, arctan) in
+    Euclidean space."""
+    if sig == MINKOWSKI:
+        return np.tanh, np.arctanh
+    if sig == EUCLIDEAN:
+        return np.tan, np.arctan
+    raise ValueError(f"unknown signature {sig!r}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,8 @@ class ClosedForm1D:
     sig: str
 
     def slope(self, x):
-        z = self.c_speed * (np.asarray(x, dtype=float) - self.x0)
-        return np.tanh(z) if self.sig == MINKOWSKI else np.tan(z)
+        fwd, _ = _slope_angle(self.sig)
+        return fwd(self.c_speed * (np.asarray(x, dtype=float) - self.x0))
 
     def height(self, x):
         """Profile u with u(x0) = 0; u' equals ``slope``."""
@@ -81,14 +91,9 @@ def translator_1d_closed_form(a: float, b: float, c: float, d: float,
         raise ValueError(f"need a < b, got ({a}, {b})")
     if not d > c:
         raise ValueError(f"need c < d, got ({c}, {d})")
-    if sig == MINKOWSKI:
-        if not (-1.0 < c and d < 1.0):
-            raise ValueError("Minkowski slopes must satisfy -1 < c < d < 1")
-        inv = np.arctanh
-    elif sig == EUCLIDEAN:
-        inv = np.arctan
-    else:
-        raise ValueError(f"unknown signature {sig!r}")
+    _, inv = _slope_angle(sig)
+    if sig == MINKOWSKI and not (-1.0 < c and d < 1.0):
+        raise ValueError("Minkowski slopes must satisfy -1 < c < d < 1")
     speed = (inv(d) - inv(c)) / (b - a)
     x0 = a - inv(c) / speed
     return float(speed), ClosedForm1D(c_speed=float(speed), x0=float(x0), sig=sig)
@@ -111,17 +116,6 @@ class RadialProfile:
             np.cumsum(0.5 * (self.phi[1:] + self.phi[:-1]) * np.diff(self.radii)),
         ])
         return np.interp(np.asarray(r, dtype=float), self.radii, cum)
-
-
-def _slope_ode(c_speed: float, n: int, sig: str):
-    """Right-hand side phi' = (C - (n-1) phi / r)(1 + eps phi^2) as
-    ``rhs(r, phi)``, broadcast over arrays of nodes."""
-    eps = signature_eps(sig)
-
-    def rhs(r, phi):
-        return (c_speed - (n - 1) * phi / r) * (1.0 + eps * phi * phi)
-
-    return rhs
 
 
 def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
@@ -159,18 +153,13 @@ def translator_radial_shooting(radius: float, rho: float, n: int, sig: str,
         raise ValueError("dimension must be >= 1")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    if sig == MINKOWSKI:
-        if not 0.0 < rho < 1.0:
-            raise ValueError("Minkowski boundary slope must lie in (0, 1)")
-        fwd, w_end = np.tanh, float(np.arctanh(rho))
-        s_max = n * w_end + 1.0
-    elif sig == EUCLIDEAN:
-        if not 0.0 < rho < np.inf:
-            raise ValueError(f"boundary slope must be finite and positive, got {rho!r}")
-        fwd, w_end = np.tan, float(np.arctan(rho))
-        s_max = n * rho + 1.0
-    else:
-        raise ValueError(f"unknown signature {sig!r}")
+    fwd, inv = _slope_angle(sig)
+    if sig == MINKOWSKI and not 0.0 < rho < 1.0:
+        raise ValueError("Minkowski boundary slope must lie in (0, 1)")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"boundary slope must be finite and positive, got {rho!r}")
+    w_end = float(inv(rho))
+    s_max = n * (w_end if sig == MINKOWSKI else rho) + 1.0
 
     def crossing(s, w):
         return w[0] - w_end
@@ -201,13 +190,14 @@ def radial_ode_residual(profile: RadialProfile) -> float:
 
     Independent consistency check of the returned nodes: over each pair
     of intervals, w = artanh resp. arctan of phi must change by the Simpson
-    quadrature of w' = phi' / (1 + eps phi^2), smooth where phi is steep.
+    quadrature of w' = phi' / (1 + eps phi^2) = C - (n-1) phi / r, smooth
+    where phi is steep.
     """
-    rhs = _slope_ode(profile.c_speed, profile.dimension, profile.sig)
+    _, inv = _slope_angle(profile.sig)
     r = profile.radii[1:]  # skip the synthetic r = 0 node
     phi = profile.phi[1:]
-    f = rhs(r, phi) / (1.0 + signature_eps(profile.sig) * phi * phi)
-    w = np.arctanh(phi) if profile.sig == MINKOWSKI else np.arctan(phi)
+    f = profile.c_speed - (profile.dimension - 1) * phi / r
+    w = inv(phi)
     dr = r[2] - r[1]
     lhs = w[2::2] - w[:-2:2]
     quad = (dr / 3.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
@@ -255,12 +245,9 @@ def g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     """
     if sig != MINKOWSKI:
         raise ValueError("the printed transcription exists for the Minkowski case only")
-    v = v_many(p, sig)
-    a = curvature_matrix_many(p, r, sig)
-    b, _ = root_metric_many(p, sig)
-    tr_a = np.einsum("iin->n", a)
-    bap = np.einsum("ijn,jkn,kn->in", b, a, p)
-    return -2.0 * p * (tr_a / v) - 2.0 * bap
+    jets = NodalJets.of(p, r, sig)
+    bap = np.einsum("ijn,jkn,kn->in", jets.b_up, jets.a, p)
+    return -2.0 * p * (jets.H / jets.v) - 2.0 * bap
 
 
 IDENTITY_KEYS = ("root", "inverse", "root-inverse", "trace", "normal",
@@ -293,14 +280,18 @@ def identity_defects(jets: dict, sig: str, paper_signs: bool = False,
             return (g_dual_many(p, inverse_many(r_pd), sig)
                     + metric_trace(p, r_pd, sig))
 
-        geo = (graph_geometry_many(p, r, sig)
-               if set(keys) - {"duality", "hessian-slot"} else None)
-        if geo is not None and paper_signs and sig == MINKOWSKI:
-            geo = replace(geo, b_up=2.0 * eye - geo.b_up, b_lo=2.0 * eye - geo.b_lo)
+        geo = NodalJets.of(p, r, sig)
+
+        def root(b):
+            """b^ij or b_ij, with the misprinted sign under paper_signs."""
+            return 2.0 * eye - b if paper_signs and sig == MINKOWSKI else b
+
         defect = {
-            "root": lambda: np.einsum("ijn,jkn->ikn", geo.b_up, geo.b_up) - geo.g_up,
+            "root": lambda: (np.einsum("ijn,jkn->ikn", root(geo.b_up), root(geo.b_up))
+                             - geo.g_up),
             "inverse": lambda: np.einsum("ijn,jkn->ikn", geo.g_lo, geo.g_up) - eye,
-            "root-inverse": lambda: np.einsum("ijn,jkn->ikn", geo.b_up, geo.b_lo) - eye,
+            "root-inverse": lambda: (np.einsum("ijn,jkn->ikn", root(geo.b_up),
+                                               root(geo.b_lo)) - eye),
             "trace": lambda: geo.v * geo.H - metric_trace(p, r, sig),
             "normal": lambda: (np.sum(geo.nu[:-1] ** 2, axis=0)
                                + eps * geo.nu[-1] ** 2 - eps),

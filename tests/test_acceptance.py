@@ -156,7 +156,7 @@ class TestCriterion4_Ellipse2D:
         y, _ = legendre_transform(run4.result.u_inf, grid)
         m_dual = np.linalg.inv(grid.hessian(run4.result.u_inf))
         defect = max(
-            abs(g_dual(y[k], m_dual[k], state.sig) + run4.result.c_inf)
+            abs(g_dual(y[:, k], m_dual[k], state.sig) + run4.result.c_inf)
             for k in grid.interior
         )
         _report("criterion-4 dual equation", defect <= 1e-3,

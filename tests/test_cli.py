@@ -111,24 +111,30 @@ class TestStepControlValidation:
                      id="line-without-equals"),
         pytest.param("signature = lorentz", "signature must be one of",
                      id="unknown-signature"),
-        pytest.param("omega =", "empty domain spec", id="empty-domain"),
-        pytest.param("omega = interval 0 1 2", "interval needs 2 numbers",
+        pytest.param("omega =", "omega: empty domain spec", id="empty-domain"),
+        pytest.param("omega = interval 0 1 2", "omega: interval needs 2 numbers",
                      id="interval-count"),
-        pytest.param("omega_tilde = ball 0.5", "ball needs center and radius",
+        pytest.param("omega_tilde = ball 0.5",
+                     "omega_tilde: ball needs center and radius",
                      id="ball-count"),
         pytest.param("omega = ellipse 0 0 1 0",
-                     "ellipse needs cx cy q11 q12 q22", id="ellipse-count"),
-        pytest.param("omega = disk 0 0 1", "unknown domain kind 'disk'",
+                     "omega: ellipse needs cx cy q11 q12 q22", id="ellipse-count"),
+        pytest.param("omega = disk 0 0 1", "omega: unknown domain kind 'disk'",
                      id="unknown-domain-kind"),
-        pytest.param("omega = interval 1 0", "interval needs a < b",
+        pytest.param("omega = interval 1 0", "omega: interval needs a < b",
                      id="reversed-interval"),
+        pytest.param("omega_tilde = interval 0.5 -0.5",
+                     "omega_tilde: interval needs a < b",
+                     id="reversed-image-interval"),
         pytest.param("omega_tilde = ellipse 0 0 1 2 1",
-                     "shape matrix must be positive definite",
+                     "omega_tilde: ellipse: shape matrix must be positive definite",
                      id="indefinite-ellipse"),
-        pytest.param("omega = ball 0 0 -1", "ball needs radius > 0",
+        pytest.param("omega = ball 0 0 -1", "omega: ball needs radius > 0",
                      id="negative-radius"),
         pytest.param("n = 1e3", "n: '1e3' is not an integer",
                      id="malformed-grid-size"),
+        pytest.param("n = 2", "n: line grid needs at least 4 cells",
+                     id="too-few-cells"),
         pytest.param("omega = ball 0 0 abc", "omega: 'abc' is not a number",
                      id="malformed-domain-number"),
         pytest.param("omega = ball 0 0 1\nomega_tilde = ball 0 0 0.5",
@@ -178,6 +184,22 @@ class TestStepControlValidation:
         err = capsys.readouterr().err
         assert f"configuration error: {message}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("n_rho = 3\nn_theta = 7", "n_rho, n_theta: n_theta must be even"),
+        ("n_rho = 3\nn_theta = 8", "n_rho, n_theta: disk grid needs n_rho >= 4"),
+    ])
+    def test_disk_grid_error_names_its_keys(self, tmp_path, capsys, grid,
+                                            message):
+        cfg = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"signature = minkowski\nomega = ball 0 0 1\n"
+                       f"omega_tilde = ball 0 0 0.5\n{grid}\n"
+                       f"output_dir = {out}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("omega, omega_tilde, grid", [

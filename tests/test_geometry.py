@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from gaussflow import geometry as geo
+from gaussflow import operators as ops
 from gaussflow import oracles
 from gaussflow.errors import SpacelikeViolationError
 from gaussflow.grids import LineGrid, MappedDiskGrid
 
 
 def random_spacelike_jet(rng, n, sig):
+    """(du, d2u) of one random point, spacelike in the Minkowski case."""
     if sig == geo.MINKOWSKI:
         d = rng.normal(size=n)
         d /= np.linalg.norm(d)
@@ -18,51 +20,50 @@ def random_spacelike_jet(rng, n, sig):
     else:
         p = rng.normal(size=n)
     r = rng.normal(size=(n, n))
-    return geo.PointJet(x=np.zeros(n), u=0.0, du=p, d2u=0.5 * (r + r.T))
+    return p, 0.5 * (r + r.T)
 
 
 class TestGraphGeometry:
+    """``graph_geometry`` is the ``NodalJets`` of one point: every field
+    has a node axis of length 1, read here as node 0."""
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("sig", geo.SIGNATURES)
     def test_flat_gradient_identity_hessian(self, n, sig):
-        jet = geo.PointJet(x=np.zeros(n), u=0.0, du=np.zeros(n), d2u=np.eye(n))
-        g = geo.graph_geometry(jet, sig)
-        assert g.v == pytest.approx(1.0)
-        assert np.allclose(g.a, np.eye(n), atol=1e-14)
-        assert g.H == pytest.approx(float(n))
+        g = geo.graph_geometry(np.zeros(n), np.eye(n), sig)
+        assert g.v[0] == pytest.approx(1.0)
+        assert np.allclose(g.a[..., 0], np.eye(n), atol=1e-14)
+        assert g.H[0] == pytest.approx(float(n))
 
     def test_minkowski_tilted_plane_curvatures(self):
-        jet = geo.PointJet(x=np.zeros(2), u=0.0,
-                           du=np.array([0.6, 0.0]), d2u=np.eye(2))
-        g = geo.graph_geometry(jet, geo.MINKOWSKI)
-        assert g.v == pytest.approx(0.8)
-        assert g.b_up[0, 0] == pytest.approx(1.25)
-        assert np.allclose(sorted(g.kappa), [1.25, 1.953125], atol=1e-12)
-        assert g.H == pytest.approx(3.203125)
+        g = geo.graph_geometry([0.6, 0.0], np.eye(2), geo.MINKOWSKI)
+        assert g.v[0] == pytest.approx(0.8)
+        assert g.b_up[0, 0, 0] == pytest.approx(1.25)
+        assert np.allclose(sorted(g.kappa[:, 0]), [1.25, 1.953125], atol=1e-12)
+        assert g.H[0] == pytest.approx(3.203125)
         # nondivergence form of v H
-        assert g.v * g.H == pytest.approx(np.trace(g.g_up), abs=1e-12)
-        assert g.v * g.H == pytest.approx(2.5625)
+        assert g.v[0] * g.H[0] == pytest.approx(np.trace(g.g_up[..., 0]), abs=1e-12)
+        assert g.v[0] * g.H[0] == pytest.approx(2.5625)
 
     def test_euclidean_tilted_plane(self):
-        jet = geo.PointJet(x=np.zeros(2), u=0.0,
-                           du=np.array([0.6, 0.0]), d2u=np.eye(2))
-        g = geo.graph_geometry(jet, geo.EUCLIDEAN)
-        assert g.v == pytest.approx(np.sqrt(1.36))
-        assert g.v == pytest.approx(1.16619038, abs=1e-8)
-        assert g.g_up[0, 0] == pytest.approx(1 - 0.36 / 1.36)
-        assert g.g_up[0, 0] == pytest.approx(0.73529412, abs=1e-8)
+        g = geo.graph_geometry([0.6, 0.0], np.eye(2), geo.EUCLIDEAN)
+        assert g.v[0] == pytest.approx(np.sqrt(1.36))
+        assert g.v[0] == pytest.approx(1.16619038, abs=1e-8)
+        assert g.g_up[0, 0, 0] == pytest.approx(1 - 0.36 / 1.36)
+        assert g.g_up[0, 0, 0] == pytest.approx(0.73529412, abs=1e-8)
 
     @pytest.mark.parametrize("sig", geo.SIGNATURES)
     def test_matrix_identities_random_jets(self, sig):
         rng = np.random.default_rng(101)
         for _ in range(1000):
             n = int(rng.integers(1, 4))
-            jet = random_spacelike_jet(rng, n, sig)
-            g = geo.graph_geometry(jet, sig)
+            g = geo.graph_geometry(*random_spacelike_jet(rng, n, sig), sig)
+            b_up, b_lo = g.b_up[..., 0], g.b_lo[..., 0]
+            g_lo, g_up = g.g_lo[..., 0], g.g_up[..., 0]
             eye = np.eye(n)
-            assert np.max(np.abs(g.b_up @ g.b_up - g.g_up)) <= 1e-12
-            assert np.max(np.abs(g.g_lo @ g.g_up - eye)) <= 1e-12
-            assert np.max(np.abs(g.b_up @ g.b_lo - eye)) <= 1e-12
+            assert np.max(np.abs(b_up @ b_up - g_up)) <= 1e-12
+            assert np.max(np.abs(g_lo @ g_up - eye)) <= 1e-12
+            assert np.max(np.abs(b_up @ b_lo - eye)) <= 1e-12
 
     def test_trace_identity_random_jets(self):
         from gaussflow.operators import g_value
@@ -70,16 +71,17 @@ class TestGraphGeometry:
         for sig in geo.SIGNATURES:
             for _ in range(500):
                 n = int(rng.integers(1, 4))
-                jet = random_spacelike_jet(rng, n, sig)
-                g = geo.graph_geometry(jet, sig)
-                assert g.v * g.H == pytest.approx(g_value(jet, sig), abs=1e-12)
+                du, d2u = random_spacelike_jet(rng, n, sig)
+                g = geo.graph_geometry(du, d2u, sig)
+                assert g.v[0] * g.H[0] == pytest.approx(g_value(du, d2u, sig),
+                                                        abs=1e-12)
 
     def test_minkowski_normal_is_unit_timelike(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             n = int(rng.integers(1, 4))
             jet = random_spacelike_jet(rng, n, geo.MINKOWSKI)
-            nu = geo.graph_geometry(jet, geo.MINKOWSKI).nu
+            nu = geo.graph_geometry(*jet, geo.MINKOWSKI).nu[:, 0]
             pairing = nu[:-1] @ nu[:-1] - nu[-1] ** 2
             assert pairing == pytest.approx(-1.0, abs=1e-12)
 
@@ -87,10 +89,9 @@ class TestGraphGeometry:
         rng = np.random.default_rng(21)
         for _ in range(200):
             n = int(rng.integers(1, 4))
-            jet = random_spacelike_jet(rng, n, geo.MINKOWSKI)
-            r = jet.d2u @ jet.d2u.T + 0.1 * np.eye(n)  # positive definite
-            jet = geo.PointJet(x=jet.x, u=0.0, du=jet.du, d2u=r)
-            kappa = geo.graph_geometry(jet, geo.MINKOWSKI).kappa
+            du, d2u = random_spacelike_jet(rng, n, geo.MINKOWSKI)
+            r = d2u @ d2u.T + 0.1 * np.eye(n)  # positive definite
+            kappa = geo.graph_geometry(du, r, geo.MINKOWSKI).kappa
             assert np.all(kappa > 0)
 
     @pytest.mark.parametrize("sig,expect", [
@@ -98,18 +99,15 @@ class TestGraphGeometry:
         (geo.EUCLIDEAN, 1.0 / (1 + 0.36)),
     ])
     def test_1d_reduction(self, sig, expect):
-        jet = geo.PointJet(x=np.zeros(1), u=0.0,
-                           du=np.array([0.6]), d2u=np.array([[1.0]]))
-        g = geo.graph_geometry(jet, sig)
-        assert g.H * g.v == pytest.approx(expect, abs=1e-12)
+        g = geo.graph_geometry([0.6], [[1.0]], sig)
+        assert g.H[0] * g.v[0] == pytest.approx(expect, abs=1e-12)
 
     def test_spacelike_violation_raises(self):
-        jet = geo.PointJet(x=np.zeros(1), u=0.0,
-                           du=np.array([0.9999999]), d2u=np.array([[1.0]]))
+        # the fields are lazy: the guard fires on the first one read
         with pytest.raises(SpacelikeViolationError):
-            geo.graph_geometry(jet, geo.MINKOWSKI)
+            geo.graph_geometry([0.9999999], [[1.0]], geo.MINKOWSKI).v
         # fine in the Euclidean signature
-        geo.graph_geometry(jet, geo.EUCLIDEAN)
+        geo.graph_geometry([0.9999999], [[1.0]], geo.EUCLIDEAN).v
 
     def test_paper_signs_break_square_root_identity(self):
         # the misprint lives in the check suite: b^ij flipped to 2 I - b^ij
@@ -118,10 +116,12 @@ class TestGraphGeometry:
                                            keys=("root",))
         assert defects["root"] > 0.5
 
-    def test_asymmetric_hessian_rejected(self):
-        with pytest.raises(ValueError):
-            geo.PointJet(x=np.zeros(2), u=0.0, du=np.zeros(2),
-                         d2u=np.array([[1.0, 0.1], [0.0, 1.0]]))
+    @pytest.mark.parametrize("pointwise", [geo.graph_geometry, ops.g_value,
+                                           ops.g_derivatives, ops.g_dual],
+                             ids=lambda fn: fn.__name__)
+    def test_asymmetric_hessian_rejected(self, pointwise):
+        with pytest.raises(ValueError, match="not symmetric"):
+            pointwise(np.zeros(2), [[1.0, 0.1], [0.0, 1.0]], geo.MINKOWSKI)
 
 
 def _rotated(angle, diag):

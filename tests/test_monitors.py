@@ -73,7 +73,7 @@ class TestRateBounds:
         # the negated primal range, so the rate audit covers -u_dot too
         y, _ = legendre_transform(state.u, state.grid)
         m_dual = np.linalg.inv(state.grid.hessian(state.u))
-        dual = g_dual_many(y.T, m_dual.transpose(1, 2, 0), state.sig)
+        dual = g_dual_many(y, m_dual.transpose(1, 2, 0), state.sig)
         assert np.min(dual) == pytest.approx(-mon.g0_range[1], abs=1e-10)
         assert np.max(dual) == pytest.approx(-mon.g0_range[0], abs=1e-10)
         ok, _, _ = monitors.udot_bounds_check(

@@ -6,55 +6,50 @@ import pytest
 from gaussflow import operators as ops
 from gaussflow import oracles
 from gaussflow.errors import ConvexityError, SpacelikeViolationError
-from gaussflow.geometry import EUCLIDEAN, MINKOWSKI, PointJet
+from gaussflow.geometry import EUCLIDEAN, MINKOWSKI
 from gaussflow.grids import LineGrid
 
 
 def jet1d(p, r):
-    return PointJet(x=np.zeros(1), u=0.0, du=np.array([float(p)]),
-                    d2u=np.array([[float(r)]]))
+    """(du, d2u) of a 1D point."""
+    return [float(p)], [[float(r)]]
 
 
 class TestGValue:
     def test_minkowski_1d(self):
-        assert ops.g_value(jet1d(0.6, 1.0), MINKOWSKI) == pytest.approx(1.5625)
+        assert ops.g_value(*jet1d(0.6, 1.0), MINKOWSKI) == pytest.approx(1.5625)
 
     @pytest.mark.parametrize("sig", [MINKOWSKI, EUCLIDEAN])
     def test_critical_point(self, sig):
-        jet = PointJet(x=np.zeros(2), u=0.0, du=np.zeros(2), d2u=np.eye(2))
-        assert ops.g_value(jet, sig) == pytest.approx(2.0)
+        assert ops.g_value(np.zeros(2), np.eye(2), sig) == pytest.approx(2.0)
 
     def test_euclidean_1d(self):
-        assert ops.g_value(jet1d(0.6, 1.0), EUCLIDEAN) == pytest.approx(1 / 1.36)
-        assert ops.g_value(jet1d(0.6, 1.0), EUCLIDEAN) == pytest.approx(
+        assert ops.g_value(*jet1d(0.6, 1.0), EUCLIDEAN) == pytest.approx(1 / 1.36)
+        assert ops.g_value(*jet1d(0.6, 1.0), EUCLIDEAN) == pytest.approx(
             0.73529412, abs=1e-8)
 
     def test_spacelike_violation(self):
         with pytest.raises(SpacelikeViolationError):
-            ops.g_value(jet1d(1.0, 1.0), MINKOWSKI)
+            ops.g_value(*jet1d(1.0, 1.0), MINKOWSKI)
 
 
 class TestGDerivatives:
     def test_minkowski_1d(self):
-        d = ops.g_derivatives(jet1d(0.6, 1.0), MINKOWSKI)
-        assert d.g_r[0, 0] == pytest.approx(1.5625)
-        assert d.g_p[0] == pytest.approx(2.9296875)
+        g_r, g_p = ops.g_derivatives(*jet1d(0.6, 1.0), MINKOWSKI)
+        assert g_r[0, 0] == pytest.approx(1.5625)
+        assert g_p[0] == pytest.approx(2.9296875)
 
     def test_critical_point_kills_gradient_slot(self):
         rng = np.random.default_rng(5)
         r = rng.normal(size=(3, 3))
-        jet = PointJet(x=np.zeros(3), u=0.0, du=np.zeros(3),
-                       d2u=0.5 * (r + r.T))
         for sig in (MINKOWSKI, EUCLIDEAN):
-            d = ops.g_derivatives(jet, sig)
-            assert np.allclose(d.g_p, 0.0, atol=1e-15)
-            assert np.allclose(d.g_r, np.eye(3), atol=1e-15)
+            g_r, g_p = ops.g_derivatives(np.zeros(3), 0.5 * (r + r.T), sig)
+            assert np.allclose(g_p, 0.0, atol=1e-15)
+            assert np.allclose(g_r, np.eye(3), atol=1e-15)
 
     def test_2d_reduces_to_1d_along_gradient_axis(self):
-        jet = PointJet(x=np.zeros(2), u=0.0, du=np.array([0.6, 0.0]),
-                       d2u=np.eye(2))
-        d = ops.g_derivatives(jet, MINKOWSKI)
-        assert np.allclose(d.g_p, [2.9296875, 0.0], atol=1e-12)
+        _, g_p = ops.g_derivatives([0.6, 0.0], np.eye(2), MINKOWSKI)
+        assert np.allclose(g_p, [2.9296875, 0.0], atol=1e-12)
 
     def test_hessian_slot_is_inverse_metric_exactly(self):
         from gaussflow.geometry import metric_up_many
@@ -66,11 +61,10 @@ class TestGDerivatives:
                 if sig == MINKOWSKI:
                     p = 0.9 * p / max(1.0, np.linalg.norm(p))
                 r = rng.normal(size=(n, n))
-                jet = PointJet(x=np.zeros(n), u=0.0, du=p, d2u=0.5 * (r + r.T))
-                d = ops.g_derivatives(jet, sig)
+                g_r, _ = ops.g_derivatives(p, 0.5 * (r + r.T), sig)
                 assert np.max(np.abs(
-                    d.g_r - metric_up_many(p[:, None], sig)[:, :, 0])) <= 1e-14
-                assert np.min(np.linalg.eigvalsh(d.g_r)) > 0  # parabolicity
+                    g_r - metric_up_many(p[:, None], sig)[:, :, 0])) <= 1e-14
+                assert np.min(np.linalg.eigvalsh(g_r)) > 0  # parabolicity
 
     @pytest.mark.parametrize("sig", [MINKOWSKI, EUCLIDEAN])
     def test_fd_oracle_1000_jets(self, sig):
@@ -100,7 +94,7 @@ class TestGDual:
 
     def test_self_dual_quadratic(self):
         # u = x^2/2 at x = 0.6: dual Hessian is 1
-        val = ops.g_value(jet1d(0.6, 1.0), MINKOWSKI)
+        val = ops.g_value(*jet1d(0.6, 1.0), MINKOWSKI)
         dual = ops.g_dual([0.6], [[1.0]], MINKOWSKI)
         assert val + dual == pytest.approx(0.0, abs=1e-14)
         assert val == pytest.approx(1.5625)
@@ -124,9 +118,8 @@ class TestGDual:
                 p = 0.85 * p / max(1.0, np.linalg.norm(p))
             m = rng.normal(size=(n, n))
             r = m @ m.T + 0.3 * np.eye(n)
-            jet = PointJet(x=np.zeros(n), u=0.0, du=p, d2u=r)
             dual = ops.g_dual(p, np.linalg.inv(r), sig)
-            assert dual == pytest.approx(-ops.g_value(jet, sig), abs=1e-10)
+            assert dual == pytest.approx(-ops.g_value(p, r, sig), abs=1e-10)
 
 
 class TestLegendreTransform:
@@ -134,15 +127,16 @@ class TestLegendreTransform:
         grid = LineGrid(-1.0, 1.0, 100)
         x = grid.nodes[:, 0]
         y, u_t = ops.legendre_transform(0.5 * x**2, grid)
-        assert np.allclose(y[:, 0], x, atol=1e-12)
-        assert np.allclose(u_t, 0.5 * y[:, 0] ** 2, atol=1e-12)
+        assert y.shape == (1, grid.n_nodes)
+        assert np.allclose(y[0], x, atol=1e-12)
+        assert np.allclose(u_t, 0.5 * y[0] ** 2, atol=1e-12)
 
     def test_steep_quadratic(self):
         grid = LineGrid(0.0, 1.0, 100)
         x = grid.nodes[:, 0]
         y, u_t = ops.legendre_transform(2.0 * x**2, grid)
-        assert np.allclose(y[:, 0], 4.0 * x, atol=1e-12)
-        assert np.allclose(u_t, y[:, 0] ** 2 / 8.0, atol=1e-12)
+        assert np.allclose(y[0], 4.0 * x, atol=1e-12)
+        assert np.allclose(u_t, y[0] ** 2 / 8.0, atol=1e-12)
 
     def test_involution_second_order(self):
         def defect(n_cells):
@@ -150,13 +144,13 @@ class TestLegendreTransform:
             x = grid.nodes[:, 0]
             u = 0.5 * x**2 + x**4 / 12.0
             y, u_t = ops.legendre_transform(u, grid)
-            order = np.argsort(y[:, 0])
-            dual_grid = LineGrid(float(y[order[0], 0]), float(y[order[-1], 0]),
+            order = np.argsort(y[0])
+            dual_grid = LineGrid(float(y[0, order[0]]), float(y[0, order[-1]]),
                                  n_cells)
-            ut_grid = np.interp(dual_grid.nodes[:, 0], y[order, 0], u_t[order])
+            ut_grid = np.interp(dual_grid.nodes[:, 0], y[0, order], u_t[order])
             yy, uu = ops.legendre_transform(ut_grid, dual_grid)
-            o2 = np.argsort(yy[:, 0])
-            back = np.interp(x, yy[o2, 0], uu[o2])
+            o2 = np.argsort(yy[0])
+            back = np.interp(x, yy[0, o2], uu[o2])
             return np.max(np.abs(back - u)[5:-5])
 
         errs = [defect(n) for n in (100, 200, 400)]
@@ -179,7 +173,7 @@ class TestLegendreTransform:
                                                         MINKOWSKI))
         state = result.state
         y, _ = ops.legendre_transform(state.u, state.grid)
-        h, _ = defining_jet_many(ot, y.T)
+        h, _ = defining_jet_many(ot, y)
         assert np.min(h) >= -10 * state.grid.h_ref**2
 
 

@@ -225,41 +225,44 @@ class TestIdentityDefects:
             assert part == {key: full[key] for key in keys}
 
     def test_duality_alone_builds_no_graph_geometry(self, monkeypatch):
+        # the nodal kernels behind NodalJets, counted where it looks them up
+        from gaussflow import geometry
         calls = []
-        real = oracles.graph_geometry_many
+        for name in ("v_many", "metric_lo_many", "metric_up_many",
+                     "root_metric_many", "curvature_matrix_many"):
+            def counted(*args, _name=name, _real=getattr(geometry, name)):
+                calls.append(_name)
+                return _real(*args)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracles, "graph_geometry_many", counted)
+            monkeypatch.setattr(geometry, name, counted)
         jets = oracles.random_jets(np.random.default_rng(3), 30, MINKOWSKI)
         oracles.identity_defects(jets, MINKOWSKI, keys=("duality",))
         assert calls == []
         oracles.identity_defects(jets, MINKOWSKI, keys=("trace",))
-        assert len(calls) == len(jets)
+        assert calls.count("curvature_matrix_many") == len(jets)
+        assert set(calls) == {"v_many", "curvature_matrix_many"}
+        calls.clear()
+        # b^ij and b_ij of one dimension come from one kernel call
+        oracles.identity_defects(jets, MINKOWSKI, keys=("root", "root-inverse"))
+        assert calls.count("root_metric_many") == len(jets)
 
 
 class TestFdCheck:
     def test_flat_jets_are_exact(self):
         # p = 0 kills the gradient slot on both sides of the comparison
         import gaussflow.operators as ops
-        from gaussflow.geometry import PointJet
         rng = np.random.default_rng(0)
         for sig in (MINKOWSKI, EUCLIDEAN):
             r = rng.normal(size=(2, 2))
-            jet = PointJet(x=np.zeros(2), u=0.0, du=np.zeros(2),
-                           d2u=0.5 * (r + r.T))
-            d = ops.g_derivatives(jet, sig)
-            assert np.allclose(d.g_p, 0.0, atol=1e-16)
+            d2u = 0.5 * (r + r.T)
+            _, g_p = ops.g_derivatives(np.zeros(2), d2u, sig)
+            assert np.allclose(g_p, 0.0, atol=1e-16)
             eps = 1e-5
             for k in range(2):
                 dp = np.zeros(2)
                 dp[k] = eps
-                plus = ops.g_value(PointJet(x=jet.x, u=0.0, du=dp,
-                                            d2u=jet.d2u), sig)
-                minus = ops.g_value(PointJet(x=jet.x, u=0.0, du=-dp,
-                                             d2u=jet.d2u), sig)
+                plus = ops.g_value(dp, d2u, sig)
+                minus = ops.g_value(-dp, d2u, sig)
                 assert (plus - minus) / (2 * eps) == pytest.approx(0.0,
                                                                    abs=1e-11)
 

@@ -13,6 +13,7 @@ import dataclasses
 import io
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -26,12 +27,9 @@ from gaussflow.geometry import (
     EUCLIDEAN,
     MINKOWSKI,
     SPACELIKE_MARGIN,
-    GraphGeometry,
     NodalJets,
-    PointJet,
     curvature_matrix_many,
     graph_geometry,
-    graph_geometry_many,
     eigenvalues_many,
     metric_lo_many,
     metric_trace,
@@ -42,12 +40,13 @@ from gaussflow.operators import g_derivatives_many, g_dual_many, g_value_many
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
-def ref_graph_geometry(jet: PointJet, sig: str, paper_signs: bool = False) -> GraphGeometry:
+def ref_graph_geometry(du, d2u, sig: str, paper_signs: bool = False):
     """The pointwise formulas the vectorized kernels replaced, kept as the
-    reference they must reproduce."""
+    reference they must reproduce: every field of ``NodalJets`` at one
+    point, without its node axis."""
     eps = signature_eps(sig)
-    p = np.asarray(jet.du, dtype=float)
-    r = np.asarray(jet.d2u, dtype=float)
+    p = np.asarray(du, dtype=float)
+    r = np.asarray(d2u, dtype=float)
     n = p.size
     norm = float(np.linalg.norm(p))
     if sig == MINKOWSKI and norm > 1.0 - SPACELIKE_MARGIN:
@@ -78,7 +77,7 @@ def ref_graph_geometry(jet: PointJet, sig: str, paper_signs: bool = False) -> Gr
     else:
         nu = np.concatenate([-p, [1.0]]) / v
 
-    return GraphGeometry(
+    return SimpleNamespace(
         v=float(v), g_lo=g_lo, g_up=g_up, b_up=b_up, b_lo=b_lo,
         a=a, kappa=kappa, H=big_h, nu=nu,
     )
@@ -113,8 +112,7 @@ def test_nodal_jets_match_pointwise_geometry(batch):
     p, r, sig = batch
     jets = NodalJets.of(*rows_of(p, r), sig)
     for k in range(p.shape[0]):
-        geo = ref_graph_geometry(PointJet(x=np.zeros(p.shape[1]), u=0.0,
-                                          du=p[k], d2u=r[k]), sig)
+        geo = ref_graph_geometry(p[k], r[k], sig)
         assert np.max(np.abs(jets.a[..., k] - geo.a)) <= 1e-12
         assert abs(jets.H[k] - geo.H) <= 1e-12
         assert np.max(np.abs(jets.kappa[:, k] - geo.kappa)) <= 1e-12
@@ -124,22 +122,22 @@ def test_nodal_jets_match_pointwise_geometry(batch):
 @settings(max_examples=200, deadline=None)
 @given(jet_batches(), st.booleans())
 def test_graph_geometry_matches_pointwise_reference(batch, paper_signs):
-    """Every field of the batch of one and of each batch row; paper_signs
-    flips b^ij and b_ij only, as ``oracles.identity_defects`` flips them
-    (2 I - b in the Minkowski case)."""
+    """Every ``NodalJets`` field of the pointwise API (node 0 of its rows
+    of one) and of each batch row; paper_signs flips b^ij and b_ij only,
+    as ``oracles.identity_defects`` flips them (2 I - b in the Minkowski
+    case)."""
     p, r, sig = batch
-    many = graph_geometry_many(*rows_of(p, r), sig)
+    many = NodalJets.of(*rows_of(p, r), sig)
     eye = np.eye(p.shape[1])
     for k in range(p.shape[0]):
-        jet = PointJet(x=np.zeros(p.shape[1]), u=0.0, du=p[k], d2u=r[k])
-        ref = ref_graph_geometry(jet, sig)
-        flipped = ref_graph_geometry(jet, sig, paper_signs)
-        one = graph_geometry(jet, sig)
+        ref = ref_graph_geometry(p[k], r[k], sig)
+        flipped = ref_graph_geometry(p[k], r[k], sig, paper_signs)
+        one = graph_geometry(p[k], r[k], sig)
         for name, want in (("v", ref.v), ("g_lo", ref.g_lo), ("g_up", ref.g_up),
                            ("b_up", flipped.b_up), ("b_lo", flipped.b_lo),
                            ("a", ref.a), ("kappa", ref.kappa), ("H", ref.H),
                            ("nu", ref.nu)):
-            got_one, got_k = getattr(one, name), getattr(many, name)[..., k]
+            got_one, got_k = getattr(one, name)[..., 0], getattr(many, name)[..., k]
             if paper_signs and sig == MINKOWSKI and name in ("b_up", "b_lo"):
                 got_one, got_k = 2.0 * eye - got_one, 2.0 * eye - got_k
             assert np.shape(got_one) == np.shape(want), name

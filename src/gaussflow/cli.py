@@ -173,6 +173,8 @@ def parse_config(path) -> RunConfig:
     omega = parse_domain_spec(raw.pop("omega"), "omega")
     omega_tilde = parse_domain_spec(raw.pop("omega_tilde"), "omega_tilde")
 
+    if omega.dimension > 2:
+        raise ConfigError(f"omega: a {omega.dimension}D domain; grids cover n <= 2")
     if omega.dimension == 1:
         if "n" not in raw:
             raise ConfigError("1D runs need key: n")

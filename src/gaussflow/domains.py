@@ -101,8 +101,12 @@ class ConvexDomain:
 
     @cached_property
     def ends(self) -> np.ndarray:
-        """``interval_ends`` of a 1D domain as an array, evaluated once."""
-        return np.array(interval_ends(self))
+        """(lo, hi) = c -+ Q^{-1/2} of a 1D domain, evaluated once."""
+        if self.dimension != 1:
+            raise ValueError(f"a {self.dimension}D {self.spec[0]} is not an interval")
+        half = 1.0 / math.sqrt(self.shape[0, 0])
+        c = float(self.center[0])
+        return np.array([c - half, c + half])
 
     @staticmethod
     def _quadric(center, shape, name: str, args) -> "ConvexDomain":
@@ -179,15 +183,6 @@ def inward_normal_many(domain: ConvexDomain, pts: np.ndarray) -> np.ndarray:
     return dh / np.linalg.norm(dh, axis=0)
 
 
-def interval_ends(domain: ConvexDomain) -> tuple[float, float]:
-    """(lo, hi) = c -+ Q^{-1/2} of a 1D domain."""
-    if domain.dimension != 1:
-        raise ValueError(f"a {domain.dimension}D {domain.spec[0]} is not an interval")
-    half = 1.0 / math.sqrt(domain.shape[0, 0])
-    c = float(domain.center[0])
-    return c - half, c + half
-
-
 def radial_range(domain: ConvexDomain) -> tuple[float, float]:
     """(min |p|, max |p|) over the closed domain, exact up to rounding.
 
@@ -199,7 +194,7 @@ def radial_range(domain: ConvexDomain) -> tuple[float, float]:
     minimum is 0 when the origin lies in the closed domain.
     """
     if domain.dimension == 1:
-        pts = np.array(interval_ends(domain))[:, None]
+        pts = domain.ends[:, None]
     elif domain.dimension == 2:
         a_mat = spd_inv_sqrt(domain.shape)
         m = a_mat @ a_mat

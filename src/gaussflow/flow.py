@@ -217,9 +217,10 @@ class FlowState:
     changes a state's arrays in place and no solver cache rides on it,
     so its holders keep the state itself.
 
-    ``jets`` is the state's nodal geometry (``NodalJets`` of u), built
-    on first use. It is cached on the instance, not held as a field:
-    ``dataclasses.replace`` builds a new state with fresh jets.
+    ``jets`` is the state's nodal geometry, the ``NodalJets`` of
+    ``grid.derivative_rows(u)`` (the one place a state's u becomes jets),
+    built on first use. It is cached on the instance, not held as a
+    field: ``dataclasses.replace`` builds a new state with fresh jets.
 
     ``op`` is the flow's equation, built by ``initialize`` and carried
     from step to step; ``sig`` and ``omega_tilde`` read it.
@@ -246,7 +247,7 @@ class FlowState:
 
     @cached_property
     def jets(self) -> NodalJets:
-        return NodalJets(self.grid, self.u, self.sig)
+        return NodalJets(*self.grid.derivative_rows(self.u), self.sig)
 
 
 @dataclass
@@ -275,9 +276,9 @@ def build_grid(omega: dom.ConvexDomain, grid_spec):
     state built on it; nothing is kept beyond that.
     """
     if omega.dimension == 1:
-        ends, n_cells = dom.interval_ends(omega), int(grid_spec)
-        key = (1, np.array(ends).tobytes(), n_cells)
-        build = partial(LineGrid, *ends, n_cells)
+        n_cells = int(grid_spec)
+        key = (1, omega.ends.tobytes(), n_cells)
+        build = partial(LineGrid, *omega.ends.tolist(), n_cells)
     elif omega.dimension == 2:
         a_map = dom.spd_inv_sqrt(omega.shape)
         center = np.asarray(omega.center, dtype=float)
@@ -317,7 +318,7 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
         grid=grid, u=u0, t=0.0, u_dot=op.value(p, r), tau=0.0, steps=0, op=op,
         omega=omega, anchor=grid.anchor,
     )
-    state.jets.p, state.jets.r = p, r
+    state.jets = NodalJets(p, r, sig)
     return state
 
 
@@ -537,8 +538,8 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
         state, u=u_new, t=state.t + tau, u_dot=u_dot, tau=tau_next,
         steps=state.steps + 1, newton_iters=iters,
     )
-    new.jets = NodalJets(state.grid, u_new, state.sig)
-    new.jets.p, new.jets.r, new.jets.lam = p, r, lam
+    new.jets = NodalJets(p, r, state.sig)
+    new.jets.lam = lam
     return new
 
 

@@ -22,14 +22,14 @@ that breaks both b*b = g^inv and b^ij b_jk = id.
 Every formula exists once, on one layout: component-major rows with the
 node axis last, gradients (n, N) and per-node matrices (n, n, N), as
 ``grid.derivative_rows`` returns them. ``NodalJets`` is the one nodal
-geometry record of the solver, the monitors and the check suite, and
-``graph_geometry(du, d2u, sig)`` that of one point. Every per-node
-spectrum (the Hessian eigenvalues, the principal curvatures and the
-solver's and audits' convexity tests) comes from ``eigenvalues_many``,
-in closed form for n <= 2. Every contraction g^ij m_ij (the flow speed,
-the Laplacian's main term, the dual operator) comes from
-``metric_trace``, which builds no g^ij; ``metric_up_many`` builds it
-only where a caller needs the matrix itself.
+geometry record of the solver, the monitors and the check suite (built
+from given rows, it knows no grid), and ``graph_geometry(du, d2u, sig)``
+that of one point. Every per-node spectrum (the Hessian eigenvalues, the
+principal curvatures and the solver's and audits' convexity tests) comes
+from ``eigenvalues_many``, in closed form for n <= 2. Every contraction
+g^ij m_ij (the flow speed, the Laplacian's main term, the dual operator)
+comes from ``metric_trace``, which builds no g^ij; ``metric_up_many``
+builds it only where a caller needs the matrix itself.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def point_rows(du, d2u) -> tuple[np.ndarray, np.ndarray]:
 
 def graph_geometry(du, d2u, sig: str) -> NodalJets:
     """The ``NodalJets`` of one point, each field with a node axis of length 1."""
-    return NodalJets.of(*point_rows(du, d2u), sig)
+    return NodalJets(*point_rows(du, d2u), sig)
 
 
 def is_spacelike(sq: np.ndarray, sig: str) -> bool:
@@ -166,40 +166,26 @@ def eigenvalues_many(m: np.ndarray) -> np.ndarray:
 
 
 class NodalJets:
-    """Nodal geometry of one discrete field u on a grid, built on first use.
+    """Nodal geometry of given gradient rows p (n, N) and Hessian rows r
+    (n, n, N), as ``grid.derivative_rows`` returns them.
 
-    Each field is computed on first access and then cached, as
-    component-major rows: the gradient p (n, N) and Hessian r (n, n, N)
-    from one ``grid.derivative_rows`` call, the tilt v (N,), the metric
-    g_lo, its inverse g_up, its square-root factors b_up and b_lo (from
-    one ``root_metric_many`` call) and the curvature matrix a
-    (n, n, N), the mean curvature H = tr a (N,), the unit normal nu
-    (n + 1, N) of the graph in ambient space, and the Hessian eigenvalues
-    lam and principal curvatures kappa (n, N), ascending along axis 0.
-    Every field comes from the formulas above, so a cached value equals
-    the one a direct call computes.
+    Every other field is computed on first access and then cached, as
+    component-major rows: the tilt v (N,), the metric g_lo, its inverse
+    g_up, its square-root factors b_up and b_lo (from one
+    ``root_metric_many`` call) and the curvature matrix a (n, n, N), the
+    mean curvature H = tr a (N,), the unit normal nu (n + 1, N) of the
+    graph in ambient space, and the Hessian eigenvalues lam and principal
+    curvatures kappa (n, N), ascending along axis 0. Every field comes
+    from the formulas above, so a cached value equals the one a direct
+    call computes.
     """
 
-    def __init__(self, grid, u, sig: str):
-        self.grid, self.u, self.sig = grid, u, sig
-
-    @classmethod
-    def of(cls, p: np.ndarray, r: np.ndarray, sig: str) -> "NodalJets":
-        """Jets of given gradient rows p (n, N) and Hessian rows r (n, n, N)."""
-        jets = cls(None, None, sig)
-        jets.p, jets.r = p, r
-        return jets
+    def __init__(self, p: np.ndarray, r: np.ndarray, sig: str):
+        self.p, self.r, self.sig = p, r, sig
 
     def rows(self, idx) -> "NodalJets":
         """Jets at the nodes idx only: these columns of p and r."""
-        return NodalJets.of(self.p[:, idx], self.r[..., idx], self.sig)
-
-    @cached_property
-    def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.grid.derivative_rows(self.u)
-
-    p = cached_property(lambda self: self._derivatives[0])
-    r = cached_property(lambda self: self._derivatives[1])
+        return NodalJets(self.p[:, idx], self.r[..., idx], self.sig)
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -267,7 +253,7 @@ def laplace_beltrami(f: np.ndarray, u: np.ndarray, grid, sig: str) -> np.ndarray
     ``metric_trace`` of the Hessian rows of f. Boundary nodes are set to
     nan.
     """
-    jets = NodalJets(grid, np.asarray(u, dtype=float), sig)
+    jets = NodalJets(*grid.derivative_rows(np.asarray(u, dtype=float)), sig)
     out = jets.laplacian(*grid.derivative_rows(np.asarray(f, dtype=float)))
     out[grid.boundary] = np.nan
     return out

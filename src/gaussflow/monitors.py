@@ -38,7 +38,7 @@ boundary nodes' coordinates are read as component-major rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,18 +49,10 @@ from .operators import legendre_transform, structure_report
 OBLIQUENESS_FLOOR = 1e-3
 HESSIAN_FLOOR = 1e-8
 
-CSV_COLUMNS = (
-    "t", "tau", "udot_min", "udot_max", "obliq_min", "hess_min", "hess_max",
-    "grad_max", "TG_min", "TG_max", "convex_margin", "evo_residual",
-    "newton_iters",
-)
-
-
 @dataclass(frozen=True)
 class MonitorRecord:
-    """One audited snapshot. Fields t .. newton_iters are the CSV schema;
-    f_min/f_max (the mean curvature range, for the structure sandwich)
-    ride along in memory only.
+    """One audited snapshot, one row of ``monitors.csv``: the fields are
+    its columns, in order (``CSV_COLUMNS``).
 
     ``tau`` is the tau the next step starts from: 0 on the initial row,
     3 x the accepted step's tau (capped at tau_max) after an attempt on
@@ -83,8 +75,9 @@ class MonitorRecord:
     convex_margin: float
     evo_residual: float
     newton_iters: int
-    f_min: float = math.nan
-    f_max: float = math.nan
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MonitorRecord))
 
 
 def obliqueness(state) -> float:
@@ -183,8 +176,6 @@ def duality_rate_defect(state) -> float:
     base state, which keeps the audit O(h^2) even where the gradients
     move. Returns max |d(u_tilde)/dt + du/dt| over matched nodes.
     """
-    import dataclasses
-
     from scipy.interpolate import CubicSpline
 
     from .flow import StepControls, step_implicit
@@ -194,7 +185,7 @@ def duality_rate_defect(state) -> float:
         raise ValueError("the duality rate audit is implemented on 1D grids")
     tau = grid.h_ref**2
     # every step solves from u - u[anchor]: so does the probe's base
-    base = dataclasses.replace(state, u=state.u - state.u[state.anchor], tau=tau)
+    base = replace(state, u=state.u - state.u[state.anchor], tau=tau)
     probe = step_implicit(base, StepControls(tau_max=tau))
     u_t = (probe.u - base.u) / (probe.t - state.t)
     (y1,), ut1 = legendre_transform(base.u, grid)
@@ -221,6 +212,8 @@ class RunMonitor:
     is the (min, max) of the rate of ``state0``, G0 (``flow.initialize``),
     and ``sandwich`` the band [min w * min G0, max w * max G0] for H, w =
     1/v at the smallest and largest |p| of the gradient-image domain.
+    ``f_range`` is the (min, max) of the mean curvature over the recorded
+    states (nan once any of them is nan), which ``sandwich_ok`` tests.
     """
 
     def __init__(self, state0, cadence: int = 1, tau_max: float = 1.0):
@@ -235,6 +228,7 @@ class RunMonitor:
                                     state0.sig))
         self.sandwich = (float(np.min(w) * g0_min), float(np.max(w) * g0_max))
         self.eps0 = eps0_candidate(state0)  # t = 0 slice, all nodes
+        self.f_range = (math.inf, -math.inf)
         self.records: list[MonitorRecord] = []
         self._window = []  # the last three recorded states
         self._seen = 0
@@ -261,7 +255,9 @@ class RunMonitor:
         if len(self._window) == 3:
             evo = evolution_residual(self._window)
         lam_min, lam_max = hessian_bounds(state)
-        tg_range, f_range = structure_report(state)
+        tg_range, (f_lo, f_hi) = structure_report(state)
+        self.f_range = (float(np.minimum(self.f_range[0], f_lo)),
+                        float(np.maximum(self.f_range[1], f_hi)))
         self.records.append(MonitorRecord(
             t=state.t,
             tau=state.tau,
@@ -276,8 +272,6 @@ class RunMonitor:
             convex_margin=convexity_margin(state, self.eps0),
             evo_residual=evo,
             newton_iters=state.newton_iters,
-            f_min=f_range[0],
-            f_max=f_range[1],
         ))
 
     # -- run level verdicts --------------------------------------------------
@@ -299,8 +293,5 @@ class RunMonitor:
     def sandwich_ok(self) -> bool:
         """Curvature sums stay inside the structure sandwich of u0, up to
         tol_mon."""
-        lo, hi = self.sandwich
-        return all(
-            rec.f_min >= lo - self.tol_mon and rec.f_max <= hi + self.tol_mon
-            for rec in self.records
-        )
+        (lo, hi), (f_lo, f_hi) = self.sandwich, self.f_range
+        return f_lo >= lo - self.tol_mon and f_hi <= hi + self.tol_mon

@@ -245,7 +245,7 @@ def g_p_paper_many(p: np.ndarray, r: np.ndarray, sig: str) -> np.ndarray:
     """
     if sig != MINKOWSKI:
         raise ValueError("the printed transcription exists for the Minkowski case only")
-    jets = NodalJets.of(p, r, sig)
+    jets = NodalJets(p, r, sig)
     bap = np.einsum("ijn,jkn,kn->in", jets.b_up, jets.a, p)
     return -2.0 * p * (jets.H / jets.v) - 2.0 * bap
 
@@ -280,7 +280,7 @@ def identity_defects(jets: dict, sig: str, paper_signs: bool = False,
             return (g_dual_many(p, inverse_many(r_pd), sig)
                     + metric_trace(p, r_pd, sig))
 
-        geo = NodalJets.of(p, r, sig)
+        geo = NodalJets(p, r, sig)
 
         def root(b):
             """b^ij or b_ij, with the misprinted sign under paper_signs."""

@@ -1,5 +1,7 @@
 """Config parsing, artifacts, exit codes, and the check/report commands."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,21 @@ def finished_run(tmp_path_factory):
 
 
 class TestConfigParsing:
+    def test_readme_example_runs(self, tmp_path, monkeypatch, capsys):
+        # the README's ini block, as written, parses and converges
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(example)
+        monkeypatch.chdir(tmp_path)
+        config = cli.parse_config(cfg)
+        assert (config.signature, config.grid_spec, config.cadence) == (
+            "minkowski", 401, 1)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "converged: C_inf = 1.098605792 after 5 steps" in out
+        assert (tmp_path / "out" / "monitors.csv").is_file()
+
     def test_roundtrip_of_domain_specs(self):
         for text in ("interval 0 1", "ball 0 0 0.5",
                      "ellipse 0 0 6.25 0 16"):
@@ -91,6 +108,9 @@ class TestConfigParsing:
         assert not out.exists()
 
 
+GRID_KEYS = {"n", "n_rho", "n_theta"}
+
+
 class TestStepControlValidation:
     """Bad step controls end in exit 1 before any step is taken."""
 
@@ -139,6 +159,14 @@ class TestStepControlValidation:
                      id="malformed-domain-number"),
         pytest.param("omega = ball 0 0 1\nomega_tilde = ball 0 0 0.5",
                      "2D runs need keys: n_rho, n_theta", id="2d-without-grid"),
+        # a 3D domain is refused by its key before the grid keys are read
+        pytest.param("omega = ball 0 0 0 1\nomega_tilde = ball 0 0 0 0.5",
+                     "omega: a 3D domain; grids cover n <= 2",
+                     id="3d-without-grid"),
+        pytest.param("omega = ball 0 0 0 1\nomega_tilde = ball 0 0 0 0.5\n"
+                     "n_rho = 8\nn_theta = 16",
+                     "omega: a 3D domain; grids cover n <= 2",
+                     id="3d-with-disk-grid"),
         # a directory under the configuration file, a regular file
         pytest.param("output_dir = {cfg}/out", "output_dir",
                      id="output-dir-under-a-file"),
@@ -149,6 +177,8 @@ class TestStepControlValidation:
         out = tmp_path / "out"
         extra = extra.format(cfg=cfg)
         keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+        if keys & GRID_KEYS:  # a grid in extra replaces the base grid
+            keys |= GRID_KEYS
         base = [line for line in BASE_CONFIG.format(out=out).splitlines()
                 if line.split("=")[0].strip() not in keys]
         cfg.write_text("\n".join([*base, extra]) + "\n")

@@ -194,15 +194,15 @@ class TestRadialRange:
 
 class TestIntervalEnds:
     def test_interval(self):
-        assert dom.interval_ends(dom.ConvexDomain.interval(-0.5, 0.25)) == (-0.5, 0.25)
+        assert tuple(dom.ConvexDomain.interval(-0.5, 0.25).ends) == (-0.5, 0.25)
 
     def test_one_dimensional_ball(self):
-        assert dom.interval_ends(dom.ConvexDomain.ball([0.2], 0.5)) == (
+        assert tuple(dom.ConvexDomain.ball([0.2], 0.5).ends) == (
             pytest.approx(-0.3), pytest.approx(0.7))
 
     def test_two_dimensional_ball_has_no_ends(self):
-        with pytest.raises(ValueError):
-            dom.interval_ends(dom.ConvexDomain.ball([0.0, 0.0], 1.0))
+        with pytest.raises(ValueError, match="a 2D ball is not an interval"):
+            dom.ConvexDomain.ball([0.0, 0.0], 1.0).ends
 
 
 class TestAffineMap:

@@ -305,6 +305,38 @@ class TestRunMonitor:
         with pytest.raises(ValueError, match="cadence must be at least 1"):
             monitors.RunMonitor(interval_state(21), cadence=cadence)
 
+    def test_csv_columns_are_the_record_fields(self):
+        # a record is exactly one monitors.csv row
+        names = tuple(f.name for f in dataclasses.fields(monitors.MonitorRecord))
+        assert monitors.CSV_COLUMNS == names == (
+            "t", "tau", "udot_min", "udot_max", "obliq_min", "hess_min",
+            "hess_max", "grad_max", "TG_min", "TG_max", "convex_margin",
+            "evo_residual", "newton_iters")
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_curvature_range_fails_the_sandwich(self, side, monkeypatch):
+        # a nan at either end of one record's mean curvature range fails
+        # the run's sandwich however finite the records after it are, so
+        # the running range may not drop nan as Python's min and max do
+        report = monitors.structure_report
+
+        def nan_report(state):
+            tg_range, f_range = report(state)
+            f_range = list(f_range)
+            f_range[side] = math.nan
+            return tg_range, tuple(f_range)
+
+        state = interval_state(41)
+        mon = monitors.RunMonitor(state)
+        assert mon.sandwich_ok()
+        state = flow.step_implicit(state)
+        monkeypatch.setattr(monitors, "structure_report", nan_report)
+        mon.observe(state)
+        monkeypatch.setattr(monitors, "structure_report", report)
+        mon.observe(flow.step_implicit(state))
+        assert len(mon.records) == 3
+        assert not mon.sandwich_ok()
+
     def test_records_are_finite(self):
         _, mon, _ = run_with_monitor(101)
         for rec in mon.records:
@@ -389,7 +421,7 @@ def ref_evolution_residual(window):
 
 def ref_record(state, eps0, window):
     """A MonitorRecord computed the way the pre-jets monitors did."""
-    p, r, v, _, _, big_h = ref_geometry(state)
+    p, r, v, _, _, _ = ref_geometry(state)
     eps = geo.signature_eps(state.sig)
     tg = p.shape[0] - eps * np.sum(p * p, axis=0) / v**2
     lam = geo.eigenvalues_many(r)
@@ -405,7 +437,6 @@ def ref_record(state, eps0, window):
         evo_residual=(ref_evolution_residual(window) if len(window) >= 3
                       else math.nan),
         newton_iters=state.newton_iters,
-        f_min=float(np.min(big_h)), f_max=float(np.max(big_h)),
     )
 
 
@@ -516,8 +547,9 @@ class TestCachedJetAudits:
         state = accepted[-1]
         tg_range, f_range = structure_report(state)
         want = ref_record(state, 0.0, [])
+        big_h = ref_geometry(state)[5]
         assert tg_range == (want.TG_min, want.TG_max)
-        assert f_range == (want.f_min, want.f_max)
+        assert f_range == (float(np.min(big_h)), float(np.max(big_h)))
 
     def test_last_state_is_last_observed(self):
         _, mon, accepted = short_run("interval", cadence=4, steps=5)

@@ -110,7 +110,7 @@ def rows_of(p, r):
 @given(jet_batches())
 def test_nodal_jets_match_pointwise_geometry(batch):
     p, r, sig = batch
-    jets = NodalJets.of(*rows_of(p, r), sig)
+    jets = NodalJets(*rows_of(p, r), sig)
     for k in range(p.shape[0]):
         geo = ref_graph_geometry(p[k], r[k], sig)
         assert np.max(np.abs(jets.a[..., k] - geo.a)) <= 1e-12
@@ -127,7 +127,7 @@ def test_graph_geometry_matches_pointwise_reference(batch, paper_signs):
     as ``oracles.identity_defects`` flips them (2 I - b in the Minkowski
     case)."""
     p, r, sig = batch
-    many = NodalJets.of(*rows_of(p, r), sig)
+    many = NodalJets(*rows_of(p, r), sig)
     eye = np.eye(p.shape[1])
     for k in range(p.shape[0]):
         ref = ref_graph_geometry(p[k], r[k], sig)
@@ -428,7 +428,7 @@ def test_component_major_g_matches_node_major_formula(data):
                   np.einsum("nij,nij->n", np.abs(g_up), np.abs(r)))
 
     df, d2f = data.draw(field_rows(batch))
-    jets = NodalJets.of(*rows_of(p, r), sig)
+    jets = NodalJets(*rows_of(p, r), sig)
     lap_scale = (np.einsum("nij,ijn->n", np.abs(g_up), np.abs(d2f))
                  + np.abs(jets.H) / jets.v
                  * np.einsum("ni,in->n", np.abs(p), np.abs(df)))

@@ -22,6 +22,12 @@ Config format: UTF-8 lines ``key = value``; a ``#`` at the start of a line
 or after whitespace starts a comment, so a value such as ``run#1`` keeps
 its ``#``. Domains are written ``interval a b``, ``ball cx [cy] r``,
 ``ellipse cx cy q11 q12 q22``.
+
+``parse_config`` maps keys to the objects that check them: domains to
+``ConvexDomain`` (it refuses a 3D omega or an omega_tilde of another
+dimension itself), grid keys to ``check_resolution``, control keys (the
+field names) to ``StepControls``. Before ``output_dir`` is created,
+``run`` refuses an anchor that is no node and ``RunMonitor`` a cadence < 1.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,13 +143,6 @@ def domain_spec_string(d: dom.ConvexDomain) -> str:
     return " ".join([name, *(_fmt(x) for x in args)])
 
 
-_FLOAT_KEYS = {
-    "tol_c": "tol_c", "tol_b": "tol_b", "tol_newton": "tol_newton",
-    "tol_r": "tol_r_scale", "tau0": "tau0", "tau_min": "tau_min",
-    "tau_max": "tau_max",
-}
-
-
 # a comment starts at a "#" that opens the line or follows whitespace
 _COMMENT = re.compile(r"(?:^|\s)#")
 
@@ -175,6 +174,9 @@ def parse_config(path) -> RunConfig:
 
     if omega.dimension > 2:
         raise ConfigError(f"omega: a {omega.dimension}D domain; grids cover n <= 2")
+    if omega_tilde.dimension != omega.dimension:
+        raise ConfigError(f"omega_tilde: a {omega_tilde.dimension}D domain; "
+                          f"omega is {omega.dimension}D")
     if omega.dimension == 1:
         if "n" not in raw:
             raise ConfigError("1D runs need key: n")
@@ -190,27 +192,13 @@ def parse_config(path) -> RunConfig:
         keys = "n" if omega.dimension == 1 else "n_rho, n_theta"
         raise ConfigError(f"{keys}: {exc}") from None
 
-    controls = StepControls()
-    for cfg_key, attr in _FLOAT_KEYS.items():
-        if cfg_key in raw:
-            val = _number(cfg_key, raw.pop(cfg_key))
-            if not (np.isfinite(val) and val > 0):
-                raise ConfigError(f"{cfg_key} must be finite and positive, got {val:g}")
-            setattr(controls, attr, val)
-    if not controls.tau_min < controls.tau_max:
-        raise ConfigError(f"tau_min = {controls.tau_min:g} must be below "
-                          f"tau_max = {controls.tau_max:g}")
-    if controls.tau0 is not None and controls.tau0 > controls.tau_max:
-        raise ConfigError(f"tau0 = {controls.tau0:g} exceeds "
-                          f"tau_max = {controls.tau_max:g}")
-    for key in ("max_steps", "max_newton"):
-        if key in raw:
-            setattr(controls, key, _number(key, raw.pop(key), int))
+    try:
+        controls = StepControls(**{
+            f.name: _number(f.name, raw.pop(f.name), int if f.type == "int" else float)
+            for f in fields(StepControls) if f.name in raw})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     cadence = _number("cadence", raw.pop("cadence", "1"), int)
-    for key, val in (("max_steps", controls.max_steps),
-                     ("max_newton", controls.max_newton), ("cadence", cadence)):
-        if val < 1:
-            raise ConfigError(f"{key} must be at least 1, got {val}")
     output_dir = raw.pop("output_dir", ".")
     anchor = raw.pop("anchor", None)
     anchor = None if anchor is None else _number("anchor", anchor, int)
@@ -350,17 +338,17 @@ def run_command(config_path) -> int:
     if config.anchor is not None and not 0 <= config.anchor < n_nodes:
         raise ConfigError(f"anchor = {config.anchor} is not a node index "
                           f"in [0, {n_nodes})")
+    if config.anchor is not None:
+        state = replace(state, anchor=config.anchor)
+    # the monitor refuses a bad cadence before output_dir exists
+    monitor = mon.RunMonitor(state, cadence=config.cadence,
+                             controls=config.controls)
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(
             f"output_dir {str(out)!r}: {exc.strerror or exc}") from None
-    if config.anchor is not None:
-        state = replace(state, anchor=config.anchor)
-
-    monitor = mon.RunMonitor(state, cadence=config.cadence,
-                             tau_max=config.controls.tau_max)
     converged, result, message = False, None, ""
     try:
         result = run_to_translator(state, config.controls,

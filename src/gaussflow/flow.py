@@ -169,9 +169,9 @@ TAU_GROWTH = 3.0
 FORCING = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepControls:
-    """Newton and step-size policy. All values overridable per run.
+    """Newton and step-size policy, immutable and checked on construction.
 
     ``tol_newton`` is the Newton residual max-norm a step is solved to
     when nothing looser is asked for: step_implicit without a rate_tol
@@ -193,11 +193,21 @@ class StepControls:
     max_newton: int = 30
     tol_c: float = 1e-8
     tol_b: float = 1e-9
-    tol_r_scale: float = 1e-6
+    tol_r: float = 1e-6  # steady residual gate, times max(1, |C_inf|)
     tau0: float | None = None  # default tau_max: start at the ceiling
     tau_min: float = 1e-14
     tau_max: float = 1.0
     max_steps: int = 100000
+
+    def __post_init__(self):
+        for name, val in vars(self).items():
+            if val is not None and not 0 < val < np.inf:  # false for nan
+                raise ValueError(f"{name} must be finite and positive, got {val}")
+        if not self.tau_min < self.tau_max:
+            raise ValueError(f"tau_min = {self.tau_min:g} must be below "
+                             f"tau_max = {self.tau_max:g}")
+        if self.initial_tau() > self.tau_max:
+            raise ValueError(f"tau0 = {self.tau0:g} exceeds tau_max = {self.tau_max:g}")
 
     def initial_tau(self) -> float:
         return self.tau_max if self.tau0 is None else self.tau0
@@ -674,7 +684,7 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
     c_inf = _extrapolated_rate(rates)
     u_inf = state.u - state.u[state.anchor]
     residual = translator_residual(u_inf, c_inf, state.op, state.grid)
-    tol_r = controls.tol_r_scale * max(1.0, abs(c_inf))
+    tol_r = controls.tol_r * max(1.0, abs(c_inf))
     if residual > tol_r:
         raise NonConvergenceError(
             f"translator residual {residual:.3e} exceeds {tol_r:.3e}")

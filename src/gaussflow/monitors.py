@@ -43,6 +43,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import domains as dom
+from .flow import StepControls, step_implicit
 from .geometry import eigenvalues_many, v_squared
 from .operators import legendre_transform, structure_report
 
@@ -178,8 +179,6 @@ def duality_rate_defect(state) -> float:
     """
     from scipy.interpolate import CubicSpline
 
-    from .flow import StepControls, step_implicit
-
     grid = state.grid
     if grid.dim != 1:
         raise ValueError("the duality rate audit is implemented on 1D grids")
@@ -207,20 +206,21 @@ class RunMonitor:
     initial state is recorded at construction and ``finish`` records the
     last observed state unless it is already the last row, so a run of S
     steps at cadence c yields 1 + ceil(S / c) rows, the last of them the
-    final state. ``tau_max``, the run's tau ceiling, and ``grid.h_ref``
-    set the one audit tolerance tol_mon (module docstring). ``g0_range``
-    is the (min, max) of the rate of ``state0``, G0 (``flow.initialize``),
-    and ``sandwich`` the band [min w * min G0, max w * max G0] for H, w =
-    1/v at the smallest and largest |p| of the gradient-image domain.
+    final state. ``tau_max`` of the run's ``controls`` (default
+    ``StepControls()``) and ``grid.h_ref`` set the one audit tolerance
+    tol_mon (module docstring). ``g0_range`` is the (min, max) of the
+    rate of ``state0``, G0 (``flow.initialize``), and ``sandwich`` the
+    band [min w * min G0, max w * max G0] for H, w = 1/v at the smallest
+    and largest |p| of the gradient-image domain.
     ``f_range`` is the (min, max) of the mean curvature over the recorded
     states (nan once any of them is nan), which ``sandwich_ok`` tests.
     """
 
-    def __init__(self, state0, cadence: int = 1, tau_max: float = 1.0):
+    def __init__(self, state0, cadence: int = 1, controls: StepControls | None = None):
         if cadence < 1:
             raise ValueError(f"cadence must be at least 1, got {cadence}")
         self.cadence = int(cadence)
-        h = state0.grid.h_ref
+        h, tau_max = state0.grid.h_ref, (controls or StepControls()).tau_max
         self.tol_mon = 10.0 * (h**2 + tau_max * h)
         g0_min, g0_max = float(np.min(state0.u_dot)), float(np.max(state0.u_dot))
         self.g0_range = (g0_min, g0_max)

@@ -154,11 +154,12 @@ def legendre_transform(u: np.ndarray, grid):
     Returns (y, u_tilde): the rows y (n, N), y[:, k] = Du(x_k) from the
     grid stencils, and u_tilde[k] = x_k . y[:, k] - u[k]. The emitted
     cloud lies in the gradient-image domain up to discretization error.
+    Convexity is tested on the interior rows, as the flow tests it.
     """
     u = np.asarray(u, dtype=float)
     p, r = grid.derivative_rows(u)
     lam_min = eigenvalues_many(r)[0]
-    worst = int(np.argmin(lam_min))
+    worst = grid.interior[np.argmin(lam_min[grid.interior])]
     if lam_min[worst] <= 0.0:
         raise ConvexityError(
             f"field is not strictly convex: min Hessian eigenvalue "

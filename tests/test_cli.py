@@ -167,6 +167,14 @@ class TestStepControlValidation:
                      "n_rho = 8\nn_theta = 16",
                      "omega: a 3D domain; grids cover n <= 2",
                      id="3d-with-disk-grid"),
+        # an image of another dimension is refused by its key, before
+        # the grid keys are read
+        pytest.param("omega = ball 0 0 1\nomega_tilde = interval -0.5 0.5",
+                     "omega_tilde: a 1D domain; omega is 2D",
+                     id="image-of-lower-dimension"),
+        pytest.param("omega = ball 0 0 1\nomega_tilde = ball 0 0 0 0.5",
+                     "omega_tilde: a 3D domain; omega is 2D",
+                     id="image-of-higher-dimension"),
         # a directory under the configuration file, a regular file
         pytest.param("output_dir = {cfg}/out", "output_dir",
                      id="output-dir-under-a-file"),

@@ -528,7 +528,7 @@ class TestTauGrowth:
                                 (16, 32), MINKOWSKI)
         result = flow.run_to_translator(state)
         assert len(calls) <= 28
-        assert result.residual <= StepControls().tol_r_scale * result.c_inf
+        assert result.residual <= StepControls().tol_r * result.c_inf
 
 
 def disk_ball_run(on_accept=None, controls=None):
@@ -893,6 +893,23 @@ class TestStateJets:
         assert np.array_equal(jets.lam, fresh.lam)
 
 
+class TestStepControls:
+    # a nan tol_c ran all max_steps steps, a nan tol_r let every
+    # translator residual pass its gate; tau0 and tau_min lie at or
+    # above the default tau_max = 1
+    @pytest.mark.parametrize("field, value", [
+        ("tol_c", np.nan), ("tol_r", np.nan), ("max_newton", 0),
+        ("tau0", 5.0), ("tau_min", 2.0), ("tau_min", 1.0),
+    ])
+    def test_bad_value_raises_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            StepControls(**{field: value})
+
+    def test_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            StepControls().tau_max = 2.0
+
+
 class TestStepImplicit:
     def test_accepted_step_differentiates_u_once(self, monkeypatch):
         # the accepted state's jets reuse the gradient and Hessian of
@@ -994,10 +1011,15 @@ class TestStepImplicit:
 
     @pytest.mark.parametrize("tau0", [-1e-3, 0.0, np.inf, np.nan])
     def test_starting_tau_must_be_finite_and_positive(self, tau0):
+        # the controls refuse a bad tau0 before any step is taken
+        with pytest.raises(ValueError, match="^tau0 must be finite and positive"):
+            StepControls(tau0=tau0)
+
+    def test_state_tau_must_be_finite(self):
         om, ot = interval_pair()
         state = flow.initialize(om, ot, 101, MINKOWSKI)
         with pytest.raises(ValueError, match="finite tau > 0"):
-            step_implicit(state, StepControls(tau0=tau0))
+            step_implicit(dataclasses.replace(state, tau=np.inf))
 
     def test_tau_that_no_longer_advances_t_fails(self):
         # the tilted profile misses the boundary condition by 1e-3 at
@@ -1343,7 +1365,7 @@ class TestRunToTranslator:
         state = flow.initialize(om, ot, 100, MINKOWSKI)
         with pytest.raises(NonConvergenceError,
                            match=r"^translator residual \S+ exceeds "):
-            flow.run_to_translator(state, StepControls(tol_r_scale=1e-30))
+            flow.run_to_translator(state, StepControls(tol_r=1e-30))
 
     def test_euclidean_2d_radial_against_shooting(self):
         prof = oracles.translator_radial_shooting(1.0, 0.8, 2, EUCLIDEAN,

@@ -351,6 +351,31 @@ class TestRunMonitor:
         defect = monitors.duality_rate_defect(state)
         assert defect < 50 * state.grid.h**2
 
+    def test_duality_audit_on_early_states_near_the_light_cone(self):
+        # (0, 1) onto (-0.999, 0.999): accepted states 2-4 (and the probe
+        # step from state 1) have a negative one-sided Hessian at a
+        # boundary node, which the flow does not test and neither does
+        # the audit's Legendre transform
+        state0 = flow.initialize(dom.ConvexDomain.interval(0, 1),
+                                 dom.ConvexDomain.interval(-0.999, 0.999),
+                                 100, MINKOWSKI)
+        accepted = []
+        flow.run_to_translator(state0, on_accept=accepted.append)
+        early = accepted[:4]
+        assert all(np.min(s.jets.lam[0]) < 0 for s in early[1:])
+        defects = [monitors.duality_rate_defect(s) for s in early]
+        assert all(0 < d < 5 for d in defects)
+        assert monitors.duality_rate_defect(accepted[-1]) < 1e-10
+
+    def test_tolerance_reads_the_run_tau_ceiling(self):
+        state = interval_state(21)
+        h = state.grid.h_ref
+        assert monitors.RunMonitor(state).tol_mon == pytest.approx(
+            10 * (h**2 + flow.StepControls().tau_max * h))
+        mon = monitors.RunMonitor(state,
+                                  controls=flow.StepControls(tau_max=0.05))
+        assert mon.tol_mon == pytest.approx(10 * (h**2 + 0.05 * h))
+
 
 # ---------------------------------------------------------------------------
 # The audits read each state's cached jets; these pin them against the

@@ -222,8 +222,7 @@ def test_valid_config_round_trips(values, two_d):
         if key in ("cadence", "anchor"):
             assert getattr(config, key) == value, key
         else:
-            attr = {"tol_r": "tol_r_scale"}.get(key, key)
-            assert controls.pop(attr) == value, key
+            assert controls.pop(key) == value, key
     # every control the config leaves out keeps its default
     defaults = dataclasses.asdict(flow.StepControls())
     assert controls == {k: defaults[k] for k in controls}

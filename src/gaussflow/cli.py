@@ -24,10 +24,10 @@ its ``#``. Domains are written ``interval a b``, ``ball cx [cy] r``,
 ``ellipse cx cy q11 q12 q22``.
 
 ``parse_config`` maps keys to the objects that check them: domains to
-``ConvexDomain`` (it refuses a 3D omega or an omega_tilde of another
-dimension itself), grid keys to ``check_resolution``, control keys (the
-field names) to ``StepControls``. Before ``output_dir`` is created,
-``run`` refuses an anchor that is no node and ``RunMonitor`` a cadence < 1.
+``ConvexDomain``, grid keys to ``check_resolution``, control keys (its
+field names) to ``StepControls``; it refuses a 3D omega and an omega_tilde
+of another dimension itself. Before ``output_dir`` is created, ``run``
+refuses an anchor that is no node and ``RunMonitor`` a cadence below 1.
 """
 
 from __future__ import annotations

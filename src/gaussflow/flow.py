@@ -41,11 +41,9 @@ what the ordering allows.
 Newton accepts an iterate once the residual max-norm is at most
 max(tol, eps ||J||_inf ||u||_inf), taken at every fresh factorization
 from its Jacobian J and iterate u and never lowered within the attempt.
-The first term is the attempt's tolerance, max(tol_newton, tau
-rate_tol): run_to_translator passes rate_tol = FORCING osc, osc the
-oscillation (max - min) of the rate field of the state the step starts
-from (the inexact steps below), and every other caller passes none and
-solves to tol_newton. The second term is the backward-error floor of
+The first term is the attempt's tolerance, a number its caller gives:
+step_implicit passes max(tol_newton, tau rate_tol), rate_tol = FORCING
+osc in a run (below). The second term is the backward-error floor of
 evaluating the residual on the stencils: interior rows of J are
 I - tau (G_p D1 + G_r : D2), so the floor grows with tau and the 1/h^2
 of the Hessian stencils, and at large tau it lies above the default
@@ -133,9 +131,10 @@ extra step.
 
 from __future__ import annotations
 
+import numbers
 import time
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -186,7 +185,9 @@ class StepControls:
 
     ``tau0`` is the first step's tau. Unset, the run starts at the
     ceiling ``tau_max`` and halves only where Newton fails; a set
-    ``tau0`` (at most ``tau_max``) wins.
+    ``tau0`` (at most ``tau_max``) wins. Every set field is finite and
+    positive, and a field annotated ``int`` holds a ``numbers.Integral``.
+    Only a run's input builds one; ``_newton_solve`` takes plain numbers.
     """
 
     tol_newton: float = 1e-10
@@ -200,9 +201,12 @@ class StepControls:
     max_steps: int = 100000
 
     def __post_init__(self):
-        for name, val in vars(self).items():
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type == "int" and not isinstance(val, numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {val!r}")
             if val is not None and not 0 < val < np.inf:  # false for nan
-                raise ValueError(f"{name} must be finite and positive, got {val}")
+                raise ValueError(f"{f.name} must be finite and positive, got {val}")
         if not self.tau_min < self.tau_max:
             raise ValueError(f"tau_min = {self.tau_min:g} must be below "
                              f"tau_max = {self.tau_max:g}")
@@ -405,10 +409,10 @@ def _factor(jac, grid):
 
 
 def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
-                  tau: float, controls: StepControls,
-                  carried: ChordFactor | None = None, tol: float | None = None):
+                  tau: float, tol: float, max_newton: int,
+                  carried: ChordFactor | None = None):
     """Return (u, iterations, factorizations, p, r, factor) or None if
-    Newton failed for this tau.
+    Newton failed for this tau within ``max_newton`` iterations.
 
     factorizations counts the attempt's fresh LU factorizations (0 when
     a carried factor served every iterate); p and r are the gradient and
@@ -418,7 +422,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     stale factor that Jacobian was to replace (None if there was none).
 
     An iterate is accepted when its residual max-norm is at most
-    max(tol, floor), with tol controls.tol_newton unless given and floor
+    max(tol, floor), with tol the caller's tolerance (a number) and floor
     the largest ``_floor_at`` of the Jacobian and iterate at any fresh
     factorization so far: below the floor the residual only wanders, so
     a tol under it is met at the floor. The floor is raised before the
@@ -438,15 +442,12 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     """
     u = guess.copy()
     prev = np.inf
-    if tol is None:
-        tol = controls.tol_newton
     factor = carried
     if factor is not None:
         tol = max(tol, _floor_at(factor.jac_norm, u))
     fresh = False
-    stale = None
     n_factors = 0
-    for it in range(1, controls.max_newton + 1):
+    for it in range(1, max_newton + 1):
         try:
             res, p, r = _residual(state, u, u_prev, tau)
         except SpacelikeViolationError:
@@ -456,18 +457,17 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
         rn = np.max(np.abs(res))
         if rn <= tol and it > 1:
             return u, it, n_factors, p, r, factor
-        if rn > STAGNATION_RATIO * prev:
-            if fresh:
-                return None
-            stale, factor = factor, None
+        stalled = rn > STAGNATION_RATIO * prev
+        if stalled and fresh:
+            return None
         prev = rn
-        fresh = factor is None
+        fresh = factor is None or stalled
         if fresh:
             jac = _jacobian(state, p, r, tau)
             jac_norm = _inf_norm(jac)
             tol = max(tol, _floor_at(jac_norm, u))
             if rn <= tol and it > 1:
-                return u, it, n_factors, p, r, stale
+                return u, it, n_factors, p, r, factor
             try:
                 factor = ChordFactor(_factor(jac, state.grid), jac_norm)
             except RuntimeError:  # exactly singular Jacobian
@@ -524,8 +524,9 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
             )
         guess = u_prev + tau * rate
         carried = carry[0] if carry and tau == controls.tau_max else None
-        got = _newton_solve(state, u_prev, guess, tau, controls, carried,
-                            max(controls.tol_newton, tau * rate_tol))
+        got = _newton_solve(state, u_prev, guess, tau,
+                            max(controls.tol_newton, tau * rate_tol),
+                            controls.max_newton, carried)
         if got is not None:
             u_new, iters, n_factors, p, r, factor = got
             # strict convexity on the interior rows; the last residual
@@ -582,8 +583,7 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
         )
     u_fe = u_prev.copy()
     u_fe[grid.interior] += tau * state.op.value(p, r)[grid.interior]
-    got = _newton_solve(state, u_fe, u_fe, 0.0,
-                        StepControls(tol_newton=1e-13, max_newton=40))
+    got = _newton_solve(state, u_fe, u_fe, 0.0, 1e-13, 40)
     if got is None:
         raise StepFailureError(
             f"the explicit step's boundary projection failed (t = {state.t:.6g})"

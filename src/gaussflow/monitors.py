@@ -170,8 +170,8 @@ def duality_rate_defect(state) -> float:
     """Probe-step audit of the rate duality (1D grids).
 
     The Legendre transform's time derivative at a fixed dual point is the
-    negative of the primal rate at the matched node. A single small
-    implicit probe step (tau = h^2, discarded afterwards)
+    negative of the primal rate at the matched node. A single implicit
+    probe step from tau = h^2 under default controls (discarded after)
     supplies both one-sided rates over the same interval; the dual cloud
     of the probed state is cubic-interpolated at the dual points of the
     base state, which keeps the audit O(h^2) even where the gradients
@@ -182,10 +182,9 @@ def duality_rate_defect(state) -> float:
     grid = state.grid
     if grid.dim != 1:
         raise ValueError("the duality rate audit is implemented on 1D grids")
-    tau = grid.h_ref**2
     # every step solves from u - u[anchor]: so does the probe's base
-    base = replace(state, u=state.u - state.u[state.anchor], tau=tau)
-    probe = step_implicit(base, StepControls(tau_max=tau))
+    base = replace(state, u=state.u - state.u[state.anchor], tau=grid.h_ref**2)
+    probe = step_implicit(base)
     u_t = (probe.u - base.u) / (probe.t - state.t)
     (y1,), ut1 = legendre_transform(base.u, grid)
     (y2,), ut2 = legendre_transform(probe.u, grid)

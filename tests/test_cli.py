@@ -153,6 +153,8 @@ class TestStepControlValidation:
                      id="negative-radius"),
         pytest.param("n = 1e3", "n: '1e3' is not an integer",
                      id="malformed-grid-size"),
+        pytest.param("max_steps = 2.5", "max_steps: '2.5' is not an integer",
+                     id="fractional-max-steps"),
         pytest.param("n = 2", "n: line grid needs at least 4 cells",
                      id="too-few-cells"),
         pytest.param("omega = ball 0 0 abc", "omega: 'abc' is not a number",

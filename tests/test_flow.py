@@ -286,14 +286,17 @@ class TestNewtonStagnation:
         state, _ = translator_state()
         u_prev, tau = state.u, state.tau
         guess = u_prev + tau * state.u_dot
+        defaults = StepControls()
         converged = flow._newton_solve(state, u_prev, guess, tau,
-                                       StepControls())[0]
+                                       defaults.tol_newton,
+                                       defaults.max_newton)[0]
         counted_splu.update(factor=0, solve=0)
         # no iterate reaches 1e-30: the residual stalls on its roundoff
         # floor, where the attempt is accepted well before max_newton
         # factorizations
         controls = StepControls(tol_newton=1e-30)
-        got = flow._newton_solve(state, u_prev, converged, tau, controls)
+        got = flow._newton_solve(state, u_prev, converged, tau,
+                                 controls.tol_newton, controls.max_newton)
         assert got is not None
         assert 1 <= counted_splu["factor"] <= 3 < controls.max_newton
         # the floor eps ||J||_inf ||u||_inf of the attempt's first
@@ -329,7 +332,8 @@ class TestNewtonStagnation:
         monkeypatch.setattr(flow, "_residual", recorded)
         controls = StepControls()
         assert flow._newton_solve(state, state.u, guess, tau,
-                                  controls) is None
+                                  controls.tol_newton,
+                                  controls.max_newton) is None
         assert 1 <= counted_splu["factor"] <= 3
         assert len(norms) < controls.max_newton
         assert np.all(np.isfinite(norms))
@@ -378,7 +382,9 @@ class TestNewtonStagnation:
             return floor_at(jac_norm, u)
 
         monkeypatch.setattr(flow, "_floor_at", recorded)
-        got = flow._newton_solve(state, state.u, state.u, 1e3, StepControls())
+        controls = StepControls()
+        got = flow._newton_solve(state, state.u, state.u, 1e3,
+                                 controls.tol_newton, controls.max_newton)
         assert got is not None
         assert len(iterates) == 2
         assert counted_splu["factor"] == len(iterates) - 1
@@ -439,7 +445,8 @@ class TestNewtonStagnation:
         """
         state, u, tau = perturbed_state(case, tau=1e-4)
         controls = StepControls()
-        got = flow._newton_solve(state, u, u, tau, controls)
+        got = flow._newton_solve(state, u, u, tau, controls.tol_newton,
+                                 controls.max_newton)
         ref = plain_newton(state, u, u, tau, controls)
         assert got is not None and ref is not None
         assert ref[1] >= 2
@@ -456,7 +463,8 @@ class TestNewtonStagnation:
         state, u, tau = perturbed_state("disk-rotated-ellipse", tau=1e-3)
         guess = u + 0.1 * np.cos(1.3 * state.grid.nodes[:, 0] + 0.2)
         controls = StepControls()
-        got = flow._newton_solve(state, u, guess, tau, controls)
+        got = flow._newton_solve(state, u, guess, tau, controls.tol_newton,
+                                 controls.max_newton)
         assert got is not None
         assert counted_splu["factor"] >= 2
         res, _, _ = flow._residual(state, got[0], u, tau)
@@ -904,6 +912,16 @@ class TestStepControls:
     def test_bad_value_raises_at_construction(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             StepControls(**{field: value})
+
+    # a fractional count passed the positivity check and failed the run
+    # with a TypeError at range(); an integer of any integral type passes
+    @pytest.mark.parametrize("field", ["max_steps", "max_newton"])
+    def test_fractional_count_raises_at_construction(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            StepControls(**{field: 2.5})
+
+    def test_numpy_integer_count_is_accepted(self):
+        assert StepControls(max_steps=np.int64(5)).max_steps == 5
 
     def test_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -1390,7 +1408,8 @@ class TestNoStepAcceptsItsGuess:
         new = step_implicit(converged, controls)
         counted_splu.update(factor=0, solve=0)
         got = flow._newton_solve(converged, converged.u, new.u,
-                                 controls.tau_max, controls)
+                                 controls.tau_max, controls.tol_newton,
+                                 controls.max_newton)
         assert got is not None
         assert got[1] == 2 and counted_splu["solve"] == 1
 
@@ -1416,12 +1435,13 @@ class TestNoStepAcceptsItsGuess:
 
 
 def at_tol_newton(monkeypatch):
-    """Solve every Newton attempt to controls.tol_newton, the tolerance
-    each attempt had before step_implicit took a rate_tol."""
+    """Solve every Newton attempt to the default tol_newton, the
+    tolerance each attempt had before step_implicit took a rate_tol."""
     newton_solve = flow._newton_solve
 
-    def solve(state, u_prev, guess, tau, controls, carried=None, tol=None):
-        return newton_solve(state, u_prev, guess, tau, controls, carried)
+    def solve(state, u_prev, guess, tau, tol, *rest):
+        return newton_solve(state, u_prev, guess, tau,
+                            StepControls().tol_newton, *rest)
 
     monkeypatch.setattr(flow, "_newton_solve", solve)
 
@@ -1462,11 +1482,9 @@ class TestForcing:
         tols = []
         newton_solve = flow._newton_solve
 
-        def recorded(state, u_prev, guess, tau, controls, carried=None,
-                     tol=None):
+        def recorded(state, u_prev, guess, tau, tol, *rest):
             tols.append((state.steps, tau, tol))
-            return newton_solve(state, u_prev, guess, tau, controls, carried,
-                                tol)
+            return newton_solve(state, u_prev, guess, tau, tol, *rest)
 
         monkeypatch.setattr(flow, "_newton_solve", recorded)
         om, ot, spec, sig = JACOBIAN_CASES["line-euclidean"]

@@ -30,13 +30,22 @@ on first use) as the sum of the row-weighted stencils: the pattern holds
 each stencil's values in its CSC order, so an assembly is one gather of
 row weights and one multiply-add per stencil, with no sparse products,
 sums or lookups. Entries that are zero in one Jacobian stay in the
-pattern as explicit zeros. The Jacobian is factored by sparse LU in the
-grid's column ordering: natural for the banded 1D Jacobian, minimum
-degree on A^T + A in 2D, which cuts fill against the default COLAMD.
-SuperLU runs in symmetric mode with a diagonal pivot threshold of 0.01,
-so the pivots stay on the diagonal and the row order is the column
-order; the default partial pivoting swaps rows and so adds fill beyond
-what the ordering allows.
+pattern as explicit zeros.
+
+The grid factors the Jacobian (grid.factor), so this module has no
+branch on the grid. A line grid takes SuperLU in its natural column
+ordering, which gives the banded 1D Jacobian the least fill. SuperLU
+runs in symmetric mode with a diagonal pivot threshold of 0.01, so the
+pivots stay on the diagonal and the row order is the column order. A
+disk grid factors only M, the Jacobian's average over the angle (its
+block-circulant part), which an FFT in theta splits into one banded
+system over the rings per angular mode; its solve iterates on M until
+the linear residual falls to INNER_RTOL times the right-hand side's.
+For a centred ball onto a centred ball J = M to roundoff, and the solve
+is one application of M^{-1}. Where an inner iteration fails to halve
+the linear residual (STAGNATION_RATIO), as on a narrow base ellipse,
+the disk's factor becomes the SuperLU of J in minimum degree order on
+A^T + A (grids.FourierChordFactor).
 
 Newton accepts an iterate once the residual max-norm is at most
 max(tol, eps ||J||_inf ||u||_inf), taken at every fresh factorization
@@ -56,8 +65,10 @@ give u_dot = C and stop a run on a step that did no work), so an attempt
 makes at least one chord correction. Short of acceptance, every iterate
 must at least halve the residual max-norm (a contraction monitor in the sense
 of Deuflhard). An attempt factors its Jacobian once, at its first
-iterate, and later iterates reuse the factor (chord Newton): at
-32 x 64 one factorization costs as much as about 25 solves with it.
+iterate, and later iterates reuse the factor (chord Newton). At
+32 x 64 a disk's factor costs about 0.2 ms, one or two of its solves
+(0.1 ms for a centred ball, 0.3 ms for run 4's ellipse), and assembling
+the Jacobian it factors about 0.55 ms; SuperLU took about 4.5 ms.
 When a step with the reused factor fails to halve the residual, the
 Jacobian is refactored at the current iterate; when a step with a
 fresh factor fails, the attempt is abandoned and the caller halves
@@ -141,7 +152,7 @@ from typing import NamedTuple
 import numpy as np
 # spsolve is no longer called here; the benchmark's span tracer
 # (perfbench/tracer.py) still looks it up in this module by name.
-from scipy.sparse.linalg import splu, spsolve  # noqa: F401
+from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from . import domains as dom
 from .errors import (
@@ -166,6 +177,10 @@ TAU_GROWTH = 3.0
 # whose rate field oscillates by osc is solved to a residual max-norm of
 # tau FORCING osc (or tol_newton, whichever is larger).
 FORCING = 1e-3
+
+# A chord factor that solves iteratively (grids.FourierChordFactor)
+# solves to a residual max-norm of INNER_RTOL times its right-hand side's.
+INNER_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -218,10 +233,11 @@ class StepControls:
 
 
 class ChordFactor(NamedTuple):
-    """Sparse LU of a Newton Jacobian and the Jacobian's ||J||_inf (for
-    the roundoff floor of the iterates it serves)."""
+    """The grid's factor of a Newton Jacobian (``_factor``) and the
+    Jacobian's ||J||_inf (for the roundoff floor of the iterates it
+    serves)."""
 
-    lu: object
+    solver: object
     jac_norm: float
 
 
@@ -397,15 +413,11 @@ def _floor_at(jac_norm: float, u: np.ndarray) -> float:
 
 
 def _factor(jac, grid):
-    """Sparse LU of a Newton Jacobian in the grid's column ordering.
-
-    SuperLU's symmetric mode with a diagonal pivot threshold of 0.01
-    keeps the pivots on the diagonal wherever they are not tiny, so the
-    row order follows the symmetric fill-reducing column order (MMD on
-    A^T + A in 2D) instead of breaking it with partial pivoting.
-    """
-    return splu(jac, permc_spec=grid.column_ordering, diag_pivot_thresh=0.01,
-                options=dict(SymmetricMode=True))
+    """The grid's chord factor of a Newton Jacobian (``grid.factor``): the
+    SuperLU of J on a line, the Fourier-in-angle factor on a disk, whose
+    solve iterates to INNER_RTOL and falls back to SuperLU where an
+    iteration fails to cut the residual by STAGNATION_RATIO."""
+    return grid.factor(jac, INNER_RTOL, STAGNATION_RATIO)
 
 
 def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
@@ -414,7 +426,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     """Return (u, iterations, factorizations, p, r, factor) or None if
     Newton failed for this tau within ``max_newton`` iterations.
 
-    factorizations counts the attempt's fresh LU factorizations (0 when
+    factorizations counts the attempt's fresh factorizations (0 when
     a carried factor served every iterate); p and r are the gradient and
     Hessian of the returned u, which its last residual evaluation
     computed; factor is the ChordFactor in use when u was accepted, or,
@@ -473,7 +485,10 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
             except RuntimeError:  # exactly singular Jacobian
                 return None
             n_factors += 1
-        delta = factor.lu.solve(res)
+        try:
+            delta = factor.solver.solve(res)
+        except RuntimeError:  # a fallback LU of an exactly singular Jacobian
+            return None
         if not np.all(np.isfinite(delta)):
             return None
         u = u - delta

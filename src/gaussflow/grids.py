@@ -34,10 +34,20 @@ arithmetic on table rows, their terms summed left to right. The stacked
 operator keeps the table's nonzero entries, one row block per stencil.
 ``stencil_pattern`` is built from the table on first use.
 
+Each grid also owns the linear solver of the Newton Jacobians assembled
+on its pattern: ``factor(jac, rtol, ratio)`` returns an object whose
+``solve(b)`` solves J x = b to a residual max-norm of rtol ||b||_inf.
+A line grid returns the SuperLU of J (``superlu``), which solves
+exactly. A disk grid returns a ``FourierChordFactor``: it factors J's
+average over the angle, which an FFT in theta splits into one banded
+ring system per angular mode, iterates on it, and becomes J's SuperLU
+where an iteration fails to cut the residual by ``ratio``. The slot to
+angle-average map it reads (``mode_keys``) is built once per grid.
+
 A grid is immutable once built: every array it holds (nodes, index
-sets, the map, the stacked operator's and the pattern's arrays) is
-read-only, so ``flow.build_grid`` can share one grid among all the live
-states built on the same domain and resolution.
+sets, the map, the stacked operator's and the pattern's arrays, the
+mode keys) is read-only, so ``flow.build_grid`` can share one grid among
+all the live states built on the same domain and resolution.
 """
 
 from __future__ import annotations
@@ -46,6 +56,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.sparse.linalg import splu
 
 
 def check_resolution(spec) -> None:
@@ -168,6 +180,26 @@ class _StencilGrid:
         return StencilPattern(csc_ptr, rows, np.flatnonzero(on_diag[perm]),
                               table[:, perm])
 
+    def superlu(self, jac):
+        """Sparse LU of a Newton Jacobian in the grid's column ordering.
+
+        SuperLU's symmetric mode with a diagonal pivot threshold of 0.01
+        keeps the pivots on the diagonal wherever they are not tiny, so the
+        row order follows the symmetric fill-reducing column order (MMD on
+        A^T + A in 2D) instead of breaking it with partial pivoting. An
+        exactly singular J raises RuntimeError.
+        """
+        return splu(jac, permc_spec=self.column_ordering, diag_pivot_thresh=0.01,
+                    options=dict(SymmetricMode=True))
+
+    def factor(self, jac, rtol: float, ratio: float):
+        """The chord factor of a Newton Jacobian: an object whose
+        ``solve(b)`` returns J^{-1} b to a residual max-norm of at most
+        rtol ||b||_inf. Here it is the SuperLU of J, which solves
+        directly and needs neither rtol nor the inner iteration's
+        contraction ratio (``MappedDiskGrid.factor``)."""
+        return self.superlu(jac)
+
     def derivative_rows(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gradient, Hessian) of u component-major, shapes (n, N) and
         (n, n, N), copied out of one product with the stacked stencils,
@@ -250,8 +282,10 @@ class LineGrid(_StencilGrid):
 class MappedDiskGrid(_StencilGrid):
     """Polar grid on the unit disk pushed forward by x = A xhat + c."""
 
-    # Minimum degree on A^T + A: at 32 x 64 the Newton Jacobian's LU fill
-    # drops from 187k (COLAMD, the SuperLU default) to 99k.
+    # SuperLU column ordering, used only where a Fourier chord factor
+    # falls back to the LU of J (FourierChordFactor). Minimum degree on
+    # A^T + A: at 32 x 64 the Newton Jacobian's LU fill drops from 187k
+    # (COLAMD, the SuperLU default) to 99k.
     column_ordering = "MMD_AT_PLUS_A"
 
     def __init__(self, a_map, center, n_rho: int, n_theta: int):
@@ -411,6 +445,44 @@ class MappedDiskGrid(_StencilGrid):
             row[slots[-1]] = np.concatenate([[-np.sum(fit)], fit])
         return indptr, indices, diag, ref
 
+    # -- the chord factor -----------------------------------------------------
+
+    def factor(self, jac, rtol: float, ratio: float):
+        """The ``FourierChordFactor`` of a Newton Jacobian on the grid's
+        ``stencil_pattern``."""
+        return FourierChordFactor(self, jac, rtol, ratio)
+
+    @cached_property
+    def mode_keys(self) -> np.ndarray:
+        """Per slot of ``stencil_pattern`` (CSC order), int32: the key of
+        the angle average the slot's entry enters (``FourierChordFactor``).
+
+        With the pole as ring 0, an entry couples ring j to ring j + d,
+        d in -3..1: the boundary ring's one-sided rho stencils reach three
+        rings in, and the pole's fit and ring 1's rho stencils reach each
+        other. Between rings j >= 1 and j + d >= 1 at angle offset
+        a = m' - m mod n_theta its key is ((j - 1) 5 + d + 3) n_theta + a;
+        after those n_rho 5 n_theta keys come the pole column of each
+        ring, the pole row of each ring and the pole itself.
+        """
+        pattern = self.stencil_pattern
+        nr, nt = self.n_rho, self.n_theta
+        node = np.arange(self.n_nodes)
+        ring = np.r_[0, node[1:] - 1] // nt + (node > 0)
+        angle = (node - 1) % nt
+        rows = pattern.indices
+        cols = np.repeat(node, np.diff(pattern.indptr))
+        d = ring[cols] - ring[rows]
+        base = nr * 5 * nt
+        keys = np.where(
+            rows == 0,
+            np.where(cols == 0, base + 2 * nr, base + nr + ring[cols] - 1),
+            np.where(cols == 0, base + ring[rows] - 1,
+                     ((ring[rows] - 1) * 5 + d + 3) * nt
+                     + (angle[cols] - angle[rows]) % nt)).astype(np.int32)
+        _read_only(keys)
+        return keys
+
     def _build_operators(self):
         indptr, indices, diag, ref = self._reference_rows()
         # affine chain rule to physical coordinates, summed in (a, b) order
@@ -429,3 +501,102 @@ class MappedDiskGrid(_StencilGrid):
 
     gradient = _StencilGrid.gradient
     hessian = _StencilGrid.hessian
+
+
+class FourierChordFactor:
+    """Chord factor of a polar Newton Jacobian J by its Fourier-in-angle
+    part M.
+
+    M is J's block-circulant projection: each entry of J between ring j
+    and ring j + d at angle offset a, averaged over the angle, with the
+    pole's row and column averaged per ring (``mode_keys``). An FFT in
+    theta splits M into one banded system over the rings per angular
+    mode k = 0 .. n_theta/2 (Buzbee, Golub and Nielson, SIAM J. Numer.
+    Anal. 7, 1970); the pole couples to mode 0 only and is its ring 0.
+    The modes' systems are stacked into one complex band matrix with
+    (kl, ku) = (3, 1) and factored by one LAPACK zgbtrf, so one solve with
+    M is an rfft over the angle, one zgbtrs and an irfft.
+
+    ``solve(b)`` uses M as the chord operator of the nonseparable J
+    (Concus and Golub, SIAM J. Numer. Anal. 10, 1973): from x = M^{-1} b
+    it iterates x += M^{-1} (b - J x) until ||b - J x||_inf <= rtol
+    ||b||_inf. For a centred ball onto a centred ball J = M to roundoff
+    and no correction is made. If an iteration fails to cut the residual
+    max-norm by ``ratio``, or zgbtrf finds M singular, the factor becomes
+    the SuperLU of J (``grid.superlu``) for the rest of its life and sets
+    ``fell_back``; the LU of a singular J raises RuntimeError. A
+    non-finite b gives a non-finite x.
+    """
+
+    def __init__(self, grid: MappedDiskGrid, jac, rtol: float, ratio: float):
+        self._grid, self._jac = grid, jac
+        self._rtol, self._ratio = rtol, ratio
+        self.fell_back = False
+        self._lu = None
+        nr, nt = grid.n_rho, grid.n_theta
+        keys = grid.mode_keys
+        # J's entries summed per key: a one-column matrix holding them on
+        # the rows of their keys, times 1, reads the int32 keys in place
+        n_keys = nr * 5 * nt + 2 * nr + 1
+        sums = sp.csc_matrix((jac.data, keys, np.array([0, keys.size], dtype=np.int32)),
+                             shape=(n_keys, 1)) @ np.ones(1)
+        # symbol of each (ring, ring offset) block: sum_a mean_m J e^{+i k a}
+        rings = sums[:nr * 5 * nt].reshape(nr, 5, nt)
+        symbol = np.fft.rfft(rings, axis=2).conj() / nt
+        pole_col, pole_row, pole = np.split(sums[nr * 5 * nt:], [nr, 2 * nr])
+        # LAPACK band storage with (kl, ku) = (3, 1): band[k, c, 4 + i - c]
+        # holds row i, column c of mode k's block, rows 0..2 are fill space
+        band = np.zeros((nt // 2 + 1, nr + 1, 8), dtype=complex)
+        for d in range(-3, 2):
+            lo, hi = max(1, 1 - d), min(nr, nr - d)  # rings j with 1 <= j + d <= nr
+            band[:, lo + d:hi + d + 1, 4 - d] = symbol[lo - 1:hi, d + 3].T
+        # mode 0 alone sees the pole: its diagonal, its row's mean over
+        # ring 1 (against the ring sum of x that rfft gives as mode 0) and
+        # its column's sums over rings 1..3; mode_keys keeps both in the band
+        band[0, 0, 4] = pole[0]
+        band[0, 1, 3] = pole_row[0] / nt
+        band[0, 0, 5:] = pole_col[:3]
+        band[1:, 0, 4] = 1.0  # the other modes have no pole unknown
+        self._band, self._piv, info = zgbtrf(band.reshape(-1, 8).T, 3, 1,
+                                             overwrite_ab=1)
+        if info > 0:  # exactly singular M
+            self._fall_back()
+
+    def _fall_back(self):
+        """Become J's SuperLU, which raises RuntimeError on a singular J."""
+        self._lu = self._grid.superlu(self._jac)
+        self.fell_back = True
+        self._band = self._piv = None
+
+    def _mode_solve(self, b: np.ndarray) -> np.ndarray:
+        """M^{-1} b: rfft over the angle, the stacked band solve, irfft."""
+        nr, nt = self._grid.n_rho, self._grid.n_theta
+        rhs = np.zeros((nt // 2 + 1, nr + 1), dtype=complex)
+        rhs[:, 1:] = np.fft.rfft(b[1:].reshape(nr, nt), axis=1).T
+        rhs[0, 0] = b[0]
+        y, _ = zgbtrs(self._band, 3, 1, rhs.reshape(-1), self._piv, overwrite_b=1)
+        y = y.reshape(rhs.shape)
+        x = np.empty_like(b)
+        x[0] = y[0, 0].real
+        x[1:] = np.fft.irfft(y[:, 1:].T, n=nt, axis=1).reshape(-1)
+        return x
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """J^{-1} b to a residual max-norm of rtol ||b||_inf."""
+        if self._lu is not None:
+            return self._lu.solve(b)
+        x = self._mode_solve(b)
+        goal = self._rtol * np.max(np.abs(b))
+        if not np.isfinite(goal):  # x is not finite either
+            return x
+        prev = np.inf
+        while True:
+            r = b - self._jac @ x
+            rn = np.max(np.abs(r))
+            if rn <= goal or not np.isfinite(rn):
+                return x
+            if rn > self._ratio * prev:
+                self._fall_back()
+                return self._lu.solve(b)
+            prev = rn
+            x += self._mode_solve(r)

@@ -213,7 +213,8 @@ class TestJacobian:
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
     def test_column_ordering_has_least_lu_fill(self, case, monkeypatch):
-        # each ordering factored as the solver factors (flow._factor):
+        # each ordering factored as the grid's SuperLU path factors
+        # (grid.superlu, the line's factor and the disk's fallback):
         # disk-ball MMD 1482, COLAMD 1878, NATURAL 2053; line-minkowski
         # NATURAL 164, COLAMD 167, MMD 218
         state, u, tau = perturbed_state(case)
@@ -226,7 +227,7 @@ class TestJacobian:
             # shadows the class's ordering until the test ends: the grid
             # is shared by every live state on its domain
             monkeypatch.setattr(grid, "column_ordering", spec)
-            lu = flow._factor(jac, grid)
+            lu = grid.superlu(jac)
             fill[spec] = lu.L.nnz + lu.U.nnz
         assert fill[chosen] == min(fill.values())
 
@@ -239,7 +240,7 @@ class TestJacobian:
                                 (24, 48), MINKOWSKI)
         _, p, r = flow._residual(state, state.u, state.u, 1.0)
         jac = flow._jacobian(state, p, r, 1.0)
-        lu = flow._factor(jac, state.grid)
+        lu = state.grid.superlu(jac)
         assert np.array_equal(lu.perm_r, lu.perm_c)
         partial = splu(jac, permc_spec=state.grid.column_ordering)
         assert not np.array_equal(partial.perm_r, partial.perm_c)
@@ -247,6 +248,135 @@ class TestJacobian:
         rhs = np.sin(np.arange(jac.shape[0]))
         x = lu.solve(rhs)
         assert np.linalg.norm(jac @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def angle_average(jac, grid):
+    """The mean of R_s J R_s^T over the n_theta rotations R_s of the polar
+    grid's angles (the pole stays): J's block-circulant part, built apart
+    from the factor's slot keys."""
+    nt, n = grid.n_theta, grid.n_nodes
+    node = np.arange(1, n)
+    ring, m = (node - 1) // nt, (node - 1) % nt
+    total = sp.csr_matrix(jac.shape)
+    for s in range(nt):
+        rotate = sp.csr_matrix(
+            (np.ones(n), (np.arange(n), np.r_[0, 1 + ring * nt + (m + s) % nt])),
+            shape=(n, n))
+        total = total + rotate @ jac @ rotate.T
+    return (total / nt).tocsc()
+
+
+def first_jacobian(omega, omega_tilde, spec, tau=1.0):
+    """The state initialize builds and the Jacobian of its first step's
+    first iterate at tau, with that iterate's residual."""
+    state = flow.initialize(omega, omega_tilde, spec, MINKOWSKI)
+    res, p, r = flow._residual(state, state.u, state.u, tau)
+    return state, flow._jacobian(state, p, r, tau), res
+
+
+BALL = dom.ConvexDomain.ball([0, 0], 1.0)
+RUN4_IMAGE = dom.ConvexDomain.ellipse([0, 0], np.diag([6.25, 16.0]))
+
+
+class TestFourierChordFactor:
+    """The disk grid's chord factor: M, J's angle average, factored one
+    angular mode at a time, and iterated on to INNER_RTOL."""
+
+    def test_centred_ball_jacobian_is_its_angle_average(self):
+        # ball onto B_0.5 at 32 x 64: J is block circulant to roundoff, so
+        # the factor solves with M alone and agrees with SuperLU
+        state, jac, res = first_jacobian(BALL, dom.ConvexDomain.ball([0, 0], 0.5),
+                                         (32, 64))
+        avg = angle_average(jac, state.grid)
+        assert sp.linalg.norm(jac - avg) <= 1e-12 * sp.linalg.norm(jac)
+        factor = flow._factor(jac, state.grid)
+        direct = state.grid.superlu(jac)
+        for rhs in (res, np.sin(np.arange(jac.shape[0]))):
+            x, want = factor.solve(rhs), direct.solve(rhs)
+            assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        assert not factor.fell_back
+
+    @pytest.mark.parametrize("case", ["disk-ball", "disk-rotated-ellipse"])
+    def test_mode_solve_inverts_the_angle_average(self, case):
+        # off the symmetric case too: the rfft, the stacked band solve with
+        # the pole as mode 0's ring 0, and the irfft invert M itself
+        state, u, tau = perturbed_state(case)
+        _, p, r = flow._residual(state, u, state.u, tau)
+        jac = flow._jacobian(state, p, r, tau)
+        avg = angle_average(jac, state.grid)
+        factor = flow._factor(jac, state.grid)
+        x = np.cos(1.7 * np.arange(jac.shape[0]))
+        assert np.max(np.abs(factor._mode_solve(avg @ x) - x)) <= 1e-10
+
+    def test_ellipse_image_solve_meets_inner_rtol(self):
+        # run 4's image at 32 x 64: J is not block circulant, and the
+        # inner iteration on M brings the residual to INNER_RTOL
+        state, jac, res = first_jacobian(BALL, RUN4_IMAGE, (32, 64))
+        factor = flow._factor(jac, state.grid)
+        for rhs in (res, np.sin(np.arange(jac.shape[0]))):
+            x = factor.solve(rhs)
+            assert np.max(np.abs(rhs - jac @ x)) <= (
+                flow.INNER_RTOL * np.max(np.abs(rhs)))
+        assert not factor.fell_back
+
+    def test_narrow_base_ellipse_falls_back_to_superlu(self, monkeypatch):
+        # base ellipse with semi-axes (1, 0.4) onto B_0.5 at 32 x 64: the
+        # inner iteration contracts by about 0.65, fails to halve the
+        # residual, and the factor becomes J's SuperLU; the run keeps its
+        # 6 steps and the speed of a run on SuperLU alone
+        made = []
+        factor = flow._factor
+
+        def recorded(*args):
+            made.append(factor(*args))
+            return made[-1]
+
+        monkeypatch.setattr(flow, "_factor", recorded)
+        omega = dom.ConvexDomain.ellipse([0, 0], np.diag([1.0, 6.25]))
+        image = dom.ConvexDomain.ball([0, 0], 0.5)
+        result = flow.run_to_translator(
+            flow.initialize(omega, image, (32, 64), MINKOWSKI))
+        assert result.steps == 6
+        assert any(f.fell_back for f in made)
+        monkeypatch.setattr(flow, "_factor", lambda jac, grid: grid.superlu(jac))
+        direct = flow.run_to_translator(
+            flow.initialize(omega, image, (32, 64), MINKOWSKI))
+        assert direct.steps == result.steps
+        assert abs(direct.c_inf - result.c_inf) < 1e-10
+
+    def test_singular_angle_average_falls_back(self):
+        # a diagonal J whose first ring alternates in sign along the angle
+        # averages to a singular M: the factor is J's SuperLU from the start
+        grid = flow.build_grid(BALL, (6, 12))
+        diag = np.ones(grid.n_nodes)
+        diag[1:1 + grid.n_theta] = (-1.0) ** np.arange(grid.n_theta)
+        coef = np.zeros((grid.stencil_pattern.n_stencils, grid.n_nodes))
+        coef[0] = diag
+        jac = grid.stencil_pattern.assemble(coef)
+        factor = flow._factor(jac, grid)
+        assert factor.fell_back
+        rhs = np.sin(np.arange(grid.n_nodes))
+        assert np.allclose(factor.solve(rhs), rhs / diag, rtol=1e-14, atol=0)
+        # a singular J (and M: the pole's row is empty) raises from SuperLU
+        coef[0, 0] = 0.0
+        with pytest.raises(RuntimeError):
+            flow._factor(grid.stencil_pattern.assemble(coef), grid)
+
+    def test_non_finite_right_hand_side_ends_the_attempt(self, monkeypatch):
+        state, jac, res = first_jacobian(BALL, RUN4_IMAGE, (16, 32))
+        factor = flow._factor(jac, state.grid)
+        for bad in (np.nan, np.inf):
+            rhs = res.copy()
+            rhs[5] = bad
+            assert not np.all(np.isfinite(factor.solve(rhs)))
+        assert not factor.fell_back
+        # an overflowing mode solve gives a non-finite Newton correction,
+        # which ends the attempt
+        monkeypatch.setattr(type(factor), "_mode_solve",
+                            lambda self, b: np.full_like(b, np.inf))
+        controls = StepControls()
+        assert flow._newton_solve(state, state.u, state.u, 1.0,
+                                  controls.tol_newton, controls.max_newton) is None
 
 
 def plain_newton(state, u_prev, guess, tau, controls):
@@ -261,28 +391,30 @@ def plain_newton(state, u_prev, guess, tau, controls):
 
 
 @pytest.fixture
-def counted_splu(monkeypatch):
-    """Count the factorizations made by ``flow.splu`` and their solves."""
+def counted_factors(monkeypatch):
+    """Count the chord factors made by ``flow._factor`` and their solves,
+    whatever the grid's factor (SuperLU on a line, Fourier on a disk)."""
     counts = {"factor": 0, "solve": 0}
+    factor = flow._factor
 
-    class CountedLU:
-        def __init__(self, lu):
-            self._lu = lu
+    class CountedFactor:
+        def __init__(self, inner):
+            self._inner = inner
 
         def solve(self, rhs):
             counts["solve"] += 1
-            return self._lu.solve(rhs)
+            return self._inner.solve(rhs)
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         counts["factor"] += 1
-        return CountedLU(splu(*args, **kwargs))
+        return CountedFactor(factor(*args))
 
-    monkeypatch.setattr(flow, "splu", counting)
+    monkeypatch.setattr(flow, "_factor", counting)
     return counts
 
 
 class TestNewtonStagnation:
-    def test_roundoff_stall_ends_within_three_solves(self, counted_splu):
+    def test_roundoff_stall_ends_within_three_solves(self, counted_factors):
         state, _ = translator_state()
         u_prev, tau = state.u, state.tau
         guess = u_prev + tau * state.u_dot
@@ -290,7 +422,7 @@ class TestNewtonStagnation:
         converged = flow._newton_solve(state, u_prev, guess, tau,
                                        defaults.tol_newton,
                                        defaults.max_newton)[0]
-        counted_splu.update(factor=0, solve=0)
+        counted_factors.update(factor=0, solve=0)
         # no iterate reaches 1e-30: the residual stalls on its roundoff
         # floor, where the attempt is accepted well before max_newton
         # factorizations
@@ -298,7 +430,7 @@ class TestNewtonStagnation:
         got = flow._newton_solve(state, u_prev, converged, tau,
                                  controls.tol_newton, controls.max_newton)
         assert got is not None
-        assert 1 <= counted_splu["factor"] <= 3 < controls.max_newton
+        assert 1 <= counted_factors["factor"] <= 3 < controls.max_newton
         # the floor eps ||J||_inf ||u||_inf of the attempt's first
         # Jacobian and iterate, with the row sums taken by scipy
         _, p, r = flow._residual(state, converged, u_prev, tau)
@@ -311,7 +443,7 @@ class TestNewtonStagnation:
         assert 0.0 < np.max(np.abs(res)) <= floor
 
     def test_stall_above_the_floor_ends_at_the_stagnation_exit(
-            self, counted_splu, monkeypatch):
+            self, counted_factors, monkeypatch):
         # a guess far from the step's solution: the first full step with
         # a fresh factor fails to halve a residual eight orders above the
         # floor, so the floor does not accept it and the attempt fails
@@ -334,14 +466,14 @@ class TestNewtonStagnation:
         assert flow._newton_solve(state, state.u, guess, tau,
                                   controls.tol_newton,
                                   controls.max_newton) is None
-        assert 1 <= counted_splu["factor"] <= 3
+        assert 1 <= counted_factors["factor"] <= 3
         assert len(norms) < controls.max_newton
         assert np.all(np.isfinite(norms))
         assert norms[-1] > flow.STAGNATION_RATIO * norms[-2]
         assert min(norms) > 100 * max(floor, controls.tol_newton)
 
     def test_large_first_tau_is_accepted_at_the_refreshed_floor(
-            self, counted_splu, monkeypatch):
+            self, counted_factors, monkeypatch):
         # a first step at tau = 1000 from u0 moves u by about tau C, so
         # the floor of the first iterate is three orders too low: the
         # residual stalls near 5e-8, above it. The floor taken again at
@@ -362,13 +494,13 @@ class TestNewtonStagnation:
         monkeypatch.setattr(flow, "_floor_at", recorded)
         new = step_implicit(state, controls)
         assert new.t == 1e3
-        assert counted_splu["factor"] == 1
+        assert counted_factors["factor"] == 1
         assert floors[0] == first_floor
         res, _, _ = flow._residual(state, new.u, state.u, 1e3)
         assert 100 * first_floor < np.max(np.abs(res)) <= floors[-1]
 
     def test_iterate_within_the_raised_floor_is_not_factored(
-            self, counted_splu, monkeypatch):
+            self, counted_factors, monkeypatch):
         # the same tau = 1000 first step: the second Jacobian, assembled
         # at the stalled iterate, raises the floor above that iterate's
         # residual, so the iterate is returned as it is; factoring that
@@ -387,10 +519,10 @@ class TestNewtonStagnation:
                                  controls.tol_newton, controls.max_newton)
         assert got is not None
         assert len(iterates) == 2
-        assert counted_splu["factor"] == len(iterates) - 1
+        assert counted_factors["factor"] == len(iterates) - 1
         assert np.array_equal(got[0], iterates[-1])
 
-    def test_one_inf_norm_per_fresh_jacobian(self, counted_splu,
+    def test_one_inf_norm_per_fresh_jacobian(self, counted_factors,
                                              monkeypatch):
         # ||J||_inf raises the floor and rides in the ChordFactor: one
         # row-sum pass serves both
@@ -406,7 +538,7 @@ class TestNewtonStagnation:
         state, _, _ = perturbed_state("disk-ball")
         step_implicit(state, StepControls(tau0=1e3, tau_max=1e3))
         assert counts["jacobian"] == 2 == counts["inf_norm"]
-        assert counted_splu["factor"] == 1
+        assert counted_factors["factor"] == 1
 
     def test_step_failure_message_unchanged(self):
         # one Newton iteration from a guess that misses tol_newton: every
@@ -435,7 +567,7 @@ class TestNewtonStagnation:
                                "(t = 0, step 0)")
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-ball"])
-    def test_fast_convergence_keeps_iteration_count(self, case, counted_splu):
+    def test_fast_convergence_keeps_iteration_count(self, case, counted_factors):
         """Chord Newton against plain Newton on an attempt that converges.
 
         The iterate agrees, it takes fewer factorizations than plain
@@ -452,11 +584,11 @@ class TestNewtonStagnation:
         assert ref[1] >= 2
         assert np.max(np.abs(got[0] - ref[0])) < 1e-10
         plain_solves = ref[1] - 1
-        assert counted_splu["factor"] < plain_solves
-        assert got[2] == counted_splu["factor"] == 1
+        assert counted_factors["factor"] < plain_solves
+        assert got[2] == counted_factors["factor"] == 1
         assert (got[1] <= 4) == (ref[1] <= 4)
 
-    def test_stale_factor_is_refactored(self, counted_splu):
+    def test_stale_factor_is_refactored(self, counted_factors):
         # far from the solution the chord contraction is too slow: the
         # third residual fails to halve the second, so the attempt
         # refactors at that iterate and then converges
@@ -466,7 +598,7 @@ class TestNewtonStagnation:
         got = flow._newton_solve(state, u, guess, tau, controls.tol_newton,
                                  controls.max_newton)
         assert got is not None
-        assert counted_splu["factor"] >= 2
+        assert counted_factors["factor"] >= 2
         res, _, _ = flow._residual(state, got[0], u, tau)
         assert np.max(np.abs(res)) <= controls.tol_newton
 
@@ -547,7 +679,7 @@ def disk_ball_run(on_accept=None, controls=None):
 
 
 class TestCarriedFactor:
-    def test_step_at_the_ceiling_reuses_a_converged_factor(self, counted_splu):
+    def test_step_at_the_ceiling_reuses_a_converged_factor(self, counted_factors):
         controls = StepControls()
         converged = disk_ball_run().state
         # a step at tau_max from the translator factors afresh and hands
@@ -558,9 +690,9 @@ class TestCarriedFactor:
         assert carrying.t == converged.t + controls.tau_max == (
             converged.t + carrying.tau)
         factor = carry[0]
-        counted_splu.update(factor=0, solve=0)
+        counted_factors.update(factor=0, solve=0)
         new = step_implicit(carrying, controls, carry=carry)
-        assert counted_splu["factor"] == 0 < counted_splu["solve"]
+        assert counted_factors["factor"] == 0 < counted_factors["solve"]
         assert len(carry) == 1 and carry[0] is factor
         assert new.t == carrying.t + controls.tau_max
         # the step solves from u anchored at the anchor node
@@ -570,13 +702,13 @@ class TestCarriedFactor:
             flow._jacobian(carrying, p, r, controls.tau_max)), new.u)
         assert np.max(np.abs(res)) <= max(controls.tol_newton, floor)
 
-    def test_same_steps_with_fewer_factorizations(self, counted_splu,
+    def test_same_steps_with_fewer_factorizations(self, counted_factors,
                                                   monkeypatch):
         carried_steps = []
         carried = disk_ball_run(
             on_accept=lambda s: carried_steps.append((s.t, s.tau)))
-        carried_factors = counted_splu["factor"]
-        counted_splu.update(factor=0, solve=0)
+        carried_factors = counted_factors["factor"]
+        counted_factors.update(factor=0, solve=0)
         fresh_steps = []
         step = flow.step_implicit
 
@@ -588,10 +720,10 @@ class TestCarriedFactor:
             on_accept=lambda s: fresh_steps.append((s.t, s.tau)))
         assert carried.steps == fresh.steps
         assert carried_steps == fresh_steps
-        assert carried_factors < counted_splu["factor"]
+        assert carried_factors < counted_factors["factor"]
         assert abs(carried.c_inf - fresh.c_inf) < 1e-9
 
-    def test_factor_from_a_far_state_is_refactored(self, counted_splu):
+    def test_factor_from_a_far_state_is_refactored(self, counted_factors):
         # the factor of the initial quadratic flattened tenfold, carried
         # to the translator of the rotated-ellipse case at tau_max: its
         # first chord step fails to halve the residual, so the attempt
@@ -605,10 +737,10 @@ class TestCarriedFactor:
         far = flow.ChordFactor(flow._factor(jac, init.grid),
                                flow._inf_norm(jac))
         converged = flow.run_to_translator(init, controls).state
-        counted_splu.update(factor=0, solve=0)
+        counted_factors.update(factor=0, solve=0)
         carry = [far]
         new = step_implicit(converged, controls, carry=carry)
-        assert counted_splu["factor"] >= 1
+        assert counted_factors["factor"] >= 1
         assert len(carry) == 1 and carry[0] is not None
         assert carry[0] is not far
         assert new.t == converged.t + tau
@@ -616,7 +748,7 @@ class TestCarriedFactor:
         res, _, _ = flow._residual(converged, new.u, u_prev, tau)
         assert np.max(np.abs(res)) <= controls.tol_newton
 
-    def test_stale_factor_outlives_an_unfactored_jacobian(self, counted_splu,
+    def test_stale_factor_outlives_an_unfactored_jacobian(self, counted_factors,
                                                           monkeypatch):
         # 1D Minkowski at N = 401, five steps from tau_max sharing one
         # carry, each solved to tol_newton (the default rate_tol;
@@ -646,7 +778,7 @@ class TestCarriedFactor:
         carry = []
         for _ in range(5):
             state = step_implicit(state, controls, carry=carry)
-        assert len(jacobians) == 2 and counted_splu["factor"] == 1
+        assert len(jacobians) == 2 and counted_factors["factor"] == 1
         stale = attempts[0][5]
         assert attempts[0][2] == 1 and stale is not None
         # five attempts for five steps: each ran at tau_max
@@ -1400,18 +1532,18 @@ class TestNoStepAcceptsItsGuess:
     cannot stop on a step that accepted its guess u_prev + tau C as it
     was (u_dot = C at every node up to rounding)."""
 
-    def test_guess_at_the_floor_is_corrected_once(self, counted_splu):
+    def test_guess_at_the_floor_is_corrected_once(self, counted_factors):
         # the solution of a step at the ceiling, handed back as the guess,
         # already meets the floor; the attempt still solves once
         controls = StepControls()
         converged = disk_ball_run().state
         new = step_implicit(converged, controls)
-        counted_splu.update(factor=0, solve=0)
+        counted_factors.update(factor=0, solve=0)
         got = flow._newton_solve(converged, converged.u, new.u,
                                  controls.tau_max, controls.tol_newton,
                                  controls.max_newton)
         assert got is not None
-        assert got[1] == 2 and counted_splu["solve"] == 1
+        assert got[1] == 2 and counted_factors["solve"] == 1
 
     def test_fine_radial_run_reaches_its_speed(self):
         # run 3's problem at 128x256, where the last step used to accept
@@ -1583,7 +1715,7 @@ class TestHotPath:
     ])
     def test_mean_rate_predictor_saves_residuals(self, case, steps,
                                                  most_residuals,
-                                                 counted_splu, monkeypatch):
+                                                 counted_factors, monkeypatch):
         # the step's guess u_prev + tau C lands closer to its solution
         # than u_prev + tau u_dot once the transient decays, with the
         # same steps on one factorization
@@ -1598,7 +1730,7 @@ class TestHotPath:
         om, ot, spec, sig = JACOBIAN_CASES[case]
         result = flow.run_to_translator(flow.initialize(om, ot, spec, sig))
         assert result.steps == steps
-        assert counted_splu["factor"] == 1
+        assert counted_factors["factor"] == 1
         assert counts["residual"] <= most_residuals
 
     def test_residual_evaluates_g_on_component_rows(self, monkeypatch):

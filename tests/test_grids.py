@@ -300,7 +300,7 @@ class TestReadOnly:
         names = ["nodes", "interior", "boundary", "audit_interior",
                  "boundary_points"]
         if grid.dim == 2:
-            names += ["ref_nodes", "a_map", "a_inv", "center"]
+            names += ["ref_nodes", "a_map", "a_inv", "center", "mode_keys"]
         stacked, slot = grid._stacked
         pattern = grid.stencil_pattern
         arrays = [getattr(grid, name) for name in names] + [

@@ -32,20 +32,21 @@ row weights and one multiply-add per stencil, with no sparse products,
 sums or lookups. Entries that are zero in one Jacobian stay in the
 pattern as explicit zeros.
 
-The grid factors the Jacobian (grid.factor), so this module has no
-branch on the grid. A line grid takes SuperLU in its natural column
-ordering, which gives the banded 1D Jacobian the least fill. SuperLU
-runs in symmetric mode with a diagonal pivot threshold of 0.01, so the
-pivots stay on the diagonal and the row order is the column order. A
-disk grid factors only M, the Jacobian's average over the angle (its
-block-circulant part), which an FFT in theta splits into one banded
+The grid factors the Jacobian (grid.factor), and grids.build_grid picks
+and shares the grid of a domain, so this module names no grid class and
+has no branch on the grid. A line grid takes SuperLU in its natural
+column ordering, which gives the banded 1D Jacobian the least fill.
+SuperLU runs in symmetric mode with a diagonal pivot threshold of 0.01,
+so the pivots stay on the diagonal and the row order is the column
+order. A disk grid factors only M, the Jacobian's average over the angle
+(its block-circulant part), which an FFT in theta splits into one banded
 system over the rings per angular mode; its solve iterates on M until
-the linear residual falls to INNER_RTOL times the right-hand side's.
-For a centred ball onto a centred ball J = M to roundoff, and the solve
-is one application of M^{-1}. Where an inner iteration fails to halve
-the linear residual (STAGNATION_RATIO), as on a narrow base ellipse,
-the disk's factor becomes the SuperLU of J in minimum degree order on
-A^T + A (grids.FourierChordFactor).
+the linear residual falls to grids.INNER_RTOL times the right-hand
+side's. For a centred ball onto a centred ball J = M to roundoff, and
+the solve is one application of M^{-1}. Where an inner iteration fails
+to halve the linear residual (grids.INNER_RATIO), as on a narrow base
+ellipse, the disk's factor becomes the SuperLU of J in minimum degree
+order on A^T + A (grids.FourierChordFactor).
 
 Newton accepts an iterate once the residual max-norm is at most
 max(tol, eps ||J||_inf ||u||_inf), taken at every fresh factorization
@@ -144,9 +145,8 @@ from __future__ import annotations
 
 import numbers
 import time
-import weakref
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -162,7 +162,7 @@ from .errors import (
     StepFailureError,
 )
 from .geometry import NodalJets
-from .grids import LineGrid, MappedDiskGrid
+from .grids import build_grid
 from .operators import FlowOperator
 
 # A Newton attempt is abandoned once the residual max-norm fails to drop
@@ -177,10 +177,6 @@ TAU_GROWTH = 3.0
 # whose rate field oscillates by osc is solved to a residual max-norm of
 # tau FORCING osc (or tol_newton, whichever is larger).
 FORCING = 1e-3
-
-# A chord factor that solves iteratively (grids.FourierChordFactor)
-# solves to a residual max-norm of INNER_RTOL times its right-hand side's.
-INNER_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -292,37 +288,6 @@ class SolitonResult:
     state: FlowState
 
 
-# The grids held by live states, by domain and resolution (build_grid).
-_GRIDS = weakref.WeakValueDictionary()
-
-
-def build_grid(omega: dom.ConvexDomain, grid_spec):
-    """Grid over omega: int N for intervals, (n_rho, n_theta) for 2D.
-
-    A grid is immutable once built, so the live states on one key share
-    it: the key is the dimension, the bytes of the interval ends or of
-    the affine map and centre, and the resolution. A grid is built when
-    no live object holds one on its key, and it is dropped with the last
-    state built on it; nothing is kept beyond that.
-    """
-    if omega.dimension == 1:
-        n_cells = int(grid_spec)
-        key = (1, omega.ends.tobytes(), n_cells)
-        build = partial(LineGrid, *omega.ends.tolist(), n_cells)
-    elif omega.dimension == 2:
-        a_map = dom.spd_inv_sqrt(omega.shape)
-        center = np.asarray(omega.center, dtype=float)
-        n_rho, n_theta = map(int, grid_spec)
-        key = (2, a_map.tobytes(), center.tobytes(), n_rho, n_theta)
-        build = partial(MappedDiskGrid, a_map, center, n_rho, n_theta)
-    else:
-        raise ValueError("full grids support n <= 2; use the radial oracle beyond")
-    grid = _GRIDS.get(key)
-    if grid is None:
-        grid = _GRIDS[key] = build()
-    return grid
-
-
 def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
                grid_spec, sig: str) -> FlowState:
     """Initial state with the exact affine-compatible quadratic.
@@ -413,11 +378,8 @@ def _floor_at(jac_norm: float, u: np.ndarray) -> float:
 
 
 def _factor(jac, grid):
-    """The grid's chord factor of a Newton Jacobian (``grid.factor``): the
-    SuperLU of J on a line, the Fourier-in-angle factor on a disk, whose
-    solve iterates to INNER_RTOL and falls back to SuperLU where an
-    iteration fails to cut the residual by STAGNATION_RATIO."""
-    return grid.factor(jac, INNER_RTOL, STAGNATION_RATIO)
+    """The grid's chord factor of a Newton Jacobian (``grid.factor``)."""
+    return grid.factor(jac)
 
 
 def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
@@ -480,14 +442,12 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
             tol = max(tol, _floor_at(jac_norm, u))
             if rn <= tol and it > 1:
                 return u, it, n_factors, p, r, factor
-            try:
-                factor = ChordFactor(_factor(jac, state.grid), jac_norm)
-            except RuntimeError:  # exactly singular Jacobian
-                return None
-            n_factors += 1
         try:
+            if fresh:
+                factor = ChordFactor(_factor(jac, state.grid), jac_norm)
+                n_factors += 1
             delta = factor.solver.solve(res)
-        except RuntimeError:  # a fallback LU of an exactly singular Jacobian
+        except RuntimeError:  # an exactly singular J, in its LU or a fallback LU
             return None
         if not np.all(np.isfinite(delta)):
             return None

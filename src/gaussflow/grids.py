@@ -35,29 +35,40 @@ operator keeps the table's nonzero entries, one row block per stencil.
 ``stencil_pattern`` is built from the table on first use.
 
 Each grid also owns the linear solver of the Newton Jacobians assembled
-on its pattern: ``factor(jac, rtol, ratio)`` returns an object whose
-``solve(b)`` solves J x = b to a residual max-norm of rtol ||b||_inf.
-A line grid returns the SuperLU of J (``superlu``), which solves
-exactly. A disk grid returns a ``FourierChordFactor``: it factors J's
-average over the angle, which an FFT in theta splits into one banded
-ring system per angular mode, iterates on it, and becomes J's SuperLU
-where an iteration fails to cut the residual by ``ratio``. The slot to
-angle-average map it reads (``mode_keys``) is built once per grid.
+on its pattern: ``factor(jac)`` returns an object whose ``solve(b)``
+solves J x = b to a residual max-norm of INNER_RTOL ||b||_inf. A line
+grid returns the SuperLU of J (``superlu``), which solves exactly. A
+disk grid returns a ``FourierChordFactor``: it factors J's average over
+the angle, which an FFT in theta splits into one banded ring system per
+angular mode, iterates on it, and becomes J's SuperLU where an iteration
+fails to cut the residual by INNER_RATIO. The slot to angle-average map
+it reads (``mode_keys``) is built once per grid.
 
 A grid is immutable once built: every array it holds (nodes, index
 sets, the map, the stacked operator's and the pattern's arrays, the
-mode keys) is read-only, so ``flow.build_grid`` can share one grid among
-all the live states built on the same domain and resolution.
+mode keys) is read-only, so ``build_grid``, which picks the grid of a
+domain, shares one grid among all the live states built on equal
+domains at one resolution.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse.linalg import splu
+
+from .domains import ConvexDomain, spd_inv_sqrt
+
+# A chord factor that solves iteratively (FourierChordFactor) solves to a
+# residual max-norm of INNER_RTOL times its right-hand side's, and falls
+# back to SuperLU where an inner iteration fails to cut the residual
+# max-norm below INNER_RATIO times the previous one's.
+INNER_RTOL = 1e-4
+INNER_RATIO = 0.5
 
 
 def check_resolution(spec) -> None:
@@ -192,12 +203,11 @@ class _StencilGrid:
         return splu(jac, permc_spec=self.column_ordering, diag_pivot_thresh=0.01,
                     options=dict(SymmetricMode=True))
 
-    def factor(self, jac, rtol: float, ratio: float):
+    def factor(self, jac):
         """The chord factor of a Newton Jacobian: an object whose
         ``solve(b)`` returns J^{-1} b to a residual max-norm of at most
-        rtol ||b||_inf. Here it is the SuperLU of J, which solves
-        directly and needs neither rtol nor the inner iteration's
-        contraction ratio (``MappedDiskGrid.factor``)."""
+        INNER_RTOL ||b||_inf. Here it is the SuperLU of J, which solves
+        directly (``MappedDiskGrid.factor`` iterates)."""
         return self.superlu(jac)
 
     def derivative_rows(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,10 +457,10 @@ class MappedDiskGrid(_StencilGrid):
 
     # -- the chord factor -----------------------------------------------------
 
-    def factor(self, jac, rtol: float, ratio: float):
+    def factor(self, jac):
         """The ``FourierChordFactor`` of a Newton Jacobian on the grid's
         ``stencil_pattern``."""
-        return FourierChordFactor(self, jac, rtol, ratio)
+        return FourierChordFactor(self, jac)
 
     @cached_property
     def mode_keys(self) -> np.ndarray:
@@ -519,18 +529,17 @@ class FourierChordFactor:
 
     ``solve(b)`` uses M as the chord operator of the nonseparable J
     (Concus and Golub, SIAM J. Numer. Anal. 10, 1973): from x = M^{-1} b
-    it iterates x += M^{-1} (b - J x) until ||b - J x||_inf <= rtol
+    it iterates x += M^{-1} (b - J x) until ||b - J x||_inf <= INNER_RTOL
     ||b||_inf. For a centred ball onto a centred ball J = M to roundoff
     and no correction is made. If an iteration fails to cut the residual
-    max-norm by ``ratio``, or zgbtrf finds M singular, the factor becomes
+    max-norm by INNER_RATIO, or zgbtrf finds M singular, the factor becomes
     the SuperLU of J (``grid.superlu``) for the rest of its life and sets
     ``fell_back``; the LU of a singular J raises RuntimeError. A
     non-finite b gives a non-finite x.
     """
 
-    def __init__(self, grid: MappedDiskGrid, jac, rtol: float, ratio: float):
+    def __init__(self, grid: MappedDiskGrid, jac):
         self._grid, self._jac = grid, jac
-        self._rtol, self._ratio = rtol, ratio
         self.fell_back = False
         self._lu = None
         nr, nt = grid.n_rho, grid.n_theta
@@ -582,21 +591,45 @@ class FourierChordFactor:
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """J^{-1} b to a residual max-norm of rtol ||b||_inf."""
+        """J^{-1} b to a residual max-norm of INNER_RTOL ||b||_inf."""
         if self._lu is not None:
             return self._lu.solve(b)
         x = self._mode_solve(b)
-        goal = self._rtol * np.max(np.abs(b))
-        if not np.isfinite(goal):  # x is not finite either
-            return x
+        goal = INNER_RTOL * np.max(np.abs(b))
         prev = np.inf
         while True:
             r = b - self._jac @ x
             rn = np.max(np.abs(r))
             if rn <= goal or not np.isfinite(rn):
                 return x
-            if rn > self._ratio * prev:
+            if rn > INNER_RATIO * prev:
                 self._fall_back()
                 return self._lu.solve(b)
             prev = rn
             x += self._mode_solve(r)
+
+
+# The grids held by live states, by domain and resolution (build_grid).
+_GRIDS = weakref.WeakValueDictionary()
+
+
+def build_grid(omega: ConvexDomain, grid_spec):
+    """Grid over omega: int N for intervals, (n_rho, n_theta) for 2D.
+
+    A grid is immutable once built, so the live states on one key share
+    it. The key is the domain itself, which compares and hashes by its
+    centre and shape matrix, and the resolution. A grid is built when no
+    live object holds one on its key, and it is dropped with the last
+    state built on it; nothing is kept beyond that.
+    """
+    if omega.dimension > 2:
+        raise ValueError("full grids support n <= 2; use the radial oracle beyond")
+    spec = int(grid_spec) if omega.dimension == 1 else tuple(map(int, grid_spec))
+    grid = _GRIDS.get((omega, spec))
+    if grid is None:
+        if omega.dimension == 1:
+            grid = LineGrid(*omega.ends.tolist(), spec)
+        else:
+            grid = MappedDiskGrid(spd_inv_sqrt(omega.shape), omega.center, *spec)
+        _GRIDS[omega, spec] = grid
+    return grid

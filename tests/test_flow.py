@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from gaussflow import domains as dom
-from gaussflow import flow, geometry, monitors, operators, oracles
+from gaussflow import flow, geometry, grids, monitors, operators, oracles
 from gaussflow.errors import (
     ConvexityError,
     NonConvergenceError,
@@ -316,7 +316,7 @@ class TestFourierChordFactor:
         for rhs in (res, np.sin(np.arange(jac.shape[0]))):
             x = factor.solve(rhs)
             assert np.max(np.abs(rhs - jac @ x)) <= (
-                flow.INNER_RTOL * np.max(np.abs(rhs)))
+                grids.INNER_RTOL * np.max(np.abs(rhs)))
         assert not factor.fell_back
 
     def test_narrow_base_ellipse_falls_back_to_superlu(self, monkeypatch):
@@ -603,6 +603,58 @@ class TestNewtonStagnation:
         assert np.max(np.abs(res)) <= controls.tol_newton
 
 
+def identity_with_a_zero(grid, node):
+    """The identity on the grid's Jacobian pattern, with a zero pivot at
+    the node: exactly singular."""
+    coef = np.zeros((grid.stencil_pattern.n_stencils, grid.n_nodes))
+    coef[0] = 1.0
+    coef[0, node] = 0.0
+    return grid.stencil_pattern.assemble(coef)
+
+
+class TestNewtonExits:
+    """The exits of ``_newton_solve`` that no run takes: each ends the
+    attempt with None, so the caller halves tau."""
+
+    def test_non_finite_residual_ends_before_a_factorization(
+            self, counted_factors):
+        # a Euclidean state: a Minkowski one raises SpacelikeViolationError
+        # on the nan before its residual is tested
+        om, ot, spec, sig = JACOBIAN_CASES["line-euclidean"]
+        state = flow.initialize(om, ot, spec, sig)
+        guess = state.u.copy()
+        guess[spec // 2] = np.nan
+        assert flow._newton_solve(state, state.u, guess, 0.1, 1e-10, 30) is None
+        assert counted_factors["factor"] == 0
+
+    def test_singular_jacobian_ends_at_its_factorization(
+            self, counted_factors, monkeypatch):
+        om, ot, spec, sig = JACOBIAN_CASES["line-minkowski"]
+        state = flow.initialize(om, ot, spec, sig)
+        jac = identity_with_a_zero(state.grid, spec // 2)
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            state.grid.factor(jac)
+        monkeypatch.setattr(flow, "_jacobian", lambda *args: jac)
+        assert flow._newton_solve(state, state.u, state.u, 0.1, 1e-10, 30) is None
+        assert counted_factors == {"factor": 1, "solve": 0}
+
+    def test_singular_fallback_inside_a_solve_ends_the_attempt(
+            self, counted_factors, monkeypatch):
+        # on the 6 x 12 disk the zero on ring 2 leaves M regular (11/12 on
+        # that ring), the inner iteration stalls on the zero's node, and
+        # the factor's SuperLU fallback raises inside solve
+        state = flow.initialize(BALL, dom.ConvexDomain.ball([0, 0], 0.5), (6, 12),
+                                MINKOWSKI)
+        jac = identity_with_a_zero(state.grid, state.grid.index(2, 3))
+        factor = state.grid.factor(jac)
+        assert not factor.fell_back
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            factor.solve(np.ones(state.grid.n_nodes))
+        monkeypatch.setattr(flow, "_jacobian", lambda *args: jac)
+        assert flow._newton_solve(state, state.u, state.u, 0.1, 1e-10, 30) is None
+        assert counted_factors == {"factor": 1, "solve": 1}
+
+
 class TestTauGrowth:
     """tau grows after an attempt that converged on at most one fresh
     factorization, however many chord iterations that factor served."""
@@ -883,6 +935,16 @@ class TestInitialize:
         assert g0_range[1] == pytest.approx(4.0 / 3.0, abs=1e-5)
 
 
+def names_in(tree) -> set:
+    """Every name a module's syntax tree imports, binds or reads,
+    attribute names included."""
+    named = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return named
+
+
 class TestGridSharing:
     """build_grid shares one read-only grid among the live states on a
     domain and resolution, and keeps none once they are gone."""
@@ -907,6 +969,28 @@ class TestGridSharing:
         for omega, n in ((line, 41), (dom.ConvexDomain.interval(0, 1.5), 40),
                          (dom.ConvexDomain.interval(-0.5, 1), 40)):
             assert flow.build_grid(omega, n) is not held
+
+    def test_flow_names_no_grid(self):
+        # grids picks, shares and solves for its own grids: flow.py names
+        # no grid class, no grid cache and no constant of the chord solve
+        tree = ast.parse(Path(flow.__file__).read_text())
+        assert not names_in(tree) & {
+            "LineGrid", "MappedDiskGrid", "FourierChordFactor", "weakref",
+            "partial", "_GRIDS", "INNER_RTOL", "INNER_RATIO"}
+
+    def test_equal_domains_share_a_grid_whatever_their_constructor(self):
+        # the key is the domain's value: a ball and the ellipse with its
+        # shape matrix are one domain, and so are centres 0.0 and -0.0
+        ball = dom.ConvexDomain.ball([0, 0], 0.5)
+        held = grids.build_grid(ball, (6, 12))
+        for omega in (dom.ConvexDomain.ellipse([0, 0], 4.0 * np.eye(2)),
+                      dom.ConvexDomain.ball([-0.0, 0], 0.5)):
+            assert omega == ball
+            assert grids.build_grid(omega, (6, 12)) is held
+
+    def test_three_dimensions_have_no_grid(self):
+        with pytest.raises(ValueError, match="n <= 2"):
+            grids.build_grid(dom.ConvexDomain.ball([0, 0, 0], 1.0), (6, 12))
 
     def test_grid_dies_with_its_last_state(self):
         state = flow.initialize(dom.ConvexDomain.ball([0.3, 0], 1.0),
@@ -933,8 +1017,8 @@ class TestGridSharing:
                   for ot in images]
         assert shared[0].state.grid is shared[1].state.grid
         monkeypatch.setattr(flow, "build_grid", lambda omega, grid_spec: (
-            flow.MappedDiskGrid(dom.spd_inv_sqrt(omega.shape), omega.center,
-                                *grid_spec)))
+            grids.MappedDiskGrid(dom.spd_inv_sqrt(omega.shape), omega.center,
+                                 *grid_spec)))
         for got, ot in zip(shared, images):
             alone = flow.run_to_translator(flow.initialize(ball, ot, spec, MINKOWSKI))
             assert alone.state.grid is not got.state.grid
@@ -1066,7 +1150,7 @@ class TestStepImplicit:
         # Newton's last residual evaluation instead of recomputing them
         counts = {"residual": 0, "derivatives": 0}
         residual, derivative_rows = (flow._residual,
-                                     flow.LineGrid.derivative_rows)
+                                     grids.LineGrid.derivative_rows)
 
         def counted_residual(*args):
             counts["residual"] += 1
@@ -1078,7 +1162,7 @@ class TestStepImplicit:
 
         state, _ = translator_state(101)
         monkeypatch.setattr(flow, "_residual", counted_residual)
-        monkeypatch.setattr(flow.LineGrid, "derivative_rows",
+        monkeypatch.setattr(grids.LineGrid, "derivative_rows",
                             counted_derivatives)
         new = step_implicit(state, StepControls())
         assert new.steps == state.steps + 1
@@ -1326,12 +1410,7 @@ class TestFlowOperator:
         tree = ast.parse(Path(flow.__file__).read_text())
         kernels = {"metric_trace", "g_derivatives_many", "eigenvalues_many",
                    "is_spacelike", "MINKOWSKI", "SPACELIKE_MARGIN"}
-        named = {alias.name for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-        named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        named |= {node.attr for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute)}
-        assert not named & kernels
+        assert not names_in(tree) & kernels
         for node in ast.walk(tree):
             if isinstance(node, (ast.If, ast.IfExp)):
                 read = {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}

@@ -50,6 +50,18 @@ class TestClosedForm1D:
         du = (prof.height(x + h) - prof.height(x - h)) / (2 * h)
         assert np.max(np.abs(du - prof.slope(x))) < 1e-8
 
+    def test_euclidean_height_vanishes_at_x0_and_integrates_slope(self):
+        _, prof = oracles.translator_1d_closed_form(0, 1, -0.5, 0.5, EUCLIDEAN)
+        assert prof.height(prof.x0) == 0.0
+        x = np.linspace(0.05, 0.95, 31)
+        errors = []
+        for delta in (1e-2, 5e-3):
+            du = (prof.height(x + delta) - prof.height(x - delta)) / (2 * delta)
+            errors.append(np.max(np.abs(du - prof.slope(x))))
+        # the centred difference errs by delta^2 u_xxx / 6 + O(delta^4)
+        assert errors[0] < 1e-4
+        assert errors[1] == pytest.approx(errors[0] / 4, rel=0.01)
+
     def test_prescribed_gradient_image_hit_exactly(self):
         _, prof = oracles.translator_1d_closed_form(0.2, 1.4, -0.3, 0.8,
                                                     MINKOWSKI)

@@ -134,15 +134,15 @@ class TestJacobian:
     @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
     def test_matches_centred_difference_of_residual(self, case):
         state, u, tau = perturbed_state(case)
-        _, p, r = flow._residual(state, u, state.u, tau)
+        _, p, r, _ = flow._residual(state, u, state.u, tau)
         jac = flow._jacobian(state, p, r, tau).toarray()
         eps = 1e-6
         fd = np.empty_like(jac)
         for j in range(state.grid.n_nodes):
             du = np.zeros_like(u)
             du[j] = eps
-            plus, _, _ = flow._residual(state, u + du, state.u, tau)
-            minus, _, _ = flow._residual(state, u - du, state.u, tau)
+            plus, _, _, _ = flow._residual(state, u + du, state.u, tau)
+            minus, _, _, _ = flow._residual(state, u - du, state.u, tau)
             fd[:, j] = (plus - minus) / (2.0 * eps)
         for rows in (state.grid.interior, state.grid.boundary):
             scale = max(1.0, np.max(np.abs(jac[rows])))
@@ -151,7 +151,7 @@ class TestJacobian:
     @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
     def test_fixed_pattern_matches_sparse_products(self, case):
         state, u, tau = perturbed_state(case)
-        _, p, r = flow._residual(state, u, state.u, tau)
+        _, p, r, _ = flow._residual(state, u, state.u, tau)
         jac = flow._jacobian(state, p, r, tau)
         ref = sparse_product_jacobian(state, p, r, tau)
         ref.eliminate_zeros()
@@ -162,7 +162,7 @@ class TestJacobian:
         assert np.max(np.abs((jac - ref).toarray())) <= (
             1e-12 * np.max(np.abs(ref.data)))
         # the pattern is fixed: a second state fills the same structure
-        _, p2, r2 = flow._residual(state, 1.01 * u, state.u, 2 * tau)
+        _, p2, r2, _ = flow._residual(state, 1.01 * u, state.u, 2 * tau)
         again = flow._jacobian(state, p2, r2, 2 * tau)
         assert np.array_equal(again.indptr, jac.indptr)
         assert np.array_equal(again.indices, jac.indices)
@@ -200,7 +200,7 @@ class TestJacobian:
             return assemble(coef)
 
         monkeypatch.setattr(pattern, "assemble", recorded)
-        _, p, r = flow._residual(state, u, state.u, tau)
+        _, p, r, _ = flow._residual(state, u, state.u, tau)
         flow._jacobian(state, p, r, tau)
         rand = np.random.default_rng(6).normal(size=weights[0].shape)
         rand[:, grid.boundary[:1]] = 0.0
@@ -218,7 +218,7 @@ class TestJacobian:
         # disk-ball MMD 1482, COLAMD 1878, NATURAL 2053; line-minkowski
         # NATURAL 164, COLAMD 167, MMD 218
         state, u, tau = perturbed_state(case)
-        _, p, r = flow._residual(state, u, state.u, tau)
+        _, p, r, _ = flow._residual(state, u, state.u, tau)
         jac = flow._jacobian(state, p, r, tau)
         grid = state.grid
         chosen = grid.column_ordering
@@ -238,7 +238,7 @@ class TestJacobian:
         state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
                                 dom.ConvexDomain.ellipse([0, 0], np.diag([6.25, 16.0])),
                                 (24, 48), MINKOWSKI)
-        _, p, r = flow._residual(state, state.u, state.u, 1.0)
+        _, p, r, _ = flow._residual(state, state.u, state.u, 1.0)
         jac = flow._jacobian(state, p, r, 1.0)
         lu = state.grid.superlu(jac)
         assert np.array_equal(lu.perm_r, lu.perm_c)
@@ -270,7 +270,7 @@ def first_jacobian(omega, omega_tilde, spec, tau=1.0):
     """The state initialize builds and the Jacobian of its first step's
     first iterate at tau, with that iterate's residual."""
     state = flow.initialize(omega, omega_tilde, spec, MINKOWSKI)
-    res, p, r = flow._residual(state, state.u, state.u, tau)
+    res, p, r, _ = flow._residual(state, state.u, state.u, tau)
     return state, flow._jacobian(state, p, r, tau), res
 
 
@@ -301,7 +301,7 @@ class TestFourierChordFactor:
         # off the symmetric case too: the rfft, the stacked band solve with
         # the pole as mode 0's ring 0, and the irfft invert M itself
         state, u, tau = perturbed_state(case)
-        _, p, r = flow._residual(state, u, state.u, tau)
+        _, p, r, _ = flow._residual(state, u, state.u, tau)
         jac = flow._jacobian(state, p, r, tau)
         avg = angle_average(jac, state.grid)
         factor = flow._factor(jac, state.grid)
@@ -383,7 +383,7 @@ def plain_newton(state, u_prev, guess, tau, controls):
     """Newton without the stagnation exit: (u, iterations) or None."""
     u = guess.copy()
     for it in range(1, controls.max_newton + 1):
-        res, p, r = flow._residual(state, u, u_prev, tau)
+        res, p, r, _ = flow._residual(state, u, u_prev, tau)
         if np.max(np.abs(res)) <= controls.tol_newton:
             return u, it
         u = u - spsolve(flow._jacobian(state, p, r, tau), res)
@@ -433,13 +433,13 @@ class TestNewtonStagnation:
         assert 1 <= counted_factors["factor"] <= 3 < controls.max_newton
         # the floor eps ||J||_inf ||u||_inf of the attempt's first
         # Jacobian and iterate, with the row sums taken by scipy
-        _, p, r = flow._residual(state, converged, u_prev, tau)
+        _, p, r, _ = flow._residual(state, converged, u_prev, tau)
         jac = flow._jacobian(state, p, r, tau)
         floor = (np.finfo(float).eps * abs(jac).sum(axis=1).max()
                  * np.max(np.abs(converged)))
         assert flow._floor_at(flow._inf_norm(jac), converged) == pytest.approx(
             floor, rel=1e-12)
-        res, _, _ = flow._residual(state, got[0], u_prev, tau)
+        res, _, _, _ = flow._residual(state, got[0], u_prev, tau)
         assert 0.0 < np.max(np.abs(res)) <= floor
 
     def test_stall_above_the_floor_ends_at_the_stagnation_exit(
@@ -458,7 +458,7 @@ class TestNewtonStagnation:
             norms.append(np.max(np.abs(out[0])))
             return out
 
-        _, p, r = residual(state, guess, state.u, tau)
+        _, p, r, _ = residual(state, guess, state.u, tau)
         floor = flow._floor_at(
             flow._inf_norm(flow._jacobian(state, p, r, tau)), guess)
         monkeypatch.setattr(flow, "_residual", recorded)
@@ -481,7 +481,7 @@ class TestNewtonStagnation:
         # Jacobian is factored, with no tau halving.
         state, _, _ = perturbed_state("disk-ball")
         controls = StepControls(tau0=1e3, tau_max=1e3)
-        _, p, r = flow._residual(state, state.u, state.u, 1e3)
+        _, p, r, _ = flow._residual(state, state.u, state.u, 1e3)
         first_floor = flow._floor_at(
             flow._inf_norm(flow._jacobian(state, p, r, 1e3)), state.u)
         floors = []
@@ -496,7 +496,7 @@ class TestNewtonStagnation:
         assert new.t == 1e3
         assert counted_factors["factor"] == 1
         assert floors[0] == first_floor
-        res, _, _ = flow._residual(state, new.u, state.u, 1e3)
+        res, _, _, _ = flow._residual(state, new.u, state.u, 1e3)
         assert 100 * first_floor < np.max(np.abs(res)) <= floors[-1]
 
     def test_iterate_within_the_raised_floor_is_not_factored(
@@ -599,7 +599,7 @@ class TestNewtonStagnation:
                                  controls.max_newton)
         assert got is not None
         assert counted_factors["factor"] >= 2
-        res, _, _ = flow._residual(state, got[0], u, tau)
+        res, _, _, _ = flow._residual(state, got[0], u, tau)
         assert np.max(np.abs(res)) <= controls.tol_newton
 
 
@@ -672,7 +672,9 @@ class TestTauGrowth:
         newton_solve = flow._newton_solve
 
         def recorded(state, u_prev, guess, *rest):
-            got = newton_solve(state, u_prev, guess + offset, *rest)
+            # the offset guess is evaluated afresh: the first evaluation
+            # step_implicit hands on (rest[-1]) is that of the guess
+            got = newton_solve(state, u_prev, guess + offset, *rest[:-1])
             attempts.append(None if got is None else got[1:3])
             return got
 
@@ -749,7 +751,7 @@ class TestCarriedFactor:
         assert new.t == carrying.t + controls.tau_max
         # the step solves from u anchored at the anchor node
         u_prev = carrying.u - carrying.u[carrying.anchor]
-        res, p, r = flow._residual(carrying, new.u, u_prev, controls.tau_max)
+        res, p, r, _ = flow._residual(carrying, new.u, u_prev, controls.tau_max)
         floor = flow._floor_at(flow._inf_norm(
             flow._jacobian(carrying, p, r, controls.tau_max)), new.u)
         assert np.max(np.abs(res)) <= max(controls.tol_newton, floor)
@@ -784,7 +786,7 @@ class TestCarriedFactor:
         tau = controls.tau_max
         om, ot, spec, sig = JACOBIAN_CASES["disk-rotated-ellipse"]
         init = flow.initialize(om, ot, spec, sig)
-        _, p, r = flow._residual(init, 0.1 * init.u, init.u, tau)
+        _, p, r, _ = flow._residual(init, 0.1 * init.u, init.u, tau)
         jac = flow._jacobian(init, p, r, tau)
         far = flow.ChordFactor(flow._factor(jac, init.grid),
                                flow._inf_norm(jac))
@@ -797,7 +799,7 @@ class TestCarriedFactor:
         assert carry[0] is not far
         assert new.t == converged.t + tau
         u_prev = converged.u - converged.u[converged.anchor]
-        res, _, _ = flow._residual(converged, new.u, u_prev, tau)
+        res, _, _, _ = flow._residual(converged, new.u, u_prev, tau)
         assert np.max(np.abs(res)) <= controls.tol_newton
 
     def test_stale_factor_outlives_an_unfactored_jacobian(self, counted_factors,
@@ -831,11 +833,11 @@ class TestCarriedFactor:
         for _ in range(5):
             state = step_implicit(state, controls, carry=carry)
         assert len(jacobians) == 2 and counted_factors["factor"] == 1
-        stale = attempts[0][5]
+        stale = attempts[0][4]
         assert attempts[0][2] == 1 and stale is not None
         # five attempts for five steps: each ran at tau_max
         assert len(attempts) == 5 and state.t == 5 * controls.tau_max
-        assert all(got[5] is stale for got in attempts)
+        assert all(got[4] is stale for got in attempts)
         assert len(carry) == 1 and carry[0] is stale
 
     def test_no_factor_outlives_the_run(self):
@@ -1117,6 +1119,112 @@ class TestStateJets:
         assert np.array_equal(jets.lam, fresh.lam)
 
 
+def own_values(state):
+    """(G, boundary values) evaluated afresh on the state's own jets."""
+    p, r = state.jets.p, state.jets.r
+    return (state.op.value(p, r),
+            state.op.boundary(p[:, state.grid.boundary])[0])
+
+
+class TestStateCache:
+    """An accepted state keeps the G and boundary values of Newton's last
+    residual evaluation, and a step's first iterate reuses them."""
+
+    @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
+    def test_accepted_state_caches_the_values_of_its_jets(self, case):
+        om, ot, spec, sig = JACOBIAN_CASES[case]
+        state = flow.initialize(om, ot, spec, sig)
+        # initialize seeds G with G0; the boundary values wait for a reader
+        assert "G" in vars(state) and "hb" not in vars(state)
+        assert state.G is state.u_dot
+        carry = []
+        for _ in range(3):
+            state = step_implicit(state, StepControls(), carry=carry)
+            # set by the step, not evaluated on this read
+            assert {"jets", "G", "hb"} <= set(vars(state))
+            g, hb = own_values(state)
+            assert np.array_equal(state.G, g)
+            assert np.array_equal(state.hb, hb)
+            assert flow.boundary_residual(state) == np.max(np.abs(hb))
+
+    def test_replaced_and_explicit_states_evaluate_their_own(self):
+        om, ot = interval_pair()
+        state = step_implicit(flow.initialize(om, ot, 101, MINKOWSKI))
+        other = state.u + 0.1 * state.grid.nodes[:, 0] ** 2
+        moved = dataclasses.replace(state, u=other)
+        tau = 0.1 * state.grid.h**2
+        explicit = step_explicit(state, tau)
+        for new in (moved, explicit):
+            assert not {"jets", "G", "hb"} & set(vars(new))
+            g, hb = own_values(new)
+            assert np.array_equal(new.G, g)
+            assert np.array_equal(new.hb, hb)
+            assert not np.array_equal(new.G, state.G)
+        # a moved boundary misses the image's ends; the cached values do not
+        assert not np.array_equal(moved.hb, state.hb)
+        # tau enters none of them: with_tau keeps the caches
+        retimed = state.with_tau(0.5)
+        assert retimed.tau == 0.5
+        assert all(getattr(retimed, name) is getattr(state, name)
+                   for name in ("jets", "G", "hb"))
+
+    def test_state_outside_the_spacelike_set_has_no_g(self):
+        # |Du| = 2: the step's first read of G refuses the state, where
+        # every attempt used to fail on its guess down to tau_min
+        state = flow.initialize(*interval_pair(), 101, MINKOWSKI)
+        steep = dataclasses.replace(state, u=2.0 * state.grid.nodes[:, 0])
+        with pytest.raises(SpacelikeViolationError):
+            step_implicit(steep)
+
+    @pytest.mark.parametrize("image, spec, some_fail", [
+        (dom.ConvexDomain.ball([0, 0], 0.5), (6, 12), False),   # disk-ball
+        (dom.ConvexDomain.ball([0, 0], 0.99), (16, 32), True),  # light cone
+    ])
+    def test_each_attempt_differentiates_its_corrected_iterates_only(
+            self, image, spec, some_fail, monkeypatch):
+        # the first iterate u_prev + tau C differs from the state's u by a
+        # constant: its residual comes from the state's G, boundary values
+        # and jets, and only the corrected iterates are differentiated
+        # (derivative_rows calls, _residual calls, first evaluation, state,
+        # result) of every Newton attempt of the run
+        counts = {"derivatives": 0, "residual": 0}
+        attempts = []
+        newton_solve, residual = flow._newton_solve, flow._residual
+        derivative_rows = {cls: cls.derivative_rows
+                           for cls in (grids.LineGrid, grids.MappedDiskGrid)}
+
+        def counted_derivatives(self, u):
+            counts["derivatives"] += 1
+            return derivative_rows[type(self)](self, u)
+
+        def counted_residual(*args):
+            counts["residual"] += 1
+            return residual(*args)
+
+        def recorded(state, *args):
+            counts.update(derivatives=0, residual=0)
+            got = newton_solve(state, *args)
+            attempts.append((counts["derivatives"], counts["residual"],
+                             args[-1], state, got))
+            return got
+
+        state = flow.initialize(BALL, image, spec, MINKOWSKI)
+        for cls in derivative_rows:
+            monkeypatch.setattr(cls, "derivative_rows", counted_derivatives)
+        monkeypatch.setattr(flow, "_residual", counted_residual)
+        monkeypatch.setattr(flow, "_newton_solve", recorded)
+        flow.run_to_translator(state)
+        failed = [got is None for *_, got in attempts]
+        assert any(failed) == some_fail
+        assert len(attempts) > sum(failed)
+        for derivatives, residuals, first, start, got in attempts:
+            assert derivatives == residuals
+            assert first.p is start.jets.p and first.r is start.jets.r
+            assert first.G is start.G
+            if got is not None:
+                assert derivatives == got[1] - 1
+
+
 class TestStepControls:
     # a nan tol_c ran all max_steps steps, a nan tol_r let every
     # translator residual pass its gate; tau0 and tau_min lie at or
@@ -1161,6 +1269,9 @@ class TestStepImplicit:
             return derivative_rows(self, u)
 
         state, _ = translator_state(101)
+        # the replaced state differentiates its own u once, for the first
+        # iterate; every later derivative is a residual's
+        state.jets
         monkeypatch.setattr(flow, "_residual", counted_residual)
         monkeypatch.setattr(grids.LineGrid, "derivative_rows",
                             counted_derivatives)
@@ -1671,9 +1782,12 @@ class TestForcing:
         "disk-rotated-ellipse": (9, 0.9315596982513149),
     }
 
+    # each first iterate reads the state's own G; evaluating it afresh
+    # took 18 (bound 20) and 149 (bound 160), and 26 and 283 with every
+    # step to tol_newton
     @pytest.mark.parametrize("case, spec, most_residuals", [
-        ("disk-ball", (32, 64), 20),   # 26 with every step to tol_newton
-        ("line-euclidean", None, 160),  # 283 with every step to tol_newton
+        ("disk-ball", (32, 64), 12),   # 20 with every step to tol_newton
+        ("line-euclidean", None, 123),  # 257 with every step to tol_newton
     ])
     def test_forcing_saves_residuals(self, case, spec, most_residuals,
                                      monkeypatch):
@@ -1788,9 +1902,12 @@ class TestHotPath:
         assert counts["derivatives"] == counts["residual"] + 1
 
 
+    # counts with each first iterate read off the state; evaluating it
+    # afresh took 18 and 15 (bounds 26 and 24), and with the nodewise
+    # u_dot guess 29 and 28
     @pytest.mark.parametrize("case, steps, most_residuals", [
-        ("disk-ball", 6, 26),        # 29 with the nodewise u_dot guess
-        ("line-minkowski", 5, 24),   # 28 with the nodewise u_dot guess
+        ("disk-ball", 6, 12),
+        ("line-minkowski", 5, 10),
     ])
     def test_mean_rate_predictor_saves_residuals(self, case, steps,
                                                  most_residuals,
@@ -1817,7 +1934,7 @@ class TestHotPath:
         # never calls g_value_many, which takes node-major (N, n, n) input
         for case in JACOBIAN_CASES:
             state, u, tau = perturbed_state(case)
-            res, p, r = flow._residual(state, u, state.u, tau)
+            res, p, r, _ = flow._residual(state, u, state.u, tau)
             ii = state.grid.interior
             g = operators.g_value_many(state.grid.gradient(u),
                                        state.grid.hessian(u), state.sig)

@@ -57,10 +57,11 @@ osc in a run (below). The second term is the backward-error floor of
 evaluating the residual on the stencils: interior rows of J are
 I - tau (G_p D1 + G_r : D2), so the floor grows with tau and the 1/h^2
 of the Hessian stencils, and at large tau it lies above the default
-tol_newton. Since ||u||_inf can grow by about tau C_inf over a step, a
-floor taken only at the first iterate would be too low at a large
-first tau; an iterate that meets the floor raised at its own Jacobian
-is accepted before that Jacobian is factored. A tolerance below the
+tol_newton. Since ||u||_inf grows by about tau C_inf over the first
+step, whose predictor shift is 0 (below), a floor taken only at the
+first iterate would be too low at a large first tau; an iterate that
+meets the floor raised at its own Jacobian is accepted before that
+Jacobian is factored. A tolerance below the
 floor is met at the floor. No guess is accepted unchanged (it would
 give u_dot = C and stop a run on a step that did no work), so an attempt
 makes at least one chord correction. Short of acceptance, every iterate
@@ -87,26 +88,36 @@ between attempts, and every attempt factors afresh. The factor is run
 state: run_to_translator keeps it in a carry list for the run and hands
 the list to each step_implicit call, never to a FlowState.
 
-Each step solves from u_prev = u - u[anchor] with u_dot = (u_new -
-u_prev) / tau, so a state carries u up to a constant and the floor does
-not grow with ||u||_inf drifting as t C. Newton starts from u_prev +
-tau C, C the mean interior rate of the state (mean_rate), not from
-u_prev + tau u_dot: the nodewise rate carries the decaying transient,
-which at the ceiling shrinks about 17x per step, so extrapolating it
-linearly overshoots and starts Newton farther from the step's solution.
-The first step starts from u_prev.
+Each step solves from u_prev = u - u[anchor], so a state carries u up
+to a constant and the floor does not grow with ||u||_inf drifting as
+t C. Newton solves for the step's correction about the predictor u_prev
++ tau C, C the mean interior rate of the state (mean_rate), not for the
+new height itself: its unknown is v = u_new - tau C, its guess is
+u_prev, its interior rows read v - (u_prev - tau C) - tau G(v) (the
+stencils annihilate the constant tau C, so G(v) = G(u_new)), u_dot =
+(v - (u_prev - tau C)) / tau, and the accepted state stores v as its u,
+still u up to a constant. So the iterate, the floor eps ||J||_inf
+||v||_inf and the rounding of the stored u have the size of u_inf, not
+of u_inf + tau C, whose rounding the 1/h^2 of the stencils would lift
+into the translator residual: with the predictor in the iterate, run 3
+at 256 x 512 and tau_max = 10 stopped on a translator residual of
+2.4e-6 above tol_r, and with the correction it ends at 1.0e-10. The
+predictor is tau C, not tau u_dot: the nodewise rate carries the
+decaying transient, which shrinks by a large factor per step at the
+ceiling, so extrapolating it linearly overshoots and starts Newton
+farther from the step's solution. The first step's C is 0.
 
-Each state is differentiated once. The guess u_prev + tau C differs
-from the state's u by a constant, which the stencils annihilate, so
-the first iterate's residual, gradient and Hessian are the state's own
-up to roundoff: the attempt reads them off the state (FlowState.G, the
-G of Newton's last residual evaluation at the accepted u, or G0 for the
+Each state is differentiated once. The guess u_prev differs from the
+state's u by a constant, which the stencils annihilate, so the first
+iterate's residual, gradient and Hessian are the state's own up to
+roundoff: the attempt reads them off the state (FlowState.G, the G of
+Newton's last residual evaluation at the accepted u, or G0 for the
 initial state, and FlowState.hb, the boundary rows' values), and every
 attempt, a retry after a tau halving included, evaluates the stencils
 only at its corrected iterates. The first iterate still counts as an
-iterate. At 32 x 64 a seed-0 disk2d pass of the benchmark makes 75
-residual evaluations for its 39 steps where evaluating every first
-iterate afresh made 114; its solves and factorizations are unchanged.
+iterate. At 32 x 64 a seed-0 disk2d pass of the benchmark makes 48
+residual evaluations for its 24 steps where evaluating every first
+iterate afresh would make 72.
 
 Step control is pseudo-transient continuation (Kelley and Keyes, SIAM
 J. Numer. Anal. 35, 1998). The flow is wanted only for its long-time
@@ -127,18 +138,21 @@ that of G0 at the first step) or tol_newton, whichever is larger. This
 is a forcing term in the sense of Eisenstat and Walker (SIAM J. Sci.
 Comput. 17, 1996), tied to the transient: the residual of an implicit
 Euler step is tau times the error of its u_dot, so the step leaves an
-error of about FORCING osc in u_dot. Near the translator tau FORCING
-osc falls below tol_newton (at tau = 1 once osc < 1e-7, well before
-osc < tol_c), so the last steps, which C_inf and the converged state
-are read from, are solved to tol_newton; so is every step_implicit call
-made without a rate_tol, such as the probe step of
-monitors.duality_rate_defect. The intermediate states are not exact:
-their rows in monitors.csv move in the digits the forcing term leaves
-free (up to about 2e-6 relative in the u_dot and Hessian columns of the
-32 x 64 ball-onto-half-ball run), and their newton_iters are smaller.
-That run keeps its 6 steps and its one factorization, takes 12
-residual evaluations where solving every step to tol_newton takes 20,
-and its C_inf moves by 3.5e-13.
+error of about FORCING osc in u_dot. At the ceiling tau_max = 10 the
+term reaches tol_newton once osc < 1e-8 = tol_c, so a run's last step,
+which starts from a state whose osc is at least tol_c, is solved to tau
+FORCING osc of that state and leaves a thousandth of its oscillation in
+the u_dot that C_inf is read from (at tau_max = 1 the term fell below
+tol_newton once osc < 1e-7, and the last steps were solved to
+tol_newton). Every step_implicit call made without a rate_tol, such as
+the probe step of monitors.duality_rate_defect, is solved to
+tol_newton. The intermediate states are not exact: their rows in
+monitors.csv move in the digits the forcing term leaves free (at
+tau_max = 1, up to about 2e-6 relative in the u_dot and Hessian columns
+of the 32 x 64 ball-onto-half-ball run), and their newton_iters are
+smaller. That run takes 4 steps on one factorization and 8 residual
+evaluations where solving every step to tol_newton takes 14, and its
+C_inf moves by 2.0e-13.
 
 The long-time limit is a translator: u(x, t) -> u_inf(x) + C_inf t. The
 run loop declares convergence when the nodewise rate field u_dot has
@@ -208,7 +222,15 @@ class StepControls:
 
     ``tau0`` is the first step's tau. Unset, the run starts at the
     ceiling ``tau_max`` and halves only where Newton fails; a set
-    ``tau0`` (at most ``tau_max``) wins. Every set field is finite and
+    ``tau0`` (at most ``tau_max``) wins. The ceiling is 10: the flow is
+    wanted only for its long-time limit, and at the ceiling implicit
+    Euler damps the slowest mode by 1 / (1 + tau_max mu_1) per step, so
+    a higher ceiling takes fewer last steps (a seed-0 disk2d benchmark
+    pass takes 24 steps where tau_max = 1 took 39). Newton solves for
+    the step's correction about the predictor tau C (``step_implicit``),
+    so neither the iterate nor its roundoff floor grows with tau, and
+    the audit tolerance reads min(tau_max, 1) (``monitors.RunMonitor``),
+    so no ceiling above 1 loosens an audit. Every set field is finite and
     positive, and a field annotated ``int`` holds a ``numbers.Integral``.
     Only a run's input builds one; ``_newton_solve`` takes plain numbers.
     """
@@ -220,7 +242,7 @@ class StepControls:
     tol_r: float = 1e-6  # steady residual gate, times max(1, |C_inf|)
     tau0: float | None = None  # default tau_max: start at the ceiling
     tau_min: float = 1e-14
-    tau_max: float = 1.0
+    tau_max: float = 10.0
     max_steps: int = 100000
 
     def __post_init__(self):
@@ -268,6 +290,10 @@ class FlowState:
     ``op`` is the flow's equation, built by ``initialize`` and carried
     from step to step; ``sig`` and ``omega_tilde`` read it.
 
+    ``u`` is the height up to a constant: an implicit step stores its
+    Newton unknown u_new - tau C (``step_implicit``). The solver reads
+    u - u[anchor] or the derivatives of u, and the artifacts write u as
+    it is.
     ``anchor`` is the node the steps solve from (u - u[anchor]) and the
     translator profile vanishes at. ``initialize`` takes the grid's
     default; an override is set with ``replace``, never on the grid,
@@ -359,10 +385,11 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
 # ---------------------------------------------------------------------------
 
 class Evaluation(NamedTuple):
-    """One residual evaluation at an iterate u: the residual u - u_prev
-    - tau G on the interior rows and the ``op.boundary`` values on the
-    boundary rows, the derivative rows p (n, N) and r (n, n, N) of u, and
-    G = ``op.value(p, r)`` at every node."""
+    """One residual evaluation at an iterate u from a base point: the
+    residual u - base - tau G on the interior rows and the
+    ``op.boundary`` values on the boundary rows, the derivative rows p
+    (n, N) and r (n, n, N) of u, and G = ``op.value(p, r)`` at every
+    node."""
 
     res: np.ndarray
     p: np.ndarray
@@ -370,25 +397,25 @@ class Evaluation(NamedTuple):
     G: np.ndarray
 
 
-def _residual(state: FlowState, u: np.ndarray, u_prev: np.ndarray,
+def _residual(state: FlowState, u: np.ndarray, base: np.ndarray,
               tau: float) -> Evaluation:
     """The ``Evaluation`` at the iterate u: one stencil product."""
     grid = state.grid
     p, r = grid.derivative_rows(u)
     g = state.op.value(p, r)
-    res = u - u_prev - tau * g
+    res = u - base - tau * g
     bb = grid.boundary
     res[bb], _ = state.op.boundary(p[:, bb])
     return Evaluation(res, p, r, g)
 
 
-def _first_evaluation(state: FlowState, guess: np.ndarray, u_prev: np.ndarray,
+def _first_evaluation(state: FlowState, guess: np.ndarray, base: np.ndarray,
                       tau: float) -> Evaluation:
     """The ``Evaluation`` at a guess that differs from state.u by a
     constant, read off the state's own jets, G and boundary values: the
     stencils annihilate constants, so they would give back the state's
     p and r up to roundoff."""
-    res = guess - u_prev - tau * state.G
+    res = guess - base - tau * state.G
     res[state.grid.boundary] = state.hb
     return Evaluation(res, state.jets.p, state.jets.r, state.G)
 
@@ -442,12 +469,16 @@ def _factor(jac, grid):
     return grid.factor(jac)
 
 
-def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
+def _newton_solve(state: FlowState, base: np.ndarray, guess: np.ndarray,
                   tau: float, tol: float, max_newton: int,
                   carried: ChordFactor | None = None,
                   first: Evaluation | None = None):
     """Return (u, iterations, factorizations, evaluation, factor) or None
     if Newton failed for this tau within ``max_newton`` iterations.
+
+    u solves u - base - tau G(u) = 0 on the interior rows and the
+    boundary rows of ``_residual``: base is u_prev - tau C in
+    ``step_implicit``, so u is the new height less the predictor tau C.
 
     factorizations counts the attempt's fresh factorizations (0 when
     a carried factor served every iterate); evaluation is the
@@ -490,7 +521,7 @@ def _newton_solve(state: FlowState, u_prev: np.ndarray, guess: np.ndarray,
     for it in range(1, max_newton + 1):
         if ev is None:
             try:
-                ev = _residual(state, u, u_prev, tau)
+                ev = _residual(state, u, base, tau)
             except SpacelikeViolationError:
                 return None
         res, p, r, _ = ev
@@ -534,14 +565,17 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
     converged on at most one fresh factorization grows the next tau by
     TAU_GROWTH up to tau_max, however many chord iterations it took.
     A state without a tau (0, as initialize leaves it) starts at
-    controls.initial_tau(). Newton starts from u_prev + tau C, u_prev
-    = u - u[anchor] and C the state's mean_rate (0 at the first step).
+    controls.initial_tau(). Newton solves for the correction about the
+    predictor: from the guess u_prev = u - u[anchor], for v = u_new -
+    tau C with C the state's mean_rate (0 at the first step), on the
+    interior rows v - (u_prev - tau C) - tau G(v) = 0; then u_dot = (v -
+    (u_prev - tau C)) / tau, and the accepted state's u is v.
     Each attempt solves to a residual max-norm of max(tol_newton,
     tau rate_tol), or to its roundoff floor where that is larger:
     rate_tol is the error the step may leave in u_dot, and the default
     0 solves to tol_newton. Each attempt's first iterate takes its
-    residual guess - u_prev - tau G, its boundary rows and its gradient
-    and Hessian rows from the state's G, hb and jets
+    residual tau (C - G), its boundary rows and its gradient and Hessian
+    rows from the state's G, hb and jets
     (``_first_evaluation``), so no attempt differentiates the guess; a
     state without them (one built by ``replace``) evaluates them once,
     and one whose gradients leave the spacelike set raises
@@ -573,12 +607,13 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
                 f"tau = {tau:g} no longer advances t = {state.t:.6g} "
                 f"(step {state.steps})"
             )
-        guess = u_prev + tau * rate
+        # Newton's unknown is u_new - tau C, so no iterate carries tau C
+        base = u_prev - tau * rate
         carried = carry[0] if carry and tau == controls.tau_max else None
-        got = _newton_solve(state, u_prev, guess, tau,
+        got = _newton_solve(state, base, u_prev, tau,
                             max(controls.tol_newton, tau * rate_tol),
                             controls.max_newton, carried,
-                            _first_evaluation(state, guess, u_prev, tau))
+                            _first_evaluation(state, u_prev, base, tau))
         if got is not None:
             u_new, iters, n_factors, ev, factor = got
             # strict convexity on the interior rows; the last residual
@@ -593,7 +628,7 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
                 f"Newton failed at every tau down to {controls.tau_min:g} "
                 f"(t = {state.t:.6g}, step {state.steps})"
             )
-    u_dot = (u_new - u_prev) / tau
+    u_dot = (u_new - base) / tau
     tau_next = min(tau * TAU_GROWTH, controls.tau_max) if n_factors <= 1 else tau
     if carry is not None:
         carry[:] = [factor] if tau == controls.tau_max else []

@@ -15,10 +15,14 @@ computed from the initial data, never hardcoded from any proof:
   the time derivative observed at fixed x needs the tangential transport
   correction + (H/v) Du . DH before the identity applies.
 
-Violations are tolerated up to tol_mon = 10 (h^2 + tau_max h), with h
-the grid's reference spacing (``RunMonitor``): the estimates hold
+Violations are tolerated up to tol_mon = 10 (h^2 + min(tau_max, 1) h),
+with h the grid's reference spacing (``RunMonitor``): the estimates hold
 for the continuum flow, so discrete defects must vanish under refinement
-rather than sit under an absolute cap.
+rather than sit under an absolute cap. The tau term reads the run's
+ceiling only up to 1, so a higher ceiling, which the pseudo-transient
+steps take only to reach the long-time limit sooner, loosens no audit:
+at the default tau_max = 10 the tolerance is 10 (h^2 + h), and a
+ceiling below 1 tightens it.
 
 The audits read each state's nodal geometry from its cached jets
 (``FlowState.jets``): a recorded state's gradient, Hessian and
@@ -176,6 +180,11 @@ def duality_rate_defect(state) -> float:
     of the probed state is cubic-interpolated at the dual points of the
     base state, which keeps the audit O(h^2) even where the gradients
     move. Returns max |d(u_tilde)/dt + du/dt| over matched nodes.
+
+    The probe stores its height less the step's predictor tau C
+    (``flow.step_implicit``), so u_t below is du/dt - C; the dual
+    height p x - u is then shifted by + tau C, the dual rate by + C, and
+    the shift cancels in their sum.
     """
     from scipy.interpolate import CubicSpline
 
@@ -206,8 +215,8 @@ class RunMonitor:
     last observed state unless it is already the last row, so a run of S
     steps at cadence c yields 1 + ceil(S / c) rows, the last of them the
     final state. ``tau_max`` of the run's ``controls`` (default
-    ``StepControls()``) and ``grid.h_ref`` set the one audit tolerance
-    tol_mon (module docstring). ``g0_range`` is the (min, max) of the
+    ``StepControls()``), capped at 1, and ``grid.h_ref`` set the one
+    audit tolerance tol_mon (module docstring). ``g0_range`` is the (min, max) of the
     rate of ``state0``, G0 (``flow.initialize``), and ``sandwich`` the
     band [min w * min G0, max w * max G0] for H, w = 1/v at the smallest
     and largest |p| of the gradient-image domain.
@@ -220,7 +229,7 @@ class RunMonitor:
             raise ValueError(f"cadence must be at least 1, got {cadence}")
         self.cadence = int(cadence)
         h, tau_max = state0.grid.h_ref, (controls or StepControls()).tau_max
-        self.tol_mon = 10.0 * (h**2 + tau_max * h)
+        self.tol_mon = 10.0 * (h**2 + min(tau_max, 1.0) * h)
         g0_min, g0_max = float(np.min(state0.u_dot)), float(np.max(state0.u_dot))
         self.g0_range = (g0_min, g0_max)
         w = 1.0 / np.sqrt(v_squared(np.square(state0.omega_tilde.norm_range),

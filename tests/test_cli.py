@@ -44,7 +44,7 @@ class TestConfigParsing:
             "minkowski", 401, 1)
         assert cli.main(["run", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "converged: C_inf = 1.098605792 after 5 steps" in out
+        assert "converged: C_inf = 1.098605792 after 3 steps" in out
         assert (tmp_path / "out" / "monitors.csv").is_file()
 
     def test_roundtrip_of_domain_specs(self):

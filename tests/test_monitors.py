@@ -368,13 +368,26 @@ class TestRunMonitor:
         assert monitors.duality_rate_defect(accepted[-1]) < 1e-10
 
     def test_tolerance_reads_the_run_tau_ceiling(self):
+        # the default ceiling, 10, reads as 1: the tolerance tau_max = 1
+        # gave; a ceiling below 1 tightens it
         state = interval_state(21)
         h = state.grid.h_ref
+        assert flow.StepControls().tau_max == 10.0
         assert monitors.RunMonitor(state).tol_mon == pytest.approx(
-            10 * (h**2 + flow.StepControls().tau_max * h))
+            10 * (h**2 + h))
         mon = monitors.RunMonitor(state,
                                   controls=flow.StepControls(tau_max=0.05))
         assert mon.tol_mon == pytest.approx(10 * (h**2 + 0.05 * h))
+
+    @pytest.mark.parametrize("tau_max", [1e-3, 0.05, 0.5, 1.0, 2.0, 10.0,
+                                         1e3])
+    def test_no_ceiling_loosens_the_tolerance(self, tau_max):
+        state = interval_state(21)
+        h = state.grid.h_ref
+        mon = monitors.RunMonitor(state,
+                                  controls=flow.StepControls(tau_max=tau_max))
+        assert mon.tol_mon <= 10 * (h**2 + tau_max * h)
+        assert mon.tol_mon <= 10 * (h**2 + h)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,11 @@ its ``#``. Domains are written ``interval a b``, ``ball cx [cy] r``,
 
 ``parse_config`` maps keys to the objects that check them: domains to
 ``ConvexDomain``, grid keys to ``check_resolution``, control keys (its
-field names) to ``StepControls``; it refuses a 3D omega and an omega_tilde
-of another dimension itself. Before ``output_dir`` is created, ``run``
-refuses an anchor that is no node and ``RunMonitor`` a cadence below 1.
+field names, stated for a base domain of unit volume) to ``StepControls``;
+it refuses a 3D omega and an omega_tilde of another dimension itself.
+Before ``output_dir`` is created, ``run`` refuses an anchor that is no
+node and ``RunMonitor`` a cadence below 1. The report names the length
+unit the controls were applied in and the absolute tau ceiling.
 """
 
 from __future__ import annotations
@@ -303,6 +305,9 @@ def write_report(path, config, converged, result, monitor, message=""):
     lines.append(f"omega         : {domain_spec_string(config.omega)}")
     lines.append(f"omega_tilde   : {domain_spec_string(config.omega_tilde)}")
     lines.append(f"grid          : {config.grid_spec}")
+    # the controls are per unit volume; the run applies them in omega's units
+    lines.append(f"length unit   : {_fmt(config.omega.length_unit)} (tau ceiling "
+                 f"{_fmt(config.controls.for_domain(config.omega).tau_max)})")
     lines.append(f"converged     : {'yes' if converged else 'NO'}")
     if message:
         lines.append(f"note          : {message}")

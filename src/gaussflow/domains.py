@@ -95,6 +95,23 @@ class ConvexDomain:
         return 2.0 * self._eigenvalues[0] / self.scale
 
     @cached_property
+    def volume(self) -> float:
+        """|Omega| = omega_n / sqrt(det Q), omega_n the volume of the unit
+        n-ball (omega_1 = 2, omega_2 = pi, exactly)."""
+        n = self.dimension
+        omega_n = 1.0 if n % 2 == 0 else 2.0
+        for k in range(2 + n % 2, n + 1, 2):  # omega_k = 2 pi / k omega_(k-2)
+            omega_n *= 2.0 * math.pi / k
+        return omega_n / math.sqrt(math.prod(self._eigenvalues.tolist()))
+
+    @cached_property
+    def length_unit(self) -> float:
+        """|Omega|^(1/n): 1 for a unit interval, sqrt(pi) for the unit disk.
+        The flow's step controls are stated for a base domain of unit
+        volume and applied in this unit (``flow.StepControls.for_domain``)."""
+        return self.volume ** (1.0 / self.dimension)
+
+    @cached_property
     def norm_range(self) -> tuple[float, float]:
         """``radial_range`` of the domain, evaluated once per domain."""
         return radial_range(self)

@@ -100,8 +100,9 @@ still u up to a constant. So the iterate, the floor eps ||J||_inf
 ||v||_inf and the rounding of the stored u have the size of u_inf, not
 of u_inf + tau C, whose rounding the 1/h^2 of the stencils would lift
 into the translator residual: with the predictor in the iterate, run 3
-at 256 x 512 and tau_max = 10 stopped on a translator residual of
-2.4e-6 above tol_r, and with the correction it ends at 1.0e-10. The
+at 256 x 512 and an absolute tau_max = 10 stopped on a translator
+residual of 2.4e-6 above tol_r, and with the correction it ended at
+1.0e-10 (2.2e-9 at the disk's ceiling of 10 pi, below). The
 predictor is tau C, not tau u_dot: the nodewise rate carries the
 decaying transient, which shrinks by a large factor per step at the
 ceiling, so extrapolating it linearly overshoots and starts Newton
@@ -115,9 +116,9 @@ Newton's last residual evaluation at the accepted u, or G0 for the
 initial state, and FlowState.hb, the boundary rows' values), and every
 attempt, a retry after a tau halving included, evaluates the stencils
 only at its corrected iterates. The first iterate still counts as an
-iterate. At 32 x 64 a seed-0 disk2d pass of the benchmark makes 48
-residual evaluations for its 24 steps where evaluating every first
-iterate afresh would make 72.
+iterate. At 32 x 64 a seed-0 disk2d pass of the benchmark makes 36
+residual evaluations for its 18 steps where evaluating every first
+iterate afresh would make 54.
 
 Step control is pseudo-transient continuation (Kelley and Keyes, SIAM
 J. Numer. Anal. 35, 1998). The flow is wanted only for its long-time
@@ -130,6 +131,21 @@ chord iterations: a chord iteration is one pair of triangular solves,
 and one factor may carry a slow linear contraction through many of
 them.
 
+The step controls have the units of the base domain Omega. A translator
+has no length scale: over Omega scaled by R it is R u_1(x / R) with
+speed C / R, and its slowest mode relaxes in a time that grows like R^2.
+So StepControls states its values for a base domain of unit volume, and
+a run applies them in units of l = |Omega|^(1/n)
+(StepControls.for_domain): tau0, tau_min and tau_max times l^2,
+tol_newton times l, tol_c over l. state.tau, t and the artifacts stay
+absolute. A unit interval (l = 1) runs on the values as given; the unit
+disk (l = sqrt(pi)) has the ceiling 10 pi, and a seed-0 disk2d pass takes
+18 steps where the absolute ceiling of 10 took 24. Applied as absolute
+numbers, the defaults took the ball of radius 100 onto B_0.5 at 16 x 32
+752 steps, 1.9e-7 off in C R, and stalled at radius 1000; in the
+domain's units every radius from 1e-3 to 1e3 takes the unit ball's 3
+steps, with C R the same to 1e-14.
+
 For the same reason an early step needs no tight solve: it only has to
 remove part of a transient that the next steps go on removing. The run
 solves each step inexactly, to a residual max-norm of tau FORCING osc
@@ -138,28 +154,30 @@ that of G0 at the first step) or tol_newton, whichever is larger. This
 is a forcing term in the sense of Eisenstat and Walker (SIAM J. Sci.
 Comput. 17, 1996), tied to the transient: the residual of an implicit
 Euler step is tau times the error of its u_dot, so the step leaves an
-error of about FORCING osc in u_dot. At the ceiling tau_max = 10 the
-term reaches tol_newton once osc < 1e-8 = tol_c, so a run's last step,
-which starts from a state whose osc is at least tol_c, is solved to tau
-FORCING osc of that state and leaves a thousandth of its oscillation in
-the u_dot that C_inf is read from (at tau_max = 1 the term fell below
-tol_newton once osc < 1e-7, and the last steps were solved to
+error of about FORCING osc in u_dot. At the default ceiling the term
+reaches tol_newton once osc < tol_newton / (FORCING tau_max) = tol_c,
+all three in the base domain's units (1e-8 on a unit interval, 1e-8 /
+sqrt(pi) on the unit disk), so a run's last step, which starts from a
+state whose osc is at least tol_c, is solved to tau FORCING osc of that
+state and leaves a thousandth of its oscillation in the u_dot that
+C_inf is read from (at tau_max = 1 the term fell below tol_newton once
+osc < 1e-7 on a unit interval, and the last steps were solved to
 tol_newton). Every step_implicit call made without a rate_tol, such as
 the probe step of monitors.duality_rate_defect, is solved to
 tol_newton. The intermediate states are not exact: their rows in
 monitors.csv move in the digits the forcing term leaves free (at
 tau_max = 1, up to about 2e-6 relative in the u_dot and Hessian columns
 of the 32 x 64 ball-onto-half-ball run), and their newton_iters are
-smaller. That run takes 4 steps on one factorization and 8 residual
-evaluations where solving every step to tol_newton takes 14, and its
-C_inf moves by 2.0e-13.
+smaller. That run takes 3 steps on one factorization and 6 residual
+evaluations where solving every step to tol_newton takes 11, and its
+C_inf moves by 2.5e-12.
 
 The long-time limit is a translator: u(x, t) -> u_inf(x) + C_inf t. The
 run loop declares convergence when the nodewise rate field u_dot has
-oscillation (max - min) below tol_c and the boundary residual is below
-tol_b, then reports C_inf, the profile u_inf = u - u[anchor] (never
-u - t C, whose rounding the stencils amplify) and the steady residual
-max |G - C_inf|. At the ceiling the mean interior rate converges
+oscillation (max - min) below tol_c (in the base domain's units) and
+the boundary residual is below tol_b, then reports C_inf, the profile
+u_inf = u - u[anchor] (never u - t C, whose rounding the stencils
+amplify) and the steady residual max |G - C_inf|. At the ceiling the mean interior rate converges
 linearly, and the first step under tol_c can leave it well short of its
 limit, so C_inf is the Aitken delta-squared extrapolation of the last
 three per-step mean rates when they contract geometrically (ratio in
@@ -225,14 +243,22 @@ class StepControls:
     ``tau0`` (at most ``tau_max``) wins. The ceiling is 10: the flow is
     wanted only for its long-time limit, and at the ceiling implicit
     Euler damps the slowest mode by 1 / (1 + tau_max mu_1) per step, so
-    a higher ceiling takes fewer last steps (a seed-0 disk2d benchmark
-    pass takes 24 steps where tau_max = 1 took 39). Newton solves for
-    the step's correction about the predictor tau C (``step_implicit``),
-    so neither the iterate nor its roundoff floor grows with tau, and
-    the audit tolerance reads min(tau_max, 1) (``monitors.RunMonitor``),
-    so no ceiling above 1 loosens an audit. Every set field is finite and
+    a higher ceiling takes fewer last steps. Newton solves for the
+    step's correction about the predictor tau C (``step_implicit``), so
+    neither the iterate nor its roundoff floor grows with tau, and the
+    audit tolerance reads min(tau_max, 1) (``monitors.RunMonitor``), so
+    no ceiling above 1 loosens an audit. Every set field is finite and
     positive, and a field annotated ``int`` holds a ``numbers.Integral``.
     Only a run's input builds one; ``_newton_solve`` takes plain numbers.
+
+    The values are stated for a base domain of unit volume. A run applies
+    them in the units of its own base domain Omega, length unit l =
+    |Omega|^(1/n) (``ConvexDomain.length_unit``: 1 for a unit interval,
+    sqrt(pi) for the unit disk), through ``for_domain``: a translator
+    over Omega scaled by R is R u_1(x / R) with speed C / R, so times
+    scale like l^2, heights like l and rates like 1 / l. Read so, the
+    defaults give the unit disk a ceiling of 10 pi, and a base domain of
+    any size the step counts of the unit one.
     """
 
     tol_newton: float = 1e-10
@@ -260,6 +286,23 @@ class StepControls:
 
     def initial_tau(self) -> float:
         return self.tau_max if self.tau0 is None else self.tau0
+
+    def for_domain(self, omega: dom.ConvexDomain) -> StepControls:
+        """These controls in the absolute units of a run on the base domain
+        omega, l = omega.length_unit: tau0, tau_min and tau_max times l^2,
+        tol_newton (a height) times l, tol_c (a rate) over l. tol_b is
+        dimensionless and tol_r reads max(1, |C_inf|), so they stay, and
+        so do the counts. A domain of unit volume runs on these controls
+        themselves, which every step of a run would otherwise copy and
+        check again."""
+        ell = omega.length_unit
+        area = omega.volume ** (2.0 / omega.dimension)  # pi for the unit disk
+        if ell == area == 1.0:
+            return self
+        return replace(
+            self, tol_newton=self.tol_newton * ell, tol_c=self.tol_c / ell,
+            tau0=None if self.tau0 is None else self.tau0 * area,
+            tau_min=self.tau_min * area, tau_max=self.tau_max * area)
 
 
 class ChordFactor(NamedTuple):
@@ -580,22 +623,27 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
     state without them (one built by ``replace``) evaluates them once,
     and one whose gradients leave the spacelike set raises
     SpacelikeViolationError there.
+    ``controls`` are the caller's, stated for a base domain of unit
+    volume; the step applies them in state.omega's units
+    (``StepControls.for_domain``), while state.tau, t and rate_tol are
+    absolute.
     Underflow below tau_min, or a tau too small to advance t, raises
-    StepFailureError; a starting tau that is not finite and positive
-    raises ValueError, so no step is accepted backwards in time.
+    StepFailureError naming the absolute tau_min; a starting tau that is
+    not finite and positive raises ValueError, so no step is accepted
+    backwards in time.
     The accepted state's jets start with the gradient and Hessian rows of
     Newton's last residual evaluation and with the Hessian spectrum that
     the admissibility check computed, and its G and hb with that
     evaluation's G and boundary rows.
 
     ``carry`` is a list kept by one run with one ``controls``: it holds
-    the factor the last accepted step at tau_max handed on, or nothing.
-    An attempt at tau = tau_max starts Newton from ``carry[0]``; an
-    accepted step leaves ``[factor]`` at the ceiling and ``[]`` below
-    it. Without ``carry`` every attempt factors afresh, as every attempt
+    the factor the last accepted step at the absolute ceiling tau_max
+    handed on, or nothing. An attempt at that tau starts Newton from
+    ``carry[0]``; an accepted step leaves ``[factor]`` at the ceiling
+    and ``[]`` below it. Without ``carry`` every attempt factors afresh, as every attempt
     below the ceiling does.
     """
-    controls = controls or StepControls()
+    controls = (controls or StepControls()).for_domain(state.omega)
     tau = state.tau if state.tau > 0 else controls.initial_tau()
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"implicit step needs a finite tau > 0, got {tau!r}")
@@ -735,8 +783,8 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
 
     ``on_accept(state)`` fires after every accepted step (monitor hook).
     Raises NonConvergenceError if max_steps is exhausted, naming the last
-    step's oscillation and boundary residual against their tolerances,
-    or the StepFailureError (a NonConvergenceError) of a failed step.
+    step's oscillation and boundary residual against the tolerances in
+    force, or the StepFailureError (a NonConvergenceError) of a failed step.
     The run's ``carry`` list (``step_implicit``) holds its chord factor.
 
     Each step is solved to tau FORCING osc, osc the oscillation of the
@@ -745,34 +793,40 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
 
     The reported C_inf is ``_extrapolated_rate`` of the per-step mean
     rates; the steady residual is taken at it and at u - u[anchor].
+
+    ``controls`` are stated for a base domain of unit volume: the run
+    starts at the initial tau and tests tol_c in state.omega's units
+    (``StepControls.for_domain``) and hands each step the controls as
+    given, which the step applies in the same units.
     """
     controls = controls or StepControls()
+    units = controls.for_domain(state.omega)
     t_start = time.perf_counter()
-    state = state.with_tau(controls.initial_tau())
+    state = state.with_tau(units.initial_tau())
     rates, carry = [], []
     osc = float(np.max(state.u_dot) - np.min(state.u_dot))
     bres = np.nan
-    for _ in range(controls.max_steps):
+    for _ in range(units.max_steps):
         state = step_implicit(state, controls, FORCING * osc, carry)
         rates.append(mean_rate(state))
         if on_accept is not None:
             on_accept(state)
         osc = float(np.max(state.u_dot) - np.min(state.u_dot))
         bres = boundary_residual(state)
-        if osc < controls.tol_c and bres < controls.tol_b:
+        if osc < units.tol_c and bres < units.tol_b:
             break
     else:
-        last = (("osc", osc, "tol_c", controls.tol_c),
-                ("bres", bres, "tol_b", controls.tol_b))
+        last = (("osc", osc, "tol_c", units.tol_c),
+                ("bres", bres, "tol_b", units.tol_b))
         raise NonConvergenceError(
-            f"no translator after {controls.max_steps} steps: " + ", ".join(
+            f"no translator after {units.max_steps} steps: " + ", ".join(
                 f"{name} = {val:.3e} {'below' if val < tol else 'above'} "
                 f"{tol_name} = {tol:.3e}" for name, val, tol_name, tol in last))
 
     c_inf = _extrapolated_rate(rates)
     u_inf = state.u - state.u[state.anchor]
     residual = translator_residual(u_inf, c_inf, state.op, state.grid)
-    tol_r = controls.tol_r * max(1.0, abs(c_inf))
+    tol_r = units.tol_r * max(1.0, abs(c_inf))
     if residual > tol_r:
         raise NonConvergenceError(
             f"translator residual {residual:.3e} exceeds {tol_r:.3e}")

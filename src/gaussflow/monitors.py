@@ -22,7 +22,10 @@ rather than sit under an absolute cap. The tau term reads the run's
 ceiling only up to 1, so a higher ceiling, which the pseudo-transient
 steps take only to reach the long-time limit sooner, loosens no audit:
 at the default tau_max = 10 the tolerance is 10 (h^2 + h), and a
-ceiling below 1 tightens it.
+ceiling below 1 tightens it. It reads the ``StepControls`` field, the
+ceiling stated for a base domain of unit volume, not the ceiling the
+run applies in its own units (l^2 tau_max, ``StepControls.for_domain``),
+so no audit tolerance moves with the base domain's size.
 
 The audits read each state's nodal geometry from its cached jets
 (``FlowState.jets``): a recorded state's gradient, Hessian and
@@ -60,11 +63,15 @@ class MonitorRecord:
     its columns, in order (``CSV_COLUMNS``).
 
     ``tau`` is the tau the next step starts from: 0 on the initial row,
-    3 x the accepted step's tau (capped at tau_max) after an attempt on
-    at most one fresh factorization, that tau otherwise. The accepted
-    step's tau is the difference of consecutive ``t``: for the unit ball
-    onto B_0.99 at 16 x 32, the row at t = 0.0078125 follows a step of
-    0.00390625 and reads tau = 0.01171875.
+    3 x the accepted step's tau (capped at the ceiling) after an attempt
+    on at most one fresh factorization, that tau otherwise. ``t`` and
+    ``tau`` are absolute: the ceiling is tau_max in the base domain's
+    units, l^2 tau_max with l = |Omega|^(1/n)
+    (``flow.StepControls.for_domain``), 10 pi on the unit disk. The
+    accepted step's tau is the difference of consecutive ``t``: for the
+    unit ball onto B_0.99 at 16 x 32 the first step halves 10 pi to
+    10 pi / 2^13, and the row at t = 0.0076699 follows a step of 0.0038350
+    and reads tau = 0.011505.
     """
 
     t: float
@@ -215,8 +222,9 @@ class RunMonitor:
     last observed state unless it is already the last row, so a run of S
     steps at cadence c yields 1 + ceil(S / c) rows, the last of them the
     final state. ``tau_max`` of the run's ``controls`` (default
-    ``StepControls()``), capped at 1, and ``grid.h_ref`` set the one
-    audit tolerance tol_mon (module docstring). ``g0_range`` is the (min, max) of the
+    ``StepControls()``), the field's unit-volume value capped at 1, and
+    ``grid.h_ref`` set the one audit tolerance tol_mon (module
+    docstring). ``g0_range`` is the (min, max) of the
     rate of ``state0``, G0 (``flow.initialize``), and ``sandwich`` the
     band [min w * min G0, max w * max G0] for H, w = 1/v at the smallest
     and largest |p| of the gradient-image domain.

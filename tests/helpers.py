@@ -9,3 +9,11 @@ def stencil_blocks(grid):
     n = grid.n_nodes
     blocks = [stacked[s * n:(s + 1) * n] for s in range(stacked.shape[0] // n)]
     return blocks[:grid.dim], [[blocks[s] for s in row] for row in slot]
+
+
+def per_unit_volume(tau, omega):
+    """The control value a run on the base domain omega applies as the
+    absolute tau ``tau``: step controls are stated for a base domain of
+    unit volume, and a time scales like |omega|^(2/n)
+    (``StepControls.for_domain``)."""
+    return tau / omega.volume ** (2.0 / omega.dimension)

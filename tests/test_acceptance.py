@@ -319,7 +319,9 @@ class TestCriterion9_Convergence2D:
 
 class TestReferenceRunsKeepTheirSteps:
     """Not a criterion: the four reference runs take the steps pinned
-    here at the default tau_max = 10 (5, 6, 6 and 7 at tau_max = 1), and
+    here under the default controls applied in the base domain's units
+    (the unit disk's ceiling is 10 pi; runs 3 and 4 took 4 steps at an
+    absolute tau_max = 10, and the runs 5, 6, 6 and 7 at tau_max = 1), and
     reach the speeds they had when every step was solved to tol_newton at
     tau_max = 1, before run_to_translator solved its early steps only to
     its forcing term."""
@@ -327,8 +329,8 @@ class TestReferenceRunsKeepTheirSteps:
     PINNED = {
         "run1": (3, 1.0986057923592785),
         "run2": (4, 1.5708194687228099),
-        "run3": (4, 1.0735278531638637),
-        "run4": (4, 0.6727546499692619),
+        "run3": (3, 1.0735278531638637),
+        "run4": (3, 0.6727546499692619),
     }
 
     def test_steps_and_speeds(self, run1, run2, run3, run4):

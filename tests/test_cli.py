@@ -296,6 +296,24 @@ class TestRunCommand:
         assert "cone margin ok: yes" in report
         assert "sandwich ok   : yes" in report
 
+    def test_report_names_the_units_of_the_controls(self, finished_run,
+                                                    tmp_path):
+        # the unit interval applies the controls as given
+        _, out = finished_run
+        report = (out / "report.txt").read_text().splitlines()
+        assert "length unit   : 1 (tau ceiling 10)" in report
+        # the ball of radius 2 has area 4 pi: tau_max = 1 is applied as 4 pi
+        cfg = tmp_path / "disk.cfg"
+        cfg.write_text("signature = minkowski\nomega = ball 0 0 2\n"
+                       "omega_tilde = ball 0 0 0.5\nn_rho = 8\nn_theta = 16\n"
+                       f"tau_max = 1\noutput_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        ell = cli.parse_domain_spec("ball 0 0 2").length_unit
+        assert ell == pytest.approx(2.0 * np.sqrt(np.pi), rel=1e-15)
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert (f"length unit   : {cli._fmt(ell)} "
+                f"(tau ceiling {cli._fmt(4.0 * np.pi)})") in report
+
     def test_snapshot_roundtrip_bit_exact(self, finished_run):
         _, out = finished_run
         header, coords, u = cli.read_snapshot(out / "snapshot.txt")

@@ -205,6 +205,32 @@ class TestIntervalEnds:
             dom.ConvexDomain.ball([0.0, 0.0], 1.0).ends
 
 
+class TestLengthUnit:
+    def test_unit_interval_and_unit_disk(self):
+        # exact: the unit interval's controls apply bit for bit, and the
+        # unit disk's tau ceiling is 10 pi
+        unit = dom.ConvexDomain.interval(0, 1)
+        assert unit.volume == unit.length_unit == 1.0
+        disk = dom.ConvexDomain.ball([0.0, 0.0], 1.0)
+        assert disk.volume == np.pi
+        assert disk.length_unit == np.sqrt(np.pi)
+
+    @pytest.mark.parametrize("domain, volume", [
+        (dom.ConvexDomain.interval(-1, 2), 3.0),
+        (dom.ConvexDomain.ball([0.3], 0.25), 0.5),
+        (dom.ConvexDomain.ball([0.1, -0.2], 1e3), np.pi * 1e6),
+        (dom.ConvexDomain.ellipse([0.0, 0.0], [[6.25, 0.0], [0.0, 16.0]]),
+         np.pi * 0.4 * 0.25),
+        (dom.ConvexDomain.ellipse([0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]]),
+         np.pi / np.sqrt(1.75)),
+        (dom.ConvexDomain.ball([0.0, 0.0, 0.0], 2.0), 4.0 / 3.0 * np.pi * 8.0),
+    ])
+    def test_volume_of_the_quadric(self, domain, volume):
+        assert domain.volume == pytest.approx(volume, rel=1e-14)
+        assert domain.length_unit == pytest.approx(
+            volume ** (1.0 / domain.dimension), rel=1e-14)
+
+
 class TestAffineMap:
     def test_interval_pair(self):
         a, s = dom.spd_affine_map(dom.ConvexDomain.interval(0, 1),

@@ -21,7 +21,7 @@ from gaussflow.errors import (
 )
 from gaussflow.flow import StepControls, step_explicit, step_implicit
 from gaussflow.geometry import EUCLIDEAN, MINKOWSKI, eigenvalues_many
-from helpers import stencil_blocks
+from helpers import per_unit_volume, stencil_blocks
 
 
 def interval_pair():
@@ -481,10 +481,12 @@ class TestNewtonStagnation:
         # the stalled iterate's Jacobian accepts the step before that
         # Jacobian is factored, with no tau halving.
         state, _, _ = perturbed_state("disk-ball")
-        controls = StepControls(tau0=1e3, tau_max=1e3)
-        _, p, r, _ = flow._residual(state, state.u, state.u, 1e3)
+        ceiling = per_unit_volume(1e3, state.omega)
+        controls = StepControls(tau0=ceiling, tau_max=ceiling)
+        tau = controls.for_domain(state.omega).tau0  # 1000 to rounding
+        _, p, r, _ = flow._residual(state, state.u, state.u, tau)
         first_floor = flow._floor_at(
-            flow._inf_norm(flow._jacobian(state, p, r, 1e3)), state.u)
+            flow._inf_norm(flow._jacobian(state, p, r, tau)), state.u)
         floors = []
         floor_at = flow._floor_at
 
@@ -494,10 +496,10 @@ class TestNewtonStagnation:
 
         monkeypatch.setattr(flow, "_floor_at", recorded)
         new = step_implicit(state, controls)
-        assert new.t == 1e3
+        assert new.t == tau
         assert counted_factors["factor"] == 1
         assert floors[0] == first_floor
-        res, _, _, _ = flow._residual(state, new.u, state.u, 1e3)
+        res, _, _, _ = flow._residual(state, new.u, state.u, tau)
         assert 100 * first_floor < np.max(np.abs(res)) <= floors[-1]
 
     def test_iterate_within_the_raised_floor_is_not_factored(
@@ -551,6 +553,15 @@ class TestNewtonStagnation:
         with pytest.raises(StepFailureError,
                            match=r"^Newton failed at every tau down to 1e-06 "
                                  r"\(t = 0, step 1\)$"):
+            step_implicit(state, controls)
+
+    def test_step_failure_names_the_absolute_tau_min(self):
+        # on the unit disk tau_min = 1e-6 is applied as 1e-6 pi
+        state, _, _ = perturbed_state("disk-ball")
+        controls = StepControls(max_newton=1, tau_min=1e-6)
+        with pytest.raises(StepFailureError,
+                           match=r"^Newton failed at every tau down to "
+                                 r"3\.14159e-06 \(t = 0, step 0\)$"):
             step_implicit(state, controls)
 
     def test_run_step_failure_is_a_non_convergence(self):
@@ -707,7 +718,8 @@ class TestTauGrowth:
         # unit ball onto B_0.99, close to the light cone: the first step
         # from tau_max halves many times, and the later steps take 5-7
         # chord iterations on one factor. Grown by factorizations, tau
-        # regains the ceiling and the run takes 24 factorizations (20 at
+        # regains the ceiling and the run takes 27 factorizations at the
+        # disk's ceiling of 10 pi (24 at an absolute tau_max = 10, 20 at
         # tau_max = 1, 25 before the forcing term); grown only after <= 4
         # iterations, it took 37 (and 28 from the old ramp start at
         # 0.1 h^2).
@@ -738,28 +750,29 @@ class TestCarriedFactor:
     def test_step_at_the_ceiling_reuses_a_converged_factor(self, counted_factors):
         controls = StepControls()
         converged = disk_ball_run().state
+        # the ceiling in the disk's units, 10 pi
+        units = controls.for_domain(converged.omega)
+        tau = units.tau_max
         # a step at tau_max from the translator factors afresh and hands
         # its factor on; the next step with the same carry factors nothing
         carry = []
         carrying = step_implicit(converged, controls, carry=carry)
         assert len(carry) == 1 and carry[0] is not None
-        assert carrying.t == converged.t + controls.tau_max == (
-            converged.t + carrying.tau)
+        assert carrying.t == converged.t + tau == converged.t + carrying.tau
         factor = carry[0]
         counted_factors.update(factor=0, solve=0)
         new = step_implicit(carrying, controls, carry=carry)
         assert counted_factors["factor"] == 0 < counted_factors["solve"]
         assert len(carry) == 1 and carry[0] is factor
-        assert new.t == carrying.t + controls.tau_max
+        assert new.t == carrying.t + tau
         # the step solves for its correction about u anchored at the
         # anchor node plus tau C: new.u is the new height less tau C
-        tau = controls.tau_max
         base = (carrying.u - carrying.u[carrying.anchor]
                 - tau * flow.mean_rate(carrying))
         res, p, r, _ = flow._residual(carrying, new.u, base, tau)
         floor = flow._floor_at(flow._inf_norm(
             flow._jacobian(carrying, p, r, tau)), new.u)
-        assert np.max(np.abs(res)) <= max(controls.tol_newton, floor)
+        assert np.max(np.abs(res)) <= max(units.tol_newton, floor)
 
     def test_same_steps_with_fewer_factorizations(self, counted_factors,
                                                   monkeypatch):
@@ -788,8 +801,9 @@ class TestCarriedFactor:
         # first chord step fails to halve the residual, so the attempt
         # refactors at that iterate and then converges
         controls = StepControls()
-        tau = controls.tau_max
         om, ot, spec, sig = JACOBIAN_CASES["disk-rotated-ellipse"]
+        units = controls.for_domain(om)
+        tau = units.tau_max
         init = flow.initialize(om, ot, spec, sig)
         _, p, r, _ = flow._residual(init, 0.1 * init.u, init.u, tau)
         jac = flow._jacobian(init, p, r, tau)
@@ -806,7 +820,7 @@ class TestCarriedFactor:
         base = (converged.u - converged.u[converged.anchor]
                 - tau * flow.mean_rate(converged))
         res, _, _, _ = flow._residual(converged, new.u, base, tau)
-        assert np.max(np.abs(res)) <= controls.tol_newton
+        assert np.max(np.abs(res)) <= units.tol_newton
 
     def test_stale_factor_outlives_an_unfactored_jacobian(self, counted_factors,
                                                           monkeypatch):
@@ -848,13 +862,14 @@ class TestCarriedFactor:
 
     def test_no_factor_outlives_the_run(self):
         result = disk_ball_run()
-        assert result.state.tau == StepControls().tau_max
+        ceiling = StepControls().for_domain(result.state.omega).tau_max
+        assert result.state.tau == ceiling
         # a run that stops at max_steps past the ceiling
         last = []
         with pytest.raises(NonConvergenceError):
             disk_ball_run(on_accept=last.append,
                           controls=StepControls(max_steps=result.steps - 1))
-        assert last[-1].tau == StepControls().tau_max
+        assert last[-1].tau == ceiling
         # no state holds a chord factor: the carry is the run's
         for state in (result.state, last[-1]):
             assert not any(isinstance(getattr(state, f.name), flow.ChordFactor)
@@ -1103,7 +1118,8 @@ class TestStateJets:
 
         for module in (operators, geometry, monitors):
             monkeypatch.setattr(module, "eigenvalues_many", recorded)
-        new = step_implicit(start, StepControls(tau_max=tau))
+        new = step_implicit(start, StepControls(
+            tau_max=per_unit_volume(tau, state.omega)))
         assert "jets" in vars(new)
         jets = new.jets
         # p and r come seeded from Newton's last residual evaluation and
@@ -1257,6 +1273,26 @@ class TestStepControls:
         with pytest.raises(dataclasses.FrozenInstanceError):
             StepControls().tau_max = 2.0
 
+    def test_unit_interval_applies_the_values_as_given(self):
+        controls = StepControls(tau0=0.5, tol_c=3e-8)
+        assert controls.for_domain(dom.ConvexDomain.interval(0, 1)) == controls
+
+    def test_times_heights_and_rates_scale_with_the_length_unit(self):
+        # the unit disk: l = sqrt(pi), so the ceiling is 10 pi
+        disk = dom.ConvexDomain.ball([0, 0], 1.0)
+        controls = StepControls(tau0=2.0, max_steps=7)
+        units = controls.for_domain(disk)
+        assert units.tau_max == 10.0 * np.pi
+        assert units.tau0 == 2.0 * np.pi
+        assert units.tau_min == 1e-14 * np.pi
+        assert units.tol_newton == pytest.approx(1.772e-10, rel=1e-3)
+        assert units.tol_c == pytest.approx(5.642e-9, rel=1e-3)
+        assert (units.tol_b, units.tol_r, units.max_steps, units.max_newton) == (
+            controls.tol_b, controls.tol_r, 7, controls.max_newton)
+        # an unset tau0 stays unset: the run starts at the scaled ceiling
+        assert StepControls().for_domain(disk).tau0 is None
+        assert StepControls().for_domain(disk).initial_tau() == 10.0 * np.pi
+
 
 class TestStepImplicit:
     def test_accepted_step_differentiates_u_once(self, monkeypatch):
@@ -1310,7 +1346,8 @@ class TestStepImplicit:
             g = operators.g_value_many(state.grid.gradient(u),
                                   state.grid.hessian(u), MINKOWSKI)
             st = dataclasses.replace(state, u=u, u_dot=g, tau=0.1, steps=1)
-            new = step_implicit(st, StepControls(tau_max=0.1))
+            new = step_implicit(st, StepControls(
+                tau_max=per_unit_volume(0.1, state.omega)))
             tau = new.t - st.t
             devs.append(np.max(np.abs(tau * (new.u_dot - prof.c_speed))))
             oscs.append(np.max(new.u_dot) - np.min(new.u_dot))
@@ -1434,12 +1471,14 @@ class TestStepExplicit:
                                 rotated_ellipse([0.05, -0.02], [0.4, 0.25], 0.3),
                                 (8, 16), MINKOWSKI)
         state = step_implicit(dataclasses.replace(state, tau=0.05),
-                              StepControls(tau_max=0.05))
+                              StepControls(tau_max=per_unit_volume(
+                                  0.05, state.omega)))
         h2 = state.grid.h_ref**2
         diffs = []
         for tau in (0.02 * h2, 0.01 * h2):
             imp = step_implicit(dataclasses.replace(state, tau=tau),
-                                StepControls(tau_max=tau))
+                                StepControls(tau_max=per_unit_volume(
+                                    tau, state.omega)))
             exp = step_explicit(state, tau)
             assert flow.boundary_residual(exp) < 1e-12
             diffs.append(np.max(np.abs(tau * (imp.u_dot - exp.u_dot))))
@@ -1614,14 +1653,16 @@ class TestRunToTranslator:
 
     def test_stall_names_the_test_still_failing(self):
         # osc falls below tol_c within eight steps; no bres meets 1e-30:
-        # on the disk it stays near 2e-15 (in 1D it can reach exactly 0)
+        # on the disk it stays near 2e-15 (in 1D it can reach exactly 0).
+        # The message names the tol_c in force, 1e-8 / sqrt(pi) on the
+        # unit disk
         om, ot, _, sig = JACOBIAN_CASES["disk-ball"]
         state = flow.initialize(om, ot, (16, 32), sig)
         with pytest.raises(NonConvergenceError) as err:
             flow.run_to_translator(state, StepControls(tol_b=1e-30, max_steps=8))
         message = str(err.value)
         assert "above tol_b = 1.000e-30" in message and "bres = " in message
-        assert "below tol_c = 1.000e-08" in message
+        assert "below tol_c = 5.642e-09" in message
 
     def test_shifted_initial_data_converges_to_the_same_speed(self):
         # u is carried anchored at the anchor node, so the roundoff floor
@@ -1735,25 +1776,45 @@ class TestScaleWindow:
     Scaling the base domain by R scales the translator as u_R(x) =
     R u_1(x / R): the gradient image stays and the Hessian, G and C_inf
     scale as 1 / R, on the scaled grid too, so C_inf R does not depend
-    on R. When the Newton iterate and the stored u carried the step's
-    shift tau C, R = 1e-3 stalled at bres 1.0e-8 against tol_b, R = 10
-    drifted by 1.9e-8, and the interval of length 1e-3 stopped on a
-    translator residual of 2.5e-2."""
+    on R. The step controls are stated for a base domain of unit volume
+    and applied in the run's own units (StepControls.for_domain), so
+    every scale takes the unit run's steps. When the Newton iterate and
+    the stored u carried the step's shift tau C, R = 1e-3 stalled at
+    bres 1.0e-8 against tol_b, R = 10 drifted by 1.9e-8, and the
+    interval of length 1e-3 stopped on a translator residual of 2.5e-2.
+    With absolute controls (tau_max = 10, tol_c = 1e-8) and max_steps
+    3000, R = 100 took 752 steps and ended 1.9e-7 off in C_inf R, R =
+    1000 stalled at osc 8.6e-5, the interval of length 100 took 297
+    steps and ended 2.4e-9 off, and that of length 1000 stalled at osc
+    6.9e-5."""
 
     def test_scaled_ball_speeds_agree(self):
         image = dom.ConvexDomain.ball([0, 0], 0.5)
-        speeds = [flow.run_to_translator(flow.initialize(
-                      dom.ConvexDomain.ball([0, 0], radius), image, (16, 32),
-                      MINKOWSKI)).c_inf * radius
-                  for radius in (1e-3, 0.01, 1.0, 10.0)]
+        runs = {radius: flow.run_to_translator(flow.initialize(
+                    dom.ConvexDomain.ball([0, 0], radius), image, (16, 32),
+                    MINKOWSKI))
+                for radius in (1e-3, 0.01, 1.0, 10.0, 100.0, 1e3)}
+        speeds = [run.c_inf * radius for radius, run in runs.items()]
         assert max(speeds) - min(speeds) <= 1e-9
+        assert {run.steps for run in runs.values()} == {runs[1.0].steps}
+
+    @staticmethod
+    def interval_runs_agree(lengths):
+        """Runs on (0, L) onto (-0.5, 0.5) at N = 200 match the unit
+        interval's C_inf L to 1e-9 and its steps."""
+        image = dom.ConvexDomain.interval(-0.5, 0.5)
+        unit, *runs = (flow.run_to_translator(flow.initialize(
+                           dom.ConvexDomain.interval(0, length), image, 200,
+                           MINKOWSKI)) for length in (1.0, *lengths))
+        for length, run in zip(lengths, runs, strict=True):
+            assert abs(run.c_inf * length - unit.c_inf) <= 1e-9, length
+            assert run.steps == unit.steps, length
 
     def test_short_interval_converges(self):
-        image = dom.ConvexDomain.interval(-0.5, 0.5)
-        short, unit = (flow.run_to_translator(flow.initialize(
-                           dom.ConvexDomain.interval(0, length), image, 200,
-                           MINKOWSKI)) for length in (1e-3, 1.0))
-        assert abs(short.c_inf * 1e-3 - unit.c_inf) <= 1e-9
+        self.interval_runs_agree((1e-3,))
+
+    def test_long_interval_converges(self):
+        self.interval_runs_agree((100.0, 1e3))
 
 
 class TestNoStepAcceptsItsGuess:
@@ -1769,11 +1830,12 @@ class TestNoStepAcceptsItsGuess:
         converged = disk_ball_run().state
         new = step_implicit(converged, controls)
         counted_factors.update(factor=0, solve=0)
-        tau = controls.tau_max
+        units = controls.for_domain(converged.omega)
+        tau = units.tau_max
         base = (converged.u - converged.u[converged.anchor]
                 - tau * flow.mean_rate(converged))
         got = flow._newton_solve(converged, base, new.u, tau,
-                                 controls.tol_newton, controls.max_newton)
+                                 units.tol_newton, units.max_newton)
         assert got is not None
         assert got[1] == 2 and counted_factors["solve"] == 1
 
@@ -1799,13 +1861,15 @@ class TestNoStepAcceptsItsGuess:
 
 
 def at_tol_newton(monkeypatch):
-    """Solve every Newton attempt to the default tol_newton, the
-    tolerance each attempt had before step_implicit took a rate_tol."""
+    """Solve every Newton attempt to the default tol_newton in the base
+    domain's units, the tolerance each attempt had before step_implicit
+    took a rate_tol."""
     newton_solve = flow._newton_solve
 
     def solve(state, u_prev, guess, tau, tol, *rest):
         return newton_solve(state, u_prev, guess, tau,
-                            StepControls().tol_newton, *rest)
+                            StepControls().for_domain(state.omega).tol_newton,
+                            *rest)
 
     monkeypatch.setattr(flow, "_newton_solve", solve)
 
@@ -1816,20 +1880,23 @@ class TestForcing:
     without a rate_tol, step_implicit solves to tol_newton."""
 
     # (steps, C_inf) of each case: the steps are those of every step
-    # solved to tol_newton, and C_inf was taken so at tau_max = 1, where
-    # the steps were 5, 26, 6 and 9
+    # solved to tol_newton, with the controls in the base domain's units
+    # (line-euclidean's interval has length 3, the disks area pi and
+    # 0.6 pi); at an absolute tau_max = 10 they were 3, 8, 4 and 4. C_inf
+    # was taken at tau_max = 1, where the steps were 5, 26, 6 and 9
     PINNED = {
         "line-minkowski": (3, 1.0979655968892337),
-        "line-euclidean": (8, 0.5904543926203426),
-        "disk-ball": (4, 1.0677857357520102),
+        "line-euclidean": (5, 0.5904543926203426),
+        "disk-ball": (3, 1.0677857357520102),
         "disk-rotated-ellipse": (4, 0.9315596982513149),
     }
 
-    # at tau_max = 1 the runs took 12 and 123 (20 and 257 with every step
-    # to tol_newton)
+    # at an absolute tau_max = 10 the runs took 8 and 47 (14 and 111
+    # with every step to tol_newton), at tau_max = 1 12 and 123 (20 and
+    # 257)
     @pytest.mark.parametrize("case, spec, most_residuals", [
-        ("disk-ball", (32, 64), 8),   # 14 with every step to tol_newton
-        ("line-euclidean", None, 47),  # 111 with every step to tol_newton
+        ("disk-ball", (32, 64), 6),   # 11 with every step to tol_newton
+        ("line-euclidean", None, 31),  # 74 with every step to tol_newton
     ])
     def test_forcing_saves_residuals(self, case, spec, most_residuals,
                                      monkeypatch):
@@ -1847,7 +1914,9 @@ class TestForcing:
 
     def test_run_solves_each_step_to_its_forcing_term(self, monkeypatch):
         newton_solve = flow._newton_solve
-        tol_newton = StepControls().tol_newton
+        om, ot, spec, sig = JACOBIAN_CASES["line-euclidean"]
+        units = StepControls().for_domain(om)  # the interval's length is 3
+        tol_newton = units.tol_newton
 
         def run(controls):
             tols = []
@@ -1857,7 +1926,6 @@ class TestForcing:
                 return newton_solve(state, base, guess, tau, tol, *rest)
 
             monkeypatch.setattr(flow, "_newton_solve", recorded)
-            om, ot, spec, sig = JACOBIAN_CASES["line-euclidean"]
             state = flow.initialize(om, ot, spec, sig)
             oscs = [np.max(state.u_dot) - np.min(state.u_dot)]
             flow.run_to_translator(state, controls, on_accept=lambda s:
@@ -1867,8 +1935,9 @@ class TestForcing:
                                   tau * (flow.FORCING * oscs[steps]))
             return tols, oscs
 
-        # at tau_max = 1: loose on the first step, tol_newton on the last
-        tols, _ = run(StepControls(tau_max=1.0))
+        # at an absolute tau_max = 1: loose on the first step, tol_newton
+        # on the last
+        tols, _ = run(StepControls(tau_max=per_unit_volume(1.0, om)))
         assert tols[0][2] > tol_newton == tols[-1][2]
         # at the default tau_max = 10 the term reaches tol_newton only at
         # osc < tol_c, so the last step, which starts from a state whose
@@ -1876,7 +1945,7 @@ class TestForcing:
         # than the first step and looser than tol_newton
         tols, oscs = run(None)
         assert tols[0][2] > tols[-1][2] > tol_newton
-        assert oscs[-2] >= StepControls().tol_c > oscs[-1]
+        assert oscs[-2] >= units.tol_c > oscs[-1]
 
     @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
     def test_steps_and_speed_unchanged(self, case):
@@ -1893,7 +1962,8 @@ class TestForcing:
 
         def four_steps():
             state = flow.initialize(om, ot, spec, sig)
-            state = dataclasses.replace(state, tau=StepControls().tau_max)
+            state = dataclasses.replace(
+                state, tau=StepControls().for_domain(om).tau_max)
             states = []
             for _ in range(4):
                 state = step_implicit(state)
@@ -1962,7 +2032,7 @@ class TestHotPath:
     # each first iterate afresh 18 and 15, and with the nodewise u_dot
     # guess 29 and 28
     @pytest.mark.parametrize("case, steps, most_residuals", [
-        ("disk-ball", 4, 8),
+        ("disk-ball", 3, 6),   # 4 and 8 at an absolute tau_max = 10
         ("line-minkowski", 3, 6),
     ])
     def test_mean_rate_predictor_saves_residuals(self, case, steps,

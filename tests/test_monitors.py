@@ -19,6 +19,7 @@ from gaussflow.operators import (
     legendre_transform,
     structure_report,
 )
+from helpers import per_unit_volume
 
 
 def interval_state(n_cells=201):
@@ -379,6 +380,18 @@ class TestRunMonitor:
                                   controls=flow.StepControls(tau_max=0.05))
         assert mon.tol_mon == pytest.approx(10 * (h**2 + 0.05 * h))
 
+    def test_tolerance_reads_the_unit_volume_ceiling(self):
+        # the unit disk applies the ceiling as 10 pi, but the tolerance
+        # reads the field itself, so no audit moves with the domain's units
+        omega, omega_tilde, spec, sig = AUDIT_CASES["disk-ball"]
+        state = flow.initialize(omega, omega_tilde, spec, sig)
+        h = state.grid.h_ref
+        for tau_max in (0.5, 10.0):
+            controls = flow.StepControls(tau_max=tau_max)
+            assert controls.for_domain(omega).tau_max == tau_max * np.pi
+            mon = monitors.RunMonitor(state, controls=controls)
+            assert mon.tol_mon == 10.0 * (h**2 + min(tau_max, 1.0) * h)
+
     @pytest.mark.parametrize("tau_max", [1e-3, 0.05, 0.5, 1.0, 2.0, 10.0,
                                          1e3])
     def test_no_ceiling_loosens_the_tolerance(self, tau_max):
@@ -499,8 +512,8 @@ AUDIT_CASES = {
 def short_run(case, cadence=1, steps=6):
     """RunMonitor over a run cut after ``steps`` steps; the accepted states.
 
-    The run ramps tau up from 0.1 h^2, not from the default tau_max, so
-    that it is still far from converged when it is cut.
+    The run ramps tau up from an absolute 0.1 h^2, not from the default
+    tau_max, so that it is still far from converged when it is cut.
     """
     omega, omega_tilde, spec, sig = AUDIT_CASES[case]
     state0 = flow.initialize(omega, omega_tilde, spec, sig)
@@ -511,8 +524,8 @@ def short_run(case, cadence=1, steps=6):
         accepted.append(state)
         mon.observe(state)
 
-    controls = flow.StepControls(max_steps=steps,
-                                 tau0=0.1 * state0.grid.h_ref**2)
+    controls = flow.StepControls(
+        max_steps=steps, tau0=per_unit_volume(0.1 * state0.grid.h_ref**2, omega))
     with pytest.raises(NonConvergenceError):
         flow.run_to_translator(state0, controls, on_accept=observe)
     return state0, mon, accepted

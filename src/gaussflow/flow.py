@@ -118,7 +118,9 @@ attempt, a retry after a tau halving included, evaluates the stencils
 only at its corrected iterates. The first iterate still counts as an
 iterate. At 32 x 64 a seed-0 disk2d pass of the benchmark makes 36
 residual evaluations for its 18 steps where evaluating every first
-iterate afresh would make 54.
+iterate afresh would make 54. The explicit step and the steady residual
+read the state's jets and G too, and a step's last residual evaluation
+seeds the new state's (_seeded).
 
 Step control is pseudo-transient continuation (Kelley and Keyes, SIAM
 J. Numer. Anal. 35, 1998). The flow is wanted only for its long-time
@@ -177,7 +179,8 @@ run loop declares convergence when the nodewise rate field u_dot has
 oscillation (max - min) below tol_c (in the base domain's units) and
 the boundary residual is below tol_b, then reports C_inf, the profile
 u_inf = u - u[anchor] (never u - t C, whose rounding the stencils
-amplify) and the steady residual max |G - C_inf|. At the ceiling the mean interior rate converges
+amplify) and the steady residual max |G - C_inf| at the last state's
+own G. At the ceiling the mean interior rate converges
 linearly, and the first step under tol_c can leave it well short of its
 limit, so C_inf is the Aitken delta-squared extrapolation of the last
 three per-step mean rates when they contract geometrically (ratio in
@@ -323,12 +326,12 @@ class FlowState:
     ``jets`` is the state's nodal geometry, the ``NodalJets`` of
     ``grid.derivative_rows(u)`` (the one place a state's u becomes jets),
     built on first use. ``G`` is ``op.value`` at the jets and ``hb`` the
-    values of the boundary rows (``op.boundary``) at their gradients; an
-    accepted step takes all three from Newton's last residual evaluation,
+    values of the boundary rows (``op.boundary``) at their gradients; a
+    step takes all three from its last residual evaluation (``_seeded``),
     and the next step's first iterate reuses them (``step_implicit``).
     They are cached on the instance, not held as fields:
     ``dataclasses.replace`` builds a new state that evaluates its own,
-    so no state carries the G of another u. ``with_tau`` keeps them.
+    so no state carries the G of another u.
 
     ``op`` is the flow's equation, built by ``initialize`` and carried
     from step to step; ``sig`` and ``omega_tilde`` read it.
@@ -368,15 +371,6 @@ class FlowState:
     @cached_property
     def hb(self) -> np.ndarray:
         return self.op.boundary(self.jets.p[:, self.grid.boundary])[0]
-
-    def with_tau(self, tau: float) -> FlowState:
-        """This state with the next step's tau: unlike ``replace``, the
-        copy keeps the caches of u (jets, G, hb), which tau does not enter."""
-        new = replace(self, tau=tau)
-        for name in ("jets", "G", "hb"):
-            if name in vars(self):
-                setattr(new, name, getattr(self, name))
-        return new
 
 
 @dataclass
@@ -461,6 +455,13 @@ def _first_evaluation(state: FlowState, guess: np.ndarray, base: np.ndarray,
     res = guess - base - tau * state.G
     res[state.grid.boundary] = state.hb
     return Evaluation(res, state.jets.p, state.jets.r, state.G)
+
+
+def _seeded(new: FlowState, ev: Evaluation) -> FlowState:
+    """new with the jets, G and hb of ev, the ``Evaluation`` at its u."""
+    new.jets = NodalJets(ev.p, ev.r, new.sig)
+    new.G, new.hb = ev.G, ev.res[new.grid.boundary]
+    return new
 
 
 def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
@@ -631,10 +632,9 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
     StepFailureError naming the absolute tau_min; a starting tau that is
     not finite and positive raises ValueError, so no step is accepted
     backwards in time.
-    The accepted state's jets start with the gradient and Hessian rows of
-    Newton's last residual evaluation and with the Hessian spectrum that
-    the admissibility check computed, and its G and hb with that
-    evaluation's G and boundary rows.
+    The accepted state's jets, G and hb come from Newton's last residual
+    evaluation (``_seeded``), and its jets' Hessian spectrum from the
+    admissibility check.
 
     ``carry`` is a list kept by one run with one ``controls``: it holds
     the factor the last accepted step at the absolute ceiling tau_max
@@ -680,13 +680,11 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
     tau_next = min(tau * TAU_GROWTH, controls.tau_max) if n_factors <= 1 else tau
     if carry is not None:
         carry[:] = [factor] if tau == controls.tau_max else []
-    new = replace(
+    new = _seeded(replace(
         state, u=u_new, t=state.t + tau, u_dot=u_dot, tau=tau_next,
         steps=state.steps + 1, newton_iters=iters,
-    )
-    new.jets = NodalJets(ev.p, ev.r, state.sig)
+    ), ev)
     new.jets.lam = lam
-    new.G, new.hb = ev.G, ev.res[state.grid.boundary]
     return new
 
 
@@ -700,36 +698,35 @@ EXPLICIT_CFL = 0.2
 
 
 def step_explicit(state: FlowState, tau: float) -> FlowState:
-    """Forward Euler on the interior from u - u[anchor], as in
-    ``step_implicit``; the boundary values then solve the implicit
-    system's boundary rows at tau = 0, where every interior row is the
-    identity: ``_newton_solve`` to 1e-13 (or its roundoff floor) in at
-    most 40 iterations, and ``StepFailureError`` if it fails. A tau that
-    is not finite and positive raises ValueError, as in ``step_implicit``.
+    """Forward Euler on the interior from u - u[anchor] at the state's
+    jets and G, as in ``step_implicit``; the boundary values then solve
+    the implicit system's boundary rows at tau = 0, where every interior
+    row is the identity: ``_newton_solve`` to 1e-13 (or its roundoff
+    floor) in at most 40 iterations, whose last evaluation seeds the new
+    state, and ``StepFailureError`` if it fails. A tau that is not finite
+    and positive raises ValueError, as in ``step_implicit``.
     """
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"explicit step needs a finite tau > 0, got {tau!r}")
     grid = state.grid
     u_prev = state.u - state.u[state.anchor]
-    p, r = grid.derivative_rows(u_prev)
-    bound = EXPLICIT_CFL * grid.h_ref**2 * state.op.limiter(p)
+    bound = EXPLICIT_CFL * grid.h_ref**2 * state.op.limiter(state.jets.p)
     if tau > bound:
         raise ValueError(
             f"explicit step tau = {tau:g} exceeds the stability bound {bound:g}"
         )
     u_fe = u_prev.copy()
-    u_fe[grid.interior] += tau * state.op.value(p, r)[grid.interior]
+    u_fe[grid.interior] += tau * state.G[grid.interior]
     got = _newton_solve(state, u_fe, u_fe, 0.0, 1e-13, 40)
     if got is None:
         raise StepFailureError(
             f"the explicit step's boundary projection failed (t = {state.t:.6g})"
         )
-    u_new = got[0]
-    u_dot = (u_new - u_prev) / tau
-    return replace(
-        state, u=u_new, t=state.t + tau, u_dot=u_dot, steps=state.steps + 1,
-        newton_iters=0,
-    )
+    u_new, _, _, ev, _ = got
+    return _seeded(replace(
+        state, u=u_new, t=state.t + tau, u_dot=(u_new - u_prev) / tau,
+        steps=state.steps + 1, newton_iters=0,
+    ), ev)
 
 
 # ---------------------------------------------------------------------------
@@ -764,17 +761,18 @@ def _extrapolated_rate(rates) -> float:
     return rates[-1]
 
 
-def translator_residual(u: np.ndarray, c: float, op: FlowOperator, grid) -> float:
-    """max over interior nodes of |G(Du, D2u) - c| for a field ``op`` admits
-    on the interior nodes."""
-    p, r = grid.derivative_rows(u)
-    ok, lam = op.admissible(r, grid.interior)
-    if not ok:
+def translator_residual(state: FlowState, c: float) -> float:
+    """max over the interior nodes of |G - c| at the state's own G, for a
+    state whose jets' Hessian spectrum is positive there (ConvexityError
+    otherwise); a run's last state has both from Newton's last evaluation."""
+    ii = state.grid.interior
+    lam_min = np.min(state.jets.lam[0, ii])
+    if not lam_min > 0.0:
         raise ConvexityError(
             f"translator residual needs a strictly convex field "
-            f"(min interior Hessian eigenvalue {np.min(lam[0, grid.interior]):.3e})"
+            f"(min interior Hessian eigenvalue {lam_min:.3e})"
         )
-    return float(np.max(np.abs(op.value(p, r)[grid.interior] - c)))
+    return float(np.max(np.abs(state.G[ii] - c)))
 
 
 def run_to_translator(state: FlowState, controls: StepControls | None = None,
@@ -792,17 +790,16 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
     is larger (the module docstring's inexact pseudo-transient steps).
 
     The reported C_inf is ``_extrapolated_rate`` of the per-step mean
-    rates; the steady residual is taken at it and at u - u[anchor].
+    rates; the steady residual is ``translator_residual`` of the last state.
 
     ``controls`` are stated for a base domain of unit volume: the run
-    starts at the initial tau and tests tol_c in state.omega's units
-    (``StepControls.for_domain``) and hands each step the controls as
-    given, which the step applies in the same units.
+    tests tol_c in state.omega's units (``StepControls.for_domain``) and
+    hands each step the controls as given, which the step applies in the
+    same units, starting a state without a tau at the initial tau.
     """
     controls = controls or StepControls()
     units = controls.for_domain(state.omega)
     t_start = time.perf_counter()
-    state = state.with_tau(units.initial_tau())
     rates, carry = [], []
     osc = float(np.max(state.u_dot) - np.min(state.u_dot))
     bres = np.nan
@@ -825,7 +822,7 @@ def run_to_translator(state: FlowState, controls: StepControls | None = None,
 
     c_inf = _extrapolated_rate(rates)
     u_inf = state.u - state.u[state.anchor]
-    residual = translator_residual(u_inf, c_inf, state.op, state.grid)
+    residual = translator_residual(state, c_inf)
     tol_r = units.tol_r * max(1.0, abs(c_inf))
     if residual > tol_r:
         raise NonConvergenceError(

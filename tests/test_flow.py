@@ -1176,19 +1176,21 @@ class TestStateCache:
         moved = dataclasses.replace(state, u=other)
         tau = 0.1 * state.grid.h**2
         explicit = step_explicit(state, tau)
+        # a replaced state evaluates its own caches on first use; the
+        # explicit step sets them from its boundary projection's last
+        # residual evaluation
+        assert not {"jets", "G", "hb"} & set(vars(moved))
+        assert {"jets", "G", "hb"} <= set(vars(explicit))
+        p, r = explicit.grid.derivative_rows(explicit.u)
+        assert np.array_equal(explicit.jets.p, p)
+        assert np.array_equal(explicit.jets.r, r)
         for new in (moved, explicit):
-            assert not {"jets", "G", "hb"} & set(vars(new))
             g, hb = own_values(new)
             assert np.array_equal(new.G, g)
             assert np.array_equal(new.hb, hb)
             assert not np.array_equal(new.G, state.G)
         # a moved boundary misses the image's ends; the cached values do not
         assert not np.array_equal(moved.hb, state.hb)
-        # tau enters none of them: with_tau keeps the caches
-        retimed = state.with_tau(0.5)
-        assert retimed.tau == 0.5
-        assert all(getattr(retimed, name) is getattr(state, name)
-                   for name in ("jets", "G", "hb"))
 
     def test_state_outside_the_spacelike_set_has_no_g(self):
         # |Du| = 2: the step's first read of G refuses the state, where
@@ -1485,13 +1487,45 @@ class TestStepExplicit:
         assert 3.0 <= diffs[0] / diffs[1] <= 5.0
 
 
+    @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
+    def test_chain_differentiates_each_state_once(self, case, monkeypatch):
+        # an explicit step reads p and G off its input state, and its
+        # boundary projection's last residual evaluation seeds the new
+        # state's jets, G and boundary values: every stencil product of
+        # the chain is a residual evaluation's (each step used to
+        # differentiate its input once more)
+        om, ot, spec, sig = JACOBIAN_CASES[case]
+        state = step_implicit(flow.initialize(om, ot, spec, sig))
+        counts = {"derivatives": 0, "residual": 0}
+        residual = flow._residual
+        derivative_rows = type(state.grid).derivative_rows
+
+        def counted_derivatives(self, u):
+            counts["derivatives"] += 1
+            return derivative_rows(self, u)
+
+        def counted_residual(*args):
+            counts["residual"] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(type(state.grid), "derivative_rows",
+                            counted_derivatives)
+        monkeypatch.setattr(flow, "_residual", counted_residual)
+        tau = 0.01 * state.grid.h_ref**2
+        for _ in range(3):
+            state = step_explicit(state, tau)
+        assert state.steps == 4
+        assert counts["residual"] >= 3
+        assert counts["derivatives"] == counts["residual"]
+
+
 class TestTranslatorResidual:
     def test_sampled_closed_form_is_second_order(self):
         om, ot = interval_pair()
         c, prof = oracles.translator_1d_closed_form(0, 1, -0.5, 0.5, MINKOWSKI)
         state = flow.initialize(om, ot, 401, MINKOWSKI)
         u = prof.height(state.grid.nodes[:, 0])
-        res = flow.translator_residual(u, c, state.op, state.grid)
+        res = flow.translator_residual(dataclasses.replace(state, u=u), c)
         assert res <= 5e-5
 
     def test_quadratic_is_not_a_translator(self):
@@ -1502,15 +1536,16 @@ class TestTranslatorResidual:
         p = grid.gradient(state.u)
         r = grid.hessian(state.u)
         c_mid = operators.g_value_many(p, r, MINKOWSKI)[mid]
-        res = flow.translator_residual(state.u, float(c_mid), state.op, grid)
+        res = flow.translator_residual(dataclasses.replace(state, u=state.u),
+                                       float(c_mid))
         assert res > 0.1
 
     def test_constant_field_flagged_nonconvex(self):
         om, ot = interval_pair()
         state = flow.initialize(om, ot, 101, MINKOWSKI)
         with pytest.raises(ConvexityError):
-            flow.translator_residual(np.zeros_like(state.u), 0.0, state.op,
-                                     state.grid)
+            flow.translator_residual(
+                dataclasses.replace(state, u=np.zeros_like(state.u)), 0.0)
 
 
 def heat_operator(sig, omega_tilde):
@@ -1634,6 +1669,29 @@ class TestRunToTranslator:
 
         flow.run_to_translator(state, controls, on_accept=check)
         assert min(inside) > 0
+
+    def test_run_starts_at_the_state_tau_or_the_initial_tau(self, monkeypatch):
+        # a state without a tau, as initialize leaves it, makes its first
+        # attempt at the controls' initial tau in the domain's units, 10 pi
+        # on the unit disk; a state handed in with a tau makes it there
+        om, ot, spec, sig = JACOBIAN_CASES["disk-ball"]
+        state = flow.initialize(om, ot, spec, sig)
+        initial = StepControls().for_domain(om).initial_tau()
+        assert state.tau == 0.0 and initial == 10.0 * np.pi
+        taus = []
+        newton_solve = flow._newton_solve
+
+        def recorded(state, base, guess, tau, *rest):
+            taus.append(tau)
+            return newton_solve(state, base, guess, tau, *rest)
+
+        monkeypatch.setattr(flow, "_newton_solve", recorded)
+        for start, first in ((state, initial),
+                             (dataclasses.replace(state, tau=0.5), 0.5)):
+            taus.clear()
+            result = flow.run_to_translator(start)
+            assert taus[0] == first
+            assert result.state.t > first
 
     def test_max_steps_exceeded_names_the_last_step(self):
         om, ot = interval_pair()
@@ -2023,8 +2081,7 @@ class TestHotPath:
         flow.run_to_translator(state)
         assert counts["eigvalsh"] == 0
         assert counts["residual"] > 0
-        # the one call outside the residuals is translator_residual's
-        assert counts["derivatives"] == counts["residual"] + 1
+        assert counts["derivatives"] == counts["residual"]
 
 
     # counts with each first iterate read off the state; at tau_max = 1

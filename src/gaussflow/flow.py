@@ -21,8 +21,9 @@ stencils (grid.derivative_rows), so no array is transposed or copied
 between them. A step is admissible when its Hessian is positive definite
 on the interior rows, the rows whose equation holds it; the boundary
 rows' one-sided Hessians enter no equation and are not tested. The
-accepted state's jets keep the spectrum of every node, and op.value
-already enforced the spacelike bound at the same gradients.
+admissibility test reads the spectrum of every node off the jets, which
+keep it, and op.value already enforced the spacelike bound at the same
+gradients.
 
 The Jacobian is filled on a sparsity pattern fixed per grid (the union
 of the identity and every stencil, built from the grid's stencil table
@@ -67,10 +68,7 @@ give u_dot = C and stop a run on a step that did no work), so an attempt
 makes at least one chord correction. Short of acceptance, every iterate
 must at least halve the residual max-norm (a contraction monitor in the sense
 of Deuflhard). An attempt factors its Jacobian once, at its first
-iterate, and later iterates reuse the factor (chord Newton). At
-32 x 64 a disk's factor costs about 0.2 ms, one or two of its solves
-(0.1 ms for a centred ball, 0.3 ms for run 4's ellipse), and assembling
-the Jacobian it factors about 0.55 ms; SuperLU took about 4.5 ms.
+iterate, and later iterates reuse the factor (chord Newton).
 When a step with the reused factor fails to halve the residual, the
 Jacobian is refactored at the current iterate; when a step with a
 fresh factor fails, the attempt is abandoned and the caller halves
@@ -99,28 +97,24 @@ stencils annihilate the constant tau C, so G(v) = G(u_new)), u_dot =
 still u up to a constant. So the iterate, the floor eps ||J||_inf
 ||v||_inf and the rounding of the stored u have the size of u_inf, not
 of u_inf + tau C, whose rounding the 1/h^2 of the stencils would lift
-into the translator residual: with the predictor in the iterate, run 3
-at 256 x 512 and an absolute tau_max = 10 stopped on a translator
-residual of 2.4e-6 above tol_r, and with the correction it ended at
-1.0e-10 (2.2e-9 at the disk's ceiling of 10 pi, below). The
-predictor is tau C, not tau u_dot: the nodewise rate carries the
-decaying transient, which shrinks by a large factor per step at the
-ceiling, so extrapolating it linearly overshoots and starts Newton
-farther from the step's solution. The first step's C is 0.
+into the translator residual on fine grids. The predictor is tau C, not
+tau u_dot: the nodewise rate carries the decaying transient, which
+shrinks by a large factor per step at the ceiling, so extrapolating it
+linearly overshoots and starts Newton farther from the step's solution.
+The first step's C is 0.
 
-Each state is differentiated once. The guess u_prev differs from the
-state's u by a constant, which the stencils annihilate, so the first
-iterate's residual, gradient and Hessian are the state's own up to
-roundoff: the attempt reads them off the state (FlowState.G, the G of
-Newton's last residual evaluation at the accepted u, or G0 for the
-initial state, and FlowState.hb, the boundary rows' values), and every
-attempt, a retry after a tau halving included, evaluates the stencils
-only at its corrected iterates. The first iterate still counts as an
-iterate. At 32 x 64 a seed-0 disk2d pass of the benchmark makes 36
-residual evaluations for its 18 steps where evaluating every first
-iterate afresh would make 54. The explicit step and the steady residual
-read the state's jets and G too, and a step's last residual evaluation
-seeds the new state's (_seeded).
+Each height is evaluated once, into one record (Evaluation, built by
+_evaluate): its jets from one stencil product, G at them, and the
+boundary rows' values and p-gradients from one op.boundary call. Newton
+forms its residual (_residual) and its Jacobian (_jacobian) from an
+iterate's record, and the accepted state keeps Newton's last record as
+its own (FlowState.ev); initialize keeps the record of u0. The guess
+u_prev differs from the state's u by a constant, which the stencils
+annihilate, so its record is the state's up to roundoff: every attempt,
+a retry after a tau halving included, starts from state.ev and
+evaluates the stencils only at its corrected iterates. The first iterate
+still counts as an iterate. The explicit step and the steady residual
+read the state's record too.
 
 Step control is pseudo-transient continuation (Kelley and Keyes, SIAM
 J. Numer. Anal. 35, 1998). The flow is wanted only for its long-time
@@ -140,13 +134,9 @@ So StepControls states its values for a base domain of unit volume, and
 a run applies them in units of l = |Omega|^(1/n)
 (StepControls.for_domain): tau0, tau_min and tau_max times l^2,
 tol_newton times l, tol_c over l. state.tau, t and the artifacts stay
-absolute. A unit interval (l = 1) runs on the values as given; the unit
-disk (l = sqrt(pi)) has the ceiling 10 pi, and a seed-0 disk2d pass takes
-18 steps where the absolute ceiling of 10 took 24. Applied as absolute
-numbers, the defaults took the ball of radius 100 onto B_0.5 at 16 x 32
-752 steps, 1.9e-7 off in C R, and stalled at radius 1000; in the
-domain's units every radius from 1e-3 to 1e3 takes the unit ball's 3
-steps, with C R the same to 1e-14.
+absolute. A unit interval (l = 1) runs on the values as given, and the
+unit disk (l = sqrt(pi)) has the ceiling 10 pi. In the domain's units a
+ball of any radius R takes the unit ball's steps, with the same C R.
 
 For the same reason an early step needs no tight solve: it only has to
 remove part of a transient that the next steps go on removing. The run
@@ -162,17 +152,11 @@ all three in the base domain's units (1e-8 on a unit interval, 1e-8 /
 sqrt(pi) on the unit disk), so a run's last step, which starts from a
 state whose osc is at least tol_c, is solved to tau FORCING osc of that
 state and leaves a thousandth of its oscillation in the u_dot that
-C_inf is read from (at tau_max = 1 the term fell below tol_newton once
-osc < 1e-7 on a unit interval, and the last steps were solved to
-tol_newton). Every step_implicit call made without a rate_tol, such as
-the probe step of monitors.duality_rate_defect, is solved to
+C_inf is read from. Every step_implicit call made without a rate_tol,
+such as the probe step of monitors.duality_rate_defect, is solved to
 tol_newton. The intermediate states are not exact: their rows in
-monitors.csv move in the digits the forcing term leaves free (at
-tau_max = 1, up to about 2e-6 relative in the u_dot and Hessian columns
-of the 32 x 64 ball-onto-half-ball run), and their newton_iters are
-smaller. That run takes 3 steps on one factorization and 6 residual
-evaluations where solving every step to tol_newton takes 11, and its
-C_inf moves by 2.5e-12.
+monitors.csv move in the digits the forcing term leaves free, and their
+newton_iters are smaller.
 
 The long-time limit is a translator: u(x, t) -> u_inf(x) + C_inf t. The
 run loop declares convergence when the nodewise rate field u_dot has
@@ -277,7 +261,8 @@ class StepControls:
     def __post_init__(self):
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.type == "int" and not isinstance(val, numbers.Integral):
+            if f.type == "int" and (isinstance(val, bool)
+                                    or not isinstance(val, numbers.Integral)):
                 raise ValueError(f"{f.name} must be an integer, got {val!r}")
             if val is not None and not 0 < val < np.inf:  # false for nan
                 raise ValueError(f"{f.name} must be finite and positive, got {val}")
@@ -323,15 +308,16 @@ class FlowState:
     changes a state's arrays in place and no solver cache rides on it,
     so its holders keep the state itself.
 
-    ``jets`` is the state's nodal geometry, the ``NodalJets`` of
-    ``grid.derivative_rows(u)`` (the one place a state's u becomes jets),
-    built on first use. ``G`` is ``op.value`` at the jets and ``hb`` the
-    values of the boundary rows (``op.boundary``) at their gradients; a
-    step takes all three from its last residual evaluation (``_seeded``),
-    and the next step's first iterate reuses them (``step_implicit``).
-    They are cached on the instance, not held as fields:
-    ``dataclasses.replace`` builds a new state that evaluates its own,
-    so no state carries the G of another u.
+    ``ev`` is the record of u (``Evaluation``, built by ``_evaluate``,
+    the one place a height becomes jets): its nodal geometry ``jets``,
+    ``G`` = ``op.value`` at the jets and the boundary rows' values ``hb``
+    and p-gradients; ``jets``, ``G`` and ``hb`` read it. ``initialize``
+    keeps the record of u0 and a step keeps Newton's last record, whose
+    jets carry the spectrum of the admissibility test, and the next
+    step's first iterate reuses it (``step_implicit``). It is cached on
+    the instance, not held as a field: ``dataclasses.replace`` builds a
+    new state that evaluates its own on first use, so no state carries
+    the record of another u.
 
     ``op`` is the flow's equation, built by ``initialize`` and carried
     from step to step; ``sig`` and ``omega_tilde`` read it.
@@ -361,16 +347,12 @@ class FlowState:
     omega_tilde = property(lambda self: self.op.omega_tilde)
 
     @cached_property
-    def jets(self) -> NodalJets:
-        return NodalJets(*self.grid.derivative_rows(self.u), self.sig)
+    def ev(self) -> Evaluation:
+        return _evaluate(self.grid, self.op, self.u)
 
-    @cached_property
-    def G(self) -> np.ndarray:
-        return self.op.value(self.jets.p, self.jets.r)
-
-    @cached_property
-    def hb(self) -> np.ndarray:
-        return self.op.boundary(self.jets.p[:, self.grid.boundary])[0]
+    jets = property(lambda self: self.ev.jets)
+    G = property(lambda self: self.ev.G)
+    hb = property(lambda self: self.ev.hb)
 
 
 @dataclass
@@ -392,10 +374,9 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
     Any two quadrics of matching dimension are images of one another
     under a unique SPD affine map, so
     u0(x) = 0.5 (x - c)^T A (x - c) + c_tilde . x always realizes
-    Du0(Omega) = Omega_tilde exactly and is uniformly convex. The state's
-    rate u_dot is G0 = G(Du0, D2u0), its G starts as G0, and its jets
-    start with the Du0 and D2u0 that G0 was evaluated on; its boundary
-    values are evaluated on first use.
+    Du0(Omega) = Omega_tilde exactly and is uniformly convex. The state
+    keeps the one evaluation of u0 as its record, and its rate u_dot is
+    that record's G0 = G(Du0, D2u0).
     """
     if omega.dimension != omega_tilde.dimension:
         raise ValueError("omega and omega_tilde must share a dimension")
@@ -406,14 +387,12 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
     u0 = 0.5 * np.einsum("ni,ij,nj->n", d, a_mat, d) + grid.nodes @ (
         a_mat @ omega.center + shift
     )
-    p, r = grid.derivative_rows(u0)
-    g0 = op.value(p, r)
+    ev = _evaluate(grid, op, u0)
     state = FlowState(
-        grid=grid, u=u0, t=0.0, u_dot=g0, tau=0.0, steps=0, op=op,
+        grid=grid, u=u0, t=0.0, u_dot=ev.G, tau=0.0, steps=0, op=op,
         omega=omega, anchor=grid.anchor,
     )
-    state.jets = NodalJets(p, r, sig)
-    state.G = g0
+    state.ev = ev
     return state
 
 
@@ -422,61 +401,48 @@ def initialize(omega: dom.ConvexDomain, omega_tilde: dom.ConvexDomain,
 # ---------------------------------------------------------------------------
 
 class Evaluation(NamedTuple):
-    """One residual evaluation at an iterate u from a base point: the
-    residual u - base - tau G on the interior rows and the
-    ``op.boundary`` values on the boundary rows, the derivative rows p
-    (n, N) and r (n, n, N) of u, and G = ``op.value(p, r)`` at every
-    node."""
+    """The record of one height u: its ``NodalJets`` (the p (n, N) and r
+    (n, n, N) of one ``grid.derivative_rows`` product), G =
+    ``op.value(p, r)`` at every node, and the boundary rows' values hb
+    and p-gradients dhb from one ``op.boundary`` call."""
 
-    res: np.ndarray
-    p: np.ndarray
-    r: np.ndarray
+    jets: NodalJets
     G: np.ndarray
+    hb: np.ndarray
+    dhb: np.ndarray | float
 
 
-def _residual(state: FlowState, u: np.ndarray, base: np.ndarray,
-              tau: float) -> Evaluation:
-    """The ``Evaluation`` at the iterate u: one stencil product."""
-    grid = state.grid
+def _evaluate(grid, op: FlowOperator, u: np.ndarray) -> Evaluation:
+    """The ``Evaluation`` of u: one stencil product. op.value raises
+    SpacelikeViolationError before the boundary rows are evaluated."""
     p, r = grid.derivative_rows(u)
-    g = state.op.value(p, r)
-    res = u - base - tau * g
-    bb = grid.boundary
-    res[bb], _ = state.op.boundary(p[:, bb])
-    return Evaluation(res, p, r, g)
+    return Evaluation(NodalJets(p, r, op.sig), op.value(p, r),
+                      *op.boundary(p[:, grid.boundary]))
 
 
-def _first_evaluation(state: FlowState, guess: np.ndarray, base: np.ndarray,
-                      tau: float) -> Evaluation:
-    """The ``Evaluation`` at a guess that differs from state.u by a
-    constant, read off the state's own jets, G and boundary values: the
-    stencils annihilate constants, so they would give back the state's
-    p and r up to roundoff."""
-    res = guess - base - tau * state.G
-    res[state.grid.boundary] = state.hb
-    return Evaluation(res, state.jets.p, state.jets.r, state.G)
+def _residual(state: FlowState, u: np.ndarray, base: np.ndarray, tau: float,
+              ev: Evaluation) -> np.ndarray:
+    """Newton's residual at the iterate u of record ev: u - base - tau G
+    on the interior rows and hb on the boundary rows."""
+    res = u - base - tau * ev.G
+    res[state.grid.boundary] = ev.hb
+    return res
 
 
-def _seeded(new: FlowState, ev: Evaluation) -> FlowState:
-    """new with the jets, G and hb of ev, the ``Evaluation`` at its u."""
-    new.jets = NodalJets(ev.p, ev.r, new.sig)
-    new.G, new.hb = ev.G, ev.res[new.grid.boundary]
-    return new
-
-
-def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
-    """Newton Jacobian of ``_residual``, filled on the grid's fixed pattern.
+def _jacobian(state: FlowState, ev: Evaluation, tau: float):
+    """Newton Jacobian of ``_residual`` at the record ev, filled on the
+    grid's fixed pattern.
 
     Per-row stencil weights: interior rows take 1 on the identity,
     -tau G_p on the gradient stencils and -tau G_r on the Hessian
-    stencils; boundary rows take the p-gradient of ``op.boundary`` on
-    the gradient stencils.
+    stencils; boundary rows take ev.dhb, the p-gradient of
+    ``op.boundary``, on the gradient stencils.
     """
     grid = state.grid
     pattern = grid.stencil_pattern
     ndim = grid.dim
     ii, bb = grid.interior, grid.boundary
-    g_r, g_p = state.op.weights(p, r)
+    g_r, g_p = state.op.weights(ev.jets.p, ev.jets.r)
 
     coef = np.zeros((pattern.n_stencils, grid.n_nodes))
     coef[0, ii] = 1.0
@@ -485,8 +451,7 @@ def _jacobian(state: FlowState, p: np.ndarray, r: np.ndarray, tau: float):
         # the (k, l) stencil serves (l, k) too: weight it by both entries
         g_kl = g_r[k, l, ii] if k == l else g_r[k, l, ii] + g_r[l, k, ii]
         coef[s, ii] = -tau * g_kl
-    _, dh = state.op.boundary(p[:, bb])
-    coef[1:1 + ndim, bb] = dh
+    coef[1:1 + ndim, bb] = ev.dhb
     return pattern.assemble(coef)
 
 
@@ -517,23 +482,26 @@ def _newton_solve(state: FlowState, base: np.ndarray, guess: np.ndarray,
                   tau: float, tol: float, max_newton: int,
                   carried: ChordFactor | None = None,
                   first: Evaluation | None = None):
-    """Return (u, iterations, factorizations, evaluation, factor) or None
-    if Newton failed for this tau within ``max_newton`` iterations.
+    """Return (u, iterations, factorizations, ev, factor) or None if
+    Newton failed for this tau within ``max_newton`` iterations.
 
     u solves u - base - tau G(u) = 0 on the interior rows and the
     boundary rows of ``_residual``: base is u_prev - tau C in
     ``step_implicit``, so u is the new height less the predictor tau C.
+    Every iterate's residual and Jacobian come from its record
+    (``_evaluate``), one stencil product per iterate.
 
     factorizations counts the attempt's fresh factorizations (0 when
-    a carried factor served every iterate); evaluation is the
-    ``Evaluation`` of the returned u, its last residual evaluation;
-    factor is the ChordFactor in use when u was accepted, or,
-    when u was accepted before its fresh Jacobian was factored, the
-    stale factor that Jacobian was to replace (None if there was none).
+    a carried factor served every iterate); ev is the record of the
+    returned u, the attempt's last; factor is the ChordFactor in use when
+    u was accepted, or, when u was accepted before its fresh Jacobian was
+    factored, the stale factor that Jacobian was to replace (None if
+    there was none).
 
-    ``first`` is the guess's ``Evaluation`` when the caller has it
-    (``_first_evaluation``): the attempt then evaluates the stencils only
-    at its corrected iterates. It counts as an iterate all the same.
+    ``first`` is the guess's record when the caller has it (a state's
+    ``ev``, for a guess that differs from its u by a constant): the
+    attempt then evaluates the stencils only at its corrected iterates.
+    It counts as an iterate all the same.
 
     An iterate is accepted when its residual max-norm is at most
     max(tol, floor), with tol the caller's tolerance (a number) and floor
@@ -565,10 +533,10 @@ def _newton_solve(state: FlowState, base: np.ndarray, guess: np.ndarray,
     for it in range(1, max_newton + 1):
         if ev is None:
             try:
-                ev = _residual(state, u, base, tau)
+                ev = _evaluate(state.grid, state.op, u)
             except SpacelikeViolationError:
                 return None
-        res, p, r, _ = ev
+        res = _residual(state, u, base, tau, ev)
         if not np.all(np.isfinite(res)):
             return None
         rn = np.max(np.abs(res))
@@ -580,7 +548,7 @@ def _newton_solve(state: FlowState, base: np.ndarray, guess: np.ndarray,
         prev = rn
         fresh = factor is None or stalled
         if fresh:
-            jac = _jacobian(state, p, r, tau)
+            jac = _jacobian(state, ev, tau)
             jac_norm = _inf_norm(jac)
             tol = max(tol, _floor_at(jac_norm, u))
             if rn <= tol and it > 1:
@@ -618,10 +586,9 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
     tau rate_tol), or to its roundoff floor where that is larger:
     rate_tol is the error the step may leave in u_dot, and the default
     0 solves to tol_newton. Each attempt's first iterate takes its
-    residual tau (C - G), its boundary rows and its gradient and Hessian
-    rows from the state's G, hb and jets
-    (``_first_evaluation``), so no attempt differentiates the guess; a
-    state without them (one built by ``replace``) evaluates them once,
+    record from the state (``state.ev``), so its residual is tau (C - G)
+    on the interior rows and no attempt differentiates the guess; a
+    state without a record (one built by ``replace``) evaluates it once,
     and one whose gradients leave the spacelike set raises
     SpacelikeViolationError there.
     ``controls`` are the caller's, stated for a base domain of unit
@@ -632,9 +599,8 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
     StepFailureError naming the absolute tau_min; a starting tau that is
     not finite and positive raises ValueError, so no step is accepted
     backwards in time.
-    The accepted state's jets, G and hb come from Newton's last residual
-    evaluation (``_seeded``), and its jets' Hessian spectrum from the
-    admissibility check.
+    The accepted state's record is Newton's last, whose jets keep the
+    Hessian spectrum that ``op.admissible`` read.
 
     ``carry`` is a list kept by one run with one ``controls``: it holds
     the factor the last accepted step at the absolute ceiling tau_max
@@ -660,15 +626,13 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
         carried = carry[0] if carry and tau == controls.tau_max else None
         got = _newton_solve(state, base, u_prev, tau,
                             max(controls.tol_newton, tau * rate_tol),
-                            controls.max_newton, carried,
-                            _first_evaluation(state, u_prev, base, tau))
+                            controls.max_newton, carried, state.ev)
         if got is not None:
             u_new, iters, n_factors, ev, factor = got
-            # strict convexity on the interior rows; the last residual
-            # evaluation, at these gradients, already raised
-            # SpacelikeViolationError past the bound
-            ok, lam = state.op.admissible(ev.r, state.grid.interior)
-            if ok:
+            # strict convexity on the interior rows; the last evaluation,
+            # at these gradients, already raised SpacelikeViolationError
+            # past the bound
+            if state.op.admissible(ev.jets, state.grid.interior):
                 break
         tau *= 0.5
         if tau < controls.tau_min:
@@ -680,11 +644,11 @@ def step_implicit(state: FlowState, controls: StepControls | None = None,
     tau_next = min(tau * TAU_GROWTH, controls.tau_max) if n_factors <= 1 else tau
     if carry is not None:
         carry[:] = [factor] if tau == controls.tau_max else []
-    new = _seeded(replace(
+    new = replace(
         state, u=u_new, t=state.t + tau, u_dot=u_dot, tau=tau_next,
         steps=state.steps + 1, newton_iters=iters,
-    ), ev)
-    new.jets.lam = lam
+    )
+    new.ev = ev
     return new
 
 
@@ -698,13 +662,15 @@ EXPLICIT_CFL = 0.2
 
 
 def step_explicit(state: FlowState, tau: float) -> FlowState:
-    """Forward Euler on the interior from u - u[anchor] at the state's
-    jets and G, as in ``step_implicit``; the boundary values then solve
-    the implicit system's boundary rows at tau = 0, where every interior
-    row is the identity: ``_newton_solve`` to 1e-13 (or its roundoff
-    floor) in at most 40 iterations, whose last evaluation seeds the new
-    state, and ``StepFailureError`` if it fails. A tau that is not finite
-    and positive raises ValueError, as in ``step_implicit``.
+    """Forward Euler from u - u[anchor] at the state's record: the
+    interior nodes move by tau G and the boundary nodes by tau u_dot,
+    the boundary's own rate, so the projection that follows starts near
+    its root. The boundary values then solve the implicit system's
+    boundary rows at tau = 0, where every interior row is the identity:
+    ``_newton_solve`` to 1e-13 (or its roundoff floor) in at most 40
+    iterations, whose last record becomes the new state's, and
+    ``StepFailureError`` if it fails. A tau that is not finite and
+    positive raises ValueError, as in ``step_implicit``.
     """
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"explicit step needs a finite tau > 0, got {tau!r}")
@@ -717,16 +683,19 @@ def step_explicit(state: FlowState, tau: float) -> FlowState:
         )
     u_fe = u_prev.copy()
     u_fe[grid.interior] += tau * state.G[grid.interior]
+    u_fe[grid.boundary] += tau * state.u_dot[grid.boundary]
     got = _newton_solve(state, u_fe, u_fe, 0.0, 1e-13, 40)
     if got is None:
         raise StepFailureError(
             f"the explicit step's boundary projection failed (t = {state.t:.6g})"
         )
     u_new, _, _, ev, _ = got
-    return _seeded(replace(
+    new = replace(
         state, u=u_new, t=state.t + tau, u_dot=(u_new - u_prev) / tau,
         steps=state.steps + 1, newton_iters=0,
-    ), ev)
+    )
+    new.ev = ev
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +733,7 @@ def _extrapolated_rate(rates) -> float:
 def translator_residual(state: FlowState, c: float) -> float:
     """max over the interior nodes of |G - c| at the state's own G, for a
     state whose jets' Hessian spectrum is positive there (ConvexityError
-    otherwise); a run's last state has both from Newton's last evaluation."""
+    otherwise); a run's last state has both in Newton's last record."""
     ii = state.grid.interior
     lam_min = np.min(state.jets.lam[0, ii])
     if not lam_min > 0.0:

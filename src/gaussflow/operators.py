@@ -115,13 +115,13 @@ class FlowOperator:
             return pb[0] - self.omega_tilde.ends, 1.0
         return dom.defining_jet_many(self.omega_tilde, pb)
 
-    def admissible(self, r: np.ndarray, rows):
-        """(ok, lam): whether the Hessians of r on ``rows`` are positive
-        definite, and the spectra of every node. The flow tests the interior
-        rows, the equations that hold the Hessian; a boundary row solves
-        h(Du) = 0, and its one-sided second differences enter no equation."""
-        lam = eigenvalues_many(r)
-        return bool(np.min(lam[0, rows]) > 0.0), lam
+    def admissible(self, jets, rows) -> bool:
+        """Whether the Hessians of jets (``NodalJets``) on ``rows`` are
+        positive definite, read from jets.lam, which caches the spectra of
+        every node on the jets. The flow tests the interior rows, the
+        equations that hold the Hessian; a boundary row solves h(Du) = 0,
+        and its one-sided second differences enter no equation."""
+        return bool(np.min(jets.lam[0, rows]) > 0.0)
 
     def limiter(self, p: np.ndarray) -> float:
         """The explicit step's spacelike factor: 1 - max |p|^2, Euclidean 1."""

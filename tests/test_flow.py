@@ -47,6 +47,13 @@ def rotated_ellipse(center, semi_axes, angle):
         center, rot @ np.diag(1.0 / np.asarray(semi_axes) ** 2) @ rot.T)
 
 
+def evaluated(state, u, base, tau):
+    """(residual, record) of the iterate u: one ``_evaluate`` and the
+    ``_residual`` Newton forms from it."""
+    ev = flow._evaluate(state.grid, state.op, u)
+    return flow._residual(state, u, base, tau, ev), ev
+
+
 def sparse_product_jacobian(state, p, r, tau):
     """Reference Jacobian assembled from diag(weights) @ stencil products,
     from the derivative rows p (n, N) and r (n, n, N)."""
@@ -134,15 +141,15 @@ class TestJacobian:
     @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
     def test_matches_centred_difference_of_residual(self, case):
         state, u, tau = perturbed_state(case)
-        _, p, r, _ = flow._residual(state, u, state.u, tau)
-        jac = flow._jacobian(state, p, r, tau).toarray()
+        _, ev = evaluated(state, u, state.u, tau)
+        jac = flow._jacobian(state, ev, tau).toarray()
         eps = 1e-6
         fd = np.empty_like(jac)
         for j in range(state.grid.n_nodes):
             du = np.zeros_like(u)
             du[j] = eps
-            plus, _, _, _ = flow._residual(state, u + du, state.u, tau)
-            minus, _, _, _ = flow._residual(state, u - du, state.u, tau)
+            plus, _ = evaluated(state, u + du, state.u, tau)
+            minus, _ = evaluated(state, u - du, state.u, tau)
             fd[:, j] = (plus - minus) / (2.0 * eps)
         for rows in (state.grid.interior, state.grid.boundary):
             scale = max(1.0, np.max(np.abs(jac[rows])))
@@ -151,9 +158,9 @@ class TestJacobian:
     @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
     def test_fixed_pattern_matches_sparse_products(self, case):
         state, u, tau = perturbed_state(case)
-        _, p, r, _ = flow._residual(state, u, state.u, tau)
-        jac = flow._jacobian(state, p, r, tau)
-        ref = sparse_product_jacobian(state, p, r, tau)
+        _, ev = evaluated(state, u, state.u, tau)
+        jac = flow._jacobian(state, ev, tau)
+        ref = sparse_product_jacobian(state, ev.jets.p, ev.jets.r, tau)
         ref.eliminate_zeros()
         on_pattern = jac.copy()
         on_pattern.data[:] = 1.0
@@ -162,8 +169,8 @@ class TestJacobian:
         assert np.max(np.abs((jac - ref).toarray())) <= (
             1e-12 * np.max(np.abs(ref.data)))
         # the pattern is fixed: a second state fills the same structure
-        _, p2, r2, _ = flow._residual(state, 1.01 * u, state.u, 2 * tau)
-        again = flow._jacobian(state, p2, r2, 2 * tau)
+        _, ev2 = evaluated(state, 1.01 * u, state.u, 2 * tau)
+        again = flow._jacobian(state, ev2, 2 * tau)
         assert np.array_equal(again.indptr, jac.indptr)
         assert np.array_equal(again.indices, jac.indices)
 
@@ -200,8 +207,8 @@ class TestJacobian:
             return assemble(coef)
 
         monkeypatch.setattr(pattern, "assemble", recorded)
-        _, p, r, _ = flow._residual(state, u, state.u, tau)
-        flow._jacobian(state, p, r, tau)
+        _, ev = evaluated(state, u, state.u, tau)
+        flow._jacobian(state, ev, tau)
         rand = np.random.default_rng(6).normal(size=weights[0].shape)
         rand[:, grid.boundary[:1]] = 0.0
         for coef in (weights[0], rand):
@@ -218,8 +225,8 @@ class TestJacobian:
         # disk-ball MMD 1482, COLAMD 1878, NATURAL 2053; line-minkowski
         # NATURAL 164, COLAMD 167, MMD 218
         state, u, tau = perturbed_state(case)
-        _, p, r, _ = flow._residual(state, u, state.u, tau)
-        jac = flow._jacobian(state, p, r, tau)
+        _, ev = evaluated(state, u, state.u, tau)
+        jac = flow._jacobian(state, ev, tau)
         grid = state.grid
         chosen = grid.column_ordering
         fill = {}
@@ -238,8 +245,8 @@ class TestJacobian:
         state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
                                 dom.ConvexDomain.ellipse([0, 0], np.diag([6.25, 16.0])),
                                 (24, 48), MINKOWSKI)
-        _, p, r, _ = flow._residual(state, state.u, state.u, 1.0)
-        jac = flow._jacobian(state, p, r, 1.0)
+        _, ev = evaluated(state, state.u, state.u, 1.0)
+        jac = flow._jacobian(state, ev, 1.0)
         lu = state.grid.superlu(jac)
         assert np.array_equal(lu.perm_r, lu.perm_c)
         partial = splu(jac, permc_spec=state.grid.column_ordering)
@@ -270,8 +277,8 @@ def first_jacobian(omega, omega_tilde, spec, tau=1.0):
     """The state initialize builds and the Jacobian of its first step's
     first iterate at tau, with that iterate's residual."""
     state = flow.initialize(omega, omega_tilde, spec, MINKOWSKI)
-    res, p, r, _ = flow._residual(state, state.u, state.u, tau)
-    return state, flow._jacobian(state, p, r, tau), res
+    res, ev = evaluated(state, state.u, state.u, tau)
+    return state, flow._jacobian(state, ev, tau), res
 
 
 BALL = dom.ConvexDomain.ball([0, 0], 1.0)
@@ -301,8 +308,8 @@ class TestFourierChordFactor:
         # off the symmetric case too: the rfft, the stacked band solve with
         # the pole as mode 0's ring 0, and the irfft invert M itself
         state, u, tau = perturbed_state(case)
-        _, p, r, _ = flow._residual(state, u, state.u, tau)
-        jac = flow._jacobian(state, p, r, tau)
+        _, ev = evaluated(state, u, state.u, tau)
+        jac = flow._jacobian(state, ev, tau)
         avg = angle_average(jac, state.grid)
         factor = flow._factor(jac, state.grid)
         x = np.cos(1.7 * np.arange(jac.shape[0]))
@@ -384,10 +391,10 @@ def plain_newton(state, u_prev, guess, tau, controls):
     """Newton without the stagnation exit: (u, iterations) or None."""
     u = guess.copy()
     for it in range(1, controls.max_newton + 1):
-        res, p, r, _ = flow._residual(state, u, u_prev, tau)
+        res, ev = evaluated(state, u, u_prev, tau)
         if np.max(np.abs(res)) <= controls.tol_newton:
             return u, it
-        u = u - spsolve(flow._jacobian(state, p, r, tau), res)
+        u = u - spsolve(flow._jacobian(state, ev, tau), res)
     return None
 
 
@@ -434,13 +441,13 @@ class TestNewtonStagnation:
         assert 1 <= counted_factors["factor"] <= 3 < controls.max_newton
         # the floor eps ||J||_inf ||u||_inf of the attempt's first
         # Jacobian and iterate, with the row sums taken by scipy
-        _, p, r, _ = flow._residual(state, converged, u_prev, tau)
-        jac = flow._jacobian(state, p, r, tau)
+        _, ev = evaluated(state, converged, u_prev, tau)
+        jac = flow._jacobian(state, ev, tau)
         floor = (np.finfo(float).eps * abs(jac).sum(axis=1).max()
                  * np.max(np.abs(converged)))
         assert flow._floor_at(flow._inf_norm(jac), converged) == pytest.approx(
             floor, rel=1e-12)
-        res, _, _, _ = flow._residual(state, got[0], u_prev, tau)
+        res, _ = evaluated(state, got[0], u_prev, tau)
         assert 0.0 < np.max(np.abs(res)) <= floor
 
     def test_stall_above_the_floor_ends_at_the_stagnation_exit(
@@ -456,12 +463,12 @@ class TestNewtonStagnation:
 
         def recorded(*args):
             out = residual(*args)
-            norms.append(np.max(np.abs(out[0])))
+            norms.append(np.max(np.abs(out)))
             return out
 
-        _, p, r, _ = residual(state, guess, state.u, tau)
+        _, ev = evaluated(state, guess, state.u, tau)
         floor = flow._floor_at(
-            flow._inf_norm(flow._jacobian(state, p, r, tau)), guess)
+            flow._inf_norm(flow._jacobian(state, ev, tau)), guess)
         monkeypatch.setattr(flow, "_residual", recorded)
         controls = StepControls()
         assert flow._newton_solve(state, state.u, guess, tau,
@@ -484,9 +491,9 @@ class TestNewtonStagnation:
         ceiling = per_unit_volume(1e3, state.omega)
         controls = StepControls(tau0=ceiling, tau_max=ceiling)
         tau = controls.for_domain(state.omega).tau0  # 1000 to rounding
-        _, p, r, _ = flow._residual(state, state.u, state.u, tau)
+        _, ev = evaluated(state, state.u, state.u, tau)
         first_floor = flow._floor_at(
-            flow._inf_norm(flow._jacobian(state, p, r, tau)), state.u)
+            flow._inf_norm(flow._jacobian(state, ev, tau)), state.u)
         floors = []
         floor_at = flow._floor_at
 
@@ -499,7 +506,7 @@ class TestNewtonStagnation:
         assert new.t == tau
         assert counted_factors["factor"] == 1
         assert floors[0] == first_floor
-        res, _, _, _ = flow._residual(state, new.u, state.u, tau)
+        res, _ = evaluated(state, new.u, state.u, tau)
         assert 100 * first_floor < np.max(np.abs(res)) <= floors[-1]
 
     def test_iterate_within_the_raised_floor_is_not_factored(
@@ -611,7 +618,7 @@ class TestNewtonStagnation:
                                  controls.max_newton)
         assert got is not None
         assert counted_factors["factor"] >= 2
-        res, _, _, _ = flow._residual(state, got[0], u, tau)
+        res, _ = evaluated(state, got[0], u, tau)
         assert np.max(np.abs(res)) <= controls.tol_newton
 
 
@@ -684,8 +691,8 @@ class TestTauGrowth:
         newton_solve = flow._newton_solve
 
         def recorded(state, u_prev, guess, *rest):
-            # the offset guess is evaluated afresh: the first evaluation
-            # step_implicit hands on (rest[-1]) is that of the guess
+            # the offset guess is evaluated afresh: the record
+            # step_implicit hands on (rest[-1]) is that of the state
             got = newton_solve(state, u_prev, guess + offset, *rest[:-1])
             attempts.append(None if got is None else got[1:3])
             return got
@@ -769,9 +776,9 @@ class TestCarriedFactor:
         # anchor node plus tau C: new.u is the new height less tau C
         base = (carrying.u - carrying.u[carrying.anchor]
                 - tau * flow.mean_rate(carrying))
-        res, p, r, _ = flow._residual(carrying, new.u, base, tau)
+        res, ev = evaluated(carrying, new.u, base, tau)
         floor = flow._floor_at(flow._inf_norm(
-            flow._jacobian(carrying, p, r, tau)), new.u)
+            flow._jacobian(carrying, ev, tau)), new.u)
         assert np.max(np.abs(res)) <= max(units.tol_newton, floor)
 
     def test_same_steps_with_fewer_factorizations(self, counted_factors,
@@ -805,8 +812,8 @@ class TestCarriedFactor:
         units = controls.for_domain(om)
         tau = units.tau_max
         init = flow.initialize(om, ot, spec, sig)
-        _, p, r, _ = flow._residual(init, 0.1 * init.u, init.u, tau)
-        jac = flow._jacobian(init, p, r, tau)
+        _, ev = evaluated(init, 0.1 * init.u, init.u, tau)
+        jac = flow._jacobian(init, ev, tau)
         far = flow.ChordFactor(flow._factor(jac, init.grid),
                                flow._inf_norm(jac))
         converged = flow.run_to_translator(init, controls).state
@@ -819,7 +826,7 @@ class TestCarriedFactor:
         assert new.t == converged.t + tau
         base = (converged.u - converged.u[converged.anchor]
                 - tau * flow.mean_rate(converged))
-        res, _, _, _ = flow._residual(converged, new.u, base, tau)
+        res, _ = evaluated(converged, new.u, base, tau)
         assert np.max(np.abs(res)) <= units.tol_newton
 
     def test_stale_factor_outlives_an_unfactored_jacobian(self, counted_factors,
@@ -1055,8 +1062,8 @@ class TestStateJets:
     def test_initial_jets_are_those_g0_was_evaluated_on(self, case):
         om, ot, spec, sig = JACOBIAN_CASES[case]
         state = flow.initialize(om, ot, spec, sig)
-        # initialize sets the jets; they are not built on this first read
-        assert "jets" in vars(state)
+        # initialize seeds the record; its jets are not built on this read
+        assert "ev" in vars(state)
         assert {"p", "r"} <= set(vars(state.jets))
         p, r = state.grid.derivative_rows(state.u)
         fresh = dataclasses.replace(state, u=state.u).jets
@@ -1120,11 +1127,11 @@ class TestStateJets:
             monkeypatch.setattr(module, "eigenvalues_many", recorded)
         new = step_implicit(start, StepControls(
             tau_max=per_unit_volume(tau, state.omega)))
-        assert "jets" in vars(new)
+        assert "ev" in vars(new)
         jets = new.jets
-        # p and r come seeded from Newton's last residual evaluation and
-        # lam from the admissibility check's spectrum of r; the curvature
-        # matrix stays lazy
+        # p and r come with Newton's last record and lam from the
+        # admissibility check's spectrum of r; the curvature matrix stays
+        # lazy
         assert {"p", "r", "lam"} <= set(vars(jets))
         assert "a" not in vars(jets)
         gradient, hessian = new.grid.derivative_rows(new.u)
@@ -1149,21 +1156,23 @@ def own_values(state):
 
 
 class TestStateCache:
-    """An accepted state keeps the G and boundary values of Newton's last
-    residual evaluation, and a step's first iterate reuses them."""
+    """An accepted state keeps Newton's last record, and a step's first
+    iterate reuses it."""
 
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
     def test_accepted_state_caches_the_values_of_its_jets(self, case):
         om, ot, spec, sig = JACOBIAN_CASES[case]
         state = flow.initialize(om, ot, spec, sig)
-        # initialize seeds G with G0; the boundary values wait for a reader
-        assert "G" in vars(state) and "hb" not in vars(state)
+        # initialize seeds the record whose G is G0
+        assert "ev" in vars(state)
         assert state.G is state.u_dot
+        g, hb = own_values(state)
+        assert np.array_equal(state.hb, hb)
         carry = []
         for _ in range(3):
             state = step_implicit(state, StepControls(), carry=carry)
             # set by the step, not evaluated on this read
-            assert {"jets", "G", "hb"} <= set(vars(state))
+            assert "ev" in vars(state)
             g, hb = own_values(state)
             assert np.array_equal(state.G, g)
             assert np.array_equal(state.hb, hb)
@@ -1176,11 +1185,10 @@ class TestStateCache:
         moved = dataclasses.replace(state, u=other)
         tau = 0.1 * state.grid.h**2
         explicit = step_explicit(state, tau)
-        # a replaced state evaluates its own caches on first use; the
-        # explicit step sets them from its boundary projection's last
-        # residual evaluation
-        assert not {"jets", "G", "hb"} & set(vars(moved))
-        assert {"jets", "G", "hb"} <= set(vars(explicit))
+        # a replaced state evaluates its own record on first use; the
+        # explicit step takes its boundary projection's last record
+        assert "ev" not in vars(moved)
+        assert "ev" in vars(explicit)
         p, r = explicit.grid.derivative_rows(explicit.u)
         assert np.array_equal(explicit.jets.p, p)
         assert np.array_equal(explicit.jets.r, r)
@@ -1191,6 +1199,61 @@ class TestStateCache:
             assert not np.array_equal(new.G, state.G)
         # a moved boundary misses the image's ends; the cached values do not
         assert not np.array_equal(moved.hb, state.hb)
+
+    def test_accepted_state_takes_newtons_last_record(self, monkeypatch):
+        # the Jacobian reads the boundary rows' p-gradients off its record,
+        # so op.boundary runs once per evaluation and never in _jacobian;
+        # the accepted state holds the record Newton returned, whose jets
+        # carry the spectrum the admissibility test read
+        counts = {"evaluate": 0, "jacobian": 0, "boundary": 0,
+                  "boundary_in_jacobian": 0}
+        inside, returned, tested = [], [], []
+        evaluate, jacobian = flow._evaluate, flow._jacobian
+        newton_solve = flow._newton_solve
+
+        def counted_evaluate(*args):
+            counts["evaluate"] += 1
+            return evaluate(*args)
+        boundary = operators.FlowOperator.boundary
+        admissible = operators.FlowOperator.admissible
+
+        def counted_jacobian(*args):
+            counts["jacobian"] += 1
+            inside.append(True)
+            try:
+                return jacobian(*args)
+            finally:
+                inside.pop()
+
+        def counted_boundary(self, pb):
+            counts["boundary"] += 1
+            counts["boundary_in_jacobian"] += bool(inside)
+            return boundary(self, pb)
+
+        def recorded_solve(*args):
+            returned.append(newton_solve(*args))
+            return returned[-1]
+
+        def recorded_admissible(self, jets, rows):
+            ok = admissible(self, jets, rows)
+            tested.append((jets, jets.lam))
+            return ok
+
+        om, ot, spec, sig = JACOBIAN_CASES["disk-rotated-ellipse"]
+        state = flow.initialize(om, ot, spec, sig)
+        monkeypatch.setattr(flow, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(flow, "_jacobian", counted_jacobian)
+        monkeypatch.setattr(flow, "_newton_solve", recorded_solve)
+        monkeypatch.setattr(operators.FlowOperator, "boundary", counted_boundary)
+        monkeypatch.setattr(operators.FlowOperator, "admissible",
+                            recorded_admissible)
+        new = step_implicit(state)
+        assert counts["jacobian"] >= 1 and counts["evaluate"] >= 1
+        assert counts["boundary"] == counts["evaluate"]
+        assert counts["boundary_in_jacobian"] == 0
+        assert new.ev is returned[-1][3]
+        jets, lam = tested[-1]
+        assert jets is new.jets and lam is new.jets.lam
 
     def test_state_outside_the_spacelike_set_has_no_g(self):
         # |Du| = 2: the step's first read of G refuses the state, where
@@ -1207,13 +1270,13 @@ class TestStateCache:
     def test_each_attempt_differentiates_its_corrected_iterates_only(
             self, image, spec, some_fail, monkeypatch):
         # the first iterate u_prev differs from the state's u by a
-        # constant: its residual comes from the state's G, boundary values
-        # and jets, and only the corrected iterates are differentiated
-        # (derivative_rows calls, _residual calls, first evaluation, state,
+        # constant: its residual comes from the state's record, and only
+        # the corrected iterates are differentiated
+        # (derivative_rows calls, _evaluate calls, first record, state,
         # result) of every Newton attempt of the run
-        counts = {"derivatives": 0, "residual": 0}
+        counts = {"derivatives": 0, "evaluate": 0}
         attempts = []
-        newton_solve, residual = flow._newton_solve, flow._residual
+        newton_solve, evaluate = flow._newton_solve, flow._evaluate
         derivative_rows = {cls: cls.derivative_rows
                            for cls in (grids.LineGrid, grids.MappedDiskGrid)}
 
@@ -1221,30 +1284,29 @@ class TestStateCache:
             counts["derivatives"] += 1
             return derivative_rows[type(self)](self, u)
 
-        def counted_residual(*args):
-            counts["residual"] += 1
-            return residual(*args)
+        def counted_evaluate(*args):
+            counts["evaluate"] += 1
+            return evaluate(*args)
 
         def recorded(state, *args):
-            counts.update(derivatives=0, residual=0)
+            counts.update(derivatives=0, evaluate=0)
             got = newton_solve(state, *args)
-            attempts.append((counts["derivatives"], counts["residual"],
+            attempts.append((counts["derivatives"], counts["evaluate"],
                              args[-1], state, got))
             return got
 
         state = flow.initialize(BALL, image, spec, MINKOWSKI)
         for cls in derivative_rows:
             monkeypatch.setattr(cls, "derivative_rows", counted_derivatives)
-        monkeypatch.setattr(flow, "_residual", counted_residual)
+        monkeypatch.setattr(flow, "_evaluate", counted_evaluate)
         monkeypatch.setattr(flow, "_newton_solve", recorded)
         flow.run_to_translator(state)
         failed = [got is None for *_, got in attempts]
         assert any(failed) == some_fail
         assert len(attempts) > sum(failed)
-        for derivatives, residuals, first, start, got in attempts:
-            assert derivatives == residuals
-            assert first.p is start.jets.p and first.r is start.jets.r
-            assert first.G is start.G
+        for derivatives, evaluations, first, start, got in attempts:
+            assert derivatives == evaluations
+            assert first is start.ev
             if got is not None:
                 assert derivatives == got[1] - 1
 
@@ -1267,6 +1329,13 @@ class TestStepControls:
     def test_fractional_count_raises_at_construction(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             StepControls(**{field: 2.5})
+
+    # bool is a numbers.Integral: max_newton = True accepted, and a run
+    # then failed at every tau down to tau_min
+    @pytest.mark.parametrize("field", ["max_steps", "max_newton"])
+    def test_bool_count_raises_at_construction(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            StepControls(**{field: True})
 
     def test_numpy_integer_count_is_accepted(self):
         assert StepControls(max_steps=np.int64(5)).max_steps == 5
@@ -1299,14 +1368,14 @@ class TestStepControls:
 class TestStepImplicit:
     def test_accepted_step_differentiates_u_once(self, monkeypatch):
         # the accepted state's jets reuse the gradient and Hessian of
-        # Newton's last residual evaluation instead of recomputing them
-        counts = {"residual": 0, "derivatives": 0}
-        residual, derivative_rows = (flow._residual,
+        # Newton's last record instead of recomputing them
+        counts = {"evaluate": 0, "derivatives": 0}
+        evaluate, derivative_rows = (flow._evaluate,
                                      grids.LineGrid.derivative_rows)
 
-        def counted_residual(*args):
-            counts["residual"] += 1
-            return residual(*args)
+        def counted_evaluate(*args):
+            counts["evaluate"] += 1
+            return evaluate(*args)
 
         def counted_derivatives(self, u):
             counts["derivatives"] += 1
@@ -1314,15 +1383,15 @@ class TestStepImplicit:
 
         state, _ = translator_state(101)
         # the replaced state differentiates its own u once, for the first
-        # iterate; every later derivative is a residual's
+        # iterate; every later derivative is an iterate's evaluation
         state.jets
-        monkeypatch.setattr(flow, "_residual", counted_residual)
+        monkeypatch.setattr(flow, "_evaluate", counted_evaluate)
         monkeypatch.setattr(grids.LineGrid, "derivative_rows",
                             counted_derivatives)
         new = step_implicit(state, StepControls())
         assert new.steps == state.steps + 1
-        assert counts["residual"] >= 1
-        assert counts["derivatives"] == counts["residual"]
+        assert counts["evaluate"] >= 1
+        assert counts["derivatives"] == counts["evaluate"]
         assert np.array_equal(new.jets.p, new.grid.derivative_rows(new.u)[0])
 
     def test_steady_profile_advances_uniformly(self):
@@ -1454,6 +1523,32 @@ class TestStepExplicit:
         with pytest.raises(StepFailureError, match="boundary projection"):
             step_explicit(state, 0.1 * state.grid.h**2)
 
+    @pytest.mark.parametrize("case", ["disk-ball", "disk-rotated-ellipse"])
+    @pytest.mark.parametrize("fraction", [0.05, 0.1])
+    @pytest.mark.parametrize("stepped", [False, True], ids=["initial", "stepped"])
+    def test_boundary_projection_starts_from_the_boundary_rate(
+            self, case, fraction, stepped, monkeypatch):
+        # the boundary nodes move by tau u_dot before the projection, as
+        # the interior moves by tau G: from the unmoved boundary it failed
+        # inside the stability bound on these 6 x 12 grids
+        om, ot, spec, sig = JACOBIAN_CASES[case]
+        state = flow.initialize(om, ot, spec, sig)
+        if stepped:
+            state = step_implicit(state)
+        tau = fraction * state.grid.h_ref**2
+        iters = []
+        newton_solve = flow._newton_solve
+
+        def recorded(*args):
+            got = newton_solve(*args)
+            iters.append(None if got is None else got[1])
+            return got
+
+        monkeypatch.setattr(flow, "_newton_solve", recorded)
+        new = step_explicit(state, tau)
+        assert flow.boundary_residual(new) < 1e-12
+        assert iters[0] <= 10
+
     def test_constant_rate_field(self):
         state, c = translator_state(101)
         h = state.grid.h
@@ -1490,33 +1585,31 @@ class TestStepExplicit:
     @pytest.mark.parametrize("case", ["line-minkowski", "disk-rotated-ellipse"])
     def test_chain_differentiates_each_state_once(self, case, monkeypatch):
         # an explicit step reads p and G off its input state, and its
-        # boundary projection's last residual evaluation seeds the new
-        # state's jets, G and boundary values: every stencil product of
-        # the chain is a residual evaluation's (each step used to
-        # differentiate its input once more)
+        # boundary projection's last record becomes the new state's:
+        # every stencil product of the chain is an iterate's evaluation
         om, ot, spec, sig = JACOBIAN_CASES[case]
         state = step_implicit(flow.initialize(om, ot, spec, sig))
-        counts = {"derivatives": 0, "residual": 0}
-        residual = flow._residual
+        counts = {"derivatives": 0, "evaluate": 0}
+        evaluate = flow._evaluate
         derivative_rows = type(state.grid).derivative_rows
 
         def counted_derivatives(self, u):
             counts["derivatives"] += 1
             return derivative_rows(self, u)
 
-        def counted_residual(*args):
-            counts["residual"] += 1
-            return residual(*args)
+        def counted_evaluate(*args):
+            counts["evaluate"] += 1
+            return evaluate(*args)
 
         monkeypatch.setattr(type(state.grid), "derivative_rows",
                             counted_derivatives)
-        monkeypatch.setattr(flow, "_residual", counted_residual)
+        monkeypatch.setattr(flow, "_evaluate", counted_evaluate)
         tau = 0.01 * state.grid.h_ref**2
         for _ in range(3):
             state = step_explicit(state, tau)
         assert state.steps == 4
-        assert counts["residual"] >= 3
-        assert counts["derivatives"] == counts["residual"]
+        assert counts["evaluate"] >= 3
+        assert counts["derivatives"] == counts["evaluate"]
 
 
 class TestTranslatorResidual:
@@ -1582,16 +1675,17 @@ class TestFlowOperator:
 
     def test_admissible_tests_only_the_given_rows(self):
         # a concave boundary node fails the all-node test, not the
-        # interior one; the spectra cover every node either way
+        # interior one; the spectra of every node stay cached on the jets
         om, ot = interval_pair()
         state = flow.initialize(om, ot, 20, MINKOWSKI)
         grid = state.grid
-        _, r = grid.derivative_rows(state.u)
+        p, r = grid.derivative_rows(state.u)
         r[..., grid.boundary[0]] = -1.0
-        ok_all, lam = state.op.admissible(r, slice(None))
-        ok_inner, lam_inner = state.op.admissible(r, grid.interior)
-        assert not ok_all and ok_inner
-        assert np.array_equal(lam, lam_inner)
+        jets = geometry.NodalJets(p, r, MINKOWSKI)
+        assert state.op.admissible(jets, grid.interior)
+        lam = jets.lam
+        assert not state.op.admissible(jets, slice(None))
+        assert jets.lam is lam
         assert lam[0, grid.boundary[0]] == -1.0
 
     def test_image_on_the_light_cone_is_refused(self):
@@ -1792,22 +1886,22 @@ class TestRunToTranslator:
     def test_spacelike_iterate_rejects_its_attempt(self, monkeypatch):
         # the image B_0.98 lies close to the light cone: some Newton
         # iterates leave it, their attempts fail and tau halving recovers
-        rejected_taus = []
-        residual = flow._residual
+        rejected = []
+        evaluate = flow._evaluate
 
         def recorded(*args):
             try:
-                return residual(*args)
+                return evaluate(*args)
             except SpacelikeViolationError:
-                rejected_taus.append(args[3])
+                rejected.append(args[2])
                 raise
 
-        monkeypatch.setattr(flow, "_residual", recorded)
+        monkeypatch.setattr(flow, "_evaluate", recorded)
         state = flow.initialize(dom.ConvexDomain.ball([0, 0], 1.0),
                                 dom.ConvexDomain.ball([0, 0], 0.98),
                                 (16, 32), MINKOWSKI)
         result = flow.run_to_translator(state)  # raises unless converged
-        assert rejected_taus
+        assert rejected
         assert monitors.grad_max(result.state) < 1
 
     def test_translator_residual_gate(self):
@@ -1958,17 +2052,20 @@ class TestForcing:
     ])
     def test_forcing_saves_residuals(self, case, spec, most_residuals,
                                      monkeypatch):
-        counts = {"residual": 0}
-        residual = flow._residual
+        # a residual evaluation is an _evaluate call of the run's Newton
+        # attempts; the initial state's is initialize's
+        counts = {"evaluate": 0}
+        evaluate = flow._evaluate
 
         def counted(*args):
-            counts["residual"] += 1
-            return residual(*args)
+            counts["evaluate"] += 1
+            return evaluate(*args)
 
-        monkeypatch.setattr(flow, "_residual", counted)
         om, ot, case_spec, sig = JACOBIAN_CASES[case]
-        flow.run_to_translator(flow.initialize(om, ot, spec or case_spec, sig))
-        assert counts["residual"] <= most_residuals
+        state = flow.initialize(om, ot, spec or case_spec, sig)
+        monkeypatch.setattr(flow, "_evaluate", counted)
+        flow.run_to_translator(state)
+        assert counts["evaluate"] <= most_residuals
 
     def test_run_solves_each_step_to_its_forcing_term(self, monkeypatch):
         newton_solve = flow._newton_solve
@@ -2055,8 +2152,8 @@ class TestHotPath:
         # convexity checks use the closed-form 2x2 eigenvalue, not LAPACK
         om, ot, spec, sig = JACOBIAN_CASES["disk-ball"]
         state = flow.initialize(om, ot, spec, sig)
-        counts = {"eigvalsh": 0, "derivatives": 0, "residual": 0}
-        eigvalsh, residual = np.linalg.eigvalsh, flow._residual
+        counts = {"eigvalsh": 0, "derivatives": 0, "evaluate": 0}
+        eigvalsh, evaluate = np.linalg.eigvalsh, flow._evaluate
         derivative_rows = type(state.grid).derivative_rows
 
         def counted_eigvalsh(*args, **kwargs):
@@ -2067,21 +2164,21 @@ class TestHotPath:
             counts["derivatives"] += 1
             return derivative_rows(self, u)
 
-        def counted_residual(*args):
+        def counted_evaluate(*args):
             before = counts["derivatives"]
-            got = residual(*args)
+            got = evaluate(*args)
             assert counts["derivatives"] == before + 1
-            counts["residual"] += 1
+            counts["evaluate"] += 1
             return got
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         monkeypatch.setattr(type(state.grid), "derivative_rows",
                             counted_derivatives)
-        monkeypatch.setattr(flow, "_residual", counted_residual)
+        monkeypatch.setattr(flow, "_evaluate", counted_evaluate)
         flow.run_to_translator(state)
         assert counts["eigvalsh"] == 0
-        assert counts["residual"] > 0
-        assert counts["derivatives"] == counts["residual"]
+        assert counts["evaluate"] > 0
+        assert counts["derivatives"] == counts["evaluate"]
 
 
     # counts with each first iterate read off the state; at tau_max = 1
@@ -2098,44 +2195,46 @@ class TestHotPath:
         # the step's predictor u_prev + tau C lands closer to its solution
         # than u_prev + tau u_dot once the transient decays, with the
         # same steps on one factorization
-        counts = {"residual": 0}
-        residual = flow._residual
+        counts = {"evaluate": 0}
+        evaluate = flow._evaluate
 
         def counted(*args):
-            counts["residual"] += 1
-            return residual(*args)
+            counts["evaluate"] += 1
+            return evaluate(*args)
 
-        monkeypatch.setattr(flow, "_residual", counted)
         om, ot, spec, sig = JACOBIAN_CASES[case]
-        result = flow.run_to_translator(flow.initialize(om, ot, spec, sig))
+        state = flow.initialize(om, ot, spec, sig)
+        monkeypatch.setattr(flow, "_evaluate", counted)
+        result = flow.run_to_translator(state)
         assert result.steps == steps
         assert counted_factors["factor"] == 1
-        assert counts["residual"] <= most_residuals
+        assert counts["evaluate"] <= most_residuals
 
     def test_residual_evaluates_g_on_component_rows(self, monkeypatch):
-        # the Newton residual takes G from the component-major rows and
-        # never calls g_value_many, which takes node-major (N, n, n) input
+        # an iterate's evaluation takes G from the component-major rows
+        # and never calls g_value_many, which takes node-major (N, n, n)
+        # input
         for case in JACOBIAN_CASES:
             state, u, tau = perturbed_state(case)
-            res, p, r, _ = flow._residual(state, u, state.u, tau)
+            res, ev = evaluated(state, u, state.u, tau)
             ii = state.grid.interior
             g = operators.g_value_many(state.grid.gradient(u),
                                        state.grid.hessian(u), state.sig)
             assert np.allclose(res[ii], (u - state.u - tau * g)[ii],
                                rtol=0.0, atol=1e-13)
             p_rows, r_rows = state.grid.derivative_rows(u)
-            assert np.array_equal(p, p_rows)
-            assert np.array_equal(r, r_rows)
+            assert np.array_equal(ev.jets.p, p_rows)
+            assert np.array_equal(ev.jets.r, r_rows)
 
-        counts = {"residual": 0, "g_value_many": 0}
+        counts = {"evaluate": 0, "g_value_many": 0}
         inside = []
-        residual, g_value_many = flow._residual, operators.g_value_many
+        evaluate, g_value_many = flow._evaluate, operators.g_value_many
 
-        def counted_residual(*args):
-            counts["residual"] += 1
+        def counted_evaluate(*args):
+            counts["evaluate"] += 1
             inside.append(True)
             try:
-                return residual(*args)
+                return evaluate(*args)
             finally:
                 inside.pop()
 
@@ -2143,12 +2242,12 @@ class TestHotPath:
             counts["g_value_many"] += bool(inside)
             return g_value_many(*args)
 
-        monkeypatch.setattr(flow, "_residual", counted_residual)
+        monkeypatch.setattr(flow, "_evaluate", counted_evaluate)
         monkeypatch.setattr(operators, "g_value_many", counted_g)
         for case in ("line-minkowski", "disk-ball"):
             om, ot, spec, sig = JACOBIAN_CASES[case]
             flow.run_to_translator(flow.initialize(om, ot, spec, sig))
-        assert counts["residual"] > 0
+        assert counts["evaluate"] > 0
         assert counts["g_value_many"] == 0
 
 

@@ -230,17 +230,12 @@ def write_monitors_csv(path, records):
 
 def _node_table(state) -> tuple[list, list]:
     """(column names, columns) of the per-node table both node artifacts
-    write: the node's index (i, or ring i and angle j in 2D with the pole
-    at 0 0), its coordinates and u, each column a list of ``_cells``
-    that both artifacts share."""
+    write: the node's index as the grid numbers it (``grid.node_index``:
+    i, or ring i and angle j in 2D with the pole at 0 0), its coordinates
+    and u, each column a list of ``_cells`` that both artifacts share."""
     grid = state.grid
-    if grid.dim == 1:
-        index = [("i", np.arange(grid.n_nodes))]
-    else:
-        k = np.arange(grid.n_nodes - 1)  # the nodes after the pole
-        index = [("i", np.r_[0, k // grid.n_theta + 1]),
-                 ("j", np.r_[0, k % grid.n_theta])]
-    columns = [*index, *zip("xy", grid.nodes.T), ("u", state.u)]
+    columns = [*zip("ij", grid.node_index), *zip("xy", grid.nodes.T),
+               ("u", state.u)]
     return ([name for name, _ in columns],
             [_cells(vals) for _, vals in columns])
 
@@ -255,10 +250,6 @@ def write_fields_csv(path, state, table=None):
 
 def write_snapshot(path, state, c_inf, table=None):
     grid = state.grid
-    if grid.dim == 1:
-        grid_line = f"grid = {grid.n_nodes - 1}"
-    else:
-        grid_line = f"grid = {grid.n_rho} {grid.n_theta}"
     names, cols = table or _node_table(state)
     header = [
         "# gaussflow snapshot",
@@ -266,7 +257,7 @@ def write_snapshot(path, state, c_inf, table=None):
         f"dimension = {grid.dim}",
         f"omega = {domain_spec_string(state.omega)}",
         f"omega_tilde = {domain_spec_string(state.omega_tilde)}",
-        grid_line,
+        f"grid = {' '.join(map(str, grid.resolution))}",
         f"t = {_fmt(state.t)}",
         f"c_inf = {_fmt(c_inf)}",
         f"nodes = {grid.n_nodes}",

@@ -97,12 +97,13 @@ class ConvexDomain:
     @cached_property
     def volume(self) -> float:
         """|Omega| = omega_n / sqrt(det Q), omega_n the volume of the unit
-        n-ball (omega_1 = 2, omega_2 = pi, exactly)."""
+        n-ball (omega_1 = 2, omega_2 = pi, exactly); sqrt(det Q) is a
+        product of roots, finite where det Q would overflow or underflow."""
         n = self.dimension
         omega_n = 1.0 if n % 2 == 0 else 2.0
         for k in range(2 + n % 2, n + 1, 2):  # omega_k = 2 pi / k omega_(k-2)
             omega_n *= 2.0 * math.pi / k
-        return omega_n / math.sqrt(math.prod(self._eigenvalues.tolist()))
+        return omega_n / math.prod(map(math.sqrt, self._eigenvalues.tolist()))
 
     @cached_property
     def length_unit(self) -> float:
@@ -182,22 +183,17 @@ def defining_jet_many(domain: ConvexDomain, pts: np.ndarray):
 
 
 def inward_normal(domain: ConvexDomain, q) -> np.ndarray:
-    """Unit inward normal of the boundary at the boundary point q."""
+    """Unit inward normal at the boundary point q; a q with |h(q)| >
+    BOUNDARY_TOL raises BoundaryMembershipError. A grid holds those at
+    its boundary nodes, from its map (``boundary_normals``)."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return inward_normal_many(domain, q[:, None])[:, 0]
-
-
-def inward_normal_many(domain: ConvexDomain, pts: np.ndarray) -> np.ndarray:
-    """Unit inward normals (n, N) at the boundary points, rows pts (n, N)."""
-    pts = np.asarray(pts, dtype=float)
-    h, dh = defining_jet_many(domain, pts)
-    worst = int(np.argmax(np.abs(h)))
-    if abs(h[worst]) > BOUNDARY_TOL:
+    h, dh = defining_jet_many(domain, q[:, None])
+    if abs(h[0]) > BOUNDARY_TOL:
         raise BoundaryMembershipError(
-            f"point {pts[:, worst]} is not on the boundary: "
-            f"h = {h[worst]:.3e} exceeds {BOUNDARY_TOL}"
+            f"point {q} is not on the boundary: "
+            f"h = {h[0]:.3e} exceeds {BOUNDARY_TOL}"
         )
-    return dh / np.linalg.norm(dh, axis=0)
+    return dh[:, 0] / np.linalg.norm(dh)
 
 
 def radial_range(domain: ConvexDomain) -> tuple[float, float]:

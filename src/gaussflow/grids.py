@@ -14,9 +14,13 @@ Two grid families cover the supported domains:
   quadratics and second-order accurate in general. Theta is periodic and
   the node count there must be even so antipodal stencils exist.
 
-Every grid exposes the same surface: node coordinates (N, n), those of
-the boundary nodes as rows (n, N_b) for the audits, interior and
-boundary index sets, and the stencils through two members only.
+Every grid exposes the same surface: node coordinates (N, n), their
+numbering (``node_index``, rows (n, N): i, or ring and angle with the
+pole at (0, 0)), its ``resolution`` as ``build_grid`` takes it ((N,) or
+(n_rho, n_theta)), the base domain's unit inward normals at the boundary
+nodes from the grid's map (``boundary_normals``, rows (n, N_b)),
+interior and boundary index sets, and the stencils through two members
+only.
 ``derivative_rows`` returns the gradient and the Hessian from one
 product with the gradient and distinct Hessian stencils stacked into one
 CSR operator, component-major: the gradient as n rows of N node values
@@ -218,13 +222,6 @@ class _StencilGrid:
         blocks = (stacked @ u).reshape(-1, self.n_nodes)
         return blocks[:self.dim].copy(), blocks[slot]
 
-    @cached_property
-    def boundary_points(self) -> np.ndarray:
-        """Coordinates of the boundary nodes as rows (n, N_b)."""
-        points = np.ascontiguousarray(self.nodes[self.boundary].T)
-        _read_only(points)
-        return points
-
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """The gradient rows of ``derivative_rows`` as an (N, n) view."""
         return self.derivative_rows(u)[0].T
@@ -246,12 +243,15 @@ class LineGrid(_StencilGrid):
         if not b > a:
             raise ValueError("line grid needs a < b")
         self.dim = 1
+        self.resolution = (n_cells,)
         self.n_nodes = n_cells + 1
         self.h = (b - a) / n_cells
         x = np.linspace(a, b, self.n_nodes)
         self.nodes = x[:, None]
+        self.node_index = np.arange(self.n_nodes)[None, :]
         self.interior = np.arange(1, n_cells)
         self.boundary = np.array([0, n_cells])
+        self.boundary_normals = np.array([[1.0, -1.0]])
         # interior nodes whose stencils see only centered-scheme values;
         # residual audits that second-difference derived fields (mean
         # curvature and friends) are restricted to these, since derived
@@ -314,6 +314,7 @@ class MappedDiskGrid(_StencilGrid):
         self.a_map = a_map
         self.a_inv = np.linalg.inv(a_map)
         self.center = center
+        self.resolution = (n_rho, n_theta)
         self.n_rho = n_rho
         self.n_theta = n_theta
         self.d_rho = 1.0 / n_rho
@@ -326,10 +327,16 @@ class MappedDiskGrid(_StencilGrid):
         ref = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=1)
         self.ref_nodes = ref = np.vstack([np.zeros((1, 2)), ref])
         self.nodes = ref @ a_map.T + center
+        ring, angle = np.divmod(np.arange(n_rho * n_theta), n_theta)
+        self.node_index = np.c_[[0, 0], [ring + 1, angle]]
 
         # the boundary ring is numbered last
         self.interior = np.arange(self.index(n_rho, 0))
         self.boundary = np.arange(self.index(n_rho, 0), self.n_nodes)
+        # h's gradient at x = A xi + c on the boundary is along A^{-1} xi,
+        # read off the reference circle xi, so no x - c cancels
+        outward = self.a_inv @ ref[self.boundary].T
+        self.boundary_normals = -outward / np.linalg.norm(outward, axis=0)
         # rings 2 .. n_rho - 2: stencil-clean for audits of derived fields
         # (ring 1 sees the pole's fitted values, ring n_rho - 1 sees the
         # boundary's one-sided values)
@@ -477,11 +484,9 @@ class MappedDiskGrid(_StencilGrid):
         """
         pattern = self.stencil_pattern
         nr, nt = self.n_rho, self.n_theta
-        node = np.arange(self.n_nodes)
-        ring = np.r_[0, node[1:] - 1] // nt + (node > 0)
-        angle = (node - 1) % nt
+        ring, angle = self.node_index
         rows = pattern.indices
-        cols = np.repeat(node, np.diff(pattern.indptr))
+        cols = np.repeat(np.arange(self.n_nodes), np.diff(pattern.indptr))
         d = ring[cols] - ring[rows]
         base = nr * 5 * nt
         keys = np.where(
@@ -614,7 +619,8 @@ _GRIDS = weakref.WeakValueDictionary()
 
 
 def build_grid(omega: ConvexDomain, grid_spec):
-    """Grid over omega: int N for intervals, (n_rho, n_theta) for 2D.
+    """Grid over omega: N or (N,) for intervals, (n_rho, n_theta) for 2D;
+    a grid's ``resolution`` builds it again.
 
     A grid is immutable once built, so the live states on one key share
     it. The key is the domain itself, which compares and hashes by its
@@ -624,11 +630,14 @@ def build_grid(omega: ConvexDomain, grid_spec):
     """
     if omega.dimension > 2:
         raise ValueError("full grids support n <= 2; use the radial oracle beyond")
-    spec = int(grid_spec) if omega.dimension == 1 else tuple(map(int, grid_spec))
+    spec = tuple(map(int, np.atleast_1d(grid_spec)))
+    if len(spec) != omega.dimension:
+        raise ValueError(f"a {omega.dimension}D grid needs {omega.dimension} "
+                         f"resolution numbers, got {grid_spec}")
     grid = _GRIDS.get((omega, spec))
     if grid is None:
         if omega.dimension == 1:
-            grid = LineGrid(*omega.ends.tolist(), spec)
+            grid = LineGrid(*omega.ends.tolist(), *spec)
         else:
             grid = MappedDiskGrid(spd_inv_sqrt(omega.shape), omega.center, *spec)
         _GRIDS[omega, spec] = grid

@@ -38,8 +38,8 @@ the Hessian bounds take no spectrum of their own. The eps0 audit takes
 principal curvatures on all nodes of the initial state and on each
 step's boundary rows only, so an unrecorded step (cadence above 1)
 evaluates only those rows of the curvature matrix. The structure report
-takes the curvature sum from the mean curvature H = tr a. Jets and the
-boundary nodes' coordinates are read as component-major rows.
+takes the curvature sum from the mean curvature H = tr a. Jets are read
+as component-major rows, the base domain's normals off the grid.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ CSV_COLUMNS = tuple(f.name for f in fields(MonitorRecord))
 
 
 def obliqueness(state) -> float:
-    """Min over boundary nodes of <beta, nu> / |beta|, beta = Dh(Du)."""
-    bb = state.grid.boundary
+    """Min over boundary nodes of <beta, nu> / |beta|, beta = Dh(Du) and
+    nu = ``grid.boundary_normals``."""
+    bb, nu = state.grid.boundary, state.grid.boundary_normals
     _, beta = dom.defining_jet_many(state.omega_tilde, state.jets.p[:, bb])
-    nu = dom.inward_normal_many(state.omega, state.grid.boundary_points)
     pairing = np.sum(beta * nu, axis=0) / np.linalg.norm(beta, axis=0)
     return float(np.min(pairing))
 

@@ -314,6 +314,25 @@ class TestRunCommand:
         assert (f"length unit   : {cli._fmt(ell)} "
                 f"(tau ceiling {cli._fmt(4.0 * np.pi)})") in report
 
+    @pytest.mark.parametrize("omega", ["ball 0 0 1e8", "ball 1e7 0 1",
+                                       "ball 0 0 1e100"])
+    def test_far_or_large_base_ball_converges(self, omega, tmp_path,
+                                              capsys):
+        # the audits take the boundary normals from the grid's map, so no
+        # membership test on h, whose absolute size grows with the
+        # domain, refuses the run; the volume stays finite at 1e100
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"signature = minkowski\nomega = {omega}\n"
+                       "omega_tilde = ball 0 0 0.5\nn_rho = 16\nn_theta = 32\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        radius = float(omega.split()[-1])
+        speed = f"{1.07272163410977 / radius:.10g}"
+        assert f"C_inf = {speed} after 3 steps" in capsys.readouterr().out
+        for name in ("monitors.csv", "fields.csv", "snapshot.txt",
+                     "report.txt"):
+            assert (tmp_path / "out" / name).is_file()
+
     def test_snapshot_roundtrip_bit_exact(self, finished_run):
         _, out = finished_run
         header, coords, u = cli.read_snapshot(out / "snapshot.txt")

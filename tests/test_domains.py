@@ -230,6 +230,14 @@ class TestLengthUnit:
         assert domain.length_unit == pytest.approx(
             volume ** (1.0 / domain.dimension), rel=1e-14)
 
+    @pytest.mark.parametrize("radius", [1e-150, 1e-100, 1e100, 1e150])
+    def test_volume_of_a_very_small_or_large_ball(self, radius):
+        # det Q = radius^-4 under- or overflows; its root's factors do not
+        ball = dom.ConvexDomain.ball([0.0, 0.0], radius)
+        assert ball.volume == pytest.approx(np.pi * radius**2, rel=1e-14, abs=0)
+        assert ball.length_unit == pytest.approx(np.sqrt(np.pi) * radius,
+                                                 rel=1e-14, abs=0)
+
 
 class TestAffineMap:
     def test_interval_pair(self):

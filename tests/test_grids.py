@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gaussflow.grids import LineGrid, MappedDiskGrid
+from gaussflow import domains as dom
+from gaussflow.grids import LineGrid, MappedDiskGrid, build_grid
 from helpers import stencil_blocks
 
 
@@ -291,14 +292,56 @@ class TestStencilPattern:
             np.abs(expect.data))
 
 
+class TestDescription:
+    """What a grid says of itself: its node numbering, its resolution and
+    the base domain's inward normals at its boundary nodes."""
+
+    def test_node_index_numbers_rings_and_angles(self):
+        grid = MappedDiskGrid(np.eye(2), np.zeros(2), 5, 10)
+        assert grid.node_index.shape == (2, grid.n_nodes)
+        assert tuple(grid.node_index[:, 0]) == (0, 0)  # the pole
+        for k in range(1, grid.n_nodes):
+            assert grid.index(*grid.node_index[:, k]) == k
+        line = LineGrid(0.0, 1.0, 12)
+        assert np.array_equal(line.node_index, [np.arange(13)])
+
+    @pytest.mark.parametrize("omega, spec", [
+        (dom.ConvexDomain.interval(-0.3, 1.2), 40),
+        (dom.ConvexDomain.interval(-0.3, 1.2), (40,)),
+        (dom.ConvexDomain.ellipse([0.1, -0.2], [[1.2, 0.3], [0.3, 2.1]]), (6, 12)),
+    ], ids=["line", "line-tuple", "disk"])
+    def test_resolution_builds_the_grid_again(self, omega, spec):
+        grid = build_grid(omega, spec)
+        assert grid.resolution == tuple(np.atleast_1d(spec))
+        assert build_grid(omega, grid.resolution) is grid
+
+    def test_resolution_of_another_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="a 1D grid needs 1 resolution"):
+            build_grid(dom.ConvexDomain.interval(0.0, 1.0), (8, 16))
+
+    @pytest.mark.parametrize("omega, spec", [
+        (dom.ConvexDomain.interval(-0.3, 1.2), 40),
+        (dom.ConvexDomain.ball([0.0, 0.0], 1.0), (6, 12)),
+        (dom.ConvexDomain.ellipse([0.1, -0.2], [[1.2, 0.3], [0.3, 2.1]]), (6, 12)),
+    ], ids=["line", "unit-disk", "shifted-rotated-ellipse"])
+    def test_boundary_normals_are_the_domains(self, omega, spec):
+        grid = build_grid(omega, spec)
+        normals = grid.boundary_normals
+        assert normals.shape == (grid.dim, grid.boundary.size)
+        assert not normals.flags.writeable
+        for b, nu in zip(grid.boundary, normals.T, strict=True):
+            want = dom.inward_normal(omega, grid.nodes[b])
+            assert np.max(np.abs(nu - want)) <= 1e-15
+
+
 class TestReadOnly:
     @pytest.mark.parametrize("grid", [
         LineGrid(0.0, 1.0, 12),
         MappedDiskGrid(np.array([[0.8, 0.3], [0.3, 0.5]]), np.ones(2), 5, 10),
     ], ids=["line", "disk"])
     def test_every_array_of_a_grid_is_read_only(self, grid):
-        names = ["nodes", "interior", "boundary", "audit_interior",
-                 "boundary_points"]
+        names = ["nodes", "node_index", "interior", "boundary",
+                 "boundary_normals", "audit_interior"]
         if grid.dim == 2:
             names += ["ref_nodes", "a_map", "a_inv", "center", "mode_keys"]
         stacked, slot = grid._stacked

@@ -31,6 +31,27 @@ from .errors import BoundaryMembershipError
 # Tolerance on |h(q)| for accepting q as a boundary point.
 BOUNDARY_TOL = 1e-10
 
+# The normal doubles: a shape matrix's eigenvalues must lie in this range.
+NORMAL = (float(np.finfo(float).tiny), float(np.finfo(float).max))
+
+
+def _beyond_normal(name: str, got: str) -> ValueError:
+    return ValueError(f"{name}: shape matrix eigenvalues must lie in the normal "
+                      f"double range [{NORMAL[0]:.3g}, {NORMAL[1]:.3g}], got {got}")
+
+
+def _inverse_square(x: np.float64, name: str) -> np.float64:
+    """1 / x**2 for the ``ball`` and ``interval`` shapes: 1 / x / x where
+    x**2 overflows, which need not be 0. An overflow to inf, or an
+    infinite x, fails the domain's finiteness check; the underflow of a
+    finite x to 0 is refused here."""
+    with np.errstate(all="ignore"):
+        square = x**2
+        inverse = 1.0 / square if square < np.inf else 1.0 / x / x
+    if inverse == 0 and np.isfinite(x):
+        raise _beyond_normal(name, f"1 / {x:.3g}**2, below them")
+    return inverse
+
 
 @dataclass(frozen=True, eq=False)
 class ConvexDomain:
@@ -63,8 +84,11 @@ class ConvexDomain:
             raise ValueError(f"{name}: shape matrix size does not match center")
         if not np.allclose(self.shape, self.shape.T, atol=1e-14):
             raise ValueError(f"{name}: shape matrix must be symmetric")
-        if self._eigenvalues[0] <= 0:
+        low, high = self._eigenvalues[[0, -1]]
+        if low <= 0:
             raise ValueError(f"{name}: shape matrix must be positive definite")
+        if not NORMAL[0] <= low <= high <= NORMAL[1]:
+            raise _beyond_normal(name, f"[{low:.3g}, {high:.3g}]")
 
     def __eq__(self, other):
         if not isinstance(other, ConvexDomain):
@@ -138,8 +162,8 @@ class ConvexDomain:
     def interval(a: float, b: float) -> "ConvexDomain":
         if not b > a:
             raise ValueError(f"interval needs a < b, got ({a}, {b})")
-        with np.errstate(all="ignore"):  # an overflow fails the finiteness check
-            shape = [[4.0 / (np.float64(b) - a) ** 2]]
+        with np.errstate(over="ignore"):  # an overflow fails the finiteness check
+            shape = [[4.0 * _inverse_square(np.float64(b) - a, "interval")]]
         return ConvexDomain._quadric([0.5 * (a + b)], shape, "interval", (a, b))
 
     @staticmethod
@@ -147,8 +171,8 @@ class ConvexDomain:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if not radius > 0:
             raise ValueError(f"ball needs radius > 0, got {radius}")
-        with np.errstate(all="ignore"):  # an overflow fails the finiteness check
-            shape = np.eye(center.size) / np.float64(radius) ** 2
+        with np.errstate(invalid="ignore"):  # 0 inf fails the finiteness check
+            shape = np.eye(center.size) * _inverse_square(np.float64(radius), "ball")
         return ConvexDomain._quadric(center, shape, "ball", (*center, radius))
 
     @staticmethod

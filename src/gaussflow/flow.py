@@ -26,12 +26,13 @@ keep it, and op.value already enforced the spacelike bound at the same
 gradients.
 
 The Jacobian is filled on a sparsity pattern fixed per grid (the union
-of the identity and every stencil, built from the grid's stencil table
-on first use) as the sum of the row-weighted stencils: the pattern holds
-each stencil's values in its CSC order, so an assembly is one gather of
-row weights and one multiply-add per stencil, with no sparse products,
-sums or lookups. Entries that are zero in one Jacobian stay in the
-pattern as explicit zeros.
+of the identity and every stencil: the grid's stencil table) as the sum
+of the row-weighted stencils: the pattern holds each stencil's values in
+CSR order, so an assembly repeats each row's weight over the row's slots
+and makes one multiply-add per stencil, with no sparse products, sums or
+lookups. Entries that are zero in one Jacobian stay in the pattern as
+explicit zeros. J is CSR: J @ x, ||J||_inf and the disk's angle average
+read it as it is, and only SuperLU converts it to CSC (grid.superlu).
 
 The grid factors the Jacobian (grid.factor), and grids.build_grid picks
 and shares the grid of a domain, so this module names no grid class and
@@ -456,10 +457,9 @@ def _jacobian(state: FlowState, ev: Evaluation, tau: float):
 
 
 def _inf_norm(jac) -> float:
-    """||J||_inf: the row sums of |J|, one pass over the CSC data."""
-    rows = np.bincount(jac.indices, weights=np.abs(jac.data),
-                       minlength=jac.shape[0])
-    return float(np.max(rows))
+    """||J||_inf: the row sums of |J|, one product of the CSR |J| with
+    ones, which sums each row in its column order."""
+    return float(np.max(abs(jac) @ np.ones(jac.shape[1])))
 
 
 def _floor_at(jac_norm: float, u: np.ndarray) -> float:

@@ -32,11 +32,16 @@ and (N, n, n) transposes, for callers holding node-major jets.
 
 Each grid builds its stencils as one slot table: an int32 CSR skeleton
 holding every stencil entry and the diagonal, and one row of values on
-it per stencil, the gradient's n, then the Hessian's (k, l) with k <= l;
-the disk's polar to Cartesian maps and affine chain rule are array
-arithmetic on table rows, their terms summed left to right. The stacked
-operator keeps the table's nonzero entries, one row block per stencil.
-``stencil_pattern`` is built from the table on first use.
+it per stencil, the gradient's n, then the Hessian's (k, l) with k <= l.
+Both grids build it by arithmetic on their structure, with no sort and
+no search: each row block (the line's two ends and its inside; the
+disk's pole, ring 1, rings 2 .. n_rho - 1 and boundary ring) holds its
+entries at fixed offsets, as in hypre's structured-grid interface
+(Falgout and Yang, ICCS 2002). The disk's polar to Cartesian maps and
+affine chain rule are array arithmetic on those entries, their terms
+summed left to right. The stacked operator keeps the table's nonzero
+entries, one row block per stencil; ``stencil_pattern`` is the table
+itself, in the same row order.
 
 Each grid also owns the linear solver of the Newton Jacobians assembled
 on its pattern: ``factor(jac)`` returns an object whose ``solve(b)``
@@ -94,55 +99,35 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
-def _entries(triplets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) arrays of a list of broadcasting triplets."""
-    rows, cols, vals = zip(*(
-        (a.ravel() for a in np.broadcast_arrays(r, c, v)) for r, c, v in triplets))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _skeleton(n: int, stencils):
-    """int32 CSR indptr and indices of the sorted union of the diagonal
-    and the entries of n x n stencils given as (rows, cols, ...), found by
-    one sort; the diagonal's slots; and per stencil its entries' slots."""
-    diag = np.arange(n) * (n + 1)
-    keys = np.concatenate([diag, *(r * n + c for r, c, *_ in stencils)])
-    keys.sort()
-    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-    slots = [np.searchsorted(keys, r * n + c) for r, c, *_ in stencils]
-    return (indptr, (keys % n).astype(np.int32), np.searchsorted(keys, diag),
-            slots)
-
-
 class StencilPattern:
-    """CSC pattern of diag(coef[0]) + sum_s diag(coef[s]) @ stencils[s - 1].
+    """CSR pattern of diag(coef[0]) + sum_s diag(coef[s]) @ stencils[s - 1].
 
-    The pattern is the union of the diagonal and the stencils' nonzero
-    entries, on which each stencil is held as values in CSC order.
+    The pattern is the union of the diagonal and the stencils' entries,
+    on which each stencil is held as C-contiguous values in CSR order.
     ``assemble(coef)`` puts coef[0] on the diagonal and adds the stencils
-    in order, weighting each entry by coef of its row. Entries that
-    cancel or are never weighted stay as explicit zeros, so every
-    assembly shares one structure; dropping them would let minimum degree
-    order a sparser matrix into 1-9 % more LU fill.
+    in order, weighting each row's entries by coef of the row, repeated
+    over the row's slots. Entries that cancel or are never weighted stay
+    as explicit zeros, so every assembly shares one structure; dropping
+    them would let minimum degree order a sparser matrix into 1-9 % more
+    LU fill.
     """
 
     def __init__(self, indptr, indices, diagonal, values):
         self.indptr, self.indices = indptr, indices
         self._diagonal, self._values = diagonal, values
-        _read_only(indptr, indices, diagonal, values)
+        self._row_counts = np.diff(indptr)
+        _read_only(indptr, indices, diagonal, values, self._row_counts)
         self.n_nodes = indptr.size - 1
         self.n_stencils = 1 + len(values)
 
-    def assemble(self, coef: np.ndarray) -> sp.csc_matrix:
+    def assemble(self, coef: np.ndarray) -> sp.csr_matrix:
         data = np.zeros(self.indices.size)
         data[self._diagonal] = coef[0]
-        term = np.empty_like(data)
         for c, vals in zip(coef[1:], self._values):
-            np.take(c, self.indices, out=term)
+            term = np.repeat(c, self._row_counts)
             term *= vals
             data += term
-        return sp.csc_matrix((data, self.indices, self.indptr),
+        return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.n_nodes, self.n_nodes))
 
 
@@ -154,46 +139,31 @@ class _StencilGrid:
         return [(k, l) for k in range(self.dim) for l in range(k, self.dim)]
 
     def _install(self, indptr, indices, diag, table):
-        """The stacked operator of a slot table (gradient stencils, then
-        the Hessian's (k, l), k <= l, on the skeleton indptr, indices with
-        the diagonal at ``diag``); the table waits for ``stencil_pattern``.
-        No per-stencil matrix is built. Called last in the constructor, it
-        marks every array of the grid read-only."""
+        """The stacked operator and ``stencil_pattern`` of a slot table
+        (gradient stencils, then the Hessian's (k, l), k <= l, on the
+        skeleton indptr, indices with the diagonal at ``diag``). No
+        per-stencil matrix is built. Called last in the constructor, it
+        marks every array of the grid read-only.
+
+        The pattern is the skeleton itself: each slot holds an entry of
+        some stencil, and the maps from the line's or the polar stencils
+        to the grid's are invertible per node, so no slot is zero in every
+        stencil but by an exact cancellation, which leaves one more
+        explicit zero."""
         n, dim = self.n_nodes, self.dim
-        nonzero = table != 0
-        ptr = np.zeros(table.shape[0] * n + 1, dtype=np.int32)
-        np.cumsum(np.add.reduceat(nonzero, indptr[:-1], axis=1, dtype=np.int32),
-                  out=ptr[1:])
-        stacked = sp.csr_matrix(
-            (table[nonzero], np.broadcast_to(indices, table.shape)[nonzero], ptr),
-            shape=(table.shape[0] * n, n))
+        blocks = len(table)
+        ptr = np.append(indptr[:-1] + indices.size * np.arange(
+            blocks, dtype=np.int32)[:, None], np.int32(table.size))
+        stacked = sp.csr_matrix((table.ravel().copy(), np.tile(indices, blocks), ptr),
+                                shape=(blocks * n, n))
+        stacked.eliminate_zeros()  # the table's zeros, kept in the pattern
         slot = np.empty((dim, dim), dtype=int)
         for s, (k, l) in enumerate(self.second_slots(), start=dim):
             slot[k, l] = slot[l, k] = s
         self._stacked = stacked, slot
-        self._table = indptr, indices, diag, table
+        self.stencil_pattern = StencilPattern(indptr, indices, diag, table)
         _read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)),
-                   stacked.data, stacked.indices, stacked.indptr, slot,
-                   *self._table)
-
-    @cached_property
-    def stencil_pattern(self) -> StencilPattern:
-        """The skeleton slots where some stencil is nonzero, in CSC order
-        (a transpose of the skeleton that carries slot numbers)."""
-        indptr, indices, diag, table = self.__dict__.pop("_table")
-        keep = (table != 0).any(axis=0)
-        keep[diag] = True
-        csc = sp.csr_matrix((np.arange(indices.size), indices, indptr),
-                            shape=(self.n_nodes,) * 2).tocsc()
-        keep = keep[csc.data]
-        kept = np.zeros(keep.size + 1, dtype=np.int32)
-        np.cumsum(keep, out=kept[1:])
-        csc_ptr, rows, perm = kept[csc.indptr], csc.indices[keep], csc.data[keep]
-        del csc, keep, kept  # before the gather below, which sets the peak
-        on_diag = np.zeros(indices.size, dtype=bool)
-        on_diag[diag] = True
-        return StencilPattern(csc_ptr, rows, np.flatnonzero(on_diag[perm]),
-                              table[:, perm])
+                   stacked.data, stacked.indices, stacked.indptr, slot)
 
     def superlu(self, jac):
         """Sparse LU of a Newton Jacobian in the grid's column ordering.
@@ -202,10 +172,11 @@ class _StencilGrid:
         keeps the pivots on the diagonal wherever they are not tiny, so the
         row order follows the symmetric fill-reducing column order (MMD on
         A^T + A in 2D) instead of breaking it with partial pivoting. An
-        exactly singular J raises RuntimeError.
+        exactly singular J raises RuntimeError. J comes as the CSR that
+        ``StencilPattern.assemble`` returns; SuperLU takes it as CSC.
         """
-        return splu(jac, permc_spec=self.column_ordering, diag_pivot_thresh=0.01,
-                    options=dict(SymmetricMode=True))
+        return splu(jac.tocsc(), permc_spec=self.column_ordering,
+                    diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
 
     def factor(self, jac):
         """The chord factor of a Newton Jacobian: an object whose
@@ -352,61 +323,7 @@ class MappedDiskGrid(_StencilGrid):
         """Flat index of ring j >= 1, angle m (pole is index 0)."""
         return 1 + (j - 1) * self.n_theta + (m % self.n_theta)
 
-    # -- polar stencil tables -------------------------------------------------
-
-    def _polar_operators(self):
-        """(rows, cols, values) of the stencils for u_rho, u_rhorho,
-        u_theta, u_thetatheta and u_rhotheta, keyed r, rr, t, tt, rt.
-
-        Rows are rings 1..n_rho (the pole row stays empty). Index arrays
-        run over (ring, angle); ``index`` wraps the angle periodically.
-        """
-        nt, nr = self.n_theta, self.n_rho
-        drho, dth = self.d_rho, self.d_theta
-        m = np.arange(nt)
-        ring = np.arange(1, nr + 1)[:, None]
-        inner = np.arange(1, nr)[:, None]  # rings with a ring above
-        rows, rows_in, rows_b = (self.index(ring, m), self.index(inner, m),
-                                 self.index(nr, m))
-        above = self.index(inner + 1, m)
-        below = np.where(inner == 1, 0, self.index(inner - 1, m))  # pole
-        b1, b2, b3 = (self.index(nr - k, m) for k in (1, 2, 3))
-
-        # theta derivatives: centered, periodic (pole row excluded)
-        ops = {
-            "t": [(rows, self.index(ring, m + 1), 0.5 / dth),
-                  (rows, self.index(ring, m - 1), -0.5 / dth)],
-            "tt": [(rows, self.index(ring, m + 1), 1.0 / dth**2),
-                   (rows, rows, -2.0 / dth**2),
-                   (rows, self.index(ring, m - 1), 1.0 / dth**2)],
-            # centered in rho inside; boundary ring one-sided second order
-            "r": [(rows_in, above, 0.5 / drho),
-                  (rows_in, below, -0.5 / drho),
-                  (rows_b, rows_b, 1.5 / drho),
-                  (rows_b, b1, -2.0 / drho),
-                  (rows_b, b2, 0.5 / drho)],
-            "rr": [(rows_in, above, 1.0 / drho**2),
-                   (rows_in, rows_in, -2.0 / drho**2),
-                   (rows_in, below, 1.0 / drho**2),
-                   (rows_b, rows_b, 2.0 / drho**2),
-                   (rows_b, b1, -5.0 / drho**2),
-                   (rows_b, b2, 4.0 / drho**2),
-                   (rows_b, b3, -1.0 / drho**2)],
-            "rt": [],
-        }
-        # centered cross term (u_theta vanishes at the pole, so ring 1
-        # has no term below); one-sided in rho on the boundary ring
-        mid = np.arange(2, nr)[:, None]
-        for shift, w in ((1, 0.5 / dth), (-1, -0.5 / dth)):
-            ops["rt"] += [
-                (rows_in, self.index(inner + 1, m + shift), w * 0.5 / drho),
-                (self.index(mid, m), self.index(mid - 1, m + shift),
-                 -w * 0.5 / drho),
-                (rows_b, self.index(nr, m + shift), w * 1.5 / drho),
-                (rows_b, self.index(nr - 1, m + shift), -w * 2.0 / drho),
-                (rows_b, self.index(nr - 2, m + shift), w * 0.5 / drho),
-            ]
-        return {key: _entries(entries) for key, entries in ops.items()}
+    # -- the structured stencil layout ----------------------------------------
 
     def _pole_fit_rows(self):
         """Least-squares quadratic fit rows for the pole derivatives.
@@ -416,51 +333,99 @@ class MappedDiskGrid(_StencilGrid):
         modes {cos, sin, const, cos2, sin2} on the ring, so one ring plus
         the pole determines the full reference jet.
         """
-        nt = self.n_theta
         rho1 = self.d_rho
-        theta = np.arange(nt) * self.d_theta
+        theta = np.arange(self.n_theta) * self.d_theta
         xh = rho1 * np.cos(theta)
         yh = rho1 * np.sin(theta)
         basis = np.stack([xh, yh, 0.5 * xh * xh, xh * yh, 0.5 * yh * yh], axis=1)
         # weights: coeffs = W (u_ring - u_pole)
-        w = np.linalg.pinv(basis)
-        return w, self.index(1, np.arange(nt))
+        return np.linalg.pinv(basis)
 
     def _reference_rows(self):
-        """Skeleton, diagonal slots and the reference Cartesian stencils
-        d/dxhat, d/dyhat, then xx, xy, yy as rows on the skeleton: polar
-        stencils weighted per row, summed left to right, with the
-        quadratic fit as the pole row."""
-        n = self.n_nodes
-        polar = self._polar_operators()
-        w_fit, ring_cols = self._pole_fit_rows()
-        pole_cols = np.concatenate([[0], ring_cols])
-        indptr, indices, diag, slots = _skeleton(
-            n, [*polar.values(), (0 * pole_cols, pole_cols)])
+        """CSR skeleton, diagonal slots and the reference Cartesian
+        stencils d/dxhat, d/dyhat, then xx, xy, yy as rows on it, all by
+        arithmetic on the grid's structure.
+
+        The pole row is the quadratic fit on the pole and ring 1. Every
+        other row block (ring 1, rings 2 .. n_rho - 1, the boundary ring)
+        holds the polar stencils for u_rho, u_rhorho, u_theta,
+        u_thetatheta and u_rhotheta (keyed r, rr, t, tt, rt) on one box of
+        ring offsets -3..1 by angle offsets -1..1: centred in rho inside,
+        where ring 1's ring below is the pole, and one-sided second order
+        on the boundary ring, which reaches three rings in. A row's entries
+        are the box's nonzero offsets; each weights the polar stencils per
+        row and sums them left to right. In a row the entries' columns
+        sort by ring offset, then by angle, whose order turns only where
+        m - 1 or m + 1 wraps: each entry's slot is its column's rank in its
+        row, counted on the block's first ring.
+        """
+        nr, nt = self.n_rho, self.n_theta
+        drho, dth = self.d_rho, self.d_theta
         rho = np.linalg.norm(self.ref_nodes, axis=1)
         theta = np.arctan2(self.ref_nodes[:, 1], self.ref_nodes[:, 0])
         c, s = np.cos(theta), np.sin(theta)
-        ir = np.zeros(n)
+        ir = np.zeros(self.n_nodes)
         ir[1:] = 1.0 / rho[1:]
-        terms = (
-            [(c, "r"), (-(s * ir), "t")],
-            [(s, "r"), (c * ir, "t")],
-            [(c * c, "rr"), (-(2.0 * c * s * ir), "rt"), (s * s * ir**2, "tt"),
-             (s * s * ir, "r"), (2.0 * c * s * ir**2, "t")],
-            [(c * s, "rr"), ((c * c - s * s) * ir, "rt"),
-             (-(c * s * ir**2), "tt"), (-(c * s * ir), "r"),
-             (-((c * c - s * s) * ir**2), "t")],
-            [(s * s, "rr"), (2.0 * c * s * ir, "rt"), (c * c * ir**2, "tt"),
-             (c * c * ir, "r"), (-(2.0 * c * s * ir**2), "t")],
-        )
-        at = dict(zip(polar, slots))
-        ref = np.zeros((len(terms), indices.size))
-        for row, sum_terms, fit in zip(ref, terms, w_fit):
-            for w, key in sum_terms:
-                rows, _, vals = polar[key]
-                row[at[key]] += w[rows] * vals
-            row[slots[-1]] = np.concatenate([[-np.sum(fit)], fit])
-        return indptr, indices, diag, ref
+        # per polar stencil, the reference rows it enters (the gradient's
+        # x, y, then the Hessian's xx, xy, yy) and its per-node weights in
+        # them; every row sums its stencils in this key order
+        terms = {key: (part, np.array(w)) for key, part, w in (
+            ("rr", slice(2, 5), [c * c, c * s, s * s]),
+            ("rt", slice(2, 5), [-(2.0 * c * s * ir), (c * c - s * s) * ir,
+                                 2.0 * c * s * ir]),
+            ("tt", slice(2, 5), [s * s * ir**2, -(c * s * ir**2), c * c * ir**2]),
+            ("r", slice(0, 5), [c, s, s * s * ir, -(c * s * ir), c * c * ir]),
+            ("t", slice(0, 5), [-(s * ir), c * ir, 2.0 * c * s * ir**2,
+                                -((c * c - s * s) * ir**2), -(2.0 * c * s * ir**2)]))}
+        # rho weights of the r, rr and rt stencils at ring offsets -3..1:
+        # centred inside, where ring 1 has no cross term below (u_theta
+        # vanishes at the pole), and one-sided on the boundary ring
+        centred, second = [0, 0, -0.5, 0, 0.5], [0, 0, 1, -2, 1]
+        one_sided = [0, 0.5, -2, 1.5, 0]
+        blocks = ((1, 2, centred, second, [0, 0, 0, 0, 0.5]),
+                  (2, nr, centred, second, centred),
+                  (nr, nr + 1, one_sided, [-1, 4, -5, 2, 0], one_sided))
+        d_theta = np.array([-0.5, 0.0, 0.5]) / dth
+        same_angle, same_ring = [0, 1, 0], [0, 0, 0, 1, 0]
+        angular = {"t": np.outer(same_ring, d_theta),
+                   "tt": np.outer(same_ring, [1.0, -2.0, 1.0]) / dth**2}
+        w_fit = self._pole_fit_rows()
+        counts = np.full(self.n_nodes, nt + 1)
+        centre = np.zeros(self.n_nodes, dtype=int)  # the diagonal's place in its row
+        cols = [np.arange(nt + 1, dtype=np.int32)]
+        ref = [np.c_[-np.sum(w_fit, axis=1), w_fit]]
+        for j0, j1, r_w, rr_w, rt_w in blocks:
+            box = {"r": np.outer(np.divide(r_w, drho), same_angle),
+                   "rr": np.outer(np.divide(rr_w, drho**2), same_angle),
+                   "rt": np.outer(rt_w, d_theta) / drho, **angular}
+            # the block's entries: ring offset d - 3, angle offset a - 1
+            d, a = np.nonzero(sum(b != 0 for b in box.values()))
+            # each stencil's (entry, value) pairs
+            on = {key: [(e, v) for e, v in enumerate(b[d, a].tolist()) if v]
+                  for key, b in box.items()}
+            rows = slice(self.index(j0, 0), self.index(j1, 0))
+            vals = np.zeros((5, rows.stop - rows.start, d.size))
+            for key, (part, w) in terms.items():
+                for e, v in on[key]:
+                    vals[part, :, e] += v * w[:, rows]
+            # the columns of the block's first ring, ranked in their rows:
+            # the order turns only where m - 1 or m + 1 wraps
+            m = np.arange(nt)[:, None]
+            col = np.where(j0 + d == 3, 0, self.index(j0 + d - 3, m + a - 1))
+            rank = np.sum(col[:, None, :] < col[:, :, None], axis=2)
+            np.put_along_axis(col, rank, col.copy(), axis=1)
+            vals = vals.reshape(5, j1 - j0, nt, d.size)
+            for k in np.flatnonzero(np.any(rank != np.arange(d.size), axis=1)):
+                vals[:, :, k, rank[k]] = vals[:, :, k].copy()
+            cols.append((np.tile(col.ravel(), j1 - j0) + np.repeat(
+                np.arange(j1 - j0) * nt, col.size)).astype(np.int32))
+            ref.append(vals.reshape(5, -1))
+            counts[rows] = d.size
+            centre[rows] = np.tile(rank[:, list(zip(d, a)).index((3, 1))], j1 - j0)
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        return (indptr, np.concatenate(cols), indptr[:-1] + centre,
+                np.concatenate(ref, axis=1))
 
     # -- the chord factor -----------------------------------------------------
 
@@ -471,7 +436,7 @@ class MappedDiskGrid(_StencilGrid):
 
     @cached_property
     def mode_keys(self) -> np.ndarray:
-        """Per slot of ``stencil_pattern`` (CSC order), int32: the key of
+        """Per slot of ``stencil_pattern`` (CSR order), int32: the key of
         the angle average the slot's entry enters (``FourierChordFactor``).
 
         With the pole as ring 0, an entry couples ring j to ring j + d,
@@ -480,21 +445,21 @@ class MappedDiskGrid(_StencilGrid):
         other. Between rings j >= 1 and j + d >= 1 at angle offset
         a = m' - m mod n_theta its key is ((j - 1) 5 + d + 3) n_theta + a;
         after those n_rho 5 n_theta keys come the pole column of each
-        ring, the pole row of each ring and the pole itself.
+        ring, the pole row of each ring and the pole itself. The rows'
+        rings and angles repeat over their slots, so the keys are
+        arithmetic on the pattern's CSR arrays.
         """
         pattern = self.stencil_pattern
         nr, nt = self.n_rho, self.n_theta
-        ring, angle = self.node_index
-        rows = pattern.indices
-        cols = np.repeat(np.arange(self.n_nodes), np.diff(pattern.indptr))
-        d = ring[cols] - ring[rows]
+        ring, angle = np.repeat(self.node_index, np.diff(pattern.indptr), axis=1)
+        ring_c, angle_c = self.node_index[:, pattern.indices]
         base = nr * 5 * nt
-        keys = np.where(
-            rows == 0,
-            np.where(cols == 0, base + 2 * nr, base + nr + ring[cols] - 1),
-            np.where(cols == 0, base + ring[rows] - 1,
-                     ((ring[rows] - 1) * 5 + d + 3) * nt
-                     + (angle[cols] - angle[rows]) % nt)).astype(np.int32)
+        keys = ((4 * ring + ring_c - 2) * nt + (angle_c - angle) % nt).astype(np.int32)
+        pole = pattern.indices == 0
+        keys[pole] = base + ring[pole] - 1
+        # the pole row: the pole itself, then its ring-1 columns
+        keys[:pattern.indptr[1]] = base + nr + ring_c[:pattern.indptr[1]] - 1
+        keys[0] = base + 2 * nr
         _read_only(keys)
         return keys
 
@@ -504,13 +469,17 @@ class MappedDiskGrid(_StencilGrid):
         ai = self.a_inv
         ref_hess = [[ref[2], ref[3]], [ref[3], ref[4]]]
         table = np.zeros((5, indices.size))
+        # a zero weight adds nothing, so it is skipped: on an axis-aligned
+        # base, 5 of the 16 terms remain
         for k in range(2):
             for l in range(2):
-                table[k] += ai[k, l] * ref[l]
+                if ai[k, l]:
+                    table[k] += ai[k, l] * ref[l]
         for s, (k, l) in enumerate(self.second_slots(), start=2):
             for a in range(2):
                 for b in range(2):
-                    table[s] += ai[k, a] * ai[l, b] * ref_hess[a][b]
+                    if w := ai[k, a] * ai[l, b]:
+                        table[s] += w * ref_hess[a][b]
         del ref, ref_hess
         self._install(indptr, indices, diag, table)
 

@@ -262,6 +262,29 @@ class TestStepControlValidation:
         assert not [str(w.message) for w in recwarn]
         assert not out.exists()
 
+    @pytest.mark.parametrize("omega, got", [
+        # radius**2 overflows: Q = 1e-310 I is subnormal, not 0
+        ("ball 0 0 1e155", "[1e-310, 1e-310]"),
+        # were it accepted, the run's monitor would overflow in h_ref**2
+        ("ellipse 0 0 1e-310 0 1e-310", "[1e-310, 1e-310]"),
+        ("interval 0 1e155", "[4e-310, 4e-310]"),
+    ])
+    def test_shape_beyond_the_normal_doubles_exits_one(self, tmp_path, capsys,
+                                                       recwarn, omega, got):
+        grid = "n = 20" if omega.startswith("interval") else "n_rho = 8\nn_theta = 16"
+        image = "interval -0.5 0.5" if omega.startswith("interval") else "ball 0 0 0.5"
+        cfg = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"signature = minkowski\nomega = {omega}\n"
+                       f"omega_tilde = {image}\n{grid}\noutput_dir = {out}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert ("configuration error" in err and "eigenvalues must lie in the "
+                f"normal double range [2.23e-308, 1.8e+308], got {got}" in err)
+        assert "Traceback" not in err
+        assert not [str(w.message) for w in recwarn]
+        assert not out.exists()
+
     def test_last_node_is_a_valid_anchor(self, tmp_path):
         cfg = tmp_path / "edge.cfg"
         out = tmp_path / "out"
@@ -315,7 +338,7 @@ class TestRunCommand:
                 f"(tau ceiling {cli._fmt(4.0 * np.pi)})") in report
 
     @pytest.mark.parametrize("omega", ["ball 0 0 1e8", "ball 1e7 0 1",
-                                       "ball 0 0 1e100"])
+                                       "ball 0 0 1e100", "ball 0 0 1e150"])
     def test_far_or_large_base_ball_converges(self, omega, tmp_path,
                                               capsys):
         # the audits take the boundary normals from the grid's map, so no

@@ -239,6 +239,28 @@ class TestLengthUnit:
                                                  rel=1e-14, abs=0)
 
 
+class TestNormalRange:
+    """A shape matrix's eigenvalues must be normal doubles."""
+
+    @pytest.mark.parametrize("radius", [1e-150, 1.5, 1e150])
+    def test_ball_shape_is_the_inverse_square(self, radius):
+        # bit for bit I / radius**2 wherever that square is normal
+        ball = dom.ConvexDomain.ball([0.0, 0.0], radius)
+        assert np.array_equal(ball.shape, np.eye(2) / np.float64(radius) ** 2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: dom.ConvexDomain.ball([0.0, 0.0], 1e155),
+        # 1 / radius**2 = 1e-400 is below every double, not 0
+        lambda: dom.ConvexDomain.ball([0.0, 0.0], 1e200),
+        lambda: dom.ConvexDomain.interval(0.0, 1e155),
+        lambda: dom.ConvexDomain.ellipse([0.0, 0.0], np.diag([1.0, 1e-310])),
+        lambda: dom.ConvexDomain.ellipse([0.0], [[1e-309]]),
+    ], ids=["ball", "ball-below-the-doubles", "interval", "ellipse", "1d-ellipse"])
+    def test_subnormal_eigenvalue_is_refused_as_such(self, make):
+        with pytest.raises(ValueError, match="normal double range"):
+            make()
+
+
 class TestAffineMap:
     def test_interval_pair(self):
         a, s = dom.spd_affine_map(dom.ConvexDomain.interval(0, 1),

@@ -28,14 +28,10 @@ def reference_line_operators(grid):
     return [d1.tocsr()], [[d2.tocsr()]]
 
 
-def reference_disk_operators(grid):
-    """Disk stencils from a per-entry loop over (ring, angle).
-
-    Polar stencils are appended one entry at a time, mapped to reference
-    Cartesian derivatives by diagonal scalings, given their pole rows on
-    LIL matrices and pushed through the affine chain rule.
-    """
-    nt, nr, n = grid.n_theta, grid.n_rho, grid.n_nodes
+def polar_entries(grid):
+    """(rows, cols, values) of the polar stencils, keyed r, rr, t, tt and
+    rt, appended one entry at a time over (ring, angle)."""
+    nt, nr = grid.n_theta, grid.n_rho
     drho, dth = grid.d_rho, grid.d_theta
     ent = {k: ([], [], []) for k in ("r", "rr", "t", "tt", "rt")}
 
@@ -79,6 +75,18 @@ def reference_disk_operators(grid):
                     add("rt", row, grid.index(j, mm), w * 1.5 / drho)
                     add("rt", row, grid.index(j - 1, mm), -w * 2.0 / drho)
                     add("rt", row, grid.index(j - 2, mm), w * 0.5 / drho)
+    return ent
+
+
+def reference_disk_operators(grid):
+    """Disk stencils from a per-entry loop over (ring, angle).
+
+    Polar stencils are appended one entry at a time, mapped to reference
+    Cartesian derivatives by diagonal scalings, given their pole rows on
+    LIL matrices and pushed through the affine chain rule.
+    """
+    nt, n = grid.n_theta, grid.n_nodes
+    ent = polar_entries(grid)
     d_r, d_rr, d_t, d_tt, d_rt = (
         sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         for rows, cols, vals in (ent[k] for k in ("r", "rr", "t", "tt", "rt")))
@@ -107,7 +115,7 @@ def reference_disk_operators(grid):
            - dia(cos * sin * inv_rho) @ d_r
            - dia((cos * cos - sin * sin) * inv_rho**2) @ d_t)
 
-    w_fit, _ = grid._pole_fit_rows()
+    w_fit = grid._pole_fit_rows()
     ring_cols = [grid.index(1, m) for m in range(nt)]
     gx, gy, hxx, hxy, hyy = (m.tolil() for m in (gx, gy, hxx, hxy, hyy))
     for mat, krow in ((gx, 0), (gy, 1), (hxx, 2), (hxy, 3), (hyy, 4)):
@@ -128,6 +136,57 @@ def reference_disk_operators(grid):
                                  for a in range(2) for b in range(2)).tocsr()
             d_second[l][k] = d_second[k][l]
     return d_first, d_second
+
+
+def sorted_reference(grid):
+    """The disk's Jacobian pattern and mode keys as the grid first built
+    them, by sorting, returned in row order.
+
+    The skeleton is one sort of the row-major keys of the diagonal, every
+    polar stencil entry and the pole's fit row, and a searchsorted finds
+    the diagonal's slots. Each stencil of ``reference_disk_operators`` is
+    placed on it by searchsorted. The pattern keeps the slots where some
+    stencil is nonzero, and the diagonal, read in CSC order through a
+    transpose that carries slot numbers; the mode keys come from each CSC
+    slot's row and column, and sorting the slot numbers permutes them back
+    to row order. Returns the pattern's (indptr, indices, diagonal slots,
+    values, mode keys).
+    """
+    n, nr, nt = grid.n_nodes, grid.n_rho, grid.n_theta
+    ent = polar_entries(grid).values()
+    rows = np.concatenate([np.arange(n), np.zeros(nt + 1, dtype=int),
+                           *(np.array(r) for r, _, _ in ent)])
+    cols = np.concatenate([np.arange(n), np.arange(nt + 1),
+                           *(np.array(c) for _, c, _ in ent)])
+    keys = np.unique(rows * n + cols)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    diag = np.searchsorted(keys, np.arange(n) * (n + 1))
+    first, second = reference_disk_operators(grid)
+    values = np.zeros((5, keys.size))
+    for s, st in enumerate([*first, second[0][0], second[0][1], second[1][1]]):
+        st = st.tocoo()
+        values[s, np.searchsorted(keys, st.row * n + st.col)] = st.data
+    keep = values.any(axis=0)
+    keep[diag] = True
+    csc = sp.csr_matrix((np.arange(keys.size), keys % n, indptr),
+                        shape=(n, n)).tocsc()
+    kept = keep[csc.data]
+    slot, r = csc.data[kept], csc.indices[kept]
+    c = np.repeat(np.arange(n), np.diff(csc.indptr))[kept]
+    ring, angle = grid.node_index
+    base = nr * 5 * nt
+    csc_keys = np.where(
+        r == 0,
+        np.where(c == 0, base + 2 * nr, base + nr + ring[c] - 1),
+        np.where(c == 0, base + ring[r] - 1,
+                 ((ring[r] - 1) * 5 + ring[c] - ring[r] + 3) * nt
+                 + (angle[c] - angle[r]) % nt))
+    row_order = np.argsort(slot)
+    kept_ptr = np.r_[0, np.cumsum(keep)][indptr]
+    on_diag = np.zeros(keys.size, dtype=bool)
+    on_diag[diag] = True
+    return (kept_ptr, (keys % n)[keep], np.flatnonzero(on_diag[keep]),
+            values[:, keep], csc_keys[row_order])
 
 
 def assert_operators_identical(grid, reference):
@@ -272,6 +331,31 @@ class TestMappedDiskGrid:
         assert grid.index(3, -1) == grid.index(3, 15)
 
 
+class TestStructure:
+    """The disk's operators built by arithmetic on its row blocks (the
+    pole, ring 1, rings 2 .. n_rho - 1 and the boundary ring), against
+    the sort-based build they replaced."""
+
+    # (4, 8): the boundary ring's one-sided stencils reach ring 1, which
+    # reaches the pole, and the angle stencils wrap around eight nodes
+    @pytest.mark.parametrize("shape", [(4, 8), (5, 10), (6, 12), (32, 64)])
+    @pytest.mark.parametrize("a_map, center", [
+        (np.eye(2), np.zeros(2)),
+        (np.array([[0.8, 0.3], [0.3, 0.5]]), np.array([0.1, -0.2])),
+    ], ids=["unit-disk", "shifted-rotated-ellipse"])
+    def test_pattern_and_keys_match_the_sorted_build(self, a_map, center,
+                                                     shape):
+        grid = MappedDiskGrid(a_map, center, *shape)
+        want = sorted_reference(grid)
+        assert_operators_identical(grid, reference_disk_operators(grid))
+        pattern = grid.stencil_pattern
+        got = (pattern.indptr, pattern.indices, pattern._diagonal,
+               pattern._values, grid.mode_keys)
+        for got_part, ref in zip(got, want, strict=True):
+            assert np.array_equal(got_part, ref)
+        assert pattern._values.flags.c_contiguous
+
+
 class TestStencilPattern:
     @pytest.mark.parametrize("grid", [
         LineGrid(0.0, 1.0, 12),
@@ -287,7 +371,7 @@ class TestStencilPattern:
         coef = np.random.default_rng(3).normal(size=(len(stencils), grid.n_nodes))
         expect = sum(sp.diags(c) @ s for c, s in zip(coef, stencils))
         got = pattern.assemble(coef)
-        assert got.format == "csc"
+        assert got.format == "csr"
         assert np.max(np.abs((got - expect).toarray())) < 1e-12 * np.max(
             np.abs(expect.data))
 
